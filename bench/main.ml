@@ -761,8 +761,8 @@ let jit_bench () =
      the warm-sweep measurements below exclude it entirely. *)
   let t0 = Unix.gettimeofday () in
   let compiled =
-    Vm.Jit.get ~dims ~ghost:2 gen.Pfcore.Genkernels.phi_full
-      (Ir.Lower.run gen.Pfcore.Genkernels.phi_full)
+    Vm.Jit.get (Lazy.force bound.Vm.Engine.jit_key) ~dims ~ghost:2
+      gen.Pfcore.Genkernels.phi_full bound.Vm.Engine.lowered
   in
   let compile_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   Fmt.pr "tape: %d quads, tier: %s@." compiled.Vm.Jit.n_ops

@@ -477,7 +477,7 @@ let certify t (consts : consts) =
           && ((not (has_mu t)) || fixed (fields t).Pfcore.Model.mu_src))
     in
     Hashtbl.replace t.probe_cache key ok;
-    Obs.Metrics.incr (Obs.Metrics.counter "adapt.probes");
+    Obs.Metrics.count "adapt.probes" 1;
     ok
 
 (** Re-materialise a frozen block at level 0.  Source and destination

@@ -15,6 +15,10 @@ type t = {
   block_dims : int array;
   global_dims : int array;
   sims : Pfcore.Timestep.t array;
+  neighbors : int array;
+      (** periodic face neighbors, computed once: the rank beside [r] on
+          [axis] is at [((r * dim) + axis) * 2] (low) and the slot after
+          it (high) *)
   overlap : bool;
       (** overlap the φ_dst ghost exchange with the μ interior sweep
           (paper §7 inner/outer kernel split) *)
@@ -34,11 +38,14 @@ let rank_of_coords grid c =
   let rec go d acc = if d < 0 then acc else go (d - 1) ((acc * grid.(d)) + c.(d)) in
   go (dim - 1) 0
 
-(** Neighbor rank along [axis] in direction [dir] (periodic). *)
+let neighbor_of_coords grid rank ~axis ~dir =
+  let c = rank_coords grid rank in
+  c.(axis) <- ((c.(axis) + dir) mod grid.(axis) + grid.(axis)) mod grid.(axis);
+  rank_of_coords grid c
+
+(** Neighbor rank along [axis] in direction [dir] = -1 or 1 (periodic). *)
 let neighbor t rank ~axis ~dir =
-  let c = rank_coords t.grid rank in
-  c.(axis) <- ((c.(axis) + dir) mod t.grid.(axis) + t.grid.(axis)) mod t.grid.(axis);
-  rank_of_coords t.grid c
+  t.neighbors.((((rank * Array.length t.grid) + axis) * 2) + if dir < 0 then 0 else 1)
 
 let create ?(variant_phi = Pfcore.Timestep.Full) ?(variant_mu = Pfcore.Timestep.Full)
     ?num_domains ?tile ?backend ?alloc ?(overlap = false) ~grid ~block_dims
@@ -55,7 +62,12 @@ let create ?(variant_phi = Pfcore.Timestep.Full) ?(variant_mu = Pfcore.Timestep.
         Pfcore.Timestep.create ~variant_phi ~variant_mu ?num_domains ?tile ?backend
           ?alloc ~rank:r ~dims:block_dims ~global_dims ~offset gen)
   in
-  { comm; grid; block_dims; global_dims; sims; overlap }
+  let neighbors =
+    Array.init (ranks * dim * 2) (fun i ->
+        neighbor_of_coords grid (i / (dim * 2)) ~axis:(i / 2 mod dim)
+          ~dir:(if i mod 2 = 0 then -1 else 1))
+  in
+  { comm; grid; block_dims; global_dims; sims; neighbors; overlap }
 
 (** Exchange ghost layers of [field] across all ranks, axis by axis,
     through the self-healing sequenced protocol ({!Ghost.fetch}): drops,

@@ -2,9 +2,11 @@
 
     Slabs are packed into contiguous buffers before sending — the same
     two-step exchange the paper implements with device-side packing kernels
-    on GPUs.  Exchanging axis by axis, with the slab spanning the full
-    padded extent of the other axes, also propagates edge and corner ghost
-    values (needed by the D3C19-shaped kernels). *)
+    on GPUs, and, as in waLBerla, a slab is copied as whole contiguous rows
+    of the field array ({!Vm.Buffer.slab_rows}), never cell by cell.
+    Exchanging axis by axis, with the slab spanning the full padded extent
+    of the other axes, also propagates edge and corner ghost values (needed
+    by the D3C19-shaped kernels). *)
 
 type side = Low | High
 
@@ -17,54 +19,27 @@ let unpack_range buf axis = function
   | Low -> (-buf.Vm.Buffer.ghost, -1)
   | High -> (buf.Vm.Buffer.dims.(axis), buf.Vm.Buffer.dims.(axis) + buf.Vm.Buffer.ghost - 1)
 
+let rows buf axis (lo, hi) = Vm.Buffer.slab_rows buf ~axis ~lo ~hi
+
+(** Elements in one slab of [axis] (every side's slab has this size). *)
 let slab_size buf axis =
-  let g = buf.Vm.Buffer.ghost in
-  let padded = Array.mapi (fun d n -> if d = axis then g else n + (2 * g)) buf.Vm.Buffer.dims in
-  buf.Vm.Buffer.components * Array.fold_left ( * ) 1 padded
+  let r = rows buf axis (pack_range buf axis Low) in
+  r.Vm.Buffer.count * r.Vm.Buffer.len
 
-(* Iterate the slab deterministically, calling [f] with the linear element
-   index of each (component, cell). *)
-let iter_slab buf ~axis ~range f =
-  let dim = Array.length buf.Vm.Buffer.dims in
-  let g = buf.Vm.Buffer.ghost in
-  let lo, hi = range in
-  let coords = Array.make dim 0 in
-  let rec loop d =
-    if d = dim then begin
-      let base = Vm.Buffer.base_index buf coords in
-      for c = 0 to buf.Vm.Buffer.components - 1 do
-        f (base + (c * buf.Vm.Buffer.comp_stride))
-      done
-    end
-    else
-      let l, h = if d = axis then (lo, hi) else (-g, buf.Vm.Buffer.dims.(d) + g - 1) in
-      for i = l to h do
-        coords.(d) <- i;
-        loop (d + 1)
-      done
-  in
-  loop 0
-
-let pack buf ~axis ~side =
-  let out = Array.make (slab_size buf axis) 0. in
-  let k = ref 0 in
-  iter_slab buf ~axis ~range:(pack_range buf axis side)
-    (fun idx ->
-      out.(!k) <- buf.Vm.Buffer.data.(idx);
-      incr k);
-  out
+(** The slab of the [side] interior boundary, as the contiguous rows
+    {!Vm.Buffer.slab_rows} lists: component by component, in storage
+    order. *)
+let pack buf ~axis ~side = Vm.Buffer.read_slab buf (rows buf axis (pack_range buf axis side))
 
 let unpack buf ~axis ~side data =
-  if Array.length data <> slab_size buf axis then invalid_arg "Ghost.unpack: size mismatch";
-  let k = ref 0 in
-  iter_slab buf ~axis ~range:(unpack_range buf axis side)
-    (fun idx ->
-      buf.Vm.Buffer.data.(idx) <- data.(!k);
-      incr k)
+  let r = rows buf axis (unpack_range buf axis side) in
+  if Array.length data <> r.Vm.Buffer.count * r.Vm.Buffer.len then
+    invalid_arg "Ghost.unpack: size mismatch";
+  Vm.Buffer.write_slab buf r data
 
 (** The slab an all-constant neighbor would send: [cv.(c)] for storage
-    component [c] at every cell.  {!iter_slab} visits components fastest
-    within each cell, so the wire image is the component cycle repeated —
+    component [c] at every cell.  {!pack} lays a slab out component by
+    component, so the wire image is one constant run per component —
     [unpack]ing this is bitwise identical to receiving from a neighbor
     whose padded buffer holds exactly these per-component constants.  The
     adaptive forest uses it to service exchanges on behalf of frozen
@@ -72,11 +47,9 @@ let unpack buf ~axis ~side data =
 let constant_slab buf ~axis (cv : float array) =
   if Array.length cv <> buf.Vm.Buffer.components then
     invalid_arg "Ghost.constant_slab: component count mismatch";
-  let out = Array.make (slab_size buf axis) 0. in
-  let nc = Array.length cv in
-  for i = 0 to Array.length out - 1 do
-    out.(i) <- cv.(i mod nc)
-  done;
+  let out = Array.create_float (slab_size buf axis) in
+  let per_component = Array.length out / Array.length cv in
+  Array.iteri (fun c v -> Array.fill out (c * per_component) per_component v) cv;
   out
 
 (** Ghost bytes exchanged per block per field per full exchange — the
@@ -123,7 +96,7 @@ let await ?max_retries comm ~src ~dst ~tag req =
   match Mpisim.wait ?max_retries comm req with
   | `Done retries ->
     if retries > 0 then begin
-      Obs.Metrics.incr (Obs.Metrics.counter "net.faults_healed");
+      Obs.Metrics.count "net.faults_healed" 1;
       Obs.Span.instant ~cat:"comm"
         ~args:[ ("retries", float_of_int retries) ]
         (Printf.sprintf "healed:%d->%d tag %d" src dst tag)

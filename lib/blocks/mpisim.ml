@@ -25,13 +25,19 @@
 
 type message = { seq : int; payload : float array }
 
+(** One (src, dst, tag) channel: its delivery queue, both ends' sequence
+    counters, and the sender's retransmission log — a ring holding the
+    last [log_limit] messages sent, seq [s] at slot [s mod log_limit]. *)
+type channel = {
+  queue : message Queue.t;
+  mutable next_send : int;  (** next seq to assign *)
+  mutable expected : int;   (** next seq the receiver expects *)
+  log : message array;
+}
+
 type t = {
   n_ranks : int;
-  queues : (int * int * int, message Queue.t) Hashtbl.t;
-  send_seq : (int * int * int, int) Hashtbl.t;  (** next seq to assign per channel *)
-  recv_seq : (int * int * int, int) Hashtbl.t;  (** next seq expected per channel *)
-  sent_log : (int * int * int, message list) Hashtbl.t;
-      (** most recent first, pruned to [log_limit] *)
+  channels : (int * int * int, channel) Hashtbl.t;
   mutable delayed : (int * (int * int * int) * message) list;
       (** (release_time, channel, message), sorted for deterministic release *)
   mutable clock : int;          (** virtual time, driven by receiver backoff *)
@@ -51,19 +57,17 @@ type t = {
 }
 
 (* Observability mirror: the substrate's own counters are authoritative
-   (and always on); the registry copies are what `pfgen simulate --metrics`
-   reports.  One gated branch per message when the sink is off. *)
-let obs_count name by = Obs.Metrics.add (Obs.Metrics.counter ("net." ^ name)) by
+   (and always on); the net.* registry copies are what `pfgen simulate
+   --metrics` reports.  Each goes through [Obs.Metrics.count], so with the
+   sink off a counted event costs one atomic load and branch and registers
+   nothing. *)
 
 let log_limit = 16
 
 let create n_ranks =
   {
     n_ranks;
-    queues = Hashtbl.create 64;
-    send_seq = Hashtbl.create 64;
-    recv_seq = Hashtbl.create 64;
-    sent_log = Hashtbl.create 64;
+    channels = Hashtbl.create 64;
     delayed = [];
     clock = 0;
     step = 0;
@@ -83,13 +87,16 @@ let create n_ranks =
 
 let set_fault_plan t plan = t.plan <- plan
 
-let queue t key =
-  match Hashtbl.find_opt t.queues key with
-  | Some q -> q
+let channel t key =
+  match Hashtbl.find_opt t.channels key with
+  | Some ch -> ch
   | None ->
-    let q = Queue.create () in
-    Hashtbl.replace t.queues key q;
-    q
+    let ch =
+      { queue = Queue.create (); next_send = 0; expected = 0;
+        log = Array.make log_limit { seq = -1; payload = [||] } }
+    in
+    Hashtbl.replace t.channels key ch;
+    ch
 
 let is_crashed t rank = t.crashed = Some rank
 let live t rank = not (is_crashed t rank)
@@ -115,26 +122,16 @@ let add_delayed t release key msg =
 (** Move every delayed message whose release time has come into its
     delivery queue (in deterministic order). *)
 let release_due t =
-  let due, later = List.partition (fun (r, _, _) -> r <= t.clock) t.delayed in
-  t.delayed <- later;
-  List.iter (fun (_, key, msg) -> Queue.push msg (queue t key)) due
-
-let next_send_seq t key =
-  let s = Option.value (Hashtbl.find_opt t.send_seq key) ~default:0 in
-  Hashtbl.replace t.send_seq key (s + 1);
-  s
+  if t.delayed <> [] then begin
+    let due, later = List.partition (fun (r, _, _) -> r <= t.clock) t.delayed in
+    t.delayed <- later;
+    List.iter (fun (_, key, msg) -> Queue.push msg (channel t key).queue) due
+  end
 
 let expected_seq t ~src ~dst ~tag =
-  Option.value (Hashtbl.find_opt t.recv_seq (src, dst, tag)) ~default:0
-
-let log_sent t key msg =
-  let prev = Option.value (Hashtbl.find_opt t.sent_log key) ~default:[] in
-  let rec prune n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | m :: rest -> m :: prune (n - 1) rest
-  in
-  Hashtbl.replace t.sent_log key (prune log_limit (msg :: prev))
+  match Hashtbl.find_opt t.channels (src, dst, tag) with
+  | Some ch -> ch.expected
+  | None -> 0
 
 let send t ~src ~dst ~tag data =
   if src < 0 || src >= t.n_ranks || dst < 0 || dst >= t.n_ranks then
@@ -142,81 +139,89 @@ let send t ~src ~dst ~tag data =
   if is_crashed t src || is_crashed t dst then begin
     (* a dead rank neither sends nor receives; nothing enters the network *)
     t.dropped <- t.dropped + 1;
-    obs_count "dropped" 1
+    Obs.Metrics.count "net.dropped" 1
   end
   else begin
     let key = (src, dst, tag) in
-    let msg = { seq = next_send_seq t key; payload = Array.copy data } in
-    log_sent t key msg;
+    let ch = channel t key in
+    let msg = { seq = ch.next_send; payload = Array.copy data } in
+    ch.next_send <- ch.next_send + 1;
+    ch.log.(msg.seq mod log_limit) <- msg;
     t.bytes_sent <- t.bytes_sent + (8 * Array.length data);
     t.messages_sent <- t.messages_sent + 1;
-    obs_count "messages_sent" 1;
-    obs_count "bytes_sent" (8 * Array.length data);
+    Obs.Metrics.count "net.messages_sent" 1;
+    Obs.Metrics.count "net.bytes_sent" (8 * Array.length data);
     match t.plan with
-    | None -> Queue.push msg (queue t key)
+    | None -> Queue.push msg ch.queue
     | Some plan -> (
       match Faultplan.decide plan ~src ~dst ~tag ~seq:msg.seq with
-      | Faultplan.Deliver -> Queue.push msg (queue t key)
+      | Faultplan.Deliver -> Queue.push msg ch.queue
       | Faultplan.Drop ->
         t.dropped <- t.dropped + 1;
-        obs_count "dropped" 1
+        Obs.Metrics.count "net.dropped" 1
       | Faultplan.Delay ticks ->
         t.delayed_count <- t.delayed_count + 1;
-        obs_count "delayed" 1;
+        Obs.Metrics.count "net.delayed" 1;
         add_delayed t (t.clock + ticks) key msg
       | Faultplan.Duplicate ->
         t.duplicated <- t.duplicated + 1;
-        obs_count "duplicated" 1;
-        Queue.push msg (queue t key);
-        Queue.push { msg with payload = msg.payload } (queue t key))
+        Obs.Metrics.count "net.duplicated" 1;
+        Queue.push msg ch.queue;
+        Queue.push { msg with payload = msg.payload } ch.queue)
   end
 
 exception No_message of (int * int * int)
+
+let deliver t (msg : message) =
+  t.delivered <- t.delivered + 1;
+  Obs.Metrics.count "net.delivered" 1;
+  msg.payload
 
 (** Plain FIFO receive (the fault-free fast path): pops the head message of
     the channel, whatever its sequence number. *)
 let recv t ~src ~dst ~tag =
   let key = (src, dst, tag) in
-  match Hashtbl.find_opt t.queues key with
-  | Some q when not (Queue.is_empty q) ->
-    let msg = Queue.pop q in
-    let expected = expected_seq t ~src ~dst ~tag in
-    Hashtbl.replace t.recv_seq key (max expected (msg.seq + 1));
-    t.delivered <- t.delivered + 1;
-    obs_count "delivered" 1;
-    msg.payload
+  match Hashtbl.find_opt t.channels key with
+  | Some ch when not (Queue.is_empty ch.queue) ->
+    let msg = Queue.pop ch.queue in
+    ch.expected <- max ch.expected (msg.seq + 1);
+    deliver t msg
   | _ -> raise (No_message key)
 
 (** Sequenced receive: returns the message with exactly the next expected
     sequence number, discarding any stale (already-consumed) duplicates
     encountered on the way, and leaving future messages queued.  [None]
-    means the expected message has not arrived (yet). *)
+    means the expected message has not arrived (yet).  A channel holding
+    just the expected message — every receive of a fault-free exchange —
+    takes O(1) work; only a faulty channel is rescanned. *)
 let recv_expected t ~src ~dst ~tag =
-  let key = (src, dst, tag) in
-  let expected = expected_seq t ~src ~dst ~tag in
-  match Hashtbl.find_opt t.queues key with
+  match Hashtbl.find_opt t.channels (src, dst, tag) with
   | None -> None
-  | Some q ->
+  | Some ch when Queue.length ch.queue = 1 && (Queue.peek ch.queue).seq = ch.expected ->
+    ch.expected <- ch.expected + 1;
+    Some (deliver t (Queue.pop ch.queue))
+  | Some ch ->
+    let expected = ch.expected in
+    let q = ch.queue in
     let fresh, stale =
       List.partition
         (fun m -> m.seq >= expected)
         (List.of_seq (Queue.to_seq q))
     in
     t.stale_discarded <- t.stale_discarded + List.length stale;
-    obs_count "stale_discarded" (List.length stale);
+    Obs.Metrics.count "net.stale_discarded" (List.length stale);
     Queue.clear q;
     let hit = ref None in
     List.iter
       (fun m ->
-        if !hit = None && m.seq = expected then hit := Some m.payload
+        if !hit = None && m.seq = expected then hit := Some m
         else Queue.push m q)
       fresh;
-    if !hit <> None then begin
-      Hashtbl.replace t.recv_seq key (expected + 1);
-      t.delivered <- t.delivered + 1;
-      obs_count "delivered" 1
-    end;
-    !hit
+    Option.map
+      (fun m ->
+        ch.expected <- expected + 1;
+        deliver t m)
+      !hit
 
 (** Re-deliver sequence number [seq] of the channel from the sender's
     retransmission log, bypassing fault injection (retry-until-success).
@@ -225,18 +230,13 @@ let recv_expected t ~src ~dst ~tag =
 let request_retransmit t ~src ~dst ~tag ~seq =
   if is_crashed t src then `Crashed
   else
-    let key = (src, dst, tag) in
-    match
-      List.find_opt
-        (fun m -> m.seq = seq)
-        (Option.value (Hashtbl.find_opt t.sent_log key) ~default:[])
-    with
-    | Some msg ->
+    match Hashtbl.find_opt t.channels (src, dst, tag) with
+    | Some ch when seq >= 0 && seq < ch.next_send && seq >= ch.next_send - log_limit ->
       t.retransmissions <- t.retransmissions + 1;
-      obs_count "retransmissions" 1;
-      Queue.push msg (queue t key);
+      Obs.Metrics.count "net.retransmissions" 1;
+      Queue.push ch.log.(seq mod log_limit) ch.queue;
       `Sent
-    | None -> `Lost
+    | _ -> `Lost
 
 (* ------------------------------------------------------------------ *)
 (* Nonblocking surface                                                 *)
@@ -325,7 +325,7 @@ let payload = function
 (** All channels drained and nothing in the delayed pool. *)
 let quiescent t =
   t.delayed = []
-  && Hashtbl.fold (fun _ q acc -> acc && Queue.is_empty q) t.queues true
+  && Hashtbl.fold (fun _ ch acc -> acc && Queue.is_empty ch.queue) t.channels true
 
 exception Unquiescent of (int * int * int * int) list
 (** Raised by {!finalize} when live (not-yet-consumed) messages remain
@@ -344,15 +344,19 @@ let finalize t =
     release_due t);
   let leftovers = ref [] in
   Hashtbl.iter
-    (fun ((src, dst, tag) as key) q ->
-      let expected = Option.value (Hashtbl.find_opt t.recv_seq key) ~default:0 in
-      let live = Queue.fold (fun acc m -> if m.seq >= expected then acc + 1 else acc) 0 q in
-      let stale = Queue.length q - live in
-      t.stale_discarded <- t.stale_discarded + stale;
-      obs_count "stale_discarded" stale;
-      Queue.clear q;
-      if live > 0 then leftovers := (src, dst, tag, live) :: !leftovers)
-    t.queues;
+    (fun (src, dst, tag) ch ->
+      let q = ch.queue in
+      if not (Queue.is_empty q) then begin
+        let live =
+          Queue.fold (fun acc m -> if m.seq >= ch.expected then acc + 1 else acc) 0 q
+        in
+        let stale = Queue.length q - live in
+        t.stale_discarded <- t.stale_discarded + stale;
+        Obs.Metrics.count "net.stale_discarded" stale;
+        Queue.clear q;
+        if live > 0 then leftovers := (src, dst, tag, live) :: !leftovers
+      end)
+    t.channels;
   match List.sort compare !leftovers with
   | [] -> ()
   | ls -> raise (Unquiescent ls)
@@ -362,15 +366,12 @@ let finalize t =
     crash is marked consumed so the same step replays cleanly.  Cumulative
     traffic statistics survive. *)
 let restart t =
-  Hashtbl.reset t.queues;
-  Hashtbl.reset t.send_seq;
-  Hashtbl.reset t.recv_seq;
-  Hashtbl.reset t.sent_log;
+  Hashtbl.reset t.channels;
   t.delayed <- [];
   t.crashed <- None;
   t.crash_consumed <- true;
   t.restarts <- t.restarts + 1;
-  obs_count "restarts" 1
+  Obs.Metrics.count "net.restarts" 1
 
 let () =
   Printexc.register_printer (function

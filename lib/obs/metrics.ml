@@ -2,11 +2,12 @@
 
     Metrics are registered by name on first use ({!counter} etc. are
     idempotent) and mutated in place.  Mutations are gated on
-    {!Sink.enabled} so that instrumented hot paths cost one branch when
-    observability is off.  All mutation happens on the coordinating thread
-    (per sweep / per message), never per cell, so plain mutable fields
-    suffice; the registry itself is mutex-protected against concurrent
-    registration.
+    {!Sink.enabled}; registration is not, so hot paths that run with the
+    sink off go through {!count}, which gates both and costs one branch
+    when observability is off.  All mutation happens on the coordinating
+    thread (per sweep / per message), never per cell, so plain mutable
+    fields suffice; the registry itself is mutex-protected against
+    concurrent registration.
 
     {!snapshot} freezes the registry into an immutable value; snapshots
     {!merge} pointwise (counters and histogram buckets add, gauges take the
@@ -62,6 +63,14 @@ let histogram ?(bounds = default_bounds) name =
 
 let add c by = if Sink.enabled () then c.count <- c.count + by
 let incr c = add c 1
+
+(** Add [by] to the counter [name], registering it on first use — but only
+    when the sink is enabled.  Disabled, this is the one atomic load and
+    branch: no registry lock, no lookup, nothing registered.  Call sites
+    that run whether or not anyone observes use this instead of
+    [add (counter name)], whose registration is ungated. *)
+let count name by = if Sink.enabled () then add (counter name) by
+
 let set g v = if Sink.enabled () then g.value <- v
 let max_gauge g v = if Sink.enabled () && v > g.value then g.value <- v
 

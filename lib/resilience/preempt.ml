@@ -14,8 +14,8 @@ type parked = {
 }
 
 let observe kind bytes =
-  Obs.Metrics.incr (Obs.Metrics.counter "preempt.parks");
-  Obs.Metrics.add (Obs.Metrics.counter "preempt.parked_bytes") bytes;
+  Obs.Metrics.count "preempt.parks" 1;
+  Obs.Metrics.count "preempt.parked_bytes" bytes;
   Obs.Span.instant ~cat:"serve" kind
 
 (** Capture a single-block job at a quantum boundary. *)

@@ -46,7 +46,7 @@ let run_protected ?(max_restarts = 8) ?(store = Store.create ()) ~every ~steps f
        with Blocks.Ghost.Rank_crashed _ ->
          if stats.restarts >= max_restarts then raise (Too_many_restarts stats.restarts);
          stats.restarts <- stats.restarts + 1;
-         Obs.Metrics.incr (Obs.Metrics.counter "ckpt.rollbacks");
+         Obs.Metrics.count "ckpt.rollbacks" 1;
          Obs.Span.with_ ~cat:"ckpt" "rollback" (fun () ->
              Blocks.Mpisim.restart forest.Blocks.Forest.comm;
              match Store.latest store with
@@ -87,7 +87,7 @@ let run_protected_adaptive ?(max_restarts = 8) ~every ~steps af =
        with Blocks.Ghost.Rank_crashed _ ->
          if stats.restarts >= max_restarts then raise (Too_many_restarts stats.restarts);
          stats.restarts <- stats.restarts + 1;
-         Obs.Metrics.incr (Obs.Metrics.counter "ckpt.rollbacks");
+         Obs.Metrics.count "ckpt.rollbacks" 1;
          Obs.Span.with_ ~cat:"ckpt" "rollback" (fun () ->
              Blocks.Mpisim.restart af.Blocks.Adaptive.comm;
              match !latest with

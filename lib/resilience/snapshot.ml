@@ -63,8 +63,8 @@ let state_bytes t =
     0 t.blocks
 
 let observe_capture t =
-  Obs.Metrics.incr (Obs.Metrics.counter "ckpt.captures");
-  Obs.Metrics.add (Obs.Metrics.counter "ckpt.state_bytes") (state_bytes t);
+  Obs.Metrics.count "ckpt.captures" 1;
+  if Obs.Sink.enabled () then Obs.Metrics.count "ckpt.state_bytes" (state_bytes t);
   t
 
 (** Snapshot a whole block forest (lockstep: all ranks share the step
@@ -213,7 +213,7 @@ let encode t =
   Buffer.add_int32_le b (Int32.of_int (String.length payload));
   Buffer.add_string b payload;
   let s = Buffer.contents b in
-  Obs.Metrics.add (Obs.Metrics.counter "ckpt.encoded_bytes") (String.length s);
+  Obs.Metrics.count "ckpt.encoded_bytes" (String.length s);
   s
 
 type cursor = { s : string; mutable pos : int }
@@ -381,7 +381,7 @@ type adaptive = {
 (** Snapshot a whole adaptive forest, refinement state included. *)
 let capture_adaptive (af : Blocks.Adaptive.t) =
   Obs.Span.with_ ~cat:"ckpt" "snapshot:capture" @@ fun () ->
-  Obs.Metrics.incr (Obs.Metrics.counter "ckpt.captures");
+  Obs.Metrics.count "ckpt.captures" 1;
   {
     a_fingerprint = fingerprint_of_params af.Blocks.Adaptive.gen.Pfcore.Genkernels.params;
     a_split_phi = is_split af.Blocks.Adaptive.variant_phi;

@@ -71,12 +71,12 @@ let acquire t len =
       cls := rest;
       t.hits <- t.hits + 1;
       t.pooled_bytes <- t.pooled_bytes - bytes_of_len len;
-      Obs.Metrics.incr (Obs.Metrics.counter "mempool.hit");
+      Obs.Metrics.count "mempool.hit" 1;
       Array.fill arr 0 len 0.;
       arr
     | [] ->
       t.misses <- t.misses + 1;
-      Obs.Metrics.incr (Obs.Metrics.counter "mempool.miss");
+      Obs.Metrics.count "mempool.miss" 1;
       Array.make len 0.
   in
   t.live_bytes <- t.live_bytes + bytes_of_len len;

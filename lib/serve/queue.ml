@@ -70,7 +70,7 @@ let submit t (spec : Workload.spec) ~bytes =
   t.submitted <- t.submitted + 1;
   if bytes > t.budget_bytes then begin
     t.rejected <- t.rejected + 1;
-    Obs.Metrics.incr (Obs.Metrics.counter "serve.rejected");
+    Obs.Metrics.count "serve.rejected" 1;
     Rejected
       (Printf.sprintf "projected %d bytes exceed the %d-byte memory budget" bytes
          t.budget_bytes)
@@ -93,12 +93,12 @@ let next t ~resident_bytes ~tenant_residents =
   let fits e =
     if resident_bytes + e.bytes > t.budget_bytes then begin
       t.parked_budget <- t.parked_budget + 1;
-      Obs.Metrics.incr (Obs.Metrics.counter "serve.parked_budget");
+      Obs.Metrics.count "serve.parked_budget" 1;
       false
     end
     else if tenant_residents e.spec.Workload.tenant >= t.tenant_quota then begin
       t.parked_quota <- t.parked_quota + 1;
-      Obs.Metrics.incr (Obs.Metrics.counter "serve.parked_quota");
+      Obs.Metrics.count "serve.parked_quota" 1;
       false
     end
     else true

@@ -204,10 +204,9 @@ let run_quantum config (job : job) =
           | None -> invalid_arg "Scheduler.run_quantum: job is not resident"));
   job.quanta <- job.quanta + 1;
   job.consecutive <- job.consecutive + 1;
-  Obs.Metrics.incr (Obs.Metrics.counter "serve.quanta");
-  Obs.Metrics.add
-    (Obs.Metrics.counter ("serve.tenant." ^ job.spec.Workload.tenant ^ ".steps"))
-    steps
+  Obs.Metrics.count "serve.quanta" 1;
+  if Obs.Sink.enabled () then
+    Obs.Metrics.count ("serve.tenant." ^ job.spec.Workload.tenant ^ ".steps") steps
 
 (* ------------------------------------------------------------------ *)
 (* The scheduler loop                                                  *)
@@ -278,10 +277,11 @@ let run ?(config = default_config ()) ~mempool specs =
     release_exec mempool job;
     roster := List.filter (fun j -> j != job) !roster;
     let latency = since_start () in
-    Obs.Metrics.incr (Obs.Metrics.counter "serve.jobs_completed");
-    Obs.Metrics.incr
-      (Obs.Metrics.counter ("serve.tenant." ^ job.spec.Workload.tenant ^ ".jobs"));
-    Obs.Metrics.observe (Obs.Metrics.histogram "serve.job_latency_ns") latency;
+    Obs.Metrics.count "serve.jobs_completed" 1;
+    if Obs.Sink.enabled () then begin
+      Obs.Metrics.count ("serve.tenant." ^ job.spec.Workload.tenant ^ ".jobs") 1;
+      Obs.Metrics.observe (Obs.Metrics.histogram "serve.job_latency_ns") latency
+    end;
     restarts := !restarts + job.restarts;
     results :=
       {
@@ -304,7 +304,7 @@ let run ?(config = default_config ()) ~mempool specs =
     roster := List.filter (fun j -> j != job) !roster;
     job.preemptions <- job.preemptions + 1;
     incr preemptions;
-    Obs.Metrics.incr (Obs.Metrics.counter "serve.preemptions");
+    Obs.Metrics.count "serve.preemptions" 1;
     Queue.requeue q job.spec ~bytes:job.bytes
   in
   while !roster <> [] || not (Queue.is_empty q) do

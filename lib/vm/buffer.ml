@@ -90,45 +90,65 @@ let swap a b =
   a.data <- b.data;
   b.data <- tmp
 
-(** Periodic ghost exchange within a single buffer along one axis: ghost
-    slabs are filled from the opposite interior boundary.  Covers already-
-    filled ghosts of previously exchanged axes, so applying it axis by axis
-    also fills edge and corner ghosts. *)
+(** A slab — cells [lo..hi] along [axis], the full padded extent of every
+    other axis, every storage component — as [count] contiguous rows of
+    [data]: row [k] is the [len] elements from [first + k * step].  Axes
+    below [axis] are covered in full, so they fold into one row; rows then
+    run component by component in storage order, which is also the order
+    [Blocks.Ghost] puts them on the wire.  The one place a slab's layout is
+    worked out: pack, unpack and the periodic fill all walk these rows. *)
+type rows = { first : int; len : int; step : int; count : int }
+
+let slab_rows t ~axis ~lo ~hi =
+  let s = t.stride.(axis) in
+  let step = s * (t.dims.(axis) + (2 * t.ghost)) in
+  {
+    first = (lo + t.ghost) * s;
+    len = (hi - lo + 1) * s;
+    step;
+    count = (if step = 0 then 0 else t.components * (t.comp_stride / step));
+  }
+
+(* Copy [count] rows of [len] elements, row [k] from [src] at
+   [src_at + k * src_step] to [dst] at [dst_at + k * dst_step].  Element by
+   element, front to back: when a block is thinner than its ghost layer a
+   periodic fill's source and target rows overlap, and this order reads
+   exactly what the per-cell fill did. *)
+let copy_rows ~len ~count (src : float array) ~src_at ~src_step (dst : float array) ~dst_at
+    ~dst_step =
+  for k = 0 to count - 1 do
+    let s = src_at + (k * src_step) and d = dst_at + (k * dst_step) in
+    for i = 0 to len - 1 do
+      dst.(d + i) <- src.(s + i)
+    done
+  done
+
+(** The slab's values as one contiguous payload, row after row. *)
+let read_slab t (r : rows) =
+  let out = Array.create_float (r.count * r.len) in
+  copy_rows ~len:r.len ~count:r.count t.data ~src_at:r.first ~src_step:r.step out ~dst_at:0
+    ~dst_step:r.len;
+  out
+
+(** Store a {!read_slab}-shaped payload into the slab's rows. *)
+let write_slab t (r : rows) payload =
+  copy_rows ~len:r.len ~count:r.count payload ~src_at:0 ~src_step:r.len t.data
+    ~dst_at:r.first ~dst_step:r.step
+
+(** Periodic ghost exchange within a single buffer along one axis: each
+    ghost row is copied straight from the opposite interior boundary's
+    row.  Rows span the full padded extent of the other axes, so applying
+    it axis by axis also fills edge and corner ghosts. *)
 let periodic_axis t axis =
-  let dim = t.field.dim in
-  let n = t.dims.(axis) in
-  let g = t.ghost in
-  let lo = Array.make dim (-g) and hi = Array.make dim g in
-  Array.iteri (fun d s -> hi.(d) <- s + g) t.dims;
-  ignore lo;
-  (* iterate over the full padded extent of the other axes *)
-  let coords = Array.make dim 0 in
-  let rec loop d =
-    if d = dim then
-      for layer = 0 to g - 1 do
-        for c = 0 to t.components - 1 do
-          (* low ghost <- high interior *)
-          coords.(axis) <- -g + layer;
-          let dst_lo = base_index t coords + (c * t.comp_stride) in
-          coords.(axis) <- n - g + layer;
-          let src_hi = base_index t coords + (c * t.comp_stride) in
-          t.data.(dst_lo) <- t.data.(src_hi);
-          (* high ghost <- low interior *)
-          coords.(axis) <- n + layer;
-          let dst_hi = base_index t coords + (c * t.comp_stride) in
-          coords.(axis) <- layer;
-          let src_lo = base_index t coords + (c * t.comp_stride) in
-          t.data.(dst_hi) <- t.data.(src_lo)
-        done
-      done
-    else if d = axis then loop (d + 1)
-    else
-      for i = -g to t.dims.(d) + g - 1 do
-        coords.(d) <- i;
-        loop (d + 1)
-      done
+  let n = t.dims.(axis) and g = t.ghost in
+  let shift = n * t.stride.(axis) in
+  let fill ~lo ~from_shift =
+    let r = slab_rows t ~axis ~lo ~hi:(lo + g - 1) in
+    copy_rows ~len:r.len ~count:r.count t.data ~src_at:(r.first + from_shift)
+      ~src_step:r.step t.data ~dst_at:r.first ~dst_step:r.step
   in
-  loop 0
+  fill ~lo:(-g) ~from_shift:shift;  (* low ghost <- high interior *)
+  fill ~lo:n ~from_shift:(-shift)   (* high ghost <- low interior *)
 
 let periodic t =
   for axis = 0 to t.field.dim - 1 do

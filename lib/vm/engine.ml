@@ -221,6 +221,11 @@ type bound = {
   per_loop : (ctx -> unit) array array;   (* depth 1 .. dim-1 *)
   body : (ctx -> unit) array;
   uses_rand : bool;
+  jit_key : Digest.t Lazy.t;
+      (** the binding's {!Jit} memo key, forced by its first JIT sweep:
+          digesting the whole body costs as much as a small block's sweep,
+          so it is paid once per binding, never per sweep, and never by
+          interpreter-only bindings *)
 }
 
 let compile_assignment binder (a : Assignment.t) : ctx -> unit =
@@ -295,6 +300,7 @@ let bind ?(fastest = 0) (kernel : Ir.Kernel.t) (block : block) =
     per_loop = Array.init (dim - 1) (fun i -> compile_list groups.(i + 1));
     body = compile_list groups.(dim);
     uses_rand;
+    jit_key = lazy (Jit.fingerprint ~dims:block.dims ~ghost:block.ghost kernel lowered);
   }
 
 let run_group g c =
@@ -472,11 +478,15 @@ let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~st
         if dim = 3 then sweep_tile_3d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
         else sweep_tile_2d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
     | Jit ->
-      (* Memoized lookup on every sweep: a hit costs one hash, and the
-         hit/miss counters are what the warm-cache gates watch.  Field
-         storage is re-resolved here — after the lookup, per sweep — so
-         compiled programs survive Buffer.swap. *)
-      let comp = Jit.get ~dims:b.block.dims ~ghost:b.block.ghost b.kernel b.lowered in
+      (* One memo lookup per sweep under the binding's precomputed key:
+         a hit hashes a 16-byte digest, and the hit/miss counters are what
+         the warm-cache gates watch.  Field storage is re-resolved here —
+         after the lookup, per sweep — so compiled programs survive
+         Buffer.swap. *)
+      let comp =
+        Jit.get (Lazy.force b.jit_key) ~dims:b.block.dims ~ghost:b.block.ghost b.kernel
+          b.lowered
+      in
       let datas =
         Array.map (fun f -> (buffer b.block f).Buffer.data) comp.Jit.fields
       in

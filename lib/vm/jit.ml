@@ -35,9 +35,9 @@
     [data] fields under us between sweeps, so field operands are indices
     into a per-sweep [datas] table resolved by the engine.  A program
     depends only on (kernel structure, loop order, interior dims, ghost
-    width) — that tuple is the memo key, cached alongside [Tune]'s
-    decisions, so every block of a forest with equal dims shares one
-    compilation. *)
+    width) — the digest of that tuple ({!fingerprint}) is the memo key, so
+    every block of a forest with equal dims shares one compilation.  Each
+    engine binding computes its key once and passes it to {!get}. *)
 
 open Symbolic
 open Field
@@ -712,7 +712,10 @@ let compile ~fingerprint ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower
    truncates large kernels, and model variants that differ only deep in
    the expression tree — the zoo's coefficient variants, for one — would
    collide and hand a program compiled for a *different* model back to
-   the engine (bitwise divergence, caught by the oracle-8 zoo leg). *)
+   the engine (bitwise divergence, caught by the oracle-8 zoo leg).
+   Marshalling and digesting the body costs as much as a small block's
+   sweep, so the engine computes it once per binding ([Engine.jit_key])
+   and hands the result to [get]. *)
 let fingerprint ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
   Digest.string
     (Marshal.to_string
@@ -736,30 +739,28 @@ let clear_cache () =
   hits := 0;
   misses := 0
 
-(* jit.* counters only fire when the sink is armed, so a disabled run
-   registers no metrics (the disabled-sink silence invariant). *)
-let count name = if Obs.Sink.enabled () then Obs.Metrics.incr (Obs.Metrics.counter name)
-
-(** The compiled program for [kernel] on a block of [dims]/[ghost] —
-    memoized; the engine calls this once per sweep, so [cache_stats]
-    misses count compilations and hits count reused sweeps (the
-    zero-recompile-after-warmup gate watches the miss count). *)
-let get ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
-  let fp = fingerprint ~dims ~ghost kernel lowered in
-  match Hashtbl.find_opt cache fp with
+(** The compiled program for [kernel] on a block of [dims]/[ghost], looked
+    up under [key], which must be [fingerprint ~dims ~ghost kernel lowered]
+    (the caller computes it once and reuses it, so a lookup costs one
+    digest hash, not a pass over the body).  The engine looks up once per
+    sweep, so [cache_stats] misses count compilations and hits count reused
+    sweeps (the zero-recompile-after-warmup gate watches the miss count).
+    The [jit.hit]/[jit.miss] counters mirror them when the sink is on. *)
+let get key ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
+  match Hashtbl.find_opt cache key with
   | Some c ->
     incr hits;
-    count "jit.hit";
+    Obs.Metrics.count "jit.hit" 1;
     c
   | None ->
     incr misses;
-    count "jit.miss";
-    let build () = compile ~fingerprint:fp ~dims ~ghost kernel lowered in
+    Obs.Metrics.count "jit.miss" 1;
+    let build () = compile ~fingerprint:key ~dims ~ghost kernel lowered in
     let c =
       if Obs.Sink.enabled () then Obs.Span.with_ ~cat:"vm" "vm.jit.compile" build
       else build ()
     in
-    Hashtbl.replace cache fp c;
+    Hashtbl.replace cache key c;
     c
 
 (* ------------------------------------------------------------------ *)

@@ -172,8 +172,6 @@ let global_index gdims g =
 
 let total_cells gdims = Array.fold_left ( * ) 1 gdims
 
-let cells_counter = Obs.Metrics.counter "reduce.cells"
-
 (** Partial of one block's interior over the global index space described
     by [block.global_dims]/[block.offset].  The sweep is tiled with the
     same loop-depth [tile] shape the kernels use (default: outermost-loop
@@ -266,7 +264,7 @@ let block_partial ?(backend = Engine.default_backend ())
         Pool.collect ~wrap ~domains:num_domains ~ntiles:(Array.length tiles)
           (fun ~lane:_ ti -> tile_partial ti)
       in
-      Obs.Metrics.add cells_counter interior;
+      Obs.Metrics.count "reduce.cells" interior;
       List.concat (Array.to_list parts)
     in
     if not (Obs.Sink.enabled ()) then run ()

@@ -67,10 +67,6 @@ let clear_cache () =
   hits := 0;
   misses := 0
 
-(* tune.* counters are only touched when the sink is armed, so an idle
-   tuner never registers metrics (the disabled-sink silence test). *)
-let count name = if Obs.Sink.enabled () then Obs.Metrics.incr (Obs.Metrics.counter name)
-
 (* ------------------------------------------------------------------ *)
 (* Probes                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -174,11 +170,11 @@ let decide ?(machine = Perfmodel.Machine.skylake_8174) ?(domains = Pool.default_
   match Hashtbl.find_opt cache fp with
   | Some c ->
     incr hits;
-    count "tune.hit";
+    Obs.Metrics.count "tune.hit" 1;
     c
   | None ->
     incr misses;
-    count "tune.miss";
+    Obs.Metrics.count "tune.miss" 1;
     let block : Engine.block = make_block () in
     let n0 = block.Engine.dims.(0) in
     let dim = Array.length block.Engine.dims in

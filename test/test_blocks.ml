@@ -67,6 +67,184 @@ let test_ghost_roundtrip () =
   Alcotest.(check (float 0.)) "ghost width 2" 21.
     b.Vm.Buffer.data.(Vm.Buffer.base_index b [| -2; 1 |])
 
+(* --------------- row-wise slab walker vs the per-value reference ---- *)
+
+(* The per-value slab walk the row walker replaced, kept as the reference:
+   cells in coordinate order (last axis fastest), components fastest within
+   a cell, every element addressed through [base_index]. *)
+let ref_iter_slab buf ~axis ~range f =
+  let dim = Array.length buf.Vm.Buffer.dims in
+  let g = buf.Vm.Buffer.ghost in
+  let lo, hi = range in
+  let coords = Array.make dim 0 in
+  let rec loop d =
+    if d = dim then begin
+      let base = Vm.Buffer.base_index buf coords in
+      for c = 0 to buf.Vm.Buffer.components - 1 do
+        f (base + (c * buf.Vm.Buffer.comp_stride))
+      done
+    end
+    else
+      let l, h = if d = axis then (lo, hi) else (-g, buf.Vm.Buffer.dims.(d) + g - 1) in
+      for i = l to h do
+        coords.(d) <- i;
+        loop (d + 1)
+      done
+  in
+  loop 0
+
+let ref_indices buf ~axis ~range =
+  let acc = ref [] in
+  ref_iter_slab buf ~axis ~range (fun i -> acc := i :: !acc);
+  List.rev !acc
+
+let ref_pack buf ~axis ~range =
+  Array.of_list (List.map (fun i -> buf.Vm.Buffer.data.(i)) (ref_indices buf ~axis ~range))
+
+let ref_unpack buf ~axis ~range payload =
+  List.iteri (fun k i -> buf.Vm.Buffer.data.(i) <- payload.(k)) (ref_indices buf ~axis ~range)
+
+(* The per-value periodic fill the row copy replaced. *)
+let ref_periodic_axis (t : Vm.Buffer.t) axis =
+  let dim = Array.length t.Vm.Buffer.dims in
+  let n = t.Vm.Buffer.dims.(axis) in
+  let g = t.Vm.Buffer.ghost in
+  let coords = Array.make dim 0 in
+  let at c = Vm.Buffer.base_index t coords + (c * t.Vm.Buffer.comp_stride) in
+  let rec loop d =
+    if d = dim then
+      for layer = 0 to g - 1 do
+        for c = 0 to t.Vm.Buffer.components - 1 do
+          coords.(axis) <- -g + layer;
+          let dst_lo = at c in
+          coords.(axis) <- n - g + layer;
+          let src_hi = at c in
+          t.Vm.Buffer.data.(dst_lo) <- t.Vm.Buffer.data.(src_hi);
+          coords.(axis) <- n + layer;
+          let dst_hi = at c in
+          coords.(axis) <- layer;
+          let src_lo = at c in
+          t.Vm.Buffer.data.(dst_hi) <- t.Vm.Buffer.data.(src_lo)
+        done
+      done
+    else if d = axis then loop (d + 1)
+    else
+      for i = -g to t.Vm.Buffer.dims.(d) + g - 1 do
+        coords.(d) <- i;
+        loop (d + 1)
+      done
+  in
+  loop 0
+
+type slab_case = {
+  s_dims : int array;
+  s_ghost : int;
+  s_kind : Fieldspec.kind;
+  s_components : int;
+  s_seed : int;
+}
+
+let slab_case_gen =
+  QCheck.Gen.(
+    let* dim = int_range 2 3 in
+    let* s_ghost = int_range 1 2 in
+    (* extents from 0 up, so blocks thinner than their ghost layer occur *)
+    let* s_dims = array_size (return dim) (int_range 0 5) in
+    let* s_kind = oneofl [ Fieldspec.Cell; Fieldspec.Staggered ] in
+    let* s_components = int_range 1 4 in
+    let* s_seed = int_bound 1_000_000 in
+    return { s_dims; s_ghost; s_kind; s_components; s_seed })
+
+let print_slab_case c =
+  Printf.sprintf "dims=%s ghost=%d %s components=%d seed=%d"
+    (String.concat "x" (Array.to_list (Array.map string_of_int c.s_dims)))
+    c.s_ghost
+    (match c.s_kind with Fieldspec.Cell -> "cell" | Fieldspec.Staggered -> "staggered")
+    c.s_components c.s_seed
+
+let slab_buffer c rng =
+  let f =
+    Fieldspec.create ~kind:c.s_kind ~dim:(Array.length c.s_dims) ~components:c.s_components
+      "s"
+  in
+  let b = Vm.Buffer.create ~ghost:c.s_ghost f c.s_dims in
+  Array.iteri (fun i _ -> b.Vm.Buffer.data.(i) <- Random.State.float rng 2. -. 1.) b.Vm.Buffer.data;
+  b
+
+let copy_buffer (b : Vm.Buffer.t) = { b with Vm.Buffer.data = Array.copy b.Vm.Buffer.data }
+
+let bits_equal (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* For every axis and side: the row walker lists exactly the reference's
+   elements, in ascending storage order; [pack] reads and [unpack] writes
+   them in that order; a pack -> unpack exchange fills the same ghosts as
+   the reference's per-value pair (whatever the wire order); the periodic
+   row copy equals the per-value fill; and [constant_slab] is the exact
+   image of packing a buffer of per-component constants. *)
+let slab_walker_agrees c =
+  let rng = Random.State.make [| c.s_seed |] in
+  let a = slab_buffer c rng and b = slab_buffer c rng in
+  let dim = Array.length c.s_dims in
+  let ok = ref true in
+  let check b' = if not b' then ok := false in
+  for axis = 0 to dim - 1 do
+    List.iter
+      (fun side ->
+        let range = Blocks.Ghost.pack_range a axis side in
+        let urange = Blocks.Ghost.unpack_range a axis side in
+        let lo, hi = range in
+        let r = Vm.Buffer.slab_rows a ~axis ~lo ~hi in
+        let walked =
+          List.concat
+            (List.init r.Vm.Buffer.count (fun k ->
+                 List.init r.Vm.Buffer.len (fun i -> r.Vm.Buffer.first + (k * r.Vm.Buffer.step) + i)))
+        in
+        let sorted = List.sort compare (ref_indices a ~axis ~range) in
+        check (walked = sorted);
+        let packed = Blocks.Ghost.pack a ~axis ~side in
+        check
+          (bits_equal packed
+             (Array.of_list (List.map (fun i -> a.Vm.Buffer.data.(i)) sorted)));
+        (* unpack writes the payload in storage order *)
+        let payload = Array.map (fun _ -> Random.State.float rng 1.) packed in
+        let got = copy_buffer b and want = copy_buffer b in
+        Blocks.Ghost.unpack got ~axis ~side payload;
+        List.iteri
+          (fun k i -> want.Vm.Buffer.data.(i) <- payload.(k))
+          (List.sort compare (ref_indices want ~axis ~range:urange));
+        check (bits_equal got.Vm.Buffer.data want.Vm.Buffer.data);
+        (* the exchange itself: a's boundary slab into b's opposite ghosts *)
+        let opp = match side with Blocks.Ghost.Low -> Blocks.Ghost.High | High -> Low in
+        let got = copy_buffer b and want = copy_buffer b in
+        Blocks.Ghost.unpack got ~axis ~side:opp (Blocks.Ghost.pack a ~axis ~side);
+        ref_unpack want ~axis
+          ~range:(Blocks.Ghost.unpack_range want axis opp)
+          (ref_pack a ~axis ~range);
+        check (bits_equal got.Vm.Buffer.data want.Vm.Buffer.data))
+      [ Blocks.Ghost.Low; Blocks.Ghost.High ];
+    let got = copy_buffer a and want = copy_buffer a in
+    Vm.Buffer.periodic_axis got axis;
+    ref_periodic_axis want axis;
+    check (bits_equal got.Vm.Buffer.data want.Vm.Buffer.data);
+    let cv = Array.init a.Vm.Buffer.components (fun i -> float_of_int (i + 1) *. 0.5) in
+    let const = copy_buffer a in
+    Array.iteri
+      (fun i _ -> const.Vm.Buffer.data.(i) <- cv.(i / const.Vm.Buffer.comp_stride))
+      const.Vm.Buffer.data;
+    check
+      (bits_equal
+         (Blocks.Ghost.constant_slab a ~axis cv)
+         (Blocks.Ghost.pack const ~axis ~side:Blocks.Ghost.High))
+  done;
+  !ok
+
+let test_slab_walker =
+  QCheck.Test.make ~count:300 ~name:"slab rows = per-value reference (pack/unpack/periodic)"
+    (QCheck.make ~print:print_slab_case slab_case_gen)
+    slab_walker_agrees
+
 let test_exchange_bytes_positive () =
   let a = Vm.Buffer.create ~ghost:2 f2 [| 8; 8 |] in
   Alcotest.(check bool) "ghost volume positive" true (Blocks.Ghost.exchange_bytes a > 0)
@@ -342,6 +520,7 @@ let suite =
     Alcotest.test_case "exchange message/byte accounting" `Quick test_exchange_accounting;
     Alcotest.test_case "ghost pack/unpack" `Quick test_ghost_roundtrip;
     Alcotest.test_case "ghost volume" `Quick test_exchange_bytes_positive;
+    QCheck_alcotest.to_alcotest test_slab_walker;
     Alcotest.test_case "mpisim isend/irecv/wait" `Quick test_isend_irecv_wait;
     Alcotest.test_case "mpisim in-flight message trips quiescence" `Quick
       test_isend_unreceived_unquiescent;

@@ -89,19 +89,20 @@ let test_recompile_on_fingerprint_change () =
 
 (* Two kernels whose bodies agree on a long prefix (hundreds of terms, far
    past any hash traversal budget) and differ only in the canonically-last
-   term.  A prefix hash of the body collides here and the memo table would
-   hand variant B the program compiled for variant A — exactly how the
-   zoo's coefficient variants of the large eutectic kernel bit the
-   oracle-8 battery.  The digest-based fingerprint must keep the variants
-   apart, and each compiled run must match its own interpreter run
-   bitwise. *)
+   term.  The terms are sines of distinct multiples of f, which the
+   simplifier cannot merge, so the bodies really are that long.  A
+   truncated hash of the body collides here, and the memo table would hand
+   variant B the program compiled for variant A — exactly how the zoo's
+   coefficient variants of the large eutectic kernel bit the oracle-8
+   battery.  The full-body digest, which every binding now computes once
+   and reuses as its memo key, must keep the variants apart, and each
+   compiled run must match its own interpreter run bitwise. *)
 let deep_variant_kernel ~tail =
-  let prefix =
-    List.init 600 (fun i -> mul [ num (0.001 *. float_of_int (i + 1)); field f2 ])
-  in
+  let term c = fn Sin [ mul [ num c; field f2 ] ] in
+  let prefix = List.init 600 (fun i -> term (0.001 *. float_of_int (i + 1))) in
   (* [tail] exceeds every prefix coefficient, so the canonical Add sort
      keeps the differing term last — beyond a truncated traversal. *)
-  let rhs = add (mul [ num tail; field f2 ] :: prefix) in
+  let rhs = add (term tail :: prefix) in
   Ir.Kernel.make ~name:"deep" ~dim:2 [ Field.Assignment.store (Fieldspec.center g2) rhs ]
 
 let run_deep ~backend k =
@@ -114,6 +115,10 @@ let run_deep ~backend k =
 
 let test_no_collision_on_deep_variants () =
   let ka = deep_variant_kernel ~tail:100. and kb = deep_variant_kernel ~tail:200. in
+  Alcotest.(check bool) "the simplifier keeps all 601 terms" true
+    (Expr.count_nodes (List.hd ka.Ir.Kernel.body).Field.Assignment.rhs > 601);
+  Alcotest.(check int) "a truncated hash cannot tell the bodies apart"
+    (Hashtbl.hash ka.Ir.Kernel.body) (Hashtbl.hash kb.Ir.Kernel.body);
   let fp k = Vm.Jit.fingerprint ~dims:[| 6; 5 |] ~ghost:1 k (Ir.Lower.run k) in
   Alcotest.(check bool) "deep variants fingerprint apart" false (fp ka = fp kb);
   Vm.Jit.clear_cache ();
@@ -125,6 +130,58 @@ let test_no_collision_on_deep_variants () =
   let ib = run_deep ~backend:Vm.Engine.Interp kb in
   Alcotest.(check bool) "variant A jit = interp (bitwise)" true (buffers_bits_equal ia ja);
   Alcotest.(check bool) "variant B jit = interp (bitwise)" true (buffers_bits_equal ib jb)
+
+(* ---- a warm sweep pays for its cells, not for its kernel body ---- *)
+
+let curvature_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.curvature ~dim:2 ()))
+let eutectic_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()))
+
+(* The memo key digests the whole marshalled body, so a sweep that
+   recomputed it would allocate at least the body's marshalled size.  A
+   warm JIT sweep of eutectic φ-full on a 2x2 block — four cells, so the
+   fixed cost is all there is — must allocate less than that: the key is
+   computed once per binding, by its first JIT sweep. *)
+let test_warm_sweep_independent_of_body () =
+  let sim =
+    Pfcore.Timestep.create ~backend:Vm.Engine.Jit ~num_domains:1 ~dims:[| 2; 2 |]
+      (Lazy.force eutectic_gen)
+  in
+  let bound = sim.Pfcore.Timestep.phi_full in
+  let params = Pfcore.Timestep.runtime_params sim in
+  let sweep () = Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Jit ~params bound in
+  sweep ();
+  sweep ();
+  let minor0, _, major0 = Gc.counters () in
+  sweep ();
+  let minor1, _, major1 = Gc.counters () in
+  let words = int_of_float (minor1 -. minor0 +. (major1 -. major0)) in
+  let body_words =
+    String.length (Marshal.to_string bound.Vm.Engine.kernel.Ir.Kernel.body [])
+    / (Sys.word_size / 8)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm sweep allocates %d words < %d-word marshalled body" words
+       body_words)
+    true (words < body_words)
+
+(* The key is the binding's, forced by its first JIT sweep only:
+   interpreter sweeps and variants that never run compute nothing. *)
+let test_key_computed_by_jit_sweeps_only () =
+  let sim =
+    Pfcore.Timestep.create ~backend:Vm.Engine.Interp ~num_domains:1 ~dims:[| 4; 4 |]
+      (Lazy.force curvature_gen)
+  in
+  let forced (b : Vm.Engine.bound) = Lazy.is_val b.Vm.Engine.jit_key in
+  Pfcore.Simulation.init_smooth sim;
+  Pfcore.Timestep.run sim ~steps:2;
+  Alcotest.(check bool) "interpreter sweeps compute no key" false
+    (forced sim.Pfcore.Timestep.phi_full);
+  let params = Pfcore.Timestep.runtime_params sim in
+  Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Jit ~params sim.Pfcore.Timestep.phi_full;
+  Alcotest.(check bool) "the first jit sweep computes it" true
+    (forced sim.Pfcore.Timestep.phi_full);
+  Alcotest.(check bool) "an unused variant never does" false
+    (forced sim.Pfcore.Timestep.phi_stag)
 
 (* ---- engine edge cases under the compiled backend ---- *)
 
@@ -174,8 +231,6 @@ let test_exception_in_compiled_body () =
         (buffers_bits_equal reference after))
 
 (* ---- end-to-end simulate equivalence ---- *)
-
-let curvature_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.curvature ~dim:2 ()))
 
 (* Several full time steps through Timestep (projection, exchanges, buffer
    swaps — the swap is the interesting part: compiled programs must follow
@@ -227,7 +282,9 @@ let test_native_vs_tape_bitwise () =
   (if Vm.Jit_native.available () then
      (* prove the second run really took the native tier *)
      let k = avg_kernel () in
-     let c = Vm.Jit.get ~dims:[| 8; 6 |] ~ghost:1 k (Ir.Lower.run k) in
+     let lowered = Ir.Lower.run k in
+     let key = Vm.Jit.fingerprint ~dims:[| 8; 6 |] ~ghost:1 k lowered in
+     let c = Vm.Jit.get key ~dims:[| 8; 6 |] ~ghost:1 k lowered in
      Alcotest.(check bool) "native tier engaged when available" true c.Vm.Jit.native);
   Vm.Jit.clear_cache ();
   Alcotest.(check bool) "tape tier and native tier write identical bits" true
@@ -296,4 +353,8 @@ let suite =
     Alcotest.test_case "tune: backend is a tunable variant" `Quick test_tune_backend;
     Alcotest.test_case "jit: golden Chrome trace with vm.jit.compile span" `Quick
       test_golden_trace_jit;
+    Alcotest.test_case "jit: warm sweep allocates less than the kernel body" `Quick
+      test_warm_sweep_independent_of_body;
+    Alcotest.test_case "jit: memo key computed by jit sweeps only" `Quick
+      test_key_computed_by_jit_sweeps_only;
   ]

@@ -88,11 +88,23 @@ let test_domain_tracks () =
 
 (* ---- zero cost when disabled ---- *)
 
+(* Besides the single-block sweeps, a 2x2 forest step (messages through
+   Mpisim and Ghost) and a snapshot capture + encode must register nothing:
+   their counters go through the gated [Obs.Metrics.count]. *)
 let test_disabled_is_silent () =
   Obs.Metrics.reset ();
   Obs.Sink.clear ();
   let sim = curvature_sim () in
   Pfcore.Timestep.run sim ~steps:2;
+  let forest =
+    Blocks.Forest.create ~grid:[| 2; 2 |] ~block_dims:[| 8; 8 |] (Lazy.force curvature_gen)
+  in
+  Array.iter Pfcore.Simulation.init_sphere forest.Blocks.Forest.sims;
+  Blocks.Forest.prime forest;
+  Blocks.Forest.step forest;
+  Alcotest.(check bool) "forest step sent messages" true
+    (forest.Blocks.Forest.comm.Blocks.Mpisim.messages_sent > 0);
+  ignore (Resilience.Snapshot.encode (Resilience.Snapshot.capture forest));
   Alcotest.(check int) "no events recorded" 0 (List.length (Obs.Sink.events ()));
   let s = Obs.Metrics.snapshot () in
   Alcotest.(check bool) "no counters registered" true (s.Obs.Metrics.s_counters = []);
