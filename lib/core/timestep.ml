@@ -33,6 +33,9 @@ type t = {
   mu_stag : Vm.Engine.bound option;
   mu_main : Vm.Engine.bound option;
   projection : Vm.Engine.bound option;
+  mutable jit_planned : bool;
+      (** the JIT programs of the chosen variants are compiled (see
+          {!prepare_jit}) *)
   mutable step_count : int;
   mutable time : float;
 }
@@ -81,6 +84,7 @@ let create ?(variant_phi = Full) ?(variant_mu = Full)
     mu_stag = Option.map (fun (p : Genkernels.pair) -> bind p.stag) gen.mu_split;
     mu_main = Option.map (fun (p : Genkernels.pair) -> bind p.main) gen.mu_split;
     projection = Option.map bind gen.projection;
+    jit_planned = false;
     step_count = 0;
     time = 0.;
   }
@@ -96,7 +100,30 @@ let prime t =
   if Params.n_mu t.gen.Genkernels.params > 0 then
     t.exchange t.block t.gen.Genkernels.fields.mu_src
 
+(* The kernels of the chosen variants, each list in sweep order. *)
+let phi_kernels t =
+  match t.variant_phi with Full -> [ t.phi_full ] | Split -> [ t.phi_stag; t.phi_main ]
+
+let mu_kernels t =
+  match (t.variant_mu, t.mu_full, t.mu_stag, t.mu_main) with
+  | _, None, _, _ -> []
+  | Full, Some mu, _, _ -> [ mu ]
+  | Split, _, Some stag, Some main -> [ stag; main ]
+  | Split, _, _, _ -> assert false
+
+(** Before the first JIT sweep, compile the programs of every kernel the
+    chosen variants sweep in a step — φ, the projection, μ — in one
+    compiler run, outside every [kernel:*] span.  Unchosen variants stay
+    lazy, and a block whose programs are all cached (every forest block
+    after the first) compiles nothing. *)
+let prepare_jit t =
+  if t.backend = Vm.Engine.Jit && not t.jit_planned then begin
+    Vm.Engine.jit_prepare (phi_kernels t @ Option.to_list t.projection @ mu_kernels t);
+    t.jit_planned <- true
+  end
+
 let run_kernel t bound =
+  prepare_jit t;
   Vm.Engine.run ~num_domains:t.num_domains ?tile:t.tile ~backend:t.backend
     ~step:t.step_count ~params:(runtime_params t) bound
 
@@ -115,11 +142,7 @@ let exchange_span t (f : Fieldspec.t) =
 let phase_phi t =
   in_lane t (fun () ->
       Obs.Span.with_ ~cat:"step" "phase:phi" (fun () ->
-          (match t.variant_phi with
-          | Full -> run_kernel t t.phi_full
-          | Split ->
-            run_kernel t t.phi_stag;
-            run_kernel t t.phi_main);
+          List.iter (run_kernel t) (phi_kernels t);
           match t.projection with
           | None -> ()
           | Some proj ->
@@ -127,22 +150,18 @@ let phase_phi t =
 
 (** Phase 2: μ kernel(s) (Algorithm 1, line 3); requires φ_dst ghosts. *)
 let phase_mu t =
-  match (t.variant_mu, t.mu_full, t.mu_stag, t.mu_main) with
-  | _, None, _, _ -> ()
-  | Full, Some mu, _, _ ->
-    in_lane t (fun () -> Obs.Span.with_ ~cat:"step" "phase:mu" (fun () -> run_kernel t mu))
-  | Split, _, Some stag, Some main ->
+  match mu_kernels t with
+  | [] -> ()
+  | kernels ->
     in_lane t (fun () ->
-        Obs.Span.with_ ~cat:"step" "phase:mu" (fun () ->
-            run_kernel t stag;
-            run_kernel t main))
-  | Split, _, _, _ -> assert false
+        Obs.Span.with_ ~cat:"step" "phase:mu" (fun () -> List.iter (run_kernel t) kernels))
 
 (* ------------------------------------------------------------------ *)
 (* Region-split μ phase (communication overlap, paper §7)              *)
 (* ------------------------------------------------------------------ *)
 
 let run_kernel_region t region bound =
+  prepare_jit t;
   Vm.Engine.run ~num_domains:t.num_domains ?tile:t.tile ~backend:t.backend ~region
     ~step:t.step_count ~params:(runtime_params t) bound
 
@@ -155,19 +174,12 @@ let run_kernel_region t region bound =
     variant's main kernel never reads a staggered value the interior pass
     did not already compute. *)
 let mu_chain t =
-  let chain =
-    match (t.variant_mu, t.mu_full, t.mu_stag, t.mu_main) with
-    | _, None, _, _ -> []
-    | Full, Some mu, _, _ -> [ mu ]
-    | Split, _, Some stag, Some main -> [ stag; main ]
-    | Split, _, _, _ -> assert false
-  in
   let halo = ref 0 in
   List.map
     (fun b ->
       halo := !halo + Vm.Engine.stencil_halo b;
       (b, !halo))
-    chain
+    (mu_kernels t)
 
 (** Deep-interior μ pass: every cell provably independent of the φ_dst
     ghost layer, so it may run while the ghost exchange is in flight. *)

@@ -119,15 +119,45 @@ let cost e =
       | _ -> 0)
     0 e
 
+(** Node budget of the expanded candidates: a term above it is not expanded,
+    and an expansion above it is dropped. *)
+let expand_limit = 1500
+
+(* Whether [e], read as a tree, has at most [limit] nodes.  The walk stops
+   as soon as the count passes the limit: [expand] shares subterms, so a
+   DAG it builds in milliseconds can read as a tree of millions of nodes. *)
+let nodes_within limit e =
+  let exception Over in
+  let rec go n e =
+    let n = n + 1 in
+    if n > limit then raise Over;
+    List.fold_left go n (children e)
+  in
+  match go 0 e with _ -> true | exception Over -> false
+
 (** Try both expansion and factoring and keep the cheaper form — the
     discretization layer's per-term simplification strategy.  Expansion is
-    skipped for very large terms where distribution would blow up. *)
-let simplify_term ?(expand_limit = 1500) e =
-  let candidates =
-    if count_nodes e > expand_limit then [ e; factor_common e ]
-    else [ e; expand e; factor_common e; factor_common (expand e) ]
+    skipped for terms above [expand_limit] nodes, and its two candidates are
+    dropped when the expansion itself exceeds the limit: [factor_common] and
+    [cost] walk their input as a tree, and such expansions never win. *)
+let simplify_term e =
+  let expanded =
+    if not (nodes_within expand_limit e) then None
+    else
+      let x = expand e in
+      if nodes_within expand_limit x then Some x else None
   in
-  List.fold_left (fun best c -> if cost c < cost best then c else best) e candidates
+  let candidates =
+    match expanded with
+    | None -> [ factor_common e ]
+    | Some x -> [ x; factor_common e; factor_common x ]
+  in
+  List.fold_left
+    (fun (best, best_cost) c ->
+      let k = cost c in
+      if k < best_cost then (c, k) else (best, best_cost))
+    (e, cost e) candidates
+  |> fst
 
 (** Substitute fixed model parameters by their numeric values and re-run the
     smart constructors, folding constants throughout ("the symbolic

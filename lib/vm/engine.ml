@@ -303,6 +303,23 @@ let bind ?(fastest = 0) (kernel : Ir.Kernel.t) (block : block) =
     jit_key = lazy (Jit.fingerprint ~dims:block.dims ~ghost:block.ghost kernel lowered);
   }
 
+(** Compile the JIT programs of [bounds] that the memo table lacks, in one
+    compiler run ({!Jit.prepare}): a caller about to sweep several kernels
+    pays one compiler start-up for all of them.  Forces each binding's
+    memo key. *)
+let jit_prepare bounds =
+  Jit.prepare
+    (List.map
+       (fun (b : bound) ->
+         {
+           Jit.key = Lazy.force b.jit_key;
+           dims = b.block.dims;
+           ghost = b.block.ghost;
+           kernel = b.kernel;
+           lowered = b.lowered;
+         })
+       bounds)
+
 let run_group g c =
   for i = 0 to Array.length g - 1 do
     (Array.unsafe_get g i) c

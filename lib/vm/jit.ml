@@ -37,7 +37,10 @@
     depends only on (kernel structure, loop order, interior dims, ghost
     width) — the digest of that tuple ({!fingerprint}) is the memo key, so
     every block of a forest with equal dims shares one compilation.  Each
-    engine binding computes its key once and passes it to {!get}. *)
+    engine binding computes its key once and passes it to {!get}.  The
+    unit of compilation is a batch of programs ({!prepare}): a time step
+    builds every program it will sweep in one compiler run, because the
+    compiler's fixed start-up cost, not the kernels, dominates a run. *)
 
 open Symbolic
 open Field
@@ -568,31 +571,6 @@ let native_group_source buf ~name ~flush ~nc ~temp_base ~scratch_base ~template 
   line "()";
   Stdlib.Buffer.add_string buf "\n"
 
-(** The complete generated module: helper preludes, one function per
-    depth group, and an initializer that hands the closures to the host
-    by raising through [Dynlink] (see [Jit_native]). *)
-let native_source ~nc ~temp_base ~scratch_base ~template tapes =
-  let buf = Stdlib.Buffer.create 65536 in
-  Stdlib.Buffer.add_string buf "(* generated by Vm.Jit — compiled at runtime, never stored *)\n";
-  Stdlib.Buffer.add_string buf (Printf.sprintf "exception Handoff of (%s) array\n" native_sig);
-  Stdlib.Buffer.add_string buf helpers_prelude;
-  let has_rand tape =
-    let n = Array.length tape in
-    let rec go i = i < n && (tape.(i) = op_rand || go (i + 4)) in
-    go 0
-  in
-  if Array.exists has_rand tapes then Stdlib.Buffer.add_string buf philox_prelude;
-  let body = Array.length tapes - 1 in
-  Array.iteri
-    (fun g tape ->
-      native_group_source buf ~name:(Printf.sprintf "g%d" g) ~flush:(g < body) ~nc
-        ~temp_base ~scratch_base ~template tape)
-    tapes;
-  Stdlib.Buffer.add_string buf
-    (Printf.sprintf "let () = raise (Handoff [| %s |])\n"
-       (String.concat "; " (List.init (Array.length tapes) (Printf.sprintf "g%d"))));
-  Stdlib.Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Compiled programs                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -615,12 +593,27 @@ type compiled = {
   native_note : string;        (** "native", or why the tape tier is in use *)
 }
 
+(** A program to compile: its memo key ({!fingerprint}) and what the key
+    digests. *)
+type request = {
+  key : Digest.t;
+  dims : int array;
+  ghost : int;
+  kernel : Ir.Kernel.t;
+  lowered : Ir.Lower.t;
+}
+
 let wrap_native (f : native_group) : instr =
  fun st -> f st.slots st.datas st.base st.cx st.cy st.cz st.step st.dx st.gd0 st.gd1
 
-let compile ~fingerprint ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
+(* A program on the tape tier, with the slot layout its native source
+   needs. *)
+type laid_out = { prog : compiled; tapes : int array array; temp_base : int; scratch_base : int }
+
+let lay_out (r : request) =
+  let kernel = r.kernel and ghost = r.ghost in
   let dim = kernel.Ir.Kernel.dim in
-  let padded = Array.map (fun n -> n + (2 * ghost)) dims in
+  let padded = Array.map (fun n -> n + (2 * ghost)) r.dims in
   let stride = Array.make dim 1 in
   for d = 1 to dim - 1 do
     stride.(d) <- stride.(d - 1) * padded.(d - 1)
@@ -629,7 +622,7 @@ let compile ~fingerprint ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower
   let temps = Assignment.defined_temps kernel.Ir.Kernel.body in
   let params = Ir.Kernel.parameters kernel in
   let np = List.length params and nt = List.length temps in
-  let groups_src = Ir.Lower.groups lowered in
+  let groups_src = Ir.Lower.groups r.lowered in
   let make_cs ~const_base ~param_base ~temp_base ~scratch_base =
     let param_tbl = Hashtbl.create 16 and temp_tbl = Hashtbl.create 64 in
     List.iteri (fun i s -> Hashtbl.replace param_tbl s i) params;
@@ -663,43 +656,91 @@ let compile ~fingerprint ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower
   let n_slots = max 1 (nc + np + nt + cs.max_scratch) in
   let template = Array.make n_slots 0. in
   List.iteri (fun i x -> template.(nc - 1 - i) <- x) cs.rev_consts;
-  (* native tier: same tapes, retranslated to let-bound OCaml and
-     dynlinked; any failure keeps the portable tape closures *)
-  let native_fns =
+  let prog =
+    {
+      fingerprint = r.key;
+      dim;
+      loop_order = r.lowered.Ir.Lower.loop_order;
+      fields = Array.of_list cs.fields;
+      param_names = Array.of_list params;
+      param_base = nc;
+      n_slots;
+      template;
+      groups = Array.map (fun tape -> fun st -> exec_tape tape st) tapes;
+      n_ops = Array.fold_left (fun acc t -> acc + (Array.length t / 4)) 0 tapes;
+      stride;
+      ghost;
+      native = false;
+      native_note = "";
+    }
+  in
+  { prog; tapes; temp_base = nc + np; scratch_base = nc + np + nt }
+
+(** The generated module of one compiler run: helper preludes, one
+    submodule per program with one function per depth group, and an
+    initializer that hands every program's closures to the host in a
+    single raise through [Dynlink] (see [Jit_native]).  Programs share
+    the preludes and nothing else, so a program's functions are the same
+    text whichever run compiles it. *)
+let native_source programs =
+  let buf = Stdlib.Buffer.create 65536 in
+  let add = Stdlib.Buffer.add_string buf in
+  add "(* generated by Vm.Jit — compiled at runtime, never stored *)\n";
+  add (Printf.sprintf "exception Handoff of (%s) array array\n" native_sig);
+  add helpers_prelude;
+  let has_rand tape =
+    let n = Array.length tape in
+    let rec go i = i < n && (tape.(i) = op_rand || go (i + 4)) in
+    go 0
+  in
+  if List.exists (fun p -> Array.exists has_rand p.tapes) programs then add philox_prelude;
+  let handoff =
+    List.mapi
+      (fun i p ->
+        let m = Printf.sprintf "P%d" i in
+        add (Printf.sprintf "module %s = struct\n" m);
+        let body = Array.length p.tapes - 1 in
+        Array.iteri
+          (fun g tape ->
+            native_group_source buf ~name:(Printf.sprintf "g%d" g) ~flush:(g < body)
+              ~nc:p.prog.param_base ~temp_base:p.temp_base ~scratch_base:p.scratch_base
+              ~template:p.prog.template tape)
+          p.tapes;
+        add "end\n";
+        Printf.sprintf "[| %s |]"
+          (String.concat "; " (List.init (Array.length p.tapes) (Printf.sprintf "%s.g%d" m))))
+      programs
+  in
+  add (Printf.sprintf "let () = raise (Handoff [| %s |])\n" (String.concat "; " handoff));
+  Stdlib.Buffer.contents buf
+
+(* Compile [requests] in one compiler run: the native tier retranslates
+   every program's tapes into one module; if that run fails, every program
+   keeps its portable tape closures and notes why. *)
+let compile_all requests =
+  let programs = List.map lay_out requests in
+  let native =
     if not (Jit_native.available ()) then Error "native tier unavailable"
     else
-      let source =
-        native_source ~nc ~temp_base:(nc + np) ~scratch_base:(nc + np + nt) ~template
-          tapes
-      in
-      match Jit_native.load ~modname:(Jit_native.fresh_modname ()) ~source with
+      match
+        Jit_native.load ~modname:(Jit_native.fresh_modname ()) ~source:(native_source programs)
+      with
       | Ok payload ->
-        let fns : native_group array = Obj.magic payload in
-        if Array.length fns = Array.length tapes then Ok fns
+        let fns : native_group array list = Array.to_list (Obj.magic payload) in
+        if
+          List.compare_lengths fns programs = 0
+          && List.for_all2 (fun f p -> Array.length f = Array.length p.tapes) fns programs
+        then Ok fns
         else Error "native tier: group count mismatch"
       | Error reason -> Error reason
   in
-  let groups, native, native_note =
-    match native_fns with
-    | Ok fns -> (Array.map wrap_native fns, true, "native")
-    | Error note -> (Array.map (fun tape -> fun st -> exec_tape tape st) tapes, false, note)
-  in
-  {
-    fingerprint;
-    dim;
-    loop_order = lowered.Ir.Lower.loop_order;
-    fields = Array.of_list cs.fields;
-    param_names = Array.of_list params;
-    param_base = nc;
-    n_slots;
-    template;
-    groups;
-    n_ops = Array.fold_left (fun acc t -> acc + (Array.length t / 4)) 0 tapes;
-    stride;
-    ghost;
-    native;
-    native_note;
-  }
+  match native with
+  | Ok fns ->
+    List.map2
+      (fun f p ->
+        { p.prog with groups = Array.map wrap_native f; native = true; native_note = "native" })
+      fns programs
+  | Error note -> List.map (fun p -> { p.prog with native_note = note }) programs
 
 (* ------------------------------------------------------------------ *)
 (* Memo table                                                          *)
@@ -739,13 +780,43 @@ let clear_cache () =
   hits := 0;
   misses := 0
 
+(** Compile every program of [requests] that the memo table lacks in one
+    compiler run, and enter them all: the programs a time step's plan is
+    about to sweep ([Core.Timestep]), or the one program a sweep missed
+    ({!get}).  Each program compiled is one miss.  With the sink on, one
+    [vm.jit.compile] span, carrying the program count, brackets the run,
+    and [vm.jit.compile_ns] records its duration. *)
+let prepare requests =
+  match List.filter (fun r -> not (Hashtbl.mem cache r.key)) requests with
+  | [] -> ()
+  | fresh ->
+    let n = List.length fresh in
+    misses := !misses + n;
+    Obs.Metrics.count "jit.miss" n;
+    let build () = compile_all fresh in
+    let programs =
+      if not (Obs.Sink.enabled ()) then build ()
+      else begin
+        let programs, ns =
+          Obs.Clock.time_ns (fun () ->
+              Obs.Span.with_ ~cat:"vm" ~args:[ ("programs", float_of_int n) ] "vm.jit.compile"
+                build)
+        in
+        Obs.Metrics.observe (Obs.Metrics.histogram "vm.jit.compile_ns") ns;
+        programs
+      end
+    in
+    List.iter (fun c -> Hashtbl.replace cache c.fingerprint c) programs
+
 (** The compiled program for [kernel] on a block of [dims]/[ghost], looked
     up under [key], which must be [fingerprint ~dims ~ghost kernel lowered]
     (the caller computes it once and reuses it, so a lookup costs one
-    digest hash, not a pass over the body).  The engine looks up once per
-    sweep, so [cache_stats] misses count compilations and hits count reused
-    sweeps (the zero-recompile-after-warmup gate watches the miss count).
-    The [jit.hit]/[jit.miss] counters mirror them when the sink is on. *)
+    digest hash, not a pass over the body).  A miss compiles the program
+    alone through {!prepare}.  The engine looks up once per sweep, so
+    [cache_stats] misses count programs compiled and hits count sweeps that
+    found theirs, compiled by an earlier sweep or by a plan (the
+    zero-recompile-after-warmup gate watches the miss count).  The
+    [jit.hit]/[jit.miss] counters mirror them when the sink is on. *)
 let get key ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
   match Hashtbl.find_opt cache key with
   | Some c ->
@@ -753,15 +824,8 @@ let get key ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
     Obs.Metrics.count "jit.hit" 1;
     c
   | None ->
-    incr misses;
-    Obs.Metrics.count "jit.miss" 1;
-    let build () = compile ~fingerprint:key ~dims ~ghost kernel lowered in
-    let c =
-      if Obs.Sink.enabled () then Obs.Span.with_ ~cat:"vm" "vm.jit.compile" build
-      else build ()
-    in
-    Hashtbl.replace cache key c;
-    c
+    prepare [ { key; dims; ghost; kernel; lowered } ];
+    Hashtbl.find cache key
 
 (* ------------------------------------------------------------------ *)
 (* Tile execution                                                      *)

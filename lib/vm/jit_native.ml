@@ -10,7 +10,7 @@
     The generated module exports nothing the host could link against —
     the host was built long before the module existed — so the compiled
     closures come back through the one channel Dynlink leaves open: the
-    module's initializer raises an exception carrying the closure array,
+    module's initializer raises an exception carrying the closure arrays,
     which Dynlink surfaces verbatim as
     [Error (Library's_module_initializers_failed e)].  The code segment
     of a loaded [.cmxs] is never unmapped, so the extracted closures
@@ -39,16 +39,11 @@ let compiler =
 let available () =
   (not (disabled ())) && Dynlink.is_native && Lazy.force compiler <> None
 
-(* Scratch directory, one per process; files are removed after each load,
-   the directory itself at exit would need a hook — it is tmp, leave it. *)
-let scratch_dir =
-  lazy
-    (let dir =
-       Filename.concat (Filename.get_temp_dir_name ())
-         (Printf.sprintf "pfgen-jit-%d" (Unix.getpid ()))
-     in
-     (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-     dir)
+(* Remove a compiler run's scratch directory and everything in it. *)
+let remove_dir dir =
+  let remove f = try Sys.remove (Filename.concat dir f) with Sys_error _ -> () in
+  (try Array.iter remove (Sys.readdir dir) with Sys_error _ -> ());
+  try Sys.rmdir dir with Sys_error _ -> ()
 
 let counter = ref 0
 
@@ -67,53 +62,48 @@ let read_file path =
     s
   with _ -> ""
 
+(* Compile [source] as [modname] in [dir] and load the result. *)
+let compile_and_load cc dir ~modname ~source =
+  let base = String.uncapitalize_ascii modname in
+  let ml = Filename.concat dir (base ^ ".ml") in
+  let log = Filename.concat dir (base ^ ".log") in
+  let oc = open_out ml in
+  output_string oc source;
+  close_out oc;
+  let cmd =
+    Printf.sprintf "cd %s && %s -w -a -shared -o %s %s > %s 2>&1" (Filename.quote dir) cc
+      (Filename.quote (base ^ ".cmxs"))
+      (Filename.quote (base ^ ".ml"))
+      (Filename.quote (base ^ ".log"))
+  in
+  if Sys.command cmd <> 0 then Error ("compile failed: " ^ String.trim (read_file log))
+  else
+    match Dynlink.loadfile_private (Filename.concat dir (base ^ ".cmxs")) with
+    | () -> Error "generated module did not hand off its closures"
+    | exception Dynlink.Error (Dynlink.Library's_module_initializers_failed e)
+      when Obj.size (Obj.repr e) = 2 ->
+      (* [exception Handoff of 'a] is a 2-field block: slot, payload *)
+      Ok (Obj.field (Obj.repr e) 1)
+    | exception Dynlink.Error err -> Error (Dynlink.error_message err)
+    | exception e -> Error (Printexc.to_string e)
+
 (** Compile [source] (which must define the given module and whose
     initializer must [raise (Handoff closures)]) and return the carried
     value.  The result is an [Obj.t]: only the generator knows the
-    closure types, so only the generator may cast. *)
+    closure types, so only the generator may cast.  Each compiler run
+    works in a fresh directory under [TMPDIR], removed once the load has
+    succeeded or failed. *)
 let load ~modname ~source : (Obj.t, string) result =
   if disabled () then Error "disabled by PFGEN_JIT_NATIVE"
   else if not Dynlink.is_native then Error "bytecode host: cannot load .cmxs"
   else
     match Lazy.force compiler with
     | None -> Error "no ocamlopt on PATH"
-    | Some cc ->
-      let dir = Lazy.force scratch_dir in
-      let base = String.uncapitalize_ascii modname in
-      let ml = Filename.concat dir (base ^ ".ml") in
-      let cmxs = Filename.concat dir (base ^ ".cmxs") in
-      let log = Filename.concat dir (base ^ ".log") in
-      let cleanup () =
-        List.iter
-          (fun ext -> try Sys.remove (Filename.concat dir (base ^ ext)) with _ -> ())
-          [ ".ml"; ".cmxs"; ".cmx"; ".cmi"; ".o"; ".log" ]
-      in
-      let oc = open_out ml in
-      output_string oc source;
-      close_out oc;
-      let cmd =
-        Printf.sprintf "cd %s && %s -w -a -shared -o %s %s > %s 2>&1"
-          (Filename.quote dir) cc
-          (Filename.quote (base ^ ".cmxs"))
-          (Filename.quote (base ^ ".ml"))
-          (Filename.quote (base ^ ".log"))
-      in
-      if Sys.command cmd <> 0 then begin
-        let err = read_file log in
-        cleanup ();
-        Error ("compile failed: " ^ String.trim err)
-      end
-      else begin
-        let r =
-          match Dynlink.loadfile_private cmxs with
-          | () -> Error "generated module did not hand off its closures"
-          | exception Dynlink.Error (Dynlink.Library's_module_initializers_failed e)
-            when Obj.size (Obj.repr e) = 2 ->
-            (* [exception Handoff of 'a] is a 2-field block: slot, payload *)
-            Ok (Obj.field (Obj.repr e) 1)
-          | exception Dynlink.Error err -> Error (Dynlink.error_message err)
-          | exception e -> Error (Printexc.to_string e)
-        in
-        cleanup ();
-        r
-      end
+    | Some cc -> (
+      match Filename.temp_dir "pfgen-jit-" "" with
+      | exception Sys_error e -> Error ("no scratch directory: " ^ e)
+      | dir ->
+        Fun.protect
+          ~finally:(fun () -> remove_dir dir)
+          (fun () ->
+            try compile_and_load cc dir ~modname ~source with Sys_error e -> Error e))

@@ -2,8 +2,9 @@
    accounting through Obs counters, recompilation on fingerprint changes,
    the engine edge cases (empty interior, tile larger than the sweep) under
    the compiled backend, exception safety of pooled compiled sweeps, the
-   tuner's backend decision, and the golden JIT trace with its
-   vm.jit.compile span. *)
+   tuner's backend decision, one compiler run per time-step plan kept out
+   of the kernel spans, the compiler's scratch files, and the golden JIT
+   trace with its vm.jit.compile span. *)
 
 open Symbolic
 open Expr
@@ -290,6 +291,115 @@ let test_native_vs_tape_bitwise () =
   Alcotest.(check bool) "tape tier and native tier write identical bits" true
     (buffers_bits_equal tape.Pfcore.Timestep.block native.Pfcore.Timestep.block)
 
+(* ---- one compiler run per plan ---- *)
+
+let p1_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p1 ()))
+
+(* End events of the spans called [name]: they carry the span's args. *)
+let span_ends name events =
+  List.filter (fun (e : Obs.Sink.event) -> e.Obs.Sink.phase = Obs.Sink.E && e.name = name) events
+
+let traced_steps sims =
+  with_obs (fun () ->
+      List.iter Pfcore.Timestep.step sims;
+      Obs.Sink.events ())
+
+(* The first JIT step of a Timestep compiles every program its variants
+   sweep — φ-full, the projection, μ-full — in one compiler run, counted
+   as three misses.  Another block of the same dims finds all three
+   cached, and an interpreter block compiles nothing. *)
+let test_one_compile_per_plan () =
+  let g = Lazy.force p1_gen in
+  let make backend =
+    let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims:[| 4; 4; 4 |] g in
+    Pfcore.Simulation.init_smooth sim;
+    sim
+  in
+  Vm.Jit.clear_cache ();
+  let sim = make Vm.Engine.Jit in
+  let compiles = span_ends "vm.jit.compile" (traced_steps [ sim ]) in
+  Alcotest.(check int) "the first step runs the compiler once" 1 (List.length compiles);
+  Alcotest.(check (float 0.)) "that run compiles the plan's 3 programs" 3.
+    (List.assoc "programs" (List.hd compiles).Obs.Sink.args);
+  let _, misses = Vm.Jit.cache_stats () in
+  Alcotest.(check int) "misses rise by 3" 3 misses;
+  let again = make Vm.Engine.Jit and interp = make Vm.Engine.Interp in
+  let compiles = span_ends "vm.jit.compile" (traced_steps [ again; interp ]) in
+  Alcotest.(check int) "a second block of the same dims, and an interp block, compile nothing"
+    0 (List.length compiles);
+  Alcotest.(check int) "no further miss" 3 (snd (Vm.Jit.cache_stats ()))
+
+(* Every vm.jit.compile span sits inside a phase:phi span and outside
+   every kernel:* span, so vm.<kernel>.ns_per_cell never includes a
+   compile; vm.jit.compile_ns records one sample per compiler run.  Split
+   variants and a forest (whose later blocks find the plan cached) take
+   the same path. *)
+let test_compile_outside_kernel_spans () =
+  let g = Lazy.force curvature_gen in
+  Vm.Jit.clear_cache ();
+  let split =
+    Pfcore.Timestep.create ~variant_phi:Pfcore.Timestep.Split ~backend:Vm.Engine.Jit
+      ~num_domains:1 ~dims:[| 6; 6 |] g
+  in
+  Pfcore.Simulation.init_smooth split;
+  let forest =
+    Blocks.Forest.create ~backend:Vm.Engine.Jit ~num_domains:1 ~grid:[| 2; 2 |]
+      ~block_dims:[| 5; 5 |] g
+  in
+  Array.iter Pfcore.Simulation.init_smooth forest.Blocks.Forest.sims;
+  Blocks.Forest.prime forest;
+  let events, histogram =
+    with_obs (fun () ->
+        Pfcore.Timestep.run split ~steps:2;
+        Blocks.Forest.run forest ~steps:2;
+        let s = Obs.Metrics.snapshot () in
+        (Obs.Sink.events (), List.assoc_opt "vm.jit.compile_ns" s.Obs.Metrics.s_histograms))
+  in
+  (* open spans per (lane, track), innermost first *)
+  let stacks = Hashtbl.create 8 in
+  let misplaced = ref 0 and runs = ref 0 in
+  List.iter
+    (fun (e : Obs.Sink.event) ->
+      let track = (e.Obs.Sink.pid, e.Obs.Sink.tid) in
+      let open_ = Option.value ~default:[] (Hashtbl.find_opt stacks track) in
+      match e.Obs.Sink.phase with
+      | Obs.Sink.B ->
+        if e.Obs.Sink.name = "vm.jit.compile" then begin
+          incr runs;
+          let in_kernel = List.exists (String.starts_with ~prefix:"kernel:") open_ in
+          if in_kernel || not (List.mem "phase:phi" open_) then incr misplaced
+        end;
+        Hashtbl.replace stacks track (e.Obs.Sink.name :: open_)
+      | Obs.Sink.E -> Hashtbl.replace stacks track (List.tl open_)
+      | _ -> ())
+    events;
+  Alcotest.(check int) "one run for the split block, one for the whole forest" 2 !runs;
+  Alcotest.(check int) "no compile span outside phase:phi or inside a kernel span" 0 !misplaced;
+  match histogram with
+  | None -> Alcotest.fail "vm.jit.compile_ns not recorded"
+  | Some h -> Alcotest.(check int) "vm.jit.compile_ns: one sample per run" 2 h.Obs.Metrics.hs_count
+
+(* Each compiler run works in a fresh directory under the temp dir and
+   removes it after loading, so a process leaves no scratch behind. *)
+let test_no_scratch_left () =
+  let tmp = Filename.temp_dir "pfgen-test-" "" in
+  let prev = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name prev;
+      (try Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) (Sys.readdir tmp)
+       with Sys_error _ -> ());
+      Sys.rmdir tmp)
+    (fun () ->
+      Vm.Jit.clear_cache ();
+      let block = run_avg ~num_domains:1 ~dims:[| 7; 5 |] () in
+      let reference = run_avg ~backend:Vm.Engine.Interp ~num_domains:1 ~dims:[| 7; 5 |] () in
+      Alcotest.(check bool) "compiled sweep = interp (bitwise)" true
+        (buffers_bits_equal reference block);
+      Alcotest.(check (list string)) "temp dir empty after the compile" []
+        (Array.to_list (Sys.readdir tmp)))
+
 (* ---- tuner backend decision ---- *)
 
 let tune_block () =
@@ -318,7 +428,8 @@ let test_tune_backend () =
 
 (* Same fixed 2-step 8x8 curvature run as test_obs's golden trace, executed
    through the JIT: the span tree must be reproduced with one
-   vm.jit.compile span per kernel program, emitted at first use. *)
+   vm.jit.compile span for the step's plan (φ-full and the projection),
+   emitted in step 0's phase:phi before the first kernel span. *)
 let test_golden_trace_jit () =
   Vm.Jit.clear_cache ();
   let sim =
@@ -357,4 +468,10 @@ let suite =
       test_warm_sweep_independent_of_body;
     Alcotest.test_case "jit: memo key computed by jit sweeps only" `Quick
       test_key_computed_by_jit_sweeps_only;
+    Alcotest.test_case "jit: one compiler run per time-step plan" `Quick
+      test_one_compile_per_plan;
+    Alcotest.test_case "jit: compile spans outside kernel spans" `Quick
+      test_compile_outside_kernel_spans;
+    Alcotest.test_case "jit: compiler runs leave no scratch behind" `Quick
+      test_no_scratch_left;
   ]

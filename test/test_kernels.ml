@@ -167,6 +167,104 @@ let test_config_parameter_count () =
   Alcotest.(check bool) "P1 has > 50 config parameters" true
     (Pfcore.Params.config_parameter_count (Pfcore.Params.p1 ()) > 50)
 
+(* ---- the frontend's work is bounded; its kernels are pinned ---- *)
+
+(* P2's first φ staggered flux assignment, as it reaches the per-term
+   simplifier: 1,319 nodes whose expansion, a shared DAG, reads as a tree
+   of 14.3 M nodes.  Walking that tree to factor and cost it allocated
+   1.16e9 words and took seconds per term; the expansion, far costlier
+   than the input, never won. *)
+let p2_first_phi_flux () =
+  let p = Pfcore.Params.p2 () in
+  let f = Pfcore.Model.make_fields p in
+  let ctx = Pfcore.Model.make_ctx ~symbolic:false in
+  let scheme = Pfcore.Genkernels.scheme_of Pfcore.Genkernels.default_options p in
+  let registry = Fd.Discretize.make_registry f.Pfcore.Model.phi_stag in
+  Array.iter
+    (fun rhs -> ignore (Fd.Discretize.discretize_split scheme ~registry rhs))
+    (Pfcore.Model.phi_rhs ctx p f);
+  (List.hd (Fd.Discretize.registry_kernel_body registry)).Field.Assignment.rhs
+
+let test_simplify_work_bounded () =
+  let e = p2_first_phi_flux () in
+  Alcotest.(check int) "input nodes" 1319 (Symbolic.Expr.count_nodes e);
+  let w0 = Gc.minor_words () in
+  let s = Symbolic.Simplify.simplify_term e in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Printf.sprintf "%.3g words allocated < 1e7" words) true (words < 1e7);
+  Alcotest.(check int) "same simplified form: nodes" 1316 (Symbolic.Expr.count_nodes s);
+  Alcotest.(check int) "same simplified form: cost" 803 (Symbolic.Simplify.cost s)
+
+(* The first 8 hex digits of the MD5 of every kernel's printed body
+   ([Assignment.pp_list]) in the order phi_full, phi_stag, phi_main,
+   mu_full, mu_stag, mu_main, projection (absent kernels skipped), for
+   frozen and symbolic parameters.  Recorded before the per-term
+   simplifier bounded its expansions: the bound changes no kernel. *)
+let pinned_kernels =
+  let module P = Pfcore.Params in
+  [
+    ( "curvature-2d", P.curvature ~dim:2 (),
+      [ "6a436a3a"; "83f6eb4e"; "12e599ae"; "6f6d44ff" ],
+      [ "4ca1a47c"; "84477260"; "7721c863"; "6f6d44ff" ] );
+    ( "curvature-3d", P.curvature ~dim:3 (),
+      [ "e5f846bb"; "dfed6429"; "7cfdf553"; "5b5f826d" ],
+      [ "d1150a32"; "76cea142"; "374e3501"; "5b5f826d" ] );
+    ( "p1-2d", P.p1 ~dim:2 (),
+      [ "939a6659"; "b666fd7a"; "181442b1"; "899c5379"; "f17db611"; "8e1852d3"; "386b9dce" ],
+      [ "422600d6"; "665f7f47"; "e3b69592"; "859a6222"; "b2d1c489"; "00ed3f97"; "386b9dce" ] );
+    ( "p1-3d", P.p1 ~dim:3 (),
+      [ "898a72e0"; "4b8419c8"; "2961cd62"; "f336fd41"; "66890540"; "e24bd497"; "bd636009" ],
+      [ "977b06a7"; "5e4c0f6a"; "26648209"; "530e9e94"; "faf0c148"; "5ac21d9e"; "bd636009" ] );
+    ( "p2-2d", P.p2 ~dim:2 (),
+      [ "beb3037f"; "4c3dc819"; "382f48b1"; "b5d97ab0"; "40238d2d"; "400150e5"; "25d75655" ],
+      [ "36976ab5"; "3b1558a1"; "bc65039b"; "3cf96b41"; "727a2278"; "082e9a26"; "25d75655" ] );
+    ( "p2-3d", P.p2 ~dim:3 (),
+      [ "1873f1fd"; "cd29324f"; "9bd66522"; "0e5ef356"; "219a21fb"; "c964efdb"; "acf491c1" ],
+      [ "00ec126d"; "26268f48"; "cb8b1a2c"; "3304f3d8"; "9f207d69"; "c3ff2fb6"; "acf491c1" ] );
+    ( "eutectic-2d", P.eutectic ~dim:2 (),
+      [ "4155028b"; "a476b1e7"; "d2b96208"; "808ae24f"; "f29bee4d"; "ded0fa43"; "25d75655" ],
+      [ "96f3b8d4"; "21073f0a"; "f20295d3"; "ac853e2c"; "8d53e1b5"; "7dc08bbe"; "25d75655" ] );
+    ( "eutectic-3d", P.eutectic ~dim:3 (),
+      [ "a7695a93"; "7cb25e12"; "f46c6214"; "e8a732b6"; "5d0db509"; "426c4724"; "acf491c1" ],
+      [ "85be524e"; "854e5eea"; "4f38eaa4"; "dafbeca4"; "bc095db3"; "a06d9282"; "acf491c1" ] );
+    ( "pfc-2d", P.pfc (),
+      [ "079fe715"; "8f98d944"; "b7cd0447" ],
+      [ "6fd20929"; "f9159a7d"; "318f74d5" ] );
+    ( "gray-scott-2d", P.gray_scott (),
+      [ "1d88e3c2"; "b2293ee0"; "88d61dbd" ],
+      [ "3ac70cfe"; "24319f7b"; "f30164d9" ] );
+  ]
+
+let kernel_digests (g : Pfcore.Genkernels.t) =
+  let pair name (p : Pfcore.Genkernels.pair) =
+    [ (name ^ "_stag", p.Pfcore.Genkernels.stag); (name ^ "_main", p.Pfcore.Genkernels.main) ]
+  in
+  let kernels =
+    [ ("phi_full", g.Pfcore.Genkernels.phi_full) ]
+    @ pair "phi" g.Pfcore.Genkernels.phi_split
+    @ Option.to_list (Option.map (fun k -> ("mu_full", k)) g.Pfcore.Genkernels.mu_full)
+    @ Option.fold ~none:[] ~some:(pair "mu") g.Pfcore.Genkernels.mu_split
+    @ Option.to_list (Option.map (fun k -> ("projection", k)) g.Pfcore.Genkernels.projection)
+  in
+  List.map
+    (fun (name, (k : Ir.Kernel.t)) ->
+      let text = Fmt.str "%a" Field.Assignment.pp_list k.Ir.Kernel.body in
+      String.sub (Digest.to_hex (Digest.string (name ^ "\n" ^ text))) 0 8)
+    kernels
+
+let test_kernels_pinned () =
+  List.iter
+    (fun (label, p, frozen, symbolic) ->
+      List.iter
+        (fun (mode, symbolic_params, expected) ->
+          let opts = { Pfcore.Genkernels.default_options with symbolic_params } in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s kernels" label mode)
+            expected
+            (kernel_digests (Pfcore.Genkernels.generate ~opts p)))
+        [ ("frozen", false, frozen); ("symbolic", true, symbolic) ])
+    pinned_kernels
+
 let suite =
   [
     Alcotest.test_case "P1 phi stencil signatures" `Quick test_p1_phi_stencils;
@@ -182,6 +280,9 @@ let suite =
     Alcotest.test_case "eutectic front advances" `Slow test_eutectic_front_advances;
     Alcotest.test_case "fluctuation generates Philox" `Quick test_fluctuation_term_generates_rand;
     Alcotest.test_case "config parameter count" `Quick test_config_parameter_count;
+    Alcotest.test_case "simplify_term work is bounded (P2 flux)" `Quick
+      test_simplify_work_bounded;
+    Alcotest.test_case "every kernel of six families pinned" `Quick test_kernels_pinned;
   ]
 
 let test_vtk_output () =
