@@ -437,7 +437,12 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
     (if split then "split" else "full")
     backend_name dt
     (cells *. float_of_int steps /. dt /. 1e6);
-  Fmt.pr "phase fractions: %a@." Fmt.(array ~sep:sp (fmt "%.4f")) fractions
+  Fmt.pr "phase fractions: %a@." Fmt.(array ~sep:sp (fmt "%.4f")) fractions;
+  (* the tier each JIT program ran on: the ISA, scalar C, or why it fell
+     back to the interpreter *)
+  List.iter
+    (fun (tier, n) -> Fmt.pr "jit tier: %s (%d program%s)@." tier n (if n = 1 then "" else "s"))
+    (Vm.Jit.tiers ())
 
 let tile_conv =
   let parse s =
@@ -461,7 +466,7 @@ let backend_conv =
   Arg.conv (parse, print)
 
 let backend_arg =
-  Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~doc:"VM execution backend: interp (reference interpreter) or jit (closure-compiled tapes, bitwise identical, compiled once per kernel program). Default: \\$PFGEN_VM_BACKEND or interp." ~docv:"BACKEND")
+  Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~doc:"VM execution backend: interp (reference interpreter) or jit (the generated C kernels, built with gcc once per kernel program, bitwise identical; without gcc it falls back to the interpreter and says why). Default: \\$PFGEN_VM_BACKEND or interp." ~docv:"BACKEND")
 
 let size_arg = Arg.(value & opt int 32 & info [ "size" ] ~doc:"Domain edge length in cells.")
 let steps_arg = Arg.(value & opt int 50 & info [ "steps" ] ~doc:"Time steps to run.")

@@ -1,10 +1,26 @@
-(** Scalar C expression printing, shared by the C and CUDA backends.
+(** Scalar C expression printing, shared by the C, SIMD and CUDA backends.
 
     Field accesses are rendered against a single running base index [_b]
     (all fields of a kernel share dims and ghost width, paper §3.4's
     base-pointer + linear-index form): [f[_b + o0 + o1*_s1 + c*_cs]].
     Small integer powers go through static-inline helpers so operands are
-    evaluated once. *)
+    evaluated once.
+
+    The printed code follows the interpreter's evaluation contract
+    ([Vm.Engine.compile]) operation for operation, so a build without
+    floating-point contraction or fast-math computes the interpreter's bits:
+    two- and three-term sums and products associate left, longer (or
+    shorter) sums start from [0.0] — which turns a leading [-0.0] into
+    [+0.0], as the interpreter's fold does — integer powers are the
+    interpreter's left-to-right multiply chain, [Rsqrt] is [1.0/sqrt], and
+    [fmin]/[fmax] are the NaN- and signed-zero-exact [pf_fmin]/[pf_fmax] of
+    [Expr.c_fmin]/[c_fmax], and a store writes a NaN as
+    [Expr.canonical_nan] ([pf_canon]).  The last rule is what makes NaN
+    results reproducible at all: where two different NaNs meet in an
+    addition or a multiplication, IEEE 754 leaves open which one survives,
+    and gcc commutes such operands (and folds [-1.0*x] to [-x], and drops
+    [fabs] of a square) without regard to a NaN's sign — so only a value's
+    NaN-ness is reproducible, and that is all a store keeps. *)
 
 open Symbolic
 
@@ -19,8 +35,14 @@ type dialect = C | Cuda
 let ident s =
   String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') then c else '_') s
 
+(* Exact for every double: integers print as [%.1f], other finite values
+   round-trip through [%.17g], infinities use math.h's [INFINITY], and a
+   NaN is rebuilt from its bits so its payload survives. *)
 let float_lit x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  if Float.is_nan x then Printf.sprintf "pf_f64(0x%LxULL)" (Int64.bits_of_float x)
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  else if x = Float.infinity then "INFINITY"
+  else if x = Float.neg_infinity then "(-INFINITY)"
   else Printf.sprintf "%.17g" x
 
 let access_index (a : Fieldspec.access) =
@@ -48,6 +70,12 @@ let access_ref (a : Fieldspec.access) =
    counters _i0.. are block-local; _off_d is the block's global offset. *)
 let coord_ref d = Printf.sprintf "((double)(_i%d + _off_%d) + 0.5) * dx" d d
 
+(** Whether any right-hand side contains a node satisfying [p]. *)
+let body_has p (body : Field.Assignment.t list) =
+  List.exists
+    (fun (a : Field.Assignment.t) -> Expr.fold (fun u n -> u || p n) false a.Field.Assignment.rhs)
+    body
+
 let rec emit ?(dialect = C) ?(approx = exact) e =
   let go e = emit ~dialect ~approx e in
   let paren s = "(" ^ s ^ ")" in
@@ -58,18 +86,21 @@ let rec emit ?(dialect = C) ?(approx = exact) e =
   | Expr.Access a -> access_ref a
   | Expr.Rand slot -> Printf.sprintf "pf_philox_sym(_cell, _step, %d)" slot
   | Expr.Diff _ -> invalid_arg "Cexpr.emit: Diff survived discretization"
-  | Expr.Add xs -> paren (String.concat " + " (List.map go xs))
+  | Expr.Add ([ _; _ ] as xs) | Expr.Add ([ _; _; _ ] as xs) ->
+    paren (String.concat " + " (List.map go xs))
+  | Expr.Add xs -> paren (String.concat " + " ("0.0" :: List.map go xs))
+  | Expr.Mul [] -> "1.0"
   | Expr.Mul xs -> paren (String.concat "*" (List.map go xs))
   | Expr.Pow (b, n) -> (
     let base = go b in
+    let chain m =
+      if m >= 2 && m <= 4 then Printf.sprintf "pf_pow%d(%s)" m base
+      else Printf.sprintf "pf_powi(%s, %d)" base m
+    in
     match n with
-    | 2 -> Printf.sprintf "pf_pow2(%s)" base
-    | 3 -> Printf.sprintf "pf_pow3(%s)" base
-    | 4 -> Printf.sprintf "pf_pow4(%s)" base
     | -1 -> emit_div ~dialect ~approx "1.0" base
-    | -2 -> emit_div ~dialect ~approx "1.0" (Printf.sprintf "pf_pow2(%s)" base)
-    | n when n > 0 -> Printf.sprintf "pow(%s, %d.0)" base n
-    | n -> emit_div ~dialect ~approx "1.0" (Printf.sprintf "pow(%s, %d.0)" base (-n)))
+    | n when n < 0 -> emit_div ~dialect ~approx "1.0" (chain (-n))
+    | n -> chain n)
   | Expr.Fun (f, xs) -> (
     let args = List.map go xs in
     match (f, args) with
@@ -83,8 +114,8 @@ let rec emit ?(dialect = C) ?(approx = exact) e =
     | Expr.Cos, [ x ] -> Printf.sprintf "cos(%s)" x
     | Expr.Tanh, [ x ] -> Printf.sprintf "tanh(%s)" x
     | Expr.Fabs, [ x ] -> Printf.sprintf "fabs(%s)" x
-    | Expr.Fmin, [ x; y ] -> Printf.sprintf "fmin(%s, %s)" x y
-    | Expr.Fmax, [ x; y ] -> Printf.sprintf "fmax(%s, %s)" x y
+    | Expr.Fmin, [ x; y ] -> Printf.sprintf "pf_fmin(%s, %s)" x y
+    | Expr.Fmax, [ x; y ] -> Printf.sprintf "pf_fmax(%s, %s)" x y
     | _ -> invalid_arg "Cexpr.emit: bad function arity")
   | Expr.Select (c, t, f) ->
     let cond =
@@ -99,17 +130,48 @@ and emit_div ~dialect ~approx num den =
     Printf.sprintf "(double)__fdividef((float)(%s), (float)(%s))" num den
   else Printf.sprintf "(%s/%s)" num den
 
-(** Shared helper prelude (powers, Philox for fluctuation terms). *)
-let prelude =
-  {|#include <math.h>
-#include <stdint.h>
-
-static inline double pf_pow2(double x) { return x * x; }
-static inline double pf_pow3(double x) { return x * x * x; }
-static inline double pf_pow4(double x) { double s = x * x; return s * s; }
+(** The scalar helpers both C dialects share, after [qual] (CUDA's
+    [__device__]): powers as the interpreter's multiply chain, C99 min/max
+    with the interpreter's signed-zero choice, a double from its bits, and
+    the Philox-4x32-10 generator keyed on (cell index, time step). *)
+let helpers ~qual =
+  String.concat ""
+    [
+      qual;
+      {|static inline double pf_pow2(double x) { return x * x; }
+|};
+      qual;
+      {|static inline double pf_pow3(double x) { return x * x * x; }
+|};
+      qual;
+      {|static inline double pf_pow4(double x) { return x * x * x * x; }
+|};
+      qual;
+      {|static inline double pf_powi(double x, int n) {
+  double p = 1.0;
+  for (int k = 0; k < n; ++k) p *= x;
+  return p;
+}
+|};
+      qual;
+      {|static inline double pf_fmin(double a, double b) { return a != a ? b : b != b ? a : a <= b ? a : b; }
+|};
+      qual;
+      {|static inline double pf_fmax(double a, double b) { return a != a ? b : b != b ? a : a >= b ? a : b; }
+|};
+      qual;
+      {|static inline double pf_f64(uint64_t bits) { union { uint64_t u; double d; } v; v.u = bits; return v.d; }
+|};
+      qual;
+      Printf.sprintf
+        "static inline double pf_canon(double x) { return x == x ? x : pf_f64(0x%LxULL); }\n"
+        (Int64.bits_of_float Expr.canonical_nan);
+      {|
 
 /* Philox-4x32-10 keyed on (cell index, time step): stateless fluctuation. */
-static inline double pf_philox_sym(int64_t cell, int32_t step, int32_t slot) {
+|};
+      qual;
+      {|static inline double pf_philox_sym(int64_t cell, int32_t step, int32_t slot) {
   uint32_t c0 = (uint32_t)cell, c1 = (uint32_t)(cell >> 32);
   uint32_t c2 = (uint32_t)step, c3 = (uint32_t)slot;
   uint32_t k0 = 0x5eedu, k1 = 0xC0FFEEu;
@@ -123,4 +185,8 @@ static inline double pf_philox_sym(int64_t cell, int32_t step, int32_t slot) {
   uint64_t bits = ((uint64_t)c0 << 21) | ((uint64_t)c1 >> 11);
   return 2.0 * ((double)bits / 9007199254740992.0) - 1.0;
 }
-|}
+|};
+    ]
+
+(** Shared C helper prelude. *)
+let prelude = "#include <math.h>\n#include <stdint.h>\n\n" ^ helpers ~qual:""

@@ -25,7 +25,10 @@ let signature (k : Ir.Kernel.t) =
       (fun (f : Fieldspec.t) -> Printf.sprintf "double * __restrict__ %s" (Cexpr.ident f.name))
       fields
   in
-  let scalar_args = List.map (fun s -> "double " ^ Cexpr.ident s) (Ir.Kernel.parameters k) in
+  let scalar_args =
+    List.map (fun s -> "double " ^ Cexpr.ident s) (Ir.Kernel.parameters k)
+    @ if Ccode.needs_dx k then [ "double dx" ] else []
+  in
   let dim = k.Ir.Kernel.dim in
   let admin =
     List.init dim (fun d -> Printf.sprintf "long _n%d" d)
@@ -125,29 +128,8 @@ let emit ?(mapping = default_mapping) ?(approx = Cexpr.exact) ?fence_stride (k :
   Buffer.contents buf
 
 let prelude =
-  {|#include <cuda_runtime.h>
-#include <math.h>
-
-__device__ static inline double pf_pow2(double x) { return x * x; }
-__device__ static inline double pf_pow3(double x) { return x * x * x; }
-__device__ static inline double pf_pow4(double x) { double s = x * x; return s * s; }
-
-__device__ static inline double pf_philox_sym(long long cell, int step, int slot) {
-  unsigned c0 = (unsigned)cell, c1 = (unsigned)(cell >> 32);
-  unsigned c2 = (unsigned)step, c3 = (unsigned)slot;
-  unsigned k0 = 0x5eedu, k1 = 0xC0FFEEu;
-  for (int r = 0; r < 10; ++r) {
-    unsigned long long p0 = (unsigned long long)0xD2511F53u * c0;
-    unsigned long long p1 = (unsigned long long)0xCD9E8D57u * c2;
-    unsigned h0 = (unsigned)(p0 >> 32), l0 = (unsigned)p0;
-    unsigned h1 = (unsigned)(p1 >> 32), l1 = (unsigned)p1;
-    c0 = h1 ^ c1 ^ k0; c1 = l1; c2 = h0 ^ c3 ^ k1; c3 = l0;
-    k0 += 0x9E3779B9u; k1 += 0xBB67AE85u;
-  }
-  unsigned long long bits = ((unsigned long long)c0 << 21) | (c1 >> 11);
-  return 2.0 * ((double)bits / 9007199254740992.0) - 1.0;
-}
-|}
+  "#include <cuda_runtime.h>\n#include <math.h>\n#include <stdint.h>\n\n"
+  ^ Cexpr.helpers ~qual:"__device__ "
 
 let translation_unit ?mapping ?approx ?fence_stride kernels =
   prelude ^ "\n" ^ String.concat "\n" (List.map (emit ?mapping ?approx ?fence_stride) kernels)

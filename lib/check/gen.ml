@@ -267,6 +267,17 @@ let arb_kernel ?(with_rand = true) () : kernel_sample QCheck.arbitrary =
     ~shrink:shrink_kernel
     (kernel_sample ~with_rand ())
 
+(** A batch of random kernels for the fast-tier oracle, built in one
+    compiler run: half with [Rand] atoms (printed as scalar C), half
+    without (printed with intrinsics). *)
+let arb_kernel_batch ~size : kernel_sample list QCheck.arbitrary =
+  QCheck.make
+    ~print:(fun l -> String.concat "\n" (List.map (Fmt.str "%a" pp_kernel) l))
+    ~shrink:(QCheck.Shrink.list ~shrink:shrink_kernel)
+    (G.list_size (G.return size)
+       (let* with_rand = G.bool in
+        kernel_sample ~with_rand ()))
+
 (* ------------------------------------------------------------------ *)
 (* Oracle 3: continuous divergence right-hand sides                    *)
 (* ------------------------------------------------------------------ *)

@@ -479,6 +479,113 @@ let jit_vs_interp ~count =
         reference.Vm.Engine.buffers jitted.Vm.Engine.buffers)
 
 (* ------------------------------------------------------------------ *)
+(* Oracle 8, fuzz leg: the fast tier on random kernels (bitwise)       *)
+(* ------------------------------------------------------------------ *)
+
+(* Kernels the grammar's normalizing constructors cannot produce, built
+   from raw nodes: a sum of four terms whose first is -0.0 (the
+   interpreter's fold turns it into +0.0), and the integer powers beyond
+   the grammar's -2..3, each vectorized and scalar. *)
+let fixed_fast_tier_kernels (s : Gen.kernel_sample) =
+  let acc ox oy = Expr.Access (Fieldspec.access s.Gen.src [| ox; oy |]) in
+  let z x = Expr.Mul [ Expr.Sym "z"; x ] in
+  let kernel name body =
+    Ir.Kernel.make ~name ~dim:2
+      (List.init s.Gen.dst.Fieldspec.components (fun c ->
+           Field.Assignment.store (Fieldspec.center ~component:c s.Gen.dst) body))
+  in
+  [
+    kernel "negzero_sum" (Expr.Add [ z (acc 0 0); z (acc 1 0); z (acc (-1) 0); z (acc 0 1) ]);
+    kernel "powers"
+      (Expr.Add
+         [
+           Expr.Pow (acc 0 0, 4);
+           Expr.Pow (acc 1 0, 5);
+           Expr.Pow (acc 0 1, -3);
+           Expr.Pow (acc (-1) 0, -5);
+           Expr.Pow (Expr.Coord 0, 7);
+         ]);
+  ]
+
+(* NaN-holed, as oracle 11's cell function: about one value in six is
+   OCaml's [nan], whose bits differ from the NaN an invalid operation
+   makes — stores canonicalize both. *)
+let fill_nan_holed (buf : Vm.Buffer.t) ~seed =
+  Array.iteri
+    (fun i _ ->
+      let u = Philox.symmetric ~cell:i ~step:seed ~slot:5 in
+      buf.Vm.Buffer.data.(i) <-
+        (if u > 0.66 then Float.nan
+         else 0.5 +. (0.45 *. Philox.symmetric ~cell:i ~step:seed ~slot:3)))
+    buf.Vm.Buffer.data
+
+(* Every target the host can run: scalar C, then each vector ISA. *)
+let fast_tier_targets () = None :: List.map Option.some (Lazy.force Vm.Jit_cc.supported)
+
+(* The claim behind the fast tier: for every random kernel of oracle 2's
+   grammar (every function, Select, fmin/fmax, powers of both signs,
+   coordinates, Philox), printed for every target the host supports and
+   run on every innermost extent from 1 to 2w+1 (so every masked
+   remainder runs) over NaN-holed inputs at a nonzero global offset, the
+   compiled program writes exactly the interpreter's bits.  All programs of
+   a sample are built by one [Jit.prepare] call, one compiler run. *)
+let fast_tier_vs_interp ~count =
+  QCheck.Test.make ~name:"oracle8 fuzz: fast tier = interpreter on random kernels (bitwise)"
+    ~count (Gen.arb_kernel_batch ~size:10)
+    (fun batch ->
+      let targets = fast_tier_targets () in
+      let widest =
+        List.fold_left (fun w t -> max w (Option.fold ~none:1 ~some:Backend.Simd.width t)) 1 targets
+      in
+      let cases =
+        List.concat_map
+          (fun (s : Gen.kernel_sample) ->
+            let params = ("z", -0.) :: s.Gen.params in
+            List.map
+              (fun k -> (s, params, k))
+              (Ir.Kernel.make ~name:"fuzz" ~dim:2 s.Gen.body :: fixed_fast_tier_kernels s))
+          batch
+      in
+      let block (s : Gen.kernel_sample) n =
+        let b =
+          Vm.Engine.make_block ~ghost:2 ~dims:[| n; 3 |] ~offset:[| 5; 7 |]
+            ~global_dims:[| n + 9; 12 |] [ s.Gen.src; s.Gen.dst ]
+        in
+        fill_nan_holed (Vm.Engine.buffer b s.Gen.src) ~seed:s.Gen.seed;
+        b
+      in
+      let runs =
+        List.concat_map
+          (fun (s, params, k) ->
+            List.concat_map
+              (fun target ->
+                List.init (2 * widest + 1) (fun i ->
+                    let n = i + 1 in
+                    let jb = block s n in
+                    (s, params, k, n, Vm.Engine.bind ~jit_target:target k jb)))
+              targets)
+          cases
+      in
+      Vm.Engine.jit_prepare (List.map (fun (_, _, _, _, b) -> b) runs);
+      List.for_all
+        (fun ((s : Gen.kernel_sample), params, k, n, (jit : Vm.Engine.bound)) ->
+          let ib = block s n in
+          Vm.Engine.run_plain ~backend:Vm.Engine.Interp ~step:s.Gen.seed ~params
+            (Vm.Engine.bind k ib);
+          Vm.Engine.run_plain ~backend:Vm.Engine.Jit ~step:s.Gen.seed ~params jit;
+          let a = (Vm.Engine.buffer ib s.Gen.dst).Vm.Buffer.data in
+          let b = (Vm.Engine.buffer jit.Vm.Engine.block s.Gen.dst).Vm.Buffer.data in
+          let ok = ref true in
+          Array.iteri (fun i x -> if not (bits_equal x b.(i)) then ok := false) a;
+          if not !ok then
+            QCheck.Test.fail_reportf "kernel %s, target %s, extent %d: differs from the interpreter"
+              k.Ir.Kernel.name
+              (Vm.Jit.target_label jit.Vm.Engine.jit_target)
+              n;
+          !ok)
+        runs)
+
+(* ------------------------------------------------------------------ *)
 (* Oracle 9: farm-scheduled execution vs. solo (bitwise)               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1466,6 +1573,7 @@ let all ~count =
       crash_restart_bitwise ~count:(max 2 (count / 8));
       pooled_vs_serial ~count:(max 3 (count / 3));
       jit_vs_interp ~count:(max 3 (count / 3));
+      fast_tier_vs_interp ~count:(max 1 (count / 10));
       farm_vs_solo ~count:(max 2 (count / 8));
       overlapped_vs_sequential ~count:(max 2 (count / 8));
       reduce_vs_serial ~count:(max 3 (count / 4));

@@ -176,6 +176,14 @@ let sq a = pow a 2
    operand is NaN the other is returned (NaN only when both are).  OCaml's
    [Stdlib.min]/[Float.min] disagree on NaN, so every layer that evaluates
    [Fmin]/[Fmax] numerically must go through these. *)
+(** The NaN every kernel store writes in place of a NaN result, so stored
+    bits never depend on which of two NaNs an addition or multiplication
+    propagates — IEEE 754 leaves that open, and a C compiler may commute
+    the operands (see [Backend.Cexpr]). *)
+let canonical_nan = Int64.float_of_bits 0x7FF8000000000000L
+
+let canonical x = if Float.is_nan x then canonical_nan else x
+
 let c_fmin a b =
   if Float.is_nan a then b else if Float.is_nan b then a else if a <= b then a else b
 

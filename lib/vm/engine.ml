@@ -48,8 +48,9 @@ let buffer block (f : Fieldspec.t) =
 (* ------------------------------------------------------------------ *)
 
 (** How sweeps execute: [Interp] walks the closure tree built by [bind]
-    (the reference semantics); [Jit] runs the tape program compiled by
-    {!Jit} — bitwise identical by contract, held to it by oracle 8. *)
+    (the reference semantics); [Jit] calls the C program {!Jit} built from
+    the same IR — bitwise identical by contract, held to it by oracle 8 —
+    or, where no program could be built, the interpreter. *)
 type backend = Interp | Jit
 
 let backend_label = function Interp -> "interp" | Jit -> "jit"
@@ -70,8 +71,8 @@ let default_backend () =
 
 (** Per-cell field reader for the reduction layer ([Vm.Reduce]): [Interp]
     goes through [Buffer.get] (the bounds-checked reference path); [Jit]
-    uses the precomputed base/stride flat addressing the compiled tape
-    uses.  Both return the identical stored bits — a reduction only ever
+    uses the precomputed base/stride flat addressing the compiled kernels
+    use.  Both return the identical stored bits — a reduction only ever
     combines them in its canonical tree order, so the backends cannot
     diverge.  The reader is valid until the next buffer [swap]. *)
 let cell_reader ?(component = 0) ~backend block (f : Fieldspec.t) =
@@ -221,6 +222,7 @@ type bound = {
   per_loop : (ctx -> unit) array array;   (* depth 1 .. dim-1 *)
   body : (ctx -> unit) array;
   uses_rand : bool;
+  jit_target : Jit.target;  (** what the binding's JIT program is printed for *)
   jit_key : Digest.t Lazy.t;
       (** the binding's {!Jit} memo key, forced by its first JIT sweep:
           digesting the whole body costs as much as a small block's sweep,
@@ -237,9 +239,10 @@ let compile_assignment binder (a : Assignment.t) : ctx -> unit =
     | None -> assert false)
   | Assignment.Store acc ->
     let buf, delta = binder.resolve acc in
-    fun c -> Array.unsafe_set buf.Buffer.data (c.base + delta) (rhs c)
+    fun c -> Array.unsafe_set buf.Buffer.data (c.base + delta) (Expr.canonical (rhs c))
 
-let bind ?(fastest = 0) (kernel : Ir.Kernel.t) (block : block) =
+let bind ?(fastest = 0) ?(jit_target = Jit.host_target ()) (kernel : Ir.Kernel.t)
+    (block : block) =
   let required =
     match kernel.Ir.Kernel.iteration with
     | Ir.Kernel.CellSweep -> kernel.Ir.Kernel.ghost
@@ -300,7 +303,8 @@ let bind ?(fastest = 0) (kernel : Ir.Kernel.t) (block : block) =
     per_loop = Array.init (dim - 1) (fun i -> compile_list groups.(i + 1));
     body = compile_list groups.(dim);
     uses_rand;
-    jit_key = lazy (Jit.fingerprint ~dims:block.dims ~ghost:block.ghost kernel lowered);
+    jit_target;
+    jit_key = lazy (Jit.fingerprint ~target:jit_target kernel lowered);
   }
 
 (** Compile the JIT programs of [bounds] that the memo table lacks, in one
@@ -313,8 +317,7 @@ let jit_prepare bounds =
        (fun (b : bound) ->
          {
            Jit.key = Lazy.force b.jit_key;
-           dims = b.block.dims;
-           ghost = b.block.ghost;
+           target = b.jit_target;
            kernel = b.kernel;
            lowered = b.lowered;
          })
@@ -485,43 +488,45 @@ let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~st
       let inner, shell = Schedule.split_halo ~ranges ~interior ?shape () in
       (match region with Interior _ -> inner | _ -> shell)
   in
+  let interp ~lane:_ ti =
+    let t : Schedule.tile = tiles.(ti) in
+    let c = make_ctx b ~params ~step in
+    run_group b.preheader c;
+    if dim = 3 then sweep_tile_3d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
+    else sweep_tile_2d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
+  in
   let exec =
     match backend with
-    | Interp ->
-      fun ~lane:_ ti ->
-        let t : Schedule.tile = tiles.(ti) in
-        let c = make_ctx b ~params ~step in
-        run_group b.preheader c;
-        if dim = 3 then sweep_tile_3d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
-        else sweep_tile_2d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
-    | Jit ->
+    | Interp -> interp
+    | Jit -> (
       (* One memo lookup per sweep under the binding's precomputed key:
          a hit hashes a 16-byte digest, and the hit/miss counters are what
          the warm-cache gates watch.  Field storage is re-resolved here —
          after the lookup, per sweep — so compiled programs survive
          Buffer.swap. *)
-      let comp =
-        Jit.get (Lazy.force b.jit_key) ~dims:b.block.dims ~ghost:b.block.ghost b.kernel
-          b.lowered
-      in
-      let datas =
-        Array.map (fun f -> (buffer b.block f).Buffer.data) comp.Jit.fields
-      in
-      fun ~lane:_ ti ->
-        let t : Schedule.tile = tiles.(ti) in
-        (* per tile, like make_ctx, so a missing binding surfaces from
-           inside the pool exactly as the interpreter's does *)
-        let pvals =
-          Array.map
-            (fun name ->
-              match List.assoc_opt name params with
-              | Some v -> v
-              | None -> invalid_arg ("Engine.run: missing parameter " ^ name))
-            comp.Jit.param_names
-        in
-        let dx = Option.value (List.assoc_opt "dx" params) ~default:1. in
-        Jit.exec_tile comp ~datas ~pvals ~dx ~offset:b.block.offset
-          ~global_dims:b.block.global_dims ~step ~lo:t.Schedule.lo ~hi:t.Schedule.hi
+      let comp = Jit.get ~target:b.jit_target (Lazy.force b.jit_key) b.kernel b.lowered in
+      match comp.Jit.entry with
+      | None -> interp
+      | Some entry ->
+        let datas = Array.map (fun f -> (buffer b.block f).Buffer.data) comp.Jit.fields in
+        let any_buf = snd (List.hd b.block.buffers) in
+        fun ~lane:_ ti ->
+          let t : Schedule.tile = tiles.(ti) in
+          (* per tile, like make_ctx, so a missing binding surfaces from
+             inside the pool exactly as the interpreter's does *)
+          let pvals =
+            Array.append
+              (Array.map
+                 (fun name ->
+                   match List.assoc_opt name params with
+                   | Some v -> v
+                   | None -> invalid_arg ("Engine.run: missing parameter " ^ name))
+                 comp.Jit.param_names)
+              [| Option.value (List.assoc_opt "dx" params) ~default:1. |]
+          in
+          Jit.exec_tile comp entry ~datas ~pvals ~stride:any_buf.Buffer.stride
+            ~comp_stride:any_buf.Buffer.comp_stride ~ghost:b.block.ghost ~offset:b.block.offset
+            ~global_dims:b.block.global_dims ~step ~lo:t.Schedule.lo ~hi:t.Schedule.hi)
   in
   Pool.run ?wrap ~domains:num_domains ~ntiles:(Array.length tiles) exec
 

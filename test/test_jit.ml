@@ -28,8 +28,8 @@ let avg_kernel ?(coeff = 0.2) () =
   let rhs = mul [ num coeff; add [ field f2; acc 0 1; acc 0 (-1); acc 1 1; acc 1 (-1) ] ] in
   Ir.Kernel.make ~name:"avg" ~dim:2 [ Field.Assignment.store (Fieldspec.center g2) rhs ]
 
-let run_avg ?tile ?(backend = Vm.Engine.Jit) ~num_domains ~dims () =
-  let block = Vm.Engine.make_block ~ghost:1 ~dims [ f2; g2 ] in
+let run_avg ?tile ?(backend = Vm.Engine.Jit) ?(ghost = 1) ~num_domains ~dims () =
+  let block = Vm.Engine.make_block ~ghost ~dims [ f2; g2 ] in
   let fbuf = Vm.Engine.buffer block f2 in
   Vm.Buffer.init fbuf (fun c _ -> float_of_int ((c.(0) * 3) + (c.(1) * 7)));
   Vm.Buffer.periodic fbuf;
@@ -70,8 +70,10 @@ let test_cache_counters () =
       Alcotest.(check int) "jit.miss counter mirrors cache_stats" m2 (v "jit.miss");
       Alcotest.(check int) "jit.hit counter mirrors cache_stats" h2 (v "jit.hit"))
 
-(* A changed kernel body, changed dims or changed ghost width is a new
-   fingerprint and must recompile; re-running the original still hits. *)
+(* A changed kernel body is a new fingerprint and must recompile; sizes,
+   strides and ghost width are arguments of the program, so changed dims or
+   a changed ghost width reuse it — bit for bit the interpreter's result —
+   and re-running the original still hits. *)
 let test_recompile_on_fingerprint_change () =
   Vm.Jit.clear_cache ();
   ignore (run_avg ~num_domains:1 ~dims:[| 8; 6 |] ());
@@ -81,12 +83,21 @@ let test_recompile_on_fingerprint_change () =
   Vm.Engine.run_plain ~backend:Vm.Engine.Jit ~params:[]
     (Vm.Engine.bind (avg_kernel ~coeff:0.25 ()) block);
   Alcotest.(check int) "changed coefficient recompiles" 2 (snd (Vm.Jit.cache_stats ()));
-  (* changed dims -> strides differ -> recompile *)
-  ignore (run_avg ~num_domains:1 ~dims:[| 6; 6 |] ());
-  Alcotest.(check int) "changed dims recompile" 3 (snd (Vm.Jit.cache_stats ()));
+  (* changed dims or ghost -> same program, the interpreter's bits *)
+  List.iter
+    (fun (ghost, dims) ->
+      let jit = run_avg ~ghost ~num_domains:1 ~dims () in
+      let interp = run_avg ~backend:Vm.Engine.Interp ~ghost ~num_domains:1 ~dims () in
+      Alcotest.(check bool)
+        (Printf.sprintf "ghost %d, %dx%d: reused program = interp (bitwise)" ghost dims.(0)
+           dims.(1))
+        true (buffers_bits_equal interp jit))
+    [ (1, [| 6; 6 |]); (2, [| 8; 6 |]); (3, [| 13; 4 |]) ];
+  Alcotest.(check int) "changed dims or ghost reuse the program" 2
+    (snd (Vm.Jit.cache_stats ()));
   (* the original is still cached *)
   ignore (run_avg ~num_domains:1 ~dims:[| 8; 6 |] ());
-  Alcotest.(check int) "original program still cached" 3 (snd (Vm.Jit.cache_stats ()))
+  Alcotest.(check int) "original program still cached" 2 (snd (Vm.Jit.cache_stats ()))
 
 (* Two kernels whose bodies agree on a long prefix (hundreds of terms, far
    past any hash traversal budget) and differ only in the canonically-last
@@ -120,7 +131,7 @@ let test_no_collision_on_deep_variants () =
     (Expr.count_nodes (List.hd ka.Ir.Kernel.body).Field.Assignment.rhs > 601);
   Alcotest.(check int) "a truncated hash cannot tell the bodies apart"
     (Hashtbl.hash ka.Ir.Kernel.body) (Hashtbl.hash kb.Ir.Kernel.body);
-  let fp k = Vm.Jit.fingerprint ~dims:[| 6; 5 |] ~ghost:1 k (Ir.Lower.run k) in
+  let fp k = Vm.Jit.fingerprint k (Ir.Lower.run k) in
   Alcotest.(check bool) "deep variants fingerprint apart" false (fp ka = fp kb);
   Vm.Jit.clear_cache ();
   let ja = run_deep ~backend:Vm.Engine.Jit ka in
@@ -254,42 +265,69 @@ let test_simulate_backend_bitwise () =
   Alcotest.(check bool) "3 pooled tiled jit steps = interp steps (bitwise)" true
     (buffers_bits_equal interp.Pfcore.Timestep.block jit_pooled.Pfcore.Timestep.block)
 
-(* ---- native tier vs portable tape ---- *)
+(* ---- the fast tier ---- *)
 
 let p2_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p2 ()))
 
-(* The native tier (runtime ocamlopt + Dynlink, [Jit_native]) must be
-   bitwise interchangeable with the portable tape closures it replaces —
-   including the replicated Philox stream behind P2's fluctuation term.
-   [PFGEN_JIT_NATIVE=0] forces the tape tier; both runs clear the memo
-   cache so each genuinely compiles through its own tier. *)
-let test_native_vs_tape_bitwise () =
+(* Two P2 steps through the fast tier write the interpreter's bits — P2's
+   φ kernel calls the printed Philox generator for its fluctuation term,
+   so the stream is checked too. *)
+let test_fast_tier_bitwise () =
   let g = Lazy.force p2_gen in
-  let run () =
-    let sim =
-      Pfcore.Timestep.create ~backend:Vm.Engine.Jit ~num_domains:1 ~dims:[| 6; 6; 6 |] g
-    in
+  let run backend =
+    let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims:[| 6; 6; 6 |] g in
     Pfcore.Simulation.init_smooth sim;
     Pfcore.Timestep.run sim ~steps:2;
     sim
   in
-  let prev = Sys.getenv_opt "PFGEN_JIT_NATIVE" in
-  Unix.putenv "PFGEN_JIT_NATIVE" "0";
   Vm.Jit.clear_cache ();
-  let tape = run () in
-  Unix.putenv "PFGEN_JIT_NATIVE" (Option.value ~default:"1" prev);
+  let jit = run Vm.Engine.Jit in
+  let interp = run Vm.Engine.Interp in
   Vm.Jit.clear_cache ();
-  let native = run () in
-  (if Vm.Jit_native.available () then
-     (* prove the second run really took the native tier *)
-     let k = avg_kernel () in
-     let lowered = Ir.Lower.run k in
-     let key = Vm.Jit.fingerprint ~dims:[| 8; 6 |] ~ghost:1 k lowered in
-     let c = Vm.Jit.get key ~dims:[| 8; 6 |] ~ghost:1 k lowered in
-     Alcotest.(check bool) "native tier engaged when available" true c.Vm.Jit.native);
-  Vm.Jit.clear_cache ();
-  Alcotest.(check bool) "tape tier and native tier write identical bits" true
-    (buffers_bits_equal tape.Pfcore.Timestep.block native.Pfcore.Timestep.block)
+  Alcotest.(check bool) "fast tier and interpreter write identical bits" true
+    (buffers_bits_equal interp.Pfcore.Timestep.block jit.Pfcore.Timestep.block)
+
+(* With gcc on PATH (and the tier not switched off), a program is really
+   built: it has an entry, and its tier names the host's target. *)
+let test_fast_tier_engaged () =
+  if (not (Lazy.force Vm.Jit_cc.gcc)) || Vm.Jit_cc.disabled () then Alcotest.skip ()
+  else begin
+    Vm.Jit.clear_cache ();
+    let k = avg_kernel () in
+    let lowered = Ir.Lower.run k in
+    let c = Vm.Jit.get (Vm.Jit.fingerprint k lowered) k lowered in
+    Vm.Jit.clear_cache ();
+    Alcotest.(check string) "tier is the host's target"
+      (Vm.Jit.target_label (Vm.Jit.host_target ())) c.Vm.Jit.tier;
+    Alcotest.(check bool) "the program has an entry" true (c.Vm.Jit.entry <> None)
+  end
+
+(* A build that fails falls back: every program of the batch records why
+   and is counted in jit.fallback, and its sweeps run the interpreter —
+   bit for bit the reference. *)
+let test_failed_build_falls_back () =
+  with_obs (fun () ->
+      Vm.Jit.clear_cache ();
+      let k = avg_kernel () in
+      let lowered = Ir.Lower.run k in
+      let key = Vm.Jit.fingerprint k lowered in
+      Vm.Jit.prepare ~cc:"false"
+        [ { Vm.Jit.key; target = Vm.Jit.host_target (); kernel = k; lowered } ];
+      let c = Vm.Jit.get key k lowered in
+      Alcotest.(check bool) "no entry" true (c.Vm.Jit.entry = None);
+      Alcotest.(check bool)
+        (Printf.sprintf "reason recorded (%s)" c.Vm.Jit.tier)
+        true
+        (String.starts_with ~prefix:"fallback: " c.Vm.Jit.tier
+        && String.length c.Vm.Jit.tier > String.length "fallback: ");
+      let s = Obs.Metrics.snapshot () in
+      Alcotest.(check (option int)) "jit.fallback counts the program" (Some 1)
+        (Obs.Metrics.counter_value s "jit.fallback");
+      let jit = run_avg ~num_domains:1 ~dims:[| 8; 6 |] () in
+      let reference = run_avg ~backend:Vm.Engine.Interp ~num_domains:1 ~dims:[| 8; 6 |] () in
+      Vm.Jit.clear_cache ();
+      Alcotest.(check bool) "fallback sweep = interp (bitwise)" true
+        (buffers_bits_equal reference jit))
 
 (* ---- one compiler run per plan ---- *)
 
@@ -398,7 +436,42 @@ let test_no_scratch_left () =
       Alcotest.(check bool) "compiled sweep = interp (bitwise)" true
         (buffers_bits_equal reference block);
       Alcotest.(check (list string)) "temp dir empty after the compile" []
+        (Array.to_list (Sys.readdir tmp));
+      (* a failed build cleans up too *)
+      let k = avg_kernel ~coeff:0.3 () in
+      let lowered = Ir.Lower.run k in
+      Vm.Jit.prepare ~cc:"false"
+        [
+          {
+            Vm.Jit.key = Vm.Jit.fingerprint k lowered;
+            target = Vm.Jit.host_target ();
+            kernel = k;
+            lowered;
+          };
+        ];
+      Vm.Jit.clear_cache ();
+      Alcotest.(check (list string)) "temp dir empty after a failed build" []
         (Array.to_list (Sys.readdir tmp)))
+
+(* A compiler run that hangs is killed with its process group when its
+   time is up, and reported. *)
+let test_hung_compiler_times_out () =
+  if not (Lazy.force Vm.Jit_cc.has_timeout) then Alcotest.skip ()
+  else begin
+    let dir = Filename.temp_dir "pfgen-test-" "" in
+    Fun.protect
+      ~finally:(fun () -> Vm.Jit_cc.remove_dir dir)
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let r = Vm.Jit_cc.run_step ~timeout_s:0.3 ~dir ~log:"x.log" [ "sh"; "-c"; "sleep 30" ] in
+        let dt = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool) (Printf.sprintf "killed after %.2f s" dt) true (dt < 5.);
+        match r with
+        | Error why ->
+          Alcotest.(check bool) ("reported: " ^ why) true
+            (Astring.String.is_infix ~affix:"timed out" why)
+        | Ok () -> Alcotest.fail "a hung compiler run succeeded")
+  end
 
 (* ---- tuner backend decision ---- *)
 
@@ -459,8 +532,12 @@ let suite =
       test_exception_in_compiled_body;
     Alcotest.test_case "jit: 3 timesteps bitwise = interpreter" `Quick
       test_simulate_backend_bitwise;
-    Alcotest.test_case "jit: native tier bitwise = tape tier (P2, Philox)" `Quick
-      test_native_vs_tape_bitwise;
+    Alcotest.test_case "jit: fast tier = interpreter (P2, Philox, 2 steps)" `Quick
+      test_fast_tier_bitwise;
+    Alcotest.test_case "jit: fast tier engaged when gcc is present" `Quick
+      test_fast_tier_engaged;
+    Alcotest.test_case "jit: a failed build falls back to the interpreter" `Quick
+      test_failed_build_falls_back;
     Alcotest.test_case "tune: backend is a tunable variant" `Quick test_tune_backend;
     Alcotest.test_case "jit: golden Chrome trace with vm.jit.compile span" `Quick
       test_golden_trace_jit;
@@ -474,4 +551,6 @@ let suite =
       test_compile_outside_kernel_spans;
     Alcotest.test_case "jit: compiler runs leave no scratch behind" `Quick
       test_no_scratch_left;
+    Alcotest.test_case "jit: a hung compiler run times out" `Quick
+      test_hung_compiler_times_out;
   ]
