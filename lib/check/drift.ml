@@ -3,9 +3,9 @@
     The paper's pipeline selects kernel variants from ECM predictions
     (Kerncraft workflow, §6); this module closes that loop mechanically.
     Every P1/P2 kernel variant — φ full, φ split, μ full, μ split, eight in
-    total — is executed through [Vm.Engine] on a small block and timed with
-    the monotonic clock, and the measured per-cell costs are compared
-    against [Perfmodel.Ecm] single-core predictions.
+    total — is swept on the shared probe block and timed by the autotuner's
+    sweep probe ([Vm.Tune.probe], best trial), and the measured per-cell
+    costs are compared against [Perfmodel.Ecm] single-core predictions.
 
     Absolute VM numbers are meaningless (the VM interprets compiled
     closures, not SIMD machine code), so the oracle compares {e ratios}:
@@ -48,66 +48,20 @@ let threshold = 1.2
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Same smooth initialization the bench harness uses: phase fields near the
-   simplex center so no kernel hits a degenerate denominator. *)
-let drift_block (gen : Pfcore.Genkernels.t) ~dims =
-  let block = Vm.Engine.make_block ~ghost:2 ~dims (Pfcore.Timestep.field_list gen) in
-  let n = float_of_int gen.Pfcore.Genkernels.params.Pfcore.Params.n_phases in
-  List.iter
-    (fun (_, buf) ->
-      Vm.Buffer.init buf (fun c comp ->
-          (1. /. n) +. (0.01 *. sin (float_of_int ((c.(0) * 3) + (comp * 7)))));
-      Vm.Buffer.periodic buf)
-    block.Vm.Engine.buffers;
-  block
-
-let runtime_params (gen : Pfcore.Genkernels.t) =
-  let p = gen.Pfcore.Genkernels.params in
-  ("t", 0.) :: ("dx", p.Pfcore.Params.dx) :: ("dt", p.Pfcore.Params.dt)
-  :: gen.Pfcore.Genkernels.bindings
-
-(* Best-of-[reps] time of [sweeps] sweeps of all [kernels] (a split variant
-   passes both its sweeps so the measured quantity is cost per full update),
-   divided by interior cells and sweeps -> ns per lattice update. *)
+(* Best trial of [sweeps] sweeps of all [kernels] (a split variant passes
+   both its sweeps so the measured quantity is cost per full update) on the
+   shared probe block, through the autotuner's sweep probe on the process's
+   default pool width and backend. *)
 let measure_ns_per_lup gen kernels ~dims ~sweeps ~reps =
-  let block = drift_block gen ~dims in
-  let bounds = List.map (fun k -> Vm.Engine.bind k block) kernels in
-  let params = runtime_params gen in
-  let sweep step = List.iter (fun b -> Vm.Engine.run ~step ~params b) bounds in
-  sweep 0 (* warmup *);
-  let best = ref infinity in
-  for rep = 1 to reps do
-    let (), dt_ns =
-      Obs.Clock.time_ns (fun () ->
-          for s = 1 to sweeps do
-            sweep ((rep * sweeps) + s)
-          done)
-    in
-    if dt_ns < !best then best := dt_ns
-  done;
-  let cells = float_of_int (Array.fold_left ( * ) 1 dims) in
-  !best /. float_of_int sweeps /. cells
-
-let predicted_cy_per_lup machine kernels ~block_n =
-  List.fold_left
-    (fun acc k ->
-      acc
-      +. Perfmodel.Ecm.single_core_cycles (Perfmodel.Ecm.predict machine k ~block_n)
-         /. float_of_int Perfmodel.Ecm.cacheline_lups)
-    0. kernels
+  (Vm.Tune.probe ~backend:(Vm.Engine.default_backend ())
+     ~domains:(Vm.Pool.default_domains ()) ~tile:None ~sweeps ~trials:reps
+     ~params:(Pfcore.Timestep.probe_params gen)
+     (Pfcore.Timestep.probe_block gen ~dims)
+     kernels).(0)
 
 (* ------------------------------------------------------------------ *)
 (* The oracle                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let variant_kernels (g : Pfcore.Genkernels.t) =
-  let split (p : Pfcore.Genkernels.pair) = [ p.Pfcore.Genkernels.stag; p.Pfcore.Genkernels.main ] in
-  [
-    ("phi-full", [ g.Pfcore.Genkernels.phi_full ]);
-    ("phi-split", split g.Pfcore.Genkernels.phi_split);
-    ("mu-full", [ Option.get g.Pfcore.Genkernels.mu_full ]);
-    ("mu-split", split (Option.get g.Pfcore.Genkernels.mu_split));
-  ]
 
 let find rows model variant =
   List.find (fun r -> r.model = model && r.variant = variant) rows
@@ -128,15 +82,21 @@ let run ?(n = 12) ?(sweeps = 2) ?(reps = 3) ?(machine = Perfmodel.Machine.skylak
       (fun (model, params) ->
         let g = Pfcore.Genkernels.generate params in
         let dims = Array.make params.Pfcore.Params.dim n in
-        List.map
-          (fun (variant, kernels) ->
-            {
-              model;
-              variant;
-              measured_ns_per_lup = measure_ns_per_lup g kernels ~dims ~sweeps ~reps;
-              predicted_cy_per_lup = predicted_cy_per_lup machine kernels ~block_n:n;
-            })
-          (variant_kernels g))
+        List.concat_map
+          (fun (family, candidates) ->
+            List.map
+              (fun (label, kernels) ->
+                {
+                  model;
+                  variant = family ^ "-" ^ label;
+                  measured_ns_per_lup = measure_ns_per_lup g kernels ~dims ~sweeps ~reps;
+                  predicted_cy_per_lup = Vm.Tune.predicted_cy_per_lup machine kernels ~block_n:n;
+                })
+              candidates)
+          [
+            ("phi", Pfcore.Timestep.phi_candidates g);
+            ("mu", Option.get (Pfcore.Timestep.mu_candidates g));
+          ])
       [ ("P1", Pfcore.Params.p1 ()); ("P2", Pfcore.Params.p2 ()) ]
   in
   let pairs =

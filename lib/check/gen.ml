@@ -415,7 +415,7 @@ let arb_resilience : resilience_sample QCheck.arbitrary =
 
 type pool_sample = {
   pl_p2 : bool;         (** false = P1, true = P2 *)
-  pl_variant : int;     (** index into [Drift.variant_kernels]: 0..3 *)
+  pl_variant : int;     (** index into φ then μ [Timestep] candidates: 0..3 *)
   pl_n : int;           (** cubic grid edge *)
   pl_tile : int array;  (** loop-depth tile shape; 0 = full extent *)
   pl_domains : int;     (** pool width: 1, 2 or 4 *)

@@ -422,14 +422,18 @@ let gen_p1_pool = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p1 ()))
 let gen_p2_pool = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p2 ()))
 
 (* One sweep of one generated kernel family (all 8 P1/P2 variants are
-   reachable through [Drift.variant_kernels]) over a smooth-initialized
-   block, with the given pool width and tile shape. *)
+   reachable through the φ then μ tuning candidates) over the probe block,
+   with the given pool width and tile shape. *)
 let pooled_run ?(backend = Vm.Engine.Interp) (s : Gen.pool_sample) ~num_domains ~tile =
   let g = Lazy.force (if s.Gen.pl_p2 then gen_p2_pool else gen_p1_pool) in
   let dims = Array.make g.Pfcore.Genkernels.params.Pfcore.Params.dim s.Gen.pl_n in
-  let block = Drift.drift_block g ~dims in
-  let params = Drift.runtime_params g in
-  let _, kernels = List.nth (Drift.variant_kernels g) s.Gen.pl_variant in
+  let block = Pfcore.Timestep.probe_block g ~dims in
+  let params = Pfcore.Timestep.probe_params g in
+  let _, kernels =
+    List.nth
+      (Pfcore.Timestep.phi_candidates g @ Option.get (Pfcore.Timestep.mu_candidates g))
+      s.Gen.pl_variant
+  in
   List.iter
     (fun k ->
       Vm.Engine.run ~num_domains ?tile ~step:1 ~backend ~params (Vm.Engine.bind k block))
@@ -1512,8 +1516,8 @@ let zoo_ad_vs_fd ~count =
 
 (** Worst observed |AD − FD| deviation of one zoo family (at the preset
     coefficients) over every phase component and a spread of probe cells —
-    the per-family number BENCH_zoo.json records, gated by the same budget
-    as the oracle.  Returns [(max_deviation, within_budget)]. *)
+    the per-family check of the energy suite, held to the same budget as
+    the oracle.  Returns [(max_deviation, within_budget)]. *)
 let o12_family_deviation ~zf ~seed =
   let s =
     {

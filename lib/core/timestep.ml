@@ -257,6 +257,13 @@ let smooth_fill (block : Vm.Engine.block) (gen : Genkernels.t) =
       Vm.Buffer.periodic buf)
     block.Vm.Engine.buffers
 
+(** The block every timing probe sweeps (the autotuner, the drift oracle,
+    the bench harness): [dims] cells with two ghost layers, {!smooth_fill}ed. *)
+let probe_block (gen : Genkernels.t) ~dims =
+  let block = Vm.Engine.make_block ~ghost:2 ~dims (field_list gen) in
+  smooth_fill block gen;
+  block
+
 let probe_params (gen : Genkernels.t) =
   let p = gen.Genkernels.params in
   ("t", 0.) :: ("dx", p.Params.dx) :: ("dt", p.Params.dt) :: gen.Genkernels.bindings
@@ -302,11 +309,7 @@ let autotune ?machine ?(domains = Vm.Pool.default_domains ()) ?(probe_n = 10)
     (gen : Genkernels.t) =
   let dim = gen.Genkernels.params.Params.dim in
   let dims = Array.make dim probe_n in
-  let make_block () =
-    let block = Vm.Engine.make_block ~ghost:2 ~dims (field_list gen) in
-    smooth_fill block gen;
-    block
-  in
+  let make_block () = probe_block gen ~dims in
   let params = probe_params gen in
   let decide = Vm.Tune.decide ?machine ~domains ~dims ~make_block ~params in
   let phi = decide (phi_candidates gen) in

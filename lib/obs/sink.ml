@@ -4,8 +4,8 @@
     Everything in [Obs] is gated on {!enabled}: with the sink off (the
     default) instrumented code pays exactly one atomic load and branch per
     *sweep-level* operation — never per cell — which is what makes the
-    instrumentation effectively free when disabled (verified by the [obs]
-    bench artifact).
+    instrumentation effectively free when disabled (the path perfbench's
+    untraced end-to-end runs take).
 
     Lanes map onto the Chrome trace-event process/thread hierarchy:
 

@@ -530,9 +530,9 @@ let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~st
   in
   Pool.run ?wrap ~domains:num_domains ~ntiles:(Array.length tiles) exec
 
-(** The uninstrumented sweep: no observability entry points at all.  The
-    [obs] bench artifact measures [run] (sink disabled) against this to
-    certify the disabled-instrumentation overhead. *)
+(** The uninstrumented sweep: no observability entry points at all, so a
+    timing probe ([Tune.probe]) or an oracle that sweeps the same block
+    many times records no spans or counters even with the sink on. *)
 let run_plain ?(num_domains = 1) ?tile ?(step = 0) ?backend ?region ~params (b : bound) =
   let backend = match backend with Some be -> be | None -> default_backend () in
   ignore (run_tiled ~backend ?region ~num_domains ~tile ~step ~params b)

@@ -71,38 +71,18 @@ let clear_cache () =
 (* Probes                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Best-of-[reps] time of [sweeps] pooled sweeps of all kernels of one
-   candidate, in ns per interior cell (same protocol as the drift oracle). *)
-let probe_ns ?(backend = Engine.Interp) ~domains ~tile ~sweeps ~reps ~params
+(** The sweep probe: {!Obs.Clock.trials} over [sweeps] sweeps of every
+    kernel of one candidate on [block], in ns per interior cell, sorted
+    ascending.  [split] times the inner/outer shape of the overlapped
+    exchange (paper §7) instead of whole sweeps: each kernel sweeps its deep
+    interior at the chain's cumulative stencil halo, then the matching halo
+    shells run — the exact work a forest block does around an in-flight
+    ghost exchange.  Sweeps go through [Engine.run_plain], the path
+    production sweeps take with the sink off. *)
+let probe ?(backend = Engine.Interp) ?(split = false) ~domains ~tile ~sweeps ~trials ~params
     (block : Engine.block) kernels =
-  let bounds = List.map (fun k -> Engine.bind k block) kernels in
-  let sweep step =
-    List.iter
-      (fun b -> Engine.run_plain ~num_domains:domains ?tile ~step ~backend ~params b)
-      bounds
-  in
-  sweep 0 (* warmup: also spawns the pool workers once *);
-  let best = ref infinity in
-  for rep = 1 to reps do
-    let (), dt_ns =
-      Obs.Clock.time_ns (fun () ->
-          for s = 1 to sweeps do
-            sweep ((rep * sweeps) + s)
-          done)
-    in
-    if dt_ns < !best then best := dt_ns
-  done;
-  let cells = float_of_int (Array.fold_left ( * ) 1 block.Engine.dims) in
-  !best /. float_of_int sweeps /. cells
-
-(* Probe the inner/outer split execution shape of the overlapped exchange
-   (paper §7): each kernel sweeps its deep interior at the chain's
-   cumulative stencil halo, then the matching halo shells run — the exact
-   work a forest block does around an in-flight ghost exchange. *)
-let probe_split_ns ?(backend = Engine.Interp) ~domains ~tile ~sweeps ~reps ~params
-    (block : Engine.block) kernels =
-  let bounds =
-    let halo = ref 0 in
+  let halo = ref 0 in
+  let chain =
     List.map
       (fun k ->
         let b = Engine.bind k block in
@@ -110,27 +90,29 @@ let probe_split_ns ?(backend = Engine.Interp) ~domains ~tile ~sweeps ~reps ~para
         (b, !halo))
       kernels
   in
-  let run region step (b, h) =
-    Engine.run_plain ~num_domains:domains ?tile ~step ~backend
-      ~region:(region h) ~params b
+  let passes =
+    if split then [ (fun h -> Engine.Interior h); (fun h -> Engine.Shell h) ]
+    else [ (fun _ -> Engine.Whole) ]
   in
-  let sweep step =
-    List.iter (run (fun h -> Engine.Interior h) step) bounds;
-    List.iter (run (fun h -> Engine.Shell h) step) bounds
+  let step = ref 0 in
+  let sweep () =
+    incr step;
+    List.iter
+      (fun region ->
+        List.iter
+          (fun (b, h) ->
+            Engine.run_plain ~num_domains:domains ?tile ~step:!step ~backend
+              ~region:(region h) ~params b)
+          chain)
+      passes
   in
-  sweep 0;
-  let best = ref infinity in
-  for rep = 1 to reps do
-    let (), dt_ns =
-      Obs.Clock.time_ns (fun () ->
-          for s = 1 to sweeps do
-            sweep ((rep * sweeps) + s)
-          done)
-    in
-    if dt_ns < !best then best := dt_ns
-  done;
   let cells = float_of_int (Array.fold_left ( * ) 1 block.Engine.dims) in
-  !best /. float_of_int sweeps /. cells
+  Array.map
+    (fun ns -> ns /. float_of_int sweeps /. cells)
+    (Obs.Clock.trials ~n:trials (fun () ->
+         for _ = 1 to sweeps do
+           sweep ()
+         done))
 
 let predicted_cy_per_lup machine kernels ~block_n =
   List.fold_left
@@ -178,6 +160,10 @@ let decide ?(machine = Perfmodel.Machine.skylake_8174) ?(domains = Pool.default_
     let block : Engine.block = make_block () in
     let n0 = block.Engine.dims.(0) in
     let dim = Array.length block.Engine.dims in
+    (* every probe below scores a configuration by its best trial *)
+    let probe_ns ?backend ?split ~tile ks =
+      (probe ?backend ?split ~domains ~tile ~sweeps ~trials:reps ~params block ks).(0)
+    in
     let predicted_cy =
       List.map
         (fun (label, ks) -> (label, predicted_cy_per_lup machine ks ~block_n:n0))
@@ -187,7 +173,7 @@ let decide ?(machine = Perfmodel.Machine.skylake_8174) ?(domains = Pool.default_
     let measured_ns =
       List.map
         (fun (label, ks) ->
-          (label, probe_ns ~domains ~tile:None ~sweeps ~reps ~params block ks))
+          (label, probe_ns ~tile:None ks))
         candidates
     in
     let variant, (variant_label, _) =
@@ -215,7 +201,7 @@ let decide ?(machine = Perfmodel.Machine.skylake_8174) ?(domains = Pool.default_
     let tile_trials =
       List.map
         (fun shape ->
-          (shape, probe_ns ~domains ~tile:shape ~sweeps ~reps ~params block winner_kernels))
+          (shape, probe_ns ~tile:shape winner_kernels))
         to_probe
     in
     let tile, _ =
@@ -230,9 +216,7 @@ let decide ?(machine = Perfmodel.Machine.skylake_8174) ?(domains = Pool.default_
     let backend_ns =
       List.map
         (fun (label, be) ->
-          ( label,
-            probe_ns ~backend:be ~domains ~tile ~sweeps ~reps ~params block winner_kernels
-          ))
+          (label, probe_ns ~backend:be ~tile winner_kernels))
         [ (Engine.backend_label Engine.Interp, Engine.Interp);
           (Engine.backend_label Engine.Jit, Engine.Jit) ]
     in
@@ -249,10 +233,8 @@ let decide ?(machine = Perfmodel.Machine.skylake_8174) ?(domains = Pool.default_
        whose shell dominates should stay sequential. *)
     let overlap_ns =
       [
-        ("whole", probe_ns ~backend ~domains ~tile ~sweeps ~reps ~params block winner_kernels);
-        ( "split",
-          probe_split_ns ~backend ~domains ~tile ~sweeps ~reps ~params block winner_kernels
-        );
+        ("whole", probe_ns ~backend ~tile winner_kernels);
+        ("split", probe_ns ~backend ~split:true ~tile winner_kernels);
       ]
     in
     let overlap =

@@ -245,6 +245,19 @@ let test_p1_density_node_for_node () =
        (Simplify.expand ~budget:100000 hand)
        (Simplify.expand ~budget:100000 model))
 
+(* Oracle 12 at each zoo family's preset coefficients: the automatic
+   variational derivative stays within the documented budget of the
+   finite-difference functional derivative over every phase component and
+   a spread of probe cells (seed 5). *)
+let test_zoo_oracle12_budget () =
+  List.iter
+    (fun (zf, family) ->
+      let dev, ok = Check.Oracles.o12_family_deviation ~zf ~seed:5 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: max |AD - FD| %.5f within budget" family dev)
+        true ok)
+    [ (0, "eutectic"); (1, "pfc"); (2, "gray-scott") ]
+
 let suite =
   [
     Alcotest.test_case "varder: bulk term" `Quick test_varder_bulk_term;
@@ -263,4 +276,6 @@ let suite =
     Alcotest.test_case "varder: second-order term (biharmonic)" `Quick test_varder_second_order;
     Alcotest.test_case "P1 density = paper eq. 3, node for node" `Quick
       test_p1_density_node_for_node;
+    Alcotest.test_case "zoo families: oracle-12 deviation within budget" `Quick
+      test_zoo_oracle12_budget;
   ]

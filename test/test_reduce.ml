@@ -195,24 +195,32 @@ let init_disc (sim : Pfcore.Timestep.t) =
       let v = if (x *. x) +. (y *. y) < 4. then 1. else 0. in
       if comp = 0 then v else 1. -. v)
 
-let test_adaptive_freezes_bitwise () =
+(* One adaptive run against the uniform fine-grid run over the same
+   [gd] domain, both started by [init]: bulk blocks must freeze, the frozen
+   run must stay bitwise the uniform one (reductions included) and, where
+   [min_savings] is given, skip at least that factor of cell updates. *)
+let adaptive_case ?ranks ?min_savings ~gd ~bgrid ~steps init =
   let gen = Lazy.force curvature_gen in
-  let gd = [| 36; 12 |] in
   let uniform = Pfcore.Timestep.create ~dims:gd gen in
-  init_disc uniform;
+  init uniform;
   Pfcore.Timestep.prime uniform;
-  Pfcore.Timestep.run uniform ~steps:3;
-  let af =
-    Blocks.Adaptive.create ~ranks:2 ~bgrid:[| 6; 2 |] ~block_dims:[| 6; 6 |] gen
-  in
-  List.iter init_disc (Blocks.Adaptive.active_sims af);
+  Pfcore.Timestep.run uniform ~steps;
+  let af = Blocks.Adaptive.create ?ranks ~bgrid ~block_dims:[| 6; 6 |] gen in
+  List.iter init (Blocks.Adaptive.active_sims af);
   Blocks.Adaptive.prime af;
-  Blocks.Adaptive.run af ~steps:3;
+  Blocks.Adaptive.run af ~steps;
   Alcotest.(check bool)
     (Printf.sprintf "bulk blocks froze (%d)" (Blocks.Adaptive.frozen_blocks af))
     true
     (Blocks.Adaptive.frozen_blocks af > 0);
-  Alcotest.(check bool) "cells-touched savings > 1" true (Blocks.Adaptive.savings af > 1.);
+  let savings = Blocks.Adaptive.savings af in
+  Alcotest.(check bool) "cells-touched savings > 1" true (savings > 1.);
+  Option.iter
+    (fun min ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cells-touched savings %.2fx >= %.1fx" savings min)
+        true (savings >= min))
+    min_savings;
   let phi = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
   let ubuf = Vm.Engine.buffer uniform.Pfcore.Timestep.block phi in
   let ok = ref true in
@@ -233,6 +241,14 @@ let test_adaptive_freezes_bitwise () =
   Alcotest.(check bool)
     "canonical interface count agrees over frozen nodes" true
     (bits_equal usum (Blocks.Adaptive.interface_cells af))
+
+(* Second input: the interface-localized shrinking disc (radius 0.2 L on
+   72^2, 12x12 blocks of 6^2 cells, 10 steps), whose frozen bulk must buy
+   at least 2x in cells touched. *)
+let test_adaptive_freezes_bitwise () =
+  adaptive_case ~ranks:2 ~gd:[| 36; 12 |] ~bgrid:[| 6; 2 |] ~steps:3 init_disc;
+  adaptive_case ~min_savings:2.0 ~gd:[| 72; 72 |] ~bgrid:[| 12; 12 |] ~steps:10
+    (Pfcore.Simulation.init_sphere ~radius_frac:0.2)
 
 let suite =
   [
