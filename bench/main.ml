@@ -487,11 +487,14 @@ let pool_bench () =
   let dims = [| 32; 32; 32 |] in
   let domains = 4 in
   let cores = Domain.recommended_domain_count () in
+  (* the serial sweep first: the tuner below spawns the pool's workers, and
+     idle workers join every minor collection, which slows the allocating
+     serial sweep on a host with fewer cores than workers *)
+  let serial = timed "serial_ns_per_cell" (sweep_ns gen kernels ~dims) in
   (* tuner-informed tile for the pooled run (served from the Tune cache) *)
   let plan = Pfcore.Timestep.autotune ~domains gen in
   let tile = plan.Pfcore.Timestep.phi.Vm.Tune.tile in
   Fmt.pr "%a@." Vm.Tune.pp_choice plan.Pfcore.Timestep.phi;
-  let serial = timed "serial_ns_per_cell" (sweep_ns gen kernels ~dims) in
   let pooled = timed "pooled_ns_per_cell" (sweep_ns ~domains ?tile gen kernels ~dims) in
   let speedup = serial /. pooled in
   let threshold = 1.7 in

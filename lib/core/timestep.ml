@@ -26,15 +26,11 @@ type t = {
   backend : Vm.Engine.backend;  (** execution backend for every kernel sweep *)
   lane : int;  (** observability lane: 0 = local, 1 + r = simulated rank r *)
   exchange : Vm.Engine.block -> Fieldspec.t -> unit;
-  phi_full : Vm.Engine.bound;
-  phi_stag : Vm.Engine.bound;
-  phi_main : Vm.Engine.bound;
-  mu_full : Vm.Engine.bound option;
-  mu_stag : Vm.Engine.bound option;
-  mu_main : Vm.Engine.bound option;
+  phi : Vm.Engine.bound list;  (** the chosen φ variant's kernels, in sweep order *)
+  mu : Vm.Engine.bound list;  (** the chosen μ variant's kernels; [[]] without μ *)
   projection : Vm.Engine.bound option;
   mutable jit_planned : bool;
-      (** the JIT programs of the chosen variants are compiled (see
+      (** the JIT programs of the step's kernels are compiled (see
           {!prepare_jit}) *)
   mutable step_count : int;
   mutable time : float;
@@ -46,7 +42,14 @@ let field_list (g : Genkernels.t) =
   let f = g.fields in
   [ f.phi_src; f.phi_dst; f.mu_src; f.mu_dst; f.phi_stag; f.mu_stag ]
 
-(** Build a simulation block and bind all kernels of the chosen variants.
+(* The kernels of one variant of a family, in sweep order. *)
+let variant_kernels variant ~full ~(split : Genkernels.pair) =
+  match variant with Full -> [ full ] | Split -> [ split.stag; split.main ]
+
+(** Build a simulation block and bind the kernels a step sweeps: the
+    chosen φ and μ variants and the projection.  Binding shares each
+    kernel's {!Vm.Engine.program} with every other block, so it costs a
+    ghost check; the other variants are never bound.
     [rank] names the simulated rank this block belongs to (set by
     [Blocks.Forest]); it only affects which observability lane the block's
     spans land on, and [lane] overrides that mapping directly (the farm
@@ -77,12 +80,11 @@ let create ?(variant_phi = Full) ?(variant_mu = Full)
       | None, Some r -> Obs.Sink.rank_lane r
       | None, None -> 0);
     exchange;
-    phi_full = bind gen.phi_full;
-    phi_stag = bind gen.phi_split.stag;
-    phi_main = bind gen.phi_split.main;
-    mu_full = Option.map bind gen.mu_full;
-    mu_stag = Option.map (fun (p : Genkernels.pair) -> bind p.stag) gen.mu_split;
-    mu_main = Option.map (fun (p : Genkernels.pair) -> bind p.main) gen.mu_split;
+    phi = List.map bind (variant_kernels variant_phi ~full:gen.phi_full ~split:gen.phi_split);
+    mu =
+      (match (gen.mu_full, gen.mu_split) with
+      | Some full, Some split -> List.map bind (variant_kernels variant_mu ~full ~split)
+      | _ -> []);
     projection = Option.map bind gen.projection;
     jit_planned = false;
     step_count = 0;
@@ -101,21 +103,13 @@ let prime t =
     t.exchange t.block t.gen.Genkernels.fields.mu_src
 
 (* The kernels of the chosen variants, each list in sweep order. *)
-let phi_kernels t =
-  match t.variant_phi with Full -> [ t.phi_full ] | Split -> [ t.phi_stag; t.phi_main ]
+let phi_kernels t = t.phi
+let mu_kernels t = t.mu
 
-let mu_kernels t =
-  match (t.variant_mu, t.mu_full, t.mu_stag, t.mu_main) with
-  | _, None, _, _ -> []
-  | Full, Some mu, _, _ -> [ mu ]
-  | Split, _, Some stag, Some main -> [ stag; main ]
-  | Split, _, _, _ -> assert false
-
-(** Before the first JIT sweep, compile the programs of every kernel the
-    chosen variants sweep in a step — φ, the projection, μ — in one
-    compiler run, outside every [kernel:*] span.  Unchosen variants stay
-    lazy, and a block whose programs are all cached (every forest block
-    after the first) compiles nothing. *)
+(** Before the first JIT sweep, compile the programs of every kernel a
+    step sweeps — φ, the projection, μ — in one compiler run, outside
+    every [kernel:*] span.  A block whose programs are all cached (every
+    forest block after the first) compiles nothing. *)
 let prepare_jit t =
   if t.backend = Vm.Engine.Jit && not t.jit_planned then begin
     Vm.Engine.jit_prepare (phi_kernels t @ Option.to_list t.projection @ mu_kernels t);

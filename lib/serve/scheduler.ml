@@ -121,12 +121,18 @@ let tile_plan config (job : job) gen =
     plan.Pfcore.Timestep.plan_tile
   end
 
+(* Make [job] resident: bind its time step(s), then fill or resume its
+   state — inside a [serve.activate] span on the job's lane, so a trace
+   shows what admitting a job costs next to its quanta. *)
 let activate config mempool (job : job) =
   let spec = job.spec in
+  let lane = Obs.Sink.job_lane spec.Workload.id in
+  Obs.Span.in_lane lane @@ fun () ->
+  Obs.Span.with_ ~cat:"serve" ~args:[ ("job", float_of_int spec.Workload.id) ] "serve.activate"
+  @@ fun () ->
   let gen = gen_of spec.Workload.family in
   let alloc = Mempool.alloc mempool in
   let tile = tile_plan config job gen in
-  let lane = Obs.Sink.job_lane spec.Workload.id in
   (match spec.Workload.ranks with
   | 1 ->
     let sim =

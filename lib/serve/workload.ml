@@ -154,16 +154,20 @@ let projected_bytes ~(gen : Pfcore.Genkernels.t) spec =
 (** Seeded smooth initial fill, a function of *global* coordinates: every
     buffer holds simplex-centered values perturbed by a seed-keyed smooth
     wave, so no kernel hits a degenerate denominator, every job is
-    distinct, and a decomposed job reproduces the single-block fill. *)
+    distinct, and a decomposed job reproduces the single-block fill.  The
+    wave depends only on the global x and the component, so it is computed
+    once per x-row and copied into every row. *)
 let init_sim (sim : Pfcore.Timestep.t) ~seed =
   let gen = sim.Pfcore.Timestep.gen in
   let n = float_of_int gen.Pfcore.Genkernels.params.Pfcore.Params.n_phases in
   let block = sim.Pfcore.Timestep.block in
-  let off = block.Vm.Engine.offset in
+  let x0 = block.Vm.Engine.offset.(0) in
+  let row comp =
+    Array.init block.Vm.Engine.dims.(0) (fun x ->
+        (1. /. n) +. (0.01 *. sin (float_of_int (((x + x0) * 3) + (comp * 7) + (seed * 13)))))
+  in
   List.iter
     (fun ((_ : Symbolic.Fieldspec.t), buf) ->
-      Vm.Buffer.init buf (fun c comp ->
-          let g0 = c.(0) + off.(0) in
-          (1. /. n) +. (0.01 *. sin (float_of_int ((g0 * 3) + (comp * 7) + (seed * 13)))));
+      Vm.Buffer.init_rows buf row;
       Vm.Buffer.periodic buf)
     block.Vm.Engine.buffers

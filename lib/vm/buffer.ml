@@ -81,6 +81,24 @@ let init t f =
   in
   loop 0
 
+(** Initialize every interior cell (ghosts untouched) from values that
+    depend only on the axis-0 coordinate and the component: [row c] gives
+    the [dims.(0)] values of component [c], copied into each of its
+    interior rows. *)
+let init_rows t row =
+  let nx = t.dims.(0) in
+  for c = 0 to t.components - 1 do
+    let r = row c in
+    let rec loop d at =
+      if d = 0 then Array.blit r 0 t.data (at + t.ghost) nx
+      else
+        for i = 0 to t.dims.(d) - 1 do
+          loop (d - 1) (at + ((i + t.ghost) * t.stride.(d)))
+        done
+    in
+    loop (t.field.dim - 1) (c * t.comp_stride)
+  done
+
 (** Swap the storage of two buffers (the src/dst pointer swap of
     Algorithm 1). *)
 let swap a b =

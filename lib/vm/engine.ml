@@ -209,26 +209,126 @@ let rec compile (b : binder) (e : Expr.t) : ctx -> float =
     fun c -> if test c then ft c else ff c
 
 (* ------------------------------------------------------------------ *)
-(* Kernel binding                                                      *)
+(* Kernel programs and bindings                                        *)
 (* ------------------------------------------------------------------ *)
 
-type bound = {
+(** Everything a kernel's sweeps need that depends on the kernel alone:
+    its lowering for one loop order, its parameter and temporary slots, the
+    ghost width its sweep reads, whether it draws Philox numbers, and its
+    {!Jit} memo key (forced by the first JIT sweep or plan that needs it).
+    One program is built per (kernel, fastest axis, JIT target) and shared
+    by every block, rank, job and tuning probe that binds the kernel — the
+    paper's generate-once, run-on-every-block split. *)
+type program = {
   kernel : Ir.Kernel.t;
   lowered : Ir.Lower.t;
-  block : block;
   param_names : string array;
-  n_temps : int;
+  param_slots : (string, int) Hashtbl.t;
+  temp_slots : (string, int) Hashtbl.t;
+  ghost_need : int;  (** ghost layers the sweep reads *)
+  uses_rand : bool;
+  jit_target : Jit.target;
+  jit_key : Digest.t Lazy.t;
+}
+
+(** The interpreter's closure tree for one (program, block): the lowering's
+    depth groups compiled against the block's buffers. *)
+type tree = {
   preheader : (ctx -> unit) array;        (* depth 0 *)
   per_loop : (ctx -> unit) array array;   (* depth 1 .. dim-1 *)
   body : (ctx -> unit) array;
+}
+
+(** A kernel bound to a block: the kernel's shared {!program} plus what
+    depends on the block. *)
+type bound = {
+  kernel : Ir.Kernel.t;
+  lowered : Ir.Lower.t;  (** the shared program's *)
+  block : block;
+  param_names : string array;
+  n_temps : int;
+  tree : tree Lazy.t;
+      (** built by the binding's first interpreter sweep (or JIT sweep that
+          falls back), never by a binding only the JIT sweeps; forced on the
+          coordinating domain before the pool runs *)
   uses_rand : bool;
   jit_target : Jit.target;  (** what the binding's JIT program is printed for *)
   jit_key : Digest.t Lazy.t;
-      (** the binding's {!Jit} memo key, forced by its first JIT sweep:
-          digesting the whole body costs as much as a small block's sweep,
-          so it is paid once per binding, never per sweep, and never by
-          interpreter-only bindings *)
+      (** the shared program's {!Jit} memo key: digesting the whole body
+          costs as much as a small block's sweep, so it is paid once per
+          program, never per sweep or per block, and never by a kernel only
+          the interpreter sweeps *)
 }
+
+(* Ghost layers a sweep of [kernel] reads. *)
+let ghost_need (kernel : Ir.Kernel.t) =
+  match kernel.Ir.Kernel.iteration with
+  | Ir.Kernel.CellSweep -> kernel.Ir.Kernel.ghost
+  | Ir.Kernel.StaggeredSweep axes ->
+    (* The sweep covers one extra upper layer along the staggered axes
+       (face n is the upper face of the last interior cell), so only
+       upper-side reads there shift by one; the sweep still starts at
+       cell 0, so lower-side reads keep their plain extent. *)
+    List.fold_left
+      (fun req (a : Symbolic.Fieldspec.access) ->
+        let r = ref req in
+        Array.iteri
+          (fun d o ->
+            let need = if o >= 0 then o + (if List.mem d axes then 1 else 0) else -o in
+            if need > !r then r := need)
+          a.Symbolic.Fieldspec.offsets;
+        !r)
+      0
+      (Ir.Kernel.loads kernel)
+
+let slots names =
+  let table = Hashtbl.create 64 in
+  List.iteri (fun i s -> Hashtbl.replace table s i) names;
+  table
+
+let make_program ~fastest ~jit_target (kernel : Ir.Kernel.t) : program =
+  Obs.Metrics.count "vm.bind.programs" 1;
+  let lowered = Ir.Lower.run ~fastest kernel in
+  let params = Ir.Kernel.parameters kernel in
+  {
+    kernel;
+    lowered;
+    param_names = Array.of_list params;
+    param_slots = slots params;
+    temp_slots = slots (Assignment.defined_temps kernel.Ir.Kernel.body);
+    ghost_need = ghost_need kernel;
+    uses_rand =
+      List.exists
+        (fun (a : Assignment.t) ->
+          Expr.fold (fun u n -> u || match n with Expr.Rand _ -> true | _ -> false) false a.rhs)
+        kernel.Ir.Kernel.body;
+    jit_target;
+    jit_key = lazy (Jit.fingerprint ~target:jit_target kernel lowered);
+  }
+
+(* The program memo, keyed on the kernel's physical identity.  An
+   ephemeron keeps an entry exactly as long as its kernel is alive, so the
+   table needs no bound and no eviction: a job's generated kernels and
+   their programs go together. *)
+module Programs = Ephemeron.K1.Make (struct
+  type t = Ir.Kernel.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let programs : (int * Jit.target * program) list Programs.t = Programs.create 16
+
+(** The shared program of [kernel] for loop order [fastest] and JIT target
+    [jit_target], built on first request. *)
+let program ?(fastest = 0) ?(jit_target = Jit.host_target ()) kernel =
+  let built = Option.value ~default:[] (Programs.find_opt programs kernel) in
+  match List.find_opt (fun (f, t, _) -> f = fastest && t = jit_target) built with
+  | Some (_, _, p) -> p
+  | None ->
+    let p = make_program ~fastest ~jit_target kernel in
+    Programs.replace programs kernel ((fastest, jit_target, p) :: built);
+    p
 
 let compile_assignment binder (a : Assignment.t) : ctx -> unit =
   let rhs = compile binder a.rhs in
@@ -241,43 +341,12 @@ let compile_assignment binder (a : Assignment.t) : ctx -> unit =
     let buf, delta = binder.resolve acc in
     fun c -> Array.unsafe_set buf.Buffer.data (c.base + delta) (Expr.canonical (rhs c))
 
-let bind ?(fastest = 0) ?(jit_target = Jit.host_target ()) (kernel : Ir.Kernel.t)
-    (block : block) =
-  let required =
-    match kernel.Ir.Kernel.iteration with
-    | Ir.Kernel.CellSweep -> kernel.Ir.Kernel.ghost
-    | Ir.Kernel.StaggeredSweep axes ->
-      (* The sweep covers one extra upper layer along the staggered axes
-         (face n is the upper face of the last interior cell), so only
-         upper-side reads there shift by one; the sweep still starts at
-         cell 0, so lower-side reads keep their plain extent. *)
-      List.fold_left
-        (fun req (a : Symbolic.Fieldspec.access) ->
-          let r = ref req in
-          Array.iteri
-            (fun d o ->
-              let need = if o >= 0 then o + (if List.mem d axes then 1 else 0) else -o in
-              if need > !r then r := need)
-            a.Symbolic.Fieldspec.offsets;
-          !r)
-        0
-        (Ir.Kernel.loads kernel)
-  in
-  if required > block.ghost then
-    invalid_arg
-      (Printf.sprintf "Engine.bind: kernel %s needs ghost %d, block has %d"
-         kernel.Ir.Kernel.name required block.ghost);
-  let lowered = Ir.Lower.run ~fastest kernel in
-  let temps = Assignment.defined_temps kernel.Ir.Kernel.body in
-  let temp_table = Hashtbl.create 64 in
-  List.iteri (fun i s -> Hashtbl.replace temp_table s i) temps;
-  let params = Ir.Kernel.parameters kernel in
-  let param_table = Hashtbl.create 16 in
-  List.iteri (fun i s -> Hashtbl.replace param_table s i) params;
+let build_tree (p : program) block =
+  Obs.Metrics.count "vm.bind.trees" 1;
   let binder =
     {
-      param_slot = Hashtbl.find_opt param_table;
-      temp_slot = Hashtbl.find_opt temp_table;
+      param_slot = Hashtbl.find_opt p.param_slots;
+      temp_slot = Hashtbl.find_opt p.temp_slots;
       resolve =
         (fun a ->
           let buf = buffer block a.Fieldspec.field in
@@ -285,26 +354,33 @@ let bind ?(fastest = 0) ?(jit_target = Jit.host_target ()) (kernel : Ir.Kernel.t
     }
   in
   let compile_list l = Array.of_list (List.map (compile_assignment binder) l) in
-  let dim = kernel.Ir.Kernel.dim in
-  let groups = Ir.Lower.groups lowered in
-  let uses_rand =
-    List.exists
-      (fun (a : Assignment.t) ->
-        Expr.fold (fun u n -> u || match n with Expr.Rand _ -> true | _ -> false) false a.rhs)
-      kernel.Ir.Kernel.body
-  in
+  let dim = p.kernel.Ir.Kernel.dim in
+  let groups = Ir.Lower.groups p.lowered in
   {
-    kernel;
-    lowered;
-    block;
-    param_names = Array.of_list params;
-    n_temps = List.length temps;
     preheader = compile_list groups.(0);
     per_loop = Array.init (dim - 1) (fun i -> compile_list groups.(i + 1));
     body = compile_list groups.(dim);
-    uses_rand;
-    jit_target;
-    jit_key = lazy (Jit.fingerprint ~target:jit_target kernel lowered);
+  }
+
+(** Bind [kernel] to [block]: the kernel's shared {!program} plus the
+    block.  Only the ghost check runs per binding; the interpreter's
+    closure tree waits for the first sweep that needs it. *)
+let bind ?fastest ?jit_target (kernel : Ir.Kernel.t) (block : block) =
+  let p = program ?fastest ?jit_target kernel in
+  if p.ghost_need > block.ghost then
+    invalid_arg
+      (Printf.sprintf "Engine.bind: kernel %s needs ghost %d, block has %d"
+         kernel.Ir.Kernel.name p.ghost_need block.ghost);
+  {
+    kernel;
+    lowered = p.lowered;
+    block;
+    param_names = p.param_names;
+    n_temps = Hashtbl.length p.temp_slots;
+    tree = lazy (build_tree p block);
+    uses_rand = p.uses_rand;
+    jit_target = p.jit_target;
+    jit_key = p.jit_key;
   }
 
 (** Compile the JIT programs of [bounds] that the memo table lacks, in one
@@ -331,7 +407,7 @@ let run_group g c =
 (* Sweep one tile (3D): [lo]/[hi] are inclusive loop bounds indexed by loop
    depth, following the lowering's loop_order.  A full sweep is the single
    tile spanning every range; cache blocking shrinks the outer depths. *)
-let sweep_tile_3d (b : bound) (c : ctx) ~(lo : int array) ~(hi : int array) =
+let sweep_tile_3d (b : bound) (t : tree) (c : ctx) ~(lo : int array) ~(hi : int array) =
   let order = b.lowered.Ir.Lower.loop_order in
   let a0 = order.(0) and a1 = order.(1) and a2 = order.(2) in
   let block = b.block in
@@ -345,21 +421,21 @@ let sweep_tile_3d (b : bound) (c : ctx) ~(lo : int array) ~(hi : int array) =
   in
   for i0 = lo.(0) to hi.(0) do
     set_coord a0 i0;
-    run_group b.per_loop.(0) c;
+    run_group t.per_loop.(0) c;
     for i1 = lo.(1) to hi.(1) do
       set_coord a1 i1;
-      run_group b.per_loop.(1) c;
+      run_group t.per_loop.(1) c;
       set_coord a2 lo.(2);
       c.base <- Buffer.base_index any_buf coords;
       for i2 = lo.(2) to hi.(2) do
         set_coord a2 i2;
-        run_group b.body c;
+        run_group t.body c;
         c.base <- c.base + stride.(a2)
       done
     done
   done
 
-let sweep_tile_2d (b : bound) (c : ctx) ~(lo : int array) ~(hi : int array) =
+let sweep_tile_2d (b : bound) (t : tree) (c : ctx) ~(lo : int array) ~(hi : int array) =
   let order = b.lowered.Ir.Lower.loop_order in
   let a0 = order.(0) and a1 = order.(1) in
   let block = b.block in
@@ -373,12 +449,12 @@ let sweep_tile_2d (b : bound) (c : ctx) ~(lo : int array) ~(hi : int array) =
   in
   for i0 = lo.(0) to hi.(0) do
     set_coord a0 i0;
-    run_group b.per_loop.(0) c;
+    run_group t.per_loop.(0) c;
     set_coord a1 lo.(1);
     c.base <- Buffer.base_index any_buf coords;
     for i1 = lo.(1) to hi.(1) do
       set_coord a1 i1;
-      run_group b.body c;
+      run_group t.body c;
       c.base <- c.base + stride.(a1)
     done
   done
@@ -488,16 +564,21 @@ let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~st
       let inner, shell = Schedule.split_halo ~ranges ~interior ?shape () in
       (match region with Interior _ -> inner | _ -> shell)
   in
-  let interp ~lane:_ ti =
-    let t : Schedule.tile = tiles.(ti) in
-    let c = make_ctx b ~params ~step in
-    run_group b.preheader c;
-    if dim = 3 then sweep_tile_3d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
-    else sweep_tile_2d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
+  (* The closure tree is forced here, on the coordinating domain: OCaml 5
+     raises when two domains force one lazy value, and every lane reads the
+     tree. *)
+  let interp () =
+    let tree = Lazy.force b.tree in
+    fun ~lane:_ ti ->
+      let t : Schedule.tile = tiles.(ti) in
+      let c = make_ctx b ~params ~step in
+      run_group tree.preheader c;
+      if dim = 3 then sweep_tile_3d b tree c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
+      else sweep_tile_2d b tree c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
   in
   let exec =
     match backend with
-    | Interp -> interp
+    | Interp -> interp ()
     | Jit -> (
       (* One memo lookup per sweep under the binding's precomputed key:
          a hit hashes a 16-byte digest, and the hit/miss counters are what
@@ -506,7 +587,7 @@ let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~st
          Buffer.swap. *)
       let comp = Jit.get ~target:b.jit_target (Lazy.force b.jit_key) b.kernel b.lowered in
       match comp.Jit.entry with
-      | None -> interp
+      | None -> interp ()
       | Some entry ->
         let datas = Array.map (fun f -> (buffer b.block f).Buffer.data) comp.Jit.fields in
         let any_buf = snd (List.hd b.block.buffers) in

@@ -106,7 +106,7 @@ let test_recompile_on_fingerprint_change () =
    truncated hash of the body collides here, and the memo table would hand
    variant B the program compiled for variant A — exactly how the zoo's
    coefficient variants of the large eutectic kernel bit the oracle-8
-   battery.  The full-body digest, which every binding now computes once
+   battery.  The full-body digest, which every kernel program computes once
    and reuses as its memo key, must keep the variants apart, and each
    compiled run must match its own interpreter run bitwise. *)
 let deep_variant_kernel ~tail =
@@ -152,13 +152,13 @@ let eutectic_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()))
    recomputed it would allocate at least the body's marshalled size.  A
    warm JIT sweep of eutectic φ-full on a 2x2 block — four cells, so the
    fixed cost is all there is — must allocate less than that: the key is
-   computed once per binding, by its first JIT sweep. *)
+   computed once per kernel program, by its first JIT sweep. *)
 let test_warm_sweep_independent_of_body () =
   let sim =
     Pfcore.Timestep.create ~backend:Vm.Engine.Jit ~num_domains:1 ~dims:[| 2; 2 |]
       (Lazy.force eutectic_gen)
   in
-  let bound = sim.Pfcore.Timestep.phi_full in
+  let bound = List.hd sim.Pfcore.Timestep.phi in
   let params = Pfcore.Timestep.runtime_params sim in
   let sweep () = Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Jit ~params bound in
   sweep ();
@@ -176,24 +176,101 @@ let test_warm_sweep_independent_of_body () =
        body_words)
     true (words < body_words)
 
-(* The key is the binding's, forced by its first JIT sweep only:
-   interpreter sweeps and variants that never run compute nothing. *)
+(* The key is the kernel's program's, forced by its first JIT sweep only:
+   interpreter sweeps compute nothing, and a later binding of the kernel
+   finds it computed.  The kernel is private to this test: programs are
+   shared process-wide, so any other test's JIT sweep of a shared kernel
+   would already have forced its key. *)
 let test_key_computed_by_jit_sweeps_only () =
-  let sim =
-    Pfcore.Timestep.create ~backend:Vm.Engine.Interp ~num_domains:1 ~dims:[| 4; 4 |]
-      (Lazy.force curvature_gen)
-  in
+  let k = avg_kernel ~coeff:0.37 () in
+  let block () = Vm.Engine.make_block ~ghost:1 ~dims:[| 6; 5 |] [ f2; g2 ] in
+  let b = Vm.Engine.bind k (block ()) in
   let forced (b : Vm.Engine.bound) = Lazy.is_val b.Vm.Engine.jit_key in
-  Pfcore.Simulation.init_smooth sim;
-  Pfcore.Timestep.run sim ~steps:2;
-  Alcotest.(check bool) "interpreter sweeps compute no key" false
-    (forced sim.Pfcore.Timestep.phi_full);
-  let params = Pfcore.Timestep.runtime_params sim in
-  Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Jit ~params sim.Pfcore.Timestep.phi_full;
-  Alcotest.(check bool) "the first jit sweep computes it" true
-    (forced sim.Pfcore.Timestep.phi_full);
-  Alcotest.(check bool) "an unused variant never does" false
-    (forced sim.Pfcore.Timestep.phi_stag)
+  Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Interp ~params:[] b;
+  Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Interp ~params:[] b;
+  Alcotest.(check bool) "interpreter sweeps compute no key" false (forced b);
+  Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Jit ~params:[] b;
+  Alcotest.(check bool) "the first jit sweep computes it" true (forced b);
+  Alcotest.(check bool) "a new binding finds it computed" true
+    (forced (Vm.Engine.bind k (block ())))
+
+(* Binding a kernel whose program exists costs a ghost check and a record,
+   not a pass over the kernel: binding eutectic φ-full to a fresh block
+   allocates fewer words than its marshalled body. *)
+let test_rebind_independent_of_body () =
+  let k = (Lazy.force eutectic_gen).Pfcore.Genkernels.phi_full in
+  let block () = Pfcore.Timestep.probe_block (Lazy.force eutectic_gen) ~dims:[| 2; 2 |] in
+  ignore (Vm.Engine.bind k (block ()));
+  let fresh = block () in
+  let minor0, _, major0 = Gc.counters () in
+  let b = Vm.Engine.bind k fresh in
+  let minor1, _, major1 = Gc.counters () in
+  let words = int_of_float (minor1 -. minor0 +. (major1 -. major0)) in
+  let body_words =
+    String.length (Marshal.to_string k.Ir.Kernel.body []) / (Sys.word_size / 8)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "rebinding allocates %d words < %d-word marshalled body" words body_words)
+    true (words < body_words);
+  Alcotest.(check bool) "and builds no closure tree" false (Lazy.is_val b.Vm.Engine.tree)
+
+(* The vm.bind.trees counter and each binding's tree over two steps: a JIT
+   time step whose programs are built never compiles a closure tree; an
+   interpreter time step compiles one per bound kernel, once. *)
+let test_trees_only_when_interpreted () =
+  let g = Lazy.force curvature_gen in
+  let run backend =
+    let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims:[| 6; 6 |] g in
+    Pfcore.Simulation.init_smooth sim;
+    let trees =
+      with_obs (fun () ->
+          Pfcore.Timestep.run sim ~steps:2;
+          Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "vm.bind.trees")
+    in
+    let bounds =
+      sim.Pfcore.Timestep.phi @ Option.to_list sim.Pfcore.Timestep.projection
+      @ sim.Pfcore.Timestep.mu
+    in
+    (Option.value ~default:0 trees, bounds)
+  in
+  let built (b : Vm.Engine.bound) = Lazy.is_val b.Vm.Engine.tree in
+  let trees, bounds = run Vm.Engine.Interp in
+  Alcotest.(check int) "interp: one tree per bound kernel" (List.length bounds) trees;
+  Alcotest.(check bool) "interp: every tree built" true (List.for_all built bounds);
+  if Lazy.force Vm.Jit_cc.gcc && not (Vm.Jit_cc.disabled ()) then begin
+    Vm.Jit.clear_cache ();
+    let trees, bounds = run Vm.Engine.Jit in
+    Alcotest.(check int) "jit: no tree built" 0 trees;
+    Alcotest.(check bool) "jit: no binding holds a tree" false (List.exists built bounds)
+  end
+
+(* A fresh binding's first sweep runs on three domains with 2x2 tiles: the
+   closure tree every lane reads is built once, on the coordinating
+   domain, both for the interpreter and for a JIT sweep that falls back to
+   it (a failed build); each equals the serial sweep bitwise. *)
+let test_first_pooled_sweep_builds_tree_once () =
+  let serial = run_avg ~backend:Vm.Engine.Interp ~num_domains:1 ~dims:[| 8; 6 |] () in
+  let pooled =
+    run_avg ~backend:Vm.Engine.Interp ~tile:[| 2; 2 |] ~num_domains:3 ~dims:[| 8; 6 |] ()
+  in
+  Alcotest.(check bool) "interp: first pooled sweep = serial (bitwise)" true
+    (buffers_bits_equal serial pooled);
+  Vm.Jit.clear_cache ();
+  let k = avg_kernel () in
+  let lowered = Ir.Lower.run k in
+  Vm.Jit.prepare ~cc:"false"
+    [
+      {
+        Vm.Jit.key = Vm.Jit.fingerprint k lowered;
+        target = Vm.Jit.host_target ();
+        kernel = k;
+        lowered;
+      };
+    ];
+  let fallback = run_avg ~tile:[| 2; 2 |] ~num_domains:3 ~dims:[| 8; 6 |] () in
+  Vm.Jit.clear_cache ();
+  Alcotest.(check bool) "jit fallback: first pooled sweep = serial (bitwise)" true
+    (buffers_bits_equal serial fallback)
 
 (* ---- engine edge cases under the compiled backend ---- *)
 
@@ -545,6 +622,12 @@ let suite =
       test_warm_sweep_independent_of_body;
     Alcotest.test_case "jit: memo key computed by jit sweeps only" `Quick
       test_key_computed_by_jit_sweeps_only;
+    Alcotest.test_case "bind: rebinding allocates less than the kernel body" `Quick
+      test_rebind_independent_of_body;
+    Alcotest.test_case "bind: closure trees only for interpreted sweeps" `Quick
+      test_trees_only_when_interpreted;
+    Alcotest.test_case "bind: first pooled sweep builds the tree on one domain" `Quick
+      test_first_pooled_sweep_builds_tree_once;
     Alcotest.test_case "jit: one compiler run per time-step plan" `Quick
       test_one_compile_per_plan;
     Alcotest.test_case "jit: compile spans outside kernel spans" `Quick

@@ -261,6 +261,95 @@ let test_projected_bytes_exact () =
         actual projected)
     [ Workload.Curv2d; Workload.Eutectic; Workload.Pfc; Workload.GrayScott ]
 
+(* ---- activation ---- *)
+
+let with_obs f =
+  Obs.Metrics.reset ();
+  Obs.Sink.clear ();
+  Obs.Sink.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Sink.disable ();
+      Obs.Sink.clear ();
+      Obs.Metrics.reset ())
+    f
+
+(* The row-wise initial fill writes the per-cell formula's bits into every
+   cell, ghosts included: on a 2D spec, a 3D spec and both ranks of a
+   2-rank spec, whose second rank sits at x offset > 0. *)
+let test_init_sim_rows_match_formula () =
+  let matches (sim : Pfcore.Timestep.t) ~seed =
+    let block = sim.Pfcore.Timestep.block in
+    let gen = sim.Pfcore.Timestep.gen in
+    let n = float_of_int gen.Pfcore.Genkernels.params.Pfcore.Params.n_phases in
+    let x0 = block.Vm.Engine.offset.(0) in
+    let reference =
+      Vm.Engine.make_block ~ghost:2 ~dims:block.Vm.Engine.dims
+        (Pfcore.Timestep.field_list gen)
+    in
+    List.iter
+      (fun ((_ : Symbolic.Fieldspec.t), buf) ->
+        Vm.Buffer.init buf (fun c comp ->
+            (1. /. n)
+            +. (0.01 *. sin (float_of_int (((c.(0) + x0) * 3) + (comp * 7) + (seed * 13)))));
+        Vm.Buffer.periodic buf)
+      reference.Vm.Engine.buffers;
+    Workload.init_sim sim ~seed;
+    List.for_all2
+      (fun ((_ : Symbolic.Fieldspec.t), (a : Vm.Buffer.t)) (_, (b : Vm.Buffer.t)) ->
+        Array.for_all2
+          (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+          a.Vm.Buffer.data b.Vm.Buffer.data)
+      block.Vm.Engine.buffers reference.Vm.Engine.buffers
+  in
+  List.iter
+    (fun (label, (spec : Workload.spec)) ->
+      let grid, block_dims = Workload.decomposition spec in
+      let forest =
+        Blocks.Forest.create ~num_domains:1 ~grid ~block_dims
+          (Scheduler.gen_of spec.Workload.family)
+      in
+      let sims = forest.Blocks.Forest.sims in
+      if spec.Workload.ranks > 1 then
+        Alcotest.(check bool) (label ^ ": the second rank is offset") true
+          (sims.(1).Pfcore.Timestep.block.Vm.Engine.offset.(0) > 0);
+      Array.iteri
+        (fun r sim ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, rank %d: row-wise fill = per-cell formula (bitwise)" label r)
+            true (matches sim ~seed:spec.Workload.seed))
+        sims)
+    [
+      ("2D", { (mk 3) with Workload.size = 12 });
+      ("3D", { (mk 4) with Workload.family = Workload.P1; size = 6 });
+      ("2 ranks", { (mk 5) with Workload.size = 12; ranks = 2 });
+    ]
+
+(* A second identical batch finds every kernel's program built by the
+   first, so it counts no vm.bind.programs; each activation is a
+   serve.activate span, and the trace stays well formed. *)
+let test_second_batch_builds_no_programs () =
+  let specs = Workload.generate ~families:[ Workload.Curv2d ] ~seed:7 ~jobs:6 () in
+  let mempool = Mempool.create () in
+  ignore (Scheduler.run ~mempool specs);
+  let programs, events =
+    with_obs (fun () ->
+        ignore (Scheduler.run ~mempool specs);
+        ( Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "vm.bind.programs",
+          Obs.Sink.events () ))
+  in
+  Alcotest.(check int) "the second batch builds no program" 0
+    (Option.value ~default:0 programs);
+  let activations =
+    List.filter
+      (fun (e : Obs.Sink.event) -> e.Obs.Sink.phase = Obs.Sink.B && e.name = "serve.activate")
+      events
+  in
+  Alcotest.(check bool) "every job's activation is a span" true
+    (List.length activations >= List.length specs);
+  Alcotest.(check bool) "the batch's span stream is well formed" true
+    (Check.Obs_props.stream_well_formed events)
+
 let suite =
   [
     Alcotest.test_case "queue: priority order, FIFO within a class" `Quick
@@ -283,4 +372,8 @@ let suite =
       test_scheduler_shares_tune_cache;
     Alcotest.test_case "workload: projected bytes match real allocation" `Quick
       test_projected_bytes_exact;
+    Alcotest.test_case "workload: row-wise initial fill = per-cell formula" `Quick
+      test_init_sim_rows_match_formula;
+    Alcotest.test_case "scheduler: a second batch builds no program" `Quick
+      test_second_batch_builds_no_programs;
   ]

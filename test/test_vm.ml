@@ -156,6 +156,28 @@ let test_staggered_sweep_extent () =
   Alcotest.(check (float 0.)) "extended layer written" 1.
     buf.Vm.Buffer.data.(Vm.Buffer.base_index buf [| 3; 1 |])
 
+(* One program per kernel: two bindings of one kernel to different blocks
+   share its lowering and its JIT memo key; a different kernel of the same
+   body gets its own program. *)
+let test_bindings_share_program () =
+  let k = avg_kernel () in
+  let block dims = Vm.Engine.make_block ~ghost:1 ~dims [ f2; g2 ] in
+  let a = Vm.Engine.bind k (block [| 8; 6 |]) and b = Vm.Engine.bind k (block [| 3; 5 |]) in
+  Alcotest.(check bool) "one lowering" true (a.Vm.Engine.lowered == b.Vm.Engine.lowered);
+  Alcotest.(check bool) "one memo key" true (a.Vm.Engine.jit_key == b.Vm.Engine.jit_key);
+  let c = Vm.Engine.bind (avg_kernel ()) (block [| 8; 6 |]) in
+  Alcotest.(check bool) "another kernel, another program" false
+    (a.Vm.Engine.lowered == c.Vm.Engine.lowered)
+
+(* The ghost check stays per binding: a kernel whose program exists still
+   refuses a block with too few ghost layers. *)
+let test_programmed_kernel_checks_ghosts () =
+  let k = avg_kernel () in
+  ignore (Vm.Engine.bind k (Vm.Engine.make_block ~ghost:1 ~dims:[| 4; 4 |] [ f2; g2 ]));
+  let thin = Vm.Engine.make_block ~ghost:0 ~dims:[| 4; 4 |] [ f2; g2 ] in
+  Alcotest.(check bool) "too few ghosts raises" true
+    (match Vm.Engine.bind k thin with _ -> false | exception Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "buffer indexing" `Quick test_buffer_indexing;
@@ -168,6 +190,10 @@ let suite =
     Alcotest.test_case "philox kernel determinism" `Quick test_engine_rand_determinism;
     Alcotest.test_case "loop-invariant hoisting" `Quick test_engine_hoisting_matches_unhoisted;
     Alcotest.test_case "staggered sweep extent" `Quick test_staggered_sweep_extent;
+    Alcotest.test_case "bindings of one kernel share its program" `Quick
+      test_bindings_share_program;
+    Alcotest.test_case "a programmed kernel still checks ghosts" `Quick
+      test_programmed_kernel_checks_ghosts;
   ]
 
 (* --------------- typing pass --------------------------------------- *)
