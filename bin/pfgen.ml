@@ -213,29 +213,31 @@ let build_single ?num_domains ?tile ?backend ~split ~dims params g =
   Pfcore.Timestep.prime sim;
   sim
 
-(* Bitwise comparison of the phase field of two forests over all global
-   interior cells; returns the number of differing (cell, component)s. *)
-let forest_phi_mismatches (g : Pfcore.Genkernels.t) a b =
+(* Bitwise comparison of two readers of the phase field (a forest's, an
+   adaptive forest's or a single block's [get]) over all global interior
+   cells; returns the number of differing (cell, component)s. *)
+let phi_mismatches (g : Pfcore.Genkernels.t) ~global_dims a b =
   let phi = g.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-  let gd = a.Blocks.Forest.global_dims in
-  let dim = Array.length gd in
+  let dim = Array.length global_dims in
   let bad = ref 0 in
   let coords = Array.make dim 0 in
   let rec walk d =
     if d = dim then
       for c = 0 to phi.Symbolic.Fieldspec.components - 1 do
-        let x = Blocks.Forest.get a phi ~component:c coords in
-        let y = Blocks.Forest.get b phi ~component:c coords in
+        let x = a phi ~component:c coords and y = b phi ~component:c coords in
         if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) then incr bad
       done
     else
-      for i = 0 to gd.(d) - 1 do
+      for i = 0 to global_dims.(d) - 1 do
         coords.(d) <- i;
         walk (d + 1)
       done
   in
   walk 0;
   !bad
+
+let single_get (sim : Pfcore.Timestep.t) f ~component coords =
+  Vm.Buffer.get (Vm.Engine.buffer sim.Pfcore.Timestep.block f) ~component coords
 
 let build_adaptive ?num_domains ?tile ?backend ~overlap ~split ~ranks ~bgrid ~block_dims
     params g =
@@ -247,37 +249,40 @@ let build_adaptive ?num_domains ?tile ?backend ~overlap ~split ~ranks ~bgrid ~bl
   Blocks.Adaptive.prime af;
   af
 
-(* Bitwise comparison of the adaptive forest against a uniform fine-grid
-   run over all global interior cells. *)
-let adaptive_phi_mismatches (g : Pfcore.Genkernels.t) af (uni : Pfcore.Timestep.t) =
-  let phi = g.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-  let gd = af.Blocks.Adaptive.global_dims in
-  let dim = Array.length gd in
-  let ub = Vm.Engine.buffer uni.Pfcore.Timestep.block phi in
-  let bad = ref 0 in
-  let coords = Array.make dim 0 in
-  let rec walk d =
-    if d = dim then
-      for c = 0 to phi.Symbolic.Fieldspec.components - 1 do
-        let x = Blocks.Adaptive.get af phi ~component:c coords in
-        let y = Vm.Buffer.get ub ~component:c coords in
-        if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) then incr bad
-      done
-    else
-      for i = 0 to gd.(d) - 1 do
-        coords.(d) <- i;
-        walk (d + 1)
-      done
-  in
-  walk 0;
-  !bad
-
 (* Every diagnostic below is the value of the fixed-topology reduction
    tree, so the printed numbers are bitwise reproducible across domain
    counts, tile shapes, backends and rank decompositions. *)
 let print_diag ~interface ~fraction ~mn ~mx =
   Fmt.pr "diag: interface cells %.0f (fraction %.6f), phi[0] min %.17g max %.17g@."
     interface fraction mn mx
+
+(* The same diagnostics over a forest's block set (uniform or adaptive). *)
+let print_blocks_diag ?backend ?num_domains ?tile (b : Blocks.Lockstep.t) phi =
+  let extremum op =
+    Blocks.Lockstep.scalar ?backend ?num_domains ?tile b phi (Vm.Reduce.Component 0) op
+  in
+  print_diag
+    ~interface:(Blocks.Lockstep.interface_cells ?backend ?num_domains ?tile b)
+    ~fraction:(Blocks.Lockstep.interface_fraction ?backend ?num_domains ?tile b)
+    ~mn:(extremum Vm.Reduce.Min) ~mx:(extremum Vm.Reduce.Max)
+
+(* The crash-protected run of [--crash-at k]: a chaos fault plan that
+   crashes a rank entering step k, then [protect] (the rollback driver);
+   prints the plan and what the recovery and the substrate healed. *)
+let run_faulty ~comm ~crash_at ~fault_seed protect =
+  let plan = Blocks.Faultplan.chaos ~seed:fault_seed ~crash_step:crash_at () in
+  Blocks.Mpisim.set_fault_plan comm (Some plan);
+  Fmt.pr "fault plan: %a@." Blocks.Faultplan.pp plan;
+  let stats = protect () in
+  Fmt.pr
+    "recovery: %d checkpoint(s), %d restart(s), %d step(s) replayed; substrate healed %d \
+     retransmission(s), %d dropped, %d duplicated, %d delayed@."
+    stats.Resilience.Recovery.checkpoints stats.Resilience.Recovery.restarts
+    stats.Resilience.Recovery.replayed_steps comm.Blocks.Mpisim.retransmissions
+    comm.Blocks.Mpisim.dropped comm.Blocks.Mpisim.duplicated comm.Blocks.Mpisim.delayed_count
+
+let print_fractions fractions =
+  Fmt.pr "phase fractions: %a@." Fmt.(array ~sep:(any " ") (fmt "%.4f")) fractions
 
 let simulate params size steps ranks split overlap domains tile backend crash_at ckpt_every
     fault_seed adaptive diag trace metrics_out =
@@ -308,17 +313,16 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
       (match crash_at with
       | None -> Blocks.Adaptive.run af ~steps
       | Some k ->
-        let plan = Blocks.Faultplan.chaos ~seed:fault_seed ~crash_step:k () in
-        Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm (Some plan);
-        Fmt.pr "fault plan: %a@." Blocks.Faultplan.pp plan;
-        let stats = Resilience.Recovery.run_protected_adaptive ~every:ckpt_every ~steps af in
-        let c = af.Blocks.Adaptive.comm in
-        Fmt.pr
-          "recovery: %d checkpoint(s), %d restart(s), %d step(s) replayed; substrate \
-           healed %d retransmission(s), %d dropped, %d duplicated, %d delayed@."
-          stats.Resilience.Recovery.checkpoints stats.Resilience.Recovery.restarts
-          stats.Resilience.Recovery.replayed_steps c.Blocks.Mpisim.retransmissions
-          c.Blocks.Mpisim.dropped c.Blocks.Mpisim.duplicated c.Blocks.Mpisim.delayed_count);
+        (* checkpoints hold the refinement state too, and replayed
+           adaptation decisions are pure functions of it *)
+        let comm = af.Blocks.Adaptive.comm in
+        run_faulty ~comm ~crash_at:k ~fault_seed (fun () ->
+            Resilience.Recovery.protect ~every:ckpt_every ~steps
+              ~step_count:(fun () -> Blocks.Adaptive.step_count af)
+              ~step:(fun () -> Blocks.Adaptive.step af)
+              ~capture:(fun () -> Resilience.Snapshot.capture_adaptive af)
+              ~restore:(fun snap -> Resilience.Snapshot.restore_adaptive snap af)
+              comm));
       (* the adaptive run is always verified bitwise against the uniform
          fine-grid run — coarsening must never change a single bit *)
       let uni =
@@ -326,7 +330,10 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
           params g
       in
       Pfcore.Timestep.run uni ~steps;
-      let bad = adaptive_phi_mismatches g af uni in
+      let bad =
+        phi_mismatches g ~global_dims:af.Blocks.Adaptive.global_dims (Blocks.Adaptive.get af)
+          (single_get uni)
+      in
       if bad = 0 then Fmt.pr "verification: adaptive forest = uniform fine grid (bitwise)@."
       else begin
         Fmt.epr "verification FAILED: %d cell value(s) differ from the uniform run@." bad;
@@ -340,16 +347,7 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
         af.Blocks.Adaptive.freezes af.Blocks.Adaptive.thaws af.Blocks.Adaptive.migrations
         (Blocks.Adaptive.savings af);
       if diag then
-        print_diag
-          ~interface:(Blocks.Adaptive.interface_cells ?backend ?num_domains:domains ?tile af)
-          ~fraction:
-            (Blocks.Adaptive.interface_fraction ?backend ?num_domains:domains ?tile af)
-          ~mn:
-            (Blocks.Adaptive.scalar ?backend ?num_domains:domains ?tile af phi
-               (Vm.Reduce.Component 0) Vm.Reduce.Min)
-          ~mx:
-            (Blocks.Adaptive.scalar ?backend ?num_domains:domains ?tile af phi
-               (Vm.Reduce.Component 0) Vm.Reduce.Max);
+        print_blocks_diag ?backend ?num_domains:domains ?tile af.Blocks.Adaptive.blocks phi;
       Blocks.Adaptive.phase_fractions ?backend ?num_domains:domains ?tile af
     end
     else if ranks > 1 then begin
@@ -362,35 +360,22 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
       | Some k ->
         (* fault-injected run under crash protection, verified bitwise
            against an undisturbed twin *)
-        let plan = Blocks.Faultplan.chaos ~seed:fault_seed ~crash_step:k () in
-        Blocks.Mpisim.set_fault_plan forest.Blocks.Forest.comm (Some plan);
-        Fmt.pr "fault plan: %a@." Blocks.Faultplan.pp plan;
-        let stats =
-          Resilience.Recovery.run_protected ~every:ckpt_every ~steps forest
-        in
-        let c = forest.Blocks.Forest.comm in
-        Fmt.pr
-          "recovery: %d checkpoint(s), %d restart(s), %d step(s) replayed; substrate \
-           healed %d retransmission(s), %d dropped, %d duplicated, %d delayed@."
-          stats.Resilience.Recovery.checkpoints stats.Resilience.Recovery.restarts
-          stats.Resilience.Recovery.replayed_steps c.Blocks.Mpisim.retransmissions
-          c.Blocks.Mpisim.dropped c.Blocks.Mpisim.duplicated c.Blocks.Mpisim.delayed_count;
+        run_faulty ~comm:forest.Blocks.Forest.comm ~crash_at:k ~fault_seed (fun () ->
+            Resilience.Recovery.run_protected ~every:ckpt_every ~steps forest);
         let clean = build_forest ~split ~grid ~block_dims g in
         Blocks.Forest.run clean ~steps;
-        let bad = forest_phi_mismatches g forest clean in
+        let bad =
+          phi_mismatches g ~global_dims:forest.Blocks.Forest.global_dims
+            (Blocks.Forest.get forest) (Blocks.Forest.get clean)
+        in
         if bad = 0 then Fmt.pr "verification: protected run = clean run (bitwise)@."
         else begin
           Fmt.epr "verification FAILED: %d cell value(s) differ from the clean run@." bad;
           exit 1
         end);
       if diag then
-        print_diag
-          ~interface:(Blocks.Reduce.interface_cells ?backend ?num_domains:domains ?tile forest)
-          ~fraction:
-            (Blocks.Reduce.interface_fraction ?backend ?num_domains:domains ?tile forest)
-          ~mn:(Blocks.Reduce.min_value ?backend ?num_domains:domains ?tile forest phi ~component:0)
-          ~mx:(Blocks.Reduce.max_value ?backend ?num_domains:domains ?tile forest phi ~component:0);
-      Blocks.Forest.phase_fractions forest
+        print_blocks_diag ?backend ?num_domains:domains ?tile forest.Blocks.Forest.blocks phi;
+      Blocks.Reduce.phase_fractions ?backend ?num_domains:domains ?tile forest
     end
     else begin
       if crash_at <> None then failwith "--crash-at requires --ranks > 1";
@@ -437,7 +422,7 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
     (if split then "split" else "full")
     backend_name dt
     (cells *. float_of_int steps /. dt /. 1e6);
-  Fmt.pr "phase fractions: %a@." Fmt.(array ~sep:sp (fmt "%.4f")) fractions;
+  print_fractions fractions;
   (* the tier each JIT program ran on: the ISA, scalar C, or why it fell
      back to the interpreter *)
   List.iter
@@ -536,6 +521,13 @@ let checkpoint_cmd =
     Term.(const checkpoint $ model_arg $ size_arg $ steps_arg $ ranks_arg $ split_arg
           $ snap_out_arg)
 
+let verify_resumed bad =
+  if bad = 0 then Fmt.pr "verification: resumed run = uninterrupted run (bitwise)@."
+  else begin
+    Fmt.epr "verification FAILED: %d cell value(s) differ@." bad;
+    exit 1
+  end
+
 let resume params input steps verify =
   let g = generate params false in
   let snap = Resilience.Snapshot.load input in
@@ -572,14 +564,11 @@ let resume params input steps verify =
             ~block_dims:snap.Resilience.Snapshot.block_dims g
         in
         Blocks.Forest.run clean ~steps:(snap.Resilience.Snapshot.step + steps);
-        let bad = forest_phi_mismatches g forest clean in
-        if bad = 0 then Fmt.pr "verification: resumed run = uninterrupted run (bitwise)@."
-        else begin
-          Fmt.epr "verification FAILED: %d cell value(s) differ@." bad;
-          exit 1
-        end
+        verify_resumed
+          (phi_mismatches g ~global_dims:forest.Blocks.Forest.global_dims
+             (Blocks.Forest.get forest) (Blocks.Forest.get clean))
       end;
-      Blocks.Forest.phase_fractions forest
+      Blocks.Reduce.phase_fractions forest
     end
     else begin
       let sim =
@@ -592,23 +581,9 @@ let resume params input steps verify =
       if verify then begin
         let clean = build_single ~split ~dims:snap.Resilience.Snapshot.block_dims params g in
         Pfcore.Timestep.run clean ~steps:(snap.Resilience.Snapshot.step + steps);
-        let phi = g.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-        let a = Vm.Engine.buffer sim.Pfcore.Timestep.block phi in
-        let b = Vm.Engine.buffer clean.Pfcore.Timestep.block phi in
-        let bad = ref 0 in
-        Array.iteri
-          (fun i x ->
-            if
-              not
-                (Int64.equal (Int64.bits_of_float x)
-                   (Int64.bits_of_float b.Vm.Buffer.data.(i)))
-            then incr bad)
-          a.Vm.Buffer.data;
-        if !bad = 0 then Fmt.pr "verification: resumed run = uninterrupted run (bitwise)@."
-        else begin
-          Fmt.epr "verification FAILED: %d buffer element(s) differ@." !bad;
-          exit 1
-        end
+        verify_resumed
+          (phi_mismatches g ~global_dims:snap.Resilience.Snapshot.global_dims
+             (single_get sim) (single_get clean))
       end;
       Pfcore.Simulation.phase_fractions sim
     end
@@ -617,7 +592,7 @@ let resume params input steps verify =
     params.Pfcore.Params.name size dim ranks
     (if ranks > 1 then "s" else "")
     snap.Resilience.Snapshot.step;
-  Fmt.pr "phase fractions: %a@." Fmt.(array ~sep:sp (fmt "%.4f")) fractions
+  print_fractions fractions
 
 let snap_in_arg =
   Arg.(required & opt (some string) None & info [ "i"; "input" ] ~doc:"Snapshot file to resume from." ~docv:"FILE")

@@ -32,8 +32,10 @@
       block's ghost layers must equal the mid-step exchanged values of
       the uniform run, which the constant fill alone cannot provide.
 
-    Frozen blocks still participate in ghost exchange: the slab an
-    all-constant neighbor would send is synthesised locally
+    The step, the ghost exchange and the reductions are {!Lockstep}'s,
+    over this forest's own states and owners; this module keeps the
+    adaptation.  Frozen blocks still participate in ghost exchange: the
+    slab an all-constant neighbor would send is synthesised locally
     ({!Ghost.constant_slab}) — no messages, no sweeps, no storage.
     Refinement levels are the clamped Chebyshev block distance to the
     nearest active block, which makes the forest 2:1 balanced by
@@ -47,11 +49,8 @@
 
 open Symbolic
 
-type consts = (Fieldspec.t * float array) list
-(** Per tracked field, the per-storage-component constants of a frozen
-    block (φ and μ source/destination pairs share one vertex each). *)
-
-type state = Active of Pfcore.Timestep.t | Frozen of consts
+type consts = Lockstep.consts
+type state = Lockstep.state = Active of Pfcore.Timestep.t | Frozen of consts
 
 type mode =
   | Static  (** adapt once after [prime]; only corrective thaws afterwards *)
@@ -77,9 +76,13 @@ type t = {
   states : state array;
   levels : int array;  (** 0 = active; ≥ 1 = coarsening level of a frozen block *)
   owner : int array;   (** owning rank per block (Morton-balanced) *)
+  blocks : Lockstep.t;  (** the lockstep view of [states] and [owner] (the same arrays) *)
   mutable step_count : int;
   mutable time : float;
   mutable cells_touched : int;  (** cumulative interior cells actually swept *)
+  mutable uniform_cells : int;
+      (** cumulative cells the uniform run sweeps in the same steps,
+          replays after a rollback included *)
   mutable freezes : int;
   mutable thaws : int;
   mutable migrations : int;
@@ -92,13 +95,8 @@ type t = {
 
 let nblocks t = Array.length t.states
 let block_cells t = Array.fold_left ( * ) 1 t.block_dims
-let block_coords t id = Forest.rank_coords t.bgrid id
-let block_id t c = Forest.rank_of_coords t.bgrid c
-
-let face_neighbor t id ~axis ~dir =
-  let c = block_coords t id in
-  c.(axis) <- (((c.(axis) + dir) mod t.bgrid.(axis)) + t.bgrid.(axis)) mod t.bgrid.(axis);
-  block_id t c
+let block_coords t id = Lockstep.coords t.bgrid id
+let block_id t c = Lockstep.id_of_coords t.bgrid c
 
 (** Distinct periodic Chebyshev-1 neighbors of a block, excluding itself
     (on short axes the wrap can alias neighbors together). *)
@@ -132,17 +130,9 @@ let chebyshev_dist t a b =
     t.bgrid;
   !dist
 
-let fields t = t.gen.Pfcore.Genkernels.fields
-let has_mu t = Pfcore.Params.n_mu t.gen.Pfcore.Genkernels.params > 0
-let buffer (sim : Pfcore.Timestep.t) f = Vm.Engine.buffer sim.Pfcore.Timestep.block f
+let fields t = Lockstep.fields t.blocks
+let has_mu t = Lockstep.has_mu t.blocks
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let const_of (consts : consts) (f : Fieldspec.t) =
-  match
-    List.find_opt (fun ((g : Fieldspec.t), _) -> g.Fieldspec.name = f.Fieldspec.name) consts
-  with
-  | Some (_, cv) -> cv
-  | None -> invalid_arg ("Adaptive: no frozen constant for field " ^ f.Fieldspec.name)
 
 (* ------------------------------------------------------------------ *)
 (* Static freezability scan                                            *)
@@ -183,12 +173,19 @@ let gen_freezable (gen : Pfcore.Genkernels.t) =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Reduction rounds own [Lockstep.reduce_tag_base ..); the per-face
+   exchange channels and the migration channels each get their own range
+   so no two logical streams ever share a (src, dst, tag) channel. *)
+let exchange_tag_base = 1000
+let migrate_tag_base = 100000
+
 let make_sim t id =
   let c = block_coords t id in
   let offset = Array.mapi (fun d n -> c.(d) * n) t.block_dims in
-  (* exchange is driven by this module, never by the sim itself *)
+  (* the exchange is driven by the block set ({!Lockstep}), never by the sim *)
   Pfcore.Timestep.create ~variant_phi:t.variant_phi ~variant_mu:t.variant_mu
-    ?num_domains:t.num_domains ?tile:t.tile ?backend:t.backend ~rank:t.owner.(id)
+    ?num_domains:t.num_domains ?tile:t.tile ?backend:t.backend
+    ~lane:(Obs.Sink.rank_lane t.owner.(id))
     ~exchange:(fun _ _ -> ())
     ~global_dims:t.global_dims ~offset ~dims:t.block_dims t.gen
 
@@ -227,13 +224,19 @@ let create ?(variant_phi = Pfcore.Timestep.Full) ?(variant_mu = Pfcore.Timestep.
   if adapt_every < 1 then invalid_arg "Adaptive.create: adapt_every must be positive";
   if max_level < 1 then invalid_arg "Adaptive.create: max_level must be positive";
   let nb = Array.fold_left ( * ) 1 bgrid in
+  let blocks =
+    Lockstep.create ~tags:(Lockstep.Per_face exchange_tag_base) ~comm:(Mpisim.create ranks)
+      ~grid:(Array.copy bgrid) ~block_dims:(Array.copy block_dims) ~owner:(Array.make nb 0)
+      (Array.make nb (Frozen []))
+      gen
+  in
   let t =
     {
-      comm = Mpisim.create ranks;
+      comm = blocks.Lockstep.comm;
       gen;
-      bgrid = Array.copy bgrid;
-      block_dims = Array.copy block_dims;
-      global_dims = Array.mapi (fun d n -> n * bgrid.(d)) block_dims;
+      bgrid = blocks.Lockstep.grid;
+      block_dims = blocks.Lockstep.block_dims;
+      global_dims = blocks.Lockstep.global_dims;
       n_ranks = ranks;
       variant_phi;
       variant_mu;
@@ -245,12 +248,14 @@ let create ?(variant_phi = Pfcore.Timestep.Full) ?(variant_mu = Pfcore.Timestep.
       max_level;
       adapt_every;
       freezable = gen_freezable gen;
-      states = Array.make nb (Frozen []);
+      states = blocks.Lockstep.states;
       levels = Array.make nb 0;
-      owner = Array.make nb 0;
+      owner = blocks.Lockstep.owner;
+      blocks;
       step_count = 0;
       time = 0.;
       cells_touched = 0;
+      uniform_cells = 0;
       freezes = 0;
       thaws = 0;
       migrations = 0;
@@ -272,76 +277,6 @@ let active_sims t =
   |> List.filter_map (function Active sim -> Some sim | Frozen _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Ghost exchange (frozen neighbors serviced by constant slabs)        *)
-(* ------------------------------------------------------------------ *)
-
-(* Reduction rounds own [Reduce.tag_base ..); the per-face exchange
-   channels and the migration channels each get their own range so no
-   two logical streams ever share a (src, dst, tag) channel. *)
-let exchange_tag_base = 1000
-let migrate_tag_base = 100000
-
-let face_tag t ~recv ~axis ~side =
-  exchange_tag_base
-  + (((recv * Array.length t.bgrid) + axis) * 2)
-  + (match side with Ghost.Low -> 0 | Ghost.High -> 1)
-
-let live_owner t id = Mpisim.live t.comm t.owner.(id)
-
-let exchange_axis_sends t (field : Fieldspec.t) ~axis =
-  Array.iteri
-    (fun id st ->
-      match st with
-      | Active sim when live_owner t id ->
-        let buf = buffer sim field in
-        let send ~side ~dir ~face =
-          let nb = face_neighbor t id ~axis ~dir in
-          match t.states.(nb) with
-          | Frozen _ -> () (* frozen blocks keep no ghost layers *)
-          | Active _ ->
-            Ghost.send_slab t.comm ~src:t.owner.(id) ~dst:t.owner.(nb)
-              ~tag:(face_tag t ~recv:nb ~axis ~side:face) buf ~axis ~side
-        in
-        send ~side:Ghost.Low ~dir:(-1) ~face:Ghost.High;
-        send ~side:Ghost.High ~dir:1 ~face:Ghost.Low
-      | _ -> ())
-    t.states
-
-let exchange_axis_recvs t (field : Fieldspec.t) ~axis =
-  Array.iteri
-    (fun id st ->
-      match st with
-      | Active sim when live_owner t id ->
-        let buf = buffer sim field in
-        let recv ~side ~dir =
-          let nb = face_neighbor t id ~axis ~dir in
-          match t.states.(nb) with
-          | Frozen consts ->
-            (* the slab an all-constant neighbor would have sent *)
-            Ghost.unpack buf ~axis ~side
-              (Ghost.constant_slab buf ~axis (const_of consts field))
-          | Active _ ->
-            Ghost.recv_slab t.comm ~src:t.owner.(nb) ~dst:t.owner.(id)
-              ~tag:(face_tag t ~recv:id ~axis ~side) buf ~axis ~side
-        in
-        recv ~side:Ghost.Low ~dir:(-1);
-        recv ~side:Ghost.High ~dir:1
-      | _ -> ())
-    t.states
-
-let exchange t (field : Fieldspec.t) =
-  Obs.Span.in_lane 0 (fun () ->
-      Obs.Span.with_ ~cat:"comm" ("exchange:" ^ field.Fieldspec.name) (fun () ->
-          for axis = 0 to Array.length t.block_dims - 1 do
-            exchange_axis_sends t field ~axis;
-            exchange_axis_recvs t field ~axis
-          done))
-
-let prime_ghosts t =
-  exchange t (fields t).Pfcore.Model.phi_src;
-  if has_mu t then exchange t (fields t).Pfcore.Model.mu_src
-
-(* ------------------------------------------------------------------ *)
 (* Uniformity scan, probe certificate, freeze / thaw                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -356,7 +291,7 @@ let freeze_margin_ok t = Array.for_all (fun n -> n >= min_freeze_dim) t.block_di
 (* Per-storage-component constants of one field's interior, when it is
    bitwise uniform. *)
 let uniform_field (sim : Pfcore.Timestep.t) (f : Fieldspec.t) =
-  let buf = buffer sim f in
+  let buf = Lockstep.buffer sim f in
   let nc = buf.Vm.Buffer.components in
   let dims = buf.Vm.Buffer.dims in
   let dim = Array.length dims in
@@ -416,7 +351,7 @@ let consts_equal (a : consts) (b : consts) =
 let bulk_vertex t (consts : consts) =
   Array.for_all
     (fun v -> not (v > Vm.Reduce.interface_lo && v < Vm.Reduce.interface_hi))
-    (const_of consts (fields t).Pfcore.Model.phi_src)
+    (Lockstep.const_of consts (fields t).Pfcore.Model.phi_src)
 
 let probe_key (consts : consts) =
   String.concat ";"
@@ -470,7 +405,7 @@ let certify t (consts : consts) =
           Pfcore.Timestep.step sim;
           let fixed f =
             match uniform_field sim f with
-            | Some cw -> Array.for_all2 bits_equal (const_of consts f) cw
+            | Some cw -> Array.for_all2 bits_equal (Lockstep.const_of consts f) cw
             | None -> false
           in
           fixed (fields t).Pfcore.Model.phi_src
@@ -635,127 +570,28 @@ let adapt_round t ~allow_freeze =
       (* a materialised block's ghosts must hold the uniform run's
          mid-step exchanged values; re-priming is idempotent on every
          other active block (their ghosts already equal the true field) *)
-      if !thawed then prime_ghosts t;
+      if !thawed then Lockstep.prime t.blocks;
       if allow_freeze then rebalance t)
 
 (** Prime source-field ghosts after initial conditions, then run the
     initial adaptation (both modes — a [Static] forest is refined
     exactly once, here). *)
 let prime t =
-  prime_ghosts t;
+  Lockstep.prime t.blocks;
   adapt_round t ~allow_freeze:true
 
 (* ------------------------------------------------------------------ *)
-(* Stepping                                                            *)
+(* Stepping, cell access and canonical reductions                      *)
 (* ------------------------------------------------------------------ *)
 
-let each_active t f =
-  Array.iteri
-    (fun id st -> match st with Active sim when live_owner t id -> f sim | _ -> ())
-    t.states
-
-let step_sequential t =
-  each_active t Pfcore.Timestep.phase_phi;
-  exchange t (fields t).Pfcore.Model.phi_dst;
-  each_active t Pfcore.Timestep.phase_mu;
-  if has_mu t then exchange t (fields t).Pfcore.Model.mu_dst;
-  each_active t Pfcore.Timestep.finish
-
-(* A pending axis-0 completion: a posted receive, or the local unpack of
-   a frozen neighbor's constant slab (kept in drain position so the
-   overlapped exchange stays bitwise identical to the sequential one). *)
-type pending = Recv of Ghost.pending | Fill of (unit -> unit)
-
-let post_axis0_overlap t (field : Fieldspec.t) =
-  let axis = 0 in
-  Array.iteri
-    (fun id st ->
-      match st with
-      | Active sim when live_owner t id ->
-        let buf = buffer sim field in
-        let send ~side ~dir ~face =
-          let nb = face_neighbor t id ~axis ~dir in
-          match t.states.(nb) with
-          | Frozen _ -> ()
-          | Active _ ->
-            Ghost.isend_slab t.comm ~src:t.owner.(id) ~dst:t.owner.(nb)
-              ~tag:(face_tag t ~recv:nb ~axis ~side:face) buf ~axis ~side
-        in
-        send ~side:Ghost.Low ~dir:(-1) ~face:Ghost.High;
-        send ~side:Ghost.High ~dir:1 ~face:Ghost.Low
-      | _ -> ())
-    t.states;
-  let pending = ref [] in
-  Array.iteri
-    (fun id st ->
-      match st with
-      | Active sim when live_owner t id ->
-        let buf = buffer sim field in
-        let post ~side ~dir =
-          let nb = face_neighbor t id ~axis ~dir in
-          match t.states.(nb) with
-          | Frozen consts ->
-            pending :=
-              Fill
-                (fun () ->
-                  Ghost.unpack buf ~axis ~side
-                    (Ghost.constant_slab buf ~axis (const_of consts field)))
-              :: !pending
-          | Active _ ->
-            pending :=
-              Recv
-                (Ghost.irecv_slab t.comm ~src:t.owner.(nb) ~dst:t.owner.(id)
-                   ~tag:(face_tag t ~recv:id ~axis ~side) buf ~axis ~side)
-              :: !pending
-        in
-        post ~side:Ghost.Low ~dir:(-1);
-        post ~side:Ghost.High ~dir:1
-      | _ -> ())
-    t.states;
-  List.rev !pending
-
-(* Mirror of [Forest.step_overlapped] over the adaptive forest: the
-   axis-0 φ_dst exchange flies under the deep-interior μ sweep of the
-   active blocks. *)
-let step_overlapped t =
-  each_active t Pfcore.Timestep.phase_phi;
-  if not (has_mu t) then begin
-    exchange t (fields t).Pfcore.Model.phi_dst;
-    each_active t Pfcore.Timestep.finish
-  end
-  else begin
-    let phi_dst = (fields t).Pfcore.Model.phi_dst in
-    let pending =
-      Obs.Span.in_lane 0 (fun () ->
-          Obs.Span.with_ ~cat:"comm" ("exchange.overlap:" ^ phi_dst.Fieldspec.name)
-            (fun () -> post_axis0_overlap t phi_dst))
-    in
-    each_active t Pfcore.Timestep.phase_mu_interior;
-    Obs.Span.in_lane 0 (fun () ->
-        Obs.Span.with_ ~cat:"comm" ("exchange.wait:" ^ phi_dst.Fieldspec.name) (fun () ->
-            List.iter
-              (function Recv p -> Ghost.await_slab t.comm p | Fill f -> f ())
-              pending;
-            for axis = 1 to Array.length t.block_dims - 1 do
-              exchange_axis_sends t phi_dst ~axis;
-              exchange_axis_recvs t phi_dst ~axis
-            done));
-    each_active t Pfcore.Timestep.phase_mu_shell;
-    exchange t (fields t).Pfcore.Model.mu_dst;
-    each_active t Pfcore.Timestep.finish
-  end
-
-(** One lockstep step over the active blocks, followed by the adaptation
-    round (thaws every step — a correctness matter; freezing, level
-    recomputation and Morton rebalance every [adapt_every] steps in
-    [Adapt] mode). *)
+(** One lockstep step over the active blocks ({!Lockstep.step}), followed
+    by the adaptation round (thaws every step — a correctness matter;
+    freezing, level recomputation and Morton rebalance every
+    [adapt_every] steps in [Adapt] mode). *)
 let step t =
-  Obs.Span.with_ ~cat:"step" ~args:[ ("step", float_of_int t.step_count) ] "step"
-    (fun () ->
-      Mpisim.begin_step t.comm ~step:t.step_count;
-      if t.overlap then step_overlapped t else step_sequential t;
-      Mpisim.finalize t.comm);
+  Lockstep.step t.blocks ~overlap:t.overlap ~step:t.step_count;
   t.cells_touched <- t.cells_touched + active_cells t;
+  t.uniform_cells <- t.uniform_cells + Vm.Reduce.total_cells t.global_dims;
   t.step_count <- t.step_count + 1;
   t.time <- t.time +. t.gen.Pfcore.Genkernels.params.Pfcore.Params.dt;
   let allow_freeze =
@@ -771,121 +607,33 @@ let run ?(on_step = fun (_ : t) -> ()) t ~steps =
 
 let step_count t = t.step_count
 
-(* ------------------------------------------------------------------ *)
-(* Cell access and canonical reductions                                *)
-(* ------------------------------------------------------------------ *)
-
 (** Read one interior cell by global coordinates — the oracle battery's
     probe for adaptive-vs-uniform bitwise equality (frozen blocks answer
     from their constants). *)
-let get t (field : Fieldspec.t) ~component global =
-  let dim = Array.length t.block_dims in
-  let bc = Array.init dim (fun d -> global.(d) / t.block_dims.(d)) in
-  let local = Array.init dim (fun d -> global.(d) mod t.block_dims.(d)) in
-  match t.states.(block_id t bc) with
-  | Active sim -> Vm.Buffer.get (buffer sim field) ~component local
-  | Frozen consts -> (const_of consts field).(component)
+let get t field ~component global = Lockstep.get t.blocks field ~component global
 
-(* Canonical nodes of a frozen block: same tree segments an active block
-   would publish, with the constant read in place of the buffer. *)
-let frozen_partial t id (consts : consts) (field : Fieldspec.t) cellfn op :
-    Vm.Reduce.partial =
-  let dim = Array.length t.block_dims in
-  let gdims = t.global_dims in
-  let n = Vm.Reduce.total_cells gdims in
-  let c = block_coords t id in
-  let offset = Array.mapi (fun d bd -> c.(d) * bd) t.block_dims in
-  let f =
-    match cellfn with
-    | Vm.Reduce.Component comp ->
-      let v = (const_of consts field).(comp) in
-      fun _ -> v
-    | Vm.Reduce.Interface ->
-      let cv = const_of consts field in
-      let hit =
-        Array.exists
-          (fun v -> v > Vm.Reduce.interface_lo && v < Vm.Reduce.interface_hi)
-          cv
-      in
-      let v = if hit then 1. else 0. in
-      fun _ -> v
-    | Vm.Reduce.Custom fn ->
-      fun gi ->
-        let g = Array.make dim 0 in
-        let rem = ref gi in
-        for d = 0 to dim - 1 do
-          g.(d) <- !rem mod gdims.(d);
-          rem := !rem / gdims.(d)
-        done;
-        fn g
-  in
-  let acc = ref [] in
-  let coords = Array.copy offset in
-  let rec walk d =
-    if d = 0 then begin
-      coords.(0) <- offset.(0);
-      let a = Vm.Reduce.global_index gdims coords in
-      let b = a + t.block_dims.(0) in
-      acc := Vm.Reduce.segment ~n f op a b @ !acc
-    end
-    else
-      for i = 0 to t.block_dims.(d) - 1 do
-        coords.(d) <- offset.(d) + i;
-        walk (d - 1)
-      done
-  in
-  walk (dim - 1);
-  !acc
-
-(** Deterministic scalar reduction over the adaptive forest: active
-    blocks reduce their buffers through the pooled tiled sweep, frozen
-    blocks publish the canonical nodes of their constants, per-rank node
-    sets combine over the fixed rank tree — bitwise identical to the
-    same reduction over the uniform fine grid, whatever is frozen. *)
-let scalar ?backend ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
-  let per_rank = Array.make t.n_ranks [] in
-  for id = nblocks t - 1 downto 0 do
-    let p =
-      match t.states.(id) with
-      | Active sim ->
-        Vm.Reduce.block_partial
-          ~backend:(Option.value backend ~default:sim.Pfcore.Timestep.backend)
-          ~num_domains:
-            (Option.value num_domains ~default:sim.Pfcore.Timestep.num_domains)
-          ?tile:(match tile with Some _ -> tile | None -> sim.Pfcore.Timestep.tile)
-          sim.Pfcore.Timestep.block field cellfn op
-      | Frozen consts -> frozen_partial t id consts field cellfn op
-    in
-    per_rank.(t.owner.(id)) <- p @ per_rank.(t.owner.(id))
-  done;
-  let nodes = Reduce.tree_gather t.comm per_rank in
-  Vm.Reduce.assemble ~n:(Vm.Reduce.total_cells t.global_dims) op [ nodes ]
+(** Deterministic scalar reduction over the adaptive forest
+    ({!Lockstep.scalar}): bitwise identical to the same reduction over
+    the uniform fine grid, whatever is frozen. *)
+let scalar ?backend ?num_domains ?tile t field cellfn op =
+  Lockstep.scalar ?backend ?num_domains ?tile t.blocks field cellfn op
 
 let phase_fractions ?backend ?num_domains ?tile t =
-  let phi = (fields t).Pfcore.Model.phi_src in
-  let n = float_of_int (Vm.Reduce.total_cells t.global_dims) in
-  Array.init phi.Fieldspec.components (fun c ->
-      scalar ?backend ?num_domains ?tile t phi (Vm.Reduce.Component c) Vm.Reduce.Sum /. n)
+  Lockstep.phase_fractions ?backend ?num_domains ?tile t.blocks
 
 let interface_cells ?backend ?num_domains ?tile t =
-  scalar ?backend ?num_domains ?tile t (fields t).Pfcore.Model.phi_src Vm.Reduce.Interface
-    Vm.Reduce.Sum
-
-let interface_fraction ?backend ?num_domains ?tile t =
-  interface_cells ?backend ?num_domains ?tile t
-  /. float_of_int (Vm.Reduce.total_cells t.global_dims)
+  Lockstep.interface_cells ?backend ?num_domains ?tile t.blocks
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Cells-touched savings over the uniform run so far (≥ 1; 1 = nothing
-    ever froze). *)
+(** Cells-touched savings over the uniform run of the same swept steps,
+    replays after a rollback included (≥ 1; exactly 1 when nothing ever
+    froze). *)
 let savings t =
   if t.cells_touched = 0 then 1.
-  else
-    float_of_int (Vm.Reduce.total_cells t.global_dims * t.step_count)
-    /. float_of_int t.cells_touched
+  else float_of_int t.uniform_cells /. float_of_int t.cells_touched
 
 (** Legacy-VTK dump of the global φ field plus the per-cell refinement
     level (frozen blocks answer from their constants). *)

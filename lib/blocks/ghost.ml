@@ -108,21 +108,14 @@ let await ?max_retries comm ~src ~dst ~tag req =
 let fetch ?max_retries comm ~src ~dst ~tag =
   await ?max_retries comm ~src ~dst ~tag (Mpisim.irecv comm ~src ~dst ~tag)
 
-(** Pack-and-send one slab (sequence number assigned by the substrate). *)
+(* ------------------------------------------------------------------ *)
+(* Slab exchange                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** Pack-and-send one slab (sequence number assigned by the substrate).
+    Sends are eager, so this is also the post of a nonblocking send. *)
 let send_slab comm ~src ~dst ~tag buf ~axis ~side =
   Mpisim.send comm ~src ~dst ~tag (pack buf ~axis ~side)
-
-(** Receive-and-unpack one slab through the self-healing protocol. *)
-let recv_slab ?max_retries comm ~src ~dst ~tag buf ~axis ~side =
-  unpack buf ~axis ~side (fetch ?max_retries comm ~src ~dst ~tag)
-
-(* ------------------------------------------------------------------ *)
-(* Nonblocking slab exchange (communication overlap, paper §7)          *)
-(* ------------------------------------------------------------------ *)
-
-(** Pack-and-post one slab send; completes immediately (eager protocol). *)
-let isend_slab comm ~src ~dst ~tag buf ~axis ~side =
-  ignore (Mpisim.isend comm ~src ~dst ~tag (pack buf ~axis ~side))
 
 (** A pending slab receive: the request plus where to unpack it. *)
 type pending = {
@@ -141,7 +134,8 @@ let irecv_slab comm ~src ~dst ~tag buf ~axis ~side =
     p_tag = tag; p_buf = buf; p_axis = axis; p_side = side }
 
 (** Complete a pending slab receive through the self-healing protocol and
-    unpack it into the ghost layer. *)
+    unpack it into the ghost layer.  Awaiting right after posting is the
+    blocking receive; awaiting later overlaps it (paper §7). *)
 let await_slab ?max_retries comm pending =
   unpack pending.p_buf ~axis:pending.p_axis ~side:pending.p_side
     (await ?max_retries comm ~src:pending.p_src ~dst:pending.p_dst

@@ -1,0 +1,401 @@
+(** Lockstep execution over a block set (paper §4, Algorithm 1, and the §7
+    inner/outer split).
+
+    A block set is the part of a block forest that a time step, a ghost
+    exchange and a forest-wide reduction need:
+
+    + a per-block {!state}: an active simulation, or the per-field
+      constants of a frozen block (the adaptive forest's coarsened bulk);
+    + a block → rank [owner];
+    + a precomputed periodic face-neighbour table;
+    + a per-face {!tags} rule naming the channel each ghost slab travels on.
+
+    {!Forest} builds one with every block active and one block per rank;
+    {!Adaptive} builds one over its own mutable states and Morton owners.
+    Both step, exchange, prime, read cells and reduce through this module
+    only, so the message-order rule that keeps the overlapped step bitwise
+    equal to the sequential one (check oracle 10) lives in one place. *)
+
+open Symbolic
+
+type consts = (Fieldspec.t * float array) list
+(** Per tracked field, the per-storage-component constants of a frozen
+    block (φ and μ source/destination pairs share one vertex each). *)
+
+type state = Active of Pfcore.Timestep.t | Frozen of consts
+
+(** The channel a ghost slab travels on, named by the face it fills. *)
+type tags =
+  | Per_axis
+      (** tag [2 axis + 1] fills a Low face, [2 axis] a High face: one
+          block per rank, so the rank pair tells faces apart *)
+  | Per_face of int
+      (** [base + 2 (block dim + axis) + side], side 0 for Low: one
+          channel per receiving face, so blocks sharing a rank pair never
+          share a channel *)
+
+type t = {
+  comm : Mpisim.t;
+  gen : Pfcore.Genkernels.t;
+  grid : int array;  (** blocks per axis *)
+  block_dims : int array;
+  global_dims : int array;
+  states : state array;
+  owner : int array;  (** owning rank per block *)
+  neighbors : int array;
+      (** periodic face neighbours, computed once: the block beside [id]
+          on [axis] is at [((id * dim) + axis) * 2] (Low) and the slot
+          after it (High) *)
+  tags : tags;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Topology                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** Block coordinates of block [id] (axis 0 fastest). *)
+let coords grid id =
+  let dim = Array.length grid in
+  let c = Array.make dim 0 in
+  let rec go d id = if d < dim then (c.(d) <- id mod grid.(d); go (d + 1) (id / grid.(d))) in
+  go 0 id;
+  c
+
+let id_of_coords grid c =
+  let dim = Array.length grid in
+  let rec go d acc = if d < 0 then acc else go (d - 1) ((acc * grid.(d)) + c.(d)) in
+  go (dim - 1) 0
+
+let side_index = function Ghost.Low -> 0 | Ghost.High -> 1
+
+let create ~tags ~comm ~grid ~block_dims ~owner states gen =
+  let dim = Array.length grid in
+  let neighbors =
+    Array.init (Array.length states * dim * 2) (fun i ->
+        let c = coords grid (i / (dim * 2)) in
+        let axis = i / 2 mod dim and dir = if i mod 2 = 0 then -1 else 1 in
+        c.(axis) <- (((c.(axis) + dir) mod grid.(axis)) + grid.(axis)) mod grid.(axis);
+        id_of_coords grid c)
+  in
+  {
+    comm;
+    gen;
+    grid;
+    block_dims;
+    global_dims = Array.mapi (fun d n -> n * grid.(d)) block_dims;
+    states;
+    owner;
+    neighbors;
+    tags;
+  }
+
+let nblocks t = Array.length t.states
+
+(** The block beside [id] on the [side] of [axis] (periodic). *)
+let neighbor t id ~axis ~side =
+  t.neighbors.((((id * Array.length t.grid) + axis) * 2) + side_index side)
+
+(** Tag of the slab that fills the [side] ghosts of block [recv]. *)
+let face_tag t ~recv ~axis ~side =
+  match t.tags with
+  | Per_axis -> (axis * 2) + 1 - side_index side
+  | Per_face base -> base + (((recv * Array.length t.grid) + axis) * 2) + side_index side
+
+let fields t = t.gen.Pfcore.Genkernels.fields
+let has_mu t = Pfcore.Params.n_mu t.gen.Pfcore.Genkernels.params > 0
+let buffer (sim : Pfcore.Timestep.t) f = Vm.Engine.buffer sim.Pfcore.Timestep.block f
+let live t id = Mpisim.live t.comm t.owner.(id)
+
+let const_of (consts : consts) (f : Fieldspec.t) =
+  match
+    List.find_opt (fun ((g : Fieldspec.t), _) -> g.Fieldspec.name = f.Fieldspec.name) consts
+  with
+  | Some (_, cv) -> cv
+  | None -> invalid_arg ("Lockstep: no frozen constant for field " ^ f.Fieldspec.name)
+
+(** Read one interior cell by global coordinates (a frozen block answers
+    from its constants). *)
+let get t (field : Fieldspec.t) ~component global =
+  let dim = Array.length t.block_dims in
+  let bc = Array.init dim (fun d -> global.(d) / t.block_dims.(d)) in
+  let local = Array.init dim (fun d -> global.(d) mod t.block_dims.(d)) in
+  match t.states.(id_of_coords t.grid bc) with
+  | Active sim -> Vm.Buffer.get (buffer sim field) ~component local
+  | Frozen consts -> (const_of consts field).(component)
+
+(* ------------------------------------------------------------------ *)
+(* Ghost exchange                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every active block of a live rank sends its Low slab to its Low
+   neighbour, then its High slab to its High neighbour, in block order; a
+   frozen neighbour keeps no ghost layers and is sent nothing.  Sends are
+   eager ({!Mpisim.isend} completes at post time), so the blocking and the
+   overlapped exchange post the same stream. *)
+let send_face t ~axis id buf side =
+  let nb = neighbor t id ~axis ~side in
+  match t.states.(nb) with
+  | Frozen _ -> ()
+  | Active _ ->
+    let fills = match side with Ghost.Low -> Ghost.High | Ghost.High -> Ghost.Low in
+    Ghost.send_slab t.comm ~src:t.owner.(id) ~dst:t.owner.(nb)
+      ~tag:(face_tag t ~recv:nb ~axis ~side:fills) buf ~axis ~side
+
+let post_sends t field ~axis =
+  for id = 0 to nblocks t - 1 do
+    match t.states.(id) with
+    | Active sim when live t id ->
+      let buf = buffer sim field in
+      send_face t ~axis id buf Ghost.Low;
+      send_face t ~axis id buf Ghost.High
+    | _ -> ()
+  done
+
+(* One ghost face awaiting its slab: a posted receive from an active
+   neighbour, or the constant slab a frozen neighbour would have sent. *)
+type pending = Recv of Ghost.pending | Fill of Vm.Buffer.t * int * Ghost.side * float array
+
+let recv_face t field ~axis id buf side =
+  let nb = neighbor t id ~axis ~side in
+  match t.states.(nb) with
+  | Frozen consts -> Fill (buf, axis, side, const_of consts field)
+  | Active _ ->
+    Recv
+      (Ghost.irecv_slab t.comm ~src:t.owner.(nb) ~dst:t.owner.(id)
+         ~tag:(face_tag t ~recv:id ~axis ~side) buf ~axis ~side)
+
+let complete t = function
+  | Recv p -> Ghost.await_slab t.comm p
+  | Fill (buf, axis, side, cv) ->
+    Ghost.unpack buf ~axis ~side (Ghost.constant_slab buf ~axis cv)
+
+(* The drain order, which both exchange modes share: block by block, the
+   Low face (the High slab of the Low neighbour) before the High face.
+   Each face is posted and handed to [k], which completes it now
+   (blocking) or later (overlapped); posting consumes nothing, so the
+   two modes consume the identical (src, dst, tag) sequence and every
+   fault-plan decision and substrate counter matches. *)
+let post_recvs t field ~axis k =
+  for id = 0 to nblocks t - 1 do
+    match t.states.(id) with
+    | Active sim when live t id ->
+      let buf = buffer sim field in
+      k (recv_face t field ~axis id buf Ghost.Low);
+      k (recv_face t field ~axis id buf Ghost.High)
+    | _ -> ()
+  done
+
+let exchange_axis t field ~axis =
+  post_sends t field ~axis;
+  post_recvs t field ~axis (complete t)
+
+let comm_span prefix (field : Fieldspec.t) f =
+  (* an exchange involves all ranks, so its span lives on the process lane *)
+  Obs.Span.in_lane 0 (fun () -> Obs.Span.with_ ~cat:"comm" (prefix ^ field.Fieldspec.name) f)
+
+(** Exchange the ghost layers of [field] across all blocks, axis by axis
+    (later axes carry the corners), through the self-healing protocol
+    ({!Ghost.await}): drops, delays and duplicates heal in place, a dead
+    neighbour surfaces as [Ghost.Rank_crashed] for the recovery driver.
+    Blocks of a crashed rank neither send nor receive. *)
+let exchange t field =
+  comm_span "exchange:" field (fun () ->
+      for axis = 0 to Array.length t.block_dims - 1 do
+        exchange_axis t field ~axis
+      done)
+
+(** First half of the overlapped exchange (paper §7): post axis 0's sends
+    and receives without completing any. *)
+let start_exchange t field =
+  comm_span "exchange.overlap:" field (fun () ->
+      let pending = ref [] in
+      post_sends t field ~axis:0;
+      post_recvs t field ~axis:0 (fun p -> pending := p :: !pending);
+      List.rev !pending)
+
+(** Second half: complete axis 0's faces in drain order, then exchange the
+    remaining axes, which must follow axis 0 for the corners. *)
+let finish_exchange t field pending =
+  comm_span "exchange.wait:" field (fun () ->
+      List.iter (complete t) pending;
+      for axis = 1 to Array.length t.block_dims - 1 do
+        exchange_axis t field ~axis
+      done)
+
+(** Prime source-field ghosts after initial conditions are written. *)
+let prime t =
+  exchange t (fields t).Pfcore.Model.phi_src;
+  if has_mu t then exchange t (fields t).Pfcore.Model.mu_src
+
+(* ------------------------------------------------------------------ *)
+(* The step                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let each t f =
+  for id = 0 to nblocks t - 1 do
+    match t.states.(id) with Active sim when live t id -> f sim | _ -> ()
+  done
+
+(** One lockstep time step (Algorithm 1) over the active blocks, numbered
+    [step]: φ, the φ_dst exchange, μ, the μ_dst exchange, swap.  Activates
+    a pending rank crash at the step boundary and enforces the end-of-step
+    quiescence invariant ({!Mpisim.finalize}).  With [overlap] the axis-0
+    φ_dst exchange flies under the deep-interior μ sweep, whose cells
+    provably never read the ghost layer ([Pfcore.Timestep.mu_chain]), and
+    the halo shell is swept after it completes — bitwise identical to the
+    sequential order.  A model without μ has nothing to hide the exchange
+    behind and runs the sequential order. *)
+let step t ~overlap ~step =
+  Obs.Span.with_ ~cat:"step" ~args:[ ("step", float_of_int step) ] "step" (fun () ->
+      Mpisim.begin_step t.comm ~step;
+      let f = fields t in
+      each t Pfcore.Timestep.phase_phi;
+      if overlap && has_mu t then begin
+        let pending = start_exchange t f.Pfcore.Model.phi_dst in
+        each t Pfcore.Timestep.phase_mu_interior;
+        finish_exchange t f.Pfcore.Model.phi_dst pending;
+        each t Pfcore.Timestep.phase_mu_shell
+      end
+      else begin
+        exchange t f.Pfcore.Model.phi_dst;
+        each t Pfcore.Timestep.phase_mu
+      end;
+      if has_mu t then exchange t f.Pfcore.Model.mu_dst;
+      each t Pfcore.Timestep.finish;
+      Mpisim.finalize t.comm)
+
+(* ------------------------------------------------------------------ *)
+(* Canonical reductions                                                *)
+(* ------------------------------------------------------------------ *)
+
+(** First tag of the reduction channels (round [k] uses
+    [reduce_tag_base + k]), above the per-axis exchange tags and below
+    the per-face ones. *)
+let reduce_tag_base = 100
+
+(** Combine per-rank partials over a {e fixed recursive-halving binary
+    tree} over rank ids: in round [k], every rank [r] with
+    [r mod 2^(k+1) = 2^k] sends its accumulated node list to rank
+    [r - 2^k]; after [ceil(log2 n)] rounds rank 0 holds the full node set.
+    All sends of a round are posted before its receives drain.  Payloads
+    travel as [lo; hi; v] float triples through the self-healing
+    [Ghost.fetch]; a dead rank surfaces as [Ghost.Rank_crashed]. *)
+let tree_gather comm (partials : Vm.Reduce.partial array) : Vm.Reduce.partial =
+  let n = Array.length partials in
+  for r = 0 to n - 1 do
+    if not (Mpisim.live comm r) then raise (Ghost.Rank_crashed r)
+  done;
+  let acc = Array.copy partials in
+  let k = ref 0 in
+  while 1 lsl !k < n do
+    let h = 1 lsl !k in
+    let tag = reduce_tag_base + !k in
+    for r = 0 to n - 1 do
+      if r land ((2 * h) - 1) = h then
+        Mpisim.send comm ~src:r ~dst:(r - h) ~tag (Vm.Reduce.encode acc.(r))
+    done;
+    for r = 0 to n - 1 do
+      if r land ((2 * h) - 1) = 0 && r + h < n then
+        acc.(r) <- Vm.Reduce.decode (Ghost.fetch comm ~src:(r + h) ~dst:r ~tag) @ acc.(r)
+    done;
+    incr k
+  done;
+  acc.(0)
+
+(* Canonical nodes of a frozen block: same tree segments an active block
+   would publish, with the constant read in place of the buffer. *)
+let frozen_partial t id (consts : consts) (field : Fieldspec.t) cellfn op :
+    Vm.Reduce.partial =
+  let dim = Array.length t.block_dims in
+  let gdims = t.global_dims in
+  let n = Vm.Reduce.total_cells gdims in
+  let c = coords t.grid id in
+  let offset = Array.mapi (fun d bd -> c.(d) * bd) t.block_dims in
+  let f =
+    match cellfn with
+    | Vm.Reduce.Component comp ->
+      let v = (const_of consts field).(comp) in
+      fun _ -> v
+    | Vm.Reduce.Interface ->
+      let cv = const_of consts field in
+      let hit =
+        Array.exists
+          (fun v -> v > Vm.Reduce.interface_lo && v < Vm.Reduce.interface_hi)
+          cv
+      in
+      let v = if hit then 1. else 0. in
+      fun _ -> v
+    | Vm.Reduce.Custom fn ->
+      fun gi ->
+        let g = Array.make dim 0 in
+        let rem = ref gi in
+        for d = 0 to dim - 1 do
+          g.(d) <- !rem mod gdims.(d);
+          rem := !rem / gdims.(d)
+        done;
+        fn g
+  in
+  let acc = ref [] in
+  let cell = Array.copy offset in
+  let rec walk d =
+    if d = 0 then begin
+      cell.(0) <- offset.(0);
+      let a = Vm.Reduce.global_index gdims cell in
+      let b = a + t.block_dims.(0) in
+      acc := Vm.Reduce.segment ~n f op a b @ !acc
+    end
+    else
+      for i = 0 to t.block_dims.(d) - 1 do
+        cell.(d) <- offset.(d) + i;
+        walk (d - 1)
+      done
+  in
+  walk (dim - 1);
+  !acc
+
+(** Deterministic scalar reduction of one field over the block set.
+    Active blocks reduce their buffers through [Vm.Reduce.block_partial]
+    with their own pool, tile and backend (overridable); frozen blocks
+    publish the canonical nodes of their constants; per-rank node sets
+    combine over {!tree_gather}.  The tree shape depends only on the rank
+    count and nodes merge by key, so the scalar is bitwise identical for
+    any decomposition, whatever is frozen, and identical to the serial
+    single-block reference over the same global cells. *)
+let scalar ?backend ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
+  let partials =
+    Array.mapi
+      (fun id st ->
+        match st with
+        | Active sim ->
+          Vm.Reduce.block_partial
+            ~backend:(Option.value backend ~default:sim.Pfcore.Timestep.backend)
+            ~num_domains:(Option.value num_domains ~default:sim.Pfcore.Timestep.num_domains)
+            ?tile:(match tile with Some _ -> tile | None -> sim.Pfcore.Timestep.tile)
+            sim.Pfcore.Timestep.block field cellfn op
+        | Frozen consts -> frozen_partial t id consts field cellfn op)
+      t.states
+  in
+  let per_rank = Array.make t.comm.Mpisim.n_ranks [] in
+  for id = nblocks t - 1 downto 0 do
+    per_rank.(t.owner.(id)) <- partials.(id) @ per_rank.(t.owner.(id))
+  done;
+  let nodes = tree_gather t.comm per_rank in
+  Vm.Reduce.assemble ~n:(Vm.Reduce.total_cells t.global_dims) op [ nodes ]
+
+(** Volume-weighted phase fractions of φ_src: component [c]'s canonical
+    sum over every cell divided by the global cell count. *)
+let phase_fractions ?backend ?num_domains ?tile t =
+  let phi = (fields t).Pfcore.Model.phi_src in
+  let n = float_of_int (Vm.Reduce.total_cells t.global_dims) in
+  Array.init phi.Fieldspec.components (fun c ->
+      scalar ?backend ?num_domains ?tile t phi (Vm.Reduce.Component c) Vm.Reduce.Sum /. n)
+
+(** Canonical count of interface cells (any φ component strictly inside
+    the (0.01, 0.99) band) — the adaptive forest's refinement criterion. *)
+let interface_cells ?backend ?num_domains ?tile t =
+  scalar ?backend ?num_domains ?tile t (fields t).Pfcore.Model.phi_src Vm.Reduce.Interface
+    Vm.Reduce.Sum
+
+let interface_fraction ?backend ?num_domains ?tile t =
+  interface_cells ?backend ?num_domains ?tile t
+  /. float_of_int (Vm.Reduce.total_cells t.global_dims)

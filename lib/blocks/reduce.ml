@@ -1,110 +1,25 @@
 (** Cross-rank deterministic reductions for block forests.
 
-    Per-rank partials come from [Vm.Reduce.block_partial] (pooled, tiled,
+    Every value here is {!Lockstep.scalar} over the forest's block set:
+    per-rank partials from [Vm.Reduce.block_partial] (pooled, tiled,
     backend-selected — none of which can change the published canonical
-    nodes); this module combines them across simulated ranks through a
-    {e fixed recursive-halving binary tree} over rank ids.  In round [k],
-    every rank [r] with [r mod 2^(k+1) = 2^k] sends its accumulated node
-    list to rank [r - 2^k]; after [ceil(log2 n)] rounds rank 0 holds the
-    full node set and assembles the root value.  The tree shape depends
-    only on the rank count, and node values merge by key, so the scalar
-    is bitwise identical for any decomposition — and identical to the
-    serial single-block reference, because both assemble the same
-    canonical tree over the same global cell index space.
-
-    Payloads are [lo; hi; v] float triples on {!Mpisim} channels with
-    tags [>= tag_base] (disjoint from the ghost-exchange tags), received
-    through the self-healing [Ghost.fetch]: drop/delay/duplicate fault
-    plans heal in place, a dead peer surfaces as [Ghost.Rank_crashed] for
-    the recovery driver to roll back. *)
-
-(** First tag of the reduction channels (round [k] uses [tag_base + k]);
-    ghost exchange owns tags [0 .. 2*dim), block migration uses its own
-    range above this one. *)
-let tag_base = 100
-
-(** Combine per-rank partials over the rank tree; returns the node set
-    accumulated at rank 0.  All sends of a round are posted before its
-    receives drain, mirroring the lockstep exchange phases. *)
-let tree_gather comm (partials : Vm.Reduce.partial array) : Vm.Reduce.partial =
-  let n = Array.length partials in
-  for r = 0 to n - 1 do
-    if not (Mpisim.live comm r) then raise (Ghost.Rank_crashed r)
-  done;
-  let acc = Array.copy partials in
-  let k = ref 0 in
-  while 1 lsl !k < n do
-    let h = 1 lsl !k in
-    let tag = tag_base + !k in
-    for r = 0 to n - 1 do
-      if r land ((2 * h) - 1) = h then
-        Mpisim.send comm ~src:r ~dst:(r - h) ~tag (Vm.Reduce.encode acc.(r))
-    done;
-    for r = 0 to n - 1 do
-      if r land ((2 * h) - 1) = 0 && r + h < n then
-        acc.(r) <- Vm.Reduce.decode (Ghost.fetch comm ~src:(r + h) ~dst:r ~tag) @ acc.(r)
-    done;
-    incr k
-  done;
-  acc.(0)
+    nodes) combine over a fixed recursive-halving rank tree, so each
+    scalar is bitwise identical for any decomposition, and identical to
+    the serial single-block reference ([Pfcore.Diag]). *)
 
 (** Deterministic scalar reduction of one field over a whole forest.
     Each rank reduces its block with its own pool/tile/backend
     configuration (overridable) — the combination topology makes those
     choices invisible in the result. *)
-let forest_scalar ?backend ?num_domains ?tile (t : Forest.t) (field : Symbolic.Fieldspec.t)
-    cellfn op =
-  let partials =
-    Array.map
-      (fun (sim : Pfcore.Timestep.t) ->
-        Vm.Reduce.block_partial
-          ~backend:(Option.value backend ~default:sim.Pfcore.Timestep.backend)
-          ~num_domains:(Option.value num_domains ~default:sim.Pfcore.Timestep.num_domains)
-          ?tile:
-            (match tile with Some _ -> tile | None -> sim.Pfcore.Timestep.tile)
-          sim.Pfcore.Timestep.block field cellfn op)
-      t.Forest.sims
-  in
-  let nodes = tree_gather t.Forest.comm partials in
-  Vm.Reduce.assemble ~n:(Vm.Reduce.total_cells t.Forest.global_dims) op [ nodes ]
+let forest_scalar ?backend ?num_domains ?tile (t : Forest.t) field cellfn op =
+  Lockstep.scalar ?backend ?num_domains ?tile t.Forest.blocks field cellfn op
 
-(* ------------------------------------------------------------------ *)
-(* Canonical diagnostics                                               *)
-(* ------------------------------------------------------------------ *)
-
-let phi_src (t : Forest.t) =
-  t.Forest.sims.(0).Pfcore.Timestep.gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src
-
-(** Volume-weighted phase fractions of the forest's φ source field:
-    component [c]'s fraction is the canonical-tree sum of φ_c over every
-    cell divided by the global cell count.  Bitwise reproducible across
-    any decomposition — the deterministic replacement for the
-    order-dependent per-rank average [Forest.phase_fractions] kept for
-    display purposes. *)
+(** Volume-weighted phase fractions of the forest's φ source field,
+    bitwise reproducible across any decomposition. *)
 let phase_fractions ?backend ?num_domains ?tile (t : Forest.t) =
-  let phi = phi_src t in
-  let n = float_of_int (Vm.Reduce.total_cells t.Forest.global_dims) in
-  Array.init phi.Symbolic.Fieldspec.components (fun c ->
-      forest_scalar ?backend ?num_domains ?tile t phi (Vm.Reduce.Component c)
-        Vm.Reduce.Sum
-      /. n)
+  Lockstep.phase_fractions ?backend ?num_domains ?tile t.Forest.blocks
 
-(** Canonical-tree count of interface cells (any φ component strictly
-    inside the (0.01, 0.99) band) — the refinement criterion of the
-    adaptive forest. *)
-let interface_cells ?backend ?num_domains ?tile (t : Forest.t) =
-  forest_scalar ?backend ?num_domains ?tile t (phi_src t) Vm.Reduce.Interface
-    Vm.Reduce.Sum
-
+(** Fraction of cells in the interface band (any φ component strictly
+    inside (0.01, 0.99)), canonical-tree counted. *)
 let interface_fraction ?backend ?num_domains ?tile (t : Forest.t) =
-  interface_cells ?backend ?num_domains ?tile t
-  /. float_of_int (Vm.Reduce.total_cells t.Forest.global_dims)
-
-(** NaN-aware extrema of one component of a field over the forest. *)
-let min_value ?backend ?num_domains ?tile (t : Forest.t) field ~component =
-  forest_scalar ?backend ?num_domains ?tile t field (Vm.Reduce.Component component)
-    Vm.Reduce.Min
-
-let max_value ?backend ?num_domains ?tile (t : Forest.t) field ~component =
-  forest_scalar ?backend ?num_domains ?tile t field (Vm.Reduce.Component component)
-    Vm.Reduce.Max
+  Lockstep.interface_fraction ?backend ?num_domains ?tile t.Forest.blocks

@@ -959,8 +959,12 @@ let adaptive_crash_restart ~count =
       Blocks.Mpisim.set_fault_plan faulty.Blocks.Adaptive.comm
         (adaptive_fault_plan ~crash:(s.Gen.ad_crash_rank, s.Gen.ad_crash_step) s);
       let stats =
-        Resilience.Recovery.run_protected_adaptive ~every:s.Gen.ad_ckpt_every
-          ~steps:s.Gen.ad_steps faulty
+        Resilience.Recovery.protect ~every:s.Gen.ad_ckpt_every ~steps:s.Gen.ad_steps
+          ~step_count:(fun () -> Blocks.Adaptive.step_count faulty)
+          ~step:(fun () -> Blocks.Adaptive.step faulty)
+          ~capture:(fun () -> Resilience.Snapshot.capture_adaptive faulty)
+          ~restore:(fun snap -> Resilience.Snapshot.restore_adaptive snap faulty)
+          faulty.Blocks.Adaptive.comm
       in
       stats.Resilience.Recovery.restarts >= 1
       && Resilience.Snapshot.equal_adaptive

@@ -50,17 +50,16 @@ let variant_kernels variant ~full ~(split : Genkernels.pair) =
     chosen φ and μ variants and the projection.  Binding shares each
     kernel's {!Vm.Engine.program} with every other block, so it costs a
     ghost check; the other variants are never bound.
-    [rank] names the simulated rank this block belongs to (set by
-    [Blocks.Forest]); it only affects which observability lane the block's
-    spans land on, and [lane] overrides that mapping directly (the farm
-    scheduler places each job on its own trace lane).  [alloc] supplies the
-    field-buffer storage — the hook [Serve.Mempool] uses to recycle arrays
-    across jobs.  [num_domains] defaults to the pool width requested by
-    [PFGEN_DOMAINS]; [tile] fixes the cache-blocking shape of every kernel
-    sweep (loop-depth indexed, [0] = full extent at that depth). *)
+    [lane] is the observability lane the block's spans land on (default
+    0; a forest passes its block's rank lane, the farm scheduler one lane
+    per job).  [alloc] supplies the field-buffer storage — the hook
+    [Serve.Mempool] uses to recycle arrays across jobs.  [num_domains]
+    defaults to the pool width requested by [PFGEN_DOMAINS]; [tile] fixes
+    the cache-blocking shape of every kernel sweep (loop-depth indexed,
+    [0] = full extent at that depth). *)
 let create ?(variant_phi = Full) ?(variant_mu = Full)
     ?(num_domains = Vm.Pool.default_domains ()) ?tile
-    ?(backend = Vm.Engine.default_backend ()) ?rank ?lane ?(exchange = default_exchange)
+    ?(backend = Vm.Engine.default_backend ()) ?(lane = 0) ?(exchange = default_exchange)
     ?alloc ?global_dims ?offset ~dims (gen : Genkernels.t) =
   let block =
     Vm.Engine.make_block ~ghost:2 ?alloc ?global_dims ?offset ~dims (field_list gen)
@@ -74,11 +73,7 @@ let create ?(variant_phi = Full) ?(variant_mu = Full)
     num_domains;
     tile;
     backend;
-    lane =
-      (match (lane, rank) with
-      | Some l, _ -> l
-      | None, Some r -> Obs.Sink.rank_lane r
-      | None, None -> 0);
+    lane;
     exchange;
     phi = List.map bind (variant_kernels variant_phi ~full:gen.phi_full ~split:gen.phi_split);
     mu =
@@ -321,9 +316,9 @@ let variant_of_choice (c : Vm.Tune.choice) = if c.Vm.Tune.variant_label = "split
 
 (** [create] with every knob taken from a tuning [plan] (freshly computed
     from the [Vm.Tune] cache when not supplied). *)
-let create_tuned ?plan ?rank ?exchange ?global_dims ?offset ~dims (gen : Genkernels.t) =
+let create_tuned ?plan ?exchange ?global_dims ?offset ~dims (gen : Genkernels.t) =
   let plan = match plan with Some p -> p | None -> autotune gen in
   create ~variant_phi:(variant_of_choice plan.phi)
     ?variant_mu:(Option.map variant_of_choice plan.mu)
-    ~num_domains:plan.plan_domains ?tile:plan.plan_tile ~backend:plan.plan_backend ?rank
-    ?exchange ?global_dims ?offset ~dims gen
+    ~num_domains:plan.plan_domains ?tile:plan.plan_tile ~backend:plan.plan_backend ?exchange
+    ?global_dims ?offset ~dims gen

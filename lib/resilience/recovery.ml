@@ -14,89 +14,60 @@ type stats = {
 
 exception Too_many_restarts of int
 
-(** Run [forest] forward [steps] steps under crash protection.
+(** The rollback driver: advance [steps] steps under crash protection.
 
-    A checkpoint is captured before the first step and then after every
-    [every] completed steps.  When a step dies with [Ghost.Rank_crashed],
-    the substrate is restarted (clearing in-flight messages and reviving
-    the rank), the latest checkpoint is restored, and execution resumes
-    from there.  Gives up with {!Too_many_restarts} after [max_restarts]
-    rollbacks. *)
-let run_protected ?(max_restarts = 8) ?(store = Store.create ()) ~every ~steps forest =
-  if every < 1 then invalid_arg "Recovery.run_protected: every must be positive";
+    Generic over what is protected: [step] advances one lockstep step on
+    [comm] and [step_count] reads the current step; [capture] takes a
+    checkpoint, which is kept in [store], and [restore] loads one back,
+    step count included.  A checkpoint is captured before the first step
+    and then after every [every] completed steps.  When a step dies with
+    [Ghost.Rank_crashed], the substrate is restarted (clearing in-flight
+    messages and reviving the rank), the latest checkpoint is restored,
+    and execution resumes from there.  Gives up with
+    {!Too_many_restarts} after [max_restarts] rollbacks. *)
+let protect ?(max_restarts = 8) ?(store = Store.create ()) ~every ~steps ~step_count ~step
+    ~capture ~restore comm =
+  if every < 1 then invalid_arg "Recovery: every must be positive";
   let stats = { checkpoints = 0; restarts = 0; replayed_steps = 0 } in
-  let start = Blocks.Forest.step_count forest in
+  let start = step_count () in
   let target = start + steps in
   let checkpoint () =
     let (), dt_ns =
       Obs.Clock.time_ns (fun () ->
-          Obs.Span.with_ ~cat:"ckpt" "checkpoint" (fun () ->
-              Store.put store (Snapshot.capture forest)))
+          Obs.Span.with_ ~cat:"ckpt" "checkpoint" (fun () -> Store.put store (capture ())))
     in
     Obs.Metrics.observe (Obs.Metrics.histogram "ckpt.checkpoint_ns") dt_ns;
     stats.checkpoints <- stats.checkpoints + 1
   in
   checkpoint ();
   let rec advance () =
-    let cur = Blocks.Forest.step_count forest in
+    let cur = step_count () in
     if cur < target then begin
       (try
-         Blocks.Forest.step forest;
-         if (Blocks.Forest.step_count forest - start) mod every = 0 then checkpoint ()
+         step ();
+         if (step_count () - start) mod every = 0 then checkpoint ()
        with Blocks.Ghost.Rank_crashed _ ->
          if stats.restarts >= max_restarts then raise (Too_many_restarts stats.restarts);
          stats.restarts <- stats.restarts + 1;
          Obs.Metrics.count "ckpt.rollbacks" 1;
          Obs.Span.with_ ~cat:"ckpt" "rollback" (fun () ->
-             Blocks.Mpisim.restart forest.Blocks.Forest.comm;
+             Blocks.Mpisim.restart comm;
              match Store.latest store with
              | None -> assert false (* the initial checkpoint always exists *)
              | Some snap ->
-               Snapshot.restore snap forest;
-               stats.replayed_steps <- stats.replayed_steps + (cur - snap.Snapshot.step)));
+               restore snap;
+               stats.replayed_steps <- stats.replayed_steps + (cur - step_count ())));
       advance ()
     end
   in
   advance ();
   stats
 
-(** [run_protected] over an adaptive forest.  The checkpoint captures
-    the refinement state (levels, ownership, frozen constants) alongside
-    the active buffers, and the adaptation decisions replayed after a
-    rollback are pure functions of the restored state — so the protected
-    adaptive run finishes bitwise identical to an undisturbed one,
-    freeze/thaw schedule included. *)
-let run_protected_adaptive ?(max_restarts = 8) ~every ~steps af =
-  if every < 1 then invalid_arg "Recovery.run_protected_adaptive: every must be positive";
-  let stats = { checkpoints = 0; restarts = 0; replayed_steps = 0 } in
-  let start = Blocks.Adaptive.step_count af in
-  let target = start + steps in
-  let latest = ref None in
-  let checkpoint () =
-    Obs.Span.with_ ~cat:"ckpt" "checkpoint" (fun () ->
-        latest := Some (Snapshot.capture_adaptive af));
-    stats.checkpoints <- stats.checkpoints + 1
-  in
-  checkpoint ();
-  let rec advance () =
-    let cur = Blocks.Adaptive.step_count af in
-    if cur < target then begin
-      (try
-         Blocks.Adaptive.step af;
-         if (Blocks.Adaptive.step_count af - start) mod every = 0 then checkpoint ()
-       with Blocks.Ghost.Rank_crashed _ ->
-         if stats.restarts >= max_restarts then raise (Too_many_restarts stats.restarts);
-         stats.restarts <- stats.restarts + 1;
-         Obs.Metrics.count "ckpt.rollbacks" 1;
-         Obs.Span.with_ ~cat:"ckpt" "rollback" (fun () ->
-             Blocks.Mpisim.restart af.Blocks.Adaptive.comm;
-             match !latest with
-             | None -> assert false (* the initial checkpoint always exists *)
-             | Some snap ->
-               Snapshot.restore_adaptive snap af;
-               stats.replayed_steps <- stats.replayed_steps + (cur - snap.Snapshot.a_step)));
-      advance ()
-    end
-  in
-  advance ();
-  stats
+(** {!protect} over a uniform forest. *)
+let run_protected ?max_restarts ?store ~every ~steps forest =
+  protect ?max_restarts ?store ~every ~steps
+    ~step_count:(fun () -> Blocks.Forest.step_count forest)
+    ~step:(fun () -> Blocks.Forest.step forest)
+    ~capture:(fun () -> Snapshot.capture forest)
+    ~restore:(fun snap -> Snapshot.restore snap forest)
+    forest.Blocks.Forest.comm

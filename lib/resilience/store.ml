@@ -1,10 +1,12 @@
-(** Bounded in-memory snapshot store.
+(** Bounded in-memory checkpoint store.
 
     Keeps the most recent [capacity] checkpoints (newest first), so the
     recovery driver can roll back to the latest consistent state without
-    unbounded memory growth on long runs. *)
+    unbounded memory growth on long runs.  Generic over the checkpoint:
+    a uniform forest's {!Snapshot.t}, an adaptive forest's
+    {!Snapshot.adaptive}. *)
 
-type t = { capacity : int; mutable snaps : Snapshot.t list }
+type 'a t = { capacity : int; mutable snaps : 'a list }
 
 let create ?(capacity = 4) () =
   if capacity < 1 then invalid_arg "Store.create: capacity must be positive";

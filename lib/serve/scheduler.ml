@@ -63,7 +63,7 @@ let variant_of split = if split then Pfcore.Timestep.Split else Pfcore.Timestep.
 
 type exec =
   | Single of Pfcore.Timestep.t
-  | Forest of Blocks.Forest.t * Resilience.Store.t
+  | Forest of Blocks.Forest.t * Resilience.Snapshot.t Resilience.Store.t
 
 type job = {
   spec : Workload.spec;

@@ -214,8 +214,8 @@ let rec compile (b : binder) (e : Expr.t) : ctx -> float =
 
 (** Everything a kernel's sweeps need that depends on the kernel alone:
     its lowering for one loop order, its parameter and temporary slots, the
-    ghost width its sweep reads, whether it draws Philox numbers, and its
-    {!Jit} memo key (forced by the first JIT sweep or plan that needs it).
+    ghost width its sweep reads, and its {!Jit} memo key (forced by the
+    first JIT sweep or plan that needs it).
     One program is built per (kernel, fastest axis, JIT target) and shared
     by every block, rank, job and tuning probe that binds the kernel — the
     paper's generate-once, run-on-every-block split. *)
@@ -226,7 +226,6 @@ type program = {
   param_slots : (string, int) Hashtbl.t;
   temp_slots : (string, int) Hashtbl.t;
   ghost_need : int;  (** ghost layers the sweep reads *)
-  uses_rand : bool;
   jit_target : Jit.target;
   jit_key : Digest.t Lazy.t;
 }
@@ -251,7 +250,6 @@ type bound = {
       (** built by the binding's first interpreter sweep (or JIT sweep that
           falls back), never by a binding only the JIT sweeps; forced on the
           coordinating domain before the pool runs *)
-  uses_rand : bool;
   jit_target : Jit.target;  (** what the binding's JIT program is printed for *)
   jit_key : Digest.t Lazy.t;
       (** the shared program's {!Jit} memo key: digesting the whole body
@@ -297,11 +295,6 @@ let make_program ~fastest ~jit_target (kernel : Ir.Kernel.t) : program =
     param_slots = slots params;
     temp_slots = slots (Assignment.defined_temps kernel.Ir.Kernel.body);
     ghost_need = ghost_need kernel;
-    uses_rand =
-      List.exists
-        (fun (a : Assignment.t) ->
-          Expr.fold (fun u n -> u || match n with Expr.Rand _ -> true | _ -> false) false a.rhs)
-        kernel.Ir.Kernel.body;
     jit_target;
     jit_key = lazy (Jit.fingerprint ~target:jit_target kernel lowered);
   }
@@ -378,7 +371,6 @@ let bind ?fastest ?jit_target (kernel : Ir.Kernel.t) (block : block) =
     param_names = p.param_names;
     n_temps = Hashtbl.length p.temp_slots;
     tree = lazy (build_tree p block);
-    uses_rand = p.uses_rand;
     jit_target = p.jit_target;
     jit_key = p.jit_key;
   }
@@ -404,60 +396,43 @@ let run_group g c =
     (Array.unsafe_get g i) c
   done
 
-(* Sweep one tile (3D): [lo]/[hi] are inclusive loop bounds indexed by loop
-   depth, following the lowering's loop_order.  A full sweep is the single
-   tile spanning every range; cache blocking shrinks the outer depths. *)
-let sweep_tile_3d (b : bound) (t : tree) (c : ctx) ~(lo : int array) ~(hi : int array) =
+(* Sweep one tile: [lo]/[hi] are inclusive loop bounds indexed by loop
+   depth, following the lowering's loop_order.  Each outer depth sets its
+   coordinate and runs its hoisted group, then recurses; the innermost
+   depth is one flat loop that steps the linear cell index by the fastest
+   axis' stride.  A full sweep is the single tile spanning every range;
+   cache blocking shrinks the outer depths. *)
+let sweep_tile (b : bound) (t : tree) (c : ctx) ~(lo : int array) ~(hi : int array) =
   let order = b.lowered.Ir.Lower.loop_order in
-  let a0 = order.(0) and a1 = order.(1) and a2 = order.(2) in
+  let inner = Array.length order - 1 in
   let block = b.block in
   let any_buf = snd (List.hd block.buffers) in
-  let stride = any_buf.Buffer.stride in
-  let coords = Array.make 3 0 in
+  let coords = Array.make (inner + 1) 0 in
   let set_coord ax v =
     coords.(ax) <- v;
     let g = v + block.offset.(ax) in
     match ax with 0 -> c.cx <- g | 1 -> c.cy <- g | _ -> c.cz <- g
   in
-  for i0 = lo.(0) to hi.(0) do
-    set_coord a0 i0;
-    run_group t.per_loop.(0) c;
-    for i1 = lo.(1) to hi.(1) do
-      set_coord a1 i1;
-      run_group t.per_loop.(1) c;
-      set_coord a2 lo.(2);
+  let fastest = order.(inner) in
+  let stride = any_buf.Buffer.stride.(fastest) in
+  let rec depth d =
+    if d = inner then begin
+      set_coord fastest lo.(d);
       c.base <- Buffer.base_index any_buf coords;
-      for i2 = lo.(2) to hi.(2) do
-        set_coord a2 i2;
+      for i = lo.(d) to hi.(d) do
+        set_coord fastest i;
         run_group t.body c;
-        c.base <- c.base + stride.(a2)
+        c.base <- c.base + stride
       done
-    done
-  done
-
-let sweep_tile_2d (b : bound) (t : tree) (c : ctx) ~(lo : int array) ~(hi : int array) =
-  let order = b.lowered.Ir.Lower.loop_order in
-  let a0 = order.(0) and a1 = order.(1) in
-  let block = b.block in
-  let any_buf = snd (List.hd block.buffers) in
-  let stride = any_buf.Buffer.stride in
-  let coords = Array.make 2 0 in
-  let set_coord ax v =
-    coords.(ax) <- v;
-    let g = v + block.offset.(ax) in
-    match ax with 0 -> c.cx <- g | _ -> c.cy <- g
+    end
+    else
+      for i = lo.(d) to hi.(d) do
+        set_coord order.(d) i;
+        run_group t.per_loop.(d) c;
+        depth (d + 1)
+      done
   in
-  for i0 = lo.(0) to hi.(0) do
-    set_coord a0 i0;
-    run_group t.per_loop.(0) c;
-    set_coord a1 lo.(1);
-    c.base <- Buffer.base_index any_buf coords;
-    for i1 = lo.(1) to hi.(1) do
-      set_coord a1 i1;
-      run_group t.body c;
-      c.base <- c.base + stride.(a1)
-    done
-  done
+  depth 0
 
 let make_ctx (b : bound) ~params ~step =
   let values =
@@ -573,8 +548,7 @@ let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~st
       let t : Schedule.tile = tiles.(ti) in
       let c = make_ctx b ~params ~step in
       run_group tree.preheader c;
-      if dim = 3 then sweep_tile_3d b tree c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
-      else sweep_tile_2d b tree c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
+      sweep_tile b tree c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
   in
   let exec =
     match backend with

@@ -396,6 +396,78 @@ let test_overlapped_forest_bitwise () =
      + comm.Blocks.Mpisim.duplicated
     > 0)
 
+(* The overlapped exchange's frozen-neighbour branch.  No shipped model
+   reaches it through a step (every model with μ is unfreezable), so one
+   block of a 2-rank adaptive eutectic forest is frozen by hand: block 3,
+   which both axis-0 neighbours of block 2 and both axis-1 neighbours of
+   block 1 are.  The overlapped exchange of φ_dst must leave the blocking
+   exchange's ghosts bitwise and consume the identical (src, dst, tag)
+   sequence.  A plan that drops every first send makes each receive heal
+   once, so the healed-message instants spell out that sequence. *)
+let test_overlap_frozen_neighbor () =
+  let g = Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()) in
+  let f = g.Pfcore.Genkernels.fields in
+  let phi_dst = f.Pfcore.Model.phi_dst in
+  let vertex (fl : Fieldspec.t) =
+    Array.init fl.Fieldspec.components (fun c -> float_of_int (c + 1) /. 8.)
+  in
+  let run exchange =
+    let af =
+      Blocks.Adaptive.create ~ranks:2 ~bgrid:[| 2; 2 |] ~block_dims:[| 6; 6 |] g
+    in
+    List.iter Pfcore.Simulation.init_model (Blocks.Adaptive.active_sims af);
+    af.Blocks.Adaptive.states.(3) <-
+      Blocks.Adaptive.Frozen
+        (List.map
+           (fun fl -> (fl, vertex fl))
+           [ f.Pfcore.Model.phi_src; phi_dst; f.Pfcore.Model.mu_src; f.Pfcore.Model.mu_dst ]);
+    Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm
+      (Some { Blocks.Faultplan.none with Blocks.Faultplan.drop = 1. });
+    Obs.Sink.clear ();
+    Obs.Sink.enable ();
+    exchange af.Blocks.Adaptive.blocks phi_dst;
+    Obs.Sink.disable ();
+    let healed =
+      List.filter_map
+        (fun (e : Obs.Sink.event) ->
+          if e.Obs.Sink.phase = Obs.Sink.I then Some e.Obs.Sink.name else None)
+        (Obs.Sink.events ())
+    in
+    Obs.Sink.clear ();
+    (af, healed)
+  in
+  let blocking, seq_blocking = run Blocks.Lockstep.exchange in
+  let overlapped, seq_overlapped =
+    run (fun b fl -> Blocks.Lockstep.finish_exchange b fl (Blocks.Lockstep.start_exchange b fl))
+  in
+  Alcotest.(check int) "every slab healed once"
+    blocking.Blocks.Adaptive.comm.Blocks.Mpisim.messages_sent (List.length seq_blocking);
+  Alcotest.(check (list string)) "identical (src, dst, tag) sequence" seq_blocking
+    seq_overlapped;
+  let ghosts (af : Blocks.Adaptive.t) id =
+    match af.Blocks.Adaptive.states.(id) with
+    | Blocks.Adaptive.Active sim ->
+      Vm.Engine.buffer sim.Pfcore.Timestep.block phi_dst
+    | Blocks.Adaptive.Frozen _ -> Alcotest.fail "block should be active"
+  in
+  for id = 0 to 2 do
+    Alcotest.(check bool)
+      (Printf.sprintf "block %d ghosts bitwise" id)
+      true
+      (bits_equal (ghosts blocking id).Vm.Buffer.data (ghosts overlapped id).Vm.Buffer.data)
+  done;
+  (* block 2's axis-0 ghosts hold the frozen vertex on both sides *)
+  Array.iteri
+    (fun c v ->
+      List.iter
+        (fun x ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "constant slab, x = %d, component %d" x c)
+            v
+            (Vm.Buffer.get (ghosts overlapped 2) ~component:c [| x; 0 |]))
+        [ -1; 6 ])
+    (vertex phi_dst)
+
 let forest_matches_single variant =
   let g = Pfcore.Genkernels.generate (Pfcore.Params.curvature ~dim:2 ()) in
   let single = Pfcore.Timestep.create ~variant_phi:variant ~dims:[| 16; 16 |] g in
@@ -442,10 +514,14 @@ let test_forest_3d_p1 () =
   Array.iter Pfcore.Simulation.init_lamellae forest.Blocks.Forest.sims;
   Blocks.Forest.prime forest;
   Blocks.Forest.run forest ~steps:2;
-  let fr_single = Pfcore.Simulation.phase_fractions single in
-  let fr_forest = Blocks.Forest.phase_fractions forest in
+  (* the canonical tree makes the decomposition invisible: bitwise equal *)
+  let fr_single = Pfcore.Diag.phase_fractions single in
+  let fr_forest = Blocks.Reduce.phase_fractions forest in
+  Alcotest.(check int) "fraction count" (Array.length fr_single) (Array.length fr_forest);
   Array.iteri
-    (fun i a -> Alcotest.(check (float 1e-12)) (Printf.sprintf "fraction %d" i) a fr_forest.(i))
+    (fun i a ->
+      Alcotest.(check int64) (Printf.sprintf "fraction %d bits" i) (Int64.bits_of_float a)
+        (Int64.bits_of_float fr_forest.(i)))
     fr_single
 
 let test_neighbor_wraps () =
@@ -532,6 +608,8 @@ let suite =
     Alcotest.test_case "forest == single (full)" `Slow test_forest_equals_single_full;
     Alcotest.test_case "forest == single (split)" `Slow test_forest_equals_single_split;
     Alcotest.test_case "forest 3D P1" `Slow test_forest_3d_p1;
+    Alcotest.test_case "overlapped exchange, frozen neighbour == blocking" `Quick
+      test_overlap_frozen_neighbor;
     Alcotest.test_case "periodic neighbor wrap" `Quick test_neighbor_wraps;
     Alcotest.test_case "network model monotone" `Quick test_netmodel_monotone;
     Alcotest.test_case "weak scaling flat" `Quick test_weak_scaling_flat;

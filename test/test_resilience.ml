@@ -183,6 +183,30 @@ let test_crash_restart_bitwise () =
   Alcotest.(check bool) "recovered run is bitwise identical" true
     (forests_bitwise_equal clean faulty)
 
+(* Adaptive savings count every swept step, replays included: a
+   crash-recovered run that froze nothing must report exactly 1. *)
+let test_adaptive_crash_savings () =
+  let af =
+    Blocks.Adaptive.create ~ranks:2 ~bgrid:[| 2; 2 |] ~block_dims:[| 6; 6 |]
+      (Lazy.force curvature)
+  in
+  List.iter Pfcore.Simulation.init_model (Blocks.Adaptive.active_sims af);
+  Blocks.Adaptive.prime af;
+  Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm
+    (Some (Blocks.Faultplan.chaos ~crash_step:1 ()));
+  let stats =
+    Resilience.Recovery.protect ~every:2 ~steps:3
+      ~step_count:(fun () -> Blocks.Adaptive.step_count af)
+      ~step:(fun () -> Blocks.Adaptive.step af)
+      ~capture:(fun () -> Resilience.Snapshot.capture_adaptive af)
+      ~restore:(fun snap -> Resilience.Snapshot.restore_adaptive snap af)
+      af.Blocks.Adaptive.comm
+  in
+  Alcotest.(check bool) "steps were replayed" true
+    (stats.Resilience.Recovery.replayed_steps >= 1);
+  Alcotest.(check int) "nothing froze" 0 af.Blocks.Adaptive.freezes;
+  Alcotest.(check (float 0.)) "savings exactly 1" 1. (Blocks.Adaptive.savings af)
+
 let test_forest_snapshot_restore_continues () =
   (* checkpoint at step 2, keep running to 5, roll back, rerun 3 steps:
      both trajectories must agree bitwise *)
@@ -222,6 +246,8 @@ let suite =
     Alcotest.test_case "failure rendering" `Quick test_no_message_rendering;
     Alcotest.test_case "faults heal without crash" `Slow test_faults_without_crash_heal;
     Alcotest.test_case "crash + rollback is bitwise" `Slow test_crash_restart_bitwise;
+    Alcotest.test_case "adaptive crash recovery: savings exactly 1" `Quick
+      test_adaptive_crash_savings;
     Alcotest.test_case "snapshot restore continues" `Slow test_forest_snapshot_restore_continues;
     Alcotest.test_case "on_step hook and restore" `Quick test_on_step_hook;
   ]
