@@ -390,7 +390,7 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
           ~fraction:(Pfcore.Diag.interface_fraction ?backend ?num_domains:domains ?tile sim)
           ~mn:(Pfcore.Diag.min_value ?backend ?num_domains:domains ?tile sim phi ~component:0)
           ~mx:(Pfcore.Diag.max_value ?backend ?num_domains:domains ?tile sim phi ~component:0);
-      Pfcore.Simulation.phase_fractions sim
+      Pfcore.Diag.phase_fractions ?backend ?num_domains:domains ?tile sim
     end
   in
   let dt = Unix.gettimeofday () -. t0 in
@@ -528,9 +528,17 @@ let verify_resumed bad =
     exit 1
   end
 
+(* A snapshot that cannot be read or restored ends the command with one
+   line and exit 1, like a wrong --model. *)
+let or_refuse f =
+  try f ()
+  with Resilience.Snapshot.Invalid msg ->
+    Fmt.epr "resume: %s@." msg;
+    exit 1
+
 let resume params input steps verify =
   let g = generate params false in
-  let snap = Resilience.Snapshot.load input in
+  let snap = or_refuse (fun () -> Resilience.Snapshot.load input) in
   Fmt.pr "loaded %a from %s@." Resilience.Snapshot.pp snap input;
   (* validate the model before building any block: resuming under the
      wrong --model must fail cleanly, not crash mid-construction *)
@@ -554,7 +562,7 @@ let resume params input steps verify =
           ~grid:snap.Resilience.Snapshot.grid
           ~block_dims:snap.Resilience.Snapshot.block_dims g
       in
-      Resilience.Snapshot.restore snap forest;
+      or_refuse (fun () -> Resilience.Snapshot.restore snap forest);
       Blocks.Forest.run forest ~steps;
       if verify then begin
         (* rerun from the same initial conditions without interruption and
@@ -576,7 +584,7 @@ let resume params input steps verify =
           ~variant_mu:(variant_of snap.Resilience.Snapshot.split_mu)
           ~dims:snap.Resilience.Snapshot.block_dims g
       in
-      Resilience.Snapshot.restore_single snap sim;
+      or_refuse (fun () -> Resilience.Snapshot.restore_single snap sim);
       Pfcore.Timestep.run sim ~steps;
       if verify then begin
         let clean = build_single ~split ~dims:snap.Resilience.Snapshot.block_dims params g in
@@ -585,7 +593,7 @@ let resume params input steps verify =
           (phi_mismatches g ~global_dims:snap.Resilience.Snapshot.global_dims
              (single_get sim) (single_get clean))
       end;
-      Pfcore.Simulation.phase_fractions sim
+      Pfcore.Diag.phase_fractions sim
     end
   in
   Fmt.pr "%d more steps of %s on %d^%d (%d rank%s) from step %d@." steps

@@ -26,10 +26,10 @@ let () =
 
   Fmt.pr "@.step   solid0   solid1   tip-z  interface@.";
   let report step =
-    let fr = Pfcore.Simulation.phase_fractions sim in
+    let fr = Pfcore.Diag.phase_fractions sim in
     Fmt.pr "%5d  %7.4f  %7.4f  %5d  %9.3f@." step fr.(0) fr.(1)
       (Pfcore.Simulation.tip_position sim)
-      (Pfcore.Simulation.interface_fraction sim)
+      (Pfcore.Diag.interface_fraction sim)
   in
   report 0;
   let chunk = max 1 (steps / 8) in

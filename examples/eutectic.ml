@@ -32,7 +32,7 @@ let () =
 
   Fmt.pr "@.step   solid-frac  front-y  phases(alpha,beta,liquid)@.";
   let report step =
-    let fr = Pfcore.Simulation.phase_fractions sim in
+    let fr = Pfcore.Diag.phase_fractions sim in
     let solid = fr.(0) +. fr.(1) in
     Fmt.pr "%5d  %10.4f  %7.2f  %.3f %.3f %.3f@." step solid
       (Pfcore.Simulation.front_position sim)

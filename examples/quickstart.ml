@@ -22,19 +22,19 @@ let () =
   Pfcore.Simulation.init_sphere ~radius_frac:0.3 sim;
 
   Fmt.pr "@.step   area(phase0)  interface  sum(phi)@.";
-  let area () = (Pfcore.Simulation.phase_fractions sim).(0) *. (96. *. 96.) in
+  let area () = (Pfcore.Diag.phase_fractions sim).(0) *. (96. *. 96.) in
   let a0 = area () in
-  Fmt.pr "%5d  %12.1f  %9.3f  1 (exact)@." 0 a0 (Pfcore.Simulation.interface_fraction sim);
+  Fmt.pr "%5d  %12.1f  %9.3f  1 (exact)@." 0 a0 (Pfcore.Diag.interface_fraction sim);
   let rates = ref [] in
   let prev = ref a0 in
   for i = 1 to 8 do
     Pfcore.Timestep.run sim ~steps:100;
     let a = area () in
-    let fr = Pfcore.Simulation.phase_fractions sim in
+    let fr = Pfcore.Diag.phase_fractions sim in
     rates := (!prev -. a) :: !rates;
     prev := a;
     Fmt.pr "%5d  %12.1f  %9.3f  %.12f@." (i * 100) a
-      (Pfcore.Simulation.interface_fraction sim)
+      (Pfcore.Diag.interface_fraction sim)
       (fr.(0) +. fr.(1))
   done;
   (* dA/dt for curvature flow is constant (−2πM): the shrink rate per 100

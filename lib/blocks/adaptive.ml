@@ -182,11 +182,9 @@ let migrate_tag_base = 100000
 let make_sim t id =
   let c = block_coords t id in
   let offset = Array.mapi (fun d n -> c.(d) * n) t.block_dims in
-  (* the exchange is driven by the block set ({!Lockstep}), never by the sim *)
   Pfcore.Timestep.create ~variant_phi:t.variant_phi ~variant_mu:t.variant_mu
     ?num_domains:t.num_domains ?tile:t.tile ?backend:t.backend
     ~lane:(Obs.Sink.rank_lane t.owner.(id))
-    ~exchange:(fun _ _ -> ())
     ~global_dims:t.global_dims ~offset ~dims:t.block_dims t.gen
 
 (** Block ids along the Morton curve (natural order in 1D, where no
@@ -199,13 +197,6 @@ let stored_cells_of t id =
   match t.states.(id) with
   | Active _ -> block_cells t
   | Frozen _ -> max 1 (block_cells t / (1 lsl (Array.length t.bgrid * t.levels.(id))))
-
-let stored_cells t =
-  let acc = ref 0 in
-  for id = 0 to nblocks t - 1 do
-    acc := !acc + stored_cells_of t id
-  done;
-  !acc
 
 let active_cells t =
   let acc = ref 0 in
@@ -634,42 +625,3 @@ let interface_cells ?backend ?num_domains ?tile t =
 let savings t =
   if t.cells_touched = 0 then 1.
   else float_of_int t.uniform_cells /. float_of_int t.cells_touched
-
-(** Legacy-VTK dump of the global φ field plus the per-cell refinement
-    level (frozen blocks answer from their constants). *)
-let write_vtk t path =
-  let p = t.gen.Pfcore.Genkernels.params in
-  let gd = t.global_dims in
-  let dim = Array.length gd in
-  let nx = gd.(0) in
-  let ny = if dim > 1 then gd.(1) else 1 in
-  let nz = if dim > 2 then gd.(2) else 1 in
-  let oc = open_out path in
-  Printf.fprintf oc "# vtk DataFile Version 3.0\npfgen adaptive forest (%s)\nASCII\n"
-    p.Pfcore.Params.name;
-  Printf.fprintf oc "DATASET STRUCTURED_POINTS\nDIMENSIONS %d %d %d\n" nx ny nz;
-  Printf.fprintf oc "ORIGIN 0 0 0\nSPACING %g %g %g\n" p.Pfcore.Params.dx p.Pfcore.Params.dx
-    p.Pfcore.Params.dx;
-  Printf.fprintf oc "POINT_DATA %d\n" (nx * ny * nz);
-  let coords = Array.make dim 0 in
-  let emit name f =
-    Printf.fprintf oc "SCALARS %s double 1\nLOOKUP_TABLE default\n" name;
-    for z = 0 to nz - 1 do
-      for y = 0 to ny - 1 do
-        for x = 0 to nx - 1 do
-          coords.(0) <- x;
-          if dim > 1 then coords.(1) <- y;
-          if dim > 2 then coords.(2) <- z;
-          Printf.fprintf oc "%.6g\n" (f coords)
-        done
-      done
-    done
-  in
-  let phi = (fields t).Pfcore.Model.phi_src in
-  for c = 0 to p.Pfcore.Params.n_phases - 1 do
-    emit (Printf.sprintf "phi_%d" c) (fun g -> get t phi ~component:c g)
-  done;
-  emit "level" (fun g ->
-      let bc = Array.init dim (fun d -> g.(d) / t.block_dims.(d)) in
-      float_of_int t.levels.(block_id t bc));
-  close_out oc

@@ -61,12 +61,6 @@ let decide t ~src ~dst ~tag ~seq =
   else if u < t.drop +. t.delay +. t.duplicate then Duplicate
   else Deliver
 
-let pp_decision ppf = function
-  | Deliver -> Fmt.string ppf "deliver"
-  | Drop -> Fmt.string ppf "drop"
-  | Delay n -> Fmt.pf ppf "delay(%d)" n
-  | Duplicate -> Fmt.string ppf "duplicate"
-
 let pp ppf t =
   Fmt.pf ppf "plan{seed=%d drop=%.2f delay=%.2f dup=%.2f%s}" t.seed t.drop t.delay
     t.duplicate

@@ -133,6 +133,10 @@ let expected_seq t ~src ~dst ~tag =
   | Some ch -> ch.expected
   | None -> 0
 
+(** Post [data] on the (src, dst, tag) channel.  The substrate owns the
+    array from here on: it is queued, logged for retransmission and handed
+    to the receiver without a copy, so the caller must not write to it
+    afterwards. *)
 let send t ~src ~dst ~tag data =
   if src < 0 || src >= t.n_ranks || dst < 0 || dst >= t.n_ranks then
     invalid_arg "Mpisim.send: rank out of range";
@@ -144,7 +148,7 @@ let send t ~src ~dst ~tag data =
   else begin
     let key = (src, dst, tag) in
     let ch = channel t key in
-    let msg = { seq = ch.next_send; payload = Array.copy data } in
+    let msg = { seq = ch.next_send; payload = data } in
     ch.next_send <- ch.next_send + 1;
     ch.log.(msg.seq mod log_limit) <- msg;
     t.bytes_sent <- t.bytes_sent + (8 * Array.length data);

@@ -919,15 +919,13 @@ let adaptive_snapshot_roundtrip ~count =
       Blocks.Adaptive.prime af;
       Blocks.Adaptive.run af ~steps:s.Gen.ad_steps;
       let snap = Resilience.Snapshot.capture_adaptive af in
-      let decoded =
-        Resilience.Snapshot.decode_adaptive (Resilience.Snapshot.encode_adaptive snap)
-      in
-      if not (Resilience.Snapshot.equal_adaptive snap decoded) then false
+      let decoded = Resilience.Snapshot.decode (Resilience.Snapshot.encode snap) in
+      if not (Resilience.Snapshot.equal snap decoded) then false
       else begin
         let fresh = make_adaptive { s with Gen.ad_seed = s.Gen.ad_seed + 1 } in
         Blocks.Adaptive.prime fresh;
         Resilience.Snapshot.restore_adaptive decoded fresh;
-        Resilience.Snapshot.equal_adaptive snap
+        Resilience.Snapshot.equal snap
           (Resilience.Snapshot.capture_adaptive fresh)
       end)
 
@@ -967,7 +965,7 @@ let adaptive_crash_restart ~count =
           faulty.Blocks.Adaptive.comm
       in
       stats.Resilience.Recovery.restarts >= 1
-      && Resilience.Snapshot.equal_adaptive
+      && Resilience.Snapshot.equal
            (Resilience.Snapshot.capture_adaptive clean)
            (Resilience.Snapshot.capture_adaptive faulty))
 

@@ -1,9 +1,8 @@
 (** Deterministic global diagnostics and threshold triggers.
 
-    The observables in [Simulation] fold buffers in storage order — fine
-    for display, but their values depend on nothing {e protecting} that
-    order once a sweep is tiled, pooled or decomposed.  This module
-    computes the same physics through [Vm.Reduce]'s canonical tree, so
+    A scalar folded in storage order depends on nothing {e protecting}
+    that order once a sweep is tiled, pooled or decomposed.  This module
+    computes the physics through [Vm.Reduce]'s canonical tree instead, so
     every scalar here is bitwise identical across tile shapes, domain
     counts, steal patterns and backends, and matches the forest-level
     [Blocks.Reduce] values cell for cell.  These are the numbers the
@@ -91,8 +90,3 @@ let observe tr (t : Timestep.t) =
       ("trigger:" ^ tr.tr_name)
   end;
   tr.fired_at <> None
-
-(** An interface-growth trigger: fires when the interface-cell count
-    reaches [threshold] cells. *)
-let interface_trigger ?(name = "interface-cells") ~threshold () =
-  trigger ~name ~threshold (fun t -> interface_cells t)

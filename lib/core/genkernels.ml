@@ -136,9 +136,3 @@ let generate ?(opts = default_options) (p : Params.t) =
 
 (** Operation counts of a kernel body (paper Table 1 rows). *)
 let counts (k : Ir.Kernel.t) = Opcount.of_assignments k.Ir.Kernel.body
-
-let pp_counts_row ppf (label, (full : Opcount.t), stag_opt) =
-  match stag_opt with
-  | None -> Fmt.pf ppf "%-10s %a" label Opcount.pp full
-  | Some (stag : Opcount.t) ->
-    Fmt.pf ppf "%-10s stag{%a} + main{%a}" label Opcount.pp stag Opcount.pp full

@@ -1,7 +1,8 @@
 (** Simulation setup and analysis: initial conditions for the paper's two
     physical scenarios (ternary eutectic lamellae, dendritic seeds), a
     curvature-flow correctness anchor, and observables used by the examples
-    and tests (phase fractions, front position, interface extent). *)
+    and tests (front position, dendrite tip, range check).  Phase fractions
+    and interface extent are [Diag]'s canonical reductions. *)
 
 let phi_buffer (t : Timestep.t) = Vm.Engine.buffer t.block t.gen.Genkernels.fields.phi_src
 let mu_buffer (t : Timestep.t) = Vm.Engine.buffer t.block t.gen.Genkernels.fields.mu_src
@@ -150,39 +151,6 @@ let init_smooth (t : Timestep.t) =
 (* ------------------------------------------------------------------ *)
 (* Observables                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let cells (t : Timestep.t) = float_of_int (Timestep.lups_per_step t)
-
-(** Volume fraction of each phase. *)
-let phase_fractions (t : Timestep.t) =
-  let buf = phi_buffer t in
-  Array.init t.gen.Genkernels.params.Params.n_phases (fun c ->
-      Vm.Buffer.interior_sum ~component:c buf /. cells t)
-
-(** Diffuse-interface volume: fraction of cells with any 0.01<φ<0.99. *)
-let interface_fraction (t : Timestep.t) =
-  let buf = phi_buffer t in
-  let dims = t.block.Vm.Engine.dims in
-  let dim = Array.length dims in
-  let coords = Array.make dim 0 in
-  let count = ref 0 in
-  let rec loop d =
-    if d = dim then begin
-      let diffuse = ref false in
-      for c = 0 to t.gen.Genkernels.params.Params.n_phases - 1 do
-        let v = Vm.Buffer.get buf ~component:c coords in
-        if v > 0.01 && v < 0.99 then diffuse := true
-      done;
-      if !diffuse then incr count
-    end
-    else
-      for i = 0 to dims.(d) - 1 do
-        coords.(d) <- i;
-        loop (d + 1)
-      done
-  in
-  loop 0;
-  float_of_int !count /. cells t
 
 (** Mean position of the solid–liquid front along [axis]: solid-weighted
     average coordinate of 1 − φ_liquid. *)

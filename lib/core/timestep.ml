@@ -9,8 +9,8 @@
     + ghost-layer exchange of μ_dst,
     + src ↔ dst buffer swap.
 
-    The exchange is pluggable: the default closes the block periodically; the
-    [Blocks] library substitutes real inter-block communication. *)
+    A single block's [exchange] closes it periodically; a forest's blocks
+    are exchanged by [Blocks.Lockstep], which runs the phases itself. *)
 
 open Symbolic
 
@@ -25,7 +25,7 @@ type t = {
   tile : int array option;  (** loop-depth tile shape for every kernel sweep *)
   backend : Vm.Engine.backend;  (** execution backend for every kernel sweep *)
   lane : int;  (** observability lane: 0 = local, 1 + r = simulated rank r *)
-  exchange : Vm.Engine.block -> Fieldspec.t -> unit;
+  exchange : Vm.Engine.block -> Fieldspec.t -> unit;  (** the periodic ghost fill *)
   phi : Vm.Engine.bound list;  (** the chosen φ variant's kernels, in sweep order *)
   mu : Vm.Engine.bound list;  (** the chosen μ variant's kernels; [[]] without μ *)
   projection : Vm.Engine.bound option;
@@ -59,8 +59,8 @@ let variant_kernels variant ~full ~(split : Genkernels.pair) =
     [0] = full extent at that depth). *)
 let create ?(variant_phi = Full) ?(variant_mu = Full)
     ?(num_domains = Vm.Pool.default_domains ()) ?tile
-    ?(backend = Vm.Engine.default_backend ()) ?(lane = 0) ?(exchange = default_exchange)
-    ?alloc ?global_dims ?offset ~dims (gen : Genkernels.t) =
+    ?(backend = Vm.Engine.default_backend ()) ?(lane = 0) ?alloc ?global_dims ?offset ~dims
+    (gen : Genkernels.t) =
   let block =
     Vm.Engine.make_block ~ghost:2 ?alloc ?global_dims ?offset ~dims (field_list gen)
   in
@@ -74,7 +74,7 @@ let create ?(variant_phi = Full) ?(variant_mu = Full)
     tile;
     backend;
     lane;
-    exchange;
+    exchange = default_exchange;
     phi = List.map bind (variant_kernels variant_phi ~full:gen.phi_full ~split:gen.phi_split);
     mu =
       (match (gen.mu_full, gen.mu_split) with
@@ -316,9 +316,8 @@ let variant_of_choice (c : Vm.Tune.choice) = if c.Vm.Tune.variant_label = "split
 
 (** [create] with every knob taken from a tuning [plan] (freshly computed
     from the [Vm.Tune] cache when not supplied). *)
-let create_tuned ?plan ?exchange ?global_dims ?offset ~dims (gen : Genkernels.t) =
+let create_tuned ?plan ~dims (gen : Genkernels.t) =
   let plan = match plan with Some p -> p | None -> autotune gen in
   create ~variant_phi:(variant_of_choice plan.phi)
     ?variant_mu:(Option.map variant_of_choice plan.mu)
-    ~num_domains:plan.plan_domains ?tile:plan.plan_tile ~backend:plan.plan_backend ?exchange
-    ?global_dims ?offset ~dims gen
+    ~num_domains:plan.plan_domains ?tile:plan.plan_tile ~backend:plan.plan_backend ~dims gen

@@ -153,7 +153,6 @@ let merge a b =
   }
 
 let counter_value s name = List.assoc_opt name s.s_counters
-let gauge_value s name = List.assoc_opt name s.s_gauges
 
 (** Drop every metric from the registry (test isolation). *)
 let reset () =

@@ -18,23 +18,26 @@ exception Too_many_restarts of int
 
     Generic over what is protected: [step] advances one lockstep step on
     [comm] and [step_count] reads the current step; [capture] takes a
-    checkpoint, which is kept in [store], and [restore] loads one back,
-    step count included.  A checkpoint is captured before the first step
-    and then after every [every] completed steps.  When a step dies with
-    [Ghost.Rank_crashed], the substrate is restarted (clearing in-flight
-    messages and reviving the rank), the latest checkpoint is restored,
-    and execution resumes from there.  Gives up with
-    {!Too_many_restarts} after [max_restarts] rollbacks. *)
-let protect ?(max_restarts = 8) ?(store = Store.create ()) ~every ~steps ~step_count ~step
-    ~capture ~restore comm =
+    checkpoint and [restore] loads one back, step count included.  A
+    checkpoint is captured before the first step and then after every
+    [every] completed steps; only the newest is kept, because a rollback
+    never reads an older one.  When a step dies with [Ghost.Rank_crashed],
+    the substrate is restarted (clearing in-flight messages and reviving
+    the rank), the newest checkpoint is restored, and execution resumes
+    from there.  Gives up with {!Too_many_restarts} after [max_restarts]
+    rollbacks. *)
+let protect ?(max_restarts = 8) ~every ~steps ~step_count ~step ~capture ~restore comm =
   if every < 1 then invalid_arg "Recovery: every must be positive";
   let stats = { checkpoints = 0; restarts = 0; replayed_steps = 0 } in
   let start = step_count () in
   let target = start + steps in
+  let latest = ref None in
   let checkpoint () =
+    (* drop the old checkpoint before capturing, so two never coexist *)
+    latest := None;
     let (), dt_ns =
       Obs.Clock.time_ns (fun () ->
-          Obs.Span.with_ ~cat:"ckpt" "checkpoint" (fun () -> Store.put store (capture ())))
+          Obs.Span.with_ ~cat:"ckpt" "checkpoint" (fun () -> latest := Some (capture ())))
     in
     Obs.Metrics.observe (Obs.Metrics.histogram "ckpt.checkpoint_ns") dt_ns;
     stats.checkpoints <- stats.checkpoints + 1
@@ -52,7 +55,7 @@ let protect ?(max_restarts = 8) ?(store = Store.create ()) ~every ~steps ~step_c
          Obs.Metrics.count "ckpt.rollbacks" 1;
          Obs.Span.with_ ~cat:"ckpt" "rollback" (fun () ->
              Blocks.Mpisim.restart comm;
-             match Store.latest store with
+             match !latest with
              | None -> assert false (* the initial checkpoint always exists *)
              | Some snap ->
                restore snap;
@@ -64,8 +67,8 @@ let protect ?(max_restarts = 8) ?(store = Store.create ()) ~every ~steps ~step_c
   stats
 
 (** {!protect} over a uniform forest. *)
-let run_protected ?max_restarts ?store ~every ~steps forest =
-  protect ?max_restarts ?store ~every ~steps
+let run_protected ?max_restarts ~every ~steps forest =
+  protect ?max_restarts ~every ~steps
     ~step_count:(fun () -> Blocks.Forest.step_count forest)
     ~step:(fun () -> Blocks.Forest.step forest)
     ~capture:(fun () -> Snapshot.capture forest)

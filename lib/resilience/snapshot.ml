@@ -1,26 +1,38 @@
 (** Versioned, checksummed binary snapshots of full simulation state.
 
     A snapshot captures everything a bitwise-identical restart needs: the
-    block-forest topology (rank grid, block and global dimensions), every
-    per-block field buffer *including ghost layers*, the timestep index and
-    physical time, the kernel-variant selection, and a fingerprint of the
-    model parameters the kernels were generated from.  Because the Philox
-    fluctuation streams are keyed on (cell, step) and message ordering is
-    deterministic, restoring a snapshot and rerunning reproduces the
-    uninterrupted run bit for bit — the property [Resilience.Recovery] and
-    the `check` oracles verify.
+    block-grid topology (blocks per axis, block and global dimensions),
+    every block's state, the timestep index and physical time, the
+    kernel-variant selection, and a fingerprint of the model parameters
+    the kernels were generated from.  One type serves a single block, a
+    uniform forest and an adaptive forest alike: each is a grid of blocks,
+    and each block is either active (its offset and every padded field
+    buffer, {e ghost layers included}) or frozen (the per-field constants
+    of the adaptive forest's coarsened bulk), with an owning rank and a
+    refinement level — the block id and 0 outside the adaptive forest.
+    Because the Philox fluctuation streams are keyed on (cell, step) and
+    message ordering is deterministic, restoring a snapshot and rerunning
+    reproduces the uninterrupted run bit for bit — the property
+    [Resilience.Recovery] and the `check` oracles verify.
 
     The binary encoding is little-endian, versioned by magic, and guarded
     by a CRC-32 over the entire payload: a corrupted file is rejected with
-    {!Invalid}, never silently resumed. *)
+    {!Invalid}, never silently resumed.  Every snapshot is written in the
+    v2 layout; the decoder still reads v1 files (active blocks on the rank
+    of their id, written before the layout carried levels, owners and
+    block tags). *)
 
 exception Invalid of string
-(** Malformed, truncated, version-mismatched or corrupted snapshot data. *)
+(** Malformed, truncated, version-mismatched or corrupted snapshot data,
+    or a snapshot the restore target cannot hold. *)
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
-type field_state = { fname : string; data : float array (** full padded buffer *) }
-type block_state = { offset : int array; fields : field_state list }
+type fields = (string * float array) list
+(** Per field, by name: the full padded buffer of an active block, or the
+    per-component constants of a frozen one. *)
+
+type block = Active of { offset : int array; fields : fields } | Frozen of fields
 
 type t = {
   fingerprint : int;      (** CRC-32 of the marshalled model parameters *)
@@ -28,81 +40,98 @@ type t = {
   split_mu : bool;
   step : int;
   time : float;
-  grid : int array;       (** ranks per axis; all ones for a single block *)
+  grid : int array;       (** blocks per axis; all ones for a single block *)
   block_dims : int array;
   global_dims : int array;
-  blocks : block_state array;
+  levels : int array;     (** refinement level per block; 0 = active *)
+  owner : int array;      (** owning rank per block *)
+  blocks : block array;
 }
 
 (** Deterministic fingerprint of a model-parameter set: resuming under a
     different model is an error, not a wrong answer. *)
 let fingerprint_of_params (p : Pfcore.Params.t) = Crc.digest (Marshal.to_string p [])
 
+(** Raw field-state volume of a snapshot (8 bytes per stored value) —
+    what an in-memory checkpoint holds resident. *)
+let state_bytes t =
+  let fields_bytes = List.fold_left (fun acc (_, a) -> acc + (8 * Array.length a)) in
+  Array.fold_left
+    (fun acc -> function Active a -> fields_bytes acc a.fields | Frozen c -> fields_bytes acc c)
+    0 t.blocks
+
 (* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let capture_block (block : Vm.Engine.block) =
-  {
-    offset = Array.copy block.Vm.Engine.offset;
-    fields =
-      List.map
-        (fun ((f : Symbolic.Fieldspec.t), (buf : Vm.Buffer.t)) ->
-          { fname = f.Symbolic.Fieldspec.name; data = Array.copy buf.Vm.Buffer.data })
-        block.Vm.Engine.buffers;
-  }
-
 let is_split = function Pfcore.Timestep.Split -> true | Pfcore.Timestep.Full -> false
 
-(** Raw field-state volume of a snapshot (padded buffers, 8 bytes per
-    element) — what an in-memory checkpoint holds resident. *)
-let state_bytes t =
-  Array.fold_left
-    (fun acc (b : block_state) ->
-      List.fold_left (fun acc f -> acc + (8 * Array.length f.data)) acc b.fields)
-    0 t.blocks
+let named (f : Symbolic.Fieldspec.t) a = (f.Symbolic.Fieldspec.name, Array.copy a)
 
-let observe_capture t =
+let capture_state = function
+  | Blocks.Lockstep.Active sim ->
+    let block = sim.Pfcore.Timestep.block in
+    Active
+      {
+        offset = Array.copy block.Vm.Engine.offset;
+        fields =
+          List.map (fun (f, (buf : Vm.Buffer.t)) -> named f buf.Vm.Buffer.data)
+            block.Vm.Engine.buffers;
+      }
+  | Blocks.Lockstep.Frozen consts -> Frozen (List.map (fun (f, cv) -> named f cv) consts)
+
+(* The one capture core: a grid of blocks in lockstep (all blocks share
+   the step index and time). *)
+let capture_core ~(gen : Pfcore.Genkernels.t) ~variant_phi ~variant_mu ~step ~time ~grid
+    ~block_dims ~global_dims ~levels ~owner states =
+  Obs.Span.with_ ~cat:"ckpt" "snapshot:capture" @@ fun () ->
+  let t =
+    {
+      fingerprint = fingerprint_of_params gen.Pfcore.Genkernels.params;
+      split_phi = is_split variant_phi;
+      split_mu = is_split variant_mu;
+      step;
+      time;
+      grid = Array.copy grid;
+      block_dims = Array.copy block_dims;
+      global_dims = Array.copy global_dims;
+      levels = Array.copy levels;
+      owner = Array.copy owner;
+      blocks = Array.map capture_state states;
+    }
+  in
   Obs.Metrics.count "ckpt.captures" 1;
   if Obs.Sink.enabled () then Obs.Metrics.count "ckpt.state_bytes" (state_bytes t);
   t
 
-(** Snapshot a whole block forest (lockstep: all ranks share the step
-    index and time). *)
+(* Every block active, block [i] on rank [i]. *)
+let capture_sims ~grid ~block_dims ~global_dims (sims : Pfcore.Timestep.t array) =
+  let s = sims.(0) and n = Array.length sims in
+  capture_core ~gen:s.Pfcore.Timestep.gen ~variant_phi:s.Pfcore.Timestep.variant_phi
+    ~variant_mu:s.Pfcore.Timestep.variant_mu ~step:s.Pfcore.Timestep.step_count
+    ~time:s.Pfcore.Timestep.time ~grid ~block_dims ~global_dims ~levels:(Array.make n 0)
+    ~owner:(Array.init n Fun.id)
+    (Array.map (fun sim -> Blocks.Lockstep.Active sim) sims)
+
+(** Snapshot a whole block forest. *)
 let capture (f : Blocks.Forest.t) =
-  Obs.Span.with_ ~cat:"ckpt" "snapshot:capture" @@ fun () ->
-  let sim0 = f.Blocks.Forest.sims.(0) in
-  observe_capture
-  {
-    fingerprint = fingerprint_of_params sim0.Pfcore.Timestep.gen.Pfcore.Genkernels.params;
-    split_phi = is_split sim0.Pfcore.Timestep.variant_phi;
-    split_mu = is_split sim0.Pfcore.Timestep.variant_mu;
-    step = sim0.Pfcore.Timestep.step_count;
-    time = sim0.Pfcore.Timestep.time;
-    grid = Array.copy f.Blocks.Forest.grid;
-    block_dims = Array.copy f.Blocks.Forest.block_dims;
-    global_dims = Array.copy f.Blocks.Forest.global_dims;
-    blocks =
-      Array.map (fun (s : Pfcore.Timestep.t) -> capture_block s.Pfcore.Timestep.block)
-        f.Blocks.Forest.sims;
-  }
+  capture_sims ~grid:f.Blocks.Forest.grid ~block_dims:f.Blocks.Forest.block_dims
+    ~global_dims:f.Blocks.Forest.global_dims f.Blocks.Forest.sims
 
 (** Snapshot a single-block simulation (a 1×…×1 forest). *)
 let capture_single (sim : Pfcore.Timestep.t) =
-  Obs.Span.with_ ~cat:"ckpt" "snapshot:capture" @@ fun () ->
   let block = sim.Pfcore.Timestep.block in
-  observe_capture
-  {
-    fingerprint = fingerprint_of_params sim.Pfcore.Timestep.gen.Pfcore.Genkernels.params;
-    split_phi = is_split sim.Pfcore.Timestep.variant_phi;
-    split_mu = is_split sim.Pfcore.Timestep.variant_mu;
-    step = sim.Pfcore.Timestep.step_count;
-    time = sim.Pfcore.Timestep.time;
-    grid = Array.make (Array.length block.Vm.Engine.dims) 1;
-    block_dims = Array.copy block.Vm.Engine.dims;
-    global_dims = Array.copy block.Vm.Engine.global_dims;
-    blocks = [| capture_block block |];
-  }
+  capture_sims
+    ~grid:(Array.map (fun _ -> 1) block.Vm.Engine.dims)
+    ~block_dims:block.Vm.Engine.dims ~global_dims:block.Vm.Engine.global_dims [| sim |]
+
+(** Snapshot a whole adaptive forest, refinement state included. *)
+let capture_adaptive (af : Blocks.Adaptive.t) =
+  capture_core ~gen:af.Blocks.Adaptive.gen ~variant_phi:af.Blocks.Adaptive.variant_phi
+    ~variant_mu:af.Blocks.Adaptive.variant_mu ~step:af.Blocks.Adaptive.step_count
+    ~time:af.Blocks.Adaptive.time ~grid:af.Blocks.Adaptive.bgrid
+    ~block_dims:af.Blocks.Adaptive.block_dims ~global_dims:af.Blocks.Adaptive.global_dims
+    ~levels:af.Blocks.Adaptive.levels ~owner:af.Blocks.Adaptive.owner af.Blocks.Adaptive.states
 
 (* ------------------------------------------------------------------ *)
 (* Restore                                                             *)
@@ -114,91 +143,155 @@ let require_same_dims what (a : int array) (b : int array) =
       (String.concat "x" (List.map string_of_int (Array.to_list a)))
       (String.concat "x" (List.map string_of_int (Array.to_list b)))
 
-let restore_block (t : block_state) (block : Vm.Engine.block) =
-  require_same_dims "block offset" t.offset block.Vm.Engine.offset;
+(* Load an active block's buffers (ghost layers verbatim, so no
+   re-priming is needed) and the step clock into [sim]. *)
+let load_active t ~offset ~fields (sim : Pfcore.Timestep.t) =
+  let block = sim.Pfcore.Timestep.block in
+  require_same_dims "block offset" offset block.Vm.Engine.offset;
   List.iter
     (fun ((f : Symbolic.Fieldspec.t), (buf : Vm.Buffer.t)) ->
-      match List.find_opt (fun fs -> fs.fname = f.Symbolic.Fieldspec.name) t.fields with
-      | None -> invalid "snapshot is missing field %s" f.Symbolic.Fieldspec.name
-      | Some fs ->
-        if Array.length fs.data <> Array.length buf.Vm.Buffer.data then
-          invalid "snapshot field %s has %d elements, buffer expects %d"
-            f.Symbolic.Fieldspec.name (Array.length fs.data)
-            (Array.length buf.Vm.Buffer.data);
-        Array.blit fs.data 0 buf.Vm.Buffer.data 0 (Array.length fs.data))
-    block.Vm.Engine.buffers
+      let name = f.Symbolic.Fieldspec.name in
+      match List.assoc_opt name fields with
+      | None -> invalid "snapshot is missing field %s" name
+      | Some data ->
+        if Array.length data <> Array.length buf.Vm.Buffer.data then
+          invalid "snapshot field %s has %d elements, buffer expects %d" name
+            (Array.length data) (Array.length buf.Vm.Buffer.data);
+        Array.blit data 0 buf.Vm.Buffer.data 0 (Array.length data))
+    block.Vm.Engine.buffers;
+  Pfcore.Timestep.restore sim ~step:t.step ~time:t.time
 
-let check_fingerprint t params =
-  let fp = fingerprint_of_params params in
+(* The one restore core: validate [t] against the target's model and
+   shape, then hand each block to [place].  Without [ranks] the target
+   keeps every block active on the rank of its id (a uniform forest, a
+   single block); with it, blocks may be frozen and owned by any rank
+   below [ranks] (an adaptive forest). *)
+let restore_core ?ranks t ~(gen : Pfcore.Genkernels.t) ~grid ~block_dims ~global_dims place =
+  let fp = fingerprint_of_params gen.Pfcore.Genkernels.params in
   if t.fingerprint <> fp then
     invalid "snapshot was taken with a different model (fingerprint %08x, ours %08x)"
-      t.fingerprint fp
+      t.fingerprint fp;
+  require_same_dims "grid" t.grid grid;
+  require_same_dims "block dims" t.block_dims block_dims;
+  require_same_dims "global dims" t.global_dims global_dims;
+  let n = Array.fold_left ( * ) 1 grid in
+  if Array.length t.blocks <> n || Array.length t.owner <> n || Array.length t.levels <> n then
+    invalid "snapshot holds %d blocks (%d owners, %d levels), target has %d"
+      (Array.length t.blocks) (Array.length t.owner) (Array.length t.levels) n;
+  Array.iteri
+    (fun i blk ->
+      let o = t.owner.(i) in
+      match (ranks, blk) with
+      | None, Frozen _ ->
+        invalid "snapshot block %d is frozen, the target keeps every block active" i
+      | None, _ when o <> i ->
+        invalid "snapshot block %d is on rank %d, the target keeps it on rank %d" i o i
+      | Some r, _ when o < 0 || o >= r ->
+        invalid "snapshot block %d is on rank %d, the target has %d rank(s)" i o r
+      | _ -> ())
+    t.blocks;
+  Array.iteri place t.blocks
+
+(* A uniform forest or a single block: block [i] into [sims.(i)]. *)
+let restore_sims t ~grid ~block_dims ~global_dims (sims : Pfcore.Timestep.t array) =
+  restore_core t ~gen:sims.(0).Pfcore.Timestep.gen ~grid ~block_dims ~global_dims
+    (fun i -> function
+      | Active { offset; fields } -> load_active t ~offset ~fields sims.(i)
+      | Frozen _ -> assert false (* rejected by [restore_core] *))
 
 (** Load a snapshot into an existing forest of identical topology and
-    model; ghost layers are restored verbatim, so no re-priming is needed
-    and the continuation is bitwise identical. *)
+    model; the continuation is bitwise identical. *)
 let restore t (f : Blocks.Forest.t) =
-  check_fingerprint t
-    f.Blocks.Forest.sims.(0).Pfcore.Timestep.gen.Pfcore.Genkernels.params;
-  require_same_dims "grid" t.grid f.Blocks.Forest.grid;
-  require_same_dims "block dims" t.block_dims f.Blocks.Forest.block_dims;
-  require_same_dims "global dims" t.global_dims f.Blocks.Forest.global_dims;
-  if Array.length t.blocks <> Array.length f.Blocks.Forest.sims then
-    invalid "snapshot holds %d blocks, forest has %d ranks" (Array.length t.blocks)
-      (Array.length f.Blocks.Forest.sims);
-  Array.iteri
-    (fun i (sim : Pfcore.Timestep.t) ->
-      restore_block t.blocks.(i) sim.Pfcore.Timestep.block;
-      Pfcore.Timestep.restore sim ~step:t.step ~time:t.time)
-    f.Blocks.Forest.sims
+  restore_sims t ~grid:f.Blocks.Forest.grid ~block_dims:f.Blocks.Forest.block_dims
+    ~global_dims:f.Blocks.Forest.global_dims f.Blocks.Forest.sims
 
 (** Load a single-block snapshot into an existing simulation. *)
 let restore_single t (sim : Pfcore.Timestep.t) =
-  check_fingerprint t sim.Pfcore.Timestep.gen.Pfcore.Genkernels.params;
-  if Array.exists (fun g -> g <> 1) t.grid then
-    invalid "snapshot is a %d-rank forest, not a single block"
-      (Array.fold_left ( * ) 1 t.grid);
-  require_same_dims "block dims" t.block_dims sim.Pfcore.Timestep.block.Vm.Engine.dims;
-  restore_block t.blocks.(0) sim.Pfcore.Timestep.block;
-  Pfcore.Timestep.restore sim ~step:t.step ~time:t.time
+  let block = sim.Pfcore.Timestep.block in
+  restore_sims t
+    ~grid:(Array.map (fun _ -> 1) block.Vm.Engine.dims)
+    ~block_dims:block.Vm.Engine.dims ~global_dims:block.Vm.Engine.global_dims [| sim |]
+
+(** Load a snapshot into an existing adaptive forest of identical topology
+    and model: refinement levels, block ownership and per-block state
+    (buffers or constants) are restored exactly, so replay is bitwise
+    identical — including the adaptation decisions, which are pure
+    functions of the restored state. *)
+let restore_adaptive t (af : Blocks.Adaptive.t) =
+  let field_by_name name =
+    match
+      List.find_opt
+        (fun (f : Symbolic.Fieldspec.t) -> f.Symbolic.Fieldspec.name = name)
+        (Pfcore.Timestep.field_list af.Blocks.Adaptive.gen)
+    with
+    | Some f -> f
+    | None -> invalid "snapshot names unknown field %s" name
+  in
+  restore_core ~ranks:af.Blocks.Adaptive.n_ranks t ~gen:af.Blocks.Adaptive.gen
+    ~grid:af.Blocks.Adaptive.bgrid ~block_dims:af.Blocks.Adaptive.block_dims
+    ~global_dims:af.Blocks.Adaptive.global_dims (fun i blk ->
+      (* the owner first: a re-materialised block takes its rank's lane *)
+      af.Blocks.Adaptive.owner.(i) <- t.owner.(i);
+      af.Blocks.Adaptive.levels.(i) <- t.levels.(i);
+      af.Blocks.Adaptive.states.(i) <-
+        (match blk with
+        | Frozen consts ->
+          Blocks.Adaptive.Frozen
+            (List.map (fun (name, cv) -> (field_by_name name, Array.copy cv)) consts)
+        | Active { offset; fields } ->
+          let sim =
+            match af.Blocks.Adaptive.states.(i) with
+            | Blocks.Adaptive.Active sim -> sim
+            | Blocks.Adaptive.Frozen _ -> Blocks.Adaptive.make_sim af i
+          in
+          load_active t ~offset ~fields sim;
+          Blocks.Adaptive.Active sim));
+  af.Blocks.Adaptive.step_count <- t.step;
+  af.Blocks.Adaptive.time <- t.time
 
 (* ------------------------------------------------------------------ *)
 (* Binary encoding                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "PFSNAP1\n"
-let version = 1
+(* v1 (read only): no levels, no owners, no block tags. *)
+let magics = [| "PFSNAP1\n"; "PFSNAP2\n" |]
+let version = 2
 
 let encode_payload t =
   let b = Buffer.create (1 lsl 16) in
   let i32 n = Buffer.add_int32_le b (Int32.of_int n) in
-  let i64 n = Buffer.add_int64_le b (Int64.of_int n) in
   let f64 x = Buffer.add_int64_le b (Int64.bits_of_float x) in
   let ints a =
     i32 (Array.length a);
     Array.iter i32 a
   in
+  let fields l =
+    i32 (List.length l);
+    List.iter
+      (fun (name, a) ->
+        i32 (String.length name);
+        Buffer.add_string b name;
+        i32 (Array.length a);
+        Array.iter f64 a)
+      l
+  in
   i32 version;
   i32 t.fingerprint;
-  Buffer.add_uint8 b (if t.split_phi then 1 else 0);
-  Buffer.add_uint8 b (if t.split_mu then 1 else 0);
-  i64 t.step;
+  Buffer.add_uint8 b (Bool.to_int t.split_phi);
+  Buffer.add_uint8 b (Bool.to_int t.split_mu);
+  Buffer.add_int64_le b (Int64.of_int t.step);
   f64 t.time;
-  ints t.grid;
-  ints t.block_dims;
-  ints t.global_dims;
+  List.iter ints [ t.grid; t.block_dims; t.global_dims; t.levels; t.owner ];
   i32 (Array.length t.blocks);
   Array.iter
-    (fun blk ->
-      ints blk.offset;
-      i32 (List.length blk.fields);
-      List.iter
-        (fun fs ->
-          i32 (String.length fs.fname);
-          Buffer.add_string b fs.fname;
-          i32 (Array.length fs.data);
-          Array.iter f64 fs.data)
-        blk.fields)
+    (function
+      | Active a ->
+        Buffer.add_uint8 b 1;
+        ints a.offset;
+        fields a.fields
+      | Frozen c ->
+        Buffer.add_uint8 b 0;
+        fields c)
     t.blocks;
   Buffer.contents b
 
@@ -207,8 +300,8 @@ let encode_payload t =
 let encode t =
   Obs.Span.with_ ~cat:"ckpt" "snapshot:encode" @@ fun () ->
   let payload = encode_payload t in
-  let b = Buffer.create (String.length payload + 24) in
-  Buffer.add_string b magic;
+  let b = Buffer.create (String.length payload + 16) in
+  Buffer.add_string b magics.(version - 1);
   Buffer.add_int32_le b (Int32.of_int (Crc.digest payload));
   Buffer.add_int32_le b (Int32.of_int (String.length payload));
   Buffer.add_string b payload;
@@ -218,45 +311,52 @@ let encode t =
 
 type cursor = { s : string; mutable pos : int }
 
-let read_i32 c =
-  if c.pos + 4 > String.length c.s then invalid "truncated snapshot (at byte %d)" c.pos;
-  let v = Int32.to_int (String.get_int32_le c.s c.pos) in
-  c.pos <- c.pos + 4;
-  v land 0xFFFFFFFF
-
-let read_i64 c =
-  if c.pos + 8 > String.length c.s then invalid "truncated snapshot (at byte %d)" c.pos;
-  let v = String.get_int64_le c.s c.pos in
-  c.pos <- c.pos + 8;
-  v
-
-let read_u8 c =
-  if c.pos + 1 > String.length c.s then invalid "truncated snapshot (at byte %d)" c.pos;
-  let v = Char.code c.s.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let read_string c n =
+let take c n =
   if n < 0 || c.pos + n > String.length c.s then
     invalid "truncated snapshot (at byte %d)" c.pos;
-  let v = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  v
+  let p = c.pos in
+  c.pos <- p + n;
+  p
 
+let read_i32 c = Int32.to_int (String.get_int32_le c.s (take c 4)) land 0xFFFFFFFF
+let read_i64 c = String.get_int64_le c.s (take c 8)
+let read_u8 c = Char.code c.s.[take c 1]
+let read_f64 c = Int64.float_of_bits (read_i64 c)
 let bounded what n limit = if n < 0 || n > limit then invalid "implausible %s count %d" what n
 
-let read_ints c =
+let read_ints ?(what = "axis") ?(limit = 16) c =
   let n = read_i32 c in
-  bounded "axis" n 16;
+  bounded what n limit;
   Array.init n (fun _ -> read_i32 c)
 
-(** Parse and validate a snapshot; raises {!Invalid} on bad magic, version
-    skew, truncation or checksum mismatch. *)
+(* A field list; [limit] bounds the values per field. *)
+let read_fields c ~what ~limit =
+  let n = read_i32 c in
+  bounded "field" n 256;
+  List.init n (fun _ ->
+      let len = read_i32 c in
+      bounded "name byte" len 4096;
+      let name = String.sub c.s (take c len) len in
+      let len = read_i32 c in
+      bounded what len limit;
+      (name, Array.init len (fun _ -> read_f64 c)))
+
+let read_active c =
+  let offset = read_ints c in
+  Active { offset; fields = read_fields c ~what:"element" ~limit:(1 lsl 28) }
+
+(** Parse and validate a snapshot of either layout; raises {!Invalid} on
+    bad magic, version skew, truncation, checksum mismatch, implausible
+    counts, an unknown block tag or trailing garbage. *)
 let decode s =
-  if String.length s < String.length magic + 8 then invalid "not a snapshot: too short";
-  if String.sub s 0 (String.length magic) <> magic then
-    invalid "not a snapshot: bad magic";
-  let c = { s; pos = String.length magic } in
+  let ml = String.length magics.(0) in
+  if String.length s < ml + 8 then invalid "not a snapshot: too short";
+  let v =
+    match Array.find_index (String.equal (String.sub s 0 ml)) magics with
+    | Some i -> i + 1
+    | None -> invalid "not a snapshot: bad magic"
+  in
+  let c = { s; pos = ml } in
   let crc = read_i32 c in
   let len = read_i32 c in
   if c.pos + len <> String.length s then
@@ -268,39 +368,51 @@ let decode s =
     invalid "checksum mismatch (stored %08x, computed %08x): snapshot is corrupted" crc
       actual;
   let c = { s = payload; pos = 0 } in
-  let v = read_i32 c in
-  if v <> version then invalid "unsupported snapshot version %d (expected %d)" v version;
+  let pv = read_i32 c in
+  if pv <> v then invalid "unsupported snapshot version %d (magic says %d)" pv v;
   let fingerprint = read_i32 c in
   let split_phi = read_u8 c = 1 in
   let split_mu = read_u8 c = 1 in
   let step = Int64.to_int (read_i64 c) in
-  let time = Int64.float_of_bits (read_i64 c) in
+  let time = read_f64 c in
   let grid = read_ints c in
   let block_dims = read_ints c in
   let global_dims = read_ints c in
-  let n_blocks = read_i32 c in
-  bounded "block" n_blocks 65536;
+  let per_block what = if v = 1 then None else Some (read_ints ~what ~limit:65536 c) in
+  let levels = per_block "level" in
+  let owner = per_block "owner" in
+  let n = read_i32 c in
+  bounded "block" n 65536;
+  let levels = Option.value levels ~default:(Array.make n 0) in
+  let owner = Option.value owner ~default:(Array.init n Fun.id) in
+  if Array.length levels <> n || Array.length owner <> n then
+    invalid "snapshot holds %d blocks but %d levels and %d owners" n (Array.length levels)
+      (Array.length owner);
   let blocks =
-    Array.init n_blocks (fun _ ->
-        let offset = read_ints c in
-        let n_fields = read_i32 c in
-        bounded "field" n_fields 256;
-        let fields =
-          List.init n_fields (fun _ ->
-              let n = read_i32 c in
-              bounded "name byte" n 4096;
-              let fname = read_string c n in
-              let len = read_i32 c in
-              bounded "element" len (1 lsl 28);
-              let data = Array.init len (fun _ -> Int64.float_of_bits (read_i64 c)) in
-              { fname; data })
-        in
-        { offset; fields })
+    Array.init n (fun _ ->
+        if v = 1 then read_active c
+        else
+          match read_u8 c with
+          | 1 -> read_active c
+          | 0 -> Frozen (read_fields c ~what:"component" ~limit:4096)
+          | tag -> invalid "unknown snapshot block tag %d" tag)
   in
   if c.pos <> String.length payload then
     invalid "trailing garbage after snapshot payload (%d bytes)"
       (String.length payload - c.pos);
-  { fingerprint; split_phi; split_mu; step; time; grid; block_dims; global_dims; blocks }
+  {
+    fingerprint;
+    split_phi;
+    split_mu;
+    step;
+    time;
+    grid;
+    block_dims;
+    global_dims;
+    levels;
+    owner;
+    blocks;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
@@ -312,11 +424,9 @@ let save path t =
   close_out oc
 
 let load path =
-  let ic = try open_in_bin path with Sys_error e -> invalid "cannot open snapshot: %s" e in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  decode s
+  decode
+    (try In_channel.with_open_bin path In_channel.input_all
+     with Sys_error e -> invalid "cannot read snapshot: %s" e)
 
 (* ------------------------------------------------------------------ *)
 (* Comparison and reporting                                            *)
@@ -324,7 +434,12 @@ let load path =
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(** Bitwise structural equality — ghost layers included. *)
+let fields_equal =
+  List.equal (fun (na, va) (nb, vb) ->
+      na = nb && Array.length va = Array.length vb && Array.for_all2 bits_equal va vb)
+
+(** Bitwise structural equality — ghost layers, refinement state and
+    ownership included. *)
 let equal a b =
   a.fingerprint = b.fingerprint
   && a.split_phi = b.split_phi
@@ -334,17 +449,15 @@ let equal a b =
   && a.grid = b.grid
   && a.block_dims = b.block_dims
   && a.global_dims = b.global_dims
+  && a.levels = b.levels
+  && a.owner = b.owner
   && Array.length a.blocks = Array.length b.blocks
   && Array.for_all2
-       (fun ba bb ->
-         ba.offset = bb.offset
-         && List.length ba.fields = List.length bb.fields
-         && List.for_all2
-              (fun fa fb ->
-                fa.fname = fb.fname
-                && Array.length fa.data = Array.length fb.data
-                && Array.for_all2 bits_equal fa.data fb.data)
-              ba.fields bb.fields)
+       (fun x y ->
+         match (x, y) with
+         | Active x, Active y -> x.offset = y.offset && fields_equal x.fields y.fields
+         | Frozen x, Frozen y -> fields_equal x y
+         | _ -> false)
        a.blocks b.blocks
 
 let pp ppf t =
@@ -352,292 +465,3 @@ let pp ppf t =
     t.time
     (String.concat "x" (List.map string_of_int (Array.to_list t.grid)))
     (Array.length t.blocks) t.fingerprint
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive forests (v2 wire format; v1 stays byte-identical)          *)
-(* ------------------------------------------------------------------ *)
-
-(** One block of an adaptive snapshot: a frozen block is captured as its
-    per-field per-component constants — the whole point of coarsening is
-    that this is all the state there is. *)
-type adaptive_block =
-  | Ab_active of block_state
-  | Ab_frozen of (string * float array) list
-
-type adaptive = {
-  a_fingerprint : int;
-  a_split_phi : bool;
-  a_split_mu : bool;
-  a_step : int;
-  a_time : float;
-  a_bgrid : int array;
-  a_block_dims : int array;
-  a_global_dims : int array;
-  a_levels : int array;
-  a_owner : int array;
-  a_blocks : adaptive_block array;
-}
-
-(** Snapshot a whole adaptive forest, refinement state included. *)
-let capture_adaptive (af : Blocks.Adaptive.t) =
-  Obs.Span.with_ ~cat:"ckpt" "snapshot:capture" @@ fun () ->
-  Obs.Metrics.count "ckpt.captures" 1;
-  {
-    a_fingerprint = fingerprint_of_params af.Blocks.Adaptive.gen.Pfcore.Genkernels.params;
-    a_split_phi = is_split af.Blocks.Adaptive.variant_phi;
-    a_split_mu = is_split af.Blocks.Adaptive.variant_mu;
-    a_step = af.Blocks.Adaptive.step_count;
-    a_time = af.Blocks.Adaptive.time;
-    a_bgrid = Array.copy af.Blocks.Adaptive.bgrid;
-    a_block_dims = Array.copy af.Blocks.Adaptive.block_dims;
-    a_global_dims = Array.copy af.Blocks.Adaptive.global_dims;
-    a_levels = Array.copy af.Blocks.Adaptive.levels;
-    a_owner = Array.copy af.Blocks.Adaptive.owner;
-    a_blocks =
-      Array.map
-        (function
-          | Blocks.Adaptive.Active sim ->
-            Ab_active (capture_block sim.Pfcore.Timestep.block)
-          | Blocks.Adaptive.Frozen consts ->
-            Ab_frozen
-              (List.map
-                 (fun ((f : Symbolic.Fieldspec.t), cv) ->
-                   (f.Symbolic.Fieldspec.name, Array.copy cv))
-                 consts))
-        af.Blocks.Adaptive.states;
-  }
-
-(** Load an adaptive snapshot into an existing forest of identical
-    topology and model: refinement levels, block ownership and per-block
-    state (buffers or constants) are restored exactly, so replay is
-    bitwise identical — including the adaptation decisions, which are
-    pure functions of the restored state. *)
-let restore_adaptive a (af : Blocks.Adaptive.t) =
-  check_fingerprint
-    {
-      fingerprint = a.a_fingerprint;
-      split_phi = a.a_split_phi;
-      split_mu = a.a_split_mu;
-      step = a.a_step;
-      time = a.a_time;
-      grid = a.a_bgrid;
-      block_dims = a.a_block_dims;
-      global_dims = a.a_global_dims;
-      blocks = [||];
-    }
-    af.Blocks.Adaptive.gen.Pfcore.Genkernels.params;
-  require_same_dims "block grid" a.a_bgrid af.Blocks.Adaptive.bgrid;
-  require_same_dims "block dims" a.a_block_dims af.Blocks.Adaptive.block_dims;
-  require_same_dims "global dims" a.a_global_dims af.Blocks.Adaptive.global_dims;
-  if Array.length a.a_blocks <> Array.length af.Blocks.Adaptive.states then
-    invalid "adaptive snapshot holds %d blocks, forest has %d" (Array.length a.a_blocks)
-      (Array.length af.Blocks.Adaptive.states);
-  let field_by_name name =
-    match
-      List.find_opt
-        (fun (f : Symbolic.Fieldspec.t) -> f.Symbolic.Fieldspec.name = name)
-        (Pfcore.Timestep.field_list af.Blocks.Adaptive.gen)
-    with
-    | Some f -> f
-    | None -> invalid "adaptive snapshot names unknown field %s" name
-  in
-  af.Blocks.Adaptive.step_count <- a.a_step;
-  af.Blocks.Adaptive.time <- a.a_time;
-  Array.blit a.a_levels 0 af.Blocks.Adaptive.levels 0 (Array.length a.a_levels);
-  Array.blit a.a_owner 0 af.Blocks.Adaptive.owner 0 (Array.length a.a_owner);
-  Array.iteri
-    (fun i ab ->
-      match ab with
-      | Ab_frozen consts ->
-        af.Blocks.Adaptive.states.(i) <-
-          Blocks.Adaptive.Frozen
-            (List.map (fun (name, cv) -> (field_by_name name, Array.copy cv)) consts)
-      | Ab_active bs ->
-        let sim =
-          match af.Blocks.Adaptive.states.(i) with
-          | Blocks.Adaptive.Active sim -> sim
-          | Blocks.Adaptive.Frozen _ -> Blocks.Adaptive.make_sim af i
-        in
-        restore_block bs sim.Pfcore.Timestep.block;
-        Pfcore.Timestep.restore sim ~step:a.a_step ~time:a.a_time;
-        af.Blocks.Adaptive.states.(i) <- Blocks.Adaptive.Active sim)
-    a.a_blocks
-
-let magic2 = "PFSNAP2\n"
-let version2 = 2
-
-let encode_adaptive_payload t =
-  let b = Buffer.create (1 lsl 16) in
-  let i32 n = Buffer.add_int32_le b (Int32.of_int n) in
-  let i64 n = Buffer.add_int64_le b (Int64.of_int n) in
-  let f64 x = Buffer.add_int64_le b (Int64.bits_of_float x) in
-  let ints a =
-    i32 (Array.length a);
-    Array.iter i32 a
-  in
-  i32 version2;
-  i32 t.a_fingerprint;
-  Buffer.add_uint8 b (if t.a_split_phi then 1 else 0);
-  Buffer.add_uint8 b (if t.a_split_mu then 1 else 0);
-  i64 t.a_step;
-  f64 t.a_time;
-  ints t.a_bgrid;
-  ints t.a_block_dims;
-  ints t.a_global_dims;
-  ints t.a_levels;
-  ints t.a_owner;
-  i32 (Array.length t.a_blocks);
-  Array.iter
-    (fun ab ->
-      match ab with
-      | Ab_active blk ->
-        Buffer.add_uint8 b 1;
-        ints blk.offset;
-        i32 (List.length blk.fields);
-        List.iter
-          (fun fs ->
-            i32 (String.length fs.fname);
-            Buffer.add_string b fs.fname;
-            i32 (Array.length fs.data);
-            Array.iter f64 fs.data)
-          blk.fields
-      | Ab_frozen consts ->
-        Buffer.add_uint8 b 0;
-        i32 (List.length consts);
-        List.iter
-          (fun (name, cv) ->
-            i32 (String.length name);
-            Buffer.add_string b name;
-            i32 (Array.length cv);
-            Array.iter f64 cv)
-          consts)
-    t.a_blocks;
-  Buffer.contents b
-
-let encode_adaptive t =
-  Obs.Span.with_ ~cat:"ckpt" "snapshot:encode" @@ fun () ->
-  let payload = encode_adaptive_payload t in
-  let b = Buffer.create (String.length payload + 24) in
-  Buffer.add_string b magic2;
-  Buffer.add_int32_le b (Int32.of_int (Crc.digest payload));
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-let decode_adaptive s =
-  if String.length s < String.length magic2 + 8 then
-    invalid "not an adaptive snapshot: too short";
-  if String.sub s 0 (String.length magic2) <> magic2 then
-    invalid "not an adaptive snapshot: bad magic";
-  let c = { s; pos = String.length magic2 } in
-  let crc = read_i32 c in
-  let len = read_i32 c in
-  if c.pos + len <> String.length s then
-    invalid "adaptive snapshot length field says %d payload bytes, file has %d" len
-      (String.length s - c.pos);
-  let payload = String.sub s c.pos len in
-  if Crc.digest payload <> crc then
-    invalid "checksum mismatch: adaptive snapshot is corrupted";
-  let c = { s = payload; pos = 0 } in
-  let v = read_i32 c in
-  if v <> version2 then invalid "unsupported adaptive snapshot version %d" v;
-  let a_fingerprint = read_i32 c in
-  let a_split_phi = read_u8 c = 1 in
-  let a_split_mu = read_u8 c = 1 in
-  let a_step = Int64.to_int (read_i64 c) in
-  let a_time = Int64.float_of_bits (read_i64 c) in
-  let a_bgrid = read_ints c in
-  let a_block_dims = read_ints c in
-  let a_global_dims = read_ints c in
-  let read_int_array limit =
-    let n = read_i32 c in
-    bounded "entry" n limit;
-    Array.init n (fun _ -> read_i32 c)
-  in
-  let a_levels = read_int_array 65536 in
-  let a_owner = read_int_array 65536 in
-  let n_blocks = read_i32 c in
-  bounded "block" n_blocks 65536;
-  let a_blocks =
-    Array.init n_blocks (fun _ ->
-        match read_u8 c with
-        | 1 ->
-          let offset = read_ints c in
-          let n_fields = read_i32 c in
-          bounded "field" n_fields 256;
-          let fields =
-            List.init n_fields (fun _ ->
-                let n = read_i32 c in
-                bounded "name byte" n 4096;
-                let fname = read_string c n in
-                let len = read_i32 c in
-                bounded "element" len (1 lsl 28);
-                let data = Array.init len (fun _ -> Int64.float_of_bits (read_i64 c)) in
-                { fname; data })
-          in
-          Ab_active { offset; fields }
-        | 0 ->
-          let n_fields = read_i32 c in
-          bounded "field" n_fields 256;
-          Ab_frozen
-            (List.init n_fields (fun _ ->
-                 let n = read_i32 c in
-                 bounded "name byte" n 4096;
-                 let name = read_string c n in
-                 let len = read_i32 c in
-                 bounded "component" len 4096;
-                 (name, Array.init len (fun _ -> Int64.float_of_bits (read_i64 c)))))
-        | tag -> invalid "unknown adaptive block tag %d" tag)
-  in
-  if c.pos <> String.length payload then
-    invalid "trailing garbage after adaptive snapshot payload";
-  {
-    a_fingerprint;
-    a_split_phi;
-    a_split_mu;
-    a_step;
-    a_time;
-    a_bgrid;
-    a_block_dims;
-    a_global_dims;
-    a_levels;
-    a_owner;
-    a_blocks;
-  }
-
-(** Bitwise structural equality of adaptive snapshots — refinement
-    state, ownership and every stored value included. *)
-let equal_adaptive a b =
-  a.a_fingerprint = b.a_fingerprint
-  && a.a_split_phi = b.a_split_phi
-  && a.a_split_mu = b.a_split_mu
-  && a.a_step = b.a_step
-  && bits_equal a.a_time b.a_time
-  && a.a_bgrid = b.a_bgrid
-  && a.a_block_dims = b.a_block_dims
-  && a.a_global_dims = b.a_global_dims
-  && a.a_levels = b.a_levels
-  && a.a_owner = b.a_owner
-  && Array.length a.a_blocks = Array.length b.a_blocks
-  && Array.for_all2
-       (fun ba bb ->
-         match (ba, bb) with
-         | Ab_active xa, Ab_active xb ->
-           xa.offset = xb.offset
-           && List.length xa.fields = List.length xb.fields
-           && List.for_all2
-                (fun fa fb ->
-                  fa.fname = fb.fname
-                  && Array.length fa.data = Array.length fb.data
-                  && Array.for_all2 bits_equal fa.data fb.data)
-                xa.fields xb.fields
-         | Ab_frozen ca, Ab_frozen cb ->
-           List.length ca = List.length cb
-           && List.for_all2
-                (fun (na, va) (nb, vb) ->
-                  na = nb
-                  && Array.length va = Array.length vb
-                  && Array.for_all2 bits_equal va vb)
-                ca cb
-         | _ -> false)
-       a.a_blocks b.a_blocks

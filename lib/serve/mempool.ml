@@ -84,8 +84,7 @@ let acquire t len =
   arr
 
 (** Return an array to its size class.  The caller must not touch it
-    afterwards ({!Resilience.Preempt.release_block} poisons the buffer it
-    came from). *)
+    afterwards ({!release_block} poisons the buffer it came from). *)
 let release t arr =
   let len = Array.length arr in
   if len > 0 then begin
@@ -94,6 +93,16 @@ let release t arr =
     t.live_bytes <- t.live_bytes - bytes_of_len len;
     t.pooled_bytes <- t.pooled_bytes + bytes_of_len len
   end
+
+(** Return every backing array of [block] to the pool and poison its
+    buffers, so a stale reference faults loudly instead of aliasing
+    recycled storage. *)
+let release_block t (block : Vm.Engine.block) =
+  List.iter
+    (fun (_, (buf : Vm.Buffer.t)) ->
+      release t buf.Vm.Buffer.data;
+      buf.Vm.Buffer.data <- [||])
+    block.Vm.Engine.buffers
 
 (** The [Buffer.create]-shaped allocation callback of this pool. *)
 let alloc t len = acquire t len

@@ -4,12 +4,12 @@
     the one persistent [Vm.Pool]: at most [max_active] jobs are resident
     (buffers live, admission-charged against the memory budget) at a time,
     and one scheduler pass advances every resident job by one quantum.
-    Long jobs are preempted after [park_after] consecutive quanta — their
-    state is captured by [Resilience.Preempt], their buffers go back to
-    the mempool, and the job re-enters the queue to resume later into
-    recycled storage.  Crash-injected jobs run every quantum under
-    [Resilience.Recovery.run_protected] with a persistent per-job
-    checkpoint store.
+    Long single-block jobs are preempted after [park_after] consecutive
+    quanta — their state is captured by [Resilience.Snapshot], their
+    buffers go back to the mempool, and the job re-enters the queue to
+    resume later into recycled storage.  Crash-injected jobs run every
+    quantum under [Resilience.Recovery.run_protected], which checkpoints
+    before the quantum's first step.
 
     Correctness contract (oracle 9): any quantum size, admission order,
     preemption pattern and injected fault schedule yields, per job, a
@@ -61,15 +61,13 @@ let variant_of split = if split then Pfcore.Timestep.Split else Pfcore.Timestep.
 (* Job runtime state                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type exec =
-  | Single of Pfcore.Timestep.t
-  | Forest of Blocks.Forest.t * Resilience.Snapshot.t Resilience.Store.t
+type exec = Single of Pfcore.Timestep.t | Forest of Blocks.Forest.t
 
 type job = {
   spec : Workload.spec;
   bytes : int;  (** admission charge while resident *)
   mutable exec : exec option;  (** [None] while parked *)
-  mutable parked : Resilience.Preempt.parked option;
+  mutable parked : Resilience.Snapshot.t option;  (** a preempted job's state *)
   mutable quanta : int;
   mutable consecutive : int;  (** quanta since last (re)admission *)
   mutable preemptions : int;
@@ -100,9 +98,8 @@ type run_stats = {
 let step_count job =
   match job.exec with
   | Some (Single sim) -> sim.Pfcore.Timestep.step_count
-  | Some (Forest (f, _)) -> Blocks.Forest.step_count f
-  | None -> (
-    match job.parked with Some p -> p.Resilience.Preempt.snap.Resilience.Snapshot.step | None -> 0)
+  | Some (Forest f) -> Blocks.Forest.step_count f
+  | None -> ( match job.parked with Some p -> p.Resilience.Snapshot.step | None -> 0)
 
 (* ------------------------------------------------------------------ *)
 (* Building and tearing down resident state                            *)
@@ -144,7 +141,8 @@ let activate config mempool (job : job) =
     in
     (match job.parked with
     | Some p ->
-      Resilience.Preempt.resume_single p sim;
+      Resilience.Snapshot.restore_single p sim;
+      Obs.Span.instant ~cat:"serve" "preempt:resume";
       job.parked <- None
     | None ->
       Workload.init_sim sim ~seed:spec.Workload.seed;
@@ -166,21 +164,23 @@ let activate config mempool (job : job) =
       (fun sim -> Workload.init_sim sim ~seed:spec.Workload.seed)
       forest.Blocks.Forest.sims;
     Blocks.Forest.prime forest;
-    job.exec <- Some (Forest (forest, Resilience.Store.create ())));
+    job.exec <- Some (Forest forest));
   job.consecutive <- 0
 
 let release_exec mempool (job : job) =
-  let free = Mempool.release mempool in
   (match job.exec with
-  | Some (Single sim) -> Resilience.Preempt.release_single ~free sim
-  | Some (Forest (f, _)) -> Resilience.Preempt.release ~free f
+  | Some (Single sim) -> Mempool.release_block mempool sim.Pfcore.Timestep.block
+  | Some (Forest f) ->
+    Array.iter
+      (fun (sim : Pfcore.Timestep.t) -> Mempool.release_block mempool sim.Pfcore.Timestep.block)
+      f.Blocks.Forest.sims
   | None -> ());
   job.exec <- None
 
 let capture_final (job : job) =
   match job.exec with
   | Some (Single sim) -> Resilience.Snapshot.capture_single sim
-  | Some (Forest (f, _)) -> Resilience.Snapshot.capture f
+  | Some (Forest f) -> Resilience.Snapshot.capture f
   | None -> invalid_arg "Scheduler.capture_final: job is not resident"
 
 (* ------------------------------------------------------------------ *)
@@ -201,11 +201,8 @@ let run_quantum config (job : job) =
         (fun () ->
           match job.exec with
           | Some (Single sim) -> Pfcore.Timestep.run sim ~steps
-          | Some (Forest (forest, store)) ->
-            let stats =
-              Resilience.Recovery.run_protected ~store ~every:config.ckpt_every ~steps
-                forest
-            in
+          | Some (Forest forest) ->
+            let stats = Resilience.Recovery.run_protected ~every:config.ckpt_every ~steps forest in
             job.restarts <- job.restarts + stats.Resilience.Recovery.restarts
           | None -> invalid_arg "Scheduler.run_quantum: job is not resident"));
   job.quanta <- job.quanta + 1;
@@ -304,7 +301,11 @@ let run ?(config = default_config ()) ~mempool specs =
   let park job =
     (match job.exec with
     | Some (Single sim) ->
-      job.parked <- Some (Resilience.Preempt.park_single sim);
+      let snap = Resilience.Snapshot.capture_single sim in
+      Obs.Metrics.count "preempt.parks" 1;
+      Obs.Metrics.count "preempt.parked_bytes" (Resilience.Snapshot.state_bytes snap);
+      Obs.Span.instant ~cat:"serve" "preempt:park";
+      job.parked <- Some snap;
       release_exec mempool job
     | _ -> invalid_arg "Scheduler.park: only single-block jobs are preemptible");
     roster := List.filter (fun j -> j != job) !roster;

@@ -172,19 +172,3 @@ let periodic t =
   for axis = 0 to t.field.dim - 1 do
     periodic_axis t axis
   done
-
-(** Sum of a component over the interior (used by conservation tests). *)
-let interior_sum ?(component = 0) t =
-  let dim = t.field.dim in
-  let coords = Array.make dim 0 in
-  let acc = ref 0. in
-  let rec loop d =
-    if d = dim then acc := !acc +. get t ~component coords
-    else
-      for i = 0 to t.dims.(d) - 1 do
-        coords.(d) <- i;
-        loop (d + 1)
-      done
-  in
-  loop 0;
-  !acc

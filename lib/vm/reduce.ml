@@ -138,8 +138,7 @@ let decode a : partial =
 (* ------------------------------------------------------------------ *)
 
 (** Interface detector band: a cell is an interface cell when any phase
-    component lies strictly inside (0.01, 0.99) — the same band
-    [Simulation.interface_fraction] always used. *)
+    component lies strictly inside (0.01, 0.99). *)
 let interface_lo = 0.01
 
 let interface_hi = 0.99

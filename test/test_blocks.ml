@@ -24,6 +24,15 @@ let test_mpisim_accounting () =
   Alcotest.(check int) "bytes counted" 80 c.Blocks.Mpisim.bytes_sent;
   Alcotest.(check int) "messages counted" 1 c.Blocks.Mpisim.messages_sent
 
+(* The substrate owns what it is sent: the receiver gets the very array,
+   not a copy (ghost slabs are freshly packed for every send). *)
+let test_mpisim_send_owns_payload () =
+  let c = Blocks.Mpisim.create 2 in
+  let data = [| 1.; 2. |] in
+  Blocks.Mpisim.send c ~src:0 ~dst:1 ~tag:7 data;
+  Alcotest.(check bool) "received payload is the sent array" true
+    (Blocks.Mpisim.recv c ~src:0 ~dst:1 ~tag:7 == data)
+
 (* No_message must carry the exact (src, dst, tag) key in both failure
    modes: a queue that was never created (wrong tag) and one that exists
    but has been drained. *)
@@ -592,6 +601,7 @@ let suite =
   [
     Alcotest.test_case "mpisim fifo semantics" `Quick test_mpisim_fifo;
     Alcotest.test_case "mpisim accounting" `Quick test_mpisim_accounting;
+    Alcotest.test_case "mpisim send owns its payload" `Quick test_mpisim_send_owns_payload;
     Alcotest.test_case "mpisim No_message key" `Quick test_mpisim_no_message_key;
     Alcotest.test_case "exchange message/byte accounting" `Quick test_exchange_accounting;
     Alcotest.test_case "ghost pack/unpack" `Quick test_ghost_roundtrip;

@@ -126,16 +126,16 @@ let test_projection_keeps_simplex () =
   Pfcore.Simulation.init_sphere t;
   Pfcore.Timestep.run t ~steps:20;
   Alcotest.(check bool) "phi in [0,1]" true (Pfcore.Simulation.check_sane t);
-  let fr = Pfcore.Simulation.phase_fractions t in
+  let fr = Pfcore.Diag.phase_fractions t in
   Alcotest.(check (float 1e-9)) "sum of fractions = 1" 1. (fr.(0) +. fr.(1))
 
 let test_curvature_flow_shrinks () =
   let g = Lazy.force curv in
   let t = Pfcore.Timestep.create ~dims:[| 48; 48 |] g in
   Pfcore.Simulation.init_sphere t;
-  let f0 = (Pfcore.Simulation.phase_fractions t).(0) in
+  let f0 = (Pfcore.Diag.phase_fractions t).(0) in
   Pfcore.Timestep.run t ~steps:150;
-  let f1 = (Pfcore.Simulation.phase_fractions t).(0) in
+  let f1 = (Pfcore.Diag.phase_fractions t).(0) in
   Alcotest.(check bool) "sphere shrinks" true (f1 < f0 -. 0.001);
   Alcotest.(check bool) "sphere persists" true (f1 > 0.1)
 
@@ -145,12 +145,12 @@ let test_eutectic_front_advances () =
   Pfcore.Simulation.init_lamellae t;
   let z0 = Pfcore.Simulation.front_position t in
   let solid0 =
-    let fr = Pfcore.Simulation.phase_fractions t in
+    let fr = Pfcore.Diag.phase_fractions t in
     fr.(0) +. fr.(1) +. fr.(2)
   in
   Pfcore.Timestep.run t ~steps:40;
   let z1 = Pfcore.Simulation.front_position t in
-  let fr = Pfcore.Simulation.phase_fractions t in
+  let fr = Pfcore.Diag.phase_fractions t in
   let solid1 = fr.(0) +. fr.(1) +. fr.(2) in
   Alcotest.(check bool) "solid fraction grows" true (solid1 > solid0);
   Alcotest.(check bool) "front advances toward liquid" true (z1 > z0);

@@ -1,5 +1,5 @@
-(* Resilience subsystem: snapshot format, bounded store, fault plans, the
-   self-healing exchange, and the rollback-recovery driver. *)
+(* Resilience subsystem: snapshot format, fault plans, the self-healing
+   exchange, and rollback recovery. *)
 
 let curvature = lazy (Pfcore.Genkernels.generate (Pfcore.Params.curvature ~dim:2 ()))
 
@@ -10,12 +10,36 @@ let make_forest () =
   Blocks.Forest.prime forest;
   forest
 
-let make_single () =
+let make_single ?(size = 12) () =
   let g = Lazy.force curvature in
-  let sim = Pfcore.Timestep.create ~dims:[| 12; 12 |] g in
+  let sim = Pfcore.Timestep.create ~dims:[| size; size |] g in
   Pfcore.Simulation.init_sphere sim;
   Pfcore.Timestep.prime sim;
   sim
+
+(* The adaptive forest of golden/adaptive_frozen_v2.snap: 2x2 curvature
+   blocks of 6x6 on two ranks, two steps, then block 3 frozen by hand at
+   level 1. *)
+let make_adaptive_frozen () =
+  let g = Lazy.force curvature in
+  let f = g.Pfcore.Genkernels.fields in
+  let af = Blocks.Adaptive.create ~ranks:2 ~bgrid:[| 2; 2 |] ~block_dims:[| 6; 6 |] g in
+  List.iter Pfcore.Simulation.init_model (Blocks.Adaptive.active_sims af);
+  Blocks.Adaptive.prime af;
+  Blocks.Adaptive.run af ~steps:2;
+  let vertex (fl : Symbolic.Fieldspec.t) =
+    Array.init fl.Symbolic.Fieldspec.components (fun c -> float_of_int (c + 1) /. 8.)
+  in
+  af.Blocks.Adaptive.states.(3) <-
+    Blocks.Adaptive.Frozen
+      (List.map (fun fl -> (fl, vertex fl)) [ f.Pfcore.Model.phi_src; f.Pfcore.Model.phi_dst ]);
+  af.Blocks.Adaptive.levels.(3) <- 1;
+  af
+
+let expect_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Resilience.Snapshot.Invalid _ -> ()
 
 let phi () = (Lazy.force curvature).Pfcore.Genkernels.fields.Pfcore.Model.phi_src
 
@@ -54,24 +78,72 @@ let test_snapshot_file_roundtrip () =
         (Resilience.Snapshot.equal snap (Resilience.Snapshot.load path)))
 
 let test_snapshot_corruption_rejected () =
-  let sim = make_single () in
-  let snap = Resilience.Snapshot.capture_single sim in
-  let encoded = Resilience.Snapshot.encode snap in
-  (* flip one bit in a handful of positions spread over the file: header,
-     metadata and payload corruption must all be rejected *)
   List.iter
-    (fun frac ->
-      let pos = String.length encoded * frac / 100 in
-      let b = Bytes.of_string encoded in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
-      match Resilience.Snapshot.decode (Bytes.to_string b) with
-      | _ -> Alcotest.failf "corruption at byte %d accepted" pos
-      | exception Resilience.Snapshot.Invalid _ -> ())
-    [ 0; 3; 10; 50; 99 ];
-  (* truncation too *)
-  (match Resilience.Snapshot.decode (String.sub encoded 0 40) with
-  | _ -> Alcotest.fail "truncated snapshot accepted"
-  | exception Resilience.Snapshot.Invalid _ -> ())
+    (fun encoded ->
+      (* flip one bit in a handful of positions spread over the file:
+         header, metadata and payload corruption must all be rejected *)
+      List.iter
+        (fun frac ->
+          let pos = String.length encoded * frac / 100 in
+          let b = Bytes.of_string encoded in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
+          expect_invalid (Printf.sprintf "corruption at byte %d" pos) (fun () ->
+              Resilience.Snapshot.decode (Bytes.to_string b)))
+        [ 0; 3; 10; 50; 99 ];
+      (* truncation too *)
+      expect_invalid "truncated snapshot" (fun () ->
+          Resilience.Snapshot.decode (String.sub encoded 0 40)))
+    [
+      Resilience.Snapshot.encode (Resilience.Snapshot.capture_single (make_single ()));
+      Resilience.Snapshot.encode (Resilience.Snapshot.capture_adaptive (make_adaptive_frozen ()));
+    ]
+
+(* Files written before the layouts merged: the v1 file of
+   [pfgen checkpoint --model curvature --size 8 --steps 2] and the v2 file
+   of {!make_adaptive_frozen}.  Each decodes to exactly what this build
+   captures from the same run and restores into a fresh target; the v2
+   file re-encodes byte for byte, and the v1 one grows by the levels,
+   owners and block tag of its one block (8 + 9 bytes). *)
+let test_committed_snapshots () =
+  let v1 = Golden.read_file "golden/curvature_8_v1.snap" in
+  let snap = Resilience.Snapshot.decode v1 in
+  let sim = make_single ~size:8 () in
+  Pfcore.Timestep.run sim ~steps:2;
+  Alcotest.(check bool) "v1 file = capture of the same run" true
+    (Resilience.Snapshot.equal snap (Resilience.Snapshot.capture_single sim));
+  Alcotest.(check int) "v2 layout adds 8 + 9 x blocks bytes" (String.length v1 + 17)
+    (String.length (Resilience.Snapshot.encode snap));
+  let fresh = make_single ~size:8 () in
+  Resilience.Snapshot.restore_single snap fresh;
+  Alcotest.(check bool) "v1 file restores" true
+    (Resilience.Snapshot.equal snap (Resilience.Snapshot.capture_single fresh));
+  let v2 = Golden.read_file "golden/adaptive_frozen_v2.snap" in
+  let snap = Resilience.Snapshot.decode v2 in
+  let captured = Resilience.Snapshot.capture_adaptive (make_adaptive_frozen ()) in
+  Alcotest.(check bool) "v2 file = capture of the same run" true
+    (Resilience.Snapshot.equal snap captured);
+  Alcotest.(check bool) "v2 file re-encodes byte for byte" true
+    (String.equal v2 (Resilience.Snapshot.encode captured));
+  let fresh =
+    Blocks.Adaptive.create ~ranks:2 ~bgrid:[| 2; 2 |] ~block_dims:[| 6; 6 |]
+      (Lazy.force curvature)
+  in
+  Resilience.Snapshot.restore_adaptive snap fresh;
+  Alcotest.(check bool) "v2 file restores" true
+    (Resilience.Snapshot.equal snap (Resilience.Snapshot.capture_adaptive fresh))
+
+(* A restore target that cannot hold the snapshot, and a v2 file whose
+   per-block arrays disagree with its block count, are rejected. *)
+let test_snapshot_shape_guards () =
+  let forest = make_forest () in
+  let snap = Resilience.Snapshot.capture forest in
+  let blocks = Array.copy snap.Resilience.Snapshot.blocks in
+  blocks.(3) <- Resilience.Snapshot.Frozen [ ((phi ()).Symbolic.Fieldspec.name, [| 0.; 1. |]) ];
+  expect_invalid "frozen block restored into a uniform forest" (fun () ->
+      Resilience.Snapshot.restore { snap with Resilience.Snapshot.blocks } forest);
+  let short = { snap with owner = Array.sub snap.Resilience.Snapshot.owner 0 3 } in
+  expect_invalid "owner array one entry short" (fun () ->
+      Resilience.Snapshot.decode (Resilience.Snapshot.encode short))
 
 let test_snapshot_fingerprint_guard () =
   let sim = make_single () in
@@ -80,23 +152,6 @@ let test_snapshot_fingerprint_guard () =
   match Resilience.Snapshot.restore_single wrong sim with
   | _ -> Alcotest.fail "wrong-model snapshot accepted"
   | exception Resilience.Snapshot.Invalid _ -> ()
-
-let test_store_bounded () =
-  let sim = make_single () in
-  let store = Resilience.Store.create ~capacity:3 () in
-  Alcotest.(check bool) "empty" true (Resilience.Store.latest store = None);
-  for i = 1 to 5 do
-    Pfcore.Timestep.run sim ~steps:1;
-    Resilience.Store.put store (Resilience.Snapshot.capture_single sim);
-    Alcotest.(check int)
-      (Printf.sprintf "count after %d" i)
-      (min i 3) (Resilience.Store.count store)
-  done;
-  (match Resilience.Store.latest store with
-  | Some s -> Alcotest.(check int) "latest is newest" 5 s.Resilience.Snapshot.step
-  | None -> Alcotest.fail "store empty after puts");
-  Resilience.Store.clear store;
-  Alcotest.(check int) "cleared" 0 (Resilience.Store.count store)
 
 (* --------------- fault plans ---------------------------------------- *)
 
@@ -207,6 +262,37 @@ let test_adaptive_crash_savings () =
   Alcotest.(check int) "nothing froze" 0 af.Blocks.Adaptive.freezes;
   Alcotest.(check (float 0.)) "savings exactly 1" 1. (Blocks.Adaptive.savings af)
 
+(* A rollback reads only the newest checkpoint, so recovery keeps no
+   other: before every step, at most one capture is still reachable. *)
+let test_recovery_keeps_newest_checkpoint () =
+  let forest = make_forest () in
+  let captures = Weak.create 16 and n = ref 0 and most = ref 0 in
+  let reachable () =
+    Gc.full_major ();
+    let live = ref 0 in
+    for i = 0 to Weak.length captures - 1 do
+      if Weak.check captures i then incr live
+    done;
+    !live
+  in
+  let stats =
+    Resilience.Recovery.protect ~every:1 ~steps:6
+      ~step_count:(fun () -> Blocks.Forest.step_count forest)
+      ~step:(fun () ->
+        most := max !most (reachable ());
+        Blocks.Forest.step forest)
+      ~capture:(fun () ->
+        let snap = Resilience.Snapshot.capture forest in
+        Weak.set captures !n (Some snap);
+        incr n;
+        snap)
+      ~restore:(fun snap -> Resilience.Snapshot.restore snap forest)
+      forest.Blocks.Forest.comm
+  in
+  Alcotest.(check int) "a checkpoint before the run and after every step" 7
+    stats.Resilience.Recovery.checkpoints;
+  Alcotest.(check int) "at most one checkpoint reachable" 1 !most
+
 let test_forest_snapshot_restore_continues () =
   (* checkpoint at step 2, keep running to 5, roll back, rerun 3 steps:
      both trajectories must agree bitwise *)
@@ -240,7 +326,10 @@ let suite =
     Alcotest.test_case "snapshot file save/load" `Quick test_snapshot_file_roundtrip;
     Alcotest.test_case "corrupted snapshot rejected" `Quick test_snapshot_corruption_rejected;
     Alcotest.test_case "fingerprint guards restore" `Quick test_snapshot_fingerprint_guard;
-    Alcotest.test_case "store is bounded" `Quick test_store_bounded;
+    Alcotest.test_case "committed v1 and v2 snapshot files" `Quick test_committed_snapshots;
+    Alcotest.test_case "snapshot shape guards" `Quick test_snapshot_shape_guards;
+    Alcotest.test_case "recovery keeps only the newest checkpoint" `Quick
+      test_recovery_keeps_newest_checkpoint;
     Alcotest.test_case "fault plan deterministic" `Quick test_faultplan_deterministic;
     Alcotest.test_case "finalize quiescence invariant" `Quick test_finalize_invariant;
     Alcotest.test_case "failure rendering" `Quick test_no_message_rendering;

@@ -136,8 +136,8 @@ let test_preempt_roundtrip_bitwise () =
   Workload.init_sim sim ~seed:5;
   Pfcore.Timestep.prime sim;
   Pfcore.Timestep.run sim ~steps:2;
-  let parked = Resilience.Preempt.park_single sim in
-  Resilience.Preempt.release_single ~free:(Mempool.release mp) sim;
+  let parked = Resilience.Snapshot.capture_single sim in
+  Mempool.release_block mp sim.Pfcore.Timestep.block;
   Alcotest.(check bool) "released buffers are poisoned" true
     (List.for_all
        (fun (_, (b : Vm.Buffer.t)) -> Array.length b.Vm.Buffer.data = 0)
@@ -148,7 +148,7 @@ let test_preempt_roundtrip_bitwise () =
   let sim2 = mk_sim ~alloc:(Mempool.alloc mp) () in
   Alcotest.(check int) "resume allocates purely from the pool" cold_misses
     ((Mempool.stats mp).Mempool.misses);
-  Resilience.Preempt.resume_single parked sim2;
+  Resilience.Snapshot.restore_single parked sim2;
   Pfcore.Timestep.run sim2 ~steps:2;
   (* the reference: the same job, never preempted *)
   let solo = mk_sim () in
