@@ -284,6 +284,13 @@ let run_faulty ~comm ~crash_at ~fault_seed protect =
 let print_fractions fractions =
   Fmt.pr "phase fractions: %a@." Fmt.(array ~sep:(any " ") (fmt "%.4f")) fractions
 
+(* The tier each JIT program ran on: the ISA, scalar C, or why it fell
+   back to the interpreter. *)
+let print_jit_tiers () =
+  List.iter
+    (fun (tier, n) -> Fmt.pr "jit tier: %s (%d program%s)@." tier n (if n = 1 then "" else "s"))
+    (Vm.Jit.tiers ())
+
 let simulate params size steps ranks split overlap domains tile backend crash_at ckpt_every
     fault_seed adaptive diag trace metrics_out =
   let g = generate params false in
@@ -423,11 +430,7 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
     backend_name dt
     (cells *. float_of_int steps /. dt /. 1e6);
   print_fractions fractions;
-  (* the tier each JIT program ran on: the ISA, scalar C, or why it fell
-     back to the interpreter *)
-  List.iter
-    (fun (tier, n) -> Fmt.pr "jit tier: %s (%d program%s)@." tier n (if n = 1 then "" else "s"))
-    (Vm.Jit.tiers ())
+  print_jit_tiers ()
 
 let tile_conv =
   let parse s =
@@ -508,9 +511,8 @@ let checkpoint params size steps ranks split output =
       Resilience.Snapshot.capture_single sim
     end
   in
-  Resilience.Snapshot.save output snap;
-  Fmt.pr "wrote %a to %s (%d bytes)@." Resilience.Snapshot.pp snap output
-    (String.length (Resilience.Snapshot.encode snap))
+  let bytes = Resilience.Snapshot.save output snap in
+  Fmt.pr "wrote %a to %s (%d bytes)@." Resilience.Snapshot.pp snap output bytes
 
 let snap_out_arg =
   Arg.(required & opt (some string) None & info [ "o"; "output" ] ~doc:"Snapshot file to write." ~docv:"FILE")
@@ -838,6 +840,7 @@ let serve jobs seed quantum active park_after budget_mb quota domains tune soak 
     stats.Serve.Scheduler.preemptions stats.Serve.Scheduler.restarts
     qs.Serve.Queue.parked_budget qs.Serve.Queue.parked_quota qs.Serve.Queue.rejected;
   Fmt.pr "mempool: %.1f%% hit rate, %a@." (100. *. hit_rate) Serve.Mempool.pp_stats mp;
+  print_jit_tiers ();
   if observing then begin
     Obs.Sink.disable ();
     (match trace with

@@ -532,7 +532,8 @@ let fast_tier_targets () = None :: List.map Option.some (Lazy.force Vm.Jit_cc.su
    run on every innermost extent from 1 to 2w+1 (so every masked
    remainder runs) over NaN-holed inputs at a nonzero global offset, the
    compiled program writes exactly the interpreter's bits.  All programs of
-   a sample are built by one [Jit.prepare] call, one compiler run. *)
+   a sample are built by one [Jit.prepare] call, one fan-out of compiler
+   runs. *)
 let fast_tier_vs_interp ~count =
   QCheck.Test.make ~name:"oracle8 fuzz: fast tier = interpreter on random kernels (bitwise)"
     ~count (Gen.arb_kernel_batch ~size:10)

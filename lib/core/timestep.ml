@@ -46,6 +46,17 @@ let field_list (g : Genkernels.t) =
 let variant_kernels variant ~full ~(split : Genkernels.pair) =
   match variant with Full -> [ full ] | Split -> [ split.stag; split.main ]
 
+(** The kernels a step of the chosen variants sweeps: φ's and μ's in sweep
+    order ([[]] without μ) and the projection.  {!create} binds these, and
+    the farm compiles the JIT programs of these before its first job is
+    resident, so the two cannot drift. *)
+let step_kernels ?(variant_phi = Full) ?(variant_mu = Full) (gen : Genkernels.t) =
+  ( variant_kernels variant_phi ~full:gen.phi_full ~split:gen.phi_split,
+    gen.projection,
+    match (gen.mu_full, gen.mu_split) with
+    | Some full, Some split -> variant_kernels variant_mu ~full ~split
+    | _ -> [] )
+
 (** Build a simulation block and bind the kernels a step sweeps: the
     chosen φ and μ variants and the projection.  Binding shares each
     kernel's {!Vm.Engine.program} with every other block, so it costs a
@@ -65,6 +76,7 @@ let create ?(variant_phi = Full) ?(variant_mu = Full)
     Vm.Engine.make_block ~ghost:2 ?alloc ?global_dims ?offset ~dims (field_list gen)
   in
   let bind k = Vm.Engine.bind k block in
+  let phi, projection, mu = step_kernels ~variant_phi ~variant_mu gen in
   {
     gen;
     block;
@@ -75,12 +87,9 @@ let create ?(variant_phi = Full) ?(variant_mu = Full)
     backend;
     lane;
     exchange = default_exchange;
-    phi = List.map bind (variant_kernels variant_phi ~full:gen.phi_full ~split:gen.phi_split);
-    mu =
-      (match (gen.mu_full, gen.mu_split) with
-      | Some full, Some split -> List.map bind (variant_kernels variant_mu ~full ~split)
-      | _ -> []);
-    projection = Option.map bind gen.projection;
+    phi = List.map bind phi;
+    mu = List.map bind mu;
+    projection = Option.map bind projection;
     jit_planned = false;
     step_count = 0;
     time = 0.;
@@ -102,9 +111,9 @@ let phi_kernels t = t.phi
 let mu_kernels t = t.mu
 
 (** Before the first JIT sweep, compile the programs of every kernel a
-    step sweeps — φ, the projection, μ — in one compiler run, outside
-    every [kernel:*] span.  A block whose programs are all cached (every
-    forest block after the first) compiles nothing. *)
+    step sweeps — φ, the projection, μ — in one fan-out, outside every
+    [kernel:*] span.  A block whose programs are all cached (every forest
+    block after the first, every farm job) compiles nothing. *)
 let prepare_jit t =
   if t.backend = Vm.Engine.Jit && not t.jit_planned then begin
     Vm.Engine.jit_prepare (phi_kernels t @ Option.to_list t.projection @ mu_kernels t);

@@ -27,6 +27,9 @@ exception Invalid of string
     or a snapshot the restore target cannot hold. *)
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
+let dims_label = function
+  | [||] -> "(none)"
+  | a -> String.concat "x" (List.map string_of_int (Array.to_list a))
 
 type fields = (string * float array) list
 (** Per field, by name: the full padded buffer of an active block, or the
@@ -139,9 +142,7 @@ let capture_adaptive (af : Blocks.Adaptive.t) =
 
 let require_same_dims what (a : int array) (b : int array) =
   if a <> b then
-    invalid "snapshot %s mismatch: stored %s, target %s" what
-      (String.concat "x" (List.map string_of_int (Array.to_list a)))
-      (String.concat "x" (List.map string_of_int (Array.to_list b)))
+    invalid "snapshot %s mismatch: stored %s, target %s" what (dims_label a) (dims_label b)
 
 (* Load an active block's buffers (ghost layers verbatim, so no
    re-priming is needed) and the step clock into [sim]. *)
@@ -345,9 +346,33 @@ let read_active c =
   let offset = read_ints c in
   Active { offset; fields = read_fields c ~what:"element" ~limit:(1 lsl 28) }
 
+(* The block grid a snapshot describes: grid, block and global dims are
+   non-empty and of one length, the grid holds [blocks] blocks, and
+   global = grid × block on every axis — checked before anything reads an
+   axis or sizes a block from them.  [blocks] is bounded, so the capped
+   product is exact where it matters, and a grid that passes has no axis
+   large enough to overflow the last check. *)
+let check_topology ~grid ~block_dims ~global_dims ~blocks =
+  let d = Array.length grid in
+  if d = 0 || Array.length block_dims <> d || Array.length global_dims <> d then
+    invalid "snapshot dims disagree: grid %s, block %s, global %s" (dims_label grid)
+      (dims_label block_dims) (dims_label global_dims);
+  if
+    Array.exists (fun g -> g < 1) grid
+    || Array.fold_left (fun acc g -> min (acc * g) (blocks + 1)) 1 grid <> blocks
+  then
+    invalid "snapshot grid %s does not hold its %d blocks" (dims_label grid) blocks;
+  Array.iteri
+    (fun a g ->
+      if global_dims.(a) <> g * block_dims.(a) then
+        invalid "snapshot global dims %s are not grid %s x block %s" (dims_label global_dims)
+          (dims_label grid) (dims_label block_dims))
+    grid
+
 (** Parse and validate a snapshot of either layout; raises {!Invalid} on
     bad magic, version skew, truncation, checksum mismatch, implausible
-    counts, an unknown block tag or trailing garbage. *)
+    counts, a block grid whose dims disagree ({!check_topology}), an
+    unknown block tag or trailing garbage. *)
 let decode s =
   let ml = String.length magics.(0) in
   if String.length s < ml + 8 then invalid "not a snapshot: too short";
@@ -383,6 +408,7 @@ let decode s =
   let owner = per_block "owner" in
   let n = read_i32 c in
   bounded "block" n 65536;
+  check_topology ~grid ~block_dims ~global_dims ~blocks:n;
   let levels = Option.value levels ~default:(Array.make n 0) in
   let owner = Option.value owner ~default:(Array.init n Fun.id) in
   if Array.length levels <> n || Array.length owner <> n then
@@ -418,10 +444,11 @@ let decode s =
 (* Files                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** Write [t]'s encoding to [path]; returns its length in bytes. *)
 let save path t =
-  let oc = open_out_bin path in
-  output_string oc (encode t);
-  close_out oc
+  let s = encode t in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s);
+  String.length s
 
 let load path =
   decode

@@ -9,7 +9,9 @@
     buffers go back to the mempool, and the job re-enters the queue to
     resume later into recycled storage.  Crash-injected jobs run every
     quantum under [Resilience.Recovery.run_protected], which checkpoints
-    before the quantum's first step.
+    before the quantum's first step.  Before the first admission, the
+    JIT programs of every accepted job are built in one fan-out, so no
+    quantum waits for a compiler.
 
     Correctness contract (oracle 9): any quantum size, admission order,
     preemption pattern and injected fault schedule yields, per job, a
@@ -183,6 +185,28 @@ let capture_final (job : job) =
   | Some (Forest f) -> Resilience.Snapshot.capture f
   | None -> invalid_arg "Scheduler.capture_final: job is not resident"
 
+(* Build the JIT programs of every step kernel [specs]' JIT jobs will
+   sweep in one fan-out ([Vm.Jit.prepare]), inside a [serve.compile] span:
+   the batch, not the job, is the unit of compilation, so no quantum waits
+   for a compiler and the compiler runs use every core.  The kernels come
+   from [Timestep.step_kernels], which [Timestep.create] binds. *)
+let compile_batch specs =
+  let kernels =
+    List.concat_map
+      (fun (spec : Workload.spec) ->
+        if spec.Workload.backend <> Vm.Engine.Jit then []
+        else
+          let phi, projection, mu =
+            Pfcore.Timestep.step_kernels ~variant_phi:(variant_of spec.Workload.split)
+              ~variant_mu:(variant_of spec.Workload.split) (gen_of spec.Workload.family)
+          in
+          phi @ Option.to_list projection @ mu)
+      specs
+  in
+  if kernels <> [] then
+    Obs.Span.with_ ~cat:"serve" "serve.compile" (fun () ->
+        Vm.Engine.jit_prepare_kernels kernels)
+
 (* ------------------------------------------------------------------ *)
 (* Quantum execution                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -251,6 +275,7 @@ let run ?(config = default_config ()) ~mempool specs =
           }
       | Queue.Rejected reason -> rejected := (spec, reason) :: !rejected)
     specs;
+  compile_batch (List.filter (fun (s : Workload.spec) -> Hashtbl.mem jobs s.Workload.id) specs);
   let roster = ref [] in
   let results = ref [] in
   let preemptions = ref 0 in

@@ -376,9 +376,8 @@ let bind ?fastest ?jit_target (kernel : Ir.Kernel.t) (block : block) =
   }
 
 (** Compile the JIT programs of [bounds] that the memo table lacks, in one
-    compiler run ({!Jit.prepare}): a caller about to sweep several kernels
-    pays one compiler start-up for all of them.  Forces each binding's
-    memo key. *)
+    fan-out ({!Jit.prepare}): a caller about to sweep several kernels
+    builds them all at once.  Forces each binding's memo key. *)
 let jit_prepare bounds =
   Jit.prepare
     (List.map
@@ -390,6 +389,18 @@ let jit_prepare bounds =
            lowered = b.lowered;
          })
        bounds)
+
+(** {!jit_prepare} for kernels not yet bound to any block: their shared
+    programs under the default loop order and the host's target, the ones
+    {!bind} hands a block — what a farm compiles before its first job is
+    resident. *)
+let jit_prepare_kernels kernels =
+  Jit.prepare
+    (List.map
+       (fun kernel ->
+         let p = program kernel in
+         { Jit.key = Lazy.force p.jit_key; target = p.jit_target; kernel; lowered = p.lowered })
+       kernels)
 
 let run_group g c =
   for i = 0 to Array.length g - 1 do

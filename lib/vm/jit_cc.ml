@@ -1,19 +1,22 @@
-(** The JIT's compiler run: build one C translation unit with the system C
-    compiler into a shared object, load it through the fixed stub
-    ([jit_stubs.c]) and resolve its entries.
+(** The JIT's compiler runs: build a batch's C translation units with the
+    system C compiler into one shared object, load it through the fixed
+    stub ([jit_stubs.c]) and resolve its entries.
 
-    A run works in a fresh directory under [TMPDIR]: it compiles
-    [k.c] to an object, links [k.so], [dlopen]s it and resolves the entries
-    — then removes the directory on every path, success, failure or
-    exception.  The loaded code is never unmapped, so the entries outlive
-    the deleted files.  The compile and the link each run under coreutils'
-    [timeout] (when it is on PATH), which kills the compiler's whole process
-    group, so a hung compiler costs the run {!timeout_s} seconds, not the
-    process.
+    A build works in a fresh directory under [TMPDIR]: it writes unit [i]
+    to [u<i>.c] and compiles every unit to an object at once, one
+    [gcc -c] child per unit; then it links the objects that compiled into
+    [k.so], [dlopen]s it once and resolves the entries — and removes the
+    directory on every path, success, failure or exception, after every
+    child has been reaped.  The loaded code is never unmapped, so the
+    entries outlive the deleted files.  Each compile and the link run under
+    coreutils' [timeout] (when it is on PATH), which kills the compiler's
+    whole process group, so a hung compiler costs its unit {!timeout_s}
+    seconds, not the process.
 
     Everything degrades softly: [PFGEN_JIT_NATIVE=0] (the fast tier off),
-    no [gcc] on PATH, a failed or timed-out build, or a failed load yield
-    [Error reason], and the caller runs the interpreter instead. *)
+    no [gcc] on PATH, a failed or timed-out compile, or a failed link or
+    load yield [Error reason] for the units it touches, and the caller runs
+    their programs on the interpreter instead. *)
 
 external isa_bits : unit -> int = "pfgen_jit_isas"
 external dlopen : string -> nativeint = "pfgen_jit_dlopen"
@@ -93,28 +96,64 @@ let remove_dir dir =
 let read_file path =
   try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> ""
 
-(** Run [argv] in [dir] with output to [log], killed with its process
-    group after [timeout_s] seconds; [Error] with the reason on a nonzero
+(* Why a compiler child failed: a timeout is not retried. *)
+type failure = Failed of string | Timed_out of string
+
+let reason = function Failed why | Timed_out why -> why
+
+(* Wait for [pid], through interrupted waits. *)
+let rec wait pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
+
+(** Run every [(argv, log)] of [steps] at once in [dir], each with its
+    output to its [log] and killed with its process group after
+    [timeout_s] seconds; reap every child, then give each step's outcome,
+    in order: [Error] with the reason on a failed start or a nonzero
     exit. *)
-let run_step ?(timeout_s = timeout_s) ~dir ~log argv =
-  let limited =
-    if Lazy.force has_timeout then
-      [ "timeout"; "-s"; "KILL"; Printf.sprintf "%g" timeout_s ] @ argv
-    else argv
+let run_steps ?(timeout_s = timeout_s) ~dir steps =
+  let spawn (argv, log) =
+    let limited =
+      if Lazy.force has_timeout then
+        [ "timeout"; "-s"; "KILL"; Printf.sprintf "%g" timeout_s ] @ argv
+      else argv
+    in
+    let cmd =
+      Printf.sprintf "cd %s && %s > %s 2>&1" (Filename.quote dir)
+        (String.concat " " (List.map Filename.quote limited))
+        (Filename.quote log)
+    in
+    try
+      Ok
+        (Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; cmd |] Unix.stdin Unix.stdout
+           Unix.stderr)
+    with Unix.Unix_error (e, _, _) -> Error (Failed (List.hd argv ^ ": " ^ Unix.error_message e))
   in
-  let cmd =
-    Printf.sprintf "cd %s && %s > %s 2>&1" (Filename.quote dir)
-      (String.concat " " (List.map Filename.quote limited))
-      (Filename.quote log)
-  in
-  match Sys.command cmd with
-  | 0 -> Ok ()
-  | 137 when Lazy.force has_timeout ->
-    Error (Printf.sprintf "%s timed out after %g s" (List.hd argv) timeout_s)
-  | rc ->
-    let out = String.trim (read_file (Filename.concat dir log)) in
-    let out = if String.length out > 2000 then String.sub out 0 2000 ^ " ..." else out in
-    Error (Printf.sprintf "%s exited %d: %s" (List.hd argv) rc out)
+  (* every child starts before the first wait, and every one started is
+     waited for *)
+  let children = List.map (fun step -> (step, spawn step)) steps in
+  List.map
+    (fun ((argv, log), child) ->
+      let prog = List.hd argv in
+      Result.bind child (fun pid ->
+          match wait pid with
+          | Unix.WEXITED 0 -> Ok ()
+          | Unix.WEXITED 137 when Lazy.force has_timeout ->
+            Error (Timed_out (Printf.sprintf "%s timed out after %g s" prog timeout_s))
+          | Unix.WEXITED rc ->
+            let out = String.trim (read_file (Filename.concat dir log)) in
+            let out = if String.length out > 2000 then String.sub out 0 2000 ^ " ..." else out in
+            Error (Failed (Printf.sprintf "%s exited %d: %s" prog rc out))
+          | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+            Error (Failed (Printf.sprintf "%s killed by signal %d" prog s))))
+    children
+
+(** One step of {!run_steps}: [argv] in [dir] with its output to [log]. *)
+let run_step ?timeout_s ~dir ~log argv =
+  match run_steps ?timeout_s ~dir [ (argv, log) ] with
+  | [ r ] -> Result.map_error reason r
+  | _ -> assert false
 
 (** The intrinsics include of a fast-tier source.  Parsing all of
     [<immintrin.h>] costs gcc 12 about 145 ms of every run, more than
@@ -138,45 +177,86 @@ let intrinsics_header =
 
 let slim = Atomic.make true
 
-(** Build [source] for [isa] with [cc] (default [gcc]) and resolve
-    [entries], in order.  [cc] is split on spaces into the command and
-    its leading arguments. *)
-let build ?(cc = "gcc") ~isa ~source entries : (nativeint array, string) result =
-  if disabled () then Error "fast tier disabled by PFGEN_JIT_NATIVE"
-  else if cc = "gcc" && not (Lazy.force gcc) then Error "no gcc on PATH"
+(** One translation unit of a build: its source, the vector ISA its flags
+    enable ([None]: scalar C) and the entries it defines. *)
+type source_unit = { isa : Backend.Simd.isa option; source : string; entries : string list }
+
+(** Build [units] with [cc] (default [gcc]) and resolve each unit's
+    [entries], in order: every unit compiles in its own child at once, the
+    objects that compiled link into one shared object, loaded once.  The
+    result holds one outcome per unit — a unit that fails to compile or
+    times out fails alone, a failed link or load fails every unit that
+    compiled.  [cc] is split on spaces into the command and its leading
+    arguments; [timeout_s] bounds each child (tests). *)
+let build ?(cc = "gcc") ?timeout_s units : (nativeint array, string) result list =
+  let all why = List.map (fun _ -> Error why) units in
+  if disabled () then all "fast tier disabled by PFGEN_JIT_NATIVE"
+  else if cc = "gcc" && not (Lazy.force gcc) then all "no gcc on PATH"
   else
     match Filename.temp_dir "pfgen-jit-" "" with
-    | exception Sys_error e -> Error ("no scratch directory: " ^ e)
+    | exception Sys_error e -> all ("no scratch directory: " ^ e)
     | dir ->
       Fun.protect
         ~finally:(fun () -> remove_dir dir)
         (fun () ->
-          let ( let* ) = Result.bind in
           let cc = String.split_on_char ' ' cc in
+          let units = Array.of_list units in
+          let file i ext = Printf.sprintf "u%d.%s" i ext in
           try
-            Out_channel.with_open_bin (Filename.concat dir "k.c") (fun oc ->
-                Out_channel.output_string oc source);
+            Array.iteri
+              (fun i u ->
+                Out_channel.with_open_bin (Filename.concat dir (file i "c")) (fun oc ->
+                    Out_channel.output_string oc u.source))
+              units;
             (* compiling and linking in two runs is ~50 ms faster than one
                [-shared] run of the source *)
-            let compile defines =
-              run_step ~dir ~log:"cc.log"
-                (cc @ base_flags @ isa_flags isa @ defines @ [ "-c"; "-o"; "k.o"; "k.c" ])
+            let compile i defines =
+              ( cc @ base_flags @ isa_flags units.(i).isa @ defines
+                @ [ "-c"; "-o"; file i "o"; file i "c" ],
+                file i "log" )
             in
-            let* () =
-              if isa = None || not (Atomic.get slim) then compile []
-              else
-                match compile [ "-DPF_SLIM_INTRINSICS" ] with
-                | Ok () -> Ok ()
-                | Error _ ->
-                  let full = compile [] in
-                  if Result.is_ok full then Atomic.set slim false;
-                  full
+            let slim_now = Atomic.get slim in
+            let defines i =
+              if units.(i).isa <> None && slim_now then [ "-DPF_SLIM_INTRINSICS" ] else []
+            in
+            let ids = List.init (Array.length units) Fun.id in
+            let compiled =
+              run_steps ?timeout_s ~dir (List.map (fun i -> compile i (defines i)) ids)
+              |> Array.of_list
+            in
+            (* a unit that failed with the slim intrinsics set, other than by
+               timing out, retries once with <immintrin.h> *)
+            let retry =
+              List.filter
+                (fun i ->
+                  defines i <> [] && match compiled.(i) with Error (Failed _) -> true | _ -> false)
+                ids
+            in
+            let retried = run_steps ?timeout_s ~dir (List.map (fun i -> compile i []) retry) in
+            if List.exists Result.is_ok retried then Atomic.set slim false;
+            List.iter2 (fun i r -> compiled.(i) <- r) retry retried;
+            let objects =
+              List.map (fun i -> file i "o") (List.filter (fun i -> Result.is_ok compiled.(i)) ids)
             in
             (* [-lm] binds libm's current symbol versions, the ones OCaml
                calls; unlinked, the loader binds glibc's compat wrappers *)
-            let* () =
-              run_step ~dir ~log:"ld.log" (cc @ [ "-shared"; "-o"; "k.so"; "k.o"; "-lm" ])
+            let loaded =
+              if objects = [] then Error "nothing compiled"
+              else
+                Result.bind
+                  (run_step ?timeout_s ~dir ~log:"ld.log"
+                     (cc @ [ "-shared"; "-o"; "k.so" ] @ objects @ [ "-lm" ]))
+                  (fun () ->
+                    try Ok (dlopen (Filename.concat dir "k.so")) with Failure e -> Error e)
             in
-            let handle = dlopen (Filename.concat dir "k.so") in
-            Ok (Array.of_list (List.map (dlsym handle) entries))
-          with Failure e | Sys_error e -> Error e)
+            Array.to_list
+              (Array.mapi
+                 (fun i u ->
+                   match (compiled.(i), loaded) with
+                   | Error f, _ -> Error (reason f)
+                   | Ok (), Error why -> Error why
+                   | Ok (), Ok handle -> (
+                     try Ok (Array.of_list (List.map (dlsym handle) u.entries))
+                     with Failure e -> Error e))
+                 units)
+          with Sys_error e -> all e)

@@ -2,9 +2,11 @@
    accounting through Obs counters, recompilation on fingerprint changes,
    the engine edge cases (empty interior, tile larger than the sweep) under
    the compiled backend, exception safety of pooled compiled sweeps, the
-   tuner's backend decision, one compiler run per time-step plan kept out
-   of the kernel spans, the compiler's scratch files, and the golden JIT
-   trace with its vm.jit.compile span. *)
+   tuner's backend decision, one compiler fan-out per time-step plan kept
+   out of the kernel spans, a batch split into translation units (bitwise,
+   and a failed or hung unit falling back alone), the compiler's scratch
+   files and children, and the golden JIT trace with its vm.jit.compile
+   span. *)
 
 open Symbolic
 open Expr
@@ -28,12 +30,13 @@ let avg_kernel ?(coeff = 0.2) () =
   let rhs = mul [ num coeff; add [ field f2; acc 0 1; acc 0 (-1); acc 1 1; acc 1 (-1) ] ] in
   Ir.Kernel.make ~name:"avg" ~dim:2 [ Field.Assignment.store (Fieldspec.center g2) rhs ]
 
-let run_avg ?tile ?(backend = Vm.Engine.Jit) ?(ghost = 1) ~num_domains ~dims () =
+let run_avg ?tile ?(backend = Vm.Engine.Jit) ?(ghost = 1) ?coeff ~num_domains ~dims () =
   let block = Vm.Engine.make_block ~ghost ~dims [ f2; g2 ] in
   let fbuf = Vm.Engine.buffer block f2 in
   Vm.Buffer.init fbuf (fun c _ -> float_of_int ((c.(0) * 3) + (c.(1) * 7)));
   Vm.Buffer.periodic fbuf;
-  Vm.Engine.run ?tile ~num_domains ~backend ~params:[] (Vm.Engine.bind (avg_kernel ()) block);
+  Vm.Engine.run ?tile ~num_domains ~backend ~params:[]
+    (Vm.Engine.bind (avg_kernel ?coeff ()) block);
   block
 
 let buffers_bits_equal a b =
@@ -433,9 +436,12 @@ let test_one_compile_per_plan () =
   Vm.Jit.clear_cache ();
   let sim = make Vm.Engine.Jit in
   let compiles = span_ends "vm.jit.compile" (traced_steps [ sim ]) in
-  Alcotest.(check int) "the first step runs the compiler once" 1 (List.length compiles);
-  Alcotest.(check (float 0.)) "that run compiles the plan's 3 programs" 3.
+  Alcotest.(check int) "the first step builds once" 1 (List.length compiles);
+  Alcotest.(check (float 0.)) "that build compiles the plan's 3 programs" 3.
     (List.assoc "programs" (List.hd compiles).Obs.Sink.args);
+  Alcotest.(check (float 0.)) "as one unit per core, at most one per program"
+    (float_of_int (min 3 (Domain.recommended_domain_count ())))
+    (List.assoc "units" (List.hd compiles).Obs.Sink.args);
   let _, misses = Vm.Jit.cache_stats () in
   Alcotest.(check int) "misses rise by 3" 3 misses;
   let again = make Vm.Engine.Jit and interp = make Vm.Engine.Interp in
@@ -550,6 +556,166 @@ let test_hung_compiler_times_out () =
         | Ok () -> Alcotest.fail "a hung compiler run succeeded")
   end
 
+(* ---- a batch split into translation units ---- *)
+
+let request (b : Vm.Engine.bound) =
+  {
+    Vm.Jit.key = Lazy.force b.Vm.Engine.jit_key;
+    target = b.Vm.Engine.jit_target;
+    kernel = b.Vm.Engine.kernel;
+    lowered = b.Vm.Engine.lowered;
+  }
+
+let fast_tier_on () = Lazy.force Vm.Jit_cc.gcc && not (Vm.Jit_cc.disabled ())
+
+(* Curvature's φ kernels (full, split stag and main) and its projection,
+   each for the host's target and as scalar C: eight programs of two
+   kinds, built as 2 units whatever the host's core count, then each swept
+   by the JIT and by the interpreter on its own smooth block.  Every
+   program is native and writes the interpreter's bits. *)
+let test_two_units_bitwise () =
+  let g = Lazy.force curvature_gen in
+  let kernels =
+    [
+      g.Pfcore.Genkernels.phi_full;
+      g.Pfcore.Genkernels.phi_split.Pfcore.Genkernels.stag;
+      g.Pfcore.Genkernels.phi_split.Pfcore.Genkernels.main;
+    ]
+    @ Option.to_list g.Pfcore.Genkernels.projection
+  in
+  let block () = Pfcore.Timestep.probe_block g ~dims:[| 7; 5 |] in
+  let params = Pfcore.Timestep.probe_params g in
+  let bindings () =
+    List.concat_map
+      (fun jit_target -> List.map (fun k -> Vm.Engine.bind ~jit_target k (block ())) kernels)
+      [ Vm.Jit.host_target (); None ]
+  in
+  let jit = bindings () and interp = bindings () in
+  Vm.Jit.clear_cache ();
+  let compiles =
+    with_obs (fun () ->
+        Vm.Jit.prepare ~units:2 (List.map request jit);
+        span_ends "vm.jit.compile" (Obs.Sink.events ()))
+  in
+  (match compiles with
+  | [ c ] ->
+    Alcotest.(check (float 0.)) "eight programs" 8. (List.assoc "programs" c.Obs.Sink.args);
+    Alcotest.(check (float 0.)) "in 2 units" 2. (List.assoc "units" c.Obs.Sink.args)
+  | _ -> Alcotest.fail "expected one vm.jit.compile span");
+  List.iter2
+    (fun (j : Vm.Engine.bound) (i : Vm.Engine.bound) ->
+      Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Jit ~params j;
+      Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Interp ~params i;
+      let c = Vm.Jit.get ~target:j.jit_target (Lazy.force j.jit_key) j.kernel j.lowered in
+      let name =
+        Printf.sprintf "%s (%s)" j.kernel.Ir.Kernel.name (Vm.Jit.target_label j.jit_target)
+      in
+      if fast_tier_on () then
+        Alcotest.(check bool) (name ^ ": native, " ^ c.Vm.Jit.tier) true (c.Vm.Jit.entry <> None);
+      Alcotest.(check bool) (name ^ ": 2-unit build = interp (bitwise)") true
+        (buffers_bits_equal i.block j.block))
+    jit interp;
+  Vm.Jit.clear_cache ()
+
+(* A kernel whose long source puts it alone in the first of two units:
+   the compiler wrapper below fails or hangs on the unit that holds it. *)
+let poison_kernel () =
+  let term c = fn Sin [ mul [ num c; field f2 ] ] in
+  Ir.Kernel.make ~name:"poison" ~dim:2
+    [
+      Field.Assignment.store (Fieldspec.center g2)
+        (add (List.init 40 (fun i -> term (0.01 *. float_of_int (i + 1)))));
+    ]
+
+(* No child of this process is left, running or unreaped. *)
+let no_child_left () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
+(* A batch of the poison kernel and three small ones, built as 2 units in
+   a private temp dir through a gcc wrapper that [misbehaves] on the
+   poison unit: the poison program falls back with the reason, alone, and
+   counted by jit.fallback; the small ones are native and sweep the
+   interpreter's bits; the temp dir is empty and no child is left. *)
+let one_unit_falls_back ~misbehaves ~timeout_s ~reason () =
+  if not (fast_tier_on ()) then Alcotest.skip ()
+  else begin
+    let tmp = Filename.temp_dir "pfgen-test-" "" in
+    let cc = Filename.concat tmp "cc.sh" in
+    Out_channel.with_open_bin cc (fun oc ->
+        Printf.fprintf oc
+          "#!/bin/sh\n\
+           for a; do last=$a; done\n\
+           case $last in *.c) grep -q poison $last && %s;; esac\n\
+           exec gcc \"$@\"\n"
+          misbehaves);
+    Unix.chmod cc 0o755;
+    let scratch = Filename.concat tmp "scratch" in
+    Sys.mkdir scratch 0o700;
+    let prev = Filename.get_temp_dir_name () in
+    Filename.set_temp_dir_name scratch;
+    Fun.protect
+      ~finally:(fun () ->
+        Filename.set_temp_dir_name prev;
+        Vm.Jit.clear_cache ();
+        Vm.Jit_cc.remove_dir scratch;
+        Vm.Jit_cc.remove_dir tmp)
+      (fun () ->
+        with_obs (fun () ->
+            Vm.Jit.clear_cache ();
+            let small = List.map (fun coeff -> avg_kernel ~coeff ()) [ 0.21; 0.22; 0.23 ] in
+            let programs =
+              List.map
+                (fun k ->
+                  let lowered = Ir.Lower.run k in
+                  {
+                    Vm.Jit.key = Vm.Jit.fingerprint k lowered;
+                    target = Vm.Jit.host_target ();
+                    kernel = k;
+                    lowered;
+                  })
+                (poison_kernel () :: small)
+            in
+            let t0 = Unix.gettimeofday () in
+            Vm.Jit.prepare ~cc ~units:2 ~timeout_s programs;
+            let dt = Unix.gettimeofday () -. t0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "the build returned after %.2f s" dt)
+              true (dt < 20.);
+            let tier (r : Vm.Jit.request) = (Vm.Jit.get r.key r.kernel r.lowered).Vm.Jit.tier in
+            (match programs with
+            | poison :: rest ->
+              Alcotest.(check bool)
+                (Printf.sprintf "the poison program falls back (%s)" (tier poison))
+                true
+                (String.starts_with ~prefix:"fallback: " (tier poison)
+                && Astring.String.is_infix ~affix:reason (tier poison));
+              List.iter
+                (fun r ->
+                  Alcotest.(check string) "a program of the other unit is native"
+                    (Vm.Jit.target_label (Vm.Jit.host_target ())) (tier r))
+                rest
+            | [] -> assert false);
+            Alcotest.(check (option int)) "jit.fallback counts the one program" (Some 1)
+              (Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "jit.fallback");
+            let sweep backend = run_avg ~backend ~coeff:0.21 ~num_domains:1 ~dims:[| 8; 6 |] () in
+            let jit = sweep Vm.Engine.Jit and reference = sweep Vm.Engine.Interp in
+            Alcotest.(check int) "the sweep found its program in the batch" 4
+              (snd (Vm.Jit.cache_stats ()));
+            Alcotest.(check bool) "a native program of the batch = interp (bitwise)" true
+              (buffers_bits_equal reference jit));
+        Alcotest.(check (list string)) "temp dir empty afterwards" []
+          (Array.to_list (Sys.readdir scratch));
+        Alcotest.(check bool) "no child process left" true (no_child_left ()))
+  end
+
+let test_failed_unit_falls_back_alone =
+  one_unit_falls_back ~misbehaves:"exit 1" ~timeout_s:60. ~reason:"exited 1"
+
+let test_hung_unit_falls_back_alone =
+  one_unit_falls_back ~misbehaves:"exec sleep 30" ~timeout_s:3. ~reason:"timed out"
+
 (* ---- tuner backend decision ---- *)
 
 let tune_block () =
@@ -579,7 +745,9 @@ let test_tune_backend () =
 (* Same fixed 2-step 8x8 curvature run as test_obs's golden trace, executed
    through the JIT: the span tree must be reproduced with one
    vm.jit.compile span for the step's plan (φ-full and the projection),
-   emitted in step 0's phase:phi before the first kernel span. *)
+   emitted in step 0's phase:phi before the first kernel span.  The span's
+   [units] arg follows the host's core count (test_one_compile_per_plan
+   checks it), so the golden leaves it out. *)
 let test_golden_trace_jit () =
   Vm.Jit.clear_cache ();
   let sim =
@@ -588,10 +756,13 @@ let test_golden_trace_jit () =
   in
   Pfcore.Simulation.init_sphere sim;
   Pfcore.Timestep.prime sim;
+  let host_free (e : Obs.Sink.event) =
+    { e with Obs.Sink.args = List.remove_assoc "units" e.Obs.Sink.args }
+  in
   let json =
     with_obs (fun () ->
         Pfcore.Timestep.run sim ~steps:2;
-        Obs.Trace.to_json ~zero_times:true (Obs.Sink.events ()))
+        Obs.Trace.to_json ~zero_times:true (List.map host_free (Obs.Sink.events ())))
   in
   Golden.check ~name:"trace_curvature_8x8_jit.json" json
 
@@ -636,4 +807,10 @@ let suite =
       test_no_scratch_left;
     Alcotest.test_case "jit: a hung compiler run times out" `Quick
       test_hung_compiler_times_out;
+    Alcotest.test_case "jit: a batch built as 2 units = interpreter" `Quick
+      test_two_units_bitwise;
+    Alcotest.test_case "jit: a failed unit falls back alone" `Quick
+      test_failed_unit_falls_back_alone;
+    Alcotest.test_case "jit: a hung unit times out and falls back alone" `Quick
+      test_hung_unit_falls_back_alone;
   ]

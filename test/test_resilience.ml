@@ -73,7 +73,8 @@ let test_snapshot_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Resilience.Snapshot.save path snap;
+      let bytes = Resilience.Snapshot.save path snap in
+      Alcotest.(check int) "save returns the file's length" (Unix.stat path).Unix.st_size bytes;
       Alcotest.(check bool) "file roundtrip" true
         (Resilience.Snapshot.equal snap (Resilience.Snapshot.load path)))
 
@@ -131,6 +132,24 @@ let test_committed_snapshots () =
   Resilience.Snapshot.restore_adaptive snap fresh;
   Alcotest.(check bool) "v2 file restores" true
     (Resilience.Snapshot.equal snap (Resilience.Snapshot.capture_adaptive fresh))
+
+(* A CRC-valid file whose block grid contradicts itself is rejected by
+   [decode], before anything reads an axis: the committed v1 file
+   re-encoded (which recomputes the CRC) with an empty global dims, a
+   wrong one, a block dims of another length, and a grid that does not
+   hold its blocks. *)
+let test_snapshot_topology_rejected () =
+  let snap = Resilience.Snapshot.decode (Golden.read_file "golden/curvature_8_v1.snap") in
+  List.iter
+    (fun (what, bad) ->
+      expect_invalid what (fun () ->
+          Resilience.Snapshot.decode (Resilience.Snapshot.encode bad)))
+    [
+      ("empty global dims", { snap with Resilience.Snapshot.global_dims = [||] });
+      ("global dims not grid x block", { snap with global_dims = [| 8; 9 |] });
+      ("block dims of another length", { snap with block_dims = [| 8; 8; 8 |] });
+      ("grid that does not hold the blocks", { snap with grid = [| 2; 1 |] });
+    ]
 
 (* A restore target that cannot hold the snapshot, and a v2 file whose
    per-block arrays disagree with its block count, are rejected. *)
@@ -339,4 +358,6 @@ let suite =
       test_adaptive_crash_savings;
     Alcotest.test_case "snapshot restore continues" `Slow test_forest_snapshot_restore_continues;
     Alcotest.test_case "on_step hook and restore" `Quick test_on_step_hook;
+    Alcotest.test_case "snapshot topology checked on decode" `Quick
+      test_snapshot_topology_rejected;
   ]

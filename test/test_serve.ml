@@ -350,6 +350,79 @@ let test_second_batch_builds_no_programs () =
   Alcotest.(check bool) "the batch's span stream is well formed" true
     (Check.Obs_props.stream_well_formed events)
 
+(* A cold batch whose JIT jobs span both variants of two families builds
+   every program they sweep in one vm.jit.compile span, inside the
+   serve.compile span and before the first quantum: its misses are the
+   distinct programs of those jobs' steps.  Its JIT jobs equal their solo
+   runs bitwise, and a second batch compiles nothing. *)
+let test_batch_compiles_before_first_quantum () =
+  let specs =
+    Workload.generate ~families:[ Workload.Curv2d; Workload.GrayScott ] ~with_crash:false
+      ~seed:4 ~jobs:8 ()
+    |> List.mapi (fun i (s : Workload.spec) ->
+           {
+             s with
+             Workload.backend = (if i mod 4 = 3 then Vm.Engine.Interp else Vm.Engine.Jit);
+             split = i mod 2 = 1;
+           })
+  in
+  (* the kernels a step of [s] sweeps, listed here from the generated
+     kernels, not through Timestep *)
+  let step_programs (s : Workload.spec) =
+    let g = Scheduler.gen_of s.Workload.family in
+    let pick full (pair : Pfcore.Genkernels.pair) =
+      if s.Workload.split then [ pair.Pfcore.Genkernels.stag; pair.main ] else [ full ]
+    in
+    pick g.Pfcore.Genkernels.phi_full g.phi_split
+    @ Option.to_list g.projection
+    @ match (g.mu_full, g.mu_split) with Some f, Some p -> pick f p | _ -> []
+  in
+  let distinct =
+    specs
+    |> List.filter (fun (s : Workload.spec) -> s.Workload.backend = Vm.Engine.Jit)
+    |> List.concat_map step_programs
+    |> List.map (fun k -> Vm.Jit.fingerprint k (Ir.Lower.run k))
+    |> List.sort_uniq compare |> List.length
+  in
+  let config = { (Scheduler.default_config ()) with num_domains = 1 } in
+  let mempool = Mempool.create () in
+  let traced () =
+    with_obs (fun () ->
+        let stats = Scheduler.run ~config ~mempool specs in
+        (stats, Array.of_list (Obs.Sink.events ())))
+  in
+  let begins name events =
+    List.filter
+      (fun i ->
+        let e = events.(i) in
+        e.Obs.Sink.phase = Obs.Sink.B && e.Obs.Sink.name = name)
+      (List.init (Array.length events) Fun.id)
+  in
+  Vm.Jit.clear_cache ();
+  let stats, events = traced () in
+  (match
+     (begins "serve.compile" events, begins "vm.jit.compile" events, begins "quantum" events)
+   with
+  | [ serve ], [ compile ], first :: _ ->
+    Alcotest.(check bool) "the compile sits in serve.compile" true (serve < compile);
+    Alcotest.(check bool) "the compile precedes the first quantum" true (compile < first)
+  | _, compiles, _ ->
+    Alcotest.failf "expected one vm.jit.compile span, saw %d" (List.length compiles));
+  Alcotest.(check int) "misses = the distinct programs of the JIT jobs' steps" distinct
+    (snd (Vm.Jit.cache_stats ()));
+  List.iter
+    (fun (r : Scheduler.job_result) ->
+      if r.Scheduler.r_spec.Workload.backend = Vm.Engine.Jit then
+        Alcotest.(check bool) "a JIT job = its solo run (bitwise)" true
+          (Resilience.Snapshot.equal r.Scheduler.final (Scheduler.run_solo r.Scheduler.r_spec)))
+    stats.Scheduler.results;
+  let _, events = traced () in
+  let misses = snd (Vm.Jit.cache_stats ()) in
+  Vm.Jit.clear_cache ();
+  Alcotest.(check int) "a second batch opens no vm.jit.compile span" 0
+    (List.length (begins "vm.jit.compile" events));
+  Alcotest.(check int) "and misses no program" distinct misses
+
 let suite =
   [
     Alcotest.test_case "queue: priority order, FIFO within a class" `Quick
@@ -376,4 +449,6 @@ let suite =
       test_init_sim_rows_match_formula;
     Alcotest.test_case "scheduler: a second batch builds no program" `Quick
       test_second_batch_builds_no_programs;
+    Alcotest.test_case "scheduler: one compile before the first quantum" `Quick
+      test_batch_compiles_before_first_quantum;
   ]
