@@ -10,32 +10,45 @@
 
 type side = Low | High
 
+(* First cell of the slab along the exchange axis: the interior boundary
+   layers a side packs, and the ghost layers it unpacks. *)
+let pack_lo buf axis = function
+  | Low -> 0
+  | High -> buf.Vm.Buffer.dims.(axis) - buf.Vm.Buffer.ghost
+
+let unpack_lo buf axis = function Low -> -buf.Vm.Buffer.ghost | High -> buf.Vm.Buffer.dims.(axis)
+
 (* Cell range of the slab along the exchange axis. *)
-let pack_range buf axis = function
-  | Low -> (0, buf.Vm.Buffer.ghost - 1)
-  | High -> (buf.Vm.Buffer.dims.(axis) - buf.Vm.Buffer.ghost, buf.Vm.Buffer.dims.(axis) - 1)
+let pack_range buf axis side =
+  let lo = pack_lo buf axis side in
+  (lo, lo + buf.Vm.Buffer.ghost - 1)
 
-let unpack_range buf axis = function
-  | Low -> (-buf.Vm.Buffer.ghost, -1)
-  | High -> (buf.Vm.Buffer.dims.(axis), buf.Vm.Buffer.dims.(axis) + buf.Vm.Buffer.ghost - 1)
-
-let rows buf axis (lo, hi) = Vm.Buffer.slab_rows buf ~axis ~lo ~hi
+let unpack_range buf axis side =
+  let lo = unpack_lo buf axis side in
+  (lo, lo + buf.Vm.Buffer.ghost - 1)
 
 (** Elements in one slab of [axis] (every side's slab has this size). *)
 let slab_size buf axis =
-  let r = rows buf axis (pack_range buf axis Low) in
-  r.Vm.Buffer.count * r.Vm.Buffer.len
+  Vm.Buffer.slab_count buf ~axis * Vm.Buffer.slab_len buf ~axis ~lo:0 ~hi:(buf.Vm.Buffer.ghost - 1)
 
-(** The slab of the [side] interior boundary, as the contiguous rows
-    {!Vm.Buffer.slab_rows} lists: component by component, in storage
-    order. *)
-let pack buf ~axis ~side = Vm.Buffer.read_slab buf (rows buf axis (pack_range buf axis side))
+(** Copy the slab of the [side] interior boundary into [out] (of
+    {!slab_size}), as the contiguous rows {!Vm.Buffer.slab_rows} lists:
+    component by component, in storage order. *)
+let pack_into buf ~axis ~side out =
+  let lo = pack_lo buf axis side in
+  Vm.Buffer.read_slab_into buf ~axis ~lo ~hi:(lo + buf.Vm.Buffer.ghost - 1) out
 
+(** {!pack_into} a fresh array. *)
+let pack buf ~axis ~side =
+  let out = Array.create_float (slab_size buf axis) in
+  pack_into buf ~axis ~side out;
+  out
+
+(** Store a {!pack}-shaped slab into the [side] ghost layers; [data] must
+    hold exactly one slab. *)
 let unpack buf ~axis ~side data =
-  let r = rows buf axis (unpack_range buf axis side) in
-  if Array.length data <> r.Vm.Buffer.count * r.Vm.Buffer.len then
-    invalid_arg "Ghost.unpack: size mismatch";
-  Vm.Buffer.write_slab buf r data
+  let lo = unpack_lo buf axis side in
+  Vm.Buffer.write_slab buf ~axis ~lo ~hi:(lo + buf.Vm.Buffer.ghost - 1) data
 
 (** The slab an all-constant neighbor would send: [cv.(c)] for storage
     component [c] at every cell.  {!pack} lays a slab out component by
@@ -75,71 +88,58 @@ exception Exchange_failed of (int * int * int)
     aged out of the bounded retransmission log, which a lockstep exchange
     never provokes. *)
 
-(** Fetch the next in-sequence message of channel (src, dst, tag),
-    tolerating the full {!Faultplan.t} fault repertoire:
+(** Receive the next in-sequence message of channel [ch], tolerating the
+    full {!Faultplan.t} fault repertoire:
 
     + stale duplicates are discarded by sequence number;
     + a missing message is treated as a timeout against the substrate's
       virtual clock: the receiver backs off exponentially (advancing the
       clock, which releases delayed messages) and requests a bounded
-      number of retransmissions from the sender's log;
+      number of retransmissions from the sender's log ({!Mpisim.heal});
     + if the sender turns out to be dead, [Rank_crashed] aborts the
       exchange so the driver can roll back to the last checkpoint.
 
     Exactly-once, in-order delivery: under any plan without a crash this
     returns precisely the payloads the fault-free run would see, in the
-    same order — which is what makes faulty runs bitwise identical. *)
-(* Drive a posted request to completion, translating the substrate's
-   healing outcome into this module's exception vocabulary and accounting
-   for in-place fault healing. *)
-let await ?max_retries comm ~src ~dst ~tag req =
-  match Mpisim.wait ?max_retries comm req with
-  | `Done retries ->
-    if retries > 0 then begin
+    same order — which is what makes faulty runs bitwise identical.  The
+    fault-free receive is the first {!Mpisim.attempt} alone: no request,
+    no pending record. *)
+let receive ?max_retries comm (ch : Mpisim.channel) =
+  match Mpisim.attempt comm ch with
+  | Some p -> p
+  | None -> (
+    match Mpisim.heal ?max_retries comm ch with
+    | `Done (p, retries) ->
       Obs.Metrics.count "net.faults_healed" 1;
       Obs.Span.instant ~cat:"comm"
         ~args:[ ("retries", float_of_int retries) ]
-        (Printf.sprintf "healed:%d->%d tag %d" src dst tag)
-    end;
-    Mpisim.payload req
-  | `Crashed r -> raise (Rank_crashed r)
-  | `Lost key -> raise (Exchange_failed key)
+        (Printf.sprintf "healed:%d->%d tag %d" ch.Mpisim.src ch.Mpisim.dst ch.Mpisim.tag);
+      p
+    | `Crashed r -> raise (Rank_crashed r)
+    | `Lost key -> raise (Exchange_failed key))
 
+(** {!receive} on channel (src, dst, tag). *)
 let fetch ?max_retries comm ~src ~dst ~tag =
-  await ?max_retries comm ~src ~dst ~tag (Mpisim.irecv comm ~src ~dst ~tag)
+  receive ?max_retries comm (Mpisim.channel comm ~src ~dst ~tag)
 
 (* ------------------------------------------------------------------ *)
 (* Slab exchange                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Pack-and-send one slab (sequence number assigned by the substrate).
-    Sends are eager, so this is also the post of a nonblocking send. *)
-let send_slab comm ~src ~dst ~tag buf ~axis ~side =
-  Mpisim.send comm ~src ~dst ~tag (pack buf ~axis ~side)
+(** Pack-and-send one slab on [ch] (sequence number assigned by the
+    substrate), packed straight into the payload the send recycles
+    ({!Mpisim.payload_for}).  Sends are eager, so this is also the post of
+    a nonblocking send. *)
+let send_slab comm ch buf ~axis ~side =
+  let out = Mpisim.payload_for ch ~len:(slab_size buf axis) in
+  pack_into buf ~axis ~side out;
+  Mpisim.post comm ch out
 
-(** A pending slab receive: the request plus where to unpack it. *)
-type pending = {
-  req : Mpisim.request;
-  p_src : int;
-  p_dst : int;
-  p_tag : int;
-  p_buf : Vm.Buffer.t;
-  p_axis : int;
-  p_side : side;
-}
-
-(** Post a slab receive without consuming anything. *)
-let irecv_slab comm ~src ~dst ~tag buf ~axis ~side =
-  { req = Mpisim.irecv comm ~src ~dst ~tag; p_src = src; p_dst = dst;
-    p_tag = tag; p_buf = buf; p_axis = axis; p_side = side }
-
-(** Complete a pending slab receive through the self-healing protocol and
-    unpack it into the ghost layer.  Awaiting right after posting is the
-    blocking receive; awaiting later overlaps it (paper §7). *)
-let await_slab ?max_retries comm pending =
-  unpack pending.p_buf ~axis:pending.p_axis ~side:pending.p_side
-    (await ?max_retries comm ~src:pending.p_src ~dst:pending.p_dst
-       ~tag:pending.p_tag pending.req)
+(** Receive one slab on [ch] through the self-healing protocol and unpack
+    it into the [side] ghost layers at once: the payload may be recycled
+    by the channel's later sends. *)
+let recv_slab ?max_retries comm ch buf ~axis ~side =
+  unpack buf ~axis ~side (receive ?max_retries comm ch)
 
 let () =
   Printexc.register_printer (function

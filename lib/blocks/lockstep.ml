@@ -7,7 +7,8 @@
     + a per-block {!state}: an active simulation, or the per-field
       constants of a frozen block (the adaptive forest's coarsened bulk);
     + a block → rank [owner];
-    + a precomputed periodic face-neighbour table;
+    + a precomputed periodic face-neighbour table, and beside it the
+      handle of the channel that fills each face;
     + a per-face {!tags} rule naming the channel each ghost slab travels on.
 
     {!Forest} builds one with every block active and one block per rank;
@@ -46,6 +47,10 @@ type t = {
       (** periodic face neighbours, computed once: the block beside [id]
           on [axis] is at [((id * dim) + axis) * 2] (Low) and the slot
           after it (High) *)
+  faces : Mpisim.channel option array;
+      (** per face, indexed like [neighbors]: the handle of the channel
+          whose slabs fill it, checked against the face's current (src,
+          dst, tag) on every use and re-resolved when an owner moved *)
   tags : tags;
 }
 
@@ -86,6 +91,7 @@ let create ~tags ~comm ~grid ~block_dims ~owner states gen =
     states;
     owner;
     neighbors;
+    faces = Array.make (Array.length neighbors) None;
     tags;
   }
 
@@ -127,19 +133,34 @@ let get t (field : Fieldspec.t) ~component global =
 (* Ghost exchange                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The channel whose slabs fill the [side] face of block [recv] on [axis]:
+   from the neighbour's owner to [recv]'s, on the face's tag.  The cached
+   handle serves while those still name it; a rebalance or a thaw that
+   moved an owner makes the next use open the new channel. *)
+let face_channel t ~recv ~axis ~side =
+  let i = (((recv * Array.length t.grid) + axis) * 2) + side_index side in
+  let src = t.owner.(t.neighbors.(i)) and dst = t.owner.(recv) in
+  let tag = face_tag t ~recv ~axis ~side in
+  match t.faces.(i) with
+  | Some ch when Mpisim.is_channel ch ~src ~dst ~tag -> ch
+  | _ ->
+    let ch = Mpisim.channel t.comm ~src ~dst ~tag in
+    t.faces.(i) <- Some ch;
+    ch
+
+let opposite = function Ghost.Low -> Ghost.High | Ghost.High -> Ghost.Low
+
 (* Every active block of a live rank sends its Low slab to its Low
    neighbour, then its High slab to its High neighbour, in block order; a
-   frozen neighbour keeps no ghost layers and is sent nothing.  Sends are
-   eager ({!Mpisim.isend} completes at post time), so the blocking and the
-   overlapped exchange post the same stream. *)
+   frozen neighbour keeps no ghost layers and is sent nothing.  The slab
+   fills the neighbour's opposite face.  Sends are eager, so the blocking
+   and the overlapped exchange post the same stream. *)
 let send_face t ~axis id buf side =
   let nb = neighbor t id ~axis ~side in
   match t.states.(nb) with
   | Frozen _ -> ()
   | Active _ ->
-    let fills = match side with Ghost.Low -> Ghost.High | Ghost.High -> Ghost.Low in
-    Ghost.send_slab t.comm ~src:t.owner.(id) ~dst:t.owner.(nb)
-      ~tag:(face_tag t ~recv:nb ~axis ~side:fills) buf ~axis ~side
+    Ghost.send_slab t.comm (face_channel t ~recv:nb ~axis ~side:(opposite side)) buf ~axis ~side
 
 let post_sends t field ~axis =
   for id = 0 to nblocks t - 1 do
@@ -151,51 +172,44 @@ let post_sends t field ~axis =
     | _ -> ()
   done
 
-(* One ghost face awaiting its slab: a posted receive from an active
-   neighbour, or the constant slab a frozen neighbour would have sent. *)
-type pending = Recv of Ghost.pending | Fill of Vm.Buffer.t * int * Ghost.side * float array
-
+(* Fill one ghost face: the slab from an active neighbour, through the
+   self-healing receive, or the constant slab a frozen neighbour would
+   have sent. *)
 let recv_face t field ~axis id buf side =
-  let nb = neighbor t id ~axis ~side in
-  match t.states.(nb) with
-  | Frozen consts -> Fill (buf, axis, side, const_of consts field)
-  | Active _ ->
-    Recv
-      (Ghost.irecv_slab t.comm ~src:t.owner.(nb) ~dst:t.owner.(id)
-         ~tag:(face_tag t ~recv:id ~axis ~side) buf ~axis ~side)
-
-let complete t = function
-  | Recv p -> Ghost.await_slab t.comm p
-  | Fill (buf, axis, side, cv) ->
-    Ghost.unpack buf ~axis ~side (Ghost.constant_slab buf ~axis cv)
+  match t.states.(neighbor t id ~axis ~side) with
+  | Frozen consts ->
+    Ghost.unpack buf ~axis ~side (Ghost.constant_slab buf ~axis (const_of consts field))
+  | Active _ -> Ghost.recv_slab t.comm (face_channel t ~recv:id ~axis ~side) buf ~axis ~side
 
 (* The drain order, which both exchange modes share: block by block, the
    Low face (the High slab of the Low neighbour) before the High face.
-   Each face is posted and handed to [k], which completes it now
-   (blocking) or later (overlapped); posting consumes nothing, so the
-   two modes consume the identical (src, dst, tag) sequence and every
-   fault-plan decision and substrate counter matches. *)
-let post_recvs t field ~axis k =
+   A face consumes its message only when the drain reaches it, so however
+   much work runs between posting and draining, the two modes consume the
+   identical (src, dst, tag) sequence and every fault-plan decision and
+   substrate counter matches. *)
+let drain t field ~axis =
   for id = 0 to nblocks t - 1 do
     match t.states.(id) with
     | Active sim when live t id ->
       let buf = buffer sim field in
-      k (recv_face t field ~axis id buf Ghost.Low);
-      k (recv_face t field ~axis id buf Ghost.High)
+      recv_face t field ~axis id buf Ghost.Low;
+      recv_face t field ~axis id buf Ghost.High
     | _ -> ()
   done
 
 let exchange_axis t field ~axis =
   post_sends t field ~axis;
-  post_recvs t field ~axis (complete t)
+  drain t field ~axis
 
 let comm_span prefix (field : Fieldspec.t) f =
   (* an exchange involves all ranks, so its span lives on the process lane *)
-  Obs.Span.in_lane 0 (fun () -> Obs.Span.with_ ~cat:"comm" (prefix ^ field.Fieldspec.name) f)
+  if not (Obs.Sink.enabled ()) then f ()
+  else
+    Obs.Span.in_lane 0 (fun () -> Obs.Span.with_ ~cat:"comm" (prefix ^ field.Fieldspec.name) f)
 
 (** Exchange the ghost layers of [field] across all blocks, axis by axis
     (later axes carry the corners), through the self-healing protocol
-    ({!Ghost.await}): drops, delays and duplicates heal in place, a dead
+    ({!Ghost.receive}): drops, delays and duplicates heal in place, a dead
     neighbour surfaces as [Ghost.Rank_crashed] for the recovery driver.
     Blocks of a crashed rank neither send nor receive. *)
 let exchange t field =
@@ -204,20 +218,17 @@ let exchange t field =
         exchange_axis t field ~axis
       done)
 
-(** First half of the overlapped exchange (paper §7): post axis 0's sends
-    and receives without completing any. *)
+(** First half of the overlapped exchange (paper §7): post axis 0's sends.
+    Its result is what {!finish_exchange} takes: nothing is pending but
+    the drain, which receives in the blocking exchange's order. *)
 let start_exchange t field =
-  comm_span "exchange.overlap:" field (fun () ->
-      let pending = ref [] in
-      post_sends t field ~axis:0;
-      post_recvs t field ~axis:0 (fun p -> pending := p :: !pending);
-      List.rev !pending)
+  comm_span "exchange.overlap:" field (fun () -> post_sends t field ~axis:0)
 
-(** Second half: complete axis 0's faces in drain order, then exchange the
-    remaining axes, which must follow axis 0 for the corners. *)
-let finish_exchange t field pending =
+(** Second half: drain axis 0's faces, then exchange the remaining axes,
+    which must follow axis 0 for the corners. *)
+let finish_exchange t field () =
   comm_span "exchange.wait:" field (fun () ->
-      List.iter (complete t) pending;
+      drain t field ~axis:0;
       for axis = 1 to Array.length t.block_dims - 1 do
         exchange_axis t field ~axis
       done)
@@ -251,9 +262,9 @@ let step t ~overlap ~step =
       let f = fields t in
       each t Pfcore.Timestep.phase_phi;
       if overlap && has_mu t then begin
-        let pending = start_exchange t f.Pfcore.Model.phi_dst in
+        start_exchange t f.Pfcore.Model.phi_dst;
         each t Pfcore.Timestep.phase_mu_interior;
-        finish_exchange t f.Pfcore.Model.phi_dst pending;
+        finish_exchange t f.Pfcore.Model.phi_dst ();
         each t Pfcore.Timestep.phase_mu_shell
       end
       else begin

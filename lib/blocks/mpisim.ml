@@ -1,11 +1,13 @@
 (** In-process message passing with deterministic fault injection.
 
-    Ranks live in one address space; messages are copied float arrays in
-    per-(src, dst, tag) FIFO queues with MPI-like nonblocking semantics: all
-    sends of a communication phase are posted before the matching receives
-    are drained, and delivery order is deterministic.  This exercises the
-    real pack / send / receive / unpack path of the ghost-layer exchange
-    while remaining reproducible in a sealed container.
+    Ranks live in one address space; messages are float arrays the
+    substrate owns, in per-(src, dst, tag) FIFO queues that senders and
+    receivers reach through channel handles, with MPI-like nonblocking
+    semantics: all sends of a communication phase are posted before the
+    matching receives are drained, and delivery order is deterministic.
+    This exercises the real pack / send / receive / unpack path of the
+    ghost-layer exchange while remaining reproducible in a sealed
+    container.
 
     On top of the fault-free substrate sits the machinery the resilience
     subsystem needs:
@@ -25,21 +27,36 @@
 
 type message = { seq : int; payload : float array }
 
-(** One (src, dst, tag) channel: its delivery queue, both ends' sequence
-    counters, and the sender's retransmission log — a ring holding the
-    last [log_limit] messages sent, seq [s] at slot [s mod log_limit]. *)
+(** One (src, dst, tag) channel, and the handle a sender or receiver keeps
+    for it: its delivery queue, both ends' sequence counters, and the
+    sender's retransmission log — a ring holding the last [log_limit]
+    messages sent, seq [s] at slot [s mod log_limit].  The queue is a ring
+    of (seq, payload) pairs that grows on demand, so a message in flight
+    costs no allocation.  {!restart} resets a channel in place, so a handle
+    outlives a rollback. *)
 type channel = {
-  queue : message Queue.t;
+  src : int;
+  dst : int;
+  tag : int;
+  mutable q_seq : int array;
+  mutable q_payload : float array array;
+  mutable q_head : int;
+  mutable q_len : int;
   mutable next_send : int;  (** next seq to assign *)
   mutable expected : int;   (** next seq the receiver expects *)
-  log : message array;
+  mutable used : bool;
+      (** a message was posted since the channel was opened or reset; an
+          unused channel answers a receive as if it did not exist *)
+  log_seq : int array;  (** seq held by each log slot; [-1]: none *)
+  log_payload : float array array;
 }
 
 type t = {
   n_ranks : int;
   channels : (int * int * int, channel) Hashtbl.t;
-  mutable delayed : (int * (int * int * int) * message) list;
-      (** (release_time, channel, message), sorted for deterministic release *)
+  mutable delayed : (int * channel * message) list;
+      (** (release_time, channel, message), sorted by (release, channel
+          key, seq) for deterministic release *)
   mutable clock : int;          (** virtual time, driven by receiver backoff *)
   mutable step : int;           (** current simulation step (crash trigger) *)
   mutable plan : Faultplan.t option;
@@ -87,18 +104,84 @@ let create n_ranks =
 
 let set_fault_plan t plan = t.plan <- plan
 
-let channel t key =
-  match Hashtbl.find_opt t.channels key with
-  | Some ch -> ch
-  | None ->
+let key ch = (ch.src, ch.dst, ch.tag)
+
+(** The handle of channel (src, dst, tag), opened on first request. *)
+let channel t ~src ~dst ~tag =
+  if src < 0 || src >= t.n_ranks || dst < 0 || dst >= t.n_ranks then
+    invalid_arg "Mpisim: rank out of range";
+  match Hashtbl.find t.channels (src, dst, tag) with
+  | ch -> ch
+  | exception Not_found ->
     let ch =
-      { queue = Queue.create (); next_send = 0; expected = 0;
-        log = Array.make log_limit { seq = -1; payload = [||] } }
+      {
+        src;
+        dst;
+        tag;
+        q_seq = Array.make 4 0;
+        q_payload = Array.make 4 [||];
+        q_head = 0;
+        q_len = 0;
+        next_send = 0;
+        expected = 0;
+        used = false;
+        log_seq = Array.make log_limit (-1);
+        log_payload = Array.make log_limit [||];
+      }
     in
-    Hashtbl.replace t.channels key ch;
+    Hashtbl.replace t.channels (src, dst, tag) ch;
     ch
 
-let is_crashed t rank = t.crashed = Some rank
+(** Whether handle [ch] is the channel (src, dst, tag): a cached handle is
+    checked against the channel its user needs now. *)
+let is_channel ch ~src ~dst ~tag = ch.src = src && ch.dst = dst && ch.tag = tag
+
+(* ---- the delivery queue ---- *)
+
+let push ch seq payload =
+  let cap = Array.length ch.q_seq in
+  if ch.q_len = cap then begin
+    let seqs = Array.make (2 * cap) 0 and payloads = Array.make (2 * cap) [||] in
+    for i = 0 to cap - 1 do
+      seqs.(i) <- ch.q_seq.((ch.q_head + i) mod cap);
+      payloads.(i) <- ch.q_payload.((ch.q_head + i) mod cap)
+    done;
+    ch.q_seq <- seqs;
+    ch.q_payload <- payloads;
+    ch.q_head <- 0
+  end;
+  let i = (ch.q_head + ch.q_len) mod Array.length ch.q_seq in
+  ch.q_seq.(i) <- seq;
+  ch.q_payload.(i) <- payload;
+  ch.q_len <- ch.q_len + 1
+
+(* Take the head (the queue must not be empty); the ring forgets it. *)
+let pop ch =
+  let i = ch.q_head in
+  let p = ch.q_payload.(i) in
+  ch.q_payload.(i) <- [||];
+  ch.q_head <- (i + 1) mod Array.length ch.q_seq;
+  ch.q_len <- ch.q_len - 1;
+  p
+
+(* The queued messages, head first, and an emptied queue. *)
+let drain_queue ch =
+  let out = ref [] in
+  while ch.q_len > 0 do
+    let seq = ch.q_seq.(ch.q_head) in
+    out := { seq; payload = pop ch } :: !out
+  done;
+  ch.q_head <- 0;
+  List.rev !out
+
+let fold_queue f acc ch =
+  let acc = ref acc in
+  for i = 0 to ch.q_len - 1 do
+    acc := f !acc ch.q_seq.((ch.q_head + i) mod Array.length ch.q_seq)
+  done;
+  !acc
+
+let is_crashed t rank = match t.crashed with Some r -> r = rank | None -> false
 let live t rank = not (is_crashed t rank)
 
 (** Activate a pending crash: called at the start of every lockstep time
@@ -113,11 +196,15 @@ let begin_step t ~step =
 
 let advance_clock t ticks = t.clock <- t.clock + max 1 ticks
 
+let delayed_order (r, ch, m) (r', ch', m') =
+  match compare r r' with
+  | 0 -> ( match compare (key ch) (key ch') with 0 -> compare m.seq m'.seq | c -> c)
+  | c -> c
+
 (* Deterministic insertion: the delayed pool stays sorted by
    (release, channel, seq). *)
-let add_delayed t release key msg =
-  t.delayed <-
-    List.merge compare t.delayed [ (release, key, msg) ]
+let add_delayed t release ch msg =
+  t.delayed <- List.merge delayed_order t.delayed [ (release, ch, msg) ]
 
 (** Move every delayed message whose release time has come into its
     delivery queue (in deterministic order). *)
@@ -125,7 +212,7 @@ let release_due t =
   if t.delayed <> [] then begin
     let due, later = List.partition (fun (r, _, _) -> r <= t.clock) t.delayed in
     t.delayed <- later;
-    List.iter (fun (_, key, msg) -> Queue.push msg (channel t key).queue) due
+    List.iter (fun (_, ch, msg) -> push ch msg.seq msg.payload) due
   end
 
 let expected_seq t ~src ~dst ~tag =
@@ -133,99 +220,120 @@ let expected_seq t ~src ~dst ~tag =
   | Some ch -> ch.expected
   | None -> 0
 
-(** Post [data] on the (src, dst, tag) channel.  The substrate owns the
-    array from here on: it is queued, logged for retransmission and handed
-    to the receiver without a copy, so the caller must not write to it
-    afterwards. *)
-let send t ~src ~dst ~tag data =
-  if src < 0 || src >= t.n_ranks || dst < 0 || dst >= t.n_ranks then
-    invalid_arg "Mpisim.send: rank out of range";
-  if is_crashed t src || is_crashed t dst then begin
+(** An array of [len] elements to pack the next message on [ch] into: the
+    payload of the log slot that message evicts when the receiver has
+    consumed it (or a rollback discarded it), otherwise a fresh one.  So a
+    payload a receiver takes stays valid until its channel's next
+    [log_limit] sends. *)
+let payload_for ch ~len =
+  let k = ch.next_send mod log_limit in
+  let old = ch.log_payload.(k) in
+  if Array.length old = len && ch.log_seq.(k) < ch.expected then old
+  else Array.create_float len
+
+(** Post [data] on channel [ch].  The substrate owns the array from here
+    on: it is queued, logged for retransmission and handed to the receiver
+    without a copy, so the caller must not write to it afterwards. *)
+let post t ch data =
+  if is_crashed t ch.src || is_crashed t ch.dst then begin
     (* a dead rank neither sends nor receives; nothing enters the network *)
     t.dropped <- t.dropped + 1;
     Obs.Metrics.count "net.dropped" 1
   end
   else begin
-    let key = (src, dst, tag) in
-    let ch = channel t key in
-    let msg = { seq = ch.next_send; payload = data } in
-    ch.next_send <- ch.next_send + 1;
-    ch.log.(msg.seq mod log_limit) <- msg;
+    let seq = ch.next_send in
+    ch.next_send <- seq + 1;
+    ch.used <- true;
+    ch.log_seq.(seq mod log_limit) <- seq;
+    ch.log_payload.(seq mod log_limit) <- data;
     t.bytes_sent <- t.bytes_sent + (8 * Array.length data);
     t.messages_sent <- t.messages_sent + 1;
     Obs.Metrics.count "net.messages_sent" 1;
     Obs.Metrics.count "net.bytes_sent" (8 * Array.length data);
     match t.plan with
-    | None -> Queue.push msg ch.queue
+    | None -> push ch seq data
     | Some plan -> (
-      match Faultplan.decide plan ~src ~dst ~tag ~seq:msg.seq with
-      | Faultplan.Deliver -> Queue.push msg ch.queue
+      match Faultplan.decide plan ~src:ch.src ~dst:ch.dst ~tag:ch.tag ~seq with
+      | Faultplan.Deliver -> push ch seq data
       | Faultplan.Drop ->
         t.dropped <- t.dropped + 1;
         Obs.Metrics.count "net.dropped" 1
       | Faultplan.Delay ticks ->
         t.delayed_count <- t.delayed_count + 1;
         Obs.Metrics.count "net.delayed" 1;
-        add_delayed t (t.clock + ticks) key msg
+        add_delayed t (t.clock + ticks) ch { seq; payload = data }
       | Faultplan.Duplicate ->
         t.duplicated <- t.duplicated + 1;
         Obs.Metrics.count "net.duplicated" 1;
-        Queue.push msg ch.queue;
-        Queue.push { msg with payload = msg.payload } ch.queue)
+        push ch seq data;
+        push ch seq data)
   end
+
+(** Post [data] on the (src, dst, tag) channel ({!post}). *)
+let send t ~src ~dst ~tag data = post t (channel t ~src ~dst ~tag) data
 
 exception No_message of (int * int * int)
 
-let deliver t (msg : message) =
+let deliver t payload =
   t.delivered <- t.delivered + 1;
   Obs.Metrics.count "net.delivered" 1;
-  msg.payload
+  payload
 
 (** Plain FIFO receive (the fault-free fast path): pops the head message of
     the channel, whatever its sequence number. *)
 let recv t ~src ~dst ~tag =
-  let key = (src, dst, tag) in
-  match Hashtbl.find_opt t.channels key with
-  | Some ch when not (Queue.is_empty ch.queue) ->
-    let msg = Queue.pop ch.queue in
-    ch.expected <- max ch.expected (msg.seq + 1);
-    deliver t msg
-  | _ -> raise (No_message key)
+  match Hashtbl.find_opt t.channels (src, dst, tag) with
+  | Some ch when ch.q_len > 0 ->
+    ch.expected <- max ch.expected (ch.q_seq.(ch.q_head) + 1);
+    deliver t (pop ch)
+  | _ -> raise (No_message (src, dst, tag))
 
-(** Sequenced receive: returns the message with exactly the next expected
+(** Sequenced receive on [ch]: the message with exactly the next expected
     sequence number, discarding any stale (already-consumed) duplicates
     encountered on the way, and leaving future messages queued.  [None]
     means the expected message has not arrived (yet).  A channel holding
     just the expected message — every receive of a fault-free exchange —
-    takes O(1) work; only a faulty channel is rescanned. *)
-let recv_expected t ~src ~dst ~tag =
-  match Hashtbl.find_opt t.channels (src, dst, tag) with
-  | None -> None
-  | Some ch when Queue.length ch.queue = 1 && (Queue.peek ch.queue).seq = ch.expected ->
+    takes O(1) work and allocates nothing but the option; only a faulty
+    channel is rescanned. *)
+let take_expected t ch =
+  if not ch.used then None
+  else if ch.q_len = 1 && ch.q_seq.(ch.q_head) = ch.expected then begin
     ch.expected <- ch.expected + 1;
-    Some (deliver t (Queue.pop ch.queue))
-  | Some ch ->
+    Some (deliver t (pop ch))
+  end
+  else begin
     let expected = ch.expected in
-    let q = ch.queue in
-    let fresh, stale =
-      List.partition
-        (fun m -> m.seq >= expected)
-        (List.of_seq (Queue.to_seq q))
-    in
+    let fresh, stale = List.partition (fun m -> m.seq >= expected) (drain_queue ch) in
     t.stale_discarded <- t.stale_discarded + List.length stale;
     Obs.Metrics.count "net.stale_discarded" (List.length stale);
-    Queue.clear q;
     let hit = ref None in
     List.iter
       (fun m ->
-        if !hit = None && m.seq = expected then hit := Some m
-        else Queue.push m q)
+        if Option.is_none !hit && m.seq = expected then hit := Some m.payload
+        else push ch m.seq m.payload)
       fresh;
     Option.map
-      (fun m ->
+      (fun p ->
         ch.expected <- expected + 1;
-        deliver t m)
+        deliver t p)
       !hit
+  end
+
+let recv_expected t ~src ~dst ~tag =
+  match Hashtbl.find_opt t.channels (src, dst, tag) with
+  | None -> None
+  | Some ch -> take_expected t ch
+
+(* Re-deliver [seq] of [ch] from the sender's log. *)
+let retransmit t ch ~seq =
+  if is_crashed t ch.src then `Crashed
+  else if seq >= 0 && seq < ch.next_send && seq >= ch.next_send - log_limit then begin
+    t.retransmissions <- t.retransmissions + 1;
+    Obs.Metrics.count "net.retransmissions" 1;
+    push ch seq ch.log_payload.(seq mod log_limit);
+    `Sent
+  end
+  else `Lost
 
 (** Re-deliver sequence number [seq] of the channel from the sender's
     retransmission log, bypassing fault injection (retry-until-success).
@@ -235,12 +343,42 @@ let request_retransmit t ~src ~dst ~tag ~seq =
   if is_crashed t src then `Crashed
   else
     match Hashtbl.find_opt t.channels (src, dst, tag) with
-    | Some ch when seq >= 0 && seq < ch.next_send && seq >= ch.next_send - log_limit ->
-      t.retransmissions <- t.retransmissions + 1;
-      Obs.Metrics.count "net.retransmissions" 1;
-      Queue.push ch.log.(seq mod log_limit) ch.queue;
-      `Sent
-    | _ -> `Lost
+    | Some ch -> retransmit t ch ~seq
+    | None -> `Lost
+
+(* ------------------------------------------------------------------ *)
+(* The self-healing receive                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** One attempt of the self-healing receive on [ch]: release the delayed
+    messages that are due, then take the expected message ({!take_expected}).
+    A fault-free receive is this first attempt and nothing more. *)
+let attempt t ch =
+  release_due t;
+  take_expected t ch
+
+(** The rest of the self-healing loop after a first {!attempt} missed: the
+    missing message is treated as a timeout against the virtual clock —
+    the receiver backs off exponentially (releasing delayed messages) and
+    requests bounded retransmission from the sender's log, attempting
+    again after each request.  [`Done (payload, n)] reports the retries
+    the healing needed; [`Crashed] surfaces a dead sender for the recovery
+    driver; [`Lost] means the retries were exhausted on a live channel. *)
+let heal ?(max_retries = 10) t ch =
+  let rec retry retries backoff =
+    if retries >= max_retries then
+      if is_crashed t ch.src then `Crashed ch.src else `Lost (key ch)
+    else begin
+      advance_clock t backoff;
+      match retransmit t ch ~seq:ch.expected with
+      | `Crashed -> `Crashed ch.src
+      | `Sent | `Lost -> (
+        match attempt t ch with
+        | Some p -> `Done (p, retries + 1)
+        | None -> retry (retries + 1) (2 * backoff))
+    end
+  in
+  retry 0 1
 
 (* ------------------------------------------------------------------ *)
 (* Nonblocking surface                                                 *)
@@ -255,12 +393,7 @@ let request_retransmit t ~src ~dst ~tag ~seq =
     blocking exchanges are interchangeable message for message. *)
 type request =
   | Isend of { dst : int }
-  | Irecv of {
-      src : int;
-      dst : int;
-      tag : int;
-      mutable arrived : float array option;
-    }
+  | Irecv of { ch : channel; mutable arrived : float array option }
 
 (** Post a message and return its (already-complete) send request. *)
 let isend t ~src ~dst ~tag data =
@@ -269,7 +402,7 @@ let isend t ~src ~dst ~tag data =
 
 (** Post a receive for the channel's next in-sequence message.  Nothing is
     consumed until {!test} or {!wait} observes the arrival. *)
-let irecv (_ : t) ~src ~dst ~tag = Irecv { src; dst; tag; arrived = None }
+let irecv t ~src ~dst ~tag = Irecv { ch = channel t ~src ~dst ~tag; arrived = None }
 
 (** Poll a request: [true] when complete.  Polling an [Irecv] releases due
     delayed messages and consumes the expected message if it has arrived
@@ -279,46 +412,31 @@ let test t = function
   | Irecv r -> (
     r.arrived <> None
     ||
-    (release_due t;
-     match recv_expected t ~src:r.src ~dst:r.dst ~tag:r.tag with
-     | Some p ->
-       r.arrived <- Some p;
-       true
-     | None -> false))
+    match attempt t r.ch with
+    | Some p ->
+      r.arrived <- Some p;
+      true
+    | None -> false)
 
-(** Drive a request to completion through the self-healing protocol: a
-    missing message is treated as a timeout against the virtual clock — the
-    receiver backs off exponentially (releasing delayed messages) and
-    requests bounded retransmission from the sender's log.  [`Done n]
-    reports the number of retries the healing needed (0 on the fault-free
-    path); [`Crashed] surfaces a dead sender for the recovery driver;
-    [`Lost] means the retries were exhausted on a live channel. *)
-let wait ?(max_retries = 10) t = function
+(** Drive a request to completion through the self-healing protocol
+    ({!attempt}, then {!heal}).  [`Done n] reports the number of retries
+    the healing needed (0 on the fault-free path). *)
+let wait ?max_retries t = function
   | Isend _ -> `Done 0
   | Irecv r -> (
     match r.arrived with
     | Some _ -> `Done 0
-    | None ->
-      let rec attempt retries backoff =
-        release_due t;
-        match recv_expected t ~src:r.src ~dst:r.dst ~tag:r.tag with
-        | Some p ->
+    | None -> (
+      match attempt t r.ch with
+      | Some p ->
+        r.arrived <- Some p;
+        `Done 0
+      | None -> (
+        match heal ?max_retries t r.ch with
+        | `Done (p, n) ->
           r.arrived <- Some p;
-          `Done retries
-        | None ->
-          if retries >= max_retries then
-            if is_crashed t r.src then `Crashed r.src else `Lost (r.src, r.dst, r.tag)
-          else begin
-            advance_clock t backoff;
-            match
-              request_retransmit t ~src:r.src ~dst:r.dst ~tag:r.tag
-                ~seq:(expected_seq t ~src:r.src ~dst:r.dst ~tag:r.tag)
-            with
-            | `Crashed -> `Crashed r.src
-            | `Sent | `Lost -> attempt (retries + 1) (2 * backoff)
-          end
-      in
-      attempt 0 1)
+          `Done n
+        | (`Crashed _ | `Lost _) as failed -> failed)))
 
 (** The payload of a completed [Irecv] (call {!wait} or {!test} first). *)
 let payload = function
@@ -328,8 +446,7 @@ let payload = function
 
 (** All channels drained and nothing in the delayed pool. *)
 let quiescent t =
-  t.delayed = []
-  && Hashtbl.fold (fun _ ch acc -> acc && Queue.is_empty ch.queue) t.channels true
+  t.delayed = [] && Hashtbl.fold (fun _ ch acc -> acc && ch.q_len = 0) t.channels true
 
 exception Unquiescent of (int * int * int * int) list
 (** Raised by {!finalize} when live (not-yet-consumed) messages remain
@@ -349,15 +466,14 @@ let finalize t =
   let leftovers = ref [] in
   Hashtbl.iter
     (fun (src, dst, tag) ch ->
-      let q = ch.queue in
-      if not (Queue.is_empty q) then begin
-        let live =
-          Queue.fold (fun acc m -> if m.seq >= ch.expected then acc + 1 else acc) 0 q
-        in
-        let stale = Queue.length q - live in
+      if ch.q_len > 0 then begin
+        let live = fold_queue (fun acc seq -> if seq >= ch.expected then acc + 1 else acc) 0 ch in
+        let stale = ch.q_len - live in
         t.stale_discarded <- t.stale_discarded + stale;
         Obs.Metrics.count "net.stale_discarded" stale;
-        Queue.clear q;
+        while ch.q_len > 0 do
+          ignore (pop ch)
+        done;
         if live > 0 then leftovers := (src, dst, tag, live) :: !leftovers
       end)
     t.channels;
@@ -365,12 +481,25 @@ let finalize t =
   | [] -> ()
   | ls -> raise (Unquiescent ls)
 
+(* A channel as freshly opened; the log keeps its arrays for {!payload_for}
+   (their messages are gone with the queues). *)
+let reset ch =
+  while ch.q_len > 0 do
+    ignore (pop ch)
+  done;
+  ch.q_head <- 0;
+  ch.next_send <- 0;
+  ch.expected <- 0;
+  ch.used <- false;
+  Array.fill ch.log_seq 0 log_limit (-1)
+
 (** Bring a crashed substrate back for replay after a rollback: every
     queue, log, counter stream and the delayed pool are discarded, and the
-    crash is marked consumed so the same step replays cleanly.  Cumulative
-    traffic statistics survive. *)
+    crash is marked consumed so the same step replays cleanly.  Channels
+    are reset in place, so handles stay valid.  Cumulative traffic
+    statistics survive. *)
 let restart t =
-  Hashtbl.reset t.channels;
+  Hashtbl.iter (fun _ ch -> reset ch) t.channels;
   t.delayed <- [];
   t.crashed <- None;
   t.crash_consumed <- true;

@@ -34,6 +34,11 @@ type t = {
           {!prepare_jit}) *)
   mutable step_count : int;
   mutable time : float;
+  fixed_params : (string * float) list;  (** [dx], [dt] and the model's bindings *)
+  mutable params : (string * float) list;
+      (** every sweep's parameter bindings ({!runtime_params}): [t] in
+          front of [fixed_params], rebuilt when the time changes, once per
+          step *)
 }
 
 let default_exchange block (f : Fieldspec.t) = Vm.Buffer.periodic (Vm.Engine.buffer block f)
@@ -77,6 +82,8 @@ let create ?(variant_phi = Full) ?(variant_mu = Full)
   in
   let bind k = Vm.Engine.bind k block in
   let phi, projection, mu = step_kernels ~variant_phi ~variant_mu gen in
+  let p = gen.Genkernels.params in
+  let fixed_params = ("dx", p.Params.dx) :: ("dt", p.Params.dt) :: gen.Genkernels.bindings in
   {
     gen;
     block;
@@ -93,11 +100,19 @@ let create ?(variant_phi = Full) ?(variant_mu = Full)
     jit_planned = false;
     step_count = 0;
     time = 0.;
+    fixed_params;
+    params = ("t", 0.) :: fixed_params;
   }
 
-let runtime_params t =
-  let p = t.gen.Genkernels.params in
-  ("t", t.time) :: ("dx", p.Params.dx) :: ("dt", p.Params.dt) :: t.gen.Genkernels.bindings
+(** The parameter bindings every sweep of the current step passes: [t],
+    [dx], [dt] and the model's bindings.  One list per step, built from
+    the same name strings every time, so a resolved JIT sweep reads it by
+    position ([Vm.Engine]). *)
+let runtime_params t = t.params
+
+let set_time t time =
+  t.time <- time;
+  t.params <- ("t", time) :: t.fixed_params
 
 (** Exchange ghosts of the source fields — required once after initial
     conditions are written. *)
@@ -120,10 +135,17 @@ let prepare_jit t =
     t.jit_planned <- true
   end
 
-let run_kernel t bound =
+(* One sweep of [bound] over [region] with the block's settings. *)
+let sweep t region bound =
   prepare_jit t;
-  Vm.Engine.run ~num_domains:t.num_domains ?tile:t.tile ~backend:t.backend
-    ~step:t.step_count ~params:(runtime_params t) bound
+  Vm.Engine.sweep ~num_domains:t.num_domains ~tile:t.tile ~backend:t.backend ~region
+    ~step:t.step_count ~params:t.params bound
+
+let rec sweep_all t region = function
+  | [] -> ()
+  | b :: rest ->
+    sweep t region b;
+    sweep_all t region rest
 
 let has_mu t = Params.n_mu t.gen.Genkernels.params > 0
 
@@ -131,37 +153,37 @@ let has_mu t = Params.n_mu t.gen.Genkernels.params > 0
    one trace track per simulated rank. *)
 let in_lane t f = Obs.Span.in_lane t.lane f
 
+(* [f t] inside the step span [name] on the block's lane; with the sink
+   off, a plain call that builds no closure. *)
+let in_phase t name f =
+  if not (Obs.Sink.enabled ()) then f t
+  else in_lane t (fun () -> Obs.Span.with_ ~cat:"step" name (fun () -> f t))
+
 let exchange_span t (f : Fieldspec.t) =
   in_lane t (fun () ->
       Obs.Span.with_ ~cat:"comm" ("exchange:" ^ f.Fieldspec.name) (fun () ->
           t.exchange t.block f))
 
+let phi_sweeps t =
+  sweep_all t Vm.Engine.Whole (phi_kernels t);
+  match t.projection with
+  | None -> ()
+  | Some proj ->
+    if Obs.Sink.enabled () then
+      Obs.Span.with_ ~cat:"step" "projection" (fun () -> sweep t Vm.Engine.Whole proj)
+    else sweep t Vm.Engine.Whole proj
+
 (** Phase 1: φ kernel(s) and the simplex projection (Algorithm 1, line 1). *)
-let phase_phi t =
-  in_lane t (fun () ->
-      Obs.Span.with_ ~cat:"step" "phase:phi" (fun () ->
-          List.iter (run_kernel t) (phi_kernels t);
-          match t.projection with
-          | None -> ()
-          | Some proj ->
-            Obs.Span.with_ ~cat:"step" "projection" (fun () -> run_kernel t proj)))
+let phase_phi t = in_phase t "phase:phi" phi_sweeps
+
+let mu_sweeps t = sweep_all t Vm.Engine.Whole (mu_kernels t)
 
 (** Phase 2: μ kernel(s) (Algorithm 1, line 3); requires φ_dst ghosts. *)
-let phase_mu t =
-  match mu_kernels t with
-  | [] -> ()
-  | kernels ->
-    in_lane t (fun () ->
-        Obs.Span.with_ ~cat:"step" "phase:mu" (fun () -> List.iter (run_kernel t) kernels))
+let phase_mu t = if mu_kernels t <> [] then in_phase t "phase:mu" mu_sweeps
 
 (* ------------------------------------------------------------------ *)
 (* Region-split μ phase (communication overlap, paper §7)              *)
 (* ------------------------------------------------------------------ *)
-
-let run_kernel_region t region bound =
-  prepare_jit t;
-  Vm.Engine.run ~num_domains:t.num_domains ?tile:t.tile ~backend:t.backend ~region
-    ~step:t.step_count ~params:(runtime_params t) bound
 
 (** The μ kernel chain in execution order, each annotated with its
     {e cumulative} stencil halo: kernel [k] of the chain reads the outputs
@@ -179,26 +201,25 @@ let mu_chain t =
       (b, !halo))
     (mu_kernels t)
 
+(* The μ chain's sweeps over [region halo], each at its cumulative halo. *)
+let rec chain_sweeps t region = function
+  | [] -> ()
+  | (b, h) :: rest ->
+    sweep t (region h) b;
+    chain_sweeps t region rest
+
+let mu_interior_sweeps t = chain_sweeps t (fun h -> Vm.Engine.Interior h) (mu_chain t)
+let mu_shell_sweeps t = chain_sweeps t (fun h -> Vm.Engine.Shell h) (mu_chain t)
+
 (** Deep-interior μ pass: every cell provably independent of the φ_dst
     ghost layer, so it may run while the ghost exchange is in flight. *)
 let phase_mu_interior t =
-  match mu_chain t with
-  | [] -> ()
-  | chain ->
-    in_lane t (fun () ->
-        Obs.Span.with_ ~cat:"step" "phase:mu.interior" (fun () ->
-            List.iter (fun (b, h) -> run_kernel_region t (Vm.Engine.Interior h) b) chain))
+  if mu_kernels t <> [] then in_phase t "phase:mu.interior" mu_interior_sweeps
 
 (** Halo-shell μ pass: the complement of {!phase_mu_interior}; must run
     after the exchange completes.  Kernels run in chain order, so every
     staggered value a main-kernel shell cell reads is already final. *)
-let phase_mu_shell t =
-  match mu_chain t with
-  | [] -> ()
-  | chain ->
-    in_lane t (fun () ->
-        Obs.Span.with_ ~cat:"step" "phase:mu.shell" (fun () ->
-            List.iter (fun (b, h) -> run_kernel_region t (Vm.Engine.Shell h) b) chain))
+let phase_mu_shell t = if mu_kernels t <> [] then in_phase t "phase:mu.shell" mu_shell_sweeps
 
 (** Phase 3: src ↔ dst swap and time advance (Algorithm 1, line 5). *)
 let finish t =
@@ -207,7 +228,7 @@ let finish t =
   if has_mu t then
     Vm.Buffer.swap (Vm.Engine.buffer t.block f.mu_src) (Vm.Engine.buffer t.block f.mu_dst);
   t.step_count <- t.step_count + 1;
-  t.time <- t.time +. t.gen.Genkernels.params.Params.dt
+  set_time t (t.time +. t.gen.Genkernels.params.Params.dt)
 
 (** Advance one time step (Algorithm 1), single-block version. *)
 let step t =
@@ -234,7 +255,7 @@ let run ?(on_step = fun (_ : t) -> ()) t ~steps =
     [Resilience.Snapshot]). *)
 let restore t ~step ~time =
   t.step_count <- step;
-  t.time <- time
+  set_time t time
 
 (** Cells updated per full time step (for MLUP/s reporting). *)
 let lups_per_step t = Array.fold_left ( * ) 1 t.block.Vm.Engine.dims

@@ -258,10 +258,41 @@ let restore_adaptive t (af : Blocks.Adaptive.t) =
 let magics = [| "PFSNAP1\n"; "PFSNAP2\n" |]
 let version = 2
 
-let encode_payload t =
-  let b = Buffer.create (1 lsl 16) in
-  let i32 n = Buffer.add_int32_le b (Int32.of_int n) in
-  let f64 x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+(* The sizes of the v2 layout's parts, in bytes. *)
+let ints_size a = 4 + (4 * Array.length a)
+
+let fields_size l =
+  List.fold_left (fun acc (name, a) -> acc + 8 + String.length name + (8 * Array.length a)) 4 l
+
+let payload_size t =
+  4 + 4 + 1 + 1 + 8 + 8
+  + List.fold_left (fun acc a -> acc + ints_size a) 0
+      [ t.grid; t.block_dims; t.global_dims; t.levels; t.owner ]
+  + 4
+  + Array.fold_left
+      (fun acc -> function
+        | Active a -> acc + 1 + ints_size a.offset + fields_size a.fields
+        | Frozen c -> acc + 1 + fields_size c)
+      0 t.blocks
+
+(* The header: magic · CRC-32(payload) · payload length. *)
+let header_size = String.length magics.(0) + 8
+
+(* Write the payload into [b] from [header_size] on. *)
+let write_payload b t =
+  let pos = ref header_size in
+  let i32 n =
+    Bytes.set_int32_le b !pos (Int32.of_int n);
+    pos := !pos + 4
+  in
+  let u8 n =
+    Bytes.set_uint8 b !pos n;
+    incr pos
+  in
+  let f64 x =
+    Bytes.set_int64_le b !pos (Int64.bits_of_float x);
+    pos := !pos + 8
+  in
   let ints a =
     i32 (Array.length a);
     Array.iter i32 a
@@ -269,44 +300,55 @@ let encode_payload t =
   let fields l =
     i32 (List.length l);
     List.iter
-      (fun (name, a) ->
+      (fun (name, (a : float array)) ->
         i32 (String.length name);
-        Buffer.add_string b name;
+        Bytes.blit_string name 0 b !pos (String.length name);
+        pos := !pos + String.length name;
         i32 (Array.length a);
-        Array.iter f64 a)
+        let p = !pos in
+        for k = 0 to Array.length a - 1 do
+          Bytes.set_int64_le b (p + (8 * k)) (Int64.bits_of_float (Array.unsafe_get a k))
+        done;
+        pos := p + (8 * Array.length a))
       l
   in
   i32 version;
   i32 t.fingerprint;
-  Buffer.add_uint8 b (Bool.to_int t.split_phi);
-  Buffer.add_uint8 b (Bool.to_int t.split_mu);
-  Buffer.add_int64_le b (Int64.of_int t.step);
+  u8 (Bool.to_int t.split_phi);
+  u8 (Bool.to_int t.split_mu);
+  Bytes.set_int64_le b !pos (Int64.of_int t.step);
+  pos := !pos + 8;
   f64 t.time;
   List.iter ints [ t.grid; t.block_dims; t.global_dims; t.levels; t.owner ];
   i32 (Array.length t.blocks);
   Array.iter
     (function
       | Active a ->
-        Buffer.add_uint8 b 1;
+        u8 1;
         ints a.offset;
         fields a.fields
       | Frozen c ->
-        Buffer.add_uint8 b 0;
+        u8 0;
         fields c)
     t.blocks;
-  Buffer.contents b
+  !pos
 
 (** Serialize to the versioned, checksummed wire format:
-    magic · CRC-32(payload) · payload-length · payload. *)
+    magic · CRC-32(payload) · payload-length · payload.  The file is sized
+    first and written into one buffer of exactly that size, so encoding
+    allocates little more than the bytes it returns. *)
 let encode t =
   Obs.Span.with_ ~cat:"ckpt" "snapshot:encode" @@ fun () ->
-  let payload = encode_payload t in
-  let b = Buffer.create (String.length payload + 16) in
-  Buffer.add_string b magics.(version - 1);
-  Buffer.add_int32_le b (Int32.of_int (Crc.digest payload));
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  let s = Buffer.contents b in
+  let len = payload_size t in
+  let b = Bytes.create (header_size + len) in
+  let stop = write_payload b t in
+  assert (stop = Bytes.length b);
+  Bytes.blit_string magics.(version - 1) 0 b 0 (String.length magics.(0));
+  (* the payload is written and never changes again: read it in place *)
+  let crc = Crc.digest ~pos:header_size ~len (Bytes.unsafe_to_string b) in
+  Bytes.set_int32_le b (header_size - 8) (Int32.of_int crc);
+  Bytes.set_int32_le b (header_size - 4) (Int32.of_int len);
+  let s = Bytes.unsafe_to_string b in
   Obs.Metrics.count "ckpt.encoded_bytes" (String.length s);
   s
 

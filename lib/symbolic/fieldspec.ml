@@ -25,7 +25,15 @@ let create ?(kind = Cell) ~dim ~components name =
 let scalar ~dim name = create ~dim ~components:1 name
 
 let compare (a : t) (b : t) = Stdlib.compare a b
-let equal a b = compare a b = 0
+
+(* [compare a b = 0], field by field: no polymorphic compare on the hot
+   lookups ([Vm.Engine.buffer]). *)
+let equal a b =
+  a == b
+  || a.dim = b.dim
+     && a.components = b.components
+     && (match (a.kind, b.kind) with Cell, Cell | Staggered, Staggered -> true | _ -> false)
+     && String.equal a.name b.name
 
 let pp ppf f =
   let k = match f.kind with Cell -> "" | Staggered -> " staggered" in

@@ -114,44 +114,83 @@ let swap a b =
     below [axis] are covered in full, so they fold into one row; rows then
     run component by component in storage order, which is also the order
     [Blocks.Ghost] puts them on the wire.  The one place a slab's layout is
-    worked out: pack, unpack and the periodic fill all walk these rows. *)
+    worked out: pack, unpack and the periodic fill all walk these rows
+    ({!read_slab_into} and {!write_slab} without building the record). *)
 type rows = { first : int; len : int; step : int; count : int }
 
+let slab_first t ~axis ~lo = (lo + t.ghost) * t.stride.(axis)
+let slab_len t ~axis ~lo ~hi = (hi - lo + 1) * t.stride.(axis)
+let slab_step t ~axis = t.stride.(axis) * (t.dims.(axis) + (2 * t.ghost))
+
+let slab_count t ~axis =
+  let step = slab_step t ~axis in
+  if step = 0 then 0 else t.components * (t.comp_stride / step)
+
 let slab_rows t ~axis ~lo ~hi =
-  let s = t.stride.(axis) in
-  let step = s * (t.dims.(axis) + (2 * t.ghost)) in
   {
-    first = (lo + t.ghost) * s;
-    len = (hi - lo + 1) * s;
-    step;
-    count = (if step = 0 then 0 else t.components * (t.comp_stride / step));
+    first = slab_first t ~axis ~lo;
+    len = slab_len t ~axis ~lo ~hi;
+    step = slab_step t ~axis;
+    count = slab_count t ~axis;
   }
 
 (* Copy [count] rows of [len] elements, row [k] from [src] at
-   [src_at + k * src_step] to [dst] at [dst_at + k * dst_step].  Element by
-   element, front to back: when a block is thinner than its ghost layer a
-   periodic fill's source and target rows overlap, and this order reads
-   exactly what the per-cell fill did. *)
+   [src_at + k * src_step] to [dst] at [dst_at + k * dst_step].  Within one
+   array, element by element, front to back: when a block is thinner than
+   its ghost layer a periodic fill's source and target rows overlap, and
+   this order reads exactly what the per-cell fill did.  Between two arrays
+   (pack, unpack) a long row is one blit.  The extents are checked once, so
+   no element is bounds-checked, and rows of two — an axis-0 slab's rows
+   are as long as the ghost width — copy without an inner loop. *)
 let copy_rows ~len ~count (src : float array) ~src_at ~src_step (dst : float array) ~dst_at
     ~dst_step =
-  for k = 0 to count - 1 do
-    let s = src_at + (k * src_step) and d = dst_at + (k * dst_step) in
-    for i = 0 to len - 1 do
-      dst.(d + i) <- src.(s + i)
-    done
-  done
+  if len > 0 && count > 0 then begin
+    let last_src = src_at + ((count - 1) * src_step) + len
+    and last_dst = dst_at + ((count - 1) * dst_step) + len in
+    if
+      src_at < 0 || dst_at < 0 || src_step < 0 || dst_step < 0
+      || last_src > Array.length src
+      || last_dst > Array.length dst
+    then invalid_arg "Buffer.copy_rows: rows out of bounds";
+    if len >= 16 && src != dst then
+      for k = 0 to count - 1 do
+        Array.blit src (src_at + (k * src_step)) dst (dst_at + (k * dst_step)) len
+      done
+    else begin
+      let s = ref src_at and d = ref dst_at in
+      if len = 2 then
+        for _ = 1 to count do
+          Array.unsafe_set dst !d (Array.unsafe_get src !s);
+          Array.unsafe_set dst (!d + 1) (Array.unsafe_get src (!s + 1));
+          s := !s + src_step;
+          d := !d + dst_step
+        done
+      else
+        for _ = 1 to count do
+          for i = 0 to len - 1 do
+            Array.unsafe_set dst (!d + i) (Array.unsafe_get src (!s + i))
+          done;
+          s := !s + src_step;
+          d := !d + dst_step
+        done
+    end
+  end
 
-(** The slab's values as one contiguous payload, row after row. *)
-let read_slab t (r : rows) =
-  let out = Array.create_float (r.count * r.len) in
-  copy_rows ~len:r.len ~count:r.count t.data ~src_at:r.first ~src_step:r.step out ~dst_at:0
-    ~dst_step:r.len;
-  out
+(** Copy the slab [lo..hi] of [axis] into [out], row after row; [out]
+    must hold exactly the slab. *)
+let read_slab_into t ~axis ~lo ~hi out =
+  let len = slab_len t ~axis ~lo ~hi and count = slab_count t ~axis in
+  if Array.length out <> count * len then invalid_arg "Buffer.read_slab_into: size mismatch";
+  copy_rows ~len ~count t.data ~src_at:(slab_first t ~axis ~lo) ~src_step:(slab_step t ~axis)
+    out ~dst_at:0 ~dst_step:len
 
-(** Store a {!read_slab}-shaped payload into the slab's rows. *)
-let write_slab t (r : rows) payload =
-  copy_rows ~len:r.len ~count:r.count payload ~src_at:0 ~src_step:r.len t.data
-    ~dst_at:r.first ~dst_step:r.step
+(** Store a {!read_slab_into}-shaped payload into the slab [lo..hi] of
+    [axis]; the payload must hold exactly the slab. *)
+let write_slab t ~axis ~lo ~hi payload =
+  let len = slab_len t ~axis ~lo ~hi and count = slab_count t ~axis in
+  if Array.length payload <> count * len then invalid_arg "Buffer.write_slab: size mismatch";
+  copy_rows ~len ~count payload ~src_at:0 ~src_step:len t.data
+    ~dst_at:(slab_first t ~axis ~lo) ~dst_step:(slab_step t ~axis)
 
 (** Periodic ghost exchange within a single buffer along one axis: each
     ghost row is copied straight from the opposite interior boundary's
@@ -160,13 +199,16 @@ let write_slab t (r : rows) payload =
 let periodic_axis t axis =
   let n = t.dims.(axis) and g = t.ghost in
   let shift = n * t.stride.(axis) in
-  let fill ~lo ~from_shift =
-    let r = slab_rows t ~axis ~lo ~hi:(lo + g - 1) in
-    copy_rows ~len:r.len ~count:r.count t.data ~src_at:(r.first + from_shift)
-      ~src_step:r.step t.data ~dst_at:r.first ~dst_step:r.step
-  in
-  fill ~lo:(-g) ~from_shift:shift;  (* low ghost <- high interior *)
-  fill ~lo:n ~from_shift:(-shift)   (* high ghost <- low interior *)
+  let len = slab_len t ~axis ~lo:0 ~hi:(g - 1) and count = slab_count t ~axis in
+  let step = slab_step t ~axis in
+  (* low ghost <- high interior *)
+  let low = slab_first t ~axis ~lo:(-g) in
+  copy_rows ~len ~count t.data ~src_at:(low + shift) ~src_step:step t.data ~dst_at:low
+    ~dst_step:step;
+  (* high ghost <- low interior *)
+  let high = slab_first t ~axis ~lo:n in
+  copy_rows ~len ~count t.data ~src_at:(high - shift) ~src_step:step t.data ~dst_at:high
+    ~dst_step:step
 
 let periodic t =
   for axis = 0 to t.field.dim - 1 do

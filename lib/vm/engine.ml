@@ -38,10 +38,20 @@ let make_block ?(ghost = 2) ?alloc ?global_dims ?offset ~dims fields =
   let buffers = List.map (fun f -> (f, Buffer.create ~ghost ?alloc f dims)) fields in
   { dims; ghost; global_dims; offset; buffers }
 
-let buffer block (f : Fieldspec.t) =
-  match List.find_opt (fun (g, _) -> Fieldspec.equal f g) block.buffers with
-  | Some (_, b) -> b
-  | None -> invalid_arg ("Engine.buffer: no buffer for field " ^ f.Fieldspec.name)
+(* Plain walks: a step looks buffers up per block and phase, so the
+   lookup allocates nothing, and a field spec that is the block's own (a
+   time step's always is) is found by identity before any name is
+   compared. *)
+let rec find_same (f : Fieldspec.t) = function
+  | (g, b) :: rest -> if g == f then b else find_same f rest
+  | [] -> raise Not_found
+
+let rec find_equal (f : Fieldspec.t) = function
+  | (g, b) :: rest -> if Fieldspec.equal f g then b else find_equal f rest
+  | [] -> invalid_arg ("Engine.buffer: no buffer for field " ^ f.Fieldspec.name)
+
+let buffer block f =
+  match find_same f block.buffers with b -> b | exception Not_found -> find_equal f block.buffers
 
 (* ------------------------------------------------------------------ *)
 (* Backend selection                                                   *)
@@ -238,6 +248,40 @@ type tree = {
   body : (ctx -> unit) array;
 }
 
+(** Which part of the sweep to execute.  [Interior halo] covers only cells
+    whose stencil reads — up to [halo] cells in every direction — stay
+    inside the block's owned region, so the sweep is independent of ghost
+    values and may run while a ghost exchange is in flight; [Shell halo] is
+    the complement, swept after the exchange completes.  [Whole] is the
+    classic full sweep.  [Interior h] ∪ [Shell h] visits every sweep cell
+    exactly once, so splitting a sweep is bitwise invisible (oracle 10). *)
+type region = Whole | Interior of int | Shell of int
+
+(** A JIT sweep resolved once for one (binding, region, tile shape, pool
+    width): everything a sweep needs that does not change between sweeps.
+    A sweep refills the field table's data pointers from the buffer
+    records (so it survives [Buffer.swap]), the parameter values and the
+    time step in every tile's int table, and calls the tiles. *)
+type resolved = {
+  compiled : Jit.compiled;  (** the program the memo lookup returned *)
+  region : region;
+  tile : int array option;
+  domains : int;
+  fields : Buffer.t array;  (** aligned with [compiled.fields] *)
+  datas : float array array;  (** the entry's field table *)
+  pvals : float array;  (** [compiled.param_names] order, then [dx] *)
+  mutable names : string array;
+      (** the parameter list's names, in order, as last resolved: a list
+          whose names are physically these is read by position *)
+  mutable values : float array;  (** that list's values, by position *)
+  mutable slot_pos : int array;
+      (** per [pvals] slot, the list position it reads; [-1]: [dx] unbound *)
+  ints : int array array;  (** per tile, {!Jit.tile_ints} *)
+  run_tile : lane:int -> int -> unit;
+      (** one tile: one [@@noalloc] call of the program's entry with the
+          field table, the parameters and the tile's int table *)
+}
+
 (** A kernel bound to a block: the kernel's shared {!program} plus what
     depends on the block. *)
 type bound = {
@@ -256,7 +300,12 @@ type bound = {
           costs as much as a small block's sweep, so it is paid once per
           program, never per sweep or per block, and never by a kernel only
           the interpreter sweeps *)
+  mutable sweeps : resolved list;
+      (** the binding's resolved JIT sweeps, newest first, at most
+          {!max_resolved}, all of one program *)
 }
+
+let max_resolved = 4
 
 (* Ghost layers a sweep of [kernel] reads. *)
 let ghost_need (kernel : Ir.Kernel.t) =
@@ -373,6 +422,7 @@ let bind ?fastest ?jit_target (kernel : Ir.Kernel.t) (block : block) =
     tree = lazy (build_tree p block);
     jit_target = p.jit_target;
     jit_key = p.jit_key;
+    sweeps = [];
   }
 
 (** Compile the JIT programs of [bounds] that the memo table lacks, in one
@@ -485,15 +535,6 @@ let sweep_cells (b : bound) =
 (* Inner/outer kernel split                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Which part of the sweep to execute.  [Interior halo] covers only cells
-    whose stencil reads — up to [halo] cells in every direction — stay
-    inside the block's owned region, so the sweep is independent of ghost
-    values and may run while a ghost exchange is in flight; [Shell halo] is
-    the complement, swept after the exchange completes.  [Whole] is the
-    classic full sweep.  [Interior h] ∪ [Shell h] visits every sweep cell
-    exactly once, so splitting a sweep is bitwise invisible (oracle 10). *)
-type region = Whole | Interior of int | Shell of int
-
 (** The kernel's own stencil footprint, straight from the IR: the halo
     width at which an interior cell of this kernel reads no ghost value.
     Chained kernels (a split variant's staggered pass feeding its main
@@ -512,18 +553,10 @@ let interior_ranges (b : bound) ~(ranges : (int * int) array) ~halo =
       (max rlo halo, min rhi (b.block.dims.(order.(d)) - 1 - halo)))
     ranges
 
-(* The sweep skeleton, parameterized over [wrap], which brackets each pool
-   lane's share of the tiles ([lane] 0 is the coordinating domain, [i > 0]
-   the i-th persistent pool worker).  Instrumented and plain execution
-   share this code so the two paths cannot drift.
-
-   Every tile runs with a fresh [ctx]: the preheader and per-depth hoisted
-   groups are deterministic functions of the parameters and loop
-   coordinates (they are recomputed at every outer-loop iteration even in a
-   serial sweep), so recomputing them per tile changes nothing — which is
-   exactly why tiled, pooled execution is bitwise identical to serial. *)
-let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~step ~params
-    (b : bound) =
+(* The tiles of one sweep of [b] over [region]: [tile] is the shape, and
+   without one a pooled sweep slices the outermost loop into about
+   2x[num_domains] chunks so the atomic queue can balance lanes. *)
+let schedule (b : bound) ~region ~tile ~num_domains =
   let dim = b.kernel.Ir.Kernel.dim in
   let range = sweep_range b in
   let order = b.lowered.Ir.Lower.loop_order in
@@ -534,74 +567,177 @@ let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~st
     | None ->
       if num_domains <= 1 then None (* serial: one tile = the classic sweep *)
       else begin
-        (* default parallel schedule: slice the outermost loop into about
-           2x[num_domains] chunks so the atomic queue can balance lanes *)
         let lo0, hi0 = ranges.(0) in
         let n0 = hi0 - lo0 + 1 in
         let chunk = max 1 ((n0 + (2 * num_domains) - 1) / (2 * num_domains)) in
         Some (Array.init dim (fun d -> if d = 0 then chunk else 0))
       end
   in
-  let tiles =
-    match region with
-    | Whole -> Schedule.make ~ranges ?shape ()
-    | Interior halo | Shell halo ->
-      let interior = interior_ranges b ~ranges ~halo in
-      let inner, shell = Schedule.split_halo ~ranges ~interior ?shape () in
-      (match region with Interior _ -> inner | _ -> shell)
+  match region with
+  | Whole -> Schedule.make ~ranges ?shape ()
+  | Interior halo | Shell halo ->
+    let interior = interior_ranges b ~ranges ~halo in
+    let inner, shell = Schedule.split_halo ~ranges ~interior ?shape () in
+    (match region with Interior _ -> inner | _ -> shell)
+
+(* ------------------------------------------------------------------ *)
+(* Resolved JIT sweeps                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Point the parameter slots at positions of [params]: the first binding
+   of a name wins, as with [List.assoc]; [dx] takes the last slot and
+   defaults to 1. *)
+let bind_params r params =
+  let names = Array.of_list (List.map fst params) in
+  let position name =
+    let rec go j =
+      if j = Array.length names then -1 else if names.(j) = name then j else go (j + 1)
+    in
+    go 0
   in
+  let param_names = r.compiled.Jit.param_names in
+  r.slot_pos <-
+    Array.init (Array.length param_names + 1) (fun s ->
+        if s = Array.length param_names then position "dx"
+        else
+          let j = position param_names.(s) in
+          if j < 0 then invalid_arg ("Engine.run: missing parameter " ^ param_names.(s));
+          j);
+  r.names <- names;
+  r.values <- Array.of_list (List.map snd params)
+
+(* Read [params] by position into [r.values], while its names are
+   physically the last resolved ones. *)
+let rec same_names r j = function
+  | [] -> j = Array.length r.names
+  | (name, v) :: rest ->
+    j < Array.length r.names
+    && Array.unsafe_get r.names j == name
+    && begin
+      Array.unsafe_set r.values j v;
+      same_names r (j + 1) rest
+    end
+
+(* Copy [params]' values into the parameter slots: a list whose names are
+   physically the last resolved ones (a time step builds its list from the
+   same strings every step) is read by position; any other list is bound
+   by name first. *)
+let load_params r params =
+  if not (same_names r 0 params) then bind_params r params;
+  for s = 0 to Array.length r.slot_pos - 1 do
+    let j = Array.unsafe_get r.slot_pos s in
+    Array.unsafe_set r.pvals s (if j < 0 then 1. else Array.unsafe_get r.values j)
+  done
+
+let resolve (b : bound) (compiled : Jit.compiled) entry ~region ~tile ~num_domains ~params =
+  let tiles = schedule b ~region ~tile ~num_domains in
+  let any_buf = snd (List.hd b.block.buffers) in
+  let fields = Array.map (buffer b.block) compiled.Jit.fields in
+  let datas = Array.map (fun (f : Buffer.t) -> f.Buffer.data) fields in
+  let pvals = Array.make (Array.length compiled.Jit.param_names + 1) 0. in
+  let ints =
+    Array.map
+      (fun (t : Schedule.tile) ->
+        Jit.tile_ints compiled ~stride:any_buf.Buffer.stride
+          ~comp_stride:any_buf.Buffer.comp_stride ~ghost:b.block.ghost ~offset:b.block.offset
+          ~global_dims:b.block.global_dims ~lo:t.Schedule.lo ~hi:t.Schedule.hi)
+      tiles
+  in
+  let r =
+    {
+      compiled;
+      region;
+      tile;
+      domains = num_domains;
+      fields;
+      datas;
+      pvals;
+      names = [||];
+      values = [||];
+      slot_pos = [||];
+      ints;
+      run_tile = (fun ~lane:_ ti -> Jit_cc.run entry datas pvals (Array.unsafe_get ints ti));
+    }
+  in
+  bind_params r params;
+  r
+
+let rec find_resolved compiled ~region ~tile ~num_domains = function
+  | [] -> raise Not_found
+  | r :: rest ->
+    if r.compiled == compiled && r.domains = num_domains && r.region = region && r.tile = tile
+    then r
+    else find_resolved compiled ~region ~tile ~num_domains rest
+
+(* The binding's resolved sweep for this program and configuration, built
+   on first use; resolutions of an older program are dropped. *)
+let resolved (b : bound) compiled entry ~region ~tile ~num_domains ~params =
+  match find_resolved compiled ~region ~tile ~num_domains b.sweeps with
+  | r -> r
+  | exception Not_found ->
+    let r = resolve b compiled entry ~region ~tile ~num_domains ~params in
+    let kept = List.filter (fun q -> q.compiled == compiled) b.sweeps in
+    b.sweeps <- r :: List.filteri (fun i _ -> i < max_resolved - 1) kept;
+    r
+
+(* One sweep of a resolved program: refill the field table, the
+   parameters and the step, then run the tiles. *)
+let run_resolved ?wrap r ~step ~params =
+  for i = 0 to Array.length r.fields - 1 do
+    Array.unsafe_set r.datas i (Array.unsafe_get r.fields i).Buffer.data
+  done;
+  load_params r params;
+  for i = 0 to Array.length r.ints - 1 do
+    Jit.set_step r.compiled (Array.unsafe_get r.ints i) step
+  done;
+  Pool.run ?wrap ~domains:r.domains ~ntiles:(Array.length r.ints) r.run_tile
+
+(* An interpreter sweep.  Every tile runs with a fresh [ctx]: the
+   preheader and per-depth hoisted groups are deterministic functions of
+   the parameters and loop coordinates (they are recomputed at every
+   outer-loop iteration even in a serial sweep), so recomputing them per
+   tile changes nothing — which is exactly why tiled, pooled execution is
+   bitwise identical to serial. *)
+let run_interp ?wrap ~region ~num_domains ~tile ~step ~params (b : bound) =
+  let tiles = schedule b ~region ~tile ~num_domains in
   (* The closure tree is forced here, on the coordinating domain: OCaml 5
      raises when two domains force one lazy value, and every lane reads the
      tree. *)
-  let interp () =
-    let tree = Lazy.force b.tree in
-    fun ~lane:_ ti ->
+  let tree = Lazy.force b.tree in
+  Pool.run ?wrap ~domains:num_domains ~ntiles:(Array.length tiles) (fun ~lane:_ ti ->
       let t : Schedule.tile = tiles.(ti) in
       let c = make_ctx b ~params ~step in
       run_group tree.preheader c;
-      sweep_tile b tree c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
-  in
-  let exec =
-    match backend with
-    | Interp -> interp ()
-    | Jit -> (
-      (* One memo lookup per sweep under the binding's precomputed key:
-         a hit hashes a 16-byte digest, and the hit/miss counters are what
-         the warm-cache gates watch.  Field storage is re-resolved here —
-         after the lookup, per sweep — so compiled programs survive
-         Buffer.swap. *)
-      let comp = Jit.get ~target:b.jit_target (Lazy.force b.jit_key) b.kernel b.lowered in
-      match comp.Jit.entry with
-      | None -> interp ()
-      | Some entry ->
-        let datas = Array.map (fun f -> (buffer b.block f).Buffer.data) comp.Jit.fields in
-        let any_buf = snd (List.hd b.block.buffers) in
-        fun ~lane:_ ti ->
-          let t : Schedule.tile = tiles.(ti) in
-          (* per tile, like make_ctx, so a missing binding surfaces from
-             inside the pool exactly as the interpreter's does *)
-          let pvals =
-            Array.append
-              (Array.map
-                 (fun name ->
-                   match List.assoc_opt name params with
-                   | Some v -> v
-                   | None -> invalid_arg ("Engine.run: missing parameter " ^ name))
-                 comp.Jit.param_names)
-              [| Option.value (List.assoc_opt "dx" params) ~default:1. |]
-          in
-          Jit.exec_tile comp entry ~datas ~pvals ~stride:any_buf.Buffer.stride
-            ~comp_stride:any_buf.Buffer.comp_stride ~ghost:b.block.ghost ~offset:b.block.offset
-            ~global_dims:b.block.global_dims ~step ~lo:t.Schedule.lo ~hi:t.Schedule.hi)
-  in
-  Pool.run ?wrap ~domains:num_domains ~ntiles:(Array.length tiles) exec
+      sweep_tile b tree c ~lo:t.Schedule.lo ~hi:t.Schedule.hi)
+
+(* The sweep skeleton, parameterized over [wrap], which brackets each pool
+   lane's share of the tiles ([lane] 0 is the coordinating domain, [i > 0]
+   the i-th persistent pool worker).  Instrumented and plain execution
+   share this code so the two paths cannot drift. *)
+let run_tiled ?wrap ~backend ~region ~num_domains ~tile ~step ~params (b : bound) =
+  match backend with
+  | Interp -> run_interp ?wrap ~region ~num_domains ~tile ~step ~params b
+  | Jit -> (
+    (* One memo lookup per sweep under the binding's precomputed key: a
+       hit hashes a 16-byte digest, and the hit/miss counters are what the
+       warm-cache gates watch.  A program the lookup returns for the first
+       time (the first sweep, or a rebuild after [Jit.clear_cache]) is
+       resolved for this configuration once. *)
+    let comp = Jit.get ~target:b.jit_target (Lazy.force b.jit_key) b.kernel b.lowered in
+    match comp.Jit.entry with
+    | None -> run_interp ?wrap ~region ~num_domains ~tile ~step ~params b
+    | Some entry ->
+      run_resolved ?wrap
+        (resolved b comp entry ~region ~tile ~num_domains ~params)
+        ~step ~params)
 
 (** The uninstrumented sweep: no observability entry points at all, so a
     timing probe ([Tune.probe]) or an oracle that sweeps the same block
     many times records no spans or counters even with the sink on. *)
-let run_plain ?(num_domains = 1) ?tile ?(step = 0) ?backend ?region ~params (b : bound) =
+let run_plain ?(num_domains = 1) ?tile ?(step = 0) ?backend ?(region = Whole) ~params
+    (b : bound) =
   let backend = match backend with Some be -> be | None -> default_backend () in
-  ignore (run_tiled ~backend ?region ~num_domains ~tile ~step ~params b)
+  ignore (run_tiled ~backend ~region ~num_domains ~tile ~step ~params b)
 
 (* Cells a region sweep visits (for the per-kernel counters). *)
 let region_cells (b : bound) = function
@@ -619,14 +755,14 @@ let region_cells (b : bound) = function
 
 let region_suffix = function Whole -> "" | Interior _ -> ".interior" | Shell _ -> ".shell"
 
-(** Execute one sweep of the kernel over the block.
+(** Execute one sweep of the kernel over the block, every setting given
+    (what a time step calls, per kernel and phase, without building
+    options); {!run} defaults them.
 
     [num_domains > 1] decomposes the sweep into cache-blocked tiles
     (shape [tile], indexed by loop depth; default: outermost-loop slices)
     and executes them on the persistent domain pool (shared buffers;
-    disjoint writes).  The default [num_domains] is [Pool.default_domains]
-    — the [PFGEN_DOMAINS] environment.  [params] must bind every free
-    symbol of the kernel.
+    disjoint writes).  [params] must bind every free symbol of the kernel.
 
     When the observability sink is enabled, the sweep is wrapped in a
     [kernel:<name>] span, each pool lane's share gets its own
@@ -635,13 +771,9 @@ let region_suffix = function Whole -> "" | Interior _ -> ".interior" | Shell _ -
     bump the global [vm.tiles]/[vm.steals] counters — all per sweep, never
     per cell, and all from the coordinating domain ([Obs.Metrics] is not
     thread-safe).  Disabled, the only cost is this one branch. *)
-let run ?num_domains ?tile ?(step = 0) ?backend ?(region = Whole) ~params (b : bound) =
-  let num_domains =
-    match num_domains with Some n -> n | None -> Pool.default_domains ()
-  in
-  let backend = match backend with Some be -> be | None -> default_backend () in
+let sweep ~num_domains ~tile ~step ~backend ~region ~params (b : bound) =
   if not (Obs.Sink.enabled ()) then
-    run_plain ~num_domains ?tile ~step ~backend ~region ~params b
+    ignore (run_tiled ~backend ~region ~num_domains ~tile ~step ~params b)
   else begin
     let name = b.kernel.Ir.Kernel.name ^ region_suffix region in
     let cells = region_cells b region in
@@ -665,3 +797,13 @@ let run ?num_domains ?tile ?(step = 0) ?backend ?(region = Whole) ~params (b : b
       Obs.Metrics.add (Obs.Metrics.counter "vm.steals") stats.Pool.steals
     end
   end
+
+(** {!sweep} with defaults: [num_domains] the pool width requested by
+    [PFGEN_DOMAINS] ({!Pool.default_domains}), no tile, step 0, the
+    process's default backend and the whole sweep. *)
+let run ?num_domains ?tile ?(step = 0) ?backend ?(region = Whole) ~params (b : bound) =
+  let num_domains =
+    match num_domains with Some n -> n | None -> Pool.default_domains ()
+  in
+  let backend = match backend with Some be -> be | None -> default_backend () in
+  sweep ~num_domains ~tile ~step ~backend ~region ~params b

@@ -184,16 +184,21 @@ let serial_stats ntiles = { tiles_run = ntiles; steals = 0; lanes = 1 }
     [wrap 0] — the exact code path of a serial sweep, so pooled and serial
     execution cannot drift.  Re-raises the first tile exception after the
     job has fully quiesced; the pool remains usable afterwards. *)
-let run ?(wrap = fun _ f -> f ()) ~domains ~ntiles f =
+let serial f ntiles =
+  for ti = 0 to ntiles - 1 do
+    f ~lane:0 ti
+  done
+
+let run ?wrap ~domains ~ntiles f =
   if ntiles <= 0 then serial_stats 0
   else if domains <= 1 || ntiles <= 1 then begin
-    wrap 0 (fun () ->
-        for ti = 0 to ntiles - 1 do
-          f ~lane:0 ti
-        done);
+    (match wrap with
+    | None -> serial f ntiles
+    | Some wrap -> wrap 0 (fun () -> serial f ntiles));
     serial_stats ntiles
   end
   else begin
+    let wrap = match wrap with Some w -> w | None -> fun _ f -> f () in
     Mutex.lock pool.run_mu;
     Fun.protect ~finally:(fun () -> Mutex.unlock pool.run_mu) @@ fun () ->
     ensure_workers (domains - 1);

@@ -694,3 +694,164 @@ let suite =
       Alcotest.test_case "uniform load balance" `Quick test_balance_uniform;
       Alcotest.test_case "weighted load balance" `Quick test_balance_weighted;
     ]
+
+(* --------------- a steady forest step makes almost no garbage ------- *)
+
+let eutectic = lazy (Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()))
+
+(* Minor words per cell of a warm, fault-free JIT step of the eutectic
+   8x8 forest of 12^2 blocks: resolved sweeps, cached channel handles and
+   recycled slab payloads leave a step almost nothing to allocate.  Warm
+   means every channel's retransmission log has filled once (a channel
+   carries two slabs a step), so each send recycles the payload it
+   evicts. *)
+let steady_words ~overlap =
+  Obs.Sink.disable ();
+  let f =
+    Blocks.Forest.create ~overlap ~num_domains:1 ~backend:Vm.Engine.Jit ~grid:[| 8; 8 |]
+      ~block_dims:[| 12; 12 |] (Lazy.force eutectic)
+  in
+  Array.iter Pfcore.Simulation.init_model f.Blocks.Forest.sims;
+  Blocks.Forest.prime f;
+  Blocks.Forest.run f ~steps:Blocks.Mpisim.log_limit;
+  Test_vm.native_step f.Blocks.Forest.sims.(0);
+  let steps = 5 in
+  let w0 = Gc.minor_words () in
+  Blocks.Forest.run f ~steps;
+  let cells = Array.fold_left ( * ) 1 f.Blocks.Forest.global_dims in
+  (Gc.minor_words () -. w0) /. float_of_int (steps * cells)
+
+let test_forest_step_allocation () =
+  List.iter
+    (fun overlap ->
+      let w = steady_words ~overlap in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s step: %.3f minor words per cell < 2"
+           (if overlap then "overlapped" else "blocking")
+           w)
+        true (w < 2.))
+    [ false; true ]
+
+(* --------------- recycled payloads, channel handles ----------------- *)
+
+(* Twice the log's depth sent before any receive: no slot's message has
+   been consumed, so every send packs into an array of its own and every
+   receive returns exactly what was sent.  Once consumed, a payload comes
+   back to the send that evicts its log slot. *)
+let test_recycled_payloads () =
+  let module M = Blocks.Mpisim in
+  let c = M.create 2 in
+  let ch = M.channel c ~src:0 ~dst:1 ~tag:7 in
+  let n = 2 * M.log_limit in
+  let send k =
+    let p = M.payload_for ch ~len:3 in
+    Array.fill p 0 3 (float_of_int k);
+    M.post c ch p;
+    p
+  in
+  let sent = Array.init n send in
+  let distinct = ref true in
+  Array.iteri
+    (fun i p -> Array.iteri (fun j q -> if i <> j && p == q then distinct := false) sent)
+    sent;
+  Alcotest.(check bool) "unconsumed slots are never recycled" true !distinct;
+  for k = 0 to n - 1 do
+    match M.attempt c ch with
+    | Some p ->
+      Alcotest.(check (array (float 0.))) (Printf.sprintf "message %d" k)
+        (Array.make 3 (float_of_int k)) p
+    | None -> Alcotest.failf "message %d missing" k
+  done;
+  Alcotest.(check bool) "a consumed payload is recycled by the send evicting its slot" true
+    (M.payload_for ch ~len:3 == sent.(n - M.log_limit));
+  Alcotest.(check bool) "a payload of another length is not" true
+    (M.payload_for ch ~len:4 != sent.(n - M.log_limit));
+  (* a stream that receives each message before the channel's next
+     log_limit sends runs on the arrays it already has *)
+  for k = n to (3 * n) - 1 do
+    let p = send k in
+    Alcotest.(check bool) "recycled" true (Array.exists (fun q -> q == p) sent);
+    match M.attempt c ch with
+    | Some q ->
+      Alcotest.(check (array (float 0.))) (Printf.sprintf "message %d" k)
+        (Array.make 3 (float_of_int k)) q
+    | None -> Alcotest.failf "message %d missing" k
+  done;
+  Alcotest.(check bool) "quiescent" true (M.quiescent c)
+
+(* After an adaptive rebalance moves blocks to other ranks, the next
+   exchange runs on the new owners' channels: its messages per rank pair
+   and face tag are exactly what the current owners call for.  The face
+   handles were resolved by the priming exchange, under the first
+   owners. *)
+let test_rebalance_reresolves_channels () =
+  let gen = Pfcore.Genkernels.generate (Pfcore.Params.curvature ~dim:2 ()) in
+  let phi = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
+  let af = Blocks.Adaptive.create ~ranks:3 ~bgrid:[| 6; 2 |] ~block_dims:[| 6; 6 |] gen in
+  (* a sharp disc in block (0,0): the far bulk freezes and the Morton
+     weights move active blocks to other ranks *)
+  List.iter
+    (fun (sim : Pfcore.Timestep.t) ->
+      let off = sim.Pfcore.Timestep.block.Vm.Engine.offset in
+      Vm.Buffer.init (Vm.Engine.buffer sim.Pfcore.Timestep.block phi) (fun c comp ->
+          let x = float_of_int (c.(0) + off.(0)) -. 2.5 in
+          let y = float_of_int (c.(1) + off.(1)) -. 2.5 in
+          let v = if (x *. x) +. (y *. y) < 4. then 1. else 0. in
+          if comp = 0 then v else 1. -. v))
+    (Blocks.Adaptive.active_sims af);
+  let first_owners = Array.copy af.Blocks.Adaptive.owner in
+  Blocks.Adaptive.prime af;
+  Alcotest.(check bool) "the rebalance moved blocks" true (af.Blocks.Adaptive.migrations > 0);
+  let blocks = af.Blocks.Adaptive.blocks in
+  (* what one exchange sends per (src, dst, tag) under [owner] *)
+  let expected owner =
+    let acc = ref [] in
+    Array.iteri
+      (fun id st ->
+        match st with
+        | Blocks.Lockstep.Frozen _ -> ()
+        | Blocks.Lockstep.Active _ ->
+          for axis = 0 to 1 do
+            List.iter
+              (fun side ->
+                let nb = Blocks.Lockstep.neighbor blocks id ~axis ~side in
+                match af.Blocks.Adaptive.states.(nb) with
+                | Blocks.Lockstep.Frozen _ -> ()
+                | Blocks.Lockstep.Active _ ->
+                  let tag = Blocks.Lockstep.face_tag blocks ~recv:id ~axis ~side in
+                  acc := ((owner.(nb), owner.(id), tag), 1) :: !acc)
+              [ Blocks.Ghost.Low; Blocks.Ghost.High ]
+          done)
+      af.Blocks.Adaptive.states;
+    List.sort compare !acc
+  in
+  Alcotest.(check bool) "the move changes which channels carry the faces" true
+    (expected first_owners <> expected af.Blocks.Adaptive.owner);
+  let sent () =
+    Hashtbl.fold
+      (fun key (ch : Blocks.Mpisim.channel) acc -> (key, ch.Blocks.Mpisim.next_send) :: acc)
+      af.Blocks.Adaptive.comm.Blocks.Mpisim.channels []
+  in
+  let before = sent () in
+  Blocks.Lockstep.exchange blocks phi;
+  let delta =
+    List.filter_map
+      (fun (key, n) ->
+        let d = n - Option.value (List.assoc_opt key before) ~default:0 in
+        if d > 0 then Some (key, d) else None)
+      (sent ())
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair (triple int int int) int)))
+    "messages per rank pair and tag follow the new owners"
+    (expected af.Blocks.Adaptive.owner) delta
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "a warm JIT forest step allocates < 2 words per cell" `Quick
+        test_forest_step_allocation;
+      Alcotest.test_case "unconsumed payloads are never recycled" `Quick test_recycled_payloads;
+      Alcotest.test_case "a rebalance re-resolves the moved blocks' channels" `Quick
+        test_rebalance_reresolves_channels;
+    ]

@@ -295,9 +295,10 @@ let test_tile_larger_than_sweep () =
 
 (* ---- exception inside a compiled tile ---- *)
 
-(* A compiled sweep whose parameters are unbound raises from inside the
-   first tile (parameter resolution is per tile, like the interpreter's
-   make_ctx); the pool must stay balanced and usable, for both backends. *)
+(* A compiled sweep whose parameters are unbound raises when the sweep is
+   resolved, before any tile runs (the interpreter's raises from inside
+   the first tile, in make_ctx); the pool must stay balanced and usable,
+   for both backends. *)
 let test_exception_in_compiled_body () =
   with_obs (fun () ->
       let k =

@@ -339,8 +339,148 @@ let test_on_step_hook () =
   Alcotest.(check int) "restore sets step" 7 sim.Pfcore.Timestep.step_count;
   Alcotest.(check (float 0.)) "restore sets time" 0.25 sim.Pfcore.Timestep.time
 
+(* --------------- CRC and encoding ---------------------------------- *)
+
+(* The bytewise CRC-32 loop the slicing-by-8 update replaced, kept as the
+   reference. *)
+let crc_reference s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc () =
+  Alcotest.(check int) "CRC-32 check value" 0xCBF43926 (Resilience.Crc.digest "123456789");
+  let rng = Random.State.make [| 22 |] in
+  for len = 0 to 64 do
+    for pos = 0 to 7 do
+      let s = String.init (pos + len + 3) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      Alcotest.(check int)
+        (Printf.sprintf "length %d at offset %d" len pos)
+        (crc_reference s ~pos ~len)
+        (Resilience.Crc.digest ~pos ~len s)
+    done
+  done
+
+(* Every committed snapshot file decodes and re-encodes byte for byte (a
+   v1 file as the v2 layout, whose own re-encoding is then stable). *)
+let test_golden_snapshots_reencode () =
+  let files =
+    List.filter (fun f -> Filename.check_suffix f ".snap") (Array.to_list (Sys.readdir "golden"))
+  in
+  Alcotest.(check bool) "committed snapshot files found" true (files <> []);
+  List.iter
+    (fun f ->
+      let raw = Golden.read_file (Filename.concat "golden" f) in
+      let again = Resilience.Snapshot.encode (Resilience.Snapshot.decode raw) in
+      if String.starts_with ~prefix:"PFSNAP2\n" raw then
+        Alcotest.(check bool) (f ^ " re-encodes byte for byte") true (String.equal raw again)
+      else
+        Alcotest.(check bool) (f ^ " re-encodes stably as v2") true
+          (String.equal again
+             (Resilience.Snapshot.encode (Resilience.Snapshot.decode again))))
+    files
+
+(* [encode] sizes the file first and writes it into one buffer: it
+   allocates little more than the bytes it returns.  A collection inside
+   the measured window can shift [Gc.allocated_bytes] (once in a full
+   suite run it read 2.8x), so each of three encodes starts from an empty
+   minor heap and the least reading counts. *)
+let test_encode_allocation () =
+  let g = Lazy.force curvature in
+  let forest = Blocks.Forest.create ~grid:[| 4; 4 |] ~block_dims:[| 16; 16 |] g in
+  Array.iter Pfcore.Simulation.init_sphere forest.Blocks.Forest.sims;
+  let snap = Resilience.Snapshot.capture forest in
+  let encode () =
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    let s = Resilience.Snapshot.encode snap in
+    ((Gc.allocated_bytes () -. a0) /. float_of_int (String.length s), s)
+  in
+  let runs = List.init 3 (fun _ -> encode ()) in
+  let ratio = List.fold_left (fun m (r, _) -> Float.min m r) infinity runs in
+  let s = snd (List.hd runs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.3fx the %d bytes returned (<= 1.1x)" ratio (String.length s))
+    true (ratio <= 1.1);
+  Alcotest.(check bool) "decodes back" true
+    (Resilience.Snapshot.equal snap (Resilience.Snapshot.decode s))
+
+(* --------------- channel handles and recycled payloads -------------- *)
+
+(* A handle taken before a rollback's [restart] still sends and receives
+   after it: the channel is reset in place, its sequence restarts at 0,
+   and what was in flight is gone. *)
+let test_handle_survives_restart () =
+  let module M = Blocks.Mpisim in
+  let c = M.create 2 in
+  let ch = M.channel c ~src:0 ~dst:1 ~tag:3 in
+  M.post c ch [| 1. |];
+  Alcotest.(check (option (array (float 0.)))) "before" (Some [| 1. |]) (M.attempt c ch);
+  M.post c ch [| 2. |];
+  M.restart c;
+  Alcotest.(check bool) "in-flight message discarded" true (M.quiescent c);
+  Alcotest.(check bool) "the same handle" true (M.channel c ~src:0 ~dst:1 ~tag:3 == ch);
+  Alcotest.(check int) "sequence restarts" 0 (M.expected_seq c ~src:0 ~dst:1 ~tag:3);
+  M.post c ch [| 3. |];
+  Alcotest.(check (array (float 0.))) "after, through the handle" [| 3. |]
+    (Blocks.Ghost.receive c ch);
+  M.send c ~src:0 ~dst:1 ~tag:3 [| 4. |];
+  Alcotest.(check (option (array (float 0.)))) "after, by key" (Some [| 4. |])
+    (M.recv_expected c ~src:0 ~dst:1 ~tag:3);
+  M.finalize c
+
+(* Under a drop/delay/duplicate plan a JIT forest — slabs packed into
+   recycled payloads, received through cached handles, blocking and
+   overlapped — stays bitwise the fault-free run. *)
+let test_jit_faults_heal () =
+  let g = Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()) in
+  let run ~overlap plan =
+    let f =
+      Blocks.Forest.create ~overlap ~num_domains:1 ~backend:Vm.Engine.Jit ~grid:[| 3; 2 |]
+        ~block_dims:[| 8; 8 |] g
+    in
+    Array.iter Pfcore.Simulation.init_model f.Blocks.Forest.sims;
+    Blocks.Mpisim.set_fault_plan f.Blocks.Forest.comm plan;
+    Blocks.Forest.prime f;
+    Blocks.Forest.run f ~steps:(Blocks.Mpisim.log_limit + 4);
+    f
+  in
+  let clean = run ~overlap:false None in
+  Test_vm.native_step clean.Blocks.Forest.sims.(0);
+  List.iter
+    (fun overlap ->
+      let plan = Blocks.Faultplan.chaos ~seed:5 ~crash_step:0 () in
+      let faulty = run ~overlap (Some { plan with Blocks.Faultplan.crash = None }) in
+      let c = faulty.Blocks.Forest.comm in
+      Alcotest.(check bool) "every fault kind injected" true
+        (c.Blocks.Mpisim.dropped > 0 && c.Blocks.Mpisim.duplicated > 0
+       && c.Blocks.Mpisim.delayed_count > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "healed JIT run (overlap %b) is bitwise the clean one" overlap)
+        true (forests_bitwise_equal clean faulty))
+    [ false; true ]
+
 let suite =
   [
+    Alcotest.test_case "CRC-32 slicing-by-8 = bytewise reference" `Quick test_crc;
+    Alcotest.test_case "committed snapshot files re-encode byte for byte" `Quick
+      test_golden_snapshots_reencode;
+    Alcotest.test_case "encode allocates about the bytes it returns" `Quick
+      test_encode_allocation;
+    Alcotest.test_case "a channel handle survives a restart" `Quick
+      test_handle_survives_restart;
+    Alcotest.test_case "JIT forest under drop/delay/duplicate = clean (bitwise)" `Quick
+      test_jit_faults_heal;
     Alcotest.test_case "snapshot roundtrip (bitwise)" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot file save/load" `Quick test_snapshot_file_roundtrip;
     Alcotest.test_case "corrupted snapshot rejected" `Quick test_snapshot_corruption_rejected;

@@ -230,3 +230,131 @@ let suite =
       Alcotest.test_case "typing classifies symbols" `Quick test_typing_classifies;
       Alcotest.test_case "typing rejects Diff" `Quick test_typing_rejects_diff;
     ]
+
+(* --------------- resolved JIT sweeps -------------------------------- *)
+
+(* The JIT programs a time step sweeps are native: a step that fell back
+   to the interpreter fails here rather than passing slowly. *)
+let native_step (sim : Pfcore.Timestep.t) =
+  List.iter
+    (fun (b : Vm.Engine.bound) ->
+      let c =
+        Vm.Jit.get ~target:b.Vm.Engine.jit_target (Lazy.force b.Vm.Engine.jit_key)
+          b.Vm.Engine.kernel b.Vm.Engine.lowered
+      in
+      Alcotest.(check bool)
+        (b.Vm.Engine.kernel.Ir.Kernel.name ^ " is native: " ^ c.Vm.Jit.tier)
+        true (c.Vm.Jit.entry <> None))
+    (sim.Pfcore.Timestep.phi @ Option.to_list sim.Pfcore.Timestep.projection
+   @ sim.Pfcore.Timestep.mu)
+
+let data_bits_equal (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* g = alpha * (5-point sum of f) + t: two parameters, from a list built
+   anew every step. *)
+let param_kernel () =
+  let acc d k = access (Fieldspec.shift (Fieldspec.center f2) d k) in
+  Ir.Kernel.make ~name:"resolved" ~dim:2
+    [
+      Field.Assignment.store (Fieldspec.center g2)
+        (add
+           [ mul [ sym "alpha"; add [ field f2; acc 0 1; acc 0 (-1); acc 1 1; acc 1 (-1) ] ];
+             sym "t" ]);
+    ]
+
+(* One binding swept on the JIT step after step, its twin on the
+   interpreter, with a src/dst swap between steps: the resolved sweep must
+   follow the swapped storage, re-resolve when the region, the tile shape
+   or the pool width changes, take the recompiled program after
+   [Jit.clear_cache], and read a parameter list in any order. *)
+let test_resolved_sweep_bitwise () =
+  let k = param_kernel () in
+  let block () =
+    let b = Vm.Engine.make_block ~ghost:1 ~dims:[| 9; 7 |] [ f2; g2 ] in
+    let f = Vm.Engine.buffer b f2 in
+    Vm.Buffer.init f (fun c _ -> sin (float_of_int ((c.(0) * 5) + (c.(1) * 3))));
+    Vm.Buffer.periodic f;
+    b
+  in
+  let jb = block () and ib = block () in
+  let jit = Vm.Engine.bind k jb and interp = Vm.Engine.bind k ib in
+  let whole = [ Vm.Engine.Whole ] and split = [ Vm.Engine.Interior 1; Vm.Engine.Shell 1 ] in
+  (* tile, pool width, regions, clear the memo first, parameter order *)
+  let steps =
+    [
+      (None, 1, whole, false, false);
+      (None, 1, whole, false, false);
+      (None, 1, split, false, false);
+      (Some [| 2; 2 |], 1, whole, false, true);
+      (Some [| 2; 2 |], 3, whole, false, false);
+      (Some [| 2; 2 |], 3, whole, true, false);
+      (Some [| 3; 0 |], 2, split, false, false);
+      (None, 1, whole, false, false);
+    ]
+  in
+  List.iteri
+    (fun s (tile, num_domains, regions, clear, reversed) ->
+      if clear then Vm.Jit.clear_cache ();
+      let params = [ ("alpha", 0.2 +. (0.01 *. float_of_int s)); ("t", float_of_int s) ] in
+      let params = if reversed then List.rev params else params in
+      List.iter
+        (fun region ->
+          Vm.Engine.run ~num_domains ?tile ~step:s ~backend:Vm.Engine.Jit ~region ~params jit;
+          Vm.Engine.run ~num_domains:1 ~step:s ~backend:Vm.Engine.Interp ~region ~params interp)
+        regions;
+      let c =
+        Vm.Jit.get ~target:jit.Vm.Engine.jit_target (Lazy.force jit.Vm.Engine.jit_key) k
+          jit.Vm.Engine.lowered
+      in
+      Alcotest.(check bool) (Printf.sprintf "step %d: native" s) true (c.Vm.Jit.entry <> None);
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d: every resolved sweep runs the memo's program" s)
+        true
+        (jit.Vm.Engine.sweeps <> []
+        && List.for_all (fun r -> r.Vm.Engine.compiled == c) jit.Vm.Engine.sweeps);
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d: JIT = interpreter (bitwise)" s)
+        true
+        (data_bits_equal (Vm.Engine.buffer jb g2).Vm.Buffer.data
+           (Vm.Engine.buffer ib g2).Vm.Buffer.data);
+      List.iter
+        (fun b ->
+          Vm.Buffer.swap (Vm.Engine.buffer b f2) (Vm.Engine.buffer b g2);
+          Vm.Buffer.periodic (Vm.Engine.buffer b f2))
+        [ jb; ib ])
+    steps;
+  Alcotest.(check bool) "a binding keeps a bounded set of resolved sweeps" true
+    (List.length jit.Vm.Engine.sweeps <= Vm.Engine.max_resolved)
+
+(* A warm P1 24^3 step on the JIT: its three sweeps and the periodic ghost
+   fill allocate almost nothing. *)
+let test_p1_step_allocation () =
+  Obs.Sink.disable ();
+  let gen = Pfcore.Genkernels.generate (Pfcore.Params.p1 ()) in
+  let sim =
+    Pfcore.Timestep.create ~num_domains:1 ~backend:Vm.Engine.Jit ~dims:[| 24; 24; 24 |] gen
+  in
+  Pfcore.Simulation.init_model sim;
+  Pfcore.Timestep.prime sim;
+  Pfcore.Timestep.run sim ~steps:2;
+  native_step sim;
+  let steps = 5 in
+  let w0 = Gc.minor_words () in
+  Pfcore.Timestep.run sim ~steps;
+  let per_cell =
+    (Gc.minor_words () -. w0) /. float_of_int (steps * Pfcore.Timestep.lups_per_step sim)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per cell < 0.1" per_cell)
+    true (per_cell < 0.1)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "resolved JIT sweep = interpreter across swap, cache clear, region, \
+                          tile and pool width" `Quick test_resolved_sweep_bitwise;
+      Alcotest.test_case "a warm P1 step allocates < 0.1 words per cell" `Quick
+        test_p1_step_allocation;
+    ]
