@@ -636,7 +636,7 @@ let drift_size_arg =
   Arg.(value & opt int 12 & info [ "size" ] ~doc:"Cubic block edge length for the measurement sweeps.")
 
 let drift_sweeps_arg =
-  Arg.(value & opt int 2 & info [ "sweeps" ] ~doc:"Timed sweeps per repetition (best of 3 repetitions is kept).")
+  Arg.(value & opt int 2 & info [ "sweeps" ] ~doc:"Timed sweeps per repetition (the median of 9 repetitions is kept).")
 
 let drift_check_arg =
   Arg.(value & flag & info [ "check" ] ~doc:"Exit nonzero when any measured/model ratio deviates beyond the documented threshold or the mu split/full ordering disagrees with the model.")

@@ -4,15 +4,16 @@
     (Kerncraft workflow, §6); this module closes that loop mechanically.
     Every P1/P2 kernel variant — φ full, φ split, μ full, μ split, eight in
     total — is swept on the shared probe block and timed by the autotuner's
-    sweep probe ([Vm.Tune.probe], best trial), and the measured per-cell
+    sweep probe ([Vm.Tune.probe], median trial), and the measured per-cell
     costs are compared against [Perfmodel.Ecm] single-core predictions.
 
-    Absolute VM numbers are meaningless (the VM interprets compiled
-    closures, not SIMD machine code), so the oracle compares {e ratios}:
-    split/full per kernel family and φ/μ per model.  Both sides of a ratio
-    run in the same interpreter with the same per-operation overhead, so if
-    the generated operation structure matches what the model was fed, the
-    ratios must agree up to interpreter noise.  The drift of a pair is
+    Absolute VM numbers are meaningless (the interpreter runs one closure
+    per expression node over a batch of cells, not SIMD machine code), so
+    the oracle compares {e ratios}: split/full per kernel family and φ/μ
+    per model.  Both sides of a ratio run in the same interpreter with the
+    same per-operation overhead, so if the generated operation structure
+    matches what the model was fed, the ratios must agree up to
+    interpreter noise.  The drift of a pair is
 
       deviation = |ln (measured_ratio / predicted_ratio)|
 
@@ -38,23 +39,24 @@ type pair = {
 type report = { block_n : int; sweeps : int; rows : row list; pairs : pair list }
 
 (** Documented drift tolerance: a pair is in agreement when its measured
-    ratio is within a factor of e^1.2 ≈ 3.3 of the model's.  The VM executes
-    every operation as a closure call while the ECM weighs adds, mults,
-    divisions and memory traffic differently, so ratios track but do not
-    coincide; observed deviations are ≈0.3–0.6 (see EXPERIMENTS.md). *)
+    ratio is within a factor of e^1.2 ≈ 3.3 of the model's.  The
+    interpreter pays about the same per node and cell whatever the node
+    computes, while the ECM weighs adds, mults, divisions and memory
+    traffic differently, so ratios track but do not coincide; observed
+    deviations are ≈0.3–0.6 (see EXPERIMENTS.md). *)
 let threshold = 1.2
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Best trial of [sweeps] sweeps of all [kernels] (a split variant passes
-   both its sweeps so the measured quantity is cost per full update) on the
-   shared probe block, through the autotuner's sweep probe on the process's
-   default pool width and backend. *)
-let measure_ns_per_lup gen kernels ~dims ~sweeps ~reps =
+(* One trial of [sweeps] sweeps of all [kernels] (a split variant passes
+   both its sweeps so the measured quantity is cost per full update) on
+   the shared probe block, through the autotuner's sweep probe on the
+   process's default pool width and backend. *)
+let measure_ns_per_lup gen kernels ~dims ~sweeps =
   (Vm.Tune.probe ~backend:(Vm.Engine.default_backend ())
-     ~domains:(Vm.Pool.default_domains ()) ~tile:None ~sweeps ~trials:reps
+     ~domains:(Vm.Pool.default_domains ()) ~tile:None ~sweeps ~trials:1
      ~params:(Pfcore.Timestep.probe_params gen)
      (Pfcore.Timestep.probe_block gen ~dims)
      kernels).(0)
@@ -75,29 +77,42 @@ let make_pair rows ~label (ma, va) (mb, vb) =
 
 (** Run the oracle: measure all eight kernel variants and build the ratio
     pairs.  [n] is the cubic block edge (default 12 — big enough that loop
-    overhead is amortized, small enough for the test suite). *)
-let run ?(n = 12) ?(sweeps = 2) ?(reps = 3) ?(machine = Perfmodel.Machine.skylake_8174) () =
-  let rows =
+    overhead is amortized, small enough for the test suite).  Each variant
+    is timed [reps] times, one trial of every variant per round, so a
+    burst of host noise lands on all of them alike, and its median trial
+    counts: one lucky or unlucky trial cannot decide an ordering. *)
+let run ?(n = 12) ?(sweeps = 2) ?(reps = 9) ?(machine = Perfmodel.Machine.skylake_8174) () =
+  let variants =
     List.concat_map
       (fun (model, params) ->
         let g = Pfcore.Genkernels.generate params in
         let dims = Array.make params.Pfcore.Params.dim n in
         List.concat_map
           (fun (family, candidates) ->
-            List.map
-              (fun (label, kernels) ->
-                {
-                  model;
-                  variant = family ^ "-" ^ label;
-                  measured_ns_per_lup = measure_ns_per_lup g kernels ~dims ~sweeps ~reps;
-                  predicted_cy_per_lup = Vm.Tune.predicted_cy_per_lup machine kernels ~block_n:n;
-                })
-              candidates)
+            List.map (fun (label, kernels) -> (model, family ^ "-" ^ label, g, kernels, dims)) candidates)
           [
             ("phi", Pfcore.Timestep.phi_candidates g);
             ("mu", Option.get (Pfcore.Timestep.mu_candidates g));
           ])
       [ ("P1", Pfcore.Params.p1 ()); ("P2", Pfcore.Params.p2 ()) ]
+  in
+  let trials = List.map (fun _ -> Array.make reps 0.) variants in
+  for r = 0 to reps - 1 do
+    List.iter2
+      (fun (_, _, g, kernels, dims) ts -> ts.(r) <- measure_ns_per_lup g kernels ~dims ~sweeps)
+      variants trials
+  done;
+  let rows =
+    List.map2
+      (fun (model, variant, _, kernels, _) ts ->
+        Array.sort Float.compare ts;
+        {
+          model;
+          variant;
+          measured_ns_per_lup = Obs.Clock.quantile ts 0.5;
+          predicted_cy_per_lup = Vm.Tune.predicted_cy_per_lup machine kernels ~block_n:n;
+        })
+      variants trials
   in
   let pairs =
     List.concat_map

@@ -382,7 +382,13 @@ let read_fields c ~what ~limit =
       let name = String.sub c.s (take c len) len in
       let len = read_i32 c in
       bounded what len limit;
-      (name, Array.init len (fun _ -> read_f64 c)))
+      (* each float straight from its 8 bytes: no boxed int64 between *)
+      let at = take c (8 * len) in
+      let a = Array.create_float len in
+      for k = 0 to len - 1 do
+        Array.unsafe_set a k (Int64.float_of_bits (String.get_int64_le c.s (at + (8 * k))))
+      done;
+      (name, a))
 
 let read_active c =
   let offset = read_ints c in
@@ -429,12 +435,11 @@ let decode s =
   if c.pos + len <> String.length s then
     invalid "snapshot length field says %d payload bytes, file has %d" len
       (String.length s - c.pos);
-  let payload = String.sub s c.pos len in
-  let actual = Crc.digest payload in
+  (* the payload is checked and read in place, never copied *)
+  let actual = Crc.digest ~pos:c.pos ~len s in
   if actual <> crc then
     invalid "checksum mismatch (stored %08x, computed %08x): snapshot is corrupted" crc
       actual;
-  let c = { s = payload; pos = 0 } in
   let pv = read_i32 c in
   if pv <> v then invalid "unsupported snapshot version %d (magic says %d)" pv v;
   let fingerprint = read_i32 c in
@@ -465,9 +470,8 @@ let decode s =
           | 0 -> Frozen (read_fields c ~what:"component" ~limit:4096)
           | tag -> invalid "unknown snapshot block tag %d" tag)
   in
-  if c.pos <> String.length payload then
-    invalid "trailing garbage after snapshot payload (%d bytes)"
-      (String.length payload - c.pos);
+  if c.pos <> String.length s then
+    invalid "trailing garbage after snapshot payload (%d bytes)" (String.length s - c.pos);
   {
     fingerprint;
     split_phi;

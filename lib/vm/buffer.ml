@@ -134,14 +134,33 @@ let slab_rows t ~axis ~lo ~hi =
     count = slab_count t ~axis;
   }
 
+(* Whether, within one array, some source row of a copy overlaps some
+   target row.  With one step [s], source row [k] and target row [j]
+   overlap when [|d + (k - j) s| < len]; that distance is convex in
+   [k - j], so the shifts next to [-d / s], kept within [±(count - 1)],
+   are all there is to check. *)
+let shift_meets ~d ~m ~step ~len k = abs (d + (max (-m) (min m k) * step)) < len
+
+let rows_overlap ~len ~count ~src_at ~src_step ~dst_at ~dst_step =
+  src_step <> dst_step
+  ||
+  let d = src_at - dst_at and m = count - 1 in
+  let near = if src_step = 0 then 0 else -(d / src_step) in
+  shift_meets ~d ~m ~step:src_step ~len (near - 1)
+  || shift_meets ~d ~m ~step:src_step ~len near
+  || shift_meets ~d ~m ~step:src_step ~len (near + 1)
+
 (* Copy [count] rows of [len] elements, row [k] from [src] at
-   [src_at + k * src_step] to [dst] at [dst_at + k * dst_step].  Within one
-   array, element by element, front to back: when a block is thinner than
-   its ghost layer a periodic fill's source and target rows overlap, and
-   this order reads exactly what the per-cell fill did.  Between two arrays
-   (pack, unpack) a long row is one blit.  The extents are checked once, so
-   no element is bounds-checked, and rows of two — an axis-0 slab's rows
-   are as long as the ghost width — copy without an inner loop. *)
+   [src_at + k * src_step] to [dst] at [dst_at + k * dst_step].  Rows that
+   cannot overlap — between two arrays (pack, unpack), or within one
+   array when no source row meets a target row (the periodic fill of a
+   block at least as thick as its ghost layer) — copy a long row as one
+   blit.  Rows that can overlap copy element by element, front to back:
+   when a block is thinner than its ghost layer a periodic fill's source
+   and target rows overlap, and this order reads exactly what the
+   per-cell fill did.  The extents are checked once, so no element is
+   bounds-checked, and rows of two — an axis-0 slab's rows are as long as
+   the ghost width — copy without an inner loop. *)
 let copy_rows ~len ~count (src : float array) ~src_at ~src_step (dst : float array) ~dst_at
     ~dst_step =
   if len > 0 && count > 0 then begin
@@ -152,7 +171,10 @@ let copy_rows ~len ~count (src : float array) ~src_at ~src_step (dst : float arr
       || last_src > Array.length src
       || last_dst > Array.length dst
     then invalid_arg "Buffer.copy_rows: rows out of bounds";
-    if len >= 16 && src != dst then
+    if
+      len >= 16
+      && (src != dst || not (rows_overlap ~len ~count ~src_at ~src_step ~dst_at ~dst_step))
+    then
       for k = 0 to count - 1 do
         Array.blit src (src_at + (k * src_step)) dst (dst_at + (k * dst_step)) len
       done

@@ -1,25 +1,14 @@
 (** Kernel execution engine.
 
     Compiles the post-optimization assignment list — the *same* IR the C
-    backend prints — into closures over flat float arrays and sweeps it over
-    a block, honoring the lowering result (loop order, hoisted loop-invariant
-    assignments).  Multicore execution slices the outermost loop across
-    OCaml domains, mirroring the generated code's OpenMP parallelization. *)
+    backend prints — into closures that each compute one node for a batch
+    of cells, and sweeps it over a block, honoring the lowering result (loop
+    order, hoisted loop-invariant assignments).  Multicore execution slices
+    the outermost loop across OCaml domains, mirroring the generated code's
+    OpenMP parallelization. *)
 
 open Symbolic
 open Field
-
-type ctx = {
-  params : float array;
-  temps : float array;
-  mutable base : int;       (** linear index of the current cell *)
-  mutable cx : int;         (** global cell coordinates *)
-  mutable cy : int;
-  mutable cz : int;
-  mutable step : int;       (** time step, keys the Philox streams *)
-  mutable dx : float;
-  global_dims : int array;
-}
 
 (** A block: the local piece of the domain one rank owns, with one buffer
     per field.  All buffers share dims and ghost width. *)
@@ -57,10 +46,10 @@ let buffer block f =
 (* Backend selection                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** How sweeps execute: [Interp] walks the closure tree built by [bind]
-    (the reference semantics); [Jit] calls the C program {!Jit} built from
-    the same IR — bitwise identical by contract, held to it by oracle 8 —
-    or, where no program could be built, the interpreter. *)
+(** How sweeps execute: [Interp] runs the program's closure tree over
+    batches of cells (the reference semantics); [Jit] calls the C program
+    {!Jit} built from the same IR — bitwise identical by contract, held to
+    it by oracle 8 — or, where no program could be built, the interpreter. *)
 type backend = Interp | Jit
 
 let backend_label = function Interp -> "interp" | Jit -> "jit"
@@ -102,130 +91,335 @@ let cell_reader ?(component = 0) ~backend block (f : Fieldspec.t) =
       Array.unsafe_get data !idx
 
 (* ------------------------------------------------------------------ *)
-(* Expression compilation                                              *)
+(* Batched interpretation                                              *)
 (* ------------------------------------------------------------------ *)
 
-type binder = {
-  param_slot : string -> int option;
-  temp_slot : string -> int option;
-  resolve : Fieldspec.access -> Buffer.t * int;  (* buffer, element delta *)
+(** Cells one interpreter step serves per call.  The cells of a sweep are
+    independent (the precondition the SIMD printer relies on, checked by
+    {!program}), so a node can compute its value for a whole batch of them
+    before the next node runs. *)
+let width = 64
+
+(** A pool lane's scratch, shared by every program the lane sweeps.  [v]
+    holds the parameters and [dx], then [width]-float vectors:
+    temporaries, node results, and the batch's field values and broadcast
+    constants.
+    [idx] holds each batch cell's linear index and [co] its global
+    coordinates ([co.(axis * width + cell)]).  A tile writes everything it
+    reads, so nothing carries over from one sweep to the next. *)
+type arena = {
+  mutable v : float array;
+  idx : int array;
+  co : int array;
+  mutable n : int;  (** cells in the current batch *)
+  mutable datas : float array array;  (** the binding's table: data per access *)
+  mutable deltas : int array;  (** and element delta per access *)
+  mutable step : int;
+  mutable gd : int array;  (** global dims *)
 }
 
-let rec compile (b : binder) (e : Expr.t) : ctx -> float =
+let arena_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        v = [||];
+        idx = Array.make width 0;
+        co = Array.make (3 * width) 0;
+        n = 0;
+        datas = [||];
+        deltas = [||];
+        step = 0;
+        gd = [||];
+      })
+
+(* The steps.  Each writes one node's value for the batch's cells into
+   the vector at [t], from the vectors at its operands' offsets, with the
+   per-cell arithmetic of [Expr]'s evaluation contract. *)
+
+let[@inline] get (v : float array) i = Array.unsafe_get v i
+let[@inline] set (v : float array) i x = Array.unsafe_set v i x
+
+let gather t k ar =
+  let v = ar.v and d = Array.unsafe_get ar.datas k and e = Array.unsafe_get ar.deltas k in
+  for i = 0 to ar.n - 1 do
+    set v (t + i) (get d (Array.unsafe_get ar.idx i + e))
+  done
+
+let broadcast t u ar =
+  let v = ar.v in
+  let x = get v u in
+  for i = 0 to ar.n - 1 do
+    set v (t + i) x
+  done
+
+let constant t (x : float) ar = Array.fill ar.v t ar.n x
+
+let copy t a ar = Array.blit ar.v a ar.v t ar.n
+
+let binary add t a b ar =
+  let v = ar.v in
+  if add then
+    for i = 0 to ar.n - 1 do
+      set v (t + i) (get v (a + i) +. get v (b + i))
+    done
+  else
+    for i = 0 to ar.n - 1 do
+      set v (t + i) (get v (a + i) *. get v (b + i))
+    done
+
+let ternary add t a b c ar =
+  let v = ar.v in
+  if add then
+    for i = 0 to ar.n - 1 do
+      set v (t + i) (get v (a + i) +. get v (b + i) +. get v (c + i))
+    done
+  else
+    for i = 0 to ar.n - 1 do
+      set v (t + i) (get v (a + i) *. get v (b + i) *. get v (c + i))
+    done
+
+(* A longer sum or product, folded left from [0.]/[1.]. *)
+let fold add t (ops : int array) ar =
+  let v = ar.v and n = ar.n in
+  let u = if add then 0. else 1. in
+  for i = 0 to n - 1 do
+    set v (t + i) u
+  done;
+  for j = 0 to Array.length ops - 1 do
+    let a = Array.unsafe_get ops j in
+    if add then
+      for i = 0 to n - 1 do
+        set v (t + i) (get v (t + i) +. get v (a + i))
+      done
+    else
+      for i = 0 to n - 1 do
+        set v (t + i) (get v (t + i) *. get v (a + i))
+      done
+  done
+
+(* Integer powers: the multiply chain from [1.] ([1. *. x] is [x]). *)
+let pow n t a ar =
+  let v = ar.v and m = abs n in
+  for i = 0 to ar.n - 1 do
+    let x = get v (a + i) in
+    let p = ref (if m = 0 then 1. else x) in
+    for _ = 2 to m do
+      p := !p *. x
+    done;
+    set v (t + i) (if n < 0 then 1. /. !p else !p)
+  done
+
+let unary (f : Expr.fn) t a ar =
+  let v = ar.v in
+  for i = 0 to ar.n - 1 do
+    let x = get v (a + i) in
+    set v (t + i)
+      (match f with
+      | Expr.Sqrt -> sqrt x
+      | Expr.Rsqrt -> 1. /. sqrt x
+      | Expr.Exp -> exp x
+      | Expr.Log -> log x
+      | Expr.Sin -> sin x
+      | Expr.Cos -> cos x
+      | Expr.Tanh -> tanh x
+      | Expr.Fabs -> abs_float x
+      | Expr.Fmin | Expr.Fmax -> assert false)
+  done
+
+(* [Expr.c_fmin]/[c_fmax], inline: exact on NaN and on signed zeros. *)
+let minmax max t a b ar =
+  let v = ar.v in
+  for i = 0 to ar.n - 1 do
+    let x = get v (a + i) and y = get v (b + i) in
+    set v (t + i)
+      (if x <> x then y
+       else if y <> y then x
+       else if max then if x >= y then x else y
+       else if x <= y then x
+       else y)
+  done
+
+(* Both arms are computed already; each cell picks one. *)
+let select le t p q x y ar =
+  let v = ar.v in
+  for i = 0 to ar.n - 1 do
+    let a = get v (p + i) and b = get v (q + i) in
+    set v (t + i) (get v ((if (if le then a <= b else a < b) then x else y) + i))
+  done
+
+let coord d ~dx t ar =
+  let v = ar.v in
+  let dx = get v dx in
+  for i = 0 to ar.n - 1 do
+    set v (t + i) ((float_of_int (Array.unsafe_get ar.co ((d * width) + i)) +. 0.5) *. dx)
+  done
+
+(* A kernel of [dim] axes reads only its own coordinates. *)
+let rand ~dim slot t ar =
+  let v = ar.v and co = ar.co and step = ar.step in
+  let gd0 = ar.gd.(0) and gd1 = if dim > 2 then ar.gd.(1) else 0 in
+  for i = 0 to ar.n - 1 do
+    let cy = if dim > 1 then Array.unsafe_get co (width + i) else 0 in
+    let cz = if dim > 2 then Array.unsafe_get co ((2 * width) + i) else 0 in
+    let cell = ((((cz * gd1) + cy) * gd0) + Array.unsafe_get co i) in
+    set v (t + i) (Philox.symmetric ~cell ~step ~slot)
+  done
+
+let store k a ar =
+  let v = ar.v and d = Array.unsafe_get ar.datas k and e = Array.unsafe_get ar.deltas k in
+  for i = 0 to ar.n - 1 do
+    let x = get v (a + i) and j = Array.unsafe_get ar.idx i + e in
+    set d j x;
+    if x <> x then set d j Expr.canonical_nan
+  done
+
+(* The compiler's state for one program.  Offsets into [v]: the
+   parameters and [dx], one float each; then vectors, each taken from
+   [free] or from [next].  A node's result goes back to [free] once its
+   reader is emitted; a temporary keeps its vector, a hoisted one in its
+   first lane.  A group gathers each access and broadcasts each constant,
+   parameter and hoisted temporary once, at its first reader ([seen]). *)
+type builder = {
+  dim : int;
+  params : (string, int) Hashtbl.t;
+  dx : int;
+  temps : (string, int * bool) Hashtbl.t;  (** vector, hoisted *)
+  accesses : (Fieldspec.access, int) Hashtbl.t;
+  mutable table : Fieldspec.access list;  (** the accesses, newest first *)
+  seen : ([ `Num of int64 | `Uni of int | `Field of Fieldspec.access ], int) Hashtbl.t;
+  mutable free : int list;
+  mutable next : int;
+  mutable steps : (arena -> unit) list;  (** the group's steps, newest first *)
+}
+
+let emit st f = st.steps <- f :: st.steps
+
+let alloc st =
+  match st.free with
+  | t :: rest ->
+    st.free <- rest;
+    t
+  | [] ->
+    let t = st.next in
+    st.next <- t + width;
+    t
+
+let access_index st a =
+  match Hashtbl.find_opt st.accesses a with
+  | Some k -> k
+  | None ->
+    let k = Hashtbl.length st.accesses in
+    Hashtbl.replace st.accesses a k;
+    st.table <- a :: st.table;
+    k
+
+(* The vector a leaf reads, gathered or broadcast at its group's first
+   reader. *)
+let leaf st (e : Expr.t) =
+  let once key step =
+    match Hashtbl.find_opt st.seen key with
+    | Some t -> t
+    | None ->
+      let t = alloc st in
+      emit st (step t);
+      Hashtbl.replace st.seen key t;
+      t
+  in
+  let uniform u = once (`Uni u) (fun t -> broadcast t u) in
   match e with
-  | Expr.Num x -> fun _ -> x
+  | Expr.Num x -> once (`Num (Int64.bits_of_float x)) (fun t -> constant t x)
   | Expr.Sym s -> (
-    match b.temp_slot s with
-    | Some i -> fun c -> Array.unsafe_get c.temps i
+    match Hashtbl.find_opt st.temps s with
+    | Some (t, false) -> t
+    | Some (u, true) -> uniform u
     | None -> (
-      match b.param_slot s with
-      | Some i -> fun c -> Array.unsafe_get c.params i
+      match Hashtbl.find_opt st.params s with
+      | Some u -> uniform u
       | None -> invalid_arg ("Engine.compile: unbound symbol " ^ s)))
+  | Expr.Access a -> once (`Field a) (fun t -> gather t (access_index st a))
+  | _ -> assert false
+
+let rec compile st (e : Expr.t) t =
+  match e with
+  | Expr.Num _ | Expr.Sym _ | Expr.Access _ -> emit st (copy t (leaf st e))
   | Expr.Coord d ->
-    let pick : ctx -> int =
-      match d with 0 -> (fun c -> c.cx) | 1 -> (fun c -> c.cy) | _ -> fun c -> c.cz
-    in
-    fun c -> (float_of_int (pick c) +. 0.5) *. c.dx
-  | Expr.Access a ->
-    let buf, delta = b.resolve a in
-    fun c -> Array.unsafe_get buf.Buffer.data (c.base + delta)
-  | Expr.Rand slot ->
-    fun c ->
-      let cell = ((c.cz * c.global_dims.(1)) + c.cy) * c.global_dims.(0) + c.cx in
-      Philox.symmetric ~cell ~step:c.step ~slot
+    if d >= st.dim then invalid_arg "Engine.compile: coordinate beyond the kernel's axes";
+    emit st (coord d ~dx:st.dx t)
+  | Expr.Rand slot -> emit st (rand ~dim:st.dim slot t)
   | Expr.Diff _ -> invalid_arg "Engine.compile: Diff survived discretization"
-  | Expr.Add [ x; y ] ->
-    let fx = compile b x and fy = compile b y in
-    fun c -> fx c +. fy c
-  | Expr.Add [ x; y; z ] ->
-    let fx = compile b x and fy = compile b y and fz = compile b z in
-    fun c -> fx c +. fy c +. fz c
-  | Expr.Add xs ->
-    let fs = Array.of_list (List.map (compile b) xs) in
-    fun c ->
-      let acc = ref 0. in
-      for i = 0 to Array.length fs - 1 do
-        acc := !acc +. (Array.unsafe_get fs i) c
-      done;
-      !acc
-  | Expr.Mul [ x; y ] ->
-    let fx = compile b x and fy = compile b y in
-    fun c -> fx c *. fy c
-  | Expr.Mul [ x; y; z ] ->
-    let fx = compile b x and fy = compile b y and fz = compile b z in
-    fun c -> fx c *. fy c *. fz c
-  | Expr.Mul xs ->
-    let fs = Array.of_list (List.map (compile b) xs) in
-    fun c ->
-      let acc = ref 1. in
-      for i = 0 to Array.length fs - 1 do
-        acc := !acc *. (Array.unsafe_get fs i) c
-      done;
-      !acc
-  | Expr.Pow (x, 2) ->
-    let fx = compile b x in
-    fun c ->
-      let v = fx c in
-      v *. v
-  | Expr.Pow (x, -1) ->
-    let fx = compile b x in
-    fun c -> 1. /. fx c
-  | Expr.Pow (x, -2) ->
-    let fx = compile b x in
-    fun c ->
-      let v = fx c in
-      1. /. (v *. v)
-  | Expr.Pow (x, n) ->
-    let fx = compile b x in
-    let m = abs n in
-    fun c ->
-      let v = fx c in
-      let rec go acc k = if k = 0 then acc else go (acc *. v) (k - 1) in
-      let p = go 1. m in
-      if n < 0 then 1. /. p else p
-  | Expr.Fun (f, [ x ]) ->
-    let fx = compile b x in
-    let g : float -> float =
-      match f with
-      | Expr.Sqrt -> sqrt
-      | Expr.Rsqrt -> fun v -> 1. /. sqrt v
-      | Expr.Exp -> exp
-      | Expr.Log -> log
-      | Expr.Sin -> sin
-      | Expr.Cos -> cos
-      | Expr.Tanh -> tanh
-      | Expr.Fabs -> abs_float
-      | Expr.Fmin | Expr.Fmax -> invalid_arg "Engine.compile: unary min/max"
-    in
-    fun c -> g (fx c)
-  | Expr.Fun (Expr.Fmin, [ x; y ]) ->
-    let fx = compile b x and fy = compile b y in
-    fun c -> Expr.c_fmin (fx c) (fy c)
-  | Expr.Fun (Expr.Fmax, [ x; y ]) ->
-    let fx = compile b x and fy = compile b y in
-    fun c -> Expr.c_fmax (fx c) (fy c)
+  | Expr.Add xs | Expr.Mul xs ->
+    let add = match e with Expr.Add _ -> true | _ -> false in
+    operands st xs (function
+      | [| a; b |] -> binary add t a b
+      | [| a; b; c |] -> ternary add t a b c
+      | ops -> fold add t ops)
+  | Expr.Pow (x, n) -> operands st [ x ] (fun ops -> pow n t ops.(0))
+  | Expr.Fun (((Expr.Fmin | Expr.Fmax) as f), ([ _; _ ] as xs)) ->
+    operands st xs (fun ops -> minmax (f = Expr.Fmax) t ops.(0) ops.(1))
+  | Expr.Fun (f, [ x ]) when f <> Expr.Fmin && f <> Expr.Fmax ->
+    operands st [ x ] (fun ops -> unary f t ops.(0))
   | Expr.Fun _ -> invalid_arg "Engine.compile: bad function arity"
-  | Expr.Select (cond, t, f) ->
-    let ft = compile b t and ff = compile b f in
-    let test : ctx -> bool =
-      match cond with
-      | Expr.Lt (x, y) ->
-        let fx = compile b x and fy = compile b y in
-        fun c -> fx c < fy c
-      | Expr.Le (x, y) ->
-        let fx = compile b x and fy = compile b y in
-        fun c -> fx c <= fy c
-    in
-    fun c -> if test c then ft c else ff c
+  | Expr.Select (cond, x, y) ->
+    let le, p, q = match cond with Expr.Lt (p, q) -> (false, p, q) | Expr.Le (p, q) -> (true, p, q) in
+    operands st [ p; q; x; y ] (fun ops -> select le t ops.(0) ops.(1) ops.(2) ops.(3))
+
+(* Emit [step ops] after the steps that compute [xs] (into fresh vectors,
+   given back after it, unless they are leaves). *)
+and operands st xs step =
+  let fresh = ref [] in
+  let operand (e : Expr.t) =
+    match e with
+    | Expr.Num _ | Expr.Sym _ | Expr.Access _ -> leaf st e
+    | _ ->
+      let t = alloc st in
+      compile st e t;
+      fresh := t :: !fresh;
+      t
+  in
+  let ops = Array.of_list (List.map operand xs) in
+  emit st (step ops);
+  st.free <- !fresh @ st.free
+
+(* A store drops the group's gathers of its field, so a later read sees
+   the stored value, as it does cell by cell. *)
+let compile_assignment st ~hoisted (a : Assignment.t) =
+  match a.lhs with
+  | Assignment.Temp s ->
+    let t = alloc st in
+    Hashtbl.replace st.temps s (t, hoisted);
+    compile st a.rhs t
+  | Assignment.Store acc ->
+    let k = access_index st acc in
+    operands st [ a.rhs ] (fun ops -> store k ops.(0));
+    Hashtbl.filter_map_inplace
+      (fun key t ->
+        match key with
+        | `Field (a : Fieldspec.access) when Fieldspec.equal a.field acc.field -> None
+        | _ -> Some t)
+      st.seen
 
 (* ------------------------------------------------------------------ *)
 (* Kernel programs and bindings                                        *)
 (* ------------------------------------------------------------------ *)
 
+(** The interpreter's closure tree for one program: the lowering's depth
+    groups as flat arrays of steps, shared by every block, job and lane
+    that sweeps the program.  [batch_from] is the first loop depth with no
+    hoisted group inside it or below: the cells of those loops are
+    gathered into batches, and every shallower loop runs its hoisted group
+    as a one-cell batch. *)
+type tree = {
+  groups : (arena -> unit) array array;  (** depth 0 .. dim: the steps of each group *)
+  batch_from : int;
+  size : int;  (** floats of [v] the tree uses *)
+  accesses : Fieldspec.access array;  (** the binding table's entries *)
+}
+
 (** Everything a kernel's sweeps need that depends on the kernel alone:
-    its lowering for one loop order, its parameter and temporary slots, the
-    ghost width its sweep reads, and its {!Jit} memo key (forced by the
-    first JIT sweep or plan that needs it).
+    its lowering for one loop order, its parameter names, the ghost width
+    its sweep reads, the interpreter's closure tree (built by the first
+    interpreter sweep, or JIT sweep that falls back, of any of its
+    bindings) and its {!Jit} memo key (forced by the first JIT sweep or
+    plan that needs it).
     One program is built per (kernel, fastest axis, JIT target) and shared
     by every block, rank, job and tuning probe that binds the kernel — the
     paper's generate-once, run-on-every-block split. *)
@@ -233,19 +427,10 @@ type program = {
   kernel : Ir.Kernel.t;
   lowered : Ir.Lower.t;
   param_names : string array;
-  param_slots : (string, int) Hashtbl.t;
-  temp_slots : (string, int) Hashtbl.t;
   ghost_need : int;  (** ghost layers the sweep reads *)
+  tree : tree Lazy.t;
   jit_target : Jit.target;
   jit_key : Digest.t Lazy.t;
-}
-
-(** The interpreter's closure tree for one (program, block): the lowering's
-    depth groups compiled against the block's buffers. *)
-type tree = {
-  preheader : (ctx -> unit) array;        (* depth 0 *)
-  per_loop : (ctx -> unit) array array;   (* depth 1 .. dim-1 *)
-  body : (ctx -> unit) array;
 }
 
 (** Which part of the sweep to execute.  [Interior halo] covers only cells
@@ -256,6 +441,29 @@ type tree = {
     classic full sweep.  [Interior h] ∪ [Shell h] visits every sweep cell
     exactly once, so splitting a sweep is bitwise invisible (oracle 10). *)
 type region = Whole | Interior of int | Shell of int
+
+(** [pvals] holds the value of each of [pnames], then [dx] (1 when
+    unbound), refilled from each sweep's parameter list. *)
+type pslots = {
+  pnames : string array;
+  pvals : float array;
+  mutable names : string array;
+      (** the parameter list's names, in order, as last resolved: a list
+          whose names are physically these is read by position *)
+  mutable values : float array;  (** that list's values, by position *)
+  mutable slot_pos : int array;
+      (** per [pvals] slot, the list position it reads; [-1]: [dx] unbound;
+          empty until the first list is bound *)
+}
+
+let pslots pnames =
+  {
+    pnames;
+    pvals = Array.make (Array.length pnames + 1) 0.;
+    names = [||];
+    values = [||];
+    slot_pos = [||];
+  }
 
 (** A JIT sweep resolved once for one (binding, region, tile shape, pool
     width): everything a sweep needs that does not change between sweeps.
@@ -269,17 +477,21 @@ type resolved = {
   domains : int;
   fields : Buffer.t array;  (** aligned with [compiled.fields] *)
   datas : float array array;  (** the entry's field table *)
-  pvals : float array;  (** [compiled.param_names] order, then [dx] *)
-  mutable names : string array;
-      (** the parameter list's names, in order, as last resolved: a list
-          whose names are physically these is read by position *)
-  mutable values : float array;  (** that list's values, by position *)
-  mutable slot_pos : int array;
-      (** per [pvals] slot, the list position it reads; [-1]: [dx] unbound *)
+  params : pslots;  (** [compiled.param_names] *)
   ints : int array array;  (** per tile, {!Jit.tile_ints} *)
   run_tile : lane:int -> int -> unit;
       (** one tile: one [@@noalloc] call of the program's entry with the
           field table, the parameters and the tile's int table *)
+}
+
+(** What an interpreter sweep of one binding reads besides the tree: each
+    access's buffer, data (refilled every sweep, so it survives
+    [Buffer.swap]) and element delta, and the parameter slots. *)
+type tables = {
+  bufs : Buffer.t array;
+  datas : float array array;
+  deltas : int array;
+  slots : pslots;
 }
 
 (** A kernel bound to a block: the kernel's shared {!program} plus what
@@ -288,9 +500,8 @@ type bound = {
   kernel : Ir.Kernel.t;
   lowered : Ir.Lower.t;  (** the shared program's *)
   block : block;
-  param_names : string array;
-  n_temps : int;
-  tree : tree Lazy.t;
+  program : program;
+  tables : tables Lazy.t;
       (** built by the binding's first interpreter sweep (or JIT sweep that
           falls back), never by a binding only the JIT sweeps; forced on the
           coordinating domain before the pool runs *)
@@ -328,22 +539,73 @@ let ghost_need (kernel : Ir.Kernel.t) =
       0
       (Ir.Kernel.loads kernel)
 
-let slots names =
-  let table = Hashtbl.create 64 in
-  List.iteri (fun i s -> Hashtbl.replace table s i) names;
-  table
+(* The lowering's groups compiled once for every binding. *)
+let build_tree ~dim (lowered : Ir.Lower.t) param_names =
+  Obs.Metrics.count "vm.bind.trees" 1;
+  let groups = Ir.Lower.groups lowered in
+  let np = Array.length param_names in
+  let st =
+    {
+      dim;
+      params = Hashtbl.create 64;
+      dx = np;
+      temps = Hashtbl.create 64;
+      accesses = Hashtbl.create 64;
+      table = [];
+      seen = Hashtbl.create 64;
+      free = [];
+      next = np + 1;
+      steps = [];
+    }
+  in
+  Array.iteri (fun i s -> Hashtbl.replace st.params s i) param_names;
+  let steps =
+    Array.mapi
+      (fun d g ->
+        st.steps <- [];
+        Hashtbl.reset st.seen;
+        List.iter (compile_assignment st ~hoisted:(d < dim)) g;
+        Array.of_list (List.rev st.steps))
+      groups
+  in
+  let batch_from = ref 0 in
+  for d = 1 to dim - 1 do
+    if groups.(d) <> [] then batch_from := d
+  done;
+  {
+    groups = steps;
+    batch_from = !batch_from;
+    size = st.next;
+    accesses = Array.of_list (List.rev st.table);
+  }
+
+(* Batches serve independent cells only: a kernel that reads a field it
+   stores may read it at the cell it stores (the projection does), never
+   at a neighbour another cell of the batch stores first. *)
+let check_independent (kernel : Ir.Kernel.t) =
+  let stored = Ir.Kernel.stores kernel in
+  List.iter
+    (fun (a : Fieldspec.access) ->
+      if
+        Array.exists (( <> ) 0) a.offsets
+        && List.exists (fun (s : Fieldspec.access) -> Fieldspec.equal s.field a.field) stored
+      then
+        invalid_arg
+          (Printf.sprintf "Engine.program: kernel %s reads field %s, which it stores, off its cell"
+             kernel.Ir.Kernel.name a.field.Fieldspec.name))
+    (Ir.Kernel.loads kernel)
 
 let make_program ~fastest ~jit_target (kernel : Ir.Kernel.t) : program =
+  check_independent kernel;
   Obs.Metrics.count "vm.bind.programs" 1;
   let lowered = Ir.Lower.run ~fastest kernel in
-  let params = Ir.Kernel.parameters kernel in
+  let param_names = Array.of_list (Ir.Kernel.parameters kernel) in
   {
     kernel;
     lowered;
-    param_names = Array.of_list params;
-    param_slots = slots params;
-    temp_slots = slots (Assignment.defined_temps kernel.Ir.Kernel.body);
+    param_names;
     ghost_need = ghost_need kernel;
+    tree = lazy (build_tree ~dim:kernel.Ir.Kernel.dim lowered param_names);
     jit_target;
     jit_key = lazy (Jit.fingerprint ~target:jit_target kernel lowered);
   }
@@ -372,41 +634,19 @@ let program ?(fastest = 0) ?(jit_target = Jit.host_target ()) kernel =
     Programs.replace programs kernel ((fastest, jit_target, p) :: built);
     p
 
-let compile_assignment binder (a : Assignment.t) : ctx -> unit =
-  let rhs = compile binder a.rhs in
-  match a.lhs with
-  | Assignment.Temp s -> (
-    match binder.temp_slot s with
-    | Some i -> fun c -> Array.unsafe_set c.temps i (rhs c)
-    | None -> assert false)
-  | Assignment.Store acc ->
-    let buf, delta = binder.resolve acc in
-    fun c -> Array.unsafe_set buf.Buffer.data (c.base + delta) (Expr.canonical (rhs c))
-
-let build_tree (p : program) block =
-  Obs.Metrics.count "vm.bind.trees" 1;
-  let binder =
-    {
-      param_slot = Hashtbl.find_opt p.param_slots;
-      temp_slot = Hashtbl.find_opt p.temp_slots;
-      resolve =
-        (fun a ->
-          let buf = buffer block a.Fieldspec.field in
-          (buf, Buffer.access_delta buf a));
-    }
-  in
-  let compile_list l = Array.of_list (List.map (compile_assignment binder) l) in
-  let dim = p.kernel.Ir.Kernel.dim in
-  let groups = Ir.Lower.groups p.lowered in
+let make_tables (p : program) block =
+  let t = Lazy.force p.tree in
+  let bufs = Array.map (fun (a : Fieldspec.access) -> buffer block a.Fieldspec.field) t.accesses in
   {
-    preheader = compile_list groups.(0);
-    per_loop = Array.init (dim - 1) (fun i -> compile_list groups.(i + 1));
-    body = compile_list groups.(dim);
+    bufs;
+    datas = Array.map (fun (b : Buffer.t) -> b.Buffer.data) bufs;
+    deltas = Array.map2 Buffer.access_delta bufs t.accesses;
+    slots = pslots p.param_names;
   }
 
 (** Bind [kernel] to [block]: the kernel's shared {!program} plus the
     block.  Only the ghost check runs per binding; the interpreter's
-    closure tree waits for the first sweep that needs it. *)
+    tables wait for the first sweep that needs them. *)
 let bind ?fastest ?jit_target (kernel : Ir.Kernel.t) (block : block) =
   let p = program ?fastest ?jit_target kernel in
   if p.ghost_need > block.ghost then
@@ -417,9 +657,8 @@ let bind ?fastest ?jit_target (kernel : Ir.Kernel.t) (block : block) =
     kernel;
     lowered = p.lowered;
     block;
-    param_names = p.param_names;
-    n_temps = Hashtbl.length p.temp_slots;
-    tree = lazy (build_tree p block);
+    program = p;
+    tables = lazy (make_tables p block);
     jit_target = p.jit_target;
     jit_key = p.jit_key;
     sweeps = [];
@@ -452,69 +691,67 @@ let jit_prepare_kernels kernels =
          { Jit.key = Lazy.force p.jit_key; target = p.jit_target; kernel; lowered = p.lowered })
        kernels)
 
-let run_group g c =
-  for i = 0 to Array.length g - 1 do
-    (Array.unsafe_get g i) c
-  done
-
-(* Sweep one tile: [lo]/[hi] are inclusive loop bounds indexed by loop
-   depth, following the lowering's loop_order.  Each outer depth sets its
-   coordinate and runs its hoisted group, then recurses; the innermost
-   depth is one flat loop that steps the linear cell index by the fastest
-   axis' stride.  A full sweep is the single tile spanning every range;
-   cache blocking shrinks the outer depths. *)
-let sweep_tile (b : bound) (t : tree) (c : ctx) ~(lo : int array) ~(hi : int array) =
+(* Sweep one tile on a lane's arena: [lo]/[hi] are inclusive loop bounds
+   indexed by loop depth, following the lowering's loop_order.  The tile's
+   cells are gathered in sweep order — whole innermost rows, unless a row
+   alone exceeds [width] — into batches that run the body.  A depth above
+   the tree's [batch_from] first runs the batch it has gathered, then sets
+   its coordinate in lane 0 and runs its hoisted group as a one-cell
+   batch. *)
+let sweep_batches (b : bound) (t : tree) ar ~(lo : int array) ~(hi : int array) =
   let order = b.lowered.Ir.Lower.loop_order in
   let inner = Array.length order - 1 in
   let block = b.block in
-  let any_buf = snd (List.hd block.buffers) in
-  let coords = Array.make (inner + 1) 0 in
-  let set_coord ax v =
-    coords.(ax) <- v;
-    let g = v + block.offset.(ax) in
-    match ax with 0 -> c.cx <- g | 1 -> c.cy <- g | _ -> c.cz <- g
-  in
+  let stride = (snd (List.hd block.buffers)).Buffer.stride in
+  let g = block.ghost and off = block.offset in
   let fastest = order.(inner) in
-  let stride = any_buf.Buffer.stride.(fastest) in
-  let rec depth d =
-    if d = inner then begin
-      set_coord fastest lo.(d);
-      c.base <- Buffer.base_index any_buf coords;
-      for i = lo.(d) to hi.(d) do
-        set_coord fastest i;
-        run_group t.body c;
-        c.base <- c.base + stride
-      done
+  let pos = Array.make (inner + 1) 0 in
+  let count = ref 0 in
+  let flush () =
+    if !count > 0 then begin
+      ar.n <- !count;
+      Array.iter (fun step -> step ar) t.groups.(inner + 1);
+      count := 0
     end
+  in
+  let row () =
+    if !count + hi.(inner) - lo.(inner) + 1 > width then flush ();
+    pos.(fastest) <- lo.(inner);
+    let at = ref 0 in
+    for ax = 0 to inner do
+      at := !at + ((pos.(ax) + g) * stride.(ax))
+    done;
+    for x = lo.(inner) to hi.(inner) do
+      if !count = width then flush ();
+      let i = !count in
+      pos.(fastest) <- x;
+      ar.idx.(i) <- !at;
+      for ax = 0 to inner do
+        ar.co.((ax * width) + i) <- pos.(ax) + off.(ax)
+      done;
+      at := !at + stride.(fastest);
+      count := i + 1
+    done
+  in
+  let rec depth d =
+    if d = inner then row ()
     else
       for i = lo.(d) to hi.(d) do
-        set_coord order.(d) i;
-        run_group t.per_loop.(d) c;
+        let ax = order.(d) in
+        pos.(ax) <- i;
+        if d < t.batch_from then begin
+          flush ();
+          ar.co.(ax * width) <- i + off.(ax);
+          ar.n <- 1;
+          Array.iter (fun step -> step ar) t.groups.(d + 1)
+        end;
         depth (d + 1)
       done
   in
-  depth 0
-
-let make_ctx (b : bound) ~params ~step =
-  let values =
-    Array.map
-      (fun name ->
-        match List.assoc_opt name params with
-        | Some v -> v
-        | None -> invalid_arg ("Engine.run: missing parameter " ^ name))
-      b.param_names
-  in
-  {
-    params = values;
-    temps = Array.make (max 1 b.n_temps) 0.;
-    base = 0;
-    cx = 0;
-    cy = 0;
-    cz = 0;
-    step;
-    dx = Option.value (List.assoc_opt "dx" params) ~default:1.;
-    global_dims = b.block.global_dims;
-  }
+  ar.n <- 1;
+  Array.iter (fun step -> step ar) t.groups.(0);
+  depth 0;
+  flush ()
 
 let sweep_range (b : bound) ax =
   let n = b.block.dims.(ax) in
@@ -581,7 +818,7 @@ let schedule (b : bound) ~region ~tile ~num_domains =
     (match region with Interior _ -> inner | _ -> shell)
 
 (* ------------------------------------------------------------------ *)
-(* Resolved JIT sweeps                                                 *)
+(* Parameter slots and sweeps                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Point the parameter slots at positions of [params]: the first binding
@@ -595,7 +832,7 @@ let bind_params r params =
     in
     go 0
   in
-  let param_names = r.compiled.Jit.param_names in
+  let param_names = r.pnames in
   r.slot_pos <-
     Array.init (Array.length param_names + 1) (fun s ->
         if s = Array.length param_names then position "dx"
@@ -623,7 +860,7 @@ let rec same_names r j = function
    same strings every step) is read by position; any other list is bound
    by name first. *)
 let load_params r params =
-  if not (same_names r 0 params) then bind_params r params;
+  if Array.length r.slot_pos = 0 || not (same_names r 0 params) then bind_params r params;
   for s = 0 to Array.length r.slot_pos - 1 do
     let j = Array.unsafe_get r.slot_pos s in
     Array.unsafe_set r.pvals s (if j < 0 then 1. else Array.unsafe_get r.values j)
@@ -634,7 +871,7 @@ let resolve (b : bound) (compiled : Jit.compiled) entry ~region ~tile ~num_domai
   let any_buf = snd (List.hd b.block.buffers) in
   let fields = Array.map (buffer b.block) compiled.Jit.fields in
   let datas = Array.map (fun (f : Buffer.t) -> f.Buffer.data) fields in
-  let pvals = Array.make (Array.length compiled.Jit.param_names + 1) 0. in
+  let slots = pslots compiled.Jit.param_names in
   let ints =
     Array.map
       (fun (t : Schedule.tile) ->
@@ -651,15 +888,13 @@ let resolve (b : bound) (compiled : Jit.compiled) entry ~region ~tile ~num_domai
       domains = num_domains;
       fields;
       datas;
-      pvals;
-      names = [||];
-      values = [||];
-      slot_pos = [||];
+      params = slots;
       ints;
-      run_tile = (fun ~lane:_ ti -> Jit_cc.run entry datas pvals (Array.unsafe_get ints ti));
+      run_tile =
+        (fun ~lane:_ ti -> Jit_cc.run entry datas slots.pvals (Array.unsafe_get ints ti));
     }
   in
-  bind_params r params;
+  bind_params slots params;
   r
 
 let rec find_resolved compiled ~region ~tile ~num_domains = function
@@ -686,29 +921,41 @@ let run_resolved ?wrap r ~step ~params =
   for i = 0 to Array.length r.fields - 1 do
     Array.unsafe_set r.datas i (Array.unsafe_get r.fields i).Buffer.data
   done;
-  load_params r params;
+  load_params r.params params;
   for i = 0 to Array.length r.ints - 1 do
     Jit.set_step r.compiled (Array.unsafe_get r.ints i) step
   done;
   Pool.run ?wrap ~domains:r.domains ~ntiles:(Array.length r.ints) r.run_tile
 
-(* An interpreter sweep.  Every tile runs with a fresh [ctx]: the
-   preheader and per-depth hoisted groups are deterministic functions of
-   the parameters and loop coordinates (they are recomputed at every
-   outer-loop iteration even in a serial sweep), so recomputing them per
-   tile changes nothing — which is exactly why tiled, pooled execution is
-   bitwise identical to serial. *)
+(* An interpreter sweep: refill the binding's data table and parameter
+   slots, then run the tiles, each on its lane's arena with the constants,
+   parameters and [dx] loaded afresh.  The preheader and per-depth hoisted
+   groups are deterministic functions of the parameters and loop
+   coordinates (they are recomputed at every outer-loop iteration even in
+   a serial sweep), so recomputing them per tile changes nothing — which
+   is exactly why tiled, pooled execution is bitwise identical to
+   serial. *)
 let run_interp ?wrap ~region ~num_domains ~tile ~step ~params (b : bound) =
   let tiles = schedule b ~region ~tile ~num_domains in
-  (* The closure tree is forced here, on the coordinating domain: OCaml 5
-     raises when two domains force one lazy value, and every lane reads the
-     tree. *)
-  let tree = Lazy.force b.tree in
+  (* The tree and the tables are forced here, on the coordinating domain:
+     OCaml 5 raises when two domains force one lazy value, and every lane
+     reads them. *)
+  let tree = Lazy.force b.program.tree in
+  let tab = Lazy.force b.tables in
+  for k = 0 to Array.length tab.bufs - 1 do
+    Array.unsafe_set tab.datas k (Array.unsafe_get tab.bufs k).Buffer.data
+  done;
+  load_params tab.slots params;
   Pool.run ?wrap ~domains:num_domains ~ntiles:(Array.length tiles) (fun ~lane:_ ti ->
       let t : Schedule.tile = tiles.(ti) in
-      let c = make_ctx b ~params ~step in
-      run_group tree.preheader c;
-      sweep_tile b tree c ~lo:t.Schedule.lo ~hi:t.Schedule.hi)
+      let ar = Domain.DLS.get arena_key in
+      if Array.length ar.v < tree.size then ar.v <- Array.create_float tree.size;
+      Array.blit tab.slots.pvals 0 ar.v 0 (Array.length tab.slots.pvals);
+      ar.datas <- tab.datas;
+      ar.deltas <- tab.deltas;
+      ar.step <- step;
+      ar.gd <- b.block.global_dims;
+      sweep_batches b tree ar ~lo:t.Schedule.lo ~hi:t.Schedule.hi)
 
 (* The sweep skeleton, parameterized over [wrap], which brackets each pool
    lane's share of the tiles ([lane] 0 is the coordinating domain, [i > 0]

@@ -215,15 +215,16 @@ let test_rebind_independent_of_body () =
   Alcotest.(check bool)
     (Printf.sprintf "rebinding allocates %d words < %d-word marshalled body" words body_words)
     true (words < body_words);
-  Alcotest.(check bool) "and builds no closure tree" false (Lazy.is_val b.Vm.Engine.tree)
+  Alcotest.(check bool) "and builds no interpreter tables" false (Lazy.is_val b.Vm.Engine.tables)
 
-(* The vm.bind.trees counter and each binding's tree over two steps: a JIT
-   time step whose programs are built never compiles a closure tree; an
-   interpreter time step compiles one per bound kernel, once. *)
+(* The vm.bind.trees counter over two steps of freshly generated kernels:
+   an interpreted step builds one closure tree per distinct program; a
+   second job of the same kernels, on a block of other dims, builds none
+   and sweeps the same trees; a JIT step whose programs are built builds
+   none. *)
 let test_trees_only_when_interpreted () =
-  let g = Lazy.force curvature_gen in
-  let run backend =
-    let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims:[| 6; 6 |] g in
+  let run ?(dims = [| 6; 6 |]) backend g =
+    let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims g in
     Pfcore.Simulation.init_smooth sim;
     let trees =
       with_obs (fun () ->
@@ -234,17 +235,26 @@ let test_trees_only_when_interpreted () =
       sim.Pfcore.Timestep.phi @ Option.to_list sim.Pfcore.Timestep.projection
       @ sim.Pfcore.Timestep.mu
     in
-    (Option.value ~default:0 trees, bounds)
+    (Option.value ~default:0 trees, List.map (fun (b : Vm.Engine.bound) -> b.Vm.Engine.program) bounds)
   in
-  let built (b : Vm.Engine.bound) = Lazy.is_val b.Vm.Engine.tree in
-  let trees, bounds = run Vm.Engine.Interp in
-  Alcotest.(check int) "interp: one tree per bound kernel" (List.length bounds) trees;
-  Alcotest.(check bool) "interp: every tree built" true (List.for_all built bounds);
+  let fresh () = Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()) in
+  let built (p : Vm.Engine.program) = Lazy.is_val p.Vm.Engine.tree in
+  let g = fresh () in
+  let trees, programs = run Vm.Engine.Interp g in
+  let distinct = List.fold_left (fun acc p -> if List.memq p acc then acc else p :: acc) [] programs in
+  Alcotest.(check int) "interp: one tree per distinct program" (List.length distinct) trees;
+  Alcotest.(check bool) "interp: every program holds its tree" true (List.for_all built programs);
+  let trees, again = run ~dims:[| 5; 7 |] Vm.Engine.Interp g in
+  Alcotest.(check int) "a second block of the same kernels builds none" 0 trees;
+  Alcotest.(check bool) "and sweeps the same trees" true
+    (List.for_all2
+       (fun (p : Vm.Engine.program) (q : Vm.Engine.program) ->
+         Lazy.force p.Vm.Engine.tree == Lazy.force q.Vm.Engine.tree)
+       programs again);
   if Lazy.force Vm.Jit_cc.gcc && not (Vm.Jit_cc.disabled ()) then begin
-    Vm.Jit.clear_cache ();
-    let trees, bounds = run Vm.Engine.Jit in
+    let trees, programs = run Vm.Engine.Jit (fresh ()) in
     Alcotest.(check int) "jit: no tree built" 0 trees;
-    Alcotest.(check bool) "jit: no binding holds a tree" false (List.exists built bounds)
+    Alcotest.(check bool) "jit: no program holds a tree" false (List.exists built programs)
   end
 
 (* A fresh binding's first sweep runs on three domains with 2x2 tiles: the

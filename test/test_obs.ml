@@ -153,8 +153,10 @@ let test_mpisim_conservation () =
 
 (* ---- ECM drift oracle ---- *)
 
+(* Medians of nine trials: with best-of-two, noise on a shared host
+   sometimes moved one ratio past the threshold or the μ ordering. *)
 let test_drift_ordering () =
-  let r = Check.Drift.run ~n:8 ~sweeps:1 ~reps:2 () in
+  let r = Check.Drift.run ~n:8 ~sweeps:1 ~reps:9 () in
   Alcotest.(check int) "all eight P1/P2 kernel variants measured" 8
     (List.length r.Check.Drift.rows);
   Alcotest.(check bool) "mu split <= full, measured and modeled" true

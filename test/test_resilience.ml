@@ -415,6 +415,31 @@ let test_encode_allocation () =
   Alcotest.(check bool) "decodes back" true
     (Resilience.Snapshot.equal snap (Resilience.Snapshot.decode s))
 
+(* Decoding reads the payload in place: a snapshot the size of the
+   eutectic-forest benchmark's (96^2 cells as 8x8 blocks of 12^2, about
+   2.1 MB) decodes allocating at most 1.2x its bytes — its float arrays
+   and little else.  The least of three readings counts, as above. *)
+let test_decode_allocation () =
+  let g = Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()) in
+  let forest = Blocks.Forest.create ~grid:[| 8; 8 |] ~block_dims:[| 12; 12 |] g in
+  Array.iter Pfcore.Simulation.init_model forest.Blocks.Forest.sims;
+  let snap = Resilience.Snapshot.capture forest in
+  let s = Resilience.Snapshot.encode snap in
+  let decode () =
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    let d = Resilience.Snapshot.decode s in
+    ((Gc.allocated_bytes () -. a0) /. float_of_int (String.length s), d)
+  in
+  let runs = List.init 3 (fun _ -> decode ()) in
+  let ratio = List.fold_left (fun m (r, _) -> Float.min m r) infinity runs in
+  Alcotest.(check bool)
+    (Printf.sprintf "decode allocated %.3fx the %d bytes read (<= 1.2x)" ratio (String.length s))
+    true
+    (ratio <= 1.2 && String.length s > 2_000_000);
+  Alcotest.(check bool) "decodes to the snapshot" true
+    (Resilience.Snapshot.equal snap (snd (List.hd runs)))
+
 (* --------------- channel handles and recycled payloads -------------- *)
 
 (* A handle taken before a rollback's [restart] still sends and receives
@@ -477,6 +502,8 @@ let suite =
       test_golden_snapshots_reencode;
     Alcotest.test_case "encode allocates about the bytes it returns" `Quick
       test_encode_allocation;
+    Alcotest.test_case "decode allocates about the bytes it reads" `Quick
+      test_decode_allocation;
     Alcotest.test_case "a channel handle survives a restart" `Quick
       test_handle_survives_restart;
     Alcotest.test_case "JIT forest under drop/delay/duplicate = clean (bitwise)" `Quick

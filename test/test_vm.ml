@@ -178,9 +178,70 @@ let test_programmed_kernel_checks_ghosts () =
   Alcotest.(check bool) "too few ghosts raises" true
     (match Vm.Engine.bind k thin with _ -> false | exception Invalid_argument _ -> true)
 
+(* The periodic fill against a per-cell wrap-around: along each axis in
+   turn, every low ghost cell (in storage order) takes the cell [n] above
+   it and then every high ghost cell the cell [n] below it.  For blocks
+   thinner than the ghost layer that order reads ghosts it filled itself;
+   for the others every ghost ends up holding the interior cell its
+   coordinates wrap to. *)
+let test_periodic_fill_reference () =
+  let v = Fieldspec.create ~dim:3 ~components:2 "v" in
+  List.iter
+    (fun (dims, ghost) ->
+      let fresh () =
+        let b = Vm.Buffer.create ~ghost v dims in
+        Array.iteri (fun i _ -> b.Vm.Buffer.data.(i) <- float_of_int i +. 0.5) b.Vm.Buffer.data;
+        b
+      in
+      let buf = fresh () and reference = fresh () in
+      Vm.Buffer.periodic buf;
+      let d = reference.Vm.Buffer.data and stride = reference.Vm.Buffer.stride in
+      let coord i axis =
+        (i mod reference.Vm.Buffer.comp_stride / stride.(axis) mod (dims.(axis) + (2 * ghost)))
+        - ghost
+      in
+      for axis = 0 to 2 do
+        let shift = dims.(axis) * stride.(axis) in
+        for i = 0 to Array.length d - 1 do
+          if coord i axis < 0 then d.(i) <- d.(i + shift)
+        done;
+        for i = 0 to Array.length d - 1 do
+          if coord i axis >= dims.(axis) then d.(i) <- d.(i - shift)
+        done
+      done;
+      let label = Printf.sprintf "%dx%dx%d, ghost %d" dims.(0) dims.(1) dims.(2) ghost in
+      Alcotest.(check bool) (label ^ ": = per-cell fill (bitwise)") true
+        (Array.for_all2
+           (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           buf.Vm.Buffer.data d);
+      if Array.for_all (fun n -> n >= ghost) dims then
+        Alcotest.(check bool) (label ^ ": every ghost holds the cell it wraps to") true
+          (Array.for_all Fun.id
+             (Array.mapi
+                (fun i x ->
+                  let wrapped =
+                    List.fold_left
+                      (fun at axis ->
+                        let n = dims.(axis) in
+                        at + ((((coord i axis mod n) + n) mod n - coord i axis) * stride.(axis)))
+                      i [ 0; 1; 2 ]
+                  in
+                  x = float_of_int wrapped +. 0.5)
+                buf.Vm.Buffer.data)))
+    [
+      ([| 1; 1; 1 |], 2);
+      ([| 1; 3; 2 |], 3);
+      ([| 2; 2; 2 |], 2);
+      ([| 24; 24; 24 |], 2);
+      ([| 24; 1; 2 |], 2);
+      ([| 5; 24; 3 |], 3);
+    ]
+
 let suite =
   [
     Alcotest.test_case "buffer indexing" `Quick test_buffer_indexing;
+    Alcotest.test_case "periodic fill = per-cell wrap-around (n < g, n = g, n = 24)" `Quick
+      test_periodic_fill_reference;
     Alcotest.test_case "buffer components" `Quick test_buffer_components;
     Alcotest.test_case "periodic exchange fills corners" `Quick test_periodic_exchange;
     Alcotest.test_case "buffer swap" `Quick test_swap;
@@ -357,4 +418,329 @@ let suite =
                           tile and pool width" `Quick test_resolved_sweep_bitwise;
       Alcotest.test_case "a warm P1 step allocates < 0.1 words per cell" `Quick
         test_p1_step_allocation;
+    ]
+
+(* --------------- batched interpretation ----------------------------- *)
+
+(* The per-cell reference: [Eval] over every sweep cell, one cell at a
+   time, with stores canonical and integer powers spelled as the multiply
+   chain both executors use ([Eval]'s [**] is libm's pow, which rounds
+   differently). *)
+let rec chain (e : Expr.t) : Expr.t =
+  match e with
+  | Pow (x, n) ->
+    let x = chain x and m = abs n in
+    let p = match m with 0 -> Num 1. | 1 -> x | _ -> Mul (List.init m (fun _ -> x)) in
+    if n < 0 then Pow (p, -1) else p
+  | Add xs -> Add (List.map chain xs)
+  | Mul xs -> Mul (List.map chain xs)
+  | Fun (f, xs) -> Fun (f, List.map chain xs)
+  | Select (Lt (a, b), x, y) -> Select (Lt (chain a, chain b), chain x, chain y)
+  | Select (Le (a, b), x, y) -> Select (Le (chain a, chain b), chain x, chain y)
+  | e -> e
+
+let reference_sweep (k : Ir.Kernel.t) (block : Vm.Engine.block) ~params ~step =
+  let dim = k.Ir.Kernel.dim in
+  let coords = Array.make dim 0 and temps = Hashtbl.create 64 in
+  let global d = coords.(d) + block.Vm.Engine.offset.(d) in
+  let gd = block.Vm.Engine.global_dims in
+  let elt (a : Fieldspec.access) =
+    let buf = Vm.Engine.buffer block a.Fieldspec.field in
+    (buf, Vm.Buffer.base_index buf coords + Vm.Buffer.access_delta buf a)
+  in
+  let dx = Option.value (List.assoc_opt "dx" params) ~default:1. in
+  let env =
+    Eval.env
+      ~sym:(fun s ->
+        match Hashtbl.find_opt temps s with Some v -> v | None -> List.assoc s params)
+      ~access:(fun a ->
+        let buf, i = elt a in
+        buf.Vm.Buffer.data.(i))
+      ~coord:(fun d -> (float_of_int (global d) +. 0.5) *. dx)
+      ~rand:(fun slot ->
+        let cell =
+          match dim with
+          | 3 -> (((global 2 * gd.(1)) + global 1) * gd.(0)) + global 0
+          | 2 -> (global 1 * gd.(0)) + global 0
+          | _ -> global 0
+        in
+        Philox.symmetric ~cell ~step ~slot)
+      ()
+  in
+  let body =
+    List.map
+      (fun (a : Field.Assignment.t) -> { a with Field.Assignment.rhs = chain a.Field.Assignment.rhs })
+      k.Ir.Kernel.body
+  in
+  let last ax =
+    match k.Ir.Kernel.iteration with
+    | Ir.Kernel.StaggeredSweep axes when List.mem ax axes -> block.Vm.Engine.dims.(ax)
+    | _ -> block.Vm.Engine.dims.(ax) - 1
+  in
+  let rec loop d =
+    if d = dim then begin
+      Hashtbl.reset temps;
+      List.iter
+        (fun (a : Field.Assignment.t) ->
+          let v = Eval.eval env a.Field.Assignment.rhs in
+          match a.Field.Assignment.lhs with
+          | Field.Assignment.Temp t -> Hashtbl.replace temps t v
+          | Field.Assignment.Store acc ->
+            let buf, i = elt acc in
+            buf.Vm.Buffer.data.(i) <- Expr.canonical v)
+        body
+    end
+    else
+      for i = 0 to last d do
+        coords.(d) <- i;
+        loop (d + 1)
+      done
+  in
+  loop 0
+
+(* Fill every buffer of a block, ghosts included, with values in
+   [0.05, 0.95] drawn from [seed]. *)
+let fill_block (block : Vm.Engine.block) ~seed =
+  let st = Random.State.make [| seed |] in
+  List.iter
+    (fun (_, (buf : Vm.Buffer.t)) ->
+      Array.iteri
+        (fun i _ -> buf.Vm.Buffer.data.(i) <- 0.05 +. Random.State.float st 0.9)
+        buf.Vm.Buffer.data)
+    block.Vm.Engine.buffers
+
+let blocks_bits_equal (a : Vm.Engine.block) (b : Vm.Engine.block) =
+  List.for_all2
+    (fun (_, (x : Vm.Buffer.t)) (_, (y : Vm.Buffer.t)) -> data_bits_equal x.Vm.Buffer.data y.Vm.Buffer.data)
+    a.Vm.Engine.buffers b.Vm.Engine.buffers
+
+(* Sweep [k] on the interpreter — whole, or as interior then shell, or in
+   2-cell tiles — and by the reference, from the same data: every buffer
+   must hold the same bits. *)
+let check_batched ~name ?(step = 5) ~make_block ~params k =
+  let regions = [ [ Vm.Engine.Whole ]; [ Vm.Engine.Interior 1; Vm.Engine.Shell 1 ] ] in
+  let tiles = [ None; Some (Array.make k.Ir.Kernel.dim 2) ] in
+  let reference = make_block () in
+  fill_block reference ~seed:step;
+  reference_sweep k reference ~params ~step;
+  List.iter
+    (fun tile ->
+      List.iter
+        (fun region ->
+          let block = make_block () in
+          fill_block block ~seed:step;
+          let bound = Vm.Engine.bind k block in
+          List.iter
+            (fun region ->
+              Vm.Engine.run ~num_domains:1 ?tile ~step ~backend:Vm.Engine.Interp ~region ~params
+                bound)
+            region;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d region(s)%s: = Eval cell by cell (bitwise)" name
+               (List.length region)
+               (if tile = None then "" else ", 2-cell tiles"))
+            true (blocks_bits_equal block reference))
+        regions)
+    tiles
+
+let f3 = Fieldspec.scalar ~dim:3 "f3"
+let g3 = Fieldspec.scalar ~dim:3 "g3"
+
+(* A 3D kernel with temporaries that depend on z only, on y only and on
+   nothing, as [axes] asks: with a y and a z temporary the lowering loops
+   y, z, x and batches rows; with z alone it batches planes; with none,
+   the whole tile. *)
+let hoisting_kernel axes =
+  let acc d o = access (Fieldspec.shift (Fieldspec.center f3) d o) in
+  let temp name axis = Field.Assignment.assign_temp name (add [ mul [ num 1.5; coord axis ]; sym "a" ]) in
+  let temps =
+    Field.Assignment.assign_temp "k" (mul [ sym "a"; num 0.25 ])
+    :: List.map (fun axis -> temp (Printf.sprintf "t%d" axis) axis) axes
+  in
+  let uses = List.map (fun axis -> sym (Printf.sprintf "t%d" axis)) axes in
+  Ir.Kernel.make ~name:"hoisting" ~dim:3
+    (temps
+    @ [
+        Field.Assignment.store (Fieldspec.center g3)
+          (add
+             ([ mul [ sym "k"; field f3 ]; acc 0 1; acc 1 (-1); pow (acc 2 1) 3; coord 0 ] @ uses));
+      ])
+
+let test_batch_shapes () =
+  let params = [ ("a", 0.7); ("dx", 0.5) ] in
+  List.iter
+    (fun (axes, batch_from, label) ->
+      let k = hoisting_kernel axes in
+      List.iter
+        (fun dims ->
+          let make_block () =
+            Vm.Engine.make_block ~ghost:1 ~offset:[| 2; 1; 3 |] ~global_dims:[| 20; 20; 20 |]
+              ~dims [ f3; g3 ]
+          in
+          check_batched ~params ~make_block k
+            ~name:(Printf.sprintf "%s on %dx%dx%d" label dims.(0) dims.(1) dims.(2)))
+        [ [| 5; 4; 3 |]; [| 9; 7; 6 |]; [| 70; 2; 1 |]; [| 1; 4; 3 |]; [| 1; 1; 1 |] ];
+      Alcotest.(check int) (label ^ ": batches start at loop depth") batch_from
+        (Lazy.force (Vm.Engine.program k).Vm.Engine.tree).Vm.Engine.batch_from)
+    [ ([ 1; 2 ], 2, "rows"); ([ 2 ], 1, "planes"); ([], 0, "whole tiles") ]
+
+let p1_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p1 ()))
+let p2_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p2 ()))
+
+(* P1's and P2's φ and μ kernels, full and split (the staggered pass
+   sweeps rows of 7), and the projection, on 6^3 blocks. *)
+let test_batched_models () =
+  List.iter
+    (fun (model, gen) ->
+      let gen = Lazy.force gen in
+      let make_block () = Pfcore.Timestep.probe_block gen ~dims:[| 6; 6; 6 |] in
+      let params = Pfcore.Timestep.probe_params gen in
+      let variants =
+        Pfcore.Timestep.phi_candidates gen
+        @ Option.value ~default:[] (Pfcore.Timestep.mu_candidates gen)
+      in
+      List.iter
+        (fun (label, kernels) ->
+          List.iter
+            (fun (k : Ir.Kernel.t) ->
+              check_batched ~params ~make_block k
+                ~name:(Printf.sprintf "%s %s %s" model label k.Ir.Kernel.name))
+            kernels)
+        (variants @ [ ("", Option.to_list gen.Pfcore.Genkernels.projection) ]))
+    [ ("P1", p1_gen); ("P2", p2_gen) ]
+
+(* The float rules hold where the lanes of one batch differ: a sum of
+   four -0 terms, Select on NaN, fmin/fmax on NaN and on zeros of either
+   sign, and a NaN store, against [Eval] cell by cell. *)
+let test_batched_float_rules () =
+  let a = Fieldspec.scalar ~dim:2 "a" and b = Fieldspec.scalar ~dim:2 "b" in
+  let outs = List.init 5 (fun i -> Fieldspec.scalar ~dim:2 (Printf.sprintf "o%d" i)) in
+  let store i e = Field.Assignment.store (Fieldspec.center (List.nth outs i)) e in
+  let k =
+    Ir.Kernel.make ~name:"float_rules" ~dim:2
+      [
+        store 0 (Add [ field a; field b; field a; field b ]);
+        store 1 (Select (Lt (field a, field b), field a, field b));
+        store 2 (fmin_ (field a) (field b));
+        store 3 (fmax_ (field a) (field b));
+        store 4 (Mul [ field a; field b ]);
+      ]
+  in
+  let specials =
+    [| -0.; 0.; Float.nan; Int64.float_of_bits 0x7FF0000000000123L; -1.5; 2.; -.Float.nan |]
+  in
+  let make_block () = Vm.Engine.make_block ~ghost:1 ~dims:[| 13; 5 |] (a :: b :: outs) in
+  (* every pair of specials, within one or two batches *)
+  let fill block =
+    let at c = (c.(1) * 13) + c.(0) in
+    Vm.Buffer.init (Vm.Engine.buffer block a) (fun c _ -> specials.(at c mod 7));
+    Vm.Buffer.init (Vm.Engine.buffer block b) (fun c _ -> specials.(at c / 7 mod 7))
+  in
+  let reference = make_block () and block = make_block () in
+  fill reference;
+  fill block;
+  reference_sweep k reference ~params:[] ~step:0;
+  Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Interp ~params:[] (Vm.Engine.bind k block);
+  List.iter
+    (fun o ->
+      Alcotest.(check bool)
+        (o.Fieldspec.name ^ ": = Eval cell by cell (bitwise)")
+        true
+        (data_bits_equal (Vm.Engine.buffer block o).Vm.Buffer.data
+           (Vm.Engine.buffer reference o).Vm.Buffer.data))
+    outs
+
+(* Lane scratch carries nothing between sweeps: a 2D kernel with Rand and
+   Coord, swept right after a 3D kernel with a large z coordinate, writes
+   the bits of the same sweep on a fresh domain. *)
+let test_lane_scratch_fresh () =
+  let noise =
+    Ir.Kernel.make ~name:"noise2" ~dim:2
+      [
+        Field.Assignment.store (Fieldspec.center g2)
+          (add [ rand 0; mul [ coord 1; rand 1 ]; coord 0 ]);
+      ]
+  in
+  let sweep2 () =
+    let block =
+      Vm.Engine.make_block ~ghost:1 ~offset:[| 3; 4 |] ~global_dims:[| 16; 16 |] ~dims:[| 7; 5 |]
+        [ g2 ]
+    in
+    Vm.Engine.run ~num_domains:1 ~step:9 ~backend:Vm.Engine.Interp ~params:[ ("dx", 0.25) ]
+      (Vm.Engine.bind noise block);
+    Array.copy (Vm.Engine.buffer block g2).Vm.Buffer.data
+  in
+  let fresh = Domain.join (Domain.spawn sweep2) in
+  let deep =
+    Ir.Kernel.make ~name:"deep3" ~dim:3
+      [ Field.Assignment.store (Fieldspec.center g3) (add [ coord 2; coord 1; rand 2 ]) ]
+  in
+  let block3 =
+    Vm.Engine.make_block ~ghost:1 ~offset:[| 0; 0; 900 |] ~global_dims:[| 8; 8; 1000 |]
+      ~dims:[| 8; 8; 8 |] [ g3 ]
+  in
+  Vm.Engine.run ~num_domains:1 ~step:9 ~backend:Vm.Engine.Interp ~params:[ ("dx", 1.) ]
+    (Vm.Engine.bind deep block3);
+  Alcotest.(check bool) "2D sweep after a 3D one = the same sweep on a fresh lane (bitwise)" true
+    (data_bits_equal fresh (sweep2 ()))
+
+(* Batches need independent cells: a kernel that reads a field it stores
+   at another cell is refused when its program is built, and an in-place
+   read at the cell itself (the projection's) still runs. *)
+let test_batched_independence () =
+  let k =
+    Ir.Kernel.make ~name:"smear" ~dim:2
+      [ Field.Assignment.store (Fieldspec.center f2) (access (Fieldspec.shift (Fieldspec.center f2) 0 1)) ]
+  in
+  (match Vm.Engine.program k with
+  | _ -> Alcotest.fail "a read of a stored field off its cell was accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) ("the refusal names the field: " ^ msg) true
+      (Astring.String.is_infix ~affix:"field f," msg));
+  let in_place =
+    Ir.Kernel.make ~name:"in_place" ~dim:2
+      [
+        Field.Assignment.assign_temp "c" (fmax_ (field f2) (num 0.5));
+        Field.Assignment.store (Fieldspec.center f2) (mul [ sym "c"; num 2. ]);
+        Field.Assignment.store (Fieldspec.center g2) (add [ field f2; sym "c" ]);
+      ]
+  in
+  check_batched ~params:[] ~make_block:(fun () -> Vm.Engine.make_block ~ghost:1 ~dims:[| 9; 4 |] [ f2; g2 ]) in_place
+    ~name:"in-place read at the cell"
+
+(* An interpreted P1 step on an 8^3 block allocates at most 16 minor
+   words per cell: no boxed float per node and cell. *)
+let test_interp_step_allocation () =
+  Obs.Sink.disable ();
+  let sim =
+    Pfcore.Timestep.create ~num_domains:1 ~backend:Vm.Engine.Interp ~dims:[| 8; 8; 8 |]
+      (Lazy.force p1_gen)
+  in
+  Pfcore.Simulation.init_model sim;
+  Pfcore.Timestep.prime sim;
+  Pfcore.Timestep.run sim ~steps:2;
+  let steps = 3 in
+  let w0 = Gc.minor_words () in
+  Pfcore.Timestep.run sim ~steps;
+  let per_cell =
+    (Gc.minor_words () -. w0) /. float_of_int (steps * Pfcore.Timestep.lups_per_step sim)
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per cell <= 16" per_cell) true
+    (per_cell <= 16.)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "batches: rows, planes, whole tiles = Eval (bitwise)" `Quick
+        test_batch_shapes;
+      Alcotest.test_case "batches: P1/P2 phi and mu, full and split = Eval (bitwise)" `Quick
+        test_batched_models;
+      Alcotest.test_case "batches: float rules across differing lanes = Eval" `Quick
+        test_batched_float_rules;
+      Alcotest.test_case "batches: lane scratch carries nothing between sweeps" `Quick
+        test_lane_scratch_fresh;
+      Alcotest.test_case "batches: off-cell read of a stored field refused" `Quick
+        test_batched_independence;
+      Alcotest.test_case "batches: an interpreted P1 step allocates <= 16 words per cell" `Quick
+        test_interp_step_allocation;
     ]
