@@ -213,27 +213,28 @@ let build_single ?num_domains ?tile ?backend ~split ~dims params g =
   Pfcore.Timestep.prime sim;
   sim
 
-(* Bitwise comparison of two readers of the phase field (a forest's, an
+(* Bitwise comparison of two readers of the state (a forest's, an
    adaptive forest's or a single block's [get]) over all global interior
-   cells; returns the number of differing (cell, component)s. *)
-let phi_mismatches (g : Pfcore.Genkernels.t) ~global_dims a b =
-  let phi = g.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
+   cells: every component of φ_src and, when the model has μ, of μ_src —
+   what a snapshot holds.  Returns the number of differing (field, cell,
+   component)s. *)
+let state_mismatches (g : Pfcore.Genkernels.t) ~global_dims a b =
   let dim = Array.length global_dims in
   let bad = ref 0 in
   let coords = Array.make dim 0 in
-  let rec walk d =
+  let rec walk field d =
     if d = dim then
-      for c = 0 to phi.Symbolic.Fieldspec.components - 1 do
-        let x = a phi ~component:c coords and y = b phi ~component:c coords in
+      for c = 0 to field.Symbolic.Fieldspec.components - 1 do
+        let x = a field ~component:c coords and y = b field ~component:c coords in
         if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) then incr bad
       done
     else
       for i = 0 to global_dims.(d) - 1 do
         coords.(d) <- i;
-        walk (d + 1)
+        walk field (d + 1)
       done
   in
-  walk 0;
+  List.iter (fun field -> walk field 0) (Pfcore.Timestep.state_fields g);
   !bad
 
 let single_get (sim : Pfcore.Timestep.t) f ~component coords =
@@ -338,7 +339,7 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
       in
       Pfcore.Timestep.run uni ~steps;
       let bad =
-        phi_mismatches g ~global_dims:af.Blocks.Adaptive.global_dims (Blocks.Adaptive.get af)
+        state_mismatches g ~global_dims:af.Blocks.Adaptive.global_dims (Blocks.Adaptive.get af)
           (single_get uni)
       in
       if bad = 0 then Fmt.pr "verification: adaptive forest = uniform fine grid (bitwise)@."
@@ -372,7 +373,7 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
         let clean = build_forest ~split ~grid ~block_dims g in
         Blocks.Forest.run clean ~steps;
         let bad =
-          phi_mismatches g ~global_dims:forest.Blocks.Forest.global_dims
+          state_mismatches g ~global_dims:forest.Blocks.Forest.global_dims
             (Blocks.Forest.get forest) (Blocks.Forest.get clean)
         in
         if bad = 0 then Fmt.pr "verification: protected run = clean run (bitwise)@."
@@ -519,7 +520,7 @@ let snap_out_arg =
 
 let checkpoint_cmd =
   Cmd.v
-    (Cmd.info "checkpoint" ~doc:"Run a simulation and write a versioned, checksummed snapshot of its full state (field buffers with ghosts, step index, model fingerprint).")
+    (Cmd.info "checkpoint" ~doc:"Run a simulation and write a versioned, checksummed snapshot of its state (the interiors of phi_src and, when the model has mu, mu_src; step index; model fingerprint). Resuming re-primes the ghost layers.")
     Term.(const checkpoint $ model_arg $ size_arg $ steps_arg $ ranks_arg $ split_arg
           $ snap_out_arg)
 
@@ -575,7 +576,7 @@ let resume params input steps verify =
         in
         Blocks.Forest.run clean ~steps:(snap.Resilience.Snapshot.step + steps);
         verify_resumed
-          (phi_mismatches g ~global_dims:forest.Blocks.Forest.global_dims
+          (state_mismatches g ~global_dims:forest.Blocks.Forest.global_dims
              (Blocks.Forest.get forest) (Blocks.Forest.get clean))
       end;
       Blocks.Reduce.phase_fractions forest
@@ -592,7 +593,7 @@ let resume params input steps verify =
         let clean = build_single ~split ~dims:snap.Resilience.Snapshot.block_dims params g in
         Pfcore.Timestep.run clean ~steps:(snap.Resilience.Snapshot.step + steps);
         verify_resumed
-          (phi_mismatches g ~global_dims:snap.Resilience.Snapshot.global_dims
+          (state_mismatches g ~global_dims:snap.Resilience.Snapshot.global_dims
              (single_get sim) (single_get clean))
       end;
       Pfcore.Diag.phase_fractions sim

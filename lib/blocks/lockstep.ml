@@ -233,10 +233,9 @@ let finish_exchange t field () =
         exchange_axis t field ~axis
       done)
 
-(** Prime source-field ghosts after initial conditions are written. *)
-let prime t =
-  exchange t (fields t).Pfcore.Model.phi_src;
-  if has_mu t then exchange t (fields t).Pfcore.Model.mu_src
+(** Prime source-field ghosts after initial conditions are written, or
+    after a restore wrote their interiors; idempotent on primed blocks. *)
+let prime t = List.iter (exchange t) (Pfcore.Timestep.state_fields t.gen)
 
 (* ------------------------------------------------------------------ *)
 (* The step                                                            *)

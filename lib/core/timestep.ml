@@ -114,12 +114,17 @@ let set_time t time =
   t.time <- time;
   t.params <- ("t", time) :: t.fixed_params
 
+(** The fields that carry a block's state from one step to the next:
+    φ_src, and μ_src when the model has μ.  A step writes every other
+    buffer (the destinations, the staggered scratch) before it reads it,
+    so these fields' interiors and primed ghosts are all a restart needs. *)
+let state_fields (g : Genkernels.t) =
+  let f = g.Genkernels.fields in
+  if Params.n_mu g.Genkernels.params > 0 then [ f.phi_src; f.mu_src ] else [ f.phi_src ]
+
 (** Exchange ghosts of the source fields — required once after initial
-    conditions are written. *)
-let prime t =
-  t.exchange t.block t.gen.Genkernels.fields.phi_src;
-  if Params.n_mu t.gen.Genkernels.params > 0 then
-    t.exchange t.block t.gen.Genkernels.fields.mu_src
+    conditions are written, and after a restore wrote their interiors. *)
+let prime t = List.iter (t.exchange t.block) (state_fields t.gen)
 
 (* The kernels of the chosen variants, each list in sweep order. *)
 let phi_kernels t = t.phi
@@ -251,8 +256,8 @@ let run ?(on_step = fun (_ : t) -> ()) t ~steps =
   done
 
 (** Resume entry point: reset the step counter and physical time to those
-    of a restored snapshot (field buffers are restored separately by
-    [Resilience.Snapshot]). *)
+    of a restored snapshot (the state fields are restored, and their
+    ghosts primed, by [Resilience.Snapshot]). *)
 let restore t ~step ~time =
   t.step_count <- step;
   set_time t time

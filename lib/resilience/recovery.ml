@@ -2,9 +2,14 @@
     crash restart the substrate, restore the latest checkpoint and replay.
 
     Because kernels draw their fluctuations from Philox streams keyed on
-    (cell, step) and snapshots restore ghost layers verbatim, the replayed
-    steps recompute exactly the values the crashed attempt computed — the
-    protected run finishes bitwise identical to an undisturbed one. *)
+    (cell, step), a snapshot holds every src interior, and a restore
+    re-primes the ghost layers from them (the exchange of an initial
+    condition; every other buffer is written before it is read), the
+    replayed steps recompute exactly the values the crashed attempt
+    computed — the protected run finishes bitwise identical to an
+    undisturbed one.  The priming messages of a rollback go through the
+    substrate like any other, so they shift the sequence numbers a fault
+    plan decides on. *)
 
 type stats = {
   mutable checkpoints : int;

@@ -1,4 +1,4 @@
-(** Versioned, checksummed binary snapshots of full simulation state.
+(** Versioned, checksummed binary snapshots of simulation state.
 
     A snapshot captures everything a bitwise-identical restart needs: the
     block-grid topology (blocks per axis, block and global dimensions),
@@ -6,21 +6,27 @@
     kernel-variant selection, and a fingerprint of the model parameters
     the kernels were generated from.  One type serves a single block, a
     uniform forest and an adaptive forest alike: each is a grid of blocks,
-    and each block is either active (its offset and every padded field
-    buffer, {e ghost layers included}) or frozen (the per-field constants
-    of the adaptive forest's coarsened bulk), with an owning rank and a
-    refinement level — the block id and 0 outside the adaptive forest.
-    Because the Philox fluctuation streams are keyed on (cell, step) and
-    message ordering is deterministic, restoring a snapshot and rerunning
+    and each block is either active (its offset and the interiors of its
+    state fields, [Pfcore.Timestep.state_fields]: φ_src, and μ_src when
+    the model has μ) or frozen (the per-field constants of the adaptive
+    forest's coarsened bulk), with an owning rank and a refinement level —
+    the block id and 0 outside the adaptive forest.  Nothing else is
+    state: a step writes the destination and staggered buffers before it
+    reads them, and a restore writes the src interiors and re-primes
+    their ghosts by exchange, as after initial conditions.  Because the
+    Philox fluctuation streams are keyed on (cell, step) and message
+    ordering is deterministic, restoring a snapshot and rerunning
     reproduces the uninterrupted run bit for bit — the property
     [Resilience.Recovery] and the `check` oracles verify.
 
     The binary encoding is little-endian, versioned by magic, and guarded
     by a CRC-32 over the entire payload: a corrupted file is rejected with
     {!Invalid}, never silently resumed.  Every snapshot is written in the
-    v2 layout; the decoder still reads v1 files (active blocks on the rank
-    of their id, written before the layout carried levels, owners and
-    block tags). *)
+    v3 layout.  The decoder still reads v2 files (every padded field
+    buffer of an active block) and v1 files (v2 without levels, owners and
+    block tags, active blocks on the rank of their id); a restore takes
+    each state field's interior out of the padded buffer they hold and
+    ignores their other fields. *)
 
 exception Invalid of string
 (** Malformed, truncated, version-mismatched or corrupted snapshot data,
@@ -32,8 +38,10 @@ let dims_label = function
   | a -> String.concat "x" (List.map string_of_int (Array.to_list a))
 
 type fields = (string * float array) list
-(** Per field, by name: the full padded buffer of an active block, or the
-    per-component constants of a frozen one. *)
+(** Per field, by name: the interior of an active block's state field
+    ({!Vm.Buffer.read_interior}; in a decoded v1 or v2 file, the padded
+    buffer of every field), or the per-component constants of a frozen
+    block. *)
 
 type block = Active of { offset : int array; fields : fields } | Frozen of fields
 
@@ -69,7 +77,7 @@ let state_bytes t =
 
 let is_split = function Pfcore.Timestep.Split -> true | Pfcore.Timestep.Full -> false
 
-let named (f : Symbolic.Fieldspec.t) a = (f.Symbolic.Fieldspec.name, Array.copy a)
+let name (f : Symbolic.Fieldspec.t) = f.Symbolic.Fieldspec.name
 
 let capture_state = function
   | Blocks.Lockstep.Active sim ->
@@ -78,10 +86,12 @@ let capture_state = function
       {
         offset = Array.copy block.Vm.Engine.offset;
         fields =
-          List.map (fun (f, (buf : Vm.Buffer.t)) -> named f buf.Vm.Buffer.data)
-            block.Vm.Engine.buffers;
+          List.map
+            (fun f -> (name f, Vm.Buffer.read_interior (Vm.Engine.buffer block f)))
+            (Pfcore.Timestep.state_fields sim.Pfcore.Timestep.gen);
       }
-  | Blocks.Lockstep.Frozen consts -> Frozen (List.map (fun (f, cv) -> named f cv) consts)
+  | Blocks.Lockstep.Frozen consts ->
+    Frozen (List.map (fun (f, cv) -> (name f, Array.copy cv)) consts)
 
 (* The one capture core: a grid of blocks in lockstep (all blocks share
    the step index and time). *)
@@ -144,22 +154,26 @@ let require_same_dims what (a : int array) (b : int array) =
   if a <> b then
     invalid "snapshot %s mismatch: stored %s, target %s" what (dims_label a) (dims_label b)
 
-(* Load an active block's buffers (ghost layers verbatim, so no
-   re-priming is needed) and the step clock into [sim]. *)
+(* Load an active block's state-field interiors and the step clock into
+   [sim].  A stored field is an interior (v3) or, from a v1 or v2 file, a
+   padded buffer, told apart by length; the other fields of such a file
+   are ignored.  The ghosts are left to the caller's prime. *)
 let load_active t ~offset ~fields (sim : Pfcore.Timestep.t) =
   let block = sim.Pfcore.Timestep.block in
   require_same_dims "block offset" offset block.Vm.Engine.offset;
   List.iter
-    (fun ((f : Symbolic.Fieldspec.t), (buf : Vm.Buffer.t)) ->
-      let name = f.Symbolic.Fieldspec.name in
-      match List.assoc_opt name fields with
-      | None -> invalid "snapshot is missing field %s" name
+    (fun f ->
+      let buf = Vm.Engine.buffer block f in
+      match List.assoc_opt (name f) fields with
+      | None -> invalid "snapshot is missing field %s" (name f)
       | Some data ->
-        if Array.length data <> Array.length buf.Vm.Buffer.data then
-          invalid "snapshot field %s has %d elements, buffer expects %d" name
-            (Array.length data) (Array.length buf.Vm.Buffer.data);
-        Array.blit data 0 buf.Vm.Buffer.data 0 (Array.length data))
-    block.Vm.Engine.buffers;
+        let n = Array.length data in
+        if n = Vm.Buffer.interior_length buf then Vm.Buffer.write_interior buf data
+        else if n = Array.length buf.Vm.Buffer.data then Vm.Buffer.blit_interior data buf
+        else
+          invalid "snapshot field %s has %d elements, the block holds %d (%d padded)"
+            (name f) n (Vm.Buffer.interior_length buf) (Array.length buf.Vm.Buffer.data))
+    (Pfcore.Timestep.state_fields sim.Pfcore.Timestep.gen);
   Pfcore.Timestep.restore sim ~step:t.step ~time:t.time
 
 (* The one restore core: validate [t] against the target's model and
@@ -201,21 +215,26 @@ let restore_sims t ~grid ~block_dims ~global_dims (sims : Pfcore.Timestep.t arra
       | Frozen _ -> assert false (* rejected by [restore_core] *))
 
 (** Load a snapshot into an existing forest of identical topology and
-    model; the continuation is bitwise identical. *)
+    model, then prime the src ghosts ([Blocks.Forest.prime], which sends
+    messages); the continuation is bitwise identical. *)
 let restore t (f : Blocks.Forest.t) =
   restore_sims t ~grid:f.Blocks.Forest.grid ~block_dims:f.Blocks.Forest.block_dims
-    ~global_dims:f.Blocks.Forest.global_dims f.Blocks.Forest.sims
+    ~global_dims:f.Blocks.Forest.global_dims f.Blocks.Forest.sims;
+  Blocks.Forest.prime f
 
-(** Load a single-block snapshot into an existing simulation. *)
+(** Load a single-block snapshot into an existing simulation, then prime
+    the src ghosts ([Pfcore.Timestep.prime]). *)
 let restore_single t (sim : Pfcore.Timestep.t) =
   let block = sim.Pfcore.Timestep.block in
   restore_sims t
     ~grid:(Array.map (fun _ -> 1) block.Vm.Engine.dims)
-    ~block_dims:block.Vm.Engine.dims ~global_dims:block.Vm.Engine.global_dims [| sim |]
+    ~block_dims:block.Vm.Engine.dims ~global_dims:block.Vm.Engine.global_dims [| sim |];
+  Pfcore.Timestep.prime sim
 
 (** Load a snapshot into an existing adaptive forest of identical topology
     and model: refinement levels, block ownership and per-block state
-    (buffers or constants) are restored exactly, so replay is bitwise
+    (state-field interiors or constants) are restored exactly and the src
+    ghosts primed once every block is placed, so replay is bitwise
     identical — including the adaptation decisions, which are pure
     functions of the restored state. *)
 let restore_adaptive t (af : Blocks.Adaptive.t) =
@@ -248,17 +267,19 @@ let restore_adaptive t (af : Blocks.Adaptive.t) =
           load_active t ~offset ~fields sim;
           Blocks.Adaptive.Active sim));
   af.Blocks.Adaptive.step_count <- t.step;
-  af.Blocks.Adaptive.time <- t.time
+  af.Blocks.Adaptive.time <- t.time;
+  Blocks.Lockstep.prime af.Blocks.Adaptive.blocks
 
 (* ------------------------------------------------------------------ *)
 (* Binary encoding                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* v1 (read only): no levels, no owners, no block tags. *)
-let magics = [| "PFSNAP1\n"; "PFSNAP2\n" |]
-let version = 2
+(* v1 (read only): no levels, no owners, no block tags.  v2 (read only):
+   the v3 framing, active blocks holding every padded buffer. *)
+let magics = [| "PFSNAP1\n"; "PFSNAP2\n"; "PFSNAP3\n" |]
+let version = 3
 
-(* The sizes of the v2 layout's parts, in bytes. *)
+(* The sizes of the v3 layout's parts, in bytes. *)
 let ints_size a = 4 + (4 * Array.length a)
 
 let fields_size l =
@@ -417,7 +438,7 @@ let check_topology ~grid ~block_dims ~global_dims ~blocks =
           (dims_label grid) (dims_label block_dims))
     grid
 
-(** Parse and validate a snapshot of either layout; raises {!Invalid} on
+(** Parse and validate a snapshot of any layout; raises {!Invalid} on
     bad magic, version skew, truncation, checksum mismatch, implausible
     counts, a block grid whose dims disagree ({!check_topology}), an
     unknown block tag or trailing garbage. *)
@@ -511,8 +532,10 @@ let fields_equal =
   List.equal (fun (na, va) (nb, vb) ->
       na = nb && Array.length va = Array.length vb && Array.for_all2 bits_equal va vb)
 
-(** Bitwise structural equality — ghost layers, refinement state and
-    ownership included. *)
+(** Bitwise structural equality of the stored state — refinement state
+    and ownership included.  Two captures are equal exactly when their
+    src interiors (or frozen constants) are; ghosts are not state, and a
+    decoded v1 or v2 file (padded buffers) never equals a capture. *)
 let equal a b =
   a.fingerprint = b.fingerprint
   && a.split_phi = b.split_phi

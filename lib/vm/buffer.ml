@@ -81,16 +81,18 @@ let init t f =
   in
   loop 0
 
-(** Initialize every interior cell (ghosts untouched) from values that
-    depend only on the axis-0 coordinate and the component: [row c] gives
-    the [dims.(0)] values of component [c], copied into each of its
-    interior rows. *)
-let init_rows t row =
-  let nx = t.dims.(0) in
+(* Visit every interior row — the [dims.(0)] cells along axis 0 of one
+   storage component — in storage order: [f c at k] for component [c],
+   the row's first element [at] in [data], and its index [k] among the
+   rows visited. *)
+let iter_interior_rows t f =
+  let k = ref 0 in
   for c = 0 to t.components - 1 do
-    let r = row c in
     let rec loop d at =
-      if d = 0 then Array.blit r 0 t.data (at + t.ghost) nx
+      if d = 0 then begin
+        f c (at + t.ghost) !k;
+        incr k
+      end
       else
         for i = 0 to t.dims.(d) - 1 do
           loop (d - 1) (at + ((i + t.ghost) * t.stride.(d)))
@@ -98,6 +100,42 @@ let init_rows t row =
     in
     loop (t.field.dim - 1) (c * t.comp_stride)
   done
+
+(** Initialize every interior cell (ghosts untouched) from values that
+    depend only on the axis-0 coordinate and the component: [row c] gives
+    the [dims.(0)] values of component [c], copied into each of its
+    interior rows. *)
+let init_rows t row =
+  let nx = t.dims.(0) in
+  let rows = Array.init t.components row in
+  iter_interior_rows t (fun c at _ -> Array.blit rows.(c) 0 t.data at nx)
+
+(** Values of the interior (every storage component, ghosts excluded). *)
+let interior_length t = t.components * Array.fold_left ( * ) 1 t.dims
+
+(** The interior, row by row, as one unpadded array: axis 0 fastest,
+    then the other axes, then the component — {!interior_length} values. *)
+let read_interior t =
+  let nx = t.dims.(0) in
+  let out = Array.create_float (interior_length t) in
+  iter_interior_rows t (fun _ at k -> Array.blit t.data at out (k * nx) nx);
+  out
+
+(** Store a {!read_interior}-shaped array into the interior; ghosts are
+    untouched. *)
+let write_interior t values =
+  if Array.length values <> interior_length t then
+    invalid_arg "Buffer.write_interior: size mismatch";
+  let nx = t.dims.(0) in
+  iter_interior_rows t (fun _ at k -> Array.blit values (k * nx) t.data at nx)
+
+(** Copy the interior of [padded], an array laid out like [t]'s storage,
+    into [t]; ghosts are untouched. *)
+let blit_interior padded t =
+  if Array.length padded <> Array.length t.data then
+    invalid_arg "Buffer.blit_interior: size mismatch";
+  let nx = t.dims.(0) in
+  iter_interior_rows t (fun _ at _ -> Array.blit padded at t.data at nx)
 
 (** Swap the storage of two buffers (the src/dst pointer swap of
     Algorithm 1). *)

@@ -261,7 +261,7 @@ let rand ~dim slot t ar =
     let cy = if dim > 1 then Array.unsafe_get co (width + i) else 0 in
     let cz = if dim > 2 then Array.unsafe_get co ((2 * width) + i) else 0 in
     let cell = ((((cz * gd1) + cy) * gd0) + Array.unsafe_get co i) in
-    set v (t + i) (Philox.symmetric ~cell ~step ~slot)
+    Philox.symmetric_into v (t + i) ~cell ~step ~slot
   done
 
 let store k a ar =

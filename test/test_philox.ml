@@ -95,6 +95,84 @@ let test_rand_stream_scheduling_invariant () =
   (* and the stream must advance with the step index *)
   Alcotest.(check bool) "step decorrelates" true (serial <> run ~num_domains:1 ~step:4)
 
+(* The record-based implementation the local-int rounds replaced, kept as
+   the reference: a [ctr] and a [key] record per round, a tuple per
+   product. *)
+module Reference = struct
+  let mask32 = 0xFFFFFFFF
+
+  let mulhilo m x =
+    let p = Int64.mul m (Int64.of_int (x land mask32)) in
+    (Int64.to_int (Int64.shift_right_logical p 32) land mask32, Int64.to_int p land mask32)
+
+  type ctr = { c0 : int; c1 : int; c2 : int; c3 : int }
+  type key = { k0 : int; k1 : int }
+
+  let round ctr key =
+    let hi0, lo0 = mulhilo 0xD2511F53L ctr.c0 in
+    let hi1, lo1 = mulhilo 0xCD9E8D57L ctr.c2 in
+    { c0 = hi1 lxor ctr.c1 lxor key.k0; c1 = lo1; c2 = hi0 lxor ctr.c3 lxor key.k1; c3 = lo0 }
+
+  let bump key =
+    { k0 = (key.k0 + 0x9E3779B9) land mask32; k1 = (key.k1 + 0xBB67AE85) land mask32 }
+
+  let random_ints ~c0 ~c1 ~c2 ~c3 ~k0 ~k1 =
+    let rec go n ctr key = if n = 0 then ctr else go (n - 1) (round ctr key) (bump key) in
+    let r =
+      go 10
+        { c0 = c0 land mask32; c1 = c1 land mask32; c2 = c2 land mask32; c3 = c3 land mask32 }
+        { k0 = k0 land mask32; k1 = k1 land mask32 }
+    in
+    [| r.c0; r.c1; r.c2; r.c3 |]
+
+  let unit_float hi lo = float_of_int ((hi lsl 21) lor (lo lsr 11)) /. 9007199254740992.0
+
+  let random_floats ~c0 ~c1 ~c2 ~c3 ~k0 ~k1 =
+    let w = random_ints ~c0 ~c1 ~c2 ~c3 ~k0 ~k1 in
+    (unit_float w.(0) w.(1), unit_float w.(2) w.(3))
+
+  let symmetric ~cell ~step ~slot =
+    let u, _ =
+      random_floats ~c0:(cell land mask32) ~c1:(cell lsr 32) ~c2:step ~c3:slot ~k0:0x5eed
+        ~k1:0xC0FFEE
+    in
+    (2. *. u) -. 1.
+end
+
+let bits = Int64.bits_of_float
+
+(* Every entry point writes the reference's bits, for cells below and
+   above 2^32, any step and slot (negative and wide ones included, which
+   the fault plans' salted slots can be), and random counter/key words. *)
+let prop_matches_reference =
+  let open QCheck in
+  let cell = oneof [ int_bound 1_000_000; int_range (1 lsl 32) (1 lsl 60); int ] in
+  Test.make ~name:"rounds over local ints = record-based reference (bitwise)" ~count:2000
+    (quad cell int int (array_of_size (Gen.return 6) int))
+    (fun (cell, step, slot, w) ->
+      bits (Philox.symmetric ~cell ~step ~slot) = bits (Reference.symmetric ~cell ~step ~slot)
+      && Philox.random_ints ~c0:w.(0) ~c1:w.(1) ~c2:w.(2) ~c3:w.(3) ~k0:w.(4) ~k1:w.(5)
+         = Reference.random_ints ~c0:w.(0) ~c1:w.(1) ~c2:w.(2) ~c3:w.(3) ~k0:w.(4) ~k1:w.(5)
+      &&
+      let u, v = Philox.random_floats ~c0:w.(0) ~c1:w.(1) ~c2:w.(2) ~c3:w.(3) ~k0:w.(4) ~k1:w.(5)
+      and u', v' =
+        Reference.random_floats ~c0:w.(0) ~c1:w.(1) ~c2:w.(2) ~c3:w.(3) ~k0:w.(4) ~k1:w.(5)
+      in
+      bits u = bits u' && bits v = bits v')
+
+(* A [symmetric] call allocates its boxed result and nothing else: at
+   most 3 minor words (the record-based rounds took 162). *)
+let test_symmetric_allocation () =
+  let n = 100_000 in
+  let acc = ref 0. in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    acc := !acc +. Philox.symmetric ~cell:(i + (1 lsl 33)) ~step:i ~slot:3
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per call <= 3" per_call) true
+    (per_call <= 3. && Float.is_finite !acc)
+
 let prop_bump_changes_output =
   QCheck.Test.make ~name:"key bump changes output" ~count:200 QCheck.(pair small_nat small_nat)
     (fun (c, k) ->
@@ -113,4 +191,7 @@ let suite =
     Alcotest.test_case "rand stream scheduling-invariant" `Quick
       test_rand_stream_scheduling_invariant;
     QCheck_alcotest.to_alcotest prop_bump_changes_output;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "symmetric allocates <= 3 words per call" `Quick
+      test_symmetric_allocation;
   ]

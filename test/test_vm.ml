@@ -728,9 +728,40 @@ let test_interp_step_allocation () =
   Alcotest.(check bool) (Printf.sprintf "%.2f minor words per cell <= 16" per_cell) true
     (per_cell <= 16.)
 
+(* An interpreted P2 φ-full sweep on a 6^3 block allocates at most 2
+   minor words per cell: its Philox fluctuation term draws without a
+   record, tuple or array per round (the record-based rounds cost ~486
+   words per cell). *)
+let test_interp_philox_allocation () =
+  Obs.Sink.disable ();
+  let gen = Lazy.force p2_gen in
+  let sim =
+    Pfcore.Timestep.create ~num_domains:1 ~backend:Vm.Engine.Interp ~dims:[| 6; 6; 6 |] gen
+  in
+  Pfcore.Simulation.init_model sim;
+  Pfcore.Timestep.prime sim;
+  let phi = List.hd sim.Pfcore.Timestep.phi (* the full variant: one kernel *) in
+  let sweep step =
+    Vm.Engine.sweep ~num_domains:1 ~tile:None ~backend:Vm.Engine.Interp ~region:Vm.Engine.Whole
+      ~step ~params:(Pfcore.Timestep.runtime_params sim) phi
+  in
+  sweep 0;
+  let sweeps = 3 in
+  let w0 = Gc.minor_words () in
+  for step = 1 to sweeps do
+    sweep step
+  done;
+  let per_cell =
+    (Gc.minor_words () -. w0) /. float_of_int (sweeps * Pfcore.Timestep.lups_per_step sim)
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per cell <= 2" per_cell) true
+    (per_cell <= 2.)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "batches: an interpreted P2 phi-full sweep allocates <= 2 words per \
+                          cell" `Quick test_interp_philox_allocation;
       Alcotest.test_case "batches: rows, planes, whole tiles = Eval (bitwise)" `Quick
         test_batch_shapes;
       Alcotest.test_case "batches: P1/P2 phi and mu, full and split = Eval (bitwise)" `Quick
