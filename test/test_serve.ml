@@ -158,7 +158,30 @@ let test_preempt_roundtrip_bitwise () =
   Alcotest.(check bool) "park -> release -> resume is bitwise exact" true
     (Resilience.Snapshot.equal
        (Resilience.Snapshot.capture_single sim2)
-       (Resilience.Snapshot.capture_single solo))
+       (Resilience.Snapshot.capture_single solo));
+  Alcotest.(check bool) "in the state and destination buffers, ghosts included" true
+    (Check.Oracles.buffers_bitwise_equal ~scratch:false [ sim2 ] [ solo ])
+
+(* Each spec's solo blocks ([Scheduler.solo_exec]), and a farm
+   [on_finish] hook recording the ids of finished jobs whose blocks
+   differ from them in a state or destination buffer, ghosts included (a
+   resumed job's scratch is its recycled storage's). *)
+let solo_blocks_check specs =
+  let solo =
+    List.map
+      (fun (s : Workload.spec) -> (s.Workload.id, Scheduler.exec_sims (Scheduler.solo_exec s)))
+      specs
+  in
+  let differ = ref [] in
+  let on_finish (spec : Workload.spec) sims =
+    if
+      not
+        (Check.Oracles.buffers_bitwise_equal ~scratch:false sims
+           (List.assoc spec.Workload.id solo))
+    then
+      differ := spec.Workload.id :: !differ
+  in
+  (on_finish, differ)
 
 (* ---- scheduler end to end ---- *)
 
@@ -167,8 +190,10 @@ let test_scheduler_completes_and_preempts () =
   let config =
     { (Scheduler.default_config ()) with quantum = 1; max_active = 2; park_after = 1 }
   in
-  let stats = Scheduler.run ~config ~mempool:(Mempool.create ()) specs in
+  let on_finish, differ = solo_blocks_check specs in
+  let stats = Scheduler.run ~config ~on_finish ~mempool:(Mempool.create ()) specs in
   Alcotest.(check int) "all jobs complete" 6 (List.length stats.Scheduler.results);
+  Alcotest.(check (list int)) "finished blocks = solo blocks, ghosts included" [] !differ;
   Alcotest.(check int) "nothing rejected" 0 (List.length stats.Scheduler.rejected);
   Alcotest.(check bool) "quantum 1 + park-after 1 preempts" true (stats.Scheduler.preemptions > 0);
   let latencies =
@@ -386,9 +411,10 @@ let test_batch_compiles_before_first_quantum () =
   in
   let config = { (Scheduler.default_config ()) with num_domains = 1 } in
   let mempool = Mempool.create () in
+  let on_finish, differ = solo_blocks_check specs in
   let traced () =
     with_obs (fun () ->
-        let stats = Scheduler.run ~config ~mempool specs in
+        let stats = Scheduler.run ~config ~on_finish ~mempool specs in
         (stats, Array.of_list (Obs.Sink.events ())))
   in
   let begins name events =
@@ -416,6 +442,7 @@ let test_batch_compiles_before_first_quantum () =
         Alcotest.(check bool) "a JIT job = its solo run (bitwise)" true
           (Resilience.Snapshot.equal r.Scheduler.final (Scheduler.run_solo r.Scheduler.r_spec)))
     stats.Scheduler.results;
+  Alcotest.(check (list int)) "every job's blocks = its solo run's, ghosts included" [] !differ;
   let _, events = traced () in
   let misses = snd (Vm.Jit.cache_stats ()) in
   Vm.Jit.clear_cache ();
