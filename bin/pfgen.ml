@@ -250,9 +250,9 @@ let build_adaptive ?num_domains ?tile ?backend ~overlap ~split ~ranks ~bgrid ~bl
   Blocks.Adaptive.prime af;
   af
 
-(* Every diagnostic below is the value of the fixed-topology reduction
-   tree, so the printed numbers are bitwise reproducible across domain
-   counts, tile shapes, backends and rank decompositions. *)
+(* Every diagnostic below is an exact reduction (a sum rounded once), so
+   the printed numbers are bitwise reproducible across domain counts,
+   tile shapes, backends and rank decompositions. *)
 let print_diag ~interface ~fraction ~mn ~mx =
   Fmt.pr "diag: interface cells %.0f (fraction %.6f), phi[0] min %.17g max %.17g@."
     interface fraction mn mx
@@ -478,7 +478,7 @@ let adaptive_arg =
   Arg.(value & flag & info [ "adaptive" ] ~doc:"Run on the interface-adaptive block forest (6-cell blocks, Morton-balanced over the ranks): fully-bulk blocks freeze to per-field constants, interface blocks stay resolved, and the result is verified bitwise against the uniform fine-grid run. Requires --size a multiple of 6.")
 
 let diag_arg =
-  Arg.(value & flag & info [ "diag" ] ~doc:"Print canonical diagnostics (interface-cell count and fraction, min/max of phase component 0) computed by the fixed-topology reduction tree: bitwise reproducible across domain counts, tile shapes, backends and rank decompositions.")
+  Arg.(value & flag & info [ "diag" ] ~doc:"Print deterministic diagnostics (interface-cell count and fraction, min/max of phase component 0) computed by exact, order-free reductions: bitwise reproducible across domain counts, tile shapes, backends and rank decompositions.")
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc:"Record spans (kernel sweeps, ghost exchanges, checkpoints) and write a Chrome trace-event JSON to $(docv): one lane per simulated rank, one track per OCaml domain. Open in about://tracing or Perfetto." ~docv:"FILE")

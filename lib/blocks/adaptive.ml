@@ -42,10 +42,10 @@
     construction (asserted).  After each adaptation round the blocks are
     re-assigned to ranks along the Morton curve with stored-cell weights
     ({!Morton.balance}); migrating blocks ship their padded buffers over
-    {!Mpisim} channels through the self-healing protocol.  Reductions
-    ride the same canonical tree as everywhere else: frozen blocks
-    publish the canonical nodes of their constant cells, so diagnostics
-    are bitwise independent of the refinement state. *)
+    {!Mpisim} channels through the self-healing protocol.  Reductions are
+    exact sums like everywhere else: a frozen block adds its constant
+    once per cell in O(1), so diagnostics are bitwise independent of the
+    refinement state. *)
 
 open Symbolic
 
@@ -340,9 +340,7 @@ let consts_equal (a : consts) (b : consts) =
     interface band is physically an interface and must keep evolving
     actively (it is about to deviate anyway). *)
 let bulk_vertex t (consts : consts) =
-  Array.for_all
-    (fun v -> not (v > Vm.Reduce.interface_lo && v < Vm.Reduce.interface_hi))
-    (Lockstep.const_of consts (fields t).Pfcore.Model.phi_src)
+  not (Array.exists Vm.Reduce.in_band (Lockstep.const_of consts (fields t).Pfcore.Model.phi_src))
 
 let probe_key (consts : consts) =
   String.concat ";"
@@ -572,7 +570,7 @@ let prime t =
   adapt_round t ~allow_freeze:true
 
 (* ------------------------------------------------------------------ *)
-(* Stepping, cell access and canonical reductions                      *)
+(* Stepping, cell access and reductions                                *)
 (* ------------------------------------------------------------------ *)
 
 (** One lockstep step over the active blocks ({!Lockstep.step}), followed

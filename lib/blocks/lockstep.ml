@@ -275,7 +275,7 @@ let step t ~overlap ~step =
       Mpisim.finalize t.comm)
 
 (* ------------------------------------------------------------------ *)
-(* Canonical reductions                                                *)
+(* Reductions                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (** First tag of the reduction channels (round [k] uses
@@ -285,11 +285,12 @@ let reduce_tag_base = 100
 
 (** Combine per-rank partials over a {e fixed recursive-halving binary
     tree} over rank ids: in round [k], every rank [r] with
-    [r mod 2^(k+1) = 2^k] sends its accumulated node list to rank
-    [r - 2^k]; after [ceil(log2 n)] rounds rank 0 holds the full node set.
-    All sends of a round are posted before its receives drain.  Payloads
-    travel as [lo; hi; v] float triples through the self-healing
-    [Ghost.fetch]; a dead rank surfaces as [Ghost.Rank_crashed]. *)
+    [r mod 2^(k+1) = 2^k] sends its accumulated partial to rank
+    [r - 2^k], which merges it; after [ceil(log2 n)] rounds rank 0 holds
+    the whole reduction.  All sends of a round are posted before its
+    receives drain.  Each message is one fixed-size encoded partial
+    through the self-healing [Ghost.fetch]; a dead rank surfaces as
+    [Ghost.Rank_crashed]. *)
 let tree_gather comm (partials : Vm.Reduce.partial array) : Vm.Reduce.partial =
   let n = Array.length partials in
   for r = 0 to n - 1 do
@@ -306,75 +307,44 @@ let tree_gather comm (partials : Vm.Reduce.partial array) : Vm.Reduce.partial =
     done;
     for r = 0 to n - 1 do
       if r land ((2 * h) - 1) = 0 && r + h < n then
-        acc.(r) <- Vm.Reduce.decode (Ghost.fetch comm ~src:(r + h) ~dst:r ~tag) @ acc.(r)
+        acc.(r) <-
+          Vm.Reduce.merge acc.(r) (Vm.Reduce.decode (Ghost.fetch comm ~src:(r + h) ~dst:r ~tag))
     done;
     incr k
   done;
   acc.(0)
 
-(* Canonical nodes of a frozen block: same tree segments an active block
-   would publish, with the constant read in place of the buffer. *)
-let frozen_partial t id (consts : consts) (field : Fieldspec.t) cellfn op :
-    Vm.Reduce.partial =
-  let dim = Array.length t.block_dims in
-  let gdims = t.global_dims in
-  let n = Vm.Reduce.total_cells gdims in
-  let c = coords t.grid id in
-  let offset = Array.mapi (fun d bd -> c.(d) * bd) t.block_dims in
-  let f =
-    match cellfn with
-    | Vm.Reduce.Component comp ->
-      let v = (const_of consts field).(comp) in
-      fun _ -> v
-    | Vm.Reduce.Interface ->
-      let cv = const_of consts field in
-      let hit =
-        Array.exists
-          (fun v -> v > Vm.Reduce.interface_lo && v < Vm.Reduce.interface_hi)
-          cv
-      in
-      let v = if hit then 1. else 0. in
-      fun _ -> v
-    | Vm.Reduce.Custom fn ->
-      fun gi ->
-        let g = Array.make dim 0 in
-        let rem = ref gi in
-        for d = 0 to dim - 1 do
-          g.(d) <- !rem mod gdims.(d);
-          rem := !rem / gdims.(d)
-        done;
-        fn g
-  in
-  let acc = ref [] in
-  let cell = Array.copy offset in
-  let rec walk d =
-    if d = 0 then begin
-      cell.(0) <- offset.(0);
-      let a = Vm.Reduce.global_index gdims cell in
-      let b = a + t.block_dims.(0) in
-      acc := Vm.Reduce.segment ~n f op a b @ !acc
-    end
-    else
-      for i = 0 to t.block_dims.(d) - 1 do
-        cell.(d) <- offset.(d) + i;
-        walk (d - 1)
-      done
-  in
-  walk (dim - 1);
-  !acc
+(* A frozen block's partial: its constant once per cell, added in O(1);
+   only the [Custom] test hook visits the cells, by global coordinates. *)
+let frozen_partial t id (consts : consts) (field : Fieldspec.t) cellfn op =
+  let p = Vm.Reduce.empty op in
+  let count = Vm.Reduce.total_cells t.block_dims in
+  (match cellfn with
+  | Vm.Reduce.Component comp -> Vm.Reduce.add_const p (const_of consts field).(comp) ~count
+  | Vm.Reduce.Interface ->
+    let hit = Array.exists Vm.Reduce.in_band (const_of consts field) in
+    Vm.Reduce.add_const p (if hit then 1. else 0.) ~count
+  | Vm.Reduce.Custom fn ->
+    let c = coords t.grid id in
+    for i = 0 to count - 1 do
+      let local = coords t.block_dims i in
+      Vm.Reduce.add p (fn (Array.mapi (fun d x -> (c.(d) * t.block_dims.(d)) + x) local))
+    done);
+  p
 
 (** Deterministic scalar reduction of one field over the block set.
     Active blocks reduce their buffers through [Vm.Reduce.block_partial]
-    with their own pool, tile and backend (overridable); frozen blocks
-    publish the canonical nodes of their constants; per-rank node sets
-    combine over {!tree_gather}.  The tree shape depends only on the rank
-    count and nodes merge by key, so the scalar is bitwise identical for
-    any decomposition, whatever is frozen, and identical to the serial
-    single-block reference over the same global cells. *)
+    with their own pool, tile and backend (overridable); frozen blocks add
+    their constants; each rank merges its blocks' partials, and the ranks'
+    partials combine over {!tree_gather}.  Partials are exact, so the
+    scalar is bitwise identical for any decomposition, whatever is
+    frozen, and identical to the serial single-block reference over the
+    same global cells. *)
 let scalar ?backend ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
-  let partials =
-    Array.mapi
-      (fun id st ->
+  let per_rank = Array.init t.comm.Mpisim.n_ranks (fun _ -> Vm.Reduce.empty op) in
+  Array.iteri
+    (fun id st ->
+      let p =
         match st with
         | Active sim ->
           Vm.Reduce.block_partial
@@ -382,26 +352,23 @@ let scalar ?backend ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
             ~num_domains:(Option.value num_domains ~default:sim.Pfcore.Timestep.num_domains)
             ?tile:(match tile with Some _ -> tile | None -> sim.Pfcore.Timestep.tile)
             sim.Pfcore.Timestep.block field cellfn op
-        | Frozen consts -> frozen_partial t id consts field cellfn op)
-      t.states
-  in
-  let per_rank = Array.make t.comm.Mpisim.n_ranks [] in
-  for id = nblocks t - 1 downto 0 do
-    per_rank.(t.owner.(id)) <- partials.(id) @ per_rank.(t.owner.(id))
-  done;
-  let nodes = tree_gather t.comm per_rank in
-  Vm.Reduce.assemble ~n:(Vm.Reduce.total_cells t.global_dims) op [ nodes ]
+        | Frozen consts -> frozen_partial t id consts field cellfn op
+      in
+      let r = t.owner.(id) in
+      per_rank.(r) <- Vm.Reduce.merge per_rank.(r) p)
+    t.states;
+  Vm.Reduce.finish ~n:(Vm.Reduce.total_cells t.global_dims) (tree_gather t.comm per_rank)
 
-(** Volume-weighted phase fractions of φ_src: component [c]'s canonical
-    sum over every cell divided by the global cell count. *)
+(** Volume-weighted phase fractions of φ_src: component [c]'s exact sum
+    over every cell divided by the global cell count. *)
 let phase_fractions ?backend ?num_domains ?tile t =
   let phi = (fields t).Pfcore.Model.phi_src in
   let n = float_of_int (Vm.Reduce.total_cells t.global_dims) in
   Array.init phi.Fieldspec.components (fun c ->
       scalar ?backend ?num_domains ?tile t phi (Vm.Reduce.Component c) Vm.Reduce.Sum /. n)
 
-(** Canonical count of interface cells (any φ component strictly inside
-    the (0.01, 0.99) band) — the adaptive forest's refinement criterion. *)
+(** Count of interface cells (any φ component strictly inside the
+    (0.01, 0.99) band) — the adaptive forest's refinement criterion. *)
 let interface_cells ?backend ?num_domains ?tile t =
   scalar ?backend ?num_domains ?tile t (fields t).Pfcore.Model.phi_src Vm.Reduce.Interface
     Vm.Reduce.Sum

@@ -681,8 +681,8 @@ let arb_reduce : reduce_sample QCheck.arbitrary =
     ~shrink:shrink_reduce
     (let* rd_seed = G.int_bound 10_000 in
      let* rd_grid = G.oneofl [ [| 1; 1 |]; [| 2; 1 |]; [| 1; 2 |]; [| 2; 2 |] ] in
-     (* degenerate tiles included on purpose: the canonical tree must make
-        every decomposition publish the same nodes *)
+     (* degenerate tiles included on purpose: exact partials must make
+        every decomposition give the same bits *)
      let* rd_tile = G.array_size (G.return 2) (G.oneofl [ 0; 1; 2; 3; 5 ]) in
      let* rd_domains = G.oneofl [ 1; 2; 4 ] in
      let* rd_jit = G.bool in

@@ -346,9 +346,8 @@ let poison_adaptive af = List.iter poison (Blocks.Adaptive.active_sims af)
     With [~scratch:false] only the state fields and their destinations
     count, ghosts included — for a run restored or resumed into other
     storage and stepped since, whose scratch no step writes (the outer
-    ghosts of a staggered field, the μ buffers of a model without μ)
-    keeps that storage's NaN or zeros, while a destination holds the
-    previous state with its primed ghosts. *)
+    ghosts of a staggered field) keeps that storage's NaN or zeros, while
+    a destination holds the previous state with its primed ghosts. *)
 let buffers_bitwise_equal ?(scratch = true) (a : Pfcore.Timestep.t list)
     (b : Pfcore.Timestep.t list) =
   let same (x : Pfcore.Timestep.t) (y : Pfcore.Timestep.t) =
@@ -843,14 +842,14 @@ let overlapped_vs_sequential ~count =
       check fields.Pfcore.Model.phi_src && check fields.Pfcore.Model.mu_src)
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 11: canonical reductions vs. serial single-tile reference    *)
+(* Oracle 11: exact reductions vs. serial single-tile reference        *)
 (* ------------------------------------------------------------------ *)
 
 let reduce_op = function 0 -> Vm.Reduce.Sum | 1 -> Vm.Reduce.Min | _ -> Vm.Reduce.Max
 
 (* The custom cell function reads *global* coordinates only, so every
    executor sees the same per-cell value; the Philox-keyed NaN holes
-   exercise the C99 min/max semantics across partial boundaries. *)
+   exercise the NaN-skipping min/max across partial boundaries. *)
 let reduce_cellfn ~seed = function
   | 0 -> Vm.Reduce.Component 0
   | 1 -> Vm.Reduce.Component 1
@@ -858,16 +857,46 @@ let reduce_cellfn ~seed = function
   | _ ->
     Vm.Reduce.Custom
       (fun g ->
-        let cell = Vm.Reduce.global_index global2 g in
+        let cell = g.(0) + (global2.(0) * g.(1)) in
         let u = Philox.symmetric ~cell ~step:seed ~slot:11 in
         if u > 0.6 then Float.nan else u)
 
-(* The tentpole claim for reductions: the canonical-tree scalar is a
-   function of the field values alone.  The serial single-tile interpreted
-   reference must be reproduced bitwise by (a) a pooled, tiled, arbitrary-
-   backend sweep of the same block, and (b) a decomposed forest combining
-   per-rank partials over the fixed rank tree — with drop/delay/duplicate
-   fault plans healing invisibly on the reduction channels. *)
+(* The cell values a reduction of [cellfn] over a block holding the whole
+   domain adds, in storage order (axis 0 fastest). *)
+let cell_values (block : Vm.Engine.block) field cellfn =
+  let buf = Vm.Engine.buffer block field and dims = block.Vm.Engine.dims in
+  Array.init (Vm.Reduce.total_cells dims) (fun i ->
+      let rem = ref i in
+      let c =
+        Array.map
+          (fun n ->
+            let x = !rem mod n in
+            rem := !rem / n;
+            x)
+          dims
+      in
+      match cellfn with
+      | Vm.Reduce.Component k -> Vm.Buffer.get buf ~component:k c
+      | Vm.Reduce.Interface ->
+        let hit = ref false in
+        for k = 0 to buf.Vm.Buffer.components - 1 do
+          if Vm.Reduce.in_band (Vm.Buffer.get buf ~component:k c) then hit := true
+        done;
+        if !hit then 1. else 0.
+      | Vm.Reduce.Custom f -> f c)
+
+(* The serial reference of a sum is the correctly rounded sum of its cell
+   values, as the independent expansion sum computes it. *)
+let exact_reference reference (block : Vm.Engine.block) field cellfn op =
+  op <> Vm.Reduce.Sum || bits_equal reference (Fsum.sum (cell_values block field cellfn))
+
+(* The central claim for reductions: a reduction is a function of the
+   field values alone.  The serial single-tile interpreted reference, a
+   sum equal to the independent exact sum of the same cells, must be
+   reproduced bitwise by (a) a pooled, tiled, arbitrary-backend sweep of
+   the same block, and (b) a decomposed forest merging per-rank partials
+   over the fixed rank tree — with drop/delay/duplicate fault plans
+   healing invisibly on the reduction channels. *)
 let reduce_vs_serial ~count =
   QCheck.Test.make
     ~name:"oracle11: pooled/tiled/forest reduction = serial reference (bitwise)" ~count
@@ -917,7 +946,8 @@ let reduce_vs_serial ~count =
         Blocks.Reduce.forest_scalar ~backend ~num_domains:s.Gen.rd_domains
           ~tile:s.Gen.rd_tile forest phi cellfn op
       in
-      bits_equal reference pooled && bits_equal reference dist)
+      exact_reference reference single.Pfcore.Timestep.block phi cellfn op
+      && bits_equal reference pooled && bits_equal reference dist)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 5 extension: adaptive forest vs. uniform fine grid           *)
@@ -976,7 +1006,7 @@ let adaptive_fault_plan ?crash (s : Gen.adaptive_sample) =
    are all semantics-free: the adaptive forest (Static or Adapt mode, any
    rank count / pool width / tile / backend, under healing fault plans)
    must reproduce the uniform fine-grid run cell for cell — and its
-   canonical reduction, frozen-block nodes included, must be bitwise the
+   reduction, frozen blocks' constants included, must be bitwise the
    uniform block's. *)
 let adaptive_vs_uniform ~count =
   QCheck.Test.make
@@ -1380,8 +1410,9 @@ let zoo_overlap ~count =
       in
       check fields.Pfcore.Model.phi_src && check fields.Pfcore.Model.mu_src)
 
-(* Oracle 11 over the zoo: pooled, tiled and forest-distributed canonical
-   reductions of an evolved zoo field reproduce the serial scalar bitwise. *)
+(* Oracle 11 over the zoo: pooled, tiled and forest-distributed
+   reductions of an evolved zoo field reproduce the serial scalar bitwise,
+   and a serial sum is the exact sum of its cells. *)
 let zoo_reduce ~count =
   QCheck.Test.make
     ~name:"oracle11 zoo: pooled/forest reduction = serial reference (bitwise)" ~count
@@ -1418,7 +1449,8 @@ let zoo_reduce ~count =
         Blocks.Reduce.forest_scalar ~backend ~num_domains:s.Gen.zdomains
           ~tile:s.Gen.ztile forest phi cellfn op
       in
-      bits_equal reference pooled && bits_equal reference dist)
+      exact_reference reference single.Pfcore.Timestep.block phi cellfn op
+      && bits_equal reference pooled && bits_equal reference dist)
 
 (* Adaptive-forest leg over the zoo.  Gray-Scott is the family whose
    Pearson background (u=1, v=0) is an *exact* fixed point of the rhs, so

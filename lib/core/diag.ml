@@ -2,13 +2,14 @@
 
     A scalar folded in storage order depends on nothing {e protecting}
     that order once a sweep is tiled, pooled or decomposed.  This module
-    computes the physics through [Vm.Reduce]'s canonical tree instead, so
-    every scalar here is bitwise identical across tile shapes, domain
-    counts, steal patterns and backends, and matches the forest-level
-    [Blocks.Reduce] values cell for cell.  These are the numbers the
-    paper's grand-challenge runs steer on (phase fractions, interface
-    area, nucleation triggers, §8) — steering decisions must not depend
-    on the scheduler.
+    computes the physics through [Vm.Reduce]'s exact accumulator instead:
+    a sum is the correctly rounded sum of its cells, so every scalar here
+    is bitwise identical across tile shapes, domain counts, steal
+    patterns and backends, and matches the forest-level [Blocks.Reduce]
+    values cell for cell.  These are the numbers the paper's
+    grand-challenge runs steer on (phase fractions, interface area,
+    nucleation triggers, §8) — steering decisions must not depend on the
+    scheduler.
 
     A {!trigger} watches one diagnostic during a run and records the
     exact step at which it first reaches its threshold; because the
@@ -19,7 +20,7 @@ open Symbolic
 let block_cells (t : Timestep.t) =
   Vm.Reduce.total_cells t.Timestep.block.Vm.Engine.global_dims
 
-(** Canonical-tree scalar of one field of a single-block simulation.
+(** Deterministic scalar of one field of a single-block simulation.
     [op]/[cellfn] as in [Vm.Reduce]; pool width, tile shape and backend
     default to the simulation's own configuration. *)
 let scalar ?backend ?num_domains ?tile (t : Timestep.t) (field : Fieldspec.t) cellfn op =
@@ -31,7 +32,7 @@ let scalar ?backend ?num_domains ?tile (t : Timestep.t) (field : Fieldspec.t) ce
 
 let phi_src (t : Timestep.t) = t.Timestep.gen.Genkernels.fields.Model.phi_src
 
-(** Volume-weighted phase fractions of φ_src, canonical-tree summed. *)
+(** Volume-weighted phase fractions of φ_src, exactly summed. *)
 let phase_fractions ?backend ?num_domains ?tile (t : Timestep.t) =
   let n = float_of_int (block_cells t) in
   Array.init t.Timestep.gen.Genkernels.params.Params.n_phases (fun c ->
@@ -47,8 +48,8 @@ let interface_cells ?backend ?num_domains ?tile (t : Timestep.t) =
 let interface_fraction ?backend ?num_domains ?tile (t : Timestep.t) =
   interface_cells ?backend ?num_domains ?tile t /. float_of_int (block_cells t)
 
-(** NaN-aware extrema of one component (C99 min/max: all-NaN data reduces
-    to NaN, mixed data ignores the NaNs). *)
+(** NaN-aware extrema of one component: NaNs are skipped (all-NaN data
+    reduces to NaN) and -0 orders before +0. *)
 let min_value ?backend ?num_domains ?tile (t : Timestep.t) field ~component =
   scalar ?backend ?num_domains ?tile t field (Vm.Reduce.Component component)
     Vm.Reduce.Min

@@ -2,7 +2,7 @@
     physical scenarios (ternary eutectic lamellae, dendritic seeds), a
     curvature-flow correctness anchor, and observables used by the examples
     and tests (front position, dendrite tip, range check).  Phase fractions
-    and interface extent are [Diag]'s canonical reductions. *)
+    and interface extent are [Diag]'s exact reductions. *)
 
 let phi_buffer (t : Timestep.t) = Vm.Engine.buffer t.block t.gen.Genkernels.fields.phi_src
 let mu_buffer (t : Timestep.t) = Vm.Engine.buffer t.block t.gen.Genkernels.fields.mu_src

@@ -43,9 +43,12 @@ type t = {
 
 let default_exchange block (f : Fieldspec.t) = Vm.Buffer.periodic (Vm.Engine.buffer block f)
 
+(** The fields a block stores: φ's, and μ's only when the model has μ. *)
 let field_list (g : Genkernels.t) =
   let f = g.fields in
-  [ f.phi_src; f.phi_dst; f.mu_src; f.mu_dst; f.phi_stag; f.mu_stag ]
+  if Params.n_mu g.params > 0 then
+    [ f.phi_src; f.phi_dst; f.mu_src; f.mu_dst; f.phi_stag; f.mu_stag ]
+  else [ f.phi_src; f.phi_dst; f.phi_stag ]
 
 (* The kernels of one variant of a family, in sweep order. *)
 let variant_kernels variant ~full ~(split : Genkernels.pair) =

@@ -71,9 +71,9 @@ let default_backend () =
 (** Per-cell field reader for the reduction layer ([Vm.Reduce]): [Interp]
     goes through [Buffer.get] (the bounds-checked reference path); [Jit]
     uses the precomputed base/stride flat addressing the compiled kernels
-    use.  Both return the identical stored bits — a reduction only ever
-    combines them in its canonical tree order, so the backends cannot
-    diverge.  The reader is valid until the next buffer [swap]. *)
+    use.  Both return the identical stored bits, and a reduction sums
+    them exactly, so the backends cannot diverge.  The reader is valid
+    until the next buffer [swap]. *)
 let cell_reader ?(component = 0) ~backend block (f : Fieldspec.t) =
   let buf = buffer block f in
   match backend with

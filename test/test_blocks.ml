@@ -523,7 +523,7 @@ let test_forest_3d_p1 () =
   Array.iter Pfcore.Simulation.init_lamellae forest.Blocks.Forest.sims;
   Blocks.Forest.prime forest;
   Blocks.Forest.run forest ~steps:2;
-  (* the canonical tree makes the decomposition invisible: bitwise equal *)
+  (* exact sums make the decomposition invisible: bitwise equal *)
   let fr_single = Pfcore.Diag.phase_fractions single in
   let fr_forest = Blocks.Reduce.phase_fractions forest in
   Alcotest.(check int) "fraction count" (Array.length fr_single) (Array.length fr_forest);

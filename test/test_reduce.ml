@@ -1,8 +1,12 @@
-(* Reduction battery: canonical-tree edge cases (empty interiors, tiles
-   larger than the sweep, all-NaN extrema, signed-zero sums, uncovered
-   cells), threshold-trigger exactness, exception safety inside pooled
-   reduction tiles, and the adaptive forest actually freezing bulk blocks
-   while staying bitwise equal to the uniform fine-grid run. *)
+(* Reduction battery: the exact accumulator against an independent
+   Shewchuk/fsum reference (permuted, re-split and encoded partials),
+   crafted cancellations, overflow and half-even ties, signed zeros and
+   non-finite cells, the total order of the extrema, the coverage check
+   of [finish]; block-level edge cases (empty interiors, tiles larger
+   than the sweep, all-NaN extrema); threshold-trigger exactness,
+   exception safety inside pooled reduction tiles, and the adaptive
+   forest actually freezing bulk blocks while staying bitwise equal to
+   the uniform fine-grid run. *)
 
 open Symbolic
 
@@ -32,7 +36,7 @@ let fill_philox (buf : Vm.Buffer.t) ~seed =
 (* ---- empty interiors ---- *)
 
 (* A reduction over zero cells is the operator identity: 0 for sums, NaN
-   for the C99 min/max — never a crash, never a stale partial. *)
+   for min/max — never a crash, never a stale partial. *)
 let test_empty_interior () =
   let block = make_block [| 0; 4 |] in
   Alcotest.(check (float 0.))
@@ -80,7 +84,7 @@ let test_all_nan_extrema () =
     "all-NaN max = NaN" true
     (Float.is_nan
        (Vm.Reduce.scalar block f2 (Vm.Reduce.Component 0) Vm.Reduce.Max));
-  (* one finite cell: the C99 semantics ignore every NaN *)
+  (* one finite cell: the extrema skip every NaN *)
   Vm.Buffer.set buf ~component:0 [| 2; 1 |] 3.5;
   Alcotest.(check (float 0.))
     "mixed min ignores NaNs" 3.5
@@ -94,7 +98,7 @@ let test_all_nan_extrema () =
 
 (* IEEE: (-0) + (-0) = -0, so a field of negative zeros must sum to a
    bitwise negative zero through every decomposition — a sign flip would
-   betray an accumulator seeded with +0 somewhere in the tree. *)
+   betray a partial that lost track of its zeros' signs. *)
 let test_signed_zero_sum () =
   let block = make_block [| 6; 5 |] in
   let buf = Vm.Engine.buffer block f2 in
@@ -111,14 +115,119 @@ let test_signed_zero_sum () =
   in
   Alcotest.(check bool) "pooled sum keeps the sign bit" true (bits_equal serial pooled)
 
+(* ---- the exact accumulator ---- *)
+
+let sum_of xs =
+  let p = Vm.Reduce.empty Vm.Reduce.Sum in
+  Array.iter (Vm.Reduce.add p) xs;
+  Vm.Reduce.finish ~n:(Array.length xs) p
+
+let check_bits name expected got =
+  Alcotest.(check int64) name (Int64.bits_of_float expected) (Int64.bits_of_float got)
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+(* Up to 64 cells whose exponents cluster around a random centre in
+   [2^-1074, 2^1000], so they overlap, carry and round; one in eight is
+   subnormal, and some cancel an earlier cell exactly. *)
+let random_cells rng =
+  let centre = Random.State.int rng 2075 - 1074 in
+  let cell () =
+    let sign = if Random.State.bool rng then 1. else -1. in
+    if Random.State.int rng 8 = 0 then
+      sign *. Float.ldexp (float_of_int (Random.State.bits rng)) (-1074)
+    else
+      let e = max (-1074) (min 1000 (centre + Random.State.int rng 121 - 60)) in
+      sign *. Float.ldexp (1. +. Random.State.float rng 1.) e
+  in
+  let xs = Array.init (1 + Random.State.int rng 64) (fun _ -> cell ()) in
+  Array.append xs
+    (Array.init (Random.State.int rng 8) (fun _ ->
+         -.xs.(Random.State.int rng (Array.length xs))))
+
+(* Permute the cells, deal them to 1-7 partials, send every partial
+   through the wire codec and merge them in a random order. *)
+let split_sum rng xs =
+  let xs = Array.copy xs in
+  shuffle rng xs;
+  let parts = Array.init (1 + Random.State.int rng 7) (fun _ -> Vm.Reduce.empty Vm.Reduce.Sum) in
+  Array.iter (fun x -> Vm.Reduce.add parts.(Random.State.int rng (Array.length parts)) x) xs;
+  let parts = Array.map (fun p -> Vm.Reduce.decode (Vm.Reduce.encode p)) parts in
+  shuffle rng parts;
+  Vm.Reduce.finish ~n:(Array.length xs)
+    (Array.fold_left Vm.Reduce.merge (Vm.Reduce.empty Vm.Reduce.Sum) parts)
+
+let test_random_multisets () =
+  let rng = Random.State.make [| 25 |] in
+  for i = 1 to 400 do
+    let xs = random_cells rng in
+    let reference = Check.Fsum.sum xs in
+    check_bits (Printf.sprintf "multiset %d, first split = fsum" i) reference (split_sum rng xs);
+    check_bits (Printf.sprintf "multiset %d, second split = fsum" i) reference (split_sum rng xs)
+  done
+
+let test_crafted_sums () =
+  let max = Float.max_float and tiny = Float.ldexp 1. (-1074) in
+  check_bits "1e308 + 1e308 - 1e308 - 1e308 + 1 = 1" 1.
+    (sum_of [| 1e308; 1e308; -1e308; -1e308; 1. |]);
+  check_bits "max + max - max = max" max (sum_of [| max; max; -.max |]);
+  check_bits "max + max = inf" Float.infinity (sum_of [| max; max |]);
+  check_bits "1 + 2^-53 = 1 (tie to even)" 1. (sum_of [| 1.; Float.ldexp 1. (-53) |]);
+  check_bits "1 + 2^-53 + 2^-1074 = 1 + 2^-52" (1. +. Float.epsilon)
+    (sum_of [| 1.; Float.ldexp 1. (-53); tiny |]);
+  check_bits "2^-1074 + 2^-1074 = 2^-1073" (Float.ldexp 1. (-1073)) (sum_of [| tiny; tiny |]);
+  Alcotest.(check bool) "inf + (-inf) is NaN" true
+    (Float.is_nan (sum_of [| Float.infinity; 1.; Float.neg_infinity |]));
+  check_bits "only -0 cells sum to -0" (-0.) (sum_of [| -0.; -0.; -0. |]);
+  check_bits "-0 and +0 sum to +0" 0. (sum_of [| -0.; 0.; -0. |]);
+  check_bits "1 + (-1) = +0" 0. (sum_of [| 1.; -1. |]);
+  check_bits "the empty sum is +0" 0. (sum_of [||])
+
+(* Integer-valued cells below 2^53 sum exactly, and a frozen block's
+   O(1) constant equals adding its cells one by one. *)
+let test_exact_counts () =
+  let rng = Random.State.make [| 9216 |] in
+  let cells = Array.init 9216 (fun _ -> float_of_int (Random.State.int rng 2)) in
+  let ones = Array.fold_left (fun n x -> if x = 1. then n + 1 else n) 0 cells in
+  check_bits "0/1 cells sum to their count" (float_of_int ones) (sum_of cells);
+  let p = Vm.Reduce.empty Vm.Reduce.Sum in
+  Vm.Reduce.add_const p 0.1 ~count:9216;
+  check_bits "add_const 0.1 ~count:9216 = 9216 adds" (sum_of (Array.make 9216 0.1))
+    (Vm.Reduce.finish ~n:9216 p)
+
+let test_extrema_total_order () =
+  let extremum op xs =
+    let p = Vm.Reduce.empty op in
+    Array.iter (Vm.Reduce.add p) xs;
+    Vm.Reduce.finish ~n:(Array.length xs) p
+  in
+  List.iter
+    (fun xs ->
+      check_bits "min {-0, +0} = -0" (-0.) (extremum Vm.Reduce.Min xs);
+      check_bits "max {-0, +0} = +0" 0. (extremum Vm.Reduce.Max xs))
+    [ [| -0.; 0. |]; [| 0.; -0. |]; [| Float.nan; 0.; -0.; Float.nan |] ]
+
 (* ---- coverage violations ---- *)
 
-let test_uncovered_cell_rejected () =
-  let f _ = 1. in
-  let partial = Vm.Reduce.segment ~n:4 f Vm.Reduce.Sum 0 2 in
-  Alcotest.check_raises "missing leaf raises"
-    (Invalid_argument "Reduce.assemble: cell 2 not covered by any partial") (fun () ->
-      ignore (Vm.Reduce.assemble ~n:4 Vm.Reduce.Sum [ partial ]))
+let test_cover_checked () =
+  let cover cells =
+    let p = Vm.Reduce.empty Vm.Reduce.Sum in
+    Vm.Reduce.add_const p 1. ~count:cells;
+    p
+  in
+  Alcotest.check_raises "2 of 4 cells raises"
+    (Invalid_argument "Reduce.finish: partials cover 2 cells of 4") (fun () ->
+      ignore (Vm.Reduce.finish ~n:4 (cover 2)));
+  Alcotest.check_raises "a double cover raises"
+    (Invalid_argument "Reduce.finish: partials cover 8 cells of 4") (fun () ->
+      ignore (Vm.Reduce.finish ~n:4 (Vm.Reduce.merge (cover 4) (cover 4))));
+  Alcotest.(check (float 0.)) "an exact cover sums" 4. (Vm.Reduce.finish ~n:4 (cover 4))
 
 (* ---- threshold triggers ---- *)
 
@@ -239,7 +348,7 @@ let adaptive_case ?ranks ?min_savings ~gd ~bgrid ~steps init =
       Vm.Reduce.Interface Vm.Reduce.Sum
   in
   Alcotest.(check bool)
-    "canonical interface count agrees over frozen nodes" true
+    "interface count agrees over frozen blocks" true
     (bits_equal usum (Blocks.Adaptive.interface_cells af))
 
 (* Second input: the interface-localized shrinking disc (radius 0.2 L on
@@ -256,12 +365,20 @@ let suite =
       test_empty_interior;
     Alcotest.test_case "reduce: tile larger than sweep = serial (bitwise)" `Quick
       test_tile_larger_than_sweep;
-    Alcotest.test_case "reduce: all-NaN and mixed-NaN extrema (C99)" `Quick
+    Alcotest.test_case "reduce: all-NaN and mixed-NaN extrema skip NaNs" `Quick
       test_all_nan_extrema;
     Alcotest.test_case "reduce: signed-zero sums keep the sign bit" `Quick
       test_signed_zero_sum;
-    Alcotest.test_case "reduce: uncovered cell rejected by assemble" `Quick
-      test_uncovered_cell_rejected;
+    Alcotest.test_case "reduce: split partials = fsum reference (bitwise)" `Quick
+      test_random_multisets;
+    Alcotest.test_case "reduce: crafted sums round once, to nearest-even" `Quick
+      test_crafted_sums;
+    Alcotest.test_case "reduce: exact counts and O(1) constant blocks" `Quick
+      test_exact_counts;
+    Alcotest.test_case "reduce: min/max put -0 before +0 in any order" `Quick
+      test_extrema_total_order;
+    Alcotest.test_case "reduce: finish rejects a partial or double cover" `Quick
+      test_cover_checked;
     Alcotest.test_case "diag: trigger fires on the exact threshold step" `Quick
       test_trigger_exact_threshold;
     Alcotest.test_case "reduce: exception in a reduction tile (usable, balanced spans)"

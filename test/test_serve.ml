@@ -286,6 +286,23 @@ let test_projected_bytes_exact () =
         actual projected)
     [ Workload.Curv2d; Workload.Eutectic; Workload.Pfc; Workload.GrayScott ]
 
+(* No kernel of a model without μ touches μ, so its blocks store none:
+   projection, initial fill and the mempool follow the block's fields. *)
+let test_no_mu_buffers_without_mu () =
+  let names family =
+    let gen = Pfcore.Genkernels.generate (Workload.params_of_family family) in
+    let sim = Pfcore.Timestep.create ~dims:[| 6; 6 |] gen in
+    List.map
+      (fun ((f : Symbolic.Fieldspec.t), _) -> f.Symbolic.Fieldspec.name)
+      sim.Pfcore.Timestep.block.Vm.Engine.buffers
+  in
+  Alcotest.(check (list string))
+    "curvature block: phi only" [ "phi_src"; "phi_dst"; "phi_stag" ] (names Workload.Curv2d);
+  Alcotest.(check (list string))
+    "eutectic block: phi and mu"
+    [ "phi_src"; "phi_dst"; "mu_src"; "mu_dst"; "phi_stag"; "mu_stag" ]
+    (names Workload.Eutectic)
+
 (* ---- activation ---- *)
 
 let with_obs f =
@@ -472,6 +489,8 @@ let suite =
       test_scheduler_shares_tune_cache;
     Alcotest.test_case "workload: projected bytes match real allocation" `Quick
       test_projected_bytes_exact;
+    Alcotest.test_case "workload: a model without mu stores no mu buffers" `Quick
+      test_no_mu_buffers_without_mu;
     Alcotest.test_case "workload: row-wise initial fill = per-cell formula" `Quick
       test_init_sim_rows_match_formula;
     Alcotest.test_case "scheduler: a second batch builds no program" `Quick
