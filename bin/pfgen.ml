@@ -258,13 +258,13 @@ let print_diag ~interface ~fraction ~mn ~mx =
     interface fraction mn mx
 
 (* The same diagnostics over a forest's block set (uniform or adaptive). *)
-let print_blocks_diag ?backend ?num_domains ?tile (b : Blocks.Lockstep.t) phi =
+let print_blocks_diag ?num_domains ?tile (b : Blocks.Lockstep.t) phi =
   let extremum op =
-    Blocks.Lockstep.scalar ?backend ?num_domains ?tile b phi (Vm.Reduce.Component 0) op
+    Blocks.Lockstep.scalar ?num_domains ?tile b phi (Vm.Reduce.Component 0) op
   in
   print_diag
-    ~interface:(Blocks.Lockstep.interface_cells ?backend ?num_domains ?tile b)
-    ~fraction:(Blocks.Lockstep.interface_fraction ?backend ?num_domains ?tile b)
+    ~interface:(Blocks.Lockstep.interface_cells ?num_domains ?tile b)
+    ~fraction:(Blocks.Lockstep.interface_fraction ?num_domains ?tile b)
     ~mn:(extremum Vm.Reduce.Min) ~mx:(extremum Vm.Reduce.Max)
 
 (* The crash-protected run of [--crash-at k]: a chaos fault plan that
@@ -355,8 +355,8 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
         af.Blocks.Adaptive.freezes af.Blocks.Adaptive.thaws af.Blocks.Adaptive.migrations
         (Blocks.Adaptive.savings af);
       if diag then
-        print_blocks_diag ?backend ?num_domains:domains ?tile af.Blocks.Adaptive.blocks phi;
-      Blocks.Adaptive.phase_fractions ?backend ?num_domains:domains ?tile af
+        print_blocks_diag ?num_domains:domains ?tile af.Blocks.Adaptive.blocks phi;
+      Blocks.Adaptive.phase_fractions ?num_domains:domains ?tile af
     end
     else if ranks > 1 then begin
       let grid, block_dims = decomposition ~dim ~size ~ranks in
@@ -382,8 +382,8 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
           exit 1
         end);
       if diag then
-        print_blocks_diag ?backend ?num_domains:domains ?tile forest.Blocks.Forest.blocks phi;
-      Blocks.Reduce.phase_fractions ?backend ?num_domains:domains ?tile forest
+        print_blocks_diag ?num_domains:domains ?tile forest.Blocks.Forest.blocks phi;
+      Blocks.Reduce.phase_fractions ?num_domains:domains ?tile forest
     end
     else begin
       if crash_at <> None then failwith "--crash-at requires --ranks > 1";
@@ -394,11 +394,11 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
       Pfcore.Timestep.run sim ~steps;
       if diag then
         print_diag
-          ~interface:(Pfcore.Diag.interface_cells ?backend ?num_domains:domains ?tile sim)
-          ~fraction:(Pfcore.Diag.interface_fraction ?backend ?num_domains:domains ?tile sim)
-          ~mn:(Pfcore.Diag.min_value ?backend ?num_domains:domains ?tile sim phi ~component:0)
-          ~mx:(Pfcore.Diag.max_value ?backend ?num_domains:domains ?tile sim phi ~component:0);
-      Pfcore.Diag.phase_fractions ?backend ?num_domains:domains ?tile sim
+          ~interface:(Pfcore.Diag.interface_cells ?num_domains:domains ?tile sim)
+          ~fraction:(Pfcore.Diag.interface_fraction ?num_domains:domains ?tile sim)
+          ~mn:(Pfcore.Diag.min_value ?num_domains:domains ?tile sim phi ~component:0)
+          ~mx:(Pfcore.Diag.max_value ?num_domains:domains ?tile sim phi ~component:0);
+      Pfcore.Diag.phase_fractions ?num_domains:domains ?tile sim
     end
   in
   let dt = Unix.gettimeofday () -. t0 in
@@ -648,7 +648,7 @@ let drift_json_arg =
 let drift_cmd =
   Cmd.v
     (Cmd.info "drift"
-       ~doc:"ECM drift oracle: execute all eight P1/P2 kernel variants (phi/mu, full/split) in the VM, compare measured per-cell cost ratios against the ECM performance-model predictions, and report the deviation of each ratio pair. With --check, enforces the documented drift threshold and the mu split <= full ordering.")
+       ~doc:"ECM drift oracle: execute all eight P1/P2 kernel variants (phi/mu, full/split) on the fast tier (the generated C, built with gcc), compare measured per-cell cost ratios against the ECM performance-model predictions of the code as printed, and report the deviation of each ratio pair. With --check, enforces the documented drift threshold and the mu split <= full ordering, and fails when a program fell back to the VM.")
     Term.(const drift $ drift_size_arg $ drift_sweeps_arg $ drift_check_arg $ drift_json_arg)
 
 (* ---- tune ---- *)

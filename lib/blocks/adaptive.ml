@@ -604,14 +604,14 @@ let get t field ~component global = Lockstep.get t.blocks field ~component globa
 (** Deterministic scalar reduction over the adaptive forest
     ({!Lockstep.scalar}): bitwise identical to the same reduction over
     the uniform fine grid, whatever is frozen. *)
-let scalar ?backend ?num_domains ?tile t field cellfn op =
-  Lockstep.scalar ?backend ?num_domains ?tile t.blocks field cellfn op
+let scalar ?num_domains ?tile t field cellfn op =
+  Lockstep.scalar ?num_domains ?tile t.blocks field cellfn op
 
-let phase_fractions ?backend ?num_domains ?tile t =
-  Lockstep.phase_fractions ?backend ?num_domains ?tile t.blocks
+let phase_fractions ?num_domains ?tile t =
+  Lockstep.phase_fractions ?num_domains ?tile t.blocks
 
-let interface_cells ?backend ?num_domains ?tile t =
-  Lockstep.interface_cells ?backend ?num_domains ?tile t.blocks
+let interface_cells ?num_domains ?tile t =
+  Lockstep.interface_cells ?num_domains ?tile t.blocks
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

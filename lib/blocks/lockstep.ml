@@ -334,13 +334,13 @@ let frozen_partial t id (consts : consts) (field : Fieldspec.t) cellfn op =
 
 (** Deterministic scalar reduction of one field over the block set.
     Active blocks reduce their buffers through [Vm.Reduce.block_partial]
-    with their own pool, tile and backend (overridable); frozen blocks add
+    with their own pool and tile (overridable); frozen blocks add
     their constants; each rank merges its blocks' partials, and the ranks'
     partials combine over {!tree_gather}.  Partials are exact, so the
     scalar is bitwise identical for any decomposition, whatever is
     frozen, and identical to the serial single-block reference over the
     same global cells. *)
-let scalar ?backend ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
+let scalar ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
   let per_rank = Array.init t.comm.Mpisim.n_ranks (fun _ -> Vm.Reduce.empty op) in
   Array.iteri
     (fun id st ->
@@ -348,7 +348,6 @@ let scalar ?backend ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
         match st with
         | Active sim ->
           Vm.Reduce.block_partial
-            ~backend:(Option.value backend ~default:sim.Pfcore.Timestep.backend)
             ~num_domains:(Option.value num_domains ~default:sim.Pfcore.Timestep.num_domains)
             ?tile:(match tile with Some _ -> tile | None -> sim.Pfcore.Timestep.tile)
             sim.Pfcore.Timestep.block field cellfn op
@@ -361,18 +360,18 @@ let scalar ?backend ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
 
 (** Volume-weighted phase fractions of φ_src: component [c]'s exact sum
     over every cell divided by the global cell count. *)
-let phase_fractions ?backend ?num_domains ?tile t =
+let phase_fractions ?num_domains ?tile t =
   let phi = (fields t).Pfcore.Model.phi_src in
   let n = float_of_int (Vm.Reduce.total_cells t.global_dims) in
   Array.init phi.Fieldspec.components (fun c ->
-      scalar ?backend ?num_domains ?tile t phi (Vm.Reduce.Component c) Vm.Reduce.Sum /. n)
+      scalar ?num_domains ?tile t phi (Vm.Reduce.Component c) Vm.Reduce.Sum /. n)
 
 (** Count of interface cells (any φ component strictly inside the
     (0.01, 0.99) band) — the adaptive forest's refinement criterion. *)
-let interface_cells ?backend ?num_domains ?tile t =
-  scalar ?backend ?num_domains ?tile t (fields t).Pfcore.Model.phi_src Vm.Reduce.Interface
+let interface_cells ?num_domains ?tile t =
+  scalar ?num_domains ?tile t (fields t).Pfcore.Model.phi_src Vm.Reduce.Interface
     Vm.Reduce.Sum
 
-let interface_fraction ?backend ?num_domains ?tile t =
-  interface_cells ?backend ?num_domains ?tile t
+let interface_fraction ?num_domains ?tile t =
+  interface_cells ?num_domains ?tile t
   /. float_of_int (Vm.Reduce.total_cells t.global_dims)

@@ -206,7 +206,7 @@ let engine_vs_interp ~count =
 (* ------------------------------------------------------------------ *)
 
 (* Domain slicing only partitions the outer loop — every cell runs the
-   identical closures on the same data, so this one is bitwise.  [Rand]
+   identical instructions on the same data, so this one is bitwise.  [Rand]
    streams are keyed by global cell index and must not see the slicing. *)
 let serial_vs_domains ~count =
   QCheck.Test.make ~name:"oracle4: serial sweep = multi-domain sweep (bitwise)" ~count
@@ -654,9 +654,10 @@ let fast_tier_targets () = None :: List.map Option.some (Lazy.force Vm.Jit_cc.su
    coordinates, Philox), printed for every target the host supports and
    run on every innermost extent from 1 to 2w+1 (so every masked
    remainder runs) over NaN-holed inputs at a nonzero global offset, the
-   compiled program writes exactly the interpreter's bits.  All programs of
-   a sample are built by one [Jit.prepare] call, one fan-out of compiler
-   runs. *)
+   compiled program writes exactly the interpreter's bits, the interpreter
+   running the VM variant of the same target (AVX-512, AVX2 or baseline).
+   All programs of a sample are built by one [Jit.prepare] call, one
+   fan-out of compiler runs. *)
 let fast_tier_vs_interp ~count =
   QCheck.Test.make ~name:"oracle8 fuzz: fast tier = interpreter on random kernels (bitwise)"
     ~count (Gen.arb_kernel_batch ~size:10)
@@ -699,7 +700,7 @@ let fast_tier_vs_interp ~count =
         (fun ((s : Gen.kernel_sample), params, k, n, (jit : Vm.Engine.bound)) ->
           let ib = block s n in
           Vm.Engine.run_plain ~backend:Vm.Engine.Interp ~step:s.Gen.seed ~params
-            (Vm.Engine.bind k ib);
+            (Vm.Engine.bind ~jit_target:jit.Vm.Engine.jit_target k ib);
           Vm.Engine.run_plain ~backend:Vm.Engine.Jit ~step:s.Gen.seed ~params jit;
           let a = (Vm.Engine.buffer ib s.Gen.dst).Vm.Buffer.data in
           let b = (Vm.Engine.buffer jit.Vm.Engine.block s.Gen.dst).Vm.Buffer.data in
@@ -893,8 +894,7 @@ let exact_reference reference (block : Vm.Engine.block) field cellfn op =
 (* The central claim for reductions: a reduction is a function of the
    field values alone.  The serial single-tile interpreted reference, a
    sum equal to the independent exact sum of the same cells, must be
-   reproduced bitwise by (a) a pooled, tiled, arbitrary-backend sweep of
-   the same block, and (b) a decomposed forest merging per-rank partials
+   reproduced bitwise by (a) a pooled, tiled sweep of the same block, and (b) a decomposed forest merging per-rank partials
    over the fixed rank tree — with drop/delay/duplicate fault plans
    healing invisibly on the reduction channels. *)
 let reduce_vs_serial ~count =
@@ -911,12 +911,12 @@ let reduce_vs_serial ~count =
       Pfcore.Timestep.prime single;
       Pfcore.Timestep.run single ~steps:s.Gen.rd_steps;
       let reference =
-        Vm.Reduce.scalar ~backend:Vm.Engine.Interp ~num_domains:1
+        Vm.Reduce.scalar ~num_domains:1
           single.Pfcore.Timestep.block phi cellfn op
       in
       let backend = if s.Gen.rd_jit then Vm.Engine.Jit else Vm.Engine.Interp in
       let pooled =
-        Vm.Reduce.scalar ~backend ~num_domains:s.Gen.rd_domains ~tile:s.Gen.rd_tile
+        Vm.Reduce.scalar ~num_domains:s.Gen.rd_domains ~tile:s.Gen.rd_tile
           single.Pfcore.Timestep.block phi cellfn op
       in
       let forest =
@@ -943,7 +943,7 @@ let reduce_vs_serial ~count =
              });
       Blocks.Forest.run forest ~steps:s.Gen.rd_steps;
       let dist =
-        Blocks.Reduce.forest_scalar ~backend ~num_domains:s.Gen.rd_domains
+        Blocks.Reduce.forest_scalar ~num_domains:s.Gen.rd_domains
           ~tile:s.Gen.rd_tile forest phi cellfn op
       in
       exact_reference reference single.Pfcore.Timestep.block phi cellfn op
@@ -1037,7 +1037,7 @@ let adaptive_vs_uniform ~count =
         done
       done;
       let usum =
-        Vm.Reduce.scalar ~backend:Vm.Engine.Interp ~num_domains:1
+        Vm.Reduce.scalar ~num_domains:1
           uniform.Pfcore.Timestep.block phi Vm.Reduce.Interface Vm.Reduce.Sum
       in
       let asum =
@@ -1427,12 +1427,12 @@ let zoo_reduce ~count =
       let cellfn = reduce_cellfn ~seed:s.Gen.zseed cf in
       let single = zoo_sim ~split:s.Gen.zsplit s in
       let reference =
-        Vm.Reduce.scalar ~backend:Vm.Engine.Interp ~num_domains:1
+        Vm.Reduce.scalar ~num_domains:1
           single.Pfcore.Timestep.block phi cellfn op
       in
       let backend = if s.Gen.zjit then Vm.Engine.Jit else Vm.Engine.Interp in
       let pooled =
-        Vm.Reduce.scalar ~backend ~num_domains:s.Gen.zdomains ~tile:s.Gen.ztile
+        Vm.Reduce.scalar ~num_domains:s.Gen.zdomains ~tile:s.Gen.ztile
           single.Pfcore.Timestep.block phi cellfn op
       in
       let variant = zoo_variant s.Gen.zsplit in
@@ -1446,7 +1446,7 @@ let zoo_reduce ~count =
       Blocks.Forest.prime forest;
       Blocks.Forest.run forest ~steps:s.Gen.zsteps;
       let dist =
-        Blocks.Reduce.forest_scalar ~backend ~num_domains:s.Gen.zdomains
+        Blocks.Reduce.forest_scalar ~num_domains:s.Gen.zdomains
           ~tile:s.Gen.ztile forest phi cellfn op
       in
       exact_reference reference single.Pfcore.Timestep.block phi cellfn op

@@ -21,11 +21,10 @@ let block_cells (t : Timestep.t) =
   Vm.Reduce.total_cells t.Timestep.block.Vm.Engine.global_dims
 
 (** Deterministic scalar of one field of a single-block simulation.
-    [op]/[cellfn] as in [Vm.Reduce]; pool width, tile shape and backend
-    default to the simulation's own configuration. *)
-let scalar ?backend ?num_domains ?tile (t : Timestep.t) (field : Fieldspec.t) cellfn op =
+    [op]/[cellfn] as in [Vm.Reduce]; pool width and tile shape default to
+    the simulation's own configuration. *)
+let scalar ?num_domains ?tile (t : Timestep.t) (field : Fieldspec.t) cellfn op =
   Vm.Reduce.scalar
-    ~backend:(Option.value backend ~default:t.Timestep.backend)
     ~num_domains:(Option.value num_domains ~default:t.Timestep.num_domains)
     ?tile:(match tile with Some _ -> tile | None -> t.Timestep.tile)
     t.Timestep.block field cellfn op
@@ -33,29 +32,29 @@ let scalar ?backend ?num_domains ?tile (t : Timestep.t) (field : Fieldspec.t) ce
 let phi_src (t : Timestep.t) = t.Timestep.gen.Genkernels.fields.Model.phi_src
 
 (** Volume-weighted phase fractions of φ_src, exactly summed. *)
-let phase_fractions ?backend ?num_domains ?tile (t : Timestep.t) =
+let phase_fractions ?num_domains ?tile (t : Timestep.t) =
   let n = float_of_int (block_cells t) in
   Array.init t.Timestep.gen.Genkernels.params.Params.n_phases (fun c ->
-      scalar ?backend ?num_domains ?tile t (phi_src t) (Vm.Reduce.Component c)
+      scalar ?num_domains ?tile t (phi_src t) (Vm.Reduce.Component c)
         Vm.Reduce.Sum
       /. n)
 
 (** Interface-cell count: cells with any φ component strictly inside the
     (0.01, 0.99) band. *)
-let interface_cells ?backend ?num_domains ?tile (t : Timestep.t) =
-  scalar ?backend ?num_domains ?tile t (phi_src t) Vm.Reduce.Interface Vm.Reduce.Sum
+let interface_cells ?num_domains ?tile (t : Timestep.t) =
+  scalar ?num_domains ?tile t (phi_src t) Vm.Reduce.Interface Vm.Reduce.Sum
 
-let interface_fraction ?backend ?num_domains ?tile (t : Timestep.t) =
-  interface_cells ?backend ?num_domains ?tile t /. float_of_int (block_cells t)
+let interface_fraction ?num_domains ?tile (t : Timestep.t) =
+  interface_cells ?num_domains ?tile t /. float_of_int (block_cells t)
 
 (** NaN-aware extrema of one component: NaNs are skipped (all-NaN data
     reduces to NaN) and -0 orders before +0. *)
-let min_value ?backend ?num_domains ?tile (t : Timestep.t) field ~component =
-  scalar ?backend ?num_domains ?tile t field (Vm.Reduce.Component component)
+let min_value ?num_domains ?tile (t : Timestep.t) field ~component =
+  scalar ?num_domains ?tile t field (Vm.Reduce.Component component)
     Vm.Reduce.Min
 
-let max_value ?backend ?num_domains ?tile (t : Timestep.t) field ~component =
-  scalar ?backend ?num_domains ?tile t field (Vm.Reduce.Component component)
+let max_value ?num_domains ?tile (t : Timestep.t) field ~component =
+  scalar ?num_domains ?tile t field (Vm.Reduce.Component component)
     Vm.Reduce.Max
 
 (* ------------------------------------------------------------------ *)

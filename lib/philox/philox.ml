@@ -61,8 +61,7 @@ let first_unit_bits a b _ _ = unit_bits a b
     keys on (cell linear index, time step, stream slot).  Only the first
     two output words are used.  The rounds return an int and the float is
     made here, so a caller that inlines this need not box it; any other
-    call allocates its boxed result, 2 words ({!symmetric_into} avoids
-    even that). *)
+    call allocates its boxed result, 2 words. *)
 let[@inline] symmetric ~cell ~step ~slot =
   (* no closure in the body, or ocamlopt would not inline it *)
   let bits =
@@ -70,8 +69,3 @@ let[@inline] symmetric ~cell ~step ~slot =
       first_unit_bits
   in
   (2. *. (float_of_int bits /. two_pow_53)) -. 1.
-
-(** [a.(i) <- symmetric ~cell ~step ~slot], allocating nothing: the value
-    is stored where it is made, so it is never boxed, even for a caller in
-    another module (the interpreter's batched [rand]). *)
-let symmetric_into (a : float array) i ~cell ~step ~slot = a.(i) <- symmetric ~cell ~step ~slot

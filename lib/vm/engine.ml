@@ -1,10 +1,12 @@
 (** Kernel execution engine.
 
     Compiles the post-optimization assignment list — the *same* IR the C
-    backend prints — into closures that each compute one node for a batch
-    of cells, and sweeps it over a block, honoring the lowering result (loop
-    order, hoisted loop-invariant assignments).  Multicore execution slices
-    the outermost loop across OCaml domains, mirroring the generated code's
+    backend prints — into a flat instruction array whose instructions each
+    compute one node for a batch of cells, and sweeps it over a block
+    through a fixed C stub ([vm_stubs.c]), honoring the lowering result
+    (loop order, hoisted loop-invariant assignments).  The JIT's programs
+    run through the same resolved sweep.  Multicore execution slices the
+    outermost loop across OCaml domains, mirroring the generated code's
     OpenMP parallelization. *)
 
 open Symbolic
@@ -46,10 +48,10 @@ let buffer block f =
 (* Backend selection                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** How sweeps execute: [Interp] runs the program's closure tree over
+(** How sweeps execute: [Interp] runs the program's VM instructions over
     batches of cells (the reference semantics); [Jit] calls the C program
     {!Jit} built from the same IR — bitwise identical by contract, held to
-    it by oracle 8 — or, where no program could be built, the interpreter. *)
+    it by oracle 8 — or, where no program could be built, the VM. *)
 type backend = Interp | Jit
 
 let backend_label = function Interp -> "interp" | Jit -> "jit"
@@ -68,230 +70,110 @@ let default_backend () =
     | Some b -> b
     | None -> invalid_arg ("PFGEN_VM_BACKEND: unknown backend " ^ s))
 
-(** Per-cell field reader for the reduction layer ([Vm.Reduce]): [Interp]
-    goes through [Buffer.get] (the bounds-checked reference path); [Jit]
-    uses the precomputed base/stride flat addressing the compiled kernels
-    use.  Both return the identical stored bits, and a reduction sums
-    them exactly, so the backends cannot diverge.  The reader is valid
-    until the next buffer [swap]. *)
-let cell_reader ?(component = 0) ~backend block (f : Fieldspec.t) =
-  let buf = buffer block f in
-  match backend with
-  | Interp -> fun coords -> Buffer.get buf ~component coords
-  | Jit ->
-    let data = buf.Buffer.data in
-    let stride = buf.Buffer.stride in
-    let ghost = buf.Buffer.ghost in
-    let cbase = component * buf.Buffer.comp_stride in
-    fun coords ->
-      let idx = ref cbase in
-      for d = 0 to Array.length coords - 1 do
-        idx := !idx + ((coords.(d) + ghost) * stride.(d))
-      done;
-      Array.unsafe_get data !idx
-
 (* ------------------------------------------------------------------ *)
-(* Batched interpretation                                              *)
+(* VM programs                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Cells one interpreter step serves per call.  The cells of a sweep are
-    independent (the precondition the SIMD printer relies on, checked by
-    {!program}), so a node can compute its value for a whole batch of them
-    before the next node runs. *)
+(** Cells one VM instruction serves per batch ([VM_WIDTH] of
+    [vm_stubs.c]).  The cells of a sweep are independent (the
+    precondition the SIMD printer relies on, checked by {!program}), so an
+    instruction can compute its node for a whole batch of them before the
+    next instruction runs. *)
 let width = 64
 
-(** A pool lane's scratch, shared by every program the lane sweeps.  [v]
-    holds the parameters and [dx], then [width]-float vectors:
-    temporaries, node results, and the batch's field values and broadcast
-    constants.
-    [idx] holds each batch cell's linear index and [co] its global
-    coordinates ([co.(axis * width + cell)]).  A tile writes everything it
-    reads, so nothing carries over from one sweep to the next. *)
-type arena = {
-  mutable v : float array;
-  idx : int array;
-  co : int array;
-  mutable n : int;  (** cells in the current batch *)
-  mutable datas : float array array;  (** the binding's table: data per access *)
-  mutable deltas : int array;  (** and element delta per access *)
-  mutable step : int;
-  mutable gd : int array;  (** global dims *)
+(* The opcodes of [vm_stubs.c], in its order. *)
+let op_gather = 0
+let op_store = 1
+let op_const = 2
+let op_param = 3
+let op_uniform = 4
+let op_copy = 5
+let op_add2 = 6
+let op_mul2 = 7
+let op_add3 = 8
+let op_mul3 = 9
+let op_sum = 10
+let op_prod = 11
+let op_pow = 12
+
+let op_unary : Expr.fn -> int = function
+  | Expr.Sqrt -> 13
+  | Expr.Rsqrt -> 14
+  | Expr.Exp -> 15
+  | Expr.Log -> 16
+  | Expr.Sin -> 17
+  | Expr.Cos -> 18
+  | Expr.Tanh -> 19
+  | Expr.Fabs -> 20
+  | Expr.Fmin | Expr.Fmax -> assert false
+
+let op_min = 21
+let op_max = 22
+let op_sel_lt = 23
+let op_sel_le = 24
+let op_coord = 25
+let op_rand = 26
+
+(** A kernel's VM program: the lowering's groups as one flat instruction
+    array, shared by every block, job and lane that sweeps the program.
+    [instrs] and [consts] come first: [vm_stubs.c] reads them as the
+    record's fields 0 and 1.  [instrs] starts with a header (dim,
+    [batch_from], the parameter count, the ISA variant, the loop order,
+    the bounds of the depth groups); an instruction is an opcode, the
+    arena offset of the vector it writes, then its operands.
+    [batch_from] is the first loop depth with no hoisted group inside it
+    or below: the cells of those loops are gathered into batches, and
+    every shallower loop runs its hoisted group as a one-cell batch. *)
+type code = {
+  instrs : int array;
+  consts : float array;  (** the constants, by index *)
+  batch_from : int;
+  size : int;  (** floats of arena the program uses *)
 }
 
-let arena_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        v = [||];
-        idx = Array.make width 0;
-        co = Array.make (3 * width) 0;
-        n = 0;
-        datas = [||];
-        deltas = [||];
-        step = 0;
-        gd = [||];
-      })
+(** Sweep one tile: the program, the field table, the parameter values
+    then [dx], the tile's int table ({!Jit.tile_ints}) and the lane's
+    arena (at least [size] floats). *)
+external vm_run : code -> float array array -> float array -> int array -> float array -> unit
+  = "pfgen_vm_run"
+[@@noalloc]
 
-(* The steps.  Each writes one node's value for the batch's cells into
-   the vector at [t], from the vectors at its operands' offsets, with the
-   per-cell arithmetic of [Expr]'s evaluation contract. *)
+(* A pool lane's arena, shared by every program the lane sweeps: vector
+   [t] is [width] floats from offset [t]; a hoisted temporary lives in its
+   vector's first lane.  A tile writes everything it reads, so nothing
+   carries over from one sweep to the next. *)
+let arena_key = Domain.DLS.new_key (fun () -> ref [||])
 
-let[@inline] get (v : float array) i = Array.unsafe_get v i
-let[@inline] set (v : float array) i x = Array.unsafe_set v i x
+let arena size =
+  let a = Domain.DLS.get arena_key in
+  if Array.length !a < size then a := Array.create_float size;
+  !a
 
-let gather t k ar =
-  let v = ar.v and d = Array.unsafe_get ar.datas k and e = Array.unsafe_get ar.deltas k in
-  for i = 0 to ar.n - 1 do
-    set v (t + i) (get d (Array.unsafe_get ar.idx i + e))
-  done
+(* The ISA whose operations [vm_stubs.c] runs for a binding's target. *)
+let variant : Jit.target -> int = function
+  | Some Backend.Simd.AVX512 -> 2
+  | Some Backend.Simd.AVX2 -> 1
+  | Some Backend.Simd.SSE2 | None -> 0
 
-let broadcast t u ar =
-  let v = ar.v in
-  let x = get v u in
-  for i = 0 to ar.n - 1 do
-    set v (t + i) x
-  done
-
-let constant t (x : float) ar = Array.fill ar.v t ar.n x
-
-let copy t a ar = Array.blit ar.v a ar.v t ar.n
-
-let binary add t a b ar =
-  let v = ar.v in
-  if add then
-    for i = 0 to ar.n - 1 do
-      set v (t + i) (get v (a + i) +. get v (b + i))
-    done
-  else
-    for i = 0 to ar.n - 1 do
-      set v (t + i) (get v (a + i) *. get v (b + i))
-    done
-
-let ternary add t a b c ar =
-  let v = ar.v in
-  if add then
-    for i = 0 to ar.n - 1 do
-      set v (t + i) (get v (a + i) +. get v (b + i) +. get v (c + i))
-    done
-  else
-    for i = 0 to ar.n - 1 do
-      set v (t + i) (get v (a + i) *. get v (b + i) *. get v (c + i))
-    done
-
-(* A longer sum or product, folded left from [0.]/[1.]. *)
-let fold add t (ops : int array) ar =
-  let v = ar.v and n = ar.n in
-  let u = if add then 0. else 1. in
-  for i = 0 to n - 1 do
-    set v (t + i) u
-  done;
-  for j = 0 to Array.length ops - 1 do
-    let a = Array.unsafe_get ops j in
-    if add then
-      for i = 0 to n - 1 do
-        set v (t + i) (get v (t + i) +. get v (a + i))
-      done
-    else
-      for i = 0 to n - 1 do
-        set v (t + i) (get v (t + i) *. get v (a + i))
-      done
-  done
-
-(* Integer powers: the multiply chain from [1.] ([1. *. x] is [x]). *)
-let pow n t a ar =
-  let v = ar.v and m = abs n in
-  for i = 0 to ar.n - 1 do
-    let x = get v (a + i) in
-    let p = ref (if m = 0 then 1. else x) in
-    for _ = 2 to m do
-      p := !p *. x
-    done;
-    set v (t + i) (if n < 0 then 1. /. !p else !p)
-  done
-
-let unary (f : Expr.fn) t a ar =
-  let v = ar.v in
-  for i = 0 to ar.n - 1 do
-    let x = get v (a + i) in
-    set v (t + i)
-      (match f with
-      | Expr.Sqrt -> sqrt x
-      | Expr.Rsqrt -> 1. /. sqrt x
-      | Expr.Exp -> exp x
-      | Expr.Log -> log x
-      | Expr.Sin -> sin x
-      | Expr.Cos -> cos x
-      | Expr.Tanh -> tanh x
-      | Expr.Fabs -> abs_float x
-      | Expr.Fmin | Expr.Fmax -> assert false)
-  done
-
-(* [Expr.c_fmin]/[c_fmax], inline: exact on NaN and on signed zeros. *)
-let minmax max t a b ar =
-  let v = ar.v in
-  for i = 0 to ar.n - 1 do
-    let x = get v (a + i) and y = get v (b + i) in
-    set v (t + i)
-      (if x <> x then y
-       else if y <> y then x
-       else if max then if x >= y then x else y
-       else if x <= y then x
-       else y)
-  done
-
-(* Both arms are computed already; each cell picks one. *)
-let select le t p q x y ar =
-  let v = ar.v in
-  for i = 0 to ar.n - 1 do
-    let a = get v (p + i) and b = get v (q + i) in
-    set v (t + i) (get v ((if (if le then a <= b else a < b) then x else y) + i))
-  done
-
-let coord d ~dx t ar =
-  let v = ar.v in
-  let dx = get v dx in
-  for i = 0 to ar.n - 1 do
-    set v (t + i) ((float_of_int (Array.unsafe_get ar.co ((d * width) + i)) +. 0.5) *. dx)
-  done
-
-(* A kernel of [dim] axes reads only its own coordinates. *)
-let rand ~dim slot t ar =
-  let v = ar.v and co = ar.co and step = ar.step in
-  let gd0 = ar.gd.(0) and gd1 = if dim > 2 then ar.gd.(1) else 0 in
-  for i = 0 to ar.n - 1 do
-    let cy = if dim > 1 then Array.unsafe_get co (width + i) else 0 in
-    let cz = if dim > 2 then Array.unsafe_get co ((2 * width) + i) else 0 in
-    let cell = ((((cz * gd1) + cy) * gd0) + Array.unsafe_get co i) in
-    Philox.symmetric_into v (t + i) ~cell ~step ~slot
-  done
-
-let store k a ar =
-  let v = ar.v and d = Array.unsafe_get ar.datas k and e = Array.unsafe_get ar.deltas k in
-  for i = 0 to ar.n - 1 do
-    let x = get v (a + i) and j = Array.unsafe_get ar.idx i + e in
-    set d j x;
-    if x <> x then set d j Expr.canonical_nan
-  done
-
-(* The compiler's state for one program.  Offsets into [v]: the
-   parameters and [dx], one float each; then vectors, each taken from
-   [free] or from [next].  A node's result goes back to [free] once its
-   reader is emitted; a temporary keeps its vector, a hoisted one in its
-   first lane.  A group gathers each access and broadcasts each constant,
-   parameter and hoisted temporary once, at its first reader ([seen]). *)
+(* The builder's state for one program.  A vector is taken from [free] or
+   from [next]; a node's result goes back to [free] once its reader is
+   emitted, and a temporary keeps its vector.  A group gathers each
+   access and broadcasts each constant, parameter and hoisted temporary
+   once, at its first reader ([seen]). *)
 type builder = {
   dim : int;
-  params : (string, int) Hashtbl.t;
-  dx : int;
+  params : (string, int) Hashtbl.t;  (** slot in the parameter values; [dx] after them *)
+  fields : Fieldspec.t array;  (** the field table *)
   temps : (string, int * bool) Hashtbl.t;  (** vector, hoisted *)
-  accesses : (Fieldspec.access, int) Hashtbl.t;
-  mutable table : Fieldspec.access list;  (** the accesses, newest first *)
-  seen : ([ `Num of int64 | `Uni of int | `Field of Fieldspec.access ], int) Hashtbl.t;
+  consts : (int64, int) Hashtbl.t;
+  mutable const_values : float list;  (** newest first *)
+  seen : ([ `Num of int64 | `Par of int | `Uni of int | `Field of Fieldspec.access ], int) Hashtbl.t;
   mutable free : int list;
   mutable next : int;
-  mutable steps : (arena -> unit) list;  (** the group's steps, newest first *)
+  mutable instrs : int array list;  (** the group's instructions, newest first *)
 }
 
-let emit st f = st.steps <- f :: st.steps
+let emit st instr = st.instrs <- instr :: st.instrs
 
 let alloc st =
   match st.free with
@@ -303,68 +185,83 @@ let alloc st =
     st.next <- t + width;
     t
 
-let access_index st a =
-  match Hashtbl.find_opt st.accesses a with
+let const_index st x =
+  let bits = Int64.bits_of_float x in
+  match Hashtbl.find_opt st.consts bits with
   | Some k -> k
   | None ->
-    let k = Hashtbl.length st.accesses in
-    Hashtbl.replace st.accesses a k;
-    st.table <- a :: st.table;
+    let k = Hashtbl.length st.consts in
+    Hashtbl.replace st.consts bits k;
+    st.const_values <- x :: st.const_values;
     k
+
+(* An access's operands: field-table slot, storage component, one cell
+   offset per axis (the index [Backend.Cexpr.access_index] prints). *)
+let access st (a : Fieldspec.access) =
+  let rec slot i =
+    if i = Array.length st.fields then invalid_arg "Engine.compile: access to a field not in the table"
+    else if Fieldspec.equal st.fields.(i) a.field then i
+    else slot (i + 1)
+  in
+  if Array.length a.offsets <> st.dim then invalid_arg "Engine.compile: access rank differs from the kernel's";
+  let comp =
+    if a.face_axis >= 0 then (a.component * a.field.Fieldspec.dim) + a.face_axis else a.component
+  in
+  Array.append [| slot 0; comp |] a.offsets
 
 (* The vector a leaf reads, gathered or broadcast at its group's first
    reader. *)
 let leaf st (e : Expr.t) =
-  let once key step =
+  let once key instr =
     match Hashtbl.find_opt st.seen key with
     | Some t -> t
     | None ->
       let t = alloc st in
-      emit st (step t);
+      emit st (instr t);
       Hashtbl.replace st.seen key t;
       t
   in
-  let uniform u = once (`Uni u) (fun t -> broadcast t u) in
   match e with
-  | Expr.Num x -> once (`Num (Int64.bits_of_float x)) (fun t -> constant t x)
+  | Expr.Num x -> once (`Num (Int64.bits_of_float x)) (fun t -> [| op_const; t; const_index st x |])
   | Expr.Sym s -> (
     match Hashtbl.find_opt st.temps s with
     | Some (t, false) -> t
-    | Some (u, true) -> uniform u
+    | Some (u, true) -> once (`Uni u) (fun t -> [| op_uniform; t; u |])
     | None -> (
       match Hashtbl.find_opt st.params s with
-      | Some u -> uniform u
+      | Some p -> once (`Par p) (fun t -> [| op_param; t; p |])
       | None -> invalid_arg ("Engine.compile: unbound symbol " ^ s)))
-  | Expr.Access a -> once (`Field a) (fun t -> gather t (access_index st a))
+  | Expr.Access a -> once (`Field a) (fun t -> Array.append [| op_gather; t |] (access st a))
   | _ -> assert false
 
 let rec compile st (e : Expr.t) t =
   match e with
-  | Expr.Num _ | Expr.Sym _ | Expr.Access _ -> emit st (copy t (leaf st e))
+  | Expr.Num _ | Expr.Sym _ | Expr.Access _ -> emit st [| op_copy; t; leaf st e |]
   | Expr.Coord d ->
     if d >= st.dim then invalid_arg "Engine.compile: coordinate beyond the kernel's axes";
-    emit st (coord d ~dx:st.dx t)
-  | Expr.Rand slot -> emit st (rand ~dim:st.dim slot t)
+    emit st [| op_coord; t; d |]
+  | Expr.Rand slot -> emit st [| op_rand; t; slot |]
   | Expr.Diff _ -> invalid_arg "Engine.compile: Diff survived discretization"
   | Expr.Add xs | Expr.Mul xs ->
     let add = match e with Expr.Add _ -> true | _ -> false in
     operands st xs (function
-      | [| a; b |] -> binary add t a b
-      | [| a; b; c |] -> ternary add t a b c
-      | ops -> fold add t ops)
-  | Expr.Pow (x, n) -> operands st [ x ] (fun ops -> pow n t ops.(0))
+      | [| a; b |] -> [| (if add then op_add2 else op_mul2); t; a; b |]
+      | [| a; b; c |] -> [| (if add then op_add3 else op_mul3); t; a; b; c |]
+      | ops -> Array.append [| (if add then op_sum else op_prod); t; Array.length ops |] ops)
+  | Expr.Pow (x, n) -> operands st [ x ] (fun ops -> [| op_pow; t; ops.(0); n |])
   | Expr.Fun (((Expr.Fmin | Expr.Fmax) as f), ([ _; _ ] as xs)) ->
-    operands st xs (fun ops -> minmax (f = Expr.Fmax) t ops.(0) ops.(1))
+    operands st xs (fun ops -> [| (if f = Expr.Fmax then op_max else op_min); t; ops.(0); ops.(1) |])
   | Expr.Fun (f, [ x ]) when f <> Expr.Fmin && f <> Expr.Fmax ->
-    operands st [ x ] (fun ops -> unary f t ops.(0))
+    operands st [ x ] (fun ops -> [| op_unary f; t; ops.(0) |])
   | Expr.Fun _ -> invalid_arg "Engine.compile: bad function arity"
   | Expr.Select (cond, x, y) ->
     let le, p, q = match cond with Expr.Lt (p, q) -> (false, p, q) | Expr.Le (p, q) -> (true, p, q) in
-    operands st [ p; q; x; y ] (fun ops -> select le t ops.(0) ops.(1) ops.(2) ops.(3))
+    operands st [ p; q; x; y ] (fun ops ->
+        Array.append [| (if le then op_sel_le else op_sel_lt); t |] ops)
 
-(* Emit [step ops] after the steps that compute [xs] (into fresh vectors,
-   given back after it, unless they are leaves). *)
-and operands st xs step =
+(* Emit [instr ops] after the instructions that compute [xs] (into fresh
+   vectors, given back after it, unless they are leaves). *)
+and operands st xs instr =
   let fresh = ref [] in
   let operand (e : Expr.t) =
     match e with
@@ -376,7 +273,7 @@ and operands st xs step =
       t
   in
   let ops = Array.of_list (List.map operand xs) in
-  emit st (step ops);
+  emit st (instr ops);
   st.free <- !fresh @ st.free
 
 (* A store drops the group's gathers of its field, so a later read sees
@@ -388,8 +285,8 @@ let compile_assignment st ~hoisted (a : Assignment.t) =
     Hashtbl.replace st.temps s (t, hoisted);
     compile st a.rhs t
   | Assignment.Store acc ->
-    let k = access_index st acc in
-    operands st [ a.rhs ] (fun ops -> store k ops.(0));
+    let slot = access st acc in
+    operands st [ a.rhs ] (fun ops -> Array.append [| op_store; ops.(0) |] slot);
     Hashtbl.filter_map_inplace
       (fun key t ->
         match key with
@@ -401,22 +298,9 @@ let compile_assignment st ~hoisted (a : Assignment.t) =
 (* Kernel programs and bindings                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** The interpreter's closure tree for one program: the lowering's depth
-    groups as flat arrays of steps, shared by every block, job and lane
-    that sweeps the program.  [batch_from] is the first loop depth with no
-    hoisted group inside it or below: the cells of those loops are
-    gathered into batches, and every shallower loop runs its hoisted group
-    as a one-cell batch. *)
-type tree = {
-  groups : (arena -> unit) array array;  (** depth 0 .. dim: the steps of each group *)
-  batch_from : int;
-  size : int;  (** floats of [v] the tree uses *)
-  accesses : Fieldspec.access array;  (** the binding table's entries *)
-}
-
 (** Everything a kernel's sweeps need that depends on the kernel alone:
-    its lowering for one loop order, its parameter names, the ghost width
-    its sweep reads, the interpreter's closure tree (built by the first
+    its lowering for one loop order, its parameter names, its field table,
+    the ghost width its sweep reads, its VM program (built by the first
     interpreter sweep, or JIT sweep that falls back, of any of its
     bindings) and its {!Jit} memo key (forced by the first JIT sweep or
     plan that needs it).
@@ -427,8 +311,9 @@ type program = {
   kernel : Ir.Kernel.t;
   lowered : Ir.Lower.t;
   param_names : string array;
+  fields : Fieldspec.t array;  (** [Ir.Kernel.fields]: the field table of both executors *)
   ghost_need : int;  (** ghost layers the sweep reads *)
-  tree : tree Lazy.t;
+  code : code Lazy.t;
   jit_target : Jit.target;
   jit_key : Digest.t Lazy.t;
 }
@@ -465,33 +350,26 @@ let pslots pnames =
     slot_pos = [||];
   }
 
-(** A JIT sweep resolved once for one (binding, region, tile shape, pool
-    width): everything a sweep needs that does not change between sweeps.
-    A sweep refills the field table's data pointers from the buffer
-    records (so it survives [Buffer.swap]), the parameter values and the
-    time step in every tile's int table, and calls the tiles. *)
+(** A sweep resolved once for one (binding, executor, region, tile
+    shape, pool width): everything a sweep needs that does not change
+    between sweeps.  Both executors read the same tables; a sweep refills
+    the field table's data pointers from the buffer records (so it
+    survives [Buffer.swap]), the parameter values and the time step in
+    every tile's int table, and calls the tiles. *)
 type resolved = {
-  compiled : Jit.compiled;  (** the program the memo lookup returned *)
+  compiled : Jit.compiled;
+      (** the JIT program the memo lookup returned, or {!vm_program} *)
   region : region;
   tile : int array option;
   domains : int;
-  fields : Buffer.t array;  (** aligned with [compiled.fields] *)
-  datas : float array array;  (** the entry's field table *)
-  params : pslots;  (** [compiled.param_names] *)
+  fields : Buffer.t array;  (** aligned with the program's [fields] *)
+  datas : float array array;  (** the field table *)
+  params : pslots;  (** the program's [param_names] *)
   ints : int array array;  (** per tile, {!Jit.tile_ints} *)
   run_tile : lane:int -> int -> unit;
-      (** one tile: one [@@noalloc] call of the program's entry with the
-          field table, the parameters and the tile's int table *)
-}
-
-(** What an interpreter sweep of one binding reads besides the tree: each
-    access's buffer, data (refilled every sweep, so it survives
-    [Buffer.swap]) and element delta, and the parameter slots. *)
-type tables = {
-  bufs : Buffer.t array;
-  datas : float array array;
-  deltas : int array;
-  slots : pslots;
+      (** one tile: one [@@noalloc] call of the JIT program's entry, or of
+          the VM on the lane's arena, with the field table, the parameters
+          and the tile's int table *)
 }
 
 (** A kernel bound to a block: the kernel's shared {!program} plus what
@@ -501,19 +379,15 @@ type bound = {
   lowered : Ir.Lower.t;  (** the shared program's *)
   block : block;
   program : program;
-  tables : tables Lazy.t;
-      (** built by the binding's first interpreter sweep (or JIT sweep that
-          falls back), never by a binding only the JIT sweeps; forced on the
-          coordinating domain before the pool runs *)
-  jit_target : Jit.target;  (** what the binding's JIT program is printed for *)
+  jit_target : Jit.target;  (** what the binding's programs are built for *)
   jit_key : Digest.t Lazy.t;
       (** the shared program's {!Jit} memo key: digesting the whole body
           costs as much as a small block's sweep, so it is paid once per
           program, never per sweep or per block, and never by a kernel only
           the interpreter sweeps *)
   mutable sweeps : resolved list;
-      (** the binding's resolved JIT sweeps, newest first, at most
-          {!max_resolved}, all of one program *)
+      (** the binding's resolved sweeps, newest first, at most
+          {!max_resolved}; its JIT sweeps all of one program *)
 }
 
 let max_resolved = 4
@@ -539,44 +413,58 @@ let ghost_need (kernel : Ir.Kernel.t) =
       0
       (Ir.Kernel.loads kernel)
 
-(* The lowering's groups compiled once for every binding. *)
-let build_tree ~dim (lowered : Ir.Lower.t) param_names =
-  Obs.Metrics.count "vm.bind.trees" 1;
+(* The lowering's groups compiled once for every binding, for the ISA
+   variant [variant]. *)
+let build_code ~variant (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) param_names fields =
+  Obs.Metrics.count "vm.bind.codes" 1;
+  let dim = kernel.Ir.Kernel.dim in
+  if dim < 1 || dim > 3 then invalid_arg "Engine.program: kernels have 1 to 3 axes";
   let groups = Ir.Lower.groups lowered in
   let np = Array.length param_names in
   let st =
     {
       dim;
       params = Hashtbl.create 64;
-      dx = np;
+      fields;
       temps = Hashtbl.create 64;
-      accesses = Hashtbl.create 64;
-      table = [];
+      consts = Hashtbl.create 64;
+      const_values = [];
       seen = Hashtbl.create 64;
       free = [];
-      next = np + 1;
-      steps = [];
+      next = 0;
+      instrs = [];
     }
   in
   Array.iteri (fun i s -> Hashtbl.replace st.params s i) param_names;
-  let steps =
+  let compiled =
     Array.mapi
       (fun d g ->
-        st.steps <- [];
+        st.instrs <- [];
         Hashtbl.reset st.seen;
         List.iter (compile_assignment st ~hoisted:(d < dim)) g;
-        Array.of_list (List.rev st.steps))
+        Array.concat (List.rev st.instrs))
       groups
   in
   let batch_from = ref 0 in
   for d = 1 to dim - 1 do
     if groups.(d) <> [] then batch_from := d
   done;
+  (* the header, then the groups, each starting where the last ended *)
+  let start = ref (4 + dim + dim + 2) in
+  let bounds =
+    Array.init (dim + 2) (fun g ->
+        let at = !start in
+        if g <= dim then start := at + Array.length compiled.(g);
+        at)
+  in
   {
-    groups = steps;
+    instrs =
+      Array.concat
+        ([| dim; !batch_from; np; variant |] :: lowered.Ir.Lower.loop_order :: bounds
+         :: Array.to_list compiled);
+    consts = Array.of_list (List.rev st.const_values);
     batch_from = !batch_from;
-    size = st.next;
-    accesses = Array.of_list (List.rev st.table);
+    size = max 1 st.next;
   }
 
 (* Batches serve independent cells only: a kernel that reads a field it
@@ -600,12 +488,14 @@ let make_program ~fastest ~jit_target (kernel : Ir.Kernel.t) : program =
   Obs.Metrics.count "vm.bind.programs" 1;
   let lowered = Ir.Lower.run ~fastest kernel in
   let param_names = Array.of_list (Ir.Kernel.parameters kernel) in
+  let fields = Array.of_list (Ir.Kernel.fields kernel) in
   {
     kernel;
     lowered;
     param_names;
+    fields;
     ghost_need = ghost_need kernel;
-    tree = lazy (build_tree ~dim:kernel.Ir.Kernel.dim lowered param_names);
+    code = lazy (build_code ~variant:(variant jit_target) kernel lowered param_names fields);
     jit_target;
     jit_key = lazy (Jit.fingerprint ~target:jit_target kernel lowered);
   }
@@ -634,19 +524,10 @@ let program ?(fastest = 0) ?(jit_target = Jit.host_target ()) kernel =
     Programs.replace programs kernel ((fastest, jit_target, p) :: built);
     p
 
-let make_tables (p : program) block =
-  let t = Lazy.force p.tree in
-  let bufs = Array.map (fun (a : Fieldspec.access) -> buffer block a.Fieldspec.field) t.accesses in
-  {
-    bufs;
-    datas = Array.map (fun (b : Buffer.t) -> b.Buffer.data) bufs;
-    deltas = Array.map2 Buffer.access_delta bufs t.accesses;
-    slots = pslots p.param_names;
-  }
-
 (** Bind [kernel] to [block]: the kernel's shared {!program} plus the
-    block.  Only the ghost check runs per binding; the interpreter's
-    tables wait for the first sweep that needs them. *)
+    block.  Only the ghost check runs per binding; a sweep's tables wait
+    for the first sweep that needs them.  [jit_target] also picks the
+    VM's ISA variant. *)
 let bind ?fastest ?jit_target (kernel : Ir.Kernel.t) (block : block) =
   let p = program ?fastest ?jit_target kernel in
   if p.ghost_need > block.ghost then
@@ -658,7 +539,6 @@ let bind ?fastest ?jit_target (kernel : Ir.Kernel.t) (block : block) =
     lowered = p.lowered;
     block;
     program = p;
-    tables = lazy (make_tables p block);
     jit_target = p.jit_target;
     jit_key = p.jit_key;
     sweeps = [];
@@ -690,68 +570,6 @@ let jit_prepare_kernels kernels =
          let p = program kernel in
          { Jit.key = Lazy.force p.jit_key; target = p.jit_target; kernel; lowered = p.lowered })
        kernels)
-
-(* Sweep one tile on a lane's arena: [lo]/[hi] are inclusive loop bounds
-   indexed by loop depth, following the lowering's loop_order.  The tile's
-   cells are gathered in sweep order — whole innermost rows, unless a row
-   alone exceeds [width] — into batches that run the body.  A depth above
-   the tree's [batch_from] first runs the batch it has gathered, then sets
-   its coordinate in lane 0 and runs its hoisted group as a one-cell
-   batch. *)
-let sweep_batches (b : bound) (t : tree) ar ~(lo : int array) ~(hi : int array) =
-  let order = b.lowered.Ir.Lower.loop_order in
-  let inner = Array.length order - 1 in
-  let block = b.block in
-  let stride = (snd (List.hd block.buffers)).Buffer.stride in
-  let g = block.ghost and off = block.offset in
-  let fastest = order.(inner) in
-  let pos = Array.make (inner + 1) 0 in
-  let count = ref 0 in
-  let flush () =
-    if !count > 0 then begin
-      ar.n <- !count;
-      Array.iter (fun step -> step ar) t.groups.(inner + 1);
-      count := 0
-    end
-  in
-  let row () =
-    if !count + hi.(inner) - lo.(inner) + 1 > width then flush ();
-    pos.(fastest) <- lo.(inner);
-    let at = ref 0 in
-    for ax = 0 to inner do
-      at := !at + ((pos.(ax) + g) * stride.(ax))
-    done;
-    for x = lo.(inner) to hi.(inner) do
-      if !count = width then flush ();
-      let i = !count in
-      pos.(fastest) <- x;
-      ar.idx.(i) <- !at;
-      for ax = 0 to inner do
-        ar.co.((ax * width) + i) <- pos.(ax) + off.(ax)
-      done;
-      at := !at + stride.(fastest);
-      count := i + 1
-    done
-  in
-  let rec depth d =
-    if d = inner then row ()
-    else
-      for i = lo.(d) to hi.(d) do
-        let ax = order.(d) in
-        pos.(ax) <- i;
-        if d < t.batch_from then begin
-          flush ();
-          ar.co.(ax * width) <- i + off.(ax);
-          ar.n <- 1;
-          Array.iter (fun step -> step ar) t.groups.(d + 1)
-        end;
-        depth (d + 1)
-      done
-  in
-  ar.n <- 1;
-  Array.iter (fun step -> step ar) t.groups.(0);
-  depth 0;
-  flush ()
 
 let sweep_range (b : bound) ax =
   let n = b.block.dims.(ax) in
@@ -866,36 +684,44 @@ let load_params r params =
     Array.unsafe_set r.pvals s (if j < 0 then 1. else Array.unsafe_get r.values j)
   done
 
-let resolve (b : bound) (compiled : Jit.compiled) entry ~region ~tile ~num_domains ~params =
+(** What a sweep on the VM resolves for: the interpreter, and a JIT sweep
+    whose program has no entry (its build failed). *)
+let vm_program = { Jit.fingerprint = Digest.string ""; entry = None; tier = "vm" }
+
+(* Resolve a sweep of [b] for [compiled], a JIT program with an entry or
+   {!vm_program}.  The VM program is forced here, on the
+   coordinating domain: OCaml 5 raises when two domains force one lazy
+   value, and every lane reads it.  Each tile runs the preheader and the
+   hoisted groups of its own loops; they are deterministic functions of
+   the parameters and loop coordinates (recomputed at every outer-loop
+   iteration even in a serial sweep), so recomputing them per tile
+   changes nothing — which is why tiled, pooled execution is bitwise
+   identical to serial. *)
+let resolve (b : bound) compiled ~region ~tile ~num_domains ~params =
+  let p = b.program in
   let tiles = schedule b ~region ~tile ~num_domains in
   let any_buf = snd (List.hd b.block.buffers) in
-  let fields = Array.map (buffer b.block) compiled.Jit.fields in
+  let fields = Array.map (buffer b.block) p.fields in
   let datas = Array.map (fun (f : Buffer.t) -> f.Buffer.data) fields in
-  let slots = pslots compiled.Jit.param_names in
+  let slots = pslots p.param_names in
   let ints =
     Array.map
       (fun (t : Schedule.tile) ->
-        Jit.tile_ints compiled ~stride:any_buf.Buffer.stride
+        Jit.tile_ints ~dim:b.kernel.Ir.Kernel.dim ~stride:any_buf.Buffer.stride
           ~comp_stride:any_buf.Buffer.comp_stride ~ghost:b.block.ghost ~offset:b.block.offset
           ~global_dims:b.block.global_dims ~lo:t.Schedule.lo ~hi:t.Schedule.hi)
       tiles
   in
-  let r =
-    {
-      compiled;
-      region;
-      tile;
-      domains = num_domains;
-      fields;
-      datas;
-      params = slots;
-      ints;
-      run_tile =
-        (fun ~lane:_ ti -> Jit_cc.run entry datas slots.pvals (Array.unsafe_get ints ti));
-    }
+  let run_tile =
+    match compiled.Jit.entry with
+    | Some entry -> fun ~lane:_ ti -> Jit_cc.run entry datas slots.pvals (Array.unsafe_get ints ti)
+    | None ->
+      let code = Lazy.force p.code in
+      fun ~lane:_ ti ->
+        vm_run code datas slots.pvals (Array.unsafe_get ints ti) (arena code.size)
   in
   bind_params slots params;
-  r
+  { compiled; region; tile; domains = num_domains; fields; datas; params = slots; ints; run_tile }
 
 let rec find_resolved compiled ~region ~tile ~num_domains = function
   | [] -> raise Not_found
@@ -904,15 +730,16 @@ let rec find_resolved compiled ~region ~tile ~num_domains = function
     then r
     else find_resolved compiled ~region ~tile ~num_domains rest
 
-(* The binding's resolved sweep for this program and configuration, built
-   on first use; resolutions of an older program are dropped. *)
-let resolved (b : bound) compiled entry ~region ~tile ~num_domains ~params =
+(* The binding's resolved sweep for this executor and configuration,
+   built on first use; a new JIT program drops the resolutions of an
+   older one. *)
+let resolved (b : bound) compiled ~region ~tile ~num_domains ~params =
   match find_resolved compiled ~region ~tile ~num_domains b.sweeps with
   | r -> r
   | exception Not_found ->
-    let r = resolve b compiled entry ~region ~tile ~num_domains ~params in
-    let kept = List.filter (fun q -> q.compiled == compiled) b.sweeps in
-    b.sweeps <- r :: List.filteri (fun i _ -> i < max_resolved - 1) kept;
+    let r = resolve b compiled ~region ~tile ~num_domains ~params in
+    let current q = q.compiled == compiled || q.compiled == vm_program || compiled == vm_program in
+    b.sweeps <- r :: List.filteri (fun i _ -> i < max_resolved - 1) (List.filter current b.sweeps);
     r
 
 (* One sweep of a resolved program: refill the field table, the
@@ -923,60 +750,30 @@ let run_resolved ?wrap r ~step ~params =
   done;
   load_params r.params params;
   for i = 0 to Array.length r.ints - 1 do
-    Jit.set_step r.compiled (Array.unsafe_get r.ints i) step
+    Jit.set_step (Array.unsafe_get r.ints i) step
   done;
   Pool.run ?wrap ~domains:r.domains ~ntiles:(Array.length r.ints) r.run_tile
-
-(* An interpreter sweep: refill the binding's data table and parameter
-   slots, then run the tiles, each on its lane's arena with the constants,
-   parameters and [dx] loaded afresh.  The preheader and per-depth hoisted
-   groups are deterministic functions of the parameters and loop
-   coordinates (they are recomputed at every outer-loop iteration even in
-   a serial sweep), so recomputing them per tile changes nothing — which
-   is exactly why tiled, pooled execution is bitwise identical to
-   serial. *)
-let run_interp ?wrap ~region ~num_domains ~tile ~step ~params (b : bound) =
-  let tiles = schedule b ~region ~tile ~num_domains in
-  (* The tree and the tables are forced here, on the coordinating domain:
-     OCaml 5 raises when two domains force one lazy value, and every lane
-     reads them. *)
-  let tree = Lazy.force b.program.tree in
-  let tab = Lazy.force b.tables in
-  for k = 0 to Array.length tab.bufs - 1 do
-    Array.unsafe_set tab.datas k (Array.unsafe_get tab.bufs k).Buffer.data
-  done;
-  load_params tab.slots params;
-  Pool.run ?wrap ~domains:num_domains ~ntiles:(Array.length tiles) (fun ~lane:_ ti ->
-      let t : Schedule.tile = tiles.(ti) in
-      let ar = Domain.DLS.get arena_key in
-      if Array.length ar.v < tree.size then ar.v <- Array.create_float tree.size;
-      Array.blit tab.slots.pvals 0 ar.v 0 (Array.length tab.slots.pvals);
-      ar.datas <- tab.datas;
-      ar.deltas <- tab.deltas;
-      ar.step <- step;
-      ar.gd <- b.block.global_dims;
-      sweep_batches b tree ar ~lo:t.Schedule.lo ~hi:t.Schedule.hi)
 
 (* The sweep skeleton, parameterized over [wrap], which brackets each pool
    lane's share of the tiles ([lane] 0 is the coordinating domain, [i > 0]
    the i-th persistent pool worker).  Instrumented and plain execution
-   share this code so the two paths cannot drift. *)
+   share this code so the two paths cannot drift, and both executors
+   share the resolved sweep: they differ only in the call a tile makes. *)
 let run_tiled ?wrap ~backend ~region ~num_domains ~tile ~step ~params (b : bound) =
-  match backend with
-  | Interp -> run_interp ?wrap ~region ~num_domains ~tile ~step ~params b
-  | Jit -> (
-    (* One memo lookup per sweep under the binding's precomputed key: a
-       hit hashes a 16-byte digest, and the hit/miss counters are what the
-       warm-cache gates watch.  A program the lookup returns for the first
-       time (the first sweep, or a rebuild after [Jit.clear_cache]) is
-       resolved for this configuration once. *)
-    let comp = Jit.get ~target:b.jit_target (Lazy.force b.jit_key) b.kernel b.lowered in
-    match comp.Jit.entry with
-    | None -> run_interp ?wrap ~region ~num_domains ~tile ~step ~params b
-    | Some entry ->
-      run_resolved ?wrap
-        (resolved b comp entry ~region ~tile ~num_domains ~params)
-        ~step ~params)
+  let compiled =
+    match backend with
+    | Interp -> vm_program
+    | Jit -> (
+      (* One memo lookup per sweep under the binding's precomputed key: a
+         hit hashes a 16-byte digest, and the hit/miss counters are what
+         the warm-cache gates watch.  A program the lookup returns for the
+         first time (the first sweep, or a rebuild after
+         [Jit.clear_cache]) is resolved for this configuration once; a
+         program without an entry (a failed build) runs on the VM. *)
+      let comp = Jit.get ~target:b.jit_target (Lazy.force b.jit_key) b.kernel b.lowered in
+      match comp.Jit.entry with Some _ -> comp | None -> vm_program)
+  in
+  run_resolved ?wrap (resolved b compiled ~region ~tile ~num_domains ~params) ~step ~params
 
 (** The uninstrumented sweep: no observability entry points at all, so a
     timing probe ([Tune.probe]) or an oracle that sweeps the same block

@@ -35,8 +35,6 @@
     compiler's fixed start-up cost dominates a small run; the batch is
     split over the host's cores, because one compiler run uses one. *)
 
-open Symbolic
-
 (** What a program is printed for: a vector ISA, or [None] for scalar C. *)
 type target = Backend.Simd.isa option
 
@@ -47,11 +45,11 @@ let target_label : target -> string = function
   | Some isa -> String.lowercase_ascii (Backend.Simd.isa_name isa)
   | None -> "scalar"
 
+(** A built program.  Its entry reads the field table in [Ir.Kernel.fields]
+    order and the values of [Ir.Kernel.parameters] followed by [dx], the
+    tables the engine's resolved sweep holds for either executor. *)
 type compiled = {
   fingerprint : Digest.t;
-  dim : int;
-  fields : Fieldspec.t array;  (** [Ir.Kernel.fields] order: the entry's field table *)
-  param_names : string array;  (** [Ir.Kernel.parameters]; the entry takes [dx] after them *)
   entry : nativeint option;    (** [None]: the build failed, sweeps run the interpreter *)
   tier : string;               (** the target built ({!target_label}), or
                                    ["fallback: <why>"] *)
@@ -122,20 +120,12 @@ let compile_all ?cc ?timeout_s ~units requests =
       if Result.is_error result then Obs.Metrics.count "jit.fallback" (List.length members);
       List.mapi
         (fun j (_, (r : request), _) ->
-          let k = r.kernel in
           let entry, tier =
             match result with
             | Ok fns -> (Some fns.(j), target_label (effective r))
             | Error why -> (None, "fallback: " ^ why)
           in
-          {
-            fingerprint = r.key;
-            dim = k.Ir.Kernel.dim;
-            fields = Array.of_list (Ir.Kernel.fields k);
-            param_names = Array.of_list (Ir.Kernel.parameters k);
-            entry;
-            tier;
-          })
+          { fingerprint = r.key; entry; tier })
         members)
     (List.combine units built)
 
@@ -249,15 +239,14 @@ let get ?(target = host_target ()) key (kernel : Ir.Kernel.t) (lowered : Ir.Lowe
     prepare [ { key; target; kernel; lowered } ];
     Hashtbl.find cache key
 
-(** The entry's int table for one tile ([Backend.Ccode.abi_ints]):
-    [lo]/[hi] the inclusive loop bounds per depth, [stride] and
-    [comp_stride] the block's buffer layout (shared by every field), the
-    ghost width, and the block's global offset and extent.  The time step
-    is the one slot that changes between sweeps of a tile: {!set_step}
-    writes it. *)
-let tile_ints (c : compiled) ~(stride : int array) ~comp_stride ~ghost ~(offset : int array)
+(** The entry's int table for one tile ([Backend.Ccode.abi_ints]), read
+    by a JIT program's entry and by the VM alike: [lo]/[hi] the inclusive
+    loop bounds per depth, [stride] and [comp_stride] the block's buffer
+    layout (shared by every field), the ghost width, and the block's global
+    offset and extent.  The time step, the table's last slot, is the one
+    that changes between sweeps of a tile: {!set_step} writes it. *)
+let tile_ints ~dim ~(stride : int array) ~comp_stride ~ghost ~(offset : int array)
     ~(global_dims : int array) ~(lo : int array) ~(hi : int array) =
-  let dim = c.dim in
   let a = Array.make (Backend.Ccode.abi_ints ~dim) 0 in
   for d = 0 to dim - 1 do
     a.(2 * d) <- lo.(d);
@@ -270,4 +259,4 @@ let tile_ints (c : compiled) ~(stride : int array) ~comp_stride ~ghost ~(offset 
   a.((3 * dim) + 1) <- ghost;
   a
 
-let set_step (c : compiled) ints step = Array.unsafe_set ints ((5 * c.dim) + 2) step
+let set_step ints step = Array.unsafe_set ints (Array.length ints - 1) step

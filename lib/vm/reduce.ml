@@ -223,11 +223,10 @@ let total_cells gdims = Array.fold_left ( * ) 1 gdims
 (** Partial of one block's interior.  The sweep is tiled with the same
     loop-depth [tile] shape the kernels use (default: outermost-loop
     slices at [2 * num_domains]) and executed through the persistent pool
-    via {!Pool.collect}; each tile adds its cells into its own partial,
-    and the tiles' partials merge.  [backend] selects the
-    {!Engine.cell_reader} path. *)
-let block_partial ?(backend = Engine.default_backend ())
-    ?(num_domains = Pool.default_domains ()) ?tile (block : Engine.block)
+    via {!Pool.collect}; each tile adds its rows' cells, read by flat index
+    from the field's storage, into its own partial, and the tiles'
+    partials merge. *)
+let block_partial ?(num_domains = Pool.default_domains ()) ?tile (block : Engine.block)
     (field : Fieldspec.t) cellfn op : partial =
   let dims = block.Engine.dims in
   let dim = Array.length dims in
@@ -235,6 +234,9 @@ let block_partial ?(backend = Engine.default_backend ())
   let interior = total_cells dims in
   if interior = 0 then empty op
   else begin
+    let buf = Engine.buffer block field in
+    let data = buf.Buffer.data and stride = buf.Buffer.stride and g = buf.Buffer.ghost in
+    let cs = buf.Buffer.comp_stride and top = buf.Buffer.components - 1 in
     let ranges = Array.init dim (fun depth -> (0, dims.(dim - 1 - depth) - 1)) in
     let shape =
       match tile with
@@ -247,63 +249,58 @@ let block_partial ?(backend = Engine.default_backend ())
         Some s
     in
     let tiles = Schedule.make ~ranges ?shape () in
+    let rec interface i c = c >= 0 && (in_band data.(i + (c * cs)) || interface i (c - 1)) in
     let tile_partial ti =
-      let t = tiles.(ti) in
-      (* per-tile scratch: lanes never share coordinate arrays *)
-      let lc = Array.make dim 0 in
-      let gc = Array.make dim 0 in
-      let cellv =
-        match cellfn with
-        | Component c ->
-          let read = Engine.cell_reader ~component:c ~backend block field in
-          fun () -> read lc
-        | Interface ->
-          let readers =
-            Array.init (Engine.buffer block field).Buffer.components (fun c ->
-                Engine.cell_reader ~component:c ~backend block field)
-          in
-          let rec hit c = c >= 0 && (in_band (readers.(c) lc) || hit (c - 1)) in
-          fun () -> if hit (Array.length readers - 1) then 1. else 0.
-        | Custom f -> fun () -> f gc
-      in
       let p = empty op in
-      Schedule.iter_rows t (fun outer (xlo, xhi) ->
+      Schedule.iter_rows tiles.(ti) (fun outer (xlo, xhi) ->
+          (* depth [d] < dim - 1 loops over axis [dim - 1 - d] *)
+          let row = ref (g * stride.(0)) in
           for depth = 0 to dim - 2 do
-            let axis = dim - 1 - depth in
-            lc.(axis) <- outer.(depth);
-            gc.(axis) <- outer.(depth) + offset.(axis)
+            row := !row + ((outer.(depth) + g) * stride.(dim - 1 - depth))
           done;
-          for x = xlo to xhi do
-            lc.(0) <- x;
-            gc.(0) <- x + offset.(0);
-            add p (cellv ())
-          done);
+          let row = !row and s0 = stride.(0) in
+          match cellfn with
+          | Component c ->
+            for x = xlo to xhi do
+              add p data.(row + (c * cs) + (x * s0))
+            done
+          | Interface ->
+            for x = xlo to xhi do
+              add p (if interface (row + (x * s0)) top then 1. else 0.)
+            done
+          | Custom f ->
+            let gc = Array.init dim (fun axis -> if axis = 0 then 0 else outer.(dim - 1 - axis) + offset.(axis)) in
+            for x = xlo to xhi do
+              gc.(0) <- x + offset.(0);
+              add p (f gc)
+            done);
       p
     in
-    let name =
-      Printf.sprintf "reduce:%s.%s.%s" field.Fieldspec.name (op_label op)
-        (cellfn_label cellfn)
-    in
-    let wrap lane f =
-      if not (Obs.Sink.enabled ()) then f ()
-      else Obs.Span.with_ ~cat:"reduce" ~tid:lane ("slice:" ^ name) f
-    in
-    let run () =
+    let run wrap =
       let parts =
-        Pool.collect ~wrap ~domains:num_domains ~ntiles:(Array.length tiles)
-          (fun ~lane:_ ti -> tile_partial ti)
+        Pool.collect ?wrap ~domains:num_domains ~ntiles:(Array.length tiles) (fun ~lane:_ ti ->
+            tile_partial ti)
       in
       Obs.Metrics.count "reduce.cells" interior;
       Array.fold_left merge (empty op) parts
     in
-    if not (Obs.Sink.enabled ()) then run ()
-    else Obs.Span.with_ ~cat:"reduce" name run
+    if not (Obs.Sink.enabled ()) then run None
+    else begin
+      let name =
+        Printf.sprintf "reduce:%s.%s.%s" field.Fieldspec.name (op_label op) (cellfn_label cellfn)
+      in
+      let wrap lane f =
+        if not (Obs.Sink.enabled ()) then f ()
+        else Obs.Span.with_ ~cat:"reduce" ~tid:lane ("slice:" ^ name) f
+      in
+      Obs.Span.with_ ~cat:"reduce" name (fun () -> run (Some wrap))
+    end
   end
 
 (** Scalar over a block that owns the whole global domain — the serial
     single-block entry and the reference the oracle battery compares
     every other executor against (with [num_domains:1], no [tile]). *)
-let scalar ?backend ?num_domains ?tile (block : Engine.block) field cellfn op =
+let scalar ?num_domains ?tile (block : Engine.block) field cellfn op =
   finish
     ~n:(total_cells block.Engine.global_dims)
-    (block_partial ?backend ?num_domains ?tile block field cellfn op)
+    (block_partial ?num_domains ?tile block field cellfn op)

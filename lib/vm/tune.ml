@@ -114,11 +114,32 @@ let probe ?(backend = Engine.Interp) ?(split = false) ~domains ~tile ~sweeps ~tr
            sweep ()
          done))
 
+(* [machine] running the code the fast tier prints for [k]: [Rsqrt] is
+   printed as a division by a square root, not as an approximate
+   reciprocal square root; and a kernel the SIMD printer leaves scalar
+   (Philox) runs at SIMD width 1, its divides and square roots issuing at
+   the rate of a two-lane instruction (a scalar divide issues every 4
+   cycles on Skylake-SP, like a 128-bit one, against 16 for eight
+   lanes). *)
+let printed (machine : Perfmodel.Machine.t) k =
+  let m = { machine with rsqrt_cycles = machine.div_cycles +. machine.sqrt_cycles } in
+  if Backend.Simd.vectorizes (Engine.program k).Engine.lowered then m
+  else
+    let two_lanes c = c *. 2. /. float_of_int m.simd_width in
+    {
+      (Perfmodel.Machine.with_simd_width 1 m) with
+      div_cycles = two_lanes m.div_cycles;
+      sqrt_cycles = two_lanes m.sqrt_cycles;
+      rsqrt_cycles = two_lanes m.rsqrt_cycles;
+    }
+
+(** ECM cycles per lattice update of [kernels] on [machine], each priced
+    as the fast tier prints it ({!printed}). *)
 let predicted_cy_per_lup machine kernels ~block_n =
   List.fold_left
     (fun acc k ->
       acc
-      +. Perfmodel.Ecm.single_core_cycles (Perfmodel.Ecm.predict machine k ~block_n)
+      +. Perfmodel.Ecm.single_core_cycles (Perfmodel.Ecm.predict (printed machine k) k ~block_n)
          /. float_of_int Perfmodel.Ecm.cacheline_lups)
     0. kernels
 

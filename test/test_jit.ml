@@ -215,53 +215,53 @@ let test_rebind_independent_of_body () =
   Alcotest.(check bool)
     (Printf.sprintf "rebinding allocates %d words < %d-word marshalled body" words body_words)
     true (words < body_words);
-  Alcotest.(check bool) "and builds no interpreter tables" false (Lazy.is_val b.Vm.Engine.tables)
+  Alcotest.(check bool) "and resolves no sweep" true (b.Vm.Engine.sweeps = [])
 
-(* The vm.bind.trees counter over two steps of freshly generated kernels:
-   an interpreted step builds one closure tree per distinct program; a
+(* The vm.bind.codes counter over two steps of freshly generated kernels:
+   an interpreted step builds one VM program per distinct program; a
    second job of the same kernels, on a block of other dims, builds none
-   and sweeps the same trees; a JIT step whose programs are built builds
-   none. *)
-let test_trees_only_when_interpreted () =
+   and sweeps the same VM programs; a JIT step whose programs are built
+   builds none. *)
+let test_codes_only_when_interpreted () =
   let run ?(dims = [| 6; 6 |]) backend g =
     let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims g in
     Pfcore.Simulation.init_smooth sim;
-    let trees =
+    let codes =
       with_obs (fun () ->
           Pfcore.Timestep.run sim ~steps:2;
-          Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "vm.bind.trees")
+          Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "vm.bind.codes")
     in
     let bounds =
       sim.Pfcore.Timestep.phi @ Option.to_list sim.Pfcore.Timestep.projection
       @ sim.Pfcore.Timestep.mu
     in
-    (Option.value ~default:0 trees, List.map (fun (b : Vm.Engine.bound) -> b.Vm.Engine.program) bounds)
+    (Option.value ~default:0 codes, List.map (fun (b : Vm.Engine.bound) -> b.Vm.Engine.program) bounds)
   in
   let fresh () = Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()) in
-  let built (p : Vm.Engine.program) = Lazy.is_val p.Vm.Engine.tree in
+  let built (p : Vm.Engine.program) = Lazy.is_val p.Vm.Engine.code in
   let g = fresh () in
-  let trees, programs = run Vm.Engine.Interp g in
+  let codes, programs = run Vm.Engine.Interp g in
   let distinct = List.fold_left (fun acc p -> if List.memq p acc then acc else p :: acc) [] programs in
-  Alcotest.(check int) "interp: one tree per distinct program" (List.length distinct) trees;
-  Alcotest.(check bool) "interp: every program holds its tree" true (List.for_all built programs);
-  let trees, again = run ~dims:[| 5; 7 |] Vm.Engine.Interp g in
-  Alcotest.(check int) "a second block of the same kernels builds none" 0 trees;
-  Alcotest.(check bool) "and sweeps the same trees" true
+  Alcotest.(check int) "interp: one VM program per distinct program" (List.length distinct) codes;
+  Alcotest.(check bool) "interp: every program holds its VM program" true (List.for_all built programs);
+  let codes, again = run ~dims:[| 5; 7 |] Vm.Engine.Interp g in
+  Alcotest.(check int) "a second block of the same kernels builds none" 0 codes;
+  Alcotest.(check bool) "and sweeps the same VM programs" true
     (List.for_all2
        (fun (p : Vm.Engine.program) (q : Vm.Engine.program) ->
-         Lazy.force p.Vm.Engine.tree == Lazy.force q.Vm.Engine.tree)
+         Lazy.force p.Vm.Engine.code == Lazy.force q.Vm.Engine.code)
        programs again);
   if Lazy.force Vm.Jit_cc.gcc && not (Vm.Jit_cc.disabled ()) then begin
-    let trees, programs = run Vm.Engine.Jit (fresh ()) in
-    Alcotest.(check int) "jit: no tree built" 0 trees;
-    Alcotest.(check bool) "jit: no program holds a tree" false (List.exists built programs)
+    let codes, programs = run Vm.Engine.Jit (fresh ()) in
+    Alcotest.(check int) "jit: no VM program built" 0 codes;
+    Alcotest.(check bool) "jit: no program holds a VM program" false (List.exists built programs)
   end
 
 (* A fresh binding's first sweep runs on three domains with 2x2 tiles: the
-   closure tree every lane reads is built once, on the coordinating
-   domain, both for the interpreter and for a JIT sweep that falls back to
-   it (a failed build); each equals the serial sweep bitwise. *)
-let test_first_pooled_sweep_builds_tree_once () =
+   VM program every lane reads is built once, on the coordinating domain,
+   both for the interpreter and for a JIT sweep that falls back to it (a
+   failed build); each equals the serial sweep bitwise. *)
+let test_first_pooled_sweep_builds_code_once () =
   let serial = run_avg ~backend:Vm.Engine.Interp ~num_domains:1 ~dims:[| 8; 6 |] () in
   let pooled =
     run_avg ~backend:Vm.Engine.Interp ~tile:[| 2; 2 |] ~num_domains:3 ~dims:[| 8; 6 |] ()
@@ -806,10 +806,10 @@ let suite =
       test_key_computed_by_jit_sweeps_only;
     Alcotest.test_case "bind: rebinding allocates less than the kernel body" `Quick
       test_rebind_independent_of_body;
-    Alcotest.test_case "bind: closure trees only for interpreted sweeps" `Quick
-      test_trees_only_when_interpreted;
-    Alcotest.test_case "bind: first pooled sweep builds the tree on one domain" `Quick
-      test_first_pooled_sweep_builds_tree_once;
+    Alcotest.test_case "bind: VM programs only for interpreted sweeps" `Quick
+      test_codes_only_when_interpreted;
+    Alcotest.test_case "bind: first pooled sweep builds the VM program on one domain" `Quick
+      test_first_pooled_sweep_builds_code_once;
     Alcotest.test_case "jit: one compiler run per time-step plan" `Quick
       test_one_compile_per_plan;
     Alcotest.test_case "jit: compile spans outside kernel spans" `Quick

@@ -153,10 +153,14 @@ let test_mpisim_conservation () =
 
 (* ---- ECM drift oracle ---- *)
 
-(* Medians of nine trials: with best-of-two, noise on a shared host
-   sometimes moved one ratio past the threshold or the μ ordering. *)
+(* Medians of nine trials of the fast tier's programs on a 12^3 block:
+   with best-of-two, and on the interpreter at 8^3, noise on a shared host
+   sometimes moved one ratio past the threshold or the μ ordering.  A
+   program that fell back to the VM fails the test. *)
 let test_drift_ordering () =
-  let r = Check.Drift.run ~n:8 ~sweeps:1 ~reps:9 () in
+  let r = Check.Drift.run ~n:12 ~sweeps:1 ~reps:9 () in
+  Alcotest.(check (list string)) "every program built for the fast tier" []
+    r.Check.Drift.fallbacks;
   Alcotest.(check int) "all eight P1/P2 kernel variants measured" 8
     (List.length r.Check.Drift.rows);
   Alcotest.(check bool) "mu split <= full, measured and modeled" true

@@ -359,8 +359,38 @@ let test_adaptive_freezes_bitwise () =
   adaptive_case ~min_savings:2.0 ~gd:[| 72; 72 |] ~bgrid:[| 12; 12 |] ~steps:10
     (Pfcore.Simulation.init_sphere ~radius_frac:0.2)
 
+(* One interface-fraction reduction over the 96^2 eutectic forest of 8x8
+   blocks of 12^2 reads each cell by flat index from storage.  When every
+   cell came back boxed from a reader closure and every block formatted
+   its span name with the sink off, this call allocated 4,062,049 bytes
+   (11% interface cells) and the benchmark's forest 1,027,730; the bound
+   is 1/8 of the smaller. *)
+let test_interface_fraction_allocation () =
+  Obs.Sink.disable ();
+  let forest =
+    Blocks.Forest.create ~num_domains:1 ~grid:[| 8; 8 |] ~block_dims:[| 12; 12 |]
+      (Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()))
+  in
+  Array.iter Pfcore.Simulation.init_model forest.Blocks.Forest.sims;
+  Blocks.Forest.prime forest;
+  Blocks.Forest.run forest ~steps:2;
+  let fraction () = Blocks.Reduce.interface_fraction ~num_domains:1 forest in
+  let first = fraction () in
+  let b0 = Gc.allocated_bytes () in
+  let again = fraction () in
+  let bytes = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check bool) (Printf.sprintf "interface cells present (fraction %g)" first) true
+    (first > 0.);
+  Alcotest.(check bool) "a repeat reads the same bits" true (bits_equal first again);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes <= 1/8 of 1,027,730" bytes)
+    true
+    (bytes <= 1_027_730. /. 8.)
+
 let suite =
   [
+    Alcotest.test_case "reduce: an interface fraction allocates <= 1/8 of the boxed reads" `Quick
+      test_interface_fraction_allocation;
     Alcotest.test_case "reduce: empty interior is the identity" `Quick
       test_empty_interior;
     Alcotest.test_case "reduce: tile larger than sweep = serial (bitwise)" `Quick

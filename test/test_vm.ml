@@ -514,34 +514,53 @@ let blocks_bits_equal (a : Vm.Engine.block) (b : Vm.Engine.block) =
     (fun (_, (x : Vm.Buffer.t)) (_, (y : Vm.Buffer.t)) -> data_bits_equal x.Vm.Buffer.data y.Vm.Buffer.data)
     a.Vm.Engine.buffers b.Vm.Engine.buffers
 
-(* Sweep [k] on the interpreter — whole, or as interior then shell, or in
-   2-cell tiles — and by the reference, from the same data: every buffer
-   must hold the same bits. *)
-let check_batched ~name ?(step = 5) ~make_block ~params k =
+(* One target per ISA variant of the VM the host runs: baseline, then
+   AVX2 and AVX-512 where the CPU has them. *)
+let vm_targets =
+  None
+  :: List.filter_map
+       (function
+         | (Backend.Simd.AVX2 | Backend.Simd.AVX512) as isa -> Some (Some isa)
+         | Backend.Simd.SSE2 -> None)
+       (Lazy.force Vm.Jit_cc.supported)
+
+(* Sweep [k] on the interpreter at every VM variant — whole, or as interior
+   then shell, or in [tiles] (default: 2-cell tiles) — and by the
+   reference, from the same data: every buffer must hold the same bits. *)
+let check_batched ~name ?(step = 5) ?tiles ~make_block ~params k =
   let regions = [ [ Vm.Engine.Whole ]; [ Vm.Engine.Interior 1; Vm.Engine.Shell 1 ] ] in
-  let tiles = [ None; Some (Array.make k.Ir.Kernel.dim 2) ] in
+  let tiles =
+    None :: Option.value tiles ~default:[ Some (Array.make k.Ir.Kernel.dim 2) ]
+  in
   let reference = make_block () in
   fill_block reference ~seed:step;
   reference_sweep k reference ~params ~step;
   List.iter
-    (fun tile ->
+    (fun jit_target ->
       List.iter
-        (fun region ->
-          let block = make_block () in
-          fill_block block ~seed:step;
-          let bound = Vm.Engine.bind k block in
+        (fun tile ->
           List.iter
             (fun region ->
-              Vm.Engine.run ~num_domains:1 ?tile ~step ~backend:Vm.Engine.Interp ~region ~params
-                bound)
-            region;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s, %d region(s)%s: = Eval cell by cell (bitwise)" name
-               (List.length region)
-               (if tile = None then "" else ", 2-cell tiles"))
-            true (blocks_bits_equal block reference))
-        regions)
-    tiles
+              let block = make_block () in
+              fill_block block ~seed:step;
+              let bound = Vm.Engine.bind ~jit_target k block in
+              List.iter
+                (fun region ->
+                  Vm.Engine.run ~num_domains:1 ?tile ~step ~backend:Vm.Engine.Interp ~region
+                    ~params bound)
+                region;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %s, %d region(s)%s: = Eval cell by cell (bitwise)" name
+                   (Vm.Jit.target_label jit_target) (List.length region)
+                   (match tile with
+                   | None -> ""
+                   | Some t ->
+                     ", tiles "
+                     ^ String.concat "x" (Array.to_list (Array.map string_of_int t))))
+                true (blocks_bits_equal block reference))
+            regions)
+        tiles)
+    vm_targets
 
 let f3 = Fieldspec.scalar ~dim:3 "f3"
 let g3 = Fieldspec.scalar ~dim:3 "g3"
@@ -581,7 +600,7 @@ let test_batch_shapes () =
             ~name:(Printf.sprintf "%s on %dx%dx%d" label dims.(0) dims.(1) dims.(2)))
         [ [| 5; 4; 3 |]; [| 9; 7; 6 |]; [| 70; 2; 1 |]; [| 1; 4; 3 |]; [| 1; 1; 1 |] ];
       Alcotest.(check int) (label ^ ": batches start at loop depth") batch_from
-        (Lazy.force (Vm.Engine.program k).Vm.Engine.tree).Vm.Engine.batch_from)
+        (Lazy.force (Vm.Engine.program k).Vm.Engine.code).Vm.Engine.batch_from)
     [ ([ 1; 2 ], 2, "rows"); ([ 2 ], 1, "planes"); ([], 0, "whole tiles") ]
 
 let p1_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p1 ()))
@@ -608,6 +627,43 @@ let test_batched_models () =
             kernels)
         (variants @ [ ("", Option.to_list gen.Pfcore.Genkernels.projection) ]))
     [ ("P1", p1_gen); ("P2", p2_gen) ]
+
+(* A staggered sweep (faces along x and z, extent n+1 there) over a
+   two-component cell field and a staggered field, with temporaries on z
+   and on y and z (batches are rows): rows longer than a batch, rows cut
+   by the tile, 1-cell extents, every component and face slab. *)
+let u3 = Fieldspec.create ~dim:3 ~components:2 "u3"
+let s3 = Fieldspec.create ~kind:Fieldspec.Staggered ~dim:3 ~components:1 "s3"
+let flux3 = Fieldspec.create ~kind:Fieldspec.Staggered ~dim:3 ~components:2 "flux3"
+
+let test_batched_staggered () =
+  let u c o = access (Fieldspec.access ~component:c u3 o) in
+  let s axis o = access (Fieldspec.staggered_access s3 o ~axis) in
+  let face c axis = Fieldspec.staggered_access ~component:c flux3 [| 0; 0; 0 |] ~axis in
+  let k =
+    Ir.Kernel.make ~iteration:(Ir.Kernel.StaggeredSweep [ 0; 2 ]) ~name:"staggered_rows" ~dim:3
+      [
+        Field.Assignment.assign_temp "tz" (add [ mul [ num 1.5; coord 2 ]; sym "a" ]);
+        Field.Assignment.assign_temp "ty" (mul [ sym "tz"; add [ coord 1; num 0.25 ] ]);
+        Field.Assignment.store (face 0 0)
+          (add [ mul [ sym "ty"; sub (u 0 [| 0; 0; 0 |]) (u 0 [| -1; 0; 0 |]) ]; s 1 [| 0; 0; 0 |]; coord 0 ]);
+        Field.Assignment.store (face 1 0)
+          (mul [ sym "tz"; add [ u 1 [| 0; 0; 0 |]; u 1 [| -1; 0; 0 |] ]; s 2 [| -1; 0; 0 |] ]);
+        Field.Assignment.store (face 0 2) (sub (u 0 [| 0; 0; 0 |]) (u 1 [| 0; 0; -1 |]));
+        Field.Assignment.store (face 1 2) (fmax_ (u 1 [| 0; 1; 0 |]) (s 2 [| 0; 0; -1 |]));
+      ]
+  in
+  let params = [ ("a", 0.7); ("dx", 0.5) ] in
+  List.iter
+    (fun dims ->
+      let make_block () =
+        Vm.Engine.make_block ~ghost:1 ~offset:[| 3; 1; 2 |] ~global_dims:[| 80; 9; 9 |] ~dims
+          [ u3; s3; flux3 ]
+      in
+      check_batched ~params ~make_block k
+        ~tiles:[ Some [| 2; 2; 2 |]; Some [| 1; 0; 33 |] ]
+        ~name:(Printf.sprintf "staggered on %dx%dx%d" dims.(0) dims.(1) dims.(2)))
+    [ [| 70; 3; 2 |]; [| 64; 2; 1 |]; [| 1; 4; 3 |]; [| 5; 1; 1 |] ]
 
 (* The float rules hold where the lanes of one batch differ: a sum of
    four -0 terms, Select on NaN, fmin/fmax on NaN and on zeros of either
@@ -636,19 +692,25 @@ let test_batched_float_rules () =
     Vm.Buffer.init (Vm.Engine.buffer block a) (fun c _ -> specials.(at c mod 7));
     Vm.Buffer.init (Vm.Engine.buffer block b) (fun c _ -> specials.(at c / 7 mod 7))
   in
-  let reference = make_block () and block = make_block () in
+  let reference = make_block () in
   fill reference;
-  fill block;
   reference_sweep k reference ~params:[] ~step:0;
-  Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Interp ~params:[] (Vm.Engine.bind k block);
   List.iter
-    (fun o ->
-      Alcotest.(check bool)
-        (o.Fieldspec.name ^ ": = Eval cell by cell (bitwise)")
-        true
-        (data_bits_equal (Vm.Engine.buffer block o).Vm.Buffer.data
-           (Vm.Engine.buffer reference o).Vm.Buffer.data))
-    outs
+    (fun jit_target ->
+      let block = make_block () in
+      fill block;
+      Vm.Engine.run ~num_domains:1 ~backend:Vm.Engine.Interp ~params:[]
+        (Vm.Engine.bind ~jit_target k block);
+      List.iter
+        (fun o ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: = Eval cell by cell (bitwise)" o.Fieldspec.name
+               (Vm.Jit.target_label jit_target))
+            true
+            (data_bits_equal (Vm.Engine.buffer block o).Vm.Buffer.data
+               (Vm.Engine.buffer reference o).Vm.Buffer.data))
+        outs)
+    vm_targets
 
 (* Lane scratch carries nothing between sweeps: a 2D kernel with Rand and
    Coord, swept right after a 3D kernel with a large z coordinate, writes
@@ -768,6 +830,8 @@ let suite =
         test_batched_models;
       Alcotest.test_case "batches: float rules across differing lanes = Eval" `Quick
         test_batched_float_rules;
+      Alcotest.test_case "batches: long rows, staggered n+1, 1-cell extents, components = Eval \
+                          (bitwise)" `Quick test_batched_staggered;
       Alcotest.test_case "batches: lane scratch carries nothing between sweeps" `Quick
         test_lane_scratch_fresh;
       Alcotest.test_case "batches: off-cell read of a stored field refused" `Quick
