@@ -812,9 +812,13 @@ let serve jobs seed quantum active park_after budget_mb quota domains tune soak 
     }
   in
   let mempool = Serve.Mempool.create () in
+  (* oracle 9 inline: each finished job runs once solo, and its blocks and
+     final state must equal the solo run's bitwise *)
+  let check = Check.Oracles.solo_check () in
+  let on_finish = if verify then check.on_finish else fun _ _ -> () in
   let t0 = Unix.gettimeofday () in
-  let stats = Serve.Scheduler.run ~config ~mempool specs in
-  let dt = Unix.gettimeofday () -. t0 in
+  let stats = Serve.Scheduler.run ~config ~on_finish ~mempool specs in
+  let dt = Unix.gettimeofday () -. t0 -. check.solo_s () in
   List.iter
     (fun ((spec : Serve.Workload.spec), reason) ->
       Fmt.pr "rejected: %a (%s)@." Serve.Workload.pp_spec spec reason)
@@ -857,15 +861,7 @@ let serve jobs seed quantum active park_after budget_mb quota domains tune soak 
     | None -> ()
   end;
   if verify then begin
-    (* oracle 9 inline: every farm result must equal its solo run bitwise *)
-    let bad =
-      List.filter
-        (fun (r : Serve.Scheduler.job_result) ->
-          not
-            (Resilience.Snapshot.equal r.Serve.Scheduler.final
-               (Serve.Scheduler.run_solo r.Serve.Scheduler.r_spec)))
-        stats.Serve.Scheduler.results
-    in
+    let bad = check.diverged stats.Serve.Scheduler.results in
     if bad = [] then
       Fmt.pr "verification: all %d farm result(s) = solo runs (bitwise)@." n
     else begin
@@ -940,7 +936,7 @@ let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Only print failu
 let check_cmd =
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Differential verification soak: fuzz random expressions, kernels and models through cross-layer oracle pairs (Eval vs. optimizer passes, Vm.Engine vs. interpreter, full vs. split kernels, serial vs. domains, 1 rank vs. 2x2 Mpisim ranks). Exits nonzero on divergence, reporting a minimized counterexample.")
+       ~doc:"Differential verification soak: fuzz random expressions, kernels and model runs of all six families through the twelve cross-layer oracles (Eval vs. optimizer passes, Vm.Engine vs. interpreter, full vs. split kernels, serial vs. pooled, tiled or JIT execution, one block vs. forests, snapshots and crash recovery vs. undisturbed runs, ...). Exits nonzero on divergence, reporting a minimized counterexample.")
     Term.(const check $ samples_arg $ seed_arg $ quiet_arg)
 
 (* ---- main ---- *)

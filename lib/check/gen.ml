@@ -334,149 +334,6 @@ let arb_flux : flux_sample QCheck.arbitrary =
     ~shrink:shrink_flux flux_sample
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 5: random model runs                                         *)
-(* ------------------------------------------------------------------ *)
-
-(** The model of oracle 6's single-block snapshot roundtrip. *)
-type block_model =
-  | Curvature_block  (** 12x12, no μ *)
-  | P1_block  (** 6^3 *)
-  | P2_block  (** 6^3: φ draws Philox fluctuations keyed on the step *)
-
-type model_sample = {
-  mseed : int;
-  split : bool;
-  steps : int;
-  block : block_model;  (** oracle 6's single block; oracle 5 ignores it *)
-}
-
-let block_model_name = function
-  | Curvature_block -> "curvature"
-  | P1_block -> "P1"
-  | P2_block -> "P2"
-
-let arb_model : model_sample QCheck.arbitrary =
-  QCheck.make
-    ~print:(fun s ->
-      Printf.sprintf "seed %d, %s kernels, %d steps, %s block" s.mseed
-        (if s.split then "split" else "full")
-        s.steps (block_model_name s.block))
-    ~shrink:(fun s yield ->
-      if s.steps > 1 then yield { s with steps = s.steps - 1 };
-      if s.block <> Curvature_block then yield { s with block = Curvature_block })
-    (let* mseed = G.int_bound 10_000 in
-     let* split = G.bool in
-     let* steps = G.int_range 1 3 in
-     let* block = G.oneofl [ Curvature_block; P1_block; P2_block ] in
-     G.return { mseed; split; steps; block })
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 6: random fault schedules and checkpoint cadences            *)
-(* ------------------------------------------------------------------ *)
-
-type resilience_sample = {
-  rseed : int;        (** initial-condition seed *)
-  plan_seed : int;    (** keys the Philox fault-decision streams *)
-  drop : float;
-  delay : float;
-  duplicate : float;
-  crash_rank : int;
-  crash_step : int;   (** the rank dies entering this step *)
-  ckpt_every : int;
-  rsteps : int;       (** total steps the protected run must complete *)
-}
-
-let pp_resilience ppf (s : resilience_sample) =
-  Fmt.pf ppf
-    "seed %d, plan %d (drop %.2f delay %.2f dup %.2f), rank %d dies at step %d, \
-     checkpoint every %d, %d steps"
-    s.rseed s.plan_seed s.drop s.delay s.duplicate s.crash_rank s.crash_step
-    s.ckpt_every s.rsteps
-
-let shrink_resilience (s : resilience_sample) yield =
-  if s.rsteps > s.crash_step + 1 then yield { s with rsteps = s.rsteps - 1 };
-  if s.crash_step > 1 then
-    yield { s with crash_step = s.crash_step - 1; rsteps = s.rsteps - 1 };
-  if s.drop > 0. then yield { s with drop = 0. };
-  if s.delay > 0. then yield { s with delay = 0. };
-  if s.duplicate > 0. then yield { s with duplicate = 0. };
-  if s.ckpt_every > 1 then yield { s with ckpt_every = s.ckpt_every - 1 }
-
-let arb_resilience : resilience_sample QCheck.arbitrary =
-  QCheck.make
-    ~print:(Fmt.str "%a" pp_resilience)
-    ~shrink:shrink_resilience
-    (let* rseed = G.int_bound 10_000 in
-     let* plan_seed = G.int_bound 1000 in
-     let* drop = G.oneofl [ 0.; 0.05; 0.1 ] in
-     let* delay = G.oneofl [ 0.; 0.08; 0.15 ] in
-     let* duplicate = G.oneofl [ 0.; 0.05; 0.1 ] in
-     let* crash_rank = G.int_bound 3 in
-     let* crash_step = G.int_range 1 3 in
-     let* tail = G.int_range 1 3 in
-     let* ckpt_every = G.int_range 1 3 in
-     G.return
-       {
-         rseed;
-         plan_seed;
-         drop;
-         delay;
-         duplicate;
-         crash_rank;
-         crash_step;
-         ckpt_every;
-         rsteps = crash_step + tail;
-       })
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 7: pooled tiled execution vs. serial                         *)
-(* ------------------------------------------------------------------ *)
-
-type pool_sample = {
-  pl_p2 : bool;         (** false = P1, true = P2 *)
-  pl_variant : int;     (** index into φ then μ [Timestep] candidates: 0..3 *)
-  pl_n : int;           (** cubic grid edge *)
-  pl_tile : int array;  (** loop-depth tile shape; 0 = full extent *)
-  pl_domains : int;     (** pool width: 1, 2 or 4 *)
-}
-
-let pp_pool ppf (s : pool_sample) =
-  Fmt.pf ppf "%s variant %d, %d^3 grid, tile %s, %d domain(s)"
-    (if s.pl_p2 then "P2" else "P1")
-    s.pl_variant s.pl_n
-    (String.concat "x" (Array.to_list (Array.map string_of_int s.pl_tile)))
-    s.pl_domains
-
-(* Shrink toward the smallest failing grid first, then toward trivial
-   tiles and fewer lanes. *)
-let shrink_pool (s : pool_sample) yield =
-  if s.pl_n > 4 then yield { s with pl_n = s.pl_n - 1 };
-  Array.iteri
-    (fun d x ->
-      if x > 0 then begin
-        let t = Array.copy s.pl_tile in
-        t.(d) <- 0;
-        yield { s with pl_tile = t }
-      end)
-    s.pl_tile;
-  if s.pl_domains = 4 then yield { s with pl_domains = 2 };
-  if s.pl_domains = 2 then yield { s with pl_domains = 1 };
-  if s.pl_variant > 0 then yield { s with pl_variant = 0 }
-
-let arb_pool : pool_sample QCheck.arbitrary =
-  QCheck.make
-    ~print:(Fmt.str "%a" pp_pool)
-    ~shrink:shrink_pool
-    (let* pl_p2 = G.bool in
-     let* pl_variant = G.int_bound 3 in
-     let* pl_n = G.int_range 4 8 in
-     (* tile extents may exceed the grid or block the innermost depth:
-        determinism must hold for every shape, not just the fast ones *)
-     let* pl_tile = G.array_size (G.return 3) (G.oneofl [ 0; 1; 2; 3; 5 ]) in
-     let* pl_domains = G.oneofl [ 1; 2; 4 ] in
-     G.return { pl_p2; pl_variant; pl_n; pl_tile; pl_domains })
-
-(* ------------------------------------------------------------------ *)
 (* Oracle 9: farm-scheduled execution vs. solo                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -516,339 +373,68 @@ let arb_farm : farm_sample QCheck.arbitrary =
      G.return { fm_seed; fm_jobs; fm_quantum; fm_active; fm_park; fm_crash })
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 10: overlapped exchange vs. sequential                       *)
+(* Model runs: one case over every model family                        *)
 (* ------------------------------------------------------------------ *)
 
-type overlap_sample = {
-  ov_seed : int;        (** initial-condition seed *)
-  ov_p2 : bool;         (** false = P1, true = P2 *)
-  ov_split : bool;      (** kernel variant for both families *)
-  ov_n : int;           (** cubic block edge per rank *)
-  ov_grid : int array;  (** ranks per axis *)
-  ov_tile : int array;  (** loop-depth tile shape; 0 = full extent *)
-  ov_domains : int;     (** pool width of the overlapped run *)
-  ov_jit : bool;        (** overlapped run uses the JIT backend *)
-  ov_steps : int;
-  ov_plan_seed : int;   (** keys the Philox fault-decision streams *)
-  ov_drop : float;
-  ov_delay : float;
-  ov_dup : float;
-  ov_crash : bool;      (** kill a rank mid-run; recovery must roll back *)
-  ov_crash_rank : int;
-  ov_crash_step : int;
-  ov_ckpt_every : int;
+type family = Curvature | P1 | P2 | Eutectic | Pfc | Gray_scott
+
+let families = [ Curvature; P1; P2; Eutectic; Pfc; Gray_scott ]
+
+let family_name = function
+  | Curvature -> "curvature"
+  | P1 -> "P1"
+  | P2 -> "P2"
+  | Eutectic -> "eutectic"
+  | Pfc -> "pfc"
+  | Gray_scott -> "gray-scott"
+
+(** The families built by the energy combinators (the model zoo); the
+    paper's curvature, P1 and P2 models are the others. *)
+let is_zoo = function Eutectic | Pfc | Gray_scott -> true | Curvature | P1 | P2 -> false
+
+(** How a run executes: nothing here may change a bit of the result. *)
+type exec = {
+  jit : bool;         (** JIT backend instead of the interpreter *)
+  domains : int;      (** pool width: 1, 2 or 4 *)
+  tile : int array;   (** loop-depth tile shape; 0 = full extent *)
+  overlap : bool;     (** overlapped φ_dst exchange (a no-op without μ) *)
+  grid : int array;   (** ranks per axis of a forest *)
 }
 
-let pp_overlap ppf (s : overlap_sample) =
-  Fmt.pf ppf
-    "%s %s, %d^3 blocks on %s grid, tile %s, %d domain(s), %s backend, %d step(s), \
-     seed %d, plan %d (drop %.2f delay %.2f dup %.2f)%s"
-    (if s.ov_p2 then "P2" else "P1")
-    (if s.ov_split then "split" else "full")
-    s.ov_n
-    (String.concat "x" (Array.to_list (Array.map string_of_int s.ov_grid)))
-    (String.concat "x" (Array.to_list (Array.map string_of_int s.ov_tile)))
-    s.ov_domains
-    (if s.ov_jit then "jit" else "interp")
-    s.ov_steps s.ov_seed s.ov_plan_seed s.ov_drop s.ov_delay s.ov_dup
-    (if s.ov_crash then
-       Printf.sprintf ", rank %d dies at step %d, checkpoint every %d" s.ov_crash_rank
-         s.ov_crash_step s.ov_ckpt_every
-     else "")
-
-(* Shrink toward one clean interpreted step on the smallest grid. *)
-let shrink_overlap (s : overlap_sample) yield =
-  if s.ov_crash then yield { s with ov_crash = false };
-  if s.ov_drop > 0. then yield { s with ov_drop = 0. };
-  if s.ov_delay > 0. then yield { s with ov_delay = 0. };
-  if s.ov_dup > 0. then yield { s with ov_dup = 0. };
-  if s.ov_jit then yield { s with ov_jit = false };
-  if (not s.ov_crash) && s.ov_steps > 1 then yield { s with ov_steps = s.ov_steps - 1 };
-  if s.ov_n > 4 then yield { s with ov_n = s.ov_n - 1 };
-  Array.iteri
-    (fun d x ->
-      if x > 0 then begin
-        let t = Array.copy s.ov_tile in
-        t.(d) <- 0;
-        yield { s with ov_tile = t }
-      end)
-    s.ov_tile;
-  if s.ov_domains > 1 then yield { s with ov_domains = 1 };
-  if Array.fold_left ( * ) 1 s.ov_grid > 2 then yield { s with ov_grid = [| 2; 1; 1 |] };
-  if s.ov_p2 then yield { s with ov_p2 = false };
-  if s.ov_split then yield { s with ov_split = false }
-
-let arb_overlap : overlap_sample QCheck.arbitrary =
-  QCheck.make
-    ~print:(Fmt.str "%a" pp_overlap)
-    ~shrink:shrink_overlap
-    (let* ov_seed = G.int_bound 10_000 in
-     let* ov_p2 = G.bool in
-     let* ov_split = G.bool in
-     let* ov_n = G.int_range 4 6 in
-     let* ov_grid = G.oneofl [ [| 2; 1; 1 |]; [| 1; 2; 1 |]; [| 1; 1; 2 |]; [| 2; 2; 1 |] ] in
-     (* degenerate shapes included on purpose: interior/shell tiles must be
-        bitwise-stable for every decomposition, not just the fast ones *)
-     let* ov_tile = G.array_size (G.return 3) (G.oneofl [ 0; 1; 2; 3; 5 ]) in
-     let* ov_domains = G.oneofl [ 1; 2; 4 ] in
-     let* ov_jit = G.bool in
-     let* ov_plan_seed = G.int_bound 1000 in
-     let* ov_drop = G.oneofl [ 0.; 0.05; 0.1 ] in
-     let* ov_delay = G.oneofl [ 0.; 0.08; 0.15 ] in
-     let* ov_dup = G.oneofl [ 0.; 0.05; 0.1 ] in
-     let* ov_crash = G.bool in
-     let* ov_crash_step = G.int_range 1 2 in
-     let* tail = G.int_range 1 2 in
-     let* ov_ckpt_every = G.int_range 1 2 in
-     let* steps = G.int_range 1 3 in
-     let* crash_rank_u = G.int_bound 1000 in
-     let ranks = Array.fold_left ( * ) 1 ov_grid in
-     G.return
-       {
-         ov_seed;
-         ov_p2;
-         ov_split;
-         ov_n;
-         ov_grid;
-         ov_tile;
-         ov_domains;
-         ov_jit;
-         ov_steps = (if ov_crash then ov_crash_step + tail else steps);
-         ov_plan_seed;
-         ov_drop;
-         ov_delay;
-         ov_dup;
-         ov_crash;
-         ov_crash_rank = crash_rank_u mod ranks;
-         ov_crash_step;
-         ov_ckpt_every;
-       })
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 11: deterministic reductions                                 *)
-(* ------------------------------------------------------------------ *)
-
-type reduce_sample = {
-  rd_seed : int;        (** initial-condition seed *)
-  rd_grid : int array;  (** rank grid of the forest leg *)
-  rd_tile : int array;  (** loop-depth tile shape; 0 = full extent *)
-  rd_domains : int;     (** pool width: 1, 2 or 4 *)
-  rd_jit : bool;        (** subject legs read cells through the JIT path *)
-  rd_op : int;          (** 0 = Sum, 1 = Min, 2 = Max *)
-  rd_cell : int;        (** 0/1 = Component, 2 = Interface, 3 = Custom NaN *)
-  rd_steps : int;       (** steps to evolve before reducing *)
-  rd_plan_seed : int;   (** keys the Philox fault-decision streams *)
-  rd_drop : float;
-  rd_delay : float;
-  rd_dup : float;
+(** What the simulated network does to a forest's messages. *)
+type faults = {
+  plan_seed : int;  (** keys the Philox fault-decision streams *)
+  drop : float;
+  delay : float;
+  duplicate : float;
+  crash : (int * int) option;  (** rank, and the step it dies entering *)
+  ckpt_every : int;            (** checkpoint cadence of the recovery *)
 }
 
-let pp_reduce ppf (s : reduce_sample) =
-  Fmt.pf ppf
-    "seed %d, %s rank grid, tile %s, %d domain(s), %s reader, op %d, cellfn %d, \
-     %d step(s), plan %d (drop %.2f delay %.2f dup %.2f)"
-    s.rd_seed
-    (String.concat "x" (Array.to_list (Array.map string_of_int s.rd_grid)))
-    (String.concat "x" (Array.to_list (Array.map string_of_int s.rd_tile)))
-    s.rd_domains
-    (if s.rd_jit then "jit" else "interp")
-    s.rd_op s.rd_cell s.rd_steps s.rd_plan_seed s.rd_drop s.rd_delay s.rd_dup
-
-(* Shrink toward an unfaulted serial interpreted sum of component 0 on a
-   single rank. *)
-let shrink_reduce (s : reduce_sample) yield =
-  if s.rd_drop > 0. then yield { s with rd_drop = 0. };
-  if s.rd_delay > 0. then yield { s with rd_delay = 0. };
-  if s.rd_dup > 0. then yield { s with rd_dup = 0. };
-  if s.rd_jit then yield { s with rd_jit = false };
-  if s.rd_steps > 0 then yield { s with rd_steps = s.rd_steps - 1 };
-  if s.rd_domains > 1 then yield { s with rd_domains = 1 };
-  Array.iteri
-    (fun d x ->
-      if x > 0 then begin
-        let t = Array.copy s.rd_tile in
-        t.(d) <- 0;
-        yield { s with rd_tile = t }
-      end)
-    s.rd_tile;
-  if Array.fold_left ( * ) 1 s.rd_grid > 1 then yield { s with rd_grid = [| 1; 1 |] };
-  if s.rd_cell > 0 then yield { s with rd_cell = 0 };
-  if s.rd_op > 0 then yield { s with rd_op = 0 }
-
-let arb_reduce : reduce_sample QCheck.arbitrary =
-  QCheck.make
-    ~print:(Fmt.str "%a" pp_reduce)
-    ~shrink:shrink_reduce
-    (let* rd_seed = G.int_bound 10_000 in
-     let* rd_grid = G.oneofl [ [| 1; 1 |]; [| 2; 1 |]; [| 1; 2 |]; [| 2; 2 |] ] in
-     (* degenerate tiles included on purpose: exact partials must make
-        every decomposition give the same bits *)
-     let* rd_tile = G.array_size (G.return 2) (G.oneofl [ 0; 1; 2; 3; 5 ]) in
-     let* rd_domains = G.oneofl [ 1; 2; 4 ] in
-     let* rd_jit = G.bool in
-     let* rd_op = G.int_bound 2 in
-     let* rd_cell = G.int_bound 3 in
-     let* rd_steps = G.int_bound 2 in
-     let* rd_plan_seed = G.int_bound 1000 in
-     let* rd_drop = G.oneofl [ 0.; 0.05; 0.1 ] in
-     let* rd_delay = G.oneofl [ 0.; 0.08; 0.15 ] in
-     let* rd_dup = G.oneofl [ 0.; 0.05; 0.1 ] in
-     G.return
-       {
-         rd_seed;
-         rd_grid;
-         rd_tile;
-         rd_domains;
-         rd_jit;
-         rd_op;
-         rd_cell;
-         rd_steps;
-         rd_plan_seed;
-         rd_drop;
-         rd_delay;
-         rd_dup;
-       })
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 5 extension: adaptive block forests                          *)
-(* ------------------------------------------------------------------ *)
-
-type adaptive_sample = {
-  ad_seed : int;         (** keys the sharp-disc initial condition *)
-  ad_bgrid : int array;  (** blocks per axis; every block is 6x6 cells *)
-  ad_ranks : int;        (** simulated ranks the blocks are balanced over *)
-  ad_static : bool;      (** Static mode: refine once after prime *)
-  ad_adapt_every : int;
-  ad_steps : int;
-  ad_jit : bool;
-  ad_domains : int;
-  ad_tile : int array;
-  ad_plan_seed : int;
-  ad_drop : float;
-  ad_delay : float;
-  ad_dup : float;
-  ad_crash : bool;       (** kill a rank mid-run; recovery must roll back *)
-  ad_crash_rank : int;
-  ad_crash_step : int;
-  ad_ckpt_every : int;
+type case = {
+  family : family;
+  coef : int;         (** coefficient variant 0..2 (eutectic, PFC, Gray–Scott) *)
+  dims : int array;   (** cells per block; a single block holds the forest's domain *)
+  split : bool;       (** split (staggered-precompute) kernel variants *)
+  exec : exec;
+  faults : faults;
+  steps : int;
+  seed : int;         (** keys the initial condition *)
 }
 
-let pp_adaptive ppf (s : adaptive_sample) =
-  Fmt.pf ppf
-    "seed %d, %s blocks of 6x6 on %d rank(s), %s mode (every %d), %d step(s), \
-     tile %s, %d domain(s), %s backend, plan %d (drop %.2f delay %.2f dup %.2f)%s"
-    s.ad_seed
-    (String.concat "x" (Array.to_list (Array.map string_of_int s.ad_bgrid)))
-    s.ad_ranks
-    (if s.ad_static then "static" else "adapt")
-    s.ad_adapt_every s.ad_steps
-    (String.concat "x" (Array.to_list (Array.map string_of_int s.ad_tile)))
-    s.ad_domains
-    (if s.ad_jit then "jit" else "interp")
-    s.ad_plan_seed s.ad_drop s.ad_delay s.ad_dup
-    (if s.ad_crash then
-       Printf.sprintf ", rank %d dies at step %d, checkpoint every %d" s.ad_crash_rank
-         s.ad_crash_step s.ad_ckpt_every
-     else "")
+let dim_of = function P1 | P2 -> 3 | Curvature | Eutectic | Pfc | Gray_scott -> 2
 
-(* Shrink toward one clean interpreted serial step on the smallest forest. *)
-let shrink_adaptive (s : adaptive_sample) yield =
-  if s.ad_crash then yield { s with ad_crash = false };
-  if s.ad_drop > 0. then yield { s with ad_drop = 0. };
-  if s.ad_delay > 0. then yield { s with ad_delay = 0. };
-  if s.ad_dup > 0. then yield { s with ad_dup = 0. };
-  if s.ad_jit then yield { s with ad_jit = false };
-  if (not s.ad_crash) && s.ad_steps > 1 then yield { s with ad_steps = s.ad_steps - 1 };
-  if s.ad_domains > 1 then yield { s with ad_domains = 1 };
-  Array.iteri
-    (fun d x ->
-      if x > 0 then begin
-        let t = Array.copy s.ad_tile in
-        t.(d) <- 0;
-        yield { s with ad_tile = t }
-      end)
-    s.ad_tile;
-  if (not s.ad_crash) && s.ad_ranks > 1 then yield { s with ad_ranks = 1 };
-  if Array.fold_left ( * ) 1 s.ad_bgrid > 4 then yield { s with ad_bgrid = [| 2; 2 |] };
-  if s.ad_adapt_every > 1 then yield { s with ad_adapt_every = 1 };
-  if not s.ad_static then yield { s with ad_static = true }
-
-let arb_adaptive : adaptive_sample QCheck.arbitrary =
-  QCheck.make
-    ~print:(Fmt.str "%a" pp_adaptive)
-    ~shrink:shrink_adaptive
-    (let* ad_seed = G.int_bound 10_000 in
-     let* ad_bgrid = G.oneofl [ [| 2; 2 |]; [| 4; 2 |]; [| 2; 4 |] ] in
-     let* ad_ranks = G.int_range 1 4 in
-     let* ad_static = G.bool in
-     let* ad_adapt_every = G.int_range 1 2 in
-     let* ad_jit = G.bool in
-     let* ad_domains = G.oneofl [ 1; 2; 4 ] in
-     let* ad_tile = G.array_size (G.return 2) (G.oneofl [ 0; 1; 2; 3; 5 ]) in
-     let* ad_plan_seed = G.int_bound 1000 in
-     let* ad_drop = G.oneofl [ 0.; 0.05; 0.1 ] in
-     let* ad_delay = G.oneofl [ 0.; 0.08; 0.15 ] in
-     let* ad_dup = G.oneofl [ 0.; 0.05; 0.1 ] in
-     let* ad_crash = G.bool in
-     let* ad_crash_step = G.int_range 1 2 in
-     let* tail = G.int_range 1 2 in
-     let* ad_ckpt_every = G.int_range 1 2 in
-     let* steps = G.int_range 1 3 in
-     let* crash_rank_u = G.int_bound 1000 in
-     let ranks = if ad_crash then max 2 ad_ranks else ad_ranks in
-     G.return
-       {
-         ad_seed;
-         ad_bgrid;
-         ad_ranks = ranks;
-         ad_static;
-         ad_adapt_every;
-         ad_steps = (if ad_crash then ad_crash_step + tail else steps);
-         ad_jit;
-         ad_domains;
-         ad_tile;
-         ad_plan_seed;
-         ad_drop;
-         ad_delay;
-         ad_dup;
-         ad_crash;
-         ad_crash_rank = crash_rank_u mod ranks;
-         ad_crash_step;
-         ad_ckpt_every;
-       })
-
-(* ------------------------------------------------------------------ *)
-(* Model zoo: families with randomized coefficients                    *)
-(* ------------------------------------------------------------------ *)
-
-(** One zoo model at a discrete coefficient variant.  The coefficient
-    index (rather than raw floats) keys a process-wide kernel cache in
-    the oracles: code generation costs seconds per model, so samples
-    draw from a small set of regenerable configurations while the seed,
-    decomposition and backend vary freely. *)
-type zoo_sample = {
-  zf : int;          (** family: 0 = eutectic, 1 = pfc, 2 = gray-scott *)
-  zcoef : int;       (** coefficient variant, 0..2; keys the kernel cache *)
-  zseed : int;       (** initial-condition seed *)
-  zsplit : bool;     (** run the split operator variant *)
-  zsteps : int;
-  zdomains : int;
-  ztile : int array;
-  zjit : bool;
-}
-
-let zoo_family_name = function
-  | 0 -> "eutectic"
-  | 1 -> "pfc"
-  | _ -> "gray-scott"
-
-(** Family preset at the sample's coefficient variant.  Every variant
-    stays inside the stable regime of its family (the oracles compare
-    execution paths, so the state must stay finite, not physical). *)
-let zoo_params (s : zoo_sample) : Pfcore.Params.t =
-  let v = s.zcoef mod 3 in
-  match s.zf mod 3 with
-  | 0 ->
+(** The family's parameters at the case's coefficient variant.  Every
+    variant stays inside the stable regime of its family (the oracles
+    compare execution paths, so the state must stay finite, not
+    physical). *)
+let params (c : case) : Pfcore.Params.t =
+  let v = c.coef mod 3 in
+  match c.family with
+  | Curvature -> Pfcore.Params.curvature ()
+  | P1 -> Pfcore.Params.p1 ()
+  | P2 -> Pfcore.Params.p2 ()
+  | Eutectic ->
     let p = Pfcore.Params.eutectic () in
     let scale = [| 1.0; 0.8; 1.2 |].(v) in
     {
@@ -856,14 +442,14 @@ let zoo_params (s : zoo_sample) : Pfcore.Params.t =
       Pfcore.Params.name = Printf.sprintf "eutectic-z%d" v;
       gamma = Array.map (Array.map (fun g -> g *. scale)) p.Pfcore.Params.gamma;
     }
-  | 1 ->
+  | Pfc ->
     let p = Pfcore.Params.pfc () in
     {
       p with
       Pfcore.Params.name = Printf.sprintf "pfc-z%d" v;
       family = Pfcore.Params.Pfc { r = [| 0.25; 0.15; 0.35 |].(v) };
     }
-  | _ ->
+  | Gray_scott ->
     let p = Pfcore.Params.gray_scott () in
     let feed, kill = [| (0.035, 0.065); (0.03, 0.062); (0.025, 0.055) |].(v) in
     {
@@ -875,48 +461,135 @@ let zoo_params (s : zoo_sample) : Pfcore.Params.t =
         | f -> f);
     }
 
-let pp_zoo ppf (s : zoo_sample) =
-  Fmt.pf ppf "%s coef %d, seed %d, %s variant, %d step(s), %d domain(s), tile %s, %s backend"
-    (zoo_family_name (s.zf mod 3))
-    (s.zcoef mod 3) s.zseed
-    (if s.zsplit then "split" else "full")
-    s.zsteps s.zdomains
-    (String.concat "x" (Array.to_list (Array.map string_of_int s.ztile)))
-    (if s.zjit then "jit" else "interp")
+let ranks (e : exec) = Array.fold_left ( * ) 1 e.grid
 
-(* Shrink toward one interpreted full-variant serial step with the default
-   coefficients.  The family index is deliberately not shrunk: changing
-   family mid-shrink would report a counterexample for a different model
-   than the one that failed. *)
-let shrink_zoo (s : zoo_sample) yield =
-  if s.zjit then yield { s with zjit = false };
-  if s.zsplit then yield { s with zsplit = false };
-  if s.zsteps > 1 then yield { s with zsteps = s.zsteps - 1 };
-  if s.zdomains > 1 then yield { s with zdomains = 1 };
+(** The serial interpreted executor on the case's rank grid. *)
+let reference (e : exec) =
+  { e with jit = false; domains = 1; tile = Array.map (fun _ -> 0) e.tile; overlap = false }
+
+let no_faults =
+  { plan_seed = 0; drop = 0.; delay = 0.; duplicate = 0.; crash = None; ckpt_every = 1 }
+
+(** One clean, serial, interpreted step of [family] from seed 0. *)
+let base family =
+  let dim = dim_of family in
+  {
+    family;
+    coef = 0;
+    dims = Array.make dim (if dim = 2 then 6 else 4);
+    split = false;
+    exec =
+      reference
+        { jit = false; domains = 1; tile = Array.make dim 0; overlap = false;
+          grid = Array.init dim (fun d -> if d = 0 then 2 else 1) };
+    faults = no_faults;
+    steps = 1;
+    seed = 0;
+  }
+
+let ints a = String.concat "x" (Array.to_list (Array.map string_of_int a))
+
+let pp_case ppf (c : case) =
+  let e = c.exec and f = c.faults in
+  Fmt.pf ppf
+    "%s coef %d, seed %d, %s, %s blocks on %s ranks, %d step(s); %s, %d domain(s), tile %s%s; \
+     plan %d (drop %.2f delay %.2f dup %.2f)%s"
+    (family_name c.family) c.coef c.seed
+    (if c.split then "split" else "full")
+    (ints c.dims) (ints e.grid) c.steps
+    (if e.jit then "jit" else "interp")
+    e.domains (ints e.tile)
+    (if e.overlap then ", overlapped" else "")
+    f.plan_seed f.drop f.delay f.duplicate
+    (match f.crash with
+    | Some (r, k) -> Printf.sprintf ", rank %d dies at step %d, checkpoint every %d" r k f.ckpt_every
+    | None -> "")
+
+(* Shrink toward one clean, serial, interpreted, full-variant step on the
+   smallest grid.  The family is never shrunk: a counterexample must be
+   one of the family that failed. *)
+let shrink_case (c : case) yield =
+  let e = c.exec and f = c.faults in
+  let exec e' = yield { c with exec = e' } and faults f' = yield { c with faults = f' } in
+  if f.crash <> None then faults { f with crash = None };
+  if f.drop > 0. then faults { f with drop = 0. };
+  if f.delay > 0. then faults { f with delay = 0. };
+  if f.duplicate > 0. then faults { f with duplicate = 0. };
+  if e.jit then exec { e with jit = false };
+  if e.overlap then exec { e with overlap = false };
+  if c.steps > (match f.crash with Some (_, k) -> k + 1 | None -> 1) then
+    yield { c with steps = c.steps - 1 };
+  if e.domains > 1 then exec { e with domains = 1 };
   Array.iteri
     (fun d x ->
-      if x > 0 then begin
-        let t = Array.copy s.ztile in
-        t.(d) <- 0;
-        yield { s with ztile = t }
-      end)
-    s.ztile;
-  if s.zcoef mod 3 > 0 then yield { s with zcoef = 0 };
-  if s.zseed > 0 then yield { s with zseed = s.zseed / 2 }
+      if x > 0 then exec { e with tile = Array.mapi (fun d' x' -> if d' = d then 0 else x') e.tile })
+    e.tile;
+  if ranks e > 2 then
+    yield
+      {
+        c with
+        exec = { e with grid = Array.mapi (fun d _ -> if d = 0 then 2 else 1) e.grid };
+        faults = { f with crash = Option.map (fun (r, k) -> (r mod 2, k)) f.crash };
+      };
+  if c.dims.(0) > 4 && dim_of c.family = 3 then
+    yield { c with dims = Array.map (fun n -> n - 1) c.dims };
+  if f.ckpt_every > 1 then faults { f with ckpt_every = 1 };
+  if c.coef > 0 then yield { c with coef = 0 };
+  if c.split then yield { c with split = false };
+  if c.seed > 0 then yield { c with seed = c.seed / 2 }
 
-let arb_zoo : zoo_sample QCheck.arbitrary =
-  QCheck.make
-    ~print:(Fmt.str "%a" pp_zoo)
-    ~shrink:shrink_zoo
-    (let* zf = G.int_bound 2 in
-     let* zcoef = G.int_bound 2 in
-     let* zseed = G.int_bound 10_000 in
-     let* zsplit = G.bool in
-     let* zsteps = G.int_range 1 3 in
-     let* zdomains = G.oneofl [ 1; 2; 4 ] in
-     let* ztile = G.array_size (G.return 2) (G.oneofl [ 0; 1; 2; 3; 5 ]) in
-     let* zjit = G.bool in
-     G.return { zf; zcoef; zseed; zsplit; zsteps; zdomains; ztile; zjit })
+let case_gen family : case G.t =
+  let dim = dim_of family in
+  let* coef = if is_zoo family then G.int_bound 2 else G.return 0 in
+  let* edge = if dim = 2 then G.return 6 else G.int_range 4 6 in
+  let* split = G.bool in
+  let* jit = G.bool in
+  let* domains = G.oneofl [ 1; 2; 4 ] in
+  (* degenerate tiles included on purpose: every decomposition must give
+     the same bits, not just the fast ones *)
+  let* tile = G.array_size (G.return dim) (G.oneofl [ 0; 1; 2; 3; 5 ]) in
+  let* overlap = G.bool in
+  let* grid =
+    G.oneofl
+      (if dim = 2 then [ [| 2; 1 |]; [| 1; 2 |]; [| 2; 2 |] ]
+       else [ [| 2; 1; 1 |]; [| 1; 2; 1 |]; [| 1; 1; 2 |]; [| 2; 2; 1 |] ])
+  in
+  let* plan_seed = G.int_bound 1000 in
+  let* drop = G.oneofl [ 0.; 0.05; 0.1 ] in
+  let* delay = G.oneofl [ 0.; 0.08; 0.15 ] in
+  let* duplicate = G.oneofl [ 0.; 0.05; 0.1 ] in
+  let* crashes = G.bool in
+  let* crash_rank = G.int_bound 1000 in
+  let* crash_step = G.int_range 1 2 in
+  let* ckpt_every = G.int_range 1 2 in
+  let* tail = G.int_range 1 2 in
+  let* steps = G.int_range 1 3 in
+  let* seed = G.int_bound 10_000 in
+  let exec = { jit; domains; tile; overlap; grid } in
+  G.return
+    {
+      family;
+      coef;
+      dims = Array.make dim edge;
+      split;
+      exec;
+      faults =
+        {
+          plan_seed;
+          drop;
+          delay;
+          duplicate;
+          crash = (if crashes then Some (crash_rank mod ranks exec, crash_step) else None);
+          ckpt_every;
+        };
+      steps = (if crashes then crash_step + tail else steps);
+      seed;
+    }
+
+(** Cases of one family: every model-level oracle draws from these. *)
+let arb_case family : case QCheck.arbitrary =
+  QCheck.make ~print:(Fmt.str "%a" pp_case) ~shrink:shrink_case (case_gen family)
+
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 12: random free-energy functionals                           *)

@@ -1,26 +1,46 @@
-(** Differential oracle pairs.
+(** Differential oracles.
 
     Each oracle runs one random sample through two independent
     implementations of the same semantics and compares the results:
 
     + scalar [Eval.eval] vs. eval after an algebraic pass
       ([Simplify.simplify_term], [expand], [factor_common],
-      [freeze_parameters]) or after [Cse];
-    + the compiled [Vm.Engine] sweep vs. a direct [Eval]-based interpreter
-      over the same block;
-    + full vs. split (staggered-precompute) discretization from
-      [Fd.Discretize];
-    + serial sweep vs. multi-domain sweep (bitwise);
-    + single-block run vs. 2×2-rank [Blocks.Mpisim] run with ghost
-      exchange, compared on interior cells after K steps (bitwise).
+      [freeze_parameters]) or after [Cse]; and a model's optimized
+      kernels vs. its unoptimized ones;
+    + the compiled [Vm.Engine] sweep vs. the per-cell [Eval] sweep
+      ({!eval_sweep}), on random kernels and on each model's φ kernel;
+    + full vs. split (staggered-precompute) discretization;
+    + serial vs. multi-domain sweep (bitwise);
+    + single block vs. an [Blocks.Mpisim] forest, and an adaptive forest
+      vs. the uniform fine grid (bitwise);
+    + snapshot roundtrips and crash + rollback + replay vs. the
+      undisturbed run (bitwise);
+    + pooled tiled vs. serial execution (bitwise);
+    + the JIT backend vs. the interpreter (bitwise), and the fast tier on
+      random kernels;
+    + a farm-scheduled job vs. the same job run solo (bitwise);
+    + overlapped vs. sequential ghost exchange (bitwise);
+    + pooled, tiled and forest reductions vs. the serial exact sum
+      (bitwise);
+    + the automatic variational derivative vs. finite differences of the
+      discretized energy.
+
+    The model-level oracles are relations between a reference run and a
+    subject run of one {!Gen.case}: every model family draws the same
+    case type, the executors, rank grids and fault plans the case names
+    are built by one constructor ({!build}), and every run starts from one
+    initializer ({!init}) and is compared by one global-coordinate
+    comparison ({!agree}).  {!relations} lists each oracle with the
+    families it applies to.
 
     Floating-point policy: oracles whose two sides evaluate *different
     expression trees* (1 and 3) compare up to a tolerance and skip samples
     whose intermediate values leave [-guard, guard] — reassociation under
     the normalizing smart constructors legitimately perturbs the last bits,
     and IEEE non-finite arithmetic makes algebraic rewrites unsound
-    (0 * inf).  Oracles whose two sides evaluate the *same* tree (2, 4, 5)
-    compare (near-)bitwise. *)
+    (0 * inf).  Oracles whose two sides evaluate the *same* tree compare
+    bitwise, except the [Eval] sweep, whose generic [Pow] differs in the
+    last bits. *)
 
 open Symbolic
 
@@ -39,6 +59,17 @@ let close ?(tol = 1e-6) a b =
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(** The compare of different trees (oracles 1 and 3): a tolerance, with
+    values outside the guard band or non-finite on both sides accepted. *)
+let tolerant a b =
+  (not (Float.is_finite a) && not (Float.is_finite b))
+  || Float.abs a > guard || Float.abs b > guard || close a b
+
+(* The engine and [Eval] evaluate the same normalized tree; the only
+   rounding difference is the generic-[Pow] strategy (repeated multiply
+   vs. [**]), so the tolerance is tight. *)
+let engine_close a b = (Float.is_nan a && Float.is_nan b) || a = b || close ~tol:1e-9 a b
+
 (** True when every subterm of [e] evaluates to a finite value within the
     guard band.  Samples failing this are vacuously accepted: algebraic
     identities are only claimed on the well-scaled domain. *)
@@ -51,6 +82,30 @@ let well_scaled env e =
       | v -> Float.is_finite v && Float.abs v <= guard
       | exception _ -> false)
     true e
+
+(** [get_a] and [get_b] agree under [cmp] at every cell of the global
+    domain [dims], in every component of [fields]. *)
+let agree ?(cmp = bits_equal) ~fields ~dims get_a get_b =
+  let g = Array.make (Array.length dims) 0 and ok = ref true in
+  let rec go d =
+    if d < 0 then
+      List.iter
+        (fun (f : Fieldspec.t) ->
+          for c = 0 to f.Fieldspec.components - 1 do
+            if not (cmp (get_a f c g) (get_b f c g)) then ok := false
+          done)
+        fields
+    else
+      for i = 0 to dims.(d) - 1 do
+        g.(d) <- i;
+        go (d - 1)
+      done
+  in
+  go (Array.length dims - 1);
+  !ok
+
+let block_value (block : Vm.Engine.block) f c g =
+  Vm.Buffer.get (Vm.Engine.buffer block f) ~component:c g
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 1: Eval vs. Eval-after-pass                                  *)
@@ -100,55 +155,35 @@ let simplify_tests ~count =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Shared block plumbing for oracles 2–4                               *)
+(* Initial conditions and the reference sweep                          *)
 (* ------------------------------------------------------------------ *)
 
-let dims2 = [| 6; 5 |]
+(** The smooth initial condition of [f] on [block]'s interior: [base +
+    amp * u] per component, [u] a Philox draw keyed on the *global* cell
+    index and [slot + component], so every decomposition of one global
+    domain starts bitwise identically. *)
+let smooth (block : Vm.Engine.block) (f : Fieldspec.t) ~seed ~slot ~base ~amp =
+  let off = block.Vm.Engine.offset and gd = block.Vm.Engine.global_dims in
+  Vm.Buffer.init (Vm.Engine.buffer block f) (fun coords comp ->
+      let cell = ref 0 in
+      for d = Array.length gd - 1 downto 0 do
+        cell := (!cell * gd.(d)) + coords.(d) + off.(d)
+      done;
+      base +. (amp *. Philox.symmetric ~cell:!cell ~step:seed ~slot:(slot + comp)))
 
-(* Deterministic pseudo-random fill of every element (ghosts included) so
-   out-of-center reads hit initialized data. *)
-let fill_buffer (buf : Vm.Buffer.t) ~seed ~slot =
-  Array.iteri
-    (fun i _ ->
-      buf.Vm.Buffer.data.(i) <- 0.5 +. (0.45 *. Philox.symmetric ~cell:i ~step:seed ~slot))
-    buf.Vm.Buffer.data
-
-let interior_agree ?(cmp = bits_equal) (a : Vm.Buffer.t) (b : Vm.Buffer.t) =
-  let ok = ref true in
-  let coords = Array.make 2 0 in
-  for y = 0 to a.Vm.Buffer.dims.(1) - 1 do
-    for x = 0 to a.Vm.Buffer.dims.(0) - 1 do
-      coords.(0) <- x;
-      coords.(1) <- y;
-      for c = 0 to a.Vm.Buffer.components - 1 do
-        if not (cmp (Vm.Buffer.get a ~component:c coords) (Vm.Buffer.get b ~component:c coords))
-        then ok := false
-      done
-    done
-  done;
-  !ok
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 2: compiled engine vs. reference interpreter                 *)
-(* ------------------------------------------------------------------ *)
-
-let run_engine (s : Gen.kernel_sample) ~num_domains =
-  let kernel = Ir.Kernel.make ~name:"fuzz" ~dim:2 s.Gen.body in
-  let block = Vm.Engine.make_block ~ghost:2 ~dims:dims2 [ s.Gen.src; s.Gen.dst ] in
-  fill_buffer (Vm.Engine.buffer block s.Gen.src) ~seed:s.Gen.seed ~slot:3;
-  let bound = Vm.Engine.bind kernel block in
-  Vm.Engine.run ~num_domains ~step:s.Gen.seed ~params:s.Gen.params bound;
-  block
-
-(* Direct interpretation of the SSA body, one cell at a time, through
-   [Eval] — no lowering, no hoisting, no compilation. *)
-let run_interp (s : Gen.kernel_sample) =
-  let block = Vm.Engine.make_block ~ghost:2 ~dims:dims2 [ s.Gen.src; s.Gen.dst ] in
-  fill_buffer (Vm.Engine.buffer block s.Gen.src) ~seed:s.Gen.seed ~slot:3;
+(** Direct interpretation of an SSA body over [block]'s interior, one
+    cell at a time through [Eval] — no lowering, no hoisting, no
+    compilation: oracle 2's reference for random kernels and generated
+    models alike.  Coordinates and the Philox streams read the global
+    cell, as the engine's do. *)
+let eval_sweep ~step ~params (body : Field.Assignment.t list) (block : Vm.Engine.block) =
+  let dims = block.Vm.Engine.dims and off = block.Vm.Engine.offset in
   let gd = block.Vm.Engine.global_dims in
-  let dx = List.assoc "dx" s.Gen.params in
-  let temps : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let coords = Array.make 2 0 in
+  let n = Array.length dims in
+  let dx = List.assoc "dx" params in
+  let temps : (string, float) Hashtbl.t = Hashtbl.create 64 in
+  let coords = Array.make n 0 in
+  let global d = coords.(d) + off.(d) in
   let elt (a : Fieldspec.access) =
     let buf = Vm.Engine.buffer block a.Fieldspec.field in
     (buf, Vm.Buffer.base_index buf coords + Vm.Buffer.access_delta buf a)
@@ -156,21 +191,21 @@ let run_interp (s : Gen.kernel_sample) =
   let env =
     Eval.env
       ~sym:(fun sy ->
-        match Hashtbl.find_opt temps sy with
-        | Some v -> v
-        | None -> List.assoc sy s.Gen.params)
+        match Hashtbl.find_opt temps sy with Some v -> v | None -> List.assoc sy params)
       ~access:(fun a ->
         let buf, i = elt a in
         buf.Vm.Buffer.data.(i))
-      ~coord:(fun d -> (float_of_int coords.(d) +. 0.5) *. dx)
+      ~coord:(fun d -> (float_of_int (global d) +. 0.5) *. dx)
       ~rand:(fun slot ->
-        Philox.symmetric ~cell:((coords.(1) * gd.(0)) + coords.(0)) ~step:s.Gen.seed ~slot)
+        let cell = ref 0 in
+        for d = n - 1 downto 0 do
+          cell := (!cell * gd.(d)) + global d
+        done;
+        Philox.symmetric ~cell:!cell ~step ~slot)
       ()
   in
-  for y = 0 to dims2.(1) - 1 do
-    for x = 0 to dims2.(0) - 1 do
-      coords.(0) <- x;
-      coords.(1) <- y;
+  let rec sweep d =
+    if d < 0 then begin
       Hashtbl.reset temps;
       List.iter
         (fun (a : Field.Assignment.t) ->
@@ -180,30 +215,49 @@ let run_interp (s : Gen.kernel_sample) =
           | Field.Assignment.Store acc ->
             let buf, i = elt acc in
             buf.Vm.Buffer.data.(i) <- v)
-        s.Gen.body
-    done
-  done;
+        body
+    end
+    else
+      for i = 0 to dims.(d) - 1 do
+        coords.(d) <- i;
+        sweep (d - 1)
+      done
+  in
+  sweep (n - 1)
+
+(* ------------------------------------------------------------------ *)
+(* Oracles 2 and 4 on random kernels, oracle 3 on random fluxes        *)
+(* ------------------------------------------------------------------ *)
+
+let dims2 = [| 6; 5 |]
+
+(* A random sample's block: [src] smooth over the interior, its ghosts
+   periodic, so out-of-center reads hit initialized data. *)
+let sample_block fields (src : Fieldspec.t) ~seed ~slot =
+  let block = Vm.Engine.make_block ~ghost:2 ~dims:dims2 fields in
+  smooth block src ~seed ~slot ~base:0.5 ~amp:0.45;
+  Vm.Buffer.periodic (Vm.Engine.buffer block src);
   block
 
-(* Engine and interpreter evaluate the same normalized tree; the only
-   rounding difference is the generic-[Pow] strategy (repeated multiply vs.
-   [**]), so the tolerance is tight. *)
-let engine_close a b =
-  (Float.is_nan a && Float.is_nan b) || a = b || close ~tol:1e-9 a b
+let kernel_block (s : Gen.kernel_sample) =
+  sample_block [ s.Gen.src; s.Gen.dst ] s.Gen.src ~seed:s.Gen.seed ~slot:3
+
+let run_engine (s : Gen.kernel_sample) ~num_domains =
+  let block = kernel_block s in
+  Vm.Engine.run ~num_domains ~step:s.Gen.seed ~params:s.Gen.params
+    (Vm.Engine.bind (Ir.Kernel.make ~name:"fuzz" ~dim:2 s.Gen.body) block);
+  block
+
+let dst_agree ?cmp (s : Gen.kernel_sample) a b =
+  agree ?cmp ~fields:[ s.Gen.dst ] ~dims:dims2 (block_value a) (block_value b)
 
 let engine_vs_interp ~count =
   QCheck.Test.make ~name:"oracle2: Vm.Engine = Eval interpreter" ~count
     (Gen.arb_kernel ())
     (fun s ->
-      let vm = run_engine s ~num_domains:1 in
-      let ref_ = run_interp s in
-      interior_agree ~cmp:engine_close
-        (Vm.Engine.buffer vm s.Gen.dst)
-        (Vm.Engine.buffer ref_ s.Gen.dst))
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 4: serial vs. multi-domain sweep                             *)
-(* ------------------------------------------------------------------ *)
+      let reference = kernel_block s in
+      eval_sweep ~step:s.Gen.seed ~params:s.Gen.params s.Gen.body reference;
+      dst_agree ~cmp:engine_close s (run_engine s ~num_domains:1) reference)
 
 (* Domain slicing only partitions the outer loop — every cell runs the
    identical instructions on the same data, so this one is bitwise.  [Rand]
@@ -211,14 +265,7 @@ let engine_vs_interp ~count =
 let serial_vs_domains ~count =
   QCheck.Test.make ~name:"oracle4: serial sweep = multi-domain sweep (bitwise)" ~count
     (Gen.arb_kernel ())
-    (fun s ->
-      let b1 = run_engine s ~num_domains:1 in
-      let b3 = run_engine s ~num_domains:3 in
-      interior_agree (Vm.Engine.buffer b1 s.Gen.dst) (Vm.Engine.buffer b3 s.Gen.dst))
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 3: full vs. split discretization                             *)
-(* ------------------------------------------------------------------ *)
+    (fun s -> dst_agree s (run_engine s ~num_domains:1) (run_engine s ~num_domains:3))
 
 let full_vs_split ~count =
   let out_full = Fieldspec.scalar ~dim:2 "out_full" in
@@ -234,97 +281,204 @@ let full_vs_split ~count =
       in
       let registry = Fd.Discretize.make_registry stag in
       let split_rhs = Fd.Discretize.discretize_split scheme ~registry s.Gen.rhs in
-      let main_body =
-        [ Field.Assignment.store (Fieldspec.center out_split) split_rhs ]
-      in
+      let main_body = [ Field.Assignment.store (Fieldspec.center out_split) split_rhs ] in
       let stag_body = Fd.Discretize.registry_kernel_body registry in
-      let k_full = Ir.Kernel.make ~name:"full" ~dim:2 full_body in
-      let k_main = Ir.Kernel.make ~name:"main" ~dim:2 main_body in
       let block =
-        Vm.Engine.make_block ~ghost:2 ~dims:dims2
-          [ Gen.phi_c; out_full; out_split; stag ]
+        sample_block [ Gen.phi_c; out_full; out_split; stag ] Gen.phi_c ~seed:s.Gen.fseed ~slot:7
       in
-      let phi_buf = Vm.Engine.buffer block Gen.phi_c in
-      fill_buffer phi_buf ~seed:s.Gen.fseed ~slot:7;
       let params = [ ("dx", s.Gen.fdx); ("kappa", s.Gen.kappa) ] in
       let exec k = Vm.Engine.run ~params (Vm.Engine.bind k block) in
-      exec k_full;
+      exec (Ir.Kernel.make ~name:"full" ~dim:2 full_body);
       (match stag_body with
       | [] -> ()
       | body ->
         exec
           (Ir.Kernel.make ~iteration:(Ir.Kernel.StaggeredSweep [ 0; 1 ]) ~name:"stag"
              ~dim:2 body));
-      exec k_main;
-      (* different trees on the two sides: tolerance compare, with the
-         same well-scaled guard as oracle 1 applied to the stored flux *)
-      interior_agree
-        ~cmp:(fun a b ->
-          (not (Float.is_finite a) && not (Float.is_finite b))
-          || Float.abs a > guard || Float.abs b > guard
-          || close ~tol:1e-6 a b)
-        (Vm.Engine.buffer block out_full)
-        (Vm.Engine.buffer block out_split))
+      exec (Ir.Kernel.make ~name:"main" ~dim:2 main_body);
+      (* different trees on the two sides: the guarded tolerance *)
+      agree ~cmp:tolerant ~fields:[ out_full ] ~dims:dims2 (block_value block)
+        (fun _ -> block_value block out_split))
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 5: single block vs. 2×2 Mpisim forest                        *)
+(* Model runs: one constructor over every family                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The curvature model: 2 phases, no chemical fields — the cheapest model
-   that exercises the full Algorithm-1 phase structure. *)
-let curvature_gen =
-  lazy (Pfcore.Genkernels.generate (Pfcore.Params.curvature ~dim:2 ()))
+(* Kernels are generated once per family, coefficient variant and
+   optimization setting; seeds, decompositions, variants and executors
+   vary freely per sample. *)
+let gens : (Gen.family * int * bool, Pfcore.Genkernels.t) Hashtbl.t = Hashtbl.create 16
 
-let global2 = [| 12; 12 |]
+(** The case's generated kernels; [raw] without simplification or CSE. *)
+let gen_of ?(raw = false) (c : Gen.case) =
+  let key = (c.Gen.family, c.Gen.coef mod 3, raw) in
+  match Hashtbl.find_opt gens key with
+  | Some g -> g
+  | None ->
+    let opts =
+      if raw then { Pfcore.Genkernels.default_options with simplify = false; cse = false }
+      else Pfcore.Genkernels.default_options
+    in
+    let g = Pfcore.Genkernels.generate ~opts (Gen.params c) in
+    Hashtbl.add gens key g;
+    g
 
-let init_model_phi (sim : Pfcore.Timestep.t) ~seed =
-  let fields = sim.Pfcore.Timestep.gen.Pfcore.Genkernels.fields in
-  let block = sim.Pfcore.Timestep.block in
-  let buf = Vm.Engine.buffer block fields.Pfcore.Model.phi_src in
-  let off = block.Vm.Engine.offset in
-  let gd = block.Vm.Engine.global_dims in
-  Vm.Buffer.init buf (fun coords comp ->
-      let gx = coords.(0) + off.(0) and gy = coords.(1) + off.(1) in
-      let u = Philox.symmetric ~cell:((gy * gd.(0)) + gx) ~step:seed ~slot:5 in
-      let v = 0.2 +. (0.3 *. (1. +. u) /. 2.) in
-      if comp = 0 then v else 1. -. v)
+(* The adaptive legs' sharp disc: the phase components inside and
+   outside, each state an exact fixed point of its family's kernels, so
+   bulk blocks hold constants and actually freeze. *)
+let sharp_values = function
+  | Gen.Gray_scott -> ([| 0.5; 0.25 |], [| 1.; 0. |])
+  | _ -> ([| 1.; 0. |], [| 0.; 1. |])
 
-let single_vs_forest ~count =
-  QCheck.Test.make
-    ~name:"oracle5: single block = 2x2 Mpisim forest (bitwise, interior)" ~count
-    Gen.arb_model
-    (fun s ->
-      let gen = Lazy.force curvature_gen in
-      let variant = if s.Gen.split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
-      let single = Pfcore.Timestep.create ~variant_phi:variant ~dims:global2 gen in
-      init_model_phi single ~seed:s.Gen.mseed;
-      Pfcore.Timestep.prime single;
-      Pfcore.Timestep.run single ~steps:s.Gen.steps;
-      let forest =
-        Blocks.Forest.create ~variant_phi:variant ~grid:[| 2; 2 |]
-          ~block_dims:[| global2.(0) / 2; global2.(1) / 2 |]
-          gen
-      in
-      Array.iter (fun sim -> init_model_phi sim ~seed:s.Gen.mseed) forest.Blocks.Forest.sims;
-      Blocks.Forest.prime forest;
-      Blocks.Forest.run forest ~steps:s.Gen.steps;
-      let phi = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-      let sbuf = Vm.Engine.buffer single.Pfcore.Timestep.block phi in
-      let ok = ref true in
-      for gy = 0 to global2.(1) - 1 do
-        for gx = 0 to global2.(0) - 1 do
-          for c = 0 to phi.Fieldspec.components - 1 do
-            let a = Vm.Buffer.get sbuf ~component:c [| gx; gy |] in
-            let b = Blocks.Forest.get forest phi ~component:c [| gx; gy |] in
-            if not (bits_equal a b) then ok := false
-          done
-        done
-      done;
-      !ok)
+(** The case's initial condition on [sim]'s block, a function of the
+    global cell alone: smooth fields around a family-appropriate base,
+    or, with [~sharp] (the adaptive legs), a sharp disc confined to the
+    first 6x6 block. *)
+let init ?(sharp = false) (c : Gen.case) (sim : Pfcore.Timestep.t) =
+  let gen = sim.Pfcore.Timestep.gen and block = sim.Pfcore.Timestep.block in
+  let p = gen.Pfcore.Genkernels.params and f = gen.Pfcore.Genkernels.fields in
+  if sharp then begin
+    let inside, outside = sharp_values c.Gen.family in
+    let off = block.Vm.Engine.offset in
+    let r = 2. +. (0.4 *. float_of_int (c.Gen.seed mod 3)) in
+    Vm.Buffer.init (Vm.Engine.buffer block f.Pfcore.Model.phi_src) (fun coords comp ->
+        let x = float_of_int (coords.(0) + off.(0)) -. 2.5 in
+        let y = float_of_int (coords.(1) + off.(1)) -. 2.5 in
+        if (x *. x) +. (y *. y) < r *. r then inside.(comp) else outside.(comp))
+  end
+  else begin
+    let base =
+      match p.Pfcore.Params.family with
+      | Pfcore.Params.Solidification -> 1. /. float_of_int p.Pfcore.Params.n_phases
+      | Pfcore.Params.Pfc _ -> 0.3
+      | Pfcore.Params.Gray_scott _ -> 0.5
+    in
+    let seed = c.Gen.seed in
+    smooth block f.Pfcore.Model.phi_src ~seed ~slot:3 ~base ~amp:0.01;
+    if Pfcore.Params.n_mu p > 0 then
+      smooth block f.Pfcore.Model.mu_src ~seed ~slot:23
+        ~base:(if c.Gen.family = Gen.Eutectic then 0.02 else 0.1)
+        ~amp:0.01
+  end
 
-(* ------------------------------------------------------------------ *)
-(* Oracle 6: resilience — snapshots and crash-restart                  *)
-(* ------------------------------------------------------------------ *)
+type run =
+  | Single of Pfcore.Timestep.t
+  | Forest of Blocks.Forest.t
+  | Adaptive of Blocks.Adaptive.t
+
+let global (c : Gen.case) = Array.map2 ( * ) c.Gen.dims c.Gen.exec.Gen.grid
+
+(* Two adaptive blocks per rank-grid rank along each axis. *)
+let adaptive_global (c : Gen.case) = Array.map (( * ) 2) (global c)
+
+let tile_of (e : Gen.exec) =
+  if Array.for_all (( = ) 0) e.Gen.tile then None else Some e.Gen.tile
+
+let backend_of (e : Gen.exec) = if e.Gen.jit then Vm.Engine.Jit else Vm.Engine.Interp
+
+(** One block holding the case's global domain (or [dims]). *)
+let sim_of ?gen ?sharp ?exec ?dims (c : Gen.case) =
+  let gen = match gen with Some g -> g | None -> gen_of c in
+  let e = match exec with Some e -> e | None -> Gen.reference c.Gen.exec in
+  let variant = if c.Gen.split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
+  let sim =
+    Pfcore.Timestep.create ~variant_phi:variant ~variant_mu:variant ~num_domains:e.Gen.domains
+      ?tile:(tile_of e) ~backend:(backend_of e)
+      ~dims:(Option.value dims ~default:(global c))
+      gen
+  in
+  init ?sharp c sim;
+  Pfcore.Timestep.prime sim;
+  sim
+
+(** The case's run, initialized and primed: [`Single] ({!sim_of}), the
+    [`Forest] of its rank grid, or an [`Adaptive] forest of the same
+    blocks, twice as many per axis, balanced over as many ranks as the
+    grid has (Static or Adapt mode, cadence 1 or 2, keyed on the seed).
+    [exec] (default: the reference executor) executes it; [faults] acts
+    on a forest's messages, the priming exchange's included. *)
+let build ?gen ?sharp ?exec ?dims ?faults shape (c : Gen.case) =
+  let gen = match gen with Some g -> g | None -> gen_of c in
+  let e = match exec with Some e -> e | None -> Gen.reference c.Gen.exec in
+  let variant = if c.Gen.split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
+  let num_domains = e.Gen.domains and tile = tile_of e and backend = backend_of e in
+  match shape with
+  | `Single -> Single (sim_of ~gen ?sharp ~exec:e ?dims c)
+  | `Forest ->
+    let f =
+      Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile ~backend
+        ~overlap:e.Gen.overlap ~grid:e.Gen.grid ~block_dims:c.Gen.dims gen
+    in
+    Array.iter (init ?sharp c) f.Blocks.Forest.sims;
+    Blocks.Mpisim.set_fault_plan f.Blocks.Forest.comm faults;
+    Blocks.Forest.prime f;
+    Forest f
+  | `Adaptive ->
+    let af =
+      Blocks.Adaptive.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile
+        ~backend ~overlap:e.Gen.overlap ~ranks:(Gen.ranks e)
+        ~mode:(if c.Gen.seed land 1 = 0 then Blocks.Adaptive.Static else Blocks.Adaptive.Adapt)
+        ~adapt_every:(1 + ((c.Gen.seed lsr 1) land 1))
+        ~bgrid:(Array.map (( * ) 2) e.Gen.grid) ~block_dims:c.Gen.dims gen
+    in
+    List.iter (init ?sharp c) (Blocks.Adaptive.active_sims af);
+    Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm faults;
+    Blocks.Adaptive.prime af;
+    Adaptive af
+
+(** The case's fault plan, or [None] when it injects nothing. *)
+let fault_plan (c : Gen.case) =
+  let f = c.Gen.faults in
+  if f.Gen.drop > 0. || f.Gen.delay > 0. || f.Gen.duplicate > 0. || f.Gen.crash <> None then
+    Some
+      {
+        Blocks.Faultplan.seed = f.Gen.plan_seed;
+        drop = f.Gen.drop;
+        delay = f.Gen.delay;
+        duplicate = f.Gen.duplicate;
+        max_delay = 3;
+        crash = f.Gen.crash;
+      }
+  else None
+
+let no_crash (c : Gen.case) = { c with Gen.faults = { c.Gen.faults with Gen.crash = None } }
+
+(* The case with a crash: its own, or the seed's rank dying entering step 1. *)
+let with_crash (c : Gen.case) =
+  match c.Gen.faults.Gen.crash with
+  | Some _ -> c
+  | None ->
+    {
+      c with
+      Gen.faults =
+        { c.Gen.faults with Gen.crash = Some (c.Gen.seed mod Gen.ranks c.Gen.exec, 1) };
+      steps = max c.Gen.steps 2;
+    }
+
+let sims = function
+  | Single sim -> [ sim ]
+  | Forest f -> Array.to_list f.Blocks.Forest.sims
+  | Adaptive af -> Blocks.Adaptive.active_sims af
+
+let capture = function
+  | Single sim -> Resilience.Snapshot.capture_single sim
+  | Forest f -> Resilience.Snapshot.capture f
+  | Adaptive af -> Resilience.Snapshot.capture_adaptive af
+
+let restore snap = function
+  | Single sim -> Resilience.Snapshot.restore_single snap sim
+  | Forest f -> Resilience.Snapshot.restore snap f
+  | Adaptive af -> Resilience.Snapshot.restore_adaptive snap af
+
+let run r ~steps =
+  match r with
+  | Single sim -> Pfcore.Timestep.run sim ~steps
+  | Forest f -> Blocks.Forest.run f ~steps
+  | Adaptive af -> Blocks.Adaptive.run af ~steps
+
+let ran r ~steps =
+  run r ~steps;
+  r
 
 (** Set every buffer of a block to NaN: destinations, staggered scratch,
     src ghosts and interiors alike.  A restore writes the src interiors
@@ -337,7 +491,57 @@ let poison (sim : Pfcore.Timestep.t) =
     sim.Pfcore.Timestep.block.Vm.Engine.buffers
 
 let poison_forest (f : Blocks.Forest.t) = Array.iter poison f.Blocks.Forest.sims
-let poison_adaptive af = List.iter poison (Blocks.Adaptive.active_sims af)
+
+(** Run [r] the case's steps; a forest whose case crashes a rank runs
+    under the recovery driver, every rollback restoring into poisoned
+    storage, and must have restarted. *)
+let advance r (c : Gen.case) =
+  match (r, c.Gen.faults.Gen.crash) with
+  | (Forest _ | Adaptive _), Some _ ->
+    let step, step_count, comm =
+      match r with
+      | Forest f ->
+        ((fun () -> Blocks.Forest.step f), (fun () -> Blocks.Forest.step_count f), f.Blocks.Forest.comm)
+      | Adaptive af ->
+        ( (fun () -> Blocks.Adaptive.step af),
+          (fun () -> Blocks.Adaptive.step_count af),
+          af.Blocks.Adaptive.comm )
+      | Single _ -> assert false
+    in
+    let stats =
+      Resilience.Recovery.protect ~every:c.Gen.faults.Gen.ckpt_every ~steps:c.Gen.steps
+        ~step_count ~step
+        ~capture:(fun () -> capture r)
+        ~restore:(fun snap ->
+          List.iter poison (sims r);
+          restore snap r)
+        comm
+    in
+    stats.Resilience.Recovery.restarts >= 1
+  | _ ->
+    run r ~steps:c.Gen.steps;
+    true
+
+let value = function
+  | Single sim -> block_value sim.Pfcore.Timestep.block
+  | Forest f -> fun fl c g -> Blocks.Forest.get f fl ~component:c g
+  | Adaptive af -> fun fl c g -> Blocks.Adaptive.get af fl ~component:c g
+
+let gen_of_run r = (List.hd (sims r)).Pfcore.Timestep.gen
+
+(** Two runs of one global domain agree in the interiors of [fields]
+    (default: the state fields, φ and μ), by global coordinates. *)
+let runs_agree ?cmp ?fields a b =
+  let fields =
+    match fields with Some fl -> fl | None -> Pfcore.Timestep.state_fields (gen_of_run a)
+  in
+  let dims =
+    match a with
+    | Single sim -> sim.Pfcore.Timestep.block.Vm.Engine.dims
+    | Forest f -> f.Blocks.Forest.global_dims
+    | Adaptive af -> af.Blocks.Adaptive.global_dims
+  in
+  agree ?cmp ~fields ~dims (value a) (value b)
 
 (** Two runs' blocks, paired in order, hold the same bits in every padded
     buffer: ghosts, destinations and staggered scratch included.  This
@@ -373,237 +577,215 @@ let buffers_bitwise_equal ?(scratch = true) (a : Pfcore.Timestep.t list)
   in
   List.compare_lengths a b = 0 && List.for_all2 same a b
 
-let forest_sims (f : Blocks.Forest.t) = Array.to_list f.Blocks.Forest.sims
+(** The same state, and the same bits in the state and destination
+    buffers, ghosts included. *)
+let same_state a b =
+  Resilience.Snapshot.equal (capture a) (capture b)
+  && buffers_bitwise_equal ~scratch:false (sims a) (sims b)
 
-(* Capture [orig] through the file format and restore it into [target],
-   poisoned first: the target holds the capture, and after both run
-   [steps] more, their captures and their state and destination buffers,
-   ghosts included, are equal. *)
-let roundtrip_continues ~run ~capture ~restore ~sims ~poison orig target ~steps =
+(* ------------------------------------------------------------------ *)
+(* The model-level oracles: relations between two runs of a case       *)
+(* ------------------------------------------------------------------ *)
+
+(* Oracle 1: per-term simplification and global CSE are value-preserving
+   on the generated models.  One step at the default coefficients: the
+   unoptimized kernels are several times bigger, so only one per family
+   is generated. *)
+let opt_vs_raw (c : Gen.case) =
+  let c = { c with Gen.coef = 0; steps = 1 } in
+  runs_agree ~cmp:tolerant
+    (ran (build `Single c) ~steps:1)
+    (ran (build ~gen:(gen_of ~raw:true c) `Single c) ~steps:1)
+
+(* Oracle 2: the engine's sweep of the generated φ kernel — lowered,
+   hoisted, on the case's backend, pool width and tile — against the
+   per-cell [Eval] sweep of its body. *)
+let engine_vs_eval (c : Gen.case) =
+  let c = { c with Gen.split = false } and e = c.Gen.exec in
+  let engine = sim_of c and evaled = sim_of c in
+  let gen = engine.Pfcore.Timestep.gen in
+  let phi = gen.Pfcore.Genkernels.phi_full in
+  let params = Pfcore.Timestep.runtime_params engine in
+  Vm.Engine.run ~num_domains:e.Gen.domains ?tile:(tile_of e) ~backend:(backend_of e)
+    ~step:c.Gen.seed ~params
+    (Vm.Engine.bind phi engine.Pfcore.Timestep.block);
+  eval_sweep ~step:c.Gen.seed ~params phi.Ir.Kernel.body evaled.Pfcore.Timestep.block;
+  runs_agree ~cmp:engine_close
+    ~fields:[ gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_dst ]
+    (Single engine) (Single evaled)
+
+(* Oracle 3: the split variants evaluate different, algebraically equal
+   trees. *)
+let full_vs_split_variant (c : Gen.case) =
+  runs_agree ~cmp:tolerant
+    (ran (build `Single { c with Gen.split = false }) ~steps:c.Gen.steps)
+    (ran (build `Single { c with Gen.split = true }) ~steps:c.Gen.steps)
+
+(* Oracles 7 and 8 (and 4's pool width): the case's executor, on the
+   interpreter or the JIT, against the serial interpreted reference. *)
+let executor_invisible ~jit (c : Gen.case) =
+  runs_agree
+    (ran (build `Single c) ~steps:c.Gen.steps)
+    (ran (build ~exec:{ c.Gen.exec with Gen.jit } `Single c) ~steps:c.Gen.steps)
+
+(* Oracle 5: the forest of the case's rank grid, on its executor and
+   under its healing faults, against one block. *)
+let single_vs_forest (c : Gen.case) =
+  let c = no_crash c in
+  let forest = build ~exec:c.Gen.exec ?faults:(fault_plan c) `Forest c in
+  advance forest c && runs_agree (ran (build `Single c) ~steps:c.Gen.steps) forest
+
+(* Oracle 6 and the adaptive snapshot leg: capture → encode → decode →
+   restore into a target of another seed (the same two low bits, which
+   key an adaptive forest's mode), on the case's executor, every buffer
+   NaN, is the identity on the stored state (the src interiors),
+   and the target then continues bitwise with the original — which a
+   restore that left a src ghost unprimed, or a step that read scratch
+   before writing it, would break. *)
+let roundtrip ?sharp shape (c : Gen.case) =
+  let orig = ran (build ?sharp shape c) ~steps:c.Gen.steps in
+  let target = build ?sharp ~exec:c.Gen.exec shape { c with Gen.seed = c.Gen.seed + 4 } in
   let snap = capture orig in
   let decoded = Resilience.Snapshot.decode (Resilience.Snapshot.encode snap) in
   Resilience.Snapshot.equal snap decoded
   && begin
-    poison target;
+    List.iter poison (sims target);
     restore decoded target;
     Resilience.Snapshot.equal snap (capture target)
   end
   && begin
-    run orig ~steps;
-    run target ~steps;
-    Resilience.Snapshot.equal (capture orig) (capture target)
-    && buffers_bitwise_equal ~scratch:false (sims orig) (sims target)
+    run orig ~steps:c.Gen.steps;
+    run target ~steps:c.Gen.steps;
+    same_state orig target
   end
 
-let make_forest ?(split = false) ~seed () =
-  let gen = Lazy.force curvature_gen in
-  let variant = if split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
-  let forest =
-    Blocks.Forest.create ~variant_phi:variant ~grid:[| 2; 2 |]
-      ~block_dims:[| global2.(0) / 2; global2.(1) / 2 |]
-      gen
-  in
-  Array.iter (fun sim -> init_model_phi sim ~seed) forest.Blocks.Forest.sims;
-  Blocks.Forest.prime forest;
-  forest
-
-(* P1 and P2, the paper's two models: oracles 6, 7, 8 and 10 share their
-   kernels. *)
-let gen_p1_pool = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p1 ()))
-let gen_p2_pool = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p2 ()))
-
-(* Smooth Philox-keyed initial conditions over *global* cell indices, so
-   every run of the same global domain starts bitwise identically
-   regardless of the rank decomposition. *)
-let init_overlap_fields (sim : Pfcore.Timestep.t) ~seed =
-  let gen = sim.Pfcore.Timestep.gen in
-  let block = sim.Pfcore.Timestep.block in
-  let fields = gen.Pfcore.Genkernels.fields in
-  let n = float_of_int gen.Pfcore.Genkernels.params.Pfcore.Params.n_phases in
-  let init (f : Fieldspec.t) ~slot ~base ~amp =
-    let buf = Vm.Engine.buffer block f in
-    let off = block.Vm.Engine.offset in
-    let gd = block.Vm.Engine.global_dims in
-    Vm.Buffer.init buf (fun coords comp ->
-        let cell = ref 0 in
-        for d = Array.length gd - 1 downto 0 do
-          cell := (!cell * gd.(d)) + coords.(d) + off.(d)
-        done;
-        base +. (amp *. Philox.symmetric ~cell:!cell ~step:seed ~slot:(slot + comp)))
-  in
-  init fields.Pfcore.Model.phi_src ~slot:3 ~base:(1. /. n) ~amp:0.01;
-  if Pfcore.Params.n_mu gen.Pfcore.Genkernels.params > 0 then
-    init fields.Pfcore.Model.mu_src ~slot:23 ~base:0.1 ~amp:0.01
-
-(* The sample's single block, interpreted, initialized from [seed]. *)
-let make_single (s : Gen.model_sample) ~seed =
-  let gen, dims =
-    match s.Gen.block with
-    | Gen.Curvature_block -> (Lazy.force curvature_gen, global2)
-    | Gen.P1_block -> (Lazy.force gen_p1_pool, [| 6; 6; 6 |])
-    | Gen.P2_block -> (Lazy.force gen_p2_pool, [| 6; 6; 6 |])
-  in
-  let variant = if s.Gen.split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
-  let sim =
-    Pfcore.Timestep.create ~variant_phi:variant ~variant_mu:variant ~num_domains:1
-      ~backend:Vm.Engine.Interp ~dims gen
-  in
-  init_overlap_fields sim ~seed;
-  Pfcore.Timestep.prime sim;
-  sim
-
-(** One sample of {!snapshot_roundtrip}: the curvature forest and the
-    sample's single block each roundtrip into a poisoned target and
-    continue bitwise. *)
-let snapshot_case (s : Gen.model_sample) =
-  let forest = make_forest ~split:s.Gen.split ~seed:s.Gen.mseed () in
-  Blocks.Forest.run forest ~steps:s.Gen.steps;
-  let sim = make_single s ~seed:s.Gen.mseed in
-  Pfcore.Timestep.run sim ~steps:s.Gen.steps;
-  roundtrip_continues
-    ~run:(fun f ~steps -> Blocks.Forest.run f ~steps)
-    ~capture:Resilience.Snapshot.capture ~restore:Resilience.Snapshot.restore
-    ~sims:forest_sims ~poison:poison_forest forest
-    (make_forest ~split:s.Gen.split ~seed:(s.Gen.mseed + 1) ())
-    ~steps:s.Gen.steps
-  && roundtrip_continues
-       ~run:(fun sim ~steps -> Pfcore.Timestep.run sim ~steps)
-       ~capture:Resilience.Snapshot.capture_single
-       ~restore:Resilience.Snapshot.restore_single
-       ~sims:(fun sim -> [ sim ])
-       ~poison sim
-       (make_single s ~seed:(s.Gen.mseed + 1))
-       ~steps:s.Gen.steps
-
-(* Snapshot → encode → decode → restore is the identity on the stored
-   state (the src interiors), restoring into a target whose every buffer
-   is NaN; the restored target then continues bitwise with the original,
-   which a restore that left a src ghost unprimed, or a step that read
-   scratch before writing it, would break.  A 2x2 curvature forest (full
-   or split), and one block: curvature, P1 or P2 (whose Philox draws key
-   on the restored step), full or split. *)
-let snapshot_roundtrip ~count =
-  QCheck.Test.make ~name:"oracle6: snapshot encode/decode/restore = identity (bitwise)"
-    ~count Gen.arb_model snapshot_case
+let snapshot_roundtrip c = roundtrip `Single c && roundtrip `Forest c
 
 (* Any single flipped byte in the encoded stream must be rejected by the
    CRC (or the structural validation), never silently accepted. *)
-let snapshot_corruption ~count =
-  QCheck.Test.make ~name:"oracle6: corrupted snapshot is rejected by checksum" ~count
-    Gen.arb_model
-    (fun s ->
-      let forest = make_forest ~seed:s.Gen.mseed () in
-      let encoded = Resilience.Snapshot.encode (Resilience.Snapshot.capture forest) in
-      let pos = s.Gen.mseed mod String.length encoded in
-      let b = Bytes.of_string encoded in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-      match Resilience.Snapshot.decode (Bytes.to_string b) with
-      | _ -> false
-      | exception Resilience.Snapshot.Invalid _ -> true)
+let snapshot_corruption (c : Gen.case) =
+  let encoded = Resilience.Snapshot.encode (capture (build `Forest c)) in
+  let pos = c.Gen.seed mod String.length encoded in
+  let b = Bytes.of_string encoded in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
+  match Resilience.Snapshot.decode (Bytes.to_string b) with
+  | _ -> false
+  | exception Resilience.Snapshot.Invalid _ -> true
 
-(* The crowning oracle: run K steps, crash a rank, roll back to the last
-   checkpoint, replay to 2K — the result must be bitwise identical to an
-   undisturbed 2K-step run, for arbitrary drop/delay/duplicate schedules.
-   Every rollback restores into a forest poisoned first, and its priming
-   messages run through the same fault plan. *)
-let crash_restart_bitwise ~count =
-  QCheck.Test.make
-    ~name:"oracle6: crash + rollback + replay = undisturbed run (bitwise)" ~count
-    Gen.arb_resilience
-    (fun s ->
-      let clean = make_forest ~seed:s.Gen.rseed () in
-      Blocks.Forest.run clean ~steps:s.Gen.rsteps;
-      let faulty = make_forest ~seed:s.Gen.rseed () in
-      let plan =
-        {
-          Blocks.Faultplan.seed = s.Gen.plan_seed;
-          drop = s.Gen.drop;
-          delay = s.Gen.delay;
-          duplicate = s.Gen.duplicate;
-          max_delay = 3;
-          crash = Some (s.Gen.crash_rank, s.Gen.crash_step);
-        }
-      in
-      Blocks.Mpisim.set_fault_plan faulty.Blocks.Forest.comm (Some plan);
-      let stats =
-        Resilience.Recovery.protect ~every:s.Gen.ckpt_every ~steps:s.Gen.rsteps
-          ~step_count:(fun () -> Blocks.Forest.step_count faulty)
-          ~step:(fun () -> Blocks.Forest.step faulty)
-          ~capture:(fun () -> Resilience.Snapshot.capture faulty)
-          ~restore:(fun snap ->
-            poison_forest faulty;
-            Resilience.Snapshot.restore snap faulty)
-          faulty.Blocks.Forest.comm
-      in
-      stats.Resilience.Recovery.restarts >= 1
-      && Resilience.Snapshot.equal (Resilience.Snapshot.capture clean)
-           (Resilience.Snapshot.capture faulty)
-      && buffers_bitwise_equal ~scratch:false (forest_sims clean) (forest_sims faulty))
+(* Oracle 6 and the adaptive crash leg: crash a rank, roll back to the
+   last checkpoint into poisoned storage, replay — on the case's
+   executor, under its drop/delay/duplicate plan, whose priming and
+   replay messages run through the same plan — and end bitwise where the
+   undisturbed reference run ends (refinement schedule included). *)
+let crash_restart ?sharp shape (c : Gen.case) =
+  let c = with_crash c in
+  let faulty = build ?sharp ~exec:c.Gen.exec ?faults:(fault_plan c) shape c in
+  advance faulty c && same_state (ran (build ?sharp shape c) ~steps:c.Gen.steps) faulty
 
-(* ------------------------------------------------------------------ *)
-(* Oracle 7: pooled tiled execution vs. serial (bitwise)               *)
-(* ------------------------------------------------------------------ *)
-
-(* One sweep of one generated kernel family (all 8 P1/P2 variants are
-   reachable through the φ then μ tuning candidates) over the probe block,
-   with the given pool width and tile shape. *)
-let pooled_run ?(backend = Vm.Engine.Interp) (s : Gen.pool_sample) ~num_domains ~tile =
-  let g = Lazy.force (if s.Gen.pl_p2 then gen_p2_pool else gen_p1_pool) in
-  let dims = Array.make g.Pfcore.Genkernels.params.Pfcore.Params.dim s.Gen.pl_n in
-  let block = Pfcore.Timestep.probe_block g ~dims in
-  let params = Pfcore.Timestep.probe_params g in
-  let _, kernels =
-    List.nth
-      (Pfcore.Timestep.phi_candidates g @ Option.get (Pfcore.Timestep.mu_candidates g))
-      s.Gen.pl_variant
+(* Oracle 10 (paper §7): hiding the φ_dst exchange behind the μ interior
+   sweep is purely a scheduling transformation, on any executor and
+   under any fault plan, healed in place or rolled back. *)
+let overlapped_vs_sequential (c : Gen.case) =
+  let subject =
+    build ~exec:{ c.Gen.exec with Gen.overlap = true } ?faults:(fault_plan c) `Forest c
   in
-  List.iter
-    (fun k ->
-      Vm.Engine.run ~num_domains ?tile ~step:1 ~backend ~params (Vm.Engine.bind k block))
-    kernels;
-  block
+  advance subject c && runs_agree (ran (build `Forest c) ~steps:c.Gen.steps) subject
 
-(* The determinism battery's core claim: any tile decomposition executed on
-   any number of pool lanes writes bitwise exactly what the serial
-   single-tile sweep writes — over random grids, tile shapes (including
-   degenerate ones larger than the sweep) and PFGEN_DOMAINS in {1,2,4}. *)
-let pooled_vs_serial ~count =
-  QCheck.Test.make ~name:"oracle7: pooled tiled sweep = serial sweep (bitwise)" ~count
-    Gen.arb_pool
-    (fun s ->
-      let serial = pooled_run s ~num_domains:1 ~tile:None in
-      let pooled = pooled_run s ~num_domains:s.Gen.pl_domains ~tile:(Some s.Gen.pl_tile) in
-      List.for_all2
-        (fun (_, (a : Vm.Buffer.t)) (_, (b : Vm.Buffer.t)) ->
-          let ok = ref true in
-          Array.iteri
-            (fun i x -> if not (bits_equal x b.Vm.Buffer.data.(i)) then ok := false)
-            a.Vm.Buffer.data;
-          !ok)
-        serial.Vm.Engine.buffers pooled.Vm.Engine.buffers)
+(* Oracle 5's adaptive leg: freezing bulk blocks to constants, refining
+   around the interface, Morton rebalancing and servicing frozen
+   exchanges with constant slabs are semantics-free, on any executor and
+   under healing faults — and the reduction, frozen blocks' constants
+   included, is bitwise the uniform block's. *)
+let adaptive_vs_uniform (c : Gen.case) =
+  let c = no_crash c in
+  let uniform = ran (build ~sharp:true ~dims:(adaptive_global c) `Single c) ~steps:c.Gen.steps in
+  let af = build ~sharp:true ~exec:c.Gen.exec ?faults:(fault_plan c) `Adaptive c in
+  advance af c && runs_agree uniform af
+  &&
+  match (uniform, af) with
+  | Single u, Adaptive a ->
+    let phi = u.Pfcore.Timestep.gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
+    bits_equal
+      (Vm.Reduce.scalar ~num_domains:1 u.Pfcore.Timestep.block phi Vm.Reduce.Interface Vm.Reduce.Sum)
+      (Blocks.Adaptive.scalar a phi Vm.Reduce.Interface Vm.Reduce.Sum)
+  | _ -> false
 
-(* The JIT backend is guilty until proven bitwise-identical: over the same
-   random model/grid/tile/domain space as oracle 7 (all 8 P1/P2 kernel
-   variants, QCheck-shrunk on failure), a compiled pooled sweep must write
-   exactly what the interpreter's serial sweep writes — the interpreter
-   stays the reference implementation. *)
-let jit_vs_interp ~count =
-  QCheck.Test.make ~name:"oracle8: jit backend = interpreter (bitwise)" ~count
-    Gen.arb_pool
-    (fun s ->
-      let reference = pooled_run ~backend:Vm.Engine.Interp s ~num_domains:1 ~tile:None in
-      let jitted =
-        pooled_run ~backend:Vm.Engine.Jit s ~num_domains:s.Gen.pl_domains
-          ~tile:(Some s.Gen.pl_tile)
+(* ------------------------------------------------------------------ *)
+(* Oracle 11: exact reductions vs. the serial single-tile reference    *)
+(* ------------------------------------------------------------------ *)
+
+(* The seed picks the operation and the cell function.  The custom cell
+   function reads *global* coordinates only, so every executor sees the
+   same per-cell value; its Philox-keyed NaN holes exercise the
+   NaN-skipping min/max across partial boundaries.  Component 1 falls
+   back to 0 on one-component fields. *)
+let reduction (c : Gen.case) (phi : Fieldspec.t) =
+  let op = [| Vm.Reduce.Sum; Vm.Reduce.Min; Vm.Reduce.Max |].(c.Gen.seed mod 3) in
+  let gd = global c in
+  let cellfn =
+    match c.Gen.seed / 3 mod 4 with
+    | 0 -> Vm.Reduce.Component 0
+    | 1 -> Vm.Reduce.Component (min 1 (phi.Fieldspec.components - 1))
+    | 2 -> Vm.Reduce.Interface
+    | _ ->
+      Vm.Reduce.Custom
+        (fun g ->
+          let cell = ref 0 in
+          for d = Array.length gd - 1 downto 0 do
+            cell := (!cell * gd.(d)) + g.(d)
+          done;
+          let u = Philox.symmetric ~cell:!cell ~step:c.Gen.seed ~slot:11 in
+          if u > 0.6 then Float.nan else u)
+  in
+  (op, cellfn)
+
+(* The cell values a reduction of [cellfn] over a block holding the whole
+   domain adds, in storage order (axis 0 fastest). *)
+let cell_values (block : Vm.Engine.block) field cellfn =
+  let buf = Vm.Engine.buffer block field and dims = block.Vm.Engine.dims in
+  Array.init (Vm.Reduce.total_cells dims) (fun i ->
+      let rem = ref i in
+      let c =
+        Array.map
+          (fun n ->
+            let x = !rem mod n in
+            rem := !rem / n;
+            x)
+          dims
       in
-      List.for_all2
-        (fun (_, (a : Vm.Buffer.t)) (_, (b : Vm.Buffer.t)) ->
-          let ok = ref true in
-          Array.iteri
-            (fun i x -> if not (bits_equal x b.Vm.Buffer.data.(i)) then ok := false)
-            a.Vm.Buffer.data;
-          !ok)
-        reference.Vm.Engine.buffers jitted.Vm.Engine.buffers)
+      match cellfn with
+      | Vm.Reduce.Component k -> Vm.Buffer.get buf ~component:k c
+      | Vm.Reduce.Interface ->
+        let hit = ref false in
+        for k = 0 to buf.Vm.Buffer.components - 1 do
+          if Vm.Reduce.in_band (Vm.Buffer.get buf ~component:k c) then hit := true
+        done;
+        if !hit then 1. else 0.
+      | Vm.Reduce.Custom f -> f c)
+
+(* A reduction is a function of the field values alone: the serial
+   single-tile reference — a sum equal to the independent exact sum of
+   the same cells — is reproduced bitwise by a pooled, tiled sweep of the
+   same block and by the case's forest merging per-rank partials over the
+   fixed rank tree, on its executor, with drop/delay/duplicate healing
+   invisibly on the reduction channels. *)
+let reduce_vs_serial (c : Gen.case) =
+  let c = no_crash c and e = c.Gen.exec in
+  let single = sim_of c in
+  Pfcore.Timestep.run single ~steps:c.Gen.steps;
+  let block = single.Pfcore.Timestep.block in
+  let phi = single.Pfcore.Timestep.gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
+  let op, cellfn = reduction c phi in
+  let reference = Vm.Reduce.scalar ~num_domains:1 block phi cellfn op in
+  let pooled = Vm.Reduce.scalar ~num_domains:e.Gen.domains ~tile:e.Gen.tile block phi cellfn op in
+  match build ~exec:e ?faults:(fault_plan c) `Forest c with
+  | Forest f ->
+    Blocks.Forest.run f ~steps:c.Gen.steps;
+    (op <> Vm.Reduce.Sum || bits_equal reference (Fsum.sum (cell_values block phi cellfn)))
+    && bits_equal reference pooled
+    && bits_equal reference
+         (Blocks.Reduce.forest_scalar ~num_domains:e.Gen.domains ~tile:e.Gen.tile f phi cellfn op)
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 8, fuzz leg: the fast tier on random kernels (bitwise)       *)
@@ -718,23 +900,52 @@ let fast_tier_vs_interp ~count =
 (* Oracle 9: farm-scheduled execution vs. solo (bitwise)               *)
 (* ------------------------------------------------------------------ *)
 
+(** The farm = solo check of oracle 9, [pfgen serve --verify] and the
+    serve suite.  Pass [on_finish] to [Serve.Scheduler.run]: it runs each
+    finished job once alone ([Serve.Scheduler.solo_exec]: serial,
+    interpreted, no faults) and compares the farm's blocks with the solo
+    blocks in the state and destination buffers, ghosts included.
+    [diverged] then lists the results whose blocks differed or whose final
+    state is not the solo run's; [solo_s] is the time the solo runs
+    took. *)
+type solo_check = {
+  on_finish : Serve.Workload.spec -> Pfcore.Timestep.t list -> unit;
+  diverged : Serve.Scheduler.job_result list -> Serve.Scheduler.job_result list;
+  solo_s : unit -> float;
+}
+
+let solo_check () =
+  let solo : (int, Resilience.Snapshot.t * bool) Hashtbl.t = Hashtbl.create 16 in
+  let ns = ref 0. in
+  let on_finish (spec : Serve.Workload.spec) farm_sims =
+    let exec, t = Obs.Clock.time_ns (fun () -> Serve.Scheduler.solo_exec spec) in
+    ns := !ns +. t;
+    Hashtbl.replace solo spec.Serve.Workload.id
+      ( Serve.Scheduler.capture_exec exec,
+        buffers_bitwise_equal ~scratch:false farm_sims (Serve.Scheduler.exec_sims exec) )
+  in
+  let diverged =
+    List.filter (fun (r : Serve.Scheduler.job_result) ->
+        match Hashtbl.find_opt solo r.Serve.Scheduler.r_spec.Serve.Workload.id with
+        | Some (final, sims_equal) ->
+          not (sims_equal && Resilience.Snapshot.equal r.Serve.Scheduler.final final)
+        | None -> true)
+  in
+  { on_finish; diverged; solo_s = (fun () -> !ns /. 1e9) }
+
 (* The farm scheduler multiplexes jobs over the shared pool with pooled
    (recycled) buffers, arbitrary quantum slicing, snapshot preemption and
    injected rank crashes — and none of it may be observable in the
-   results: every job's final state must equal the same spec run solo,
-   serially, through the interpreter, and so must its blocks' state and
-   destination buffers, ghosts included, when it finishes.  The workload
-   keeps to the cheap 2D families (curvature plus the mu-less zoo
-   models); the full mix including eutectic and the 3D families is
-   exercised by `pfgen serve --soak`. *)
+   results.  The workload keeps to the cheap 2D families (curvature plus
+   the mu-less zoo models); the full mix including eutectic and the 3D
+   families is exercised by `pfgen serve --soak`. *)
 let farm_vs_solo ~count =
   QCheck.Test.make ~name:"oracle9: farm-scheduled job = solo run (bitwise)" ~count
     Gen.arb_farm
     (fun s ->
       let specs =
         Serve.Workload.generate
-          ~families:
-            [ Serve.Workload.Curv2d; Serve.Workload.Pfc; Serve.Workload.GrayScott ]
+          ~families:[ Serve.Workload.Curv2d; Serve.Workload.Pfc; Serve.Workload.GrayScott ]
           ~with_crash:s.Gen.fm_crash ~seed:s.Gen.fm_seed ~jobs:s.Gen.fm_jobs ()
       in
       let config =
@@ -745,766 +956,14 @@ let farm_vs_solo ~count =
           park_after = s.Gen.fm_park;
         }
       in
-      let mempool = Serve.Mempool.create () in
-      let blocks_agree = ref true in
-      let on_finish spec sims =
-        let solo = Serve.Scheduler.exec_sims (Serve.Scheduler.solo_exec spec) in
-        if not (buffers_bitwise_equal ~scratch:false sims solo) then blocks_agree := false
-      in
-      let stats = Serve.Scheduler.run ~config ~on_finish ~mempool specs in
-      !blocks_agree
-      && stats.Serve.Scheduler.rejected = []
-      && List.length stats.Serve.Scheduler.results = List.length specs
-      && List.for_all
-           (fun (r : Serve.Scheduler.job_result) ->
-             Resilience.Snapshot.equal r.Serve.Scheduler.final
-               (Serve.Scheduler.run_solo r.Serve.Scheduler.r_spec))
-           stats.Serve.Scheduler.results)
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 10: overlapped exchange = sequential exchange (bitwise)      *)
-(* ------------------------------------------------------------------ *)
-
-let make_overlap_forest ~overlap ~backend ~num_domains ~tile (s : Gen.overlap_sample) =
-  let gen = Lazy.force (if s.Gen.ov_p2 then gen_p2_pool else gen_p1_pool) in
-  let variant = if s.Gen.ov_split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
-  let block_dims =
-    Array.make gen.Pfcore.Genkernels.params.Pfcore.Params.dim s.Gen.ov_n
-  in
-  let forest =
-    Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile
-      ~backend ~overlap ~grid:s.Gen.ov_grid ~block_dims gen
-  in
-  Array.iter
-    (fun sim -> init_overlap_fields sim ~seed:s.Gen.ov_seed)
-    forest.Blocks.Forest.sims;
-  Blocks.Forest.prime forest;
-  forest
-
-(* The tentpole claim (paper §7): hiding the φ_dst exchange behind the μ
-   interior sweep — the IR-derived inner/outer kernel split — is purely a
-   scheduling transformation.  Over random P1/P2 models, variants, grids,
-   tiles, pool widths and backends, and under arbitrary drop / delay /
-   duplicate / rank-crash fault plans (healed in place or rolled back by
-   the recovery driver), the overlapped forest must end bitwise identical
-   to the sequential-exchange, serial, interpreted reference. *)
-let overlapped_vs_sequential ~count =
-  QCheck.Test.make
-    ~name:"oracle10: overlapped exchange = sequential exchange (bitwise)" ~count
-    Gen.arb_overlap
-    (fun s ->
-      let reference =
-        make_overlap_forest ~overlap:false ~backend:Vm.Engine.Interp ~num_domains:1
-          ~tile:None s
-      in
-      Blocks.Forest.run reference ~steps:s.Gen.ov_steps;
-      let overlapped =
-        make_overlap_forest ~overlap:true
-          ~backend:(if s.Gen.ov_jit then Vm.Engine.Jit else Vm.Engine.Interp)
-          ~num_domains:s.Gen.ov_domains ~tile:(Some s.Gen.ov_tile) s
-      in
-      let has_faults = s.Gen.ov_drop > 0. || s.Gen.ov_delay > 0. || s.Gen.ov_dup > 0. in
-      if has_faults || s.Gen.ov_crash then
-        Blocks.Mpisim.set_fault_plan overlapped.Blocks.Forest.comm
-          (Some
-             {
-               Blocks.Faultplan.seed = s.Gen.ov_plan_seed;
-               drop = s.Gen.ov_drop;
-               delay = s.Gen.ov_delay;
-               duplicate = s.Gen.ov_dup;
-               max_delay = 3;
-               crash =
-                 (if s.Gen.ov_crash then Some (s.Gen.ov_crash_rank, s.Gen.ov_crash_step)
-                  else None);
-             });
-      if s.Gen.ov_crash then
-        ignore
-          (Resilience.Recovery.run_protected ~every:s.Gen.ov_ckpt_every
-             ~steps:s.Gen.ov_steps overlapped)
-      else Blocks.Forest.run overlapped ~steps:s.Gen.ov_steps;
-      let gen = Lazy.force (if s.Gen.ov_p2 then gen_p2_pool else gen_p1_pool) in
-      let fields = gen.Pfcore.Genkernels.fields in
-      let gd = reference.Blocks.Forest.global_dims in
-      let check (f : Fieldspec.t) =
-        let ok = ref true in
-        for gz = 0 to gd.(2) - 1 do
-          for gy = 0 to gd.(1) - 1 do
-            for gx = 0 to gd.(0) - 1 do
-              for c = 0 to f.Fieldspec.components - 1 do
-                let a = Blocks.Forest.get reference f ~component:c [| gx; gy; gz |] in
-                let b = Blocks.Forest.get overlapped f ~component:c [| gx; gy; gz |] in
-                if not (bits_equal a b) then ok := false
-              done
-            done
-          done
-        done;
-        !ok
-      in
-      check fields.Pfcore.Model.phi_src && check fields.Pfcore.Model.mu_src)
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 11: exact reductions vs. serial single-tile reference        *)
-(* ------------------------------------------------------------------ *)
-
-let reduce_op = function 0 -> Vm.Reduce.Sum | 1 -> Vm.Reduce.Min | _ -> Vm.Reduce.Max
-
-(* The custom cell function reads *global* coordinates only, so every
-   executor sees the same per-cell value; the Philox-keyed NaN holes
-   exercise the NaN-skipping min/max across partial boundaries. *)
-let reduce_cellfn ~seed = function
-  | 0 -> Vm.Reduce.Component 0
-  | 1 -> Vm.Reduce.Component 1
-  | 2 -> Vm.Reduce.Interface
-  | _ ->
-    Vm.Reduce.Custom
-      (fun g ->
-        let cell = g.(0) + (global2.(0) * g.(1)) in
-        let u = Philox.symmetric ~cell ~step:seed ~slot:11 in
-        if u > 0.6 then Float.nan else u)
-
-(* The cell values a reduction of [cellfn] over a block holding the whole
-   domain adds, in storage order (axis 0 fastest). *)
-let cell_values (block : Vm.Engine.block) field cellfn =
-  let buf = Vm.Engine.buffer block field and dims = block.Vm.Engine.dims in
-  Array.init (Vm.Reduce.total_cells dims) (fun i ->
-      let rem = ref i in
-      let c =
-        Array.map
-          (fun n ->
-            let x = !rem mod n in
-            rem := !rem / n;
-            x)
-          dims
-      in
-      match cellfn with
-      | Vm.Reduce.Component k -> Vm.Buffer.get buf ~component:k c
-      | Vm.Reduce.Interface ->
-        let hit = ref false in
-        for k = 0 to buf.Vm.Buffer.components - 1 do
-          if Vm.Reduce.in_band (Vm.Buffer.get buf ~component:k c) then hit := true
-        done;
-        if !hit then 1. else 0.
-      | Vm.Reduce.Custom f -> f c)
-
-(* The serial reference of a sum is the correctly rounded sum of its cell
-   values, as the independent expansion sum computes it. *)
-let exact_reference reference (block : Vm.Engine.block) field cellfn op =
-  op <> Vm.Reduce.Sum || bits_equal reference (Fsum.sum (cell_values block field cellfn))
-
-(* The central claim for reductions: a reduction is a function of the
-   field values alone.  The serial single-tile interpreted reference, a
-   sum equal to the independent exact sum of the same cells, must be
-   reproduced bitwise by (a) a pooled, tiled sweep of the same block, and (b) a decomposed forest merging per-rank partials
-   over the fixed rank tree — with drop/delay/duplicate fault plans
-   healing invisibly on the reduction channels. *)
-let reduce_vs_serial ~count =
-  QCheck.Test.make
-    ~name:"oracle11: pooled/tiled/forest reduction = serial reference (bitwise)" ~count
-    Gen.arb_reduce
-    (fun s ->
-      let op = reduce_op s.Gen.rd_op in
-      let cellfn = reduce_cellfn ~seed:s.Gen.rd_seed s.Gen.rd_cell in
-      let gen = Lazy.force curvature_gen in
-      let phi = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-      let single = Pfcore.Timestep.create ~dims:global2 gen in
-      init_model_phi single ~seed:s.Gen.rd_seed;
-      Pfcore.Timestep.prime single;
-      Pfcore.Timestep.run single ~steps:s.Gen.rd_steps;
-      let reference =
-        Vm.Reduce.scalar ~num_domains:1
-          single.Pfcore.Timestep.block phi cellfn op
-      in
-      let backend = if s.Gen.rd_jit then Vm.Engine.Jit else Vm.Engine.Interp in
-      let pooled =
-        Vm.Reduce.scalar ~num_domains:s.Gen.rd_domains ~tile:s.Gen.rd_tile
-          single.Pfcore.Timestep.block phi cellfn op
-      in
-      let forest =
-        Blocks.Forest.create ~num_domains:s.Gen.rd_domains ~tile:s.Gen.rd_tile ~backend
-          ~grid:s.Gen.rd_grid
-          ~block_dims:
-            [| global2.(0) / s.Gen.rd_grid.(0); global2.(1) / s.Gen.rd_grid.(1) |]
-          gen
-      in
-      Array.iter
-        (fun sim -> init_model_phi sim ~seed:s.Gen.rd_seed)
-        forest.Blocks.Forest.sims;
-      Blocks.Forest.prime forest;
-      if s.Gen.rd_drop > 0. || s.Gen.rd_delay > 0. || s.Gen.rd_dup > 0. then
-        Blocks.Mpisim.set_fault_plan forest.Blocks.Forest.comm
-          (Some
-             {
-               Blocks.Faultplan.seed = s.Gen.rd_plan_seed;
-               drop = s.Gen.rd_drop;
-               delay = s.Gen.rd_delay;
-               duplicate = s.Gen.rd_dup;
-               max_delay = 3;
-               crash = None;
-             });
-      Blocks.Forest.run forest ~steps:s.Gen.rd_steps;
-      let dist =
-        Blocks.Reduce.forest_scalar ~num_domains:s.Gen.rd_domains
-          ~tile:s.Gen.rd_tile forest phi cellfn op
-      in
-      exact_reference reference single.Pfcore.Timestep.block phi cellfn op
-      && bits_equal reference pooled && bits_equal reference dist)
-
-(* ------------------------------------------------------------------ *)
-(* Oracle 5 extension: adaptive forest vs. uniform fine grid           *)
-(* ------------------------------------------------------------------ *)
-
-let adaptive_global (s : Gen.adaptive_sample) =
-  [| 6 * s.Gen.ad_bgrid.(0); 6 * s.Gen.ad_bgrid.(1) |]
-
-(* A sharp 0/1 disc confined to block (0,0): bulk blocks hold exact
-   constants, so a correct adaptive forest will actually freeze some of
-   them — the oracle is vacuous otherwise.  Global coordinates keep the
-   initial condition identical across decompositions. *)
-let init_sharp_phi (sim : Pfcore.Timestep.t) ~seed =
-  let fields = sim.Pfcore.Timestep.gen.Pfcore.Genkernels.fields in
-  let block = sim.Pfcore.Timestep.block in
-  let buf = Vm.Engine.buffer block fields.Pfcore.Model.phi_src in
-  let off = block.Vm.Engine.offset in
-  let radius = 2. +. (0.4 *. float_of_int (seed mod 3)) in
-  Vm.Buffer.init buf (fun coords comp ->
-      let x = float_of_int (coords.(0) + off.(0)) +. 0.5 -. 3. in
-      let y = float_of_int (coords.(1) + off.(1)) +. 0.5 -. 3. in
-      let v = if (x *. x) +. (y *. y) < radius *. radius then 1. else 0. in
-      if comp = 0 then v else 1. -. v)
-
-let make_adaptive (s : Gen.adaptive_sample) =
-  let gen = Lazy.force curvature_gen in
-  let af =
-    Blocks.Adaptive.create
-      ~mode:(if s.Gen.ad_static then Blocks.Adaptive.Static else Blocks.Adaptive.Adapt)
-      ~adapt_every:s.Gen.ad_adapt_every ~ranks:s.Gen.ad_ranks
-      ~num_domains:s.Gen.ad_domains ~tile:s.Gen.ad_tile
-      ?backend:(if s.Gen.ad_jit then Some Vm.Engine.Jit else None)
-      ~bgrid:s.Gen.ad_bgrid ~block_dims:[| 6; 6 |] gen
-  in
-  List.iter
-    (fun sim -> init_sharp_phi sim ~seed:s.Gen.ad_seed)
-    (Blocks.Adaptive.active_sims af);
-  af
-
-let adaptive_fault_plan ?crash (s : Gen.adaptive_sample) =
-  if s.Gen.ad_drop > 0. || s.Gen.ad_delay > 0. || s.Gen.ad_dup > 0. || crash <> None
-  then
-    Some
-      {
-        Blocks.Faultplan.seed = s.Gen.ad_plan_seed;
-        drop = s.Gen.ad_drop;
-        delay = s.Gen.ad_delay;
-        duplicate = s.Gen.ad_dup;
-        max_delay = 3;
-        crash;
-      }
-  else None
-
-(* Freezing bulk blocks to constants, refining around the interface,
-   Morton rebalancing and servicing frozen exchanges with constant slabs
-   are all semantics-free: the adaptive forest (Static or Adapt mode, any
-   rank count / pool width / tile / backend, under healing fault plans)
-   must reproduce the uniform fine-grid run cell for cell — and its
-   reduction, frozen blocks' constants included, must be bitwise the
-   uniform block's. *)
-let adaptive_vs_uniform ~count =
-  QCheck.Test.make
-    ~name:"oracle5: adaptive forest = uniform fine grid (bitwise)" ~count
-    Gen.arb_adaptive
-    (fun s ->
-      let s = { s with Gen.ad_crash = false } in
-      let gen = Lazy.force curvature_gen in
-      let gd = adaptive_global s in
-      let phi = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-      let uniform = Pfcore.Timestep.create ~dims:gd gen in
-      init_sharp_phi uniform ~seed:s.Gen.ad_seed;
-      Pfcore.Timestep.prime uniform;
-      Pfcore.Timestep.run uniform ~steps:s.Gen.ad_steps;
-      let af = make_adaptive s in
-      Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm (adaptive_fault_plan s);
-      Blocks.Adaptive.prime af;
-      Blocks.Adaptive.run af ~steps:s.Gen.ad_steps;
-      let ubuf = Vm.Engine.buffer uniform.Pfcore.Timestep.block phi in
-      let ok = ref true in
-      for gy = 0 to gd.(1) - 1 do
-        for gx = 0 to gd.(0) - 1 do
-          for c = 0 to phi.Fieldspec.components - 1 do
-            let a = Vm.Buffer.get ubuf ~component:c [| gx; gy |] in
-            let b = Blocks.Adaptive.get af phi ~component:c [| gx; gy |] in
-            if not (bits_equal a b) then ok := false
-          done
-        done
-      done;
-      let usum =
-        Vm.Reduce.scalar ~num_domains:1
-          uniform.Pfcore.Timestep.block phi Vm.Reduce.Interface Vm.Reduce.Sum
-      in
-      let asum =
-        Blocks.Adaptive.scalar af phi Vm.Reduce.Interface Vm.Reduce.Sum
-      in
-      !ok && bits_equal usum asum)
-
-(** One sample of {!adaptive_snapshot_roundtrip}. *)
-let adaptive_snapshot_case (s : Gen.adaptive_sample) =
-  let s = { s with Gen.ad_crash = false } in
-  let af = make_adaptive s in
-  Blocks.Adaptive.prime af;
-  Blocks.Adaptive.run af ~steps:s.Gen.ad_steps;
-  let fresh = make_adaptive { s with Gen.ad_seed = s.Gen.ad_seed + 1 } in
-  Blocks.Adaptive.prime fresh;
-  roundtrip_continues
-    ~run:(fun af ~steps -> Blocks.Adaptive.run af ~steps)
-    ~capture:Resilience.Snapshot.capture_adaptive
-    ~restore:Resilience.Snapshot.restore_adaptive ~sims:Blocks.Adaptive.active_sims
-    ~poison:poison_adaptive af fresh ~steps:s.Gen.ad_steps
-
-(* Adaptive snapshot: capture → encode → decode → restore into a forest
-   in a *different* refinement state, every buffer NaN, must reproduce the
-   captured state exactly — frozen constants, levels and ownership
-   included — and continue bitwise with the original. *)
-let adaptive_snapshot_roundtrip ~count =
-  QCheck.Test.make
-    ~name:"oracle5: adaptive snapshot encode/decode/restore = identity (bitwise)" ~count
-    Gen.arb_adaptive adaptive_snapshot_case
-
-(* Crash + rollback + replay over the adaptive forest: the recovery driver
-   restores refinement state alongside the state fields (into a poisoned
-   forest), and replayed adaptation decisions are pure functions of the
-   restored state — so the protected run must end bitwise identical to an
-   undisturbed one, freeze/thaw and rebalance schedule included. *)
-let adaptive_crash_restart ~count =
-  QCheck.Test.make
-    ~name:"oracle5: adaptive crash + rollback + replay = undisturbed run (bitwise)"
-    ~count Gen.arb_adaptive
-    (fun s ->
-      let ranks = max 2 s.Gen.ad_ranks in
-      let s =
-        {
-          s with
-          Gen.ad_crash = true;
-          ad_ranks = ranks;
-          ad_crash_rank = s.Gen.ad_crash_rank mod ranks;
-          ad_steps = max s.Gen.ad_steps (s.Gen.ad_crash_step + 1);
-        }
-      in
-      let clean = make_adaptive s in
-      Blocks.Adaptive.prime clean;
-      Blocks.Adaptive.run clean ~steps:s.Gen.ad_steps;
-      let faulty = make_adaptive s in
-      Blocks.Adaptive.prime faulty;
-      Blocks.Mpisim.set_fault_plan faulty.Blocks.Adaptive.comm
-        (adaptive_fault_plan ~crash:(s.Gen.ad_crash_rank, s.Gen.ad_crash_step) s);
+      let check = solo_check () in
       let stats =
-        Resilience.Recovery.protect ~every:s.Gen.ad_ckpt_every ~steps:s.Gen.ad_steps
-          ~step_count:(fun () -> Blocks.Adaptive.step_count faulty)
-          ~step:(fun () -> Blocks.Adaptive.step faulty)
-          ~capture:(fun () -> Resilience.Snapshot.capture_adaptive faulty)
-          ~restore:(fun snap ->
-            poison_adaptive faulty;
-            Resilience.Snapshot.restore_adaptive snap faulty)
-          faulty.Blocks.Adaptive.comm
+        Serve.Scheduler.run ~config ~on_finish:check.on_finish ~mempool:(Serve.Mempool.create ())
+          specs
       in
-      stats.Resilience.Recovery.restarts >= 1
-      && Resilience.Snapshot.equal
-           (Resilience.Snapshot.capture_adaptive clean)
-           (Resilience.Snapshot.capture_adaptive faulty)
-      && buffers_bitwise_equal ~scratch:false (Blocks.Adaptive.active_sims clean)
-           (Blocks.Adaptive.active_sims faulty))
-
-(* ------------------------------------------------------------------ *)
-(* Model zoo: the oracle battery over the combinator-built families    *)
-(* ------------------------------------------------------------------ *)
-
-(* Code generation costs seconds per configuration, so kernels are cached
-   process-wide on the (family, coefficient-variant) key the samples draw
-   from; seeds, decompositions, variants and backends still vary freely
-   per sample. *)
-let zoo_gens : (int * int * bool, Pfcore.Genkernels.t) Hashtbl.t = Hashtbl.create 9
-
-let zoo_gen ?(raw = false) (s : Gen.zoo_sample) =
-  let key = (s.Gen.zf mod 3, s.Gen.zcoef mod 3, raw) in
-  match Hashtbl.find_opt zoo_gens key with
-  | Some g -> g
-  | None ->
-    let opts =
-      if raw then { Pfcore.Genkernels.default_options with simplify = false; cse = false }
-      else Pfcore.Genkernels.default_options
-    in
-    let g = Pfcore.Genkernels.generate ~opts (Gen.zoo_params s) in
-    Hashtbl.add zoo_gens key g;
-    g
-
-(* Philox-keyed smooth fields around a family-appropriate base value, a
-   function of the *global* cell index alone — any decomposition of the
-   same global domain starts bitwise identically. *)
-let init_zoo (sim : Pfcore.Timestep.t) ~seed =
-  let gen = sim.Pfcore.Timestep.gen in
-  let p = gen.Pfcore.Genkernels.params in
-  let block = sim.Pfcore.Timestep.block in
-  let fields = gen.Pfcore.Genkernels.fields in
-  let base =
-    match p.Pfcore.Params.family with
-    | Pfcore.Params.Solidification -> 1. /. float_of_int p.Pfcore.Params.n_phases
-    | Pfcore.Params.Pfc _ -> 0.3
-    | Pfcore.Params.Gray_scott _ -> 0.5
-  in
-  let init (f : Fieldspec.t) ~slot ~base ~amp =
-    let buf = Vm.Engine.buffer block f in
-    let off = block.Vm.Engine.offset in
-    let gd = block.Vm.Engine.global_dims in
-    Vm.Buffer.init buf (fun coords comp ->
-        let cell = ref 0 in
-        for d = Array.length gd - 1 downto 0 do
-          cell := (!cell * gd.(d)) + coords.(d) + off.(d)
-        done;
-        base +. (amp *. Philox.symmetric ~cell:!cell ~step:seed ~slot:(slot + comp)))
-  in
-  init fields.Pfcore.Model.phi_src ~slot:3 ~base ~amp:0.01;
-  if Pfcore.Params.n_mu p > 0 then init fields.Pfcore.Model.mu_src ~slot:23 ~base:0.02 ~amp:0.01
-
-let zoo_variant split = if split then Pfcore.Timestep.Split else Pfcore.Timestep.Full
-
-(* One zoo run through the whole Algorithm-1 step structure on the shared
-   12x12 global domain. *)
-let zoo_sim ?gen ?(backend = Vm.Engine.Interp) ?(num_domains = 1) ?tile ?(split = false)
-    (s : Gen.zoo_sample) =
-  let gen = match gen with Some g -> g | None -> zoo_gen s in
-  let variant = zoo_variant split in
-  let sim =
-    Pfcore.Timestep.create ~variant_phi:variant ~variant_mu:variant ~backend ~num_domains
-      ?tile ~dims:global2 gen
-  in
-  init_zoo sim ~seed:s.Gen.zseed;
-  Pfcore.Timestep.prime sim;
-  Pfcore.Timestep.run sim ~steps:s.Gen.zsteps;
-  sim
-
-let zoo_sims_agree ?(cmp = bits_equal) (a : Pfcore.Timestep.t) (b : Pfcore.Timestep.t) =
-  let fields = a.Pfcore.Timestep.gen.Pfcore.Genkernels.fields in
-  let buf (sim : Pfcore.Timestep.t) f = Vm.Engine.buffer sim.Pfcore.Timestep.block f in
-  interior_agree ~cmp (buf a fields.Pfcore.Model.phi_src) (buf b fields.Pfcore.Model.phi_src)
-  && (Pfcore.Params.n_mu a.Pfcore.Timestep.gen.Pfcore.Genkernels.params = 0
-     || interior_agree ~cmp (buf a fields.Pfcore.Model.mu_src) (buf b fields.Pfcore.Model.mu_src))
-
-(* Oracles 4, 7 and 8 over the zoo: pool width, tile decomposition and the
-   JIT backend must be invisible, bitwise, for every family and variant. *)
-let zoo_exec_paths ~count =
-  QCheck.Test.make
-    ~name:"oracle4/7/8 zoo: domains/tile/jit sweep = serial interp (bitwise)" ~count
-    Gen.arb_zoo
-    (fun s ->
-      let reference = zoo_sim ~split:s.Gen.zsplit s in
-      let subject =
-        zoo_sim
-          ~backend:(if s.Gen.zjit then Vm.Engine.Jit else Vm.Engine.Interp)
-          ~num_domains:s.Gen.zdomains ~tile:s.Gen.ztile ~split:s.Gen.zsplit s
-      in
-      zoo_sims_agree reference subject)
-
-(* Oracle 3 over the zoo: the staggered-precompute split variant evaluates
-   different (algebraically equal) trees, so the comparison is the same
-   tolerance-with-guard policy as the generic flux oracle. *)
-let zoo_full_vs_split ~count =
-  let cmp a b =
-    (not (Float.is_finite a) && not (Float.is_finite b))
-    || Float.abs a > guard || Float.abs b > guard
-    || close ~tol:1e-6 a b
-  in
-  QCheck.Test.make ~name:"oracle3 zoo: full = split variant (tolerance)" ~count
-    Gen.arb_zoo
-    (fun s -> zoo_sims_agree ~cmp (zoo_sim ~split:false s) (zoo_sim ~split:true s))
-
-(* Oracle 1 over the zoo: per-term simplification and global CSE are
-   value-preserving on the real generated models, not just on random
-   scalar expressions. *)
-let zoo_opt_vs_raw ~count =
-  let cmp a b =
-    (not (Float.is_finite a) && not (Float.is_finite b))
-    || Float.abs a > guard || Float.abs b > guard
-    || close ~tol:1e-6 a b
-  in
-  QCheck.Test.make
-    ~name:"oracle1 zoo: optimized kernels = unoptimized kernels (tolerance)" ~count
-    Gen.arb_zoo
-    (fun s ->
-      (* pin the coefficient variant: the raw (unsimplified) kernels are
-         several times bigger, so only three of them are ever generated *)
-      let s = { s with Gen.zcoef = 0; zsteps = 1 } in
-      zoo_sims_agree ~cmp (zoo_sim s) (zoo_sim ~gen:(zoo_gen ~raw:true s) s))
-
-(* Oracle 2 over the zoo: the engine's sweep of the generated phi kernel —
-   lowered, hoisted, possibly JIT-compiled — against a direct cell-by-cell
-   [Eval] interpretation of the kernel body. *)
-let zoo_engine_vs_eval ~count =
-  QCheck.Test.make ~name:"oracle2 zoo: engine phi sweep = Eval interpreter" ~count
-    Gen.arb_zoo
-    (fun s ->
-      let gen = zoo_gen s in
-      let backend = if s.Gen.zjit then Vm.Engine.Jit else Vm.Engine.Interp in
-      let make () =
-        let sim = Pfcore.Timestep.create ~backend ~dims:global2 gen in
-        init_zoo sim ~seed:s.Gen.zseed;
-        Pfcore.Timestep.prime sim;
-        sim
-      in
-      let engine = make () in
-      let params = Pfcore.Timestep.runtime_params engine in
-      Vm.Engine.run ~num_domains:s.Gen.zdomains ~backend ~step:0 ~params
-        (Vm.Engine.bind gen.Pfcore.Genkernels.phi_full engine.Pfcore.Timestep.block);
-      let evaled = make () in
-      let block = evaled.Pfcore.Timestep.block in
-      let temps : (string, float) Hashtbl.t = Hashtbl.create 64 in
-      let coords = Array.make 2 0 in
-      let elt (a : Fieldspec.access) =
-        let buf = Vm.Engine.buffer block a.Fieldspec.field in
-        (buf, Vm.Buffer.base_index buf coords + Vm.Buffer.access_delta buf a)
-      in
-      let dx = List.assoc "dx" params in
-      let env =
-        Eval.env
-          ~sym:(fun sy ->
-            match Hashtbl.find_opt temps sy with
-            | Some v -> v
-            | None -> List.assoc sy params)
-          ~access:(fun a ->
-            let buf, i = elt a in
-            buf.Vm.Buffer.data.(i))
-          ~coord:(fun d -> (float_of_int coords.(d) +. 0.5) *. dx)
-          ~rand:(fun _ -> 0.)
-          ()
-      in
-      for y = 0 to global2.(1) - 1 do
-        for x = 0 to global2.(0) - 1 do
-          coords.(0) <- x;
-          coords.(1) <- y;
-          Hashtbl.reset temps;
-          List.iter
-            (fun (a : Field.Assignment.t) ->
-              let v = Eval.eval env a.Field.Assignment.rhs in
-              match a.Field.Assignment.lhs with
-              | Field.Assignment.Temp t -> Hashtbl.replace temps t v
-              | Field.Assignment.Store acc ->
-                let buf, i = elt acc in
-                buf.Vm.Buffer.data.(i) <- v)
-            gen.Pfcore.Genkernels.phi_full.Ir.Kernel.body
-        done
-      done;
-      let dst = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_dst in
-      interior_agree ~cmp:engine_close
-        (Vm.Engine.buffer engine.Pfcore.Timestep.block dst)
-        (Vm.Engine.buffer block dst))
-
-(* Oracle 5 over the zoo: single block vs 2x2 Mpisim forest, bitwise. *)
-let zoo_single_vs_forest ~count =
-  QCheck.Test.make ~name:"oracle5 zoo: single block = 2x2 forest (bitwise)" ~count
-    Gen.arb_zoo
-    (fun s ->
-      let gen = zoo_gen s in
-      let variant = zoo_variant s.Gen.zsplit in
-      let single = zoo_sim ~split:s.Gen.zsplit s in
-      let forest =
-        Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant ~grid:[| 2; 2 |]
-          ~block_dims:[| global2.(0) / 2; global2.(1) / 2 |]
-          gen
-      in
-      Array.iter (fun sim -> init_zoo sim ~seed:s.Gen.zseed) forest.Blocks.Forest.sims;
-      Blocks.Forest.prime forest;
-      Blocks.Forest.run forest ~steps:s.Gen.zsteps;
-      let phi = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-      let sbuf = Vm.Engine.buffer single.Pfcore.Timestep.block phi in
-      let ok = ref true in
-      for gy = 0 to global2.(1) - 1 do
-        for gx = 0 to global2.(0) - 1 do
-          for c = 0 to phi.Fieldspec.components - 1 do
-            let a = Vm.Buffer.get sbuf ~component:c [| gx; gy |] in
-            let b = Blocks.Forest.get forest phi ~component:c [| gx; gy |] in
-            if not (bits_equal a b) then ok := false
-          done
-        done
-      done;
-      !ok)
-
-(** One sample of {!zoo_snapshot_roundtrip}. *)
-let zoo_snapshot_case (s : Gen.zoo_sample) =
-  let gen = zoo_gen s in
-  let variant = zoo_variant s.Gen.zsplit in
-  let make ?(overlap = false) ?(backend = Vm.Engine.Interp) ?(num_domains = 1) ?tile seed =
-    let forest =
-      Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile
-        ~backend ~overlap ~grid:[| 2; 2 |]
-        ~block_dims:[| global2.(0) / 2; global2.(1) / 2 |]
-        gen
-    in
-    Array.iter (fun sim -> init_zoo sim ~seed) forest.Blocks.Forest.sims;
-    Blocks.Forest.prime forest;
-    forest
-  in
-  let forest = make s.Gen.zseed in
-  Blocks.Forest.run forest ~steps:s.Gen.zsteps;
-  let target =
-    make
-      ~overlap:(s.Gen.zf mod 3 = 0 && s.Gen.zsplit)
-      ~backend:(if s.Gen.zjit then Vm.Engine.Jit else Vm.Engine.Interp)
-      ~num_domains:s.Gen.zdomains ~tile:s.Gen.ztile (s.Gen.zseed + 1)
-  in
-  roundtrip_continues
-    ~run:(fun f ~steps -> Blocks.Forest.run f ~steps)
-    ~capture:Resilience.Snapshot.capture ~restore:Resilience.Snapshot.restore
-    ~sims:forest_sims ~poison:poison_forest forest target ~steps:s.Gen.zsteps
-
-(* Oracle 6 over the zoo: snapshot capture/encode/decode/restore into a
-   poisoned forest is the identity on evolved zoo forests, whose extra
-   staggered slots are scratch, and the restored forest continues bitwise
-   with the original — on the sample's backend, pool width and tile, and
-   for the split eutectic with the overlapped exchange. *)
-let zoo_snapshot_roundtrip ~count =
-  QCheck.Test.make
-    ~name:"oracle6 zoo: snapshot encode/decode/restore = identity (bitwise)" ~count
-    Gen.arb_zoo zoo_snapshot_case
-
-(* Oracle 10 over the zoo: the eutectic family has the phi+mu kernel
-   structure the inner/outer overlap split is built around; overlapped
-   exchange must stay invisible on a 2D decomposition too. *)
-let zoo_overlap ~count =
-  QCheck.Test.make
-    ~name:"oracle10 zoo: eutectic overlapped = sequential exchange (bitwise)" ~count
-    Gen.arb_zoo
-    (fun s ->
-      let s = { s with Gen.zf = 0 } in
-      let gen = zoo_gen s in
-      let variant = zoo_variant s.Gen.zsplit in
-      let make ~overlap ~backend ~num_domains ~tile =
-        let forest =
-          Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant ~num_domains
-            ?tile ~backend ~overlap ~grid:[| 2; 1 |]
-            ~block_dims:[| global2.(0) / 2; global2.(1) |]
-            gen
-        in
-        Array.iter (fun sim -> init_zoo sim ~seed:s.Gen.zseed) forest.Blocks.Forest.sims;
-        Blocks.Forest.prime forest;
-        Blocks.Forest.run forest ~steps:s.Gen.zsteps;
-        forest
-      in
-      let reference =
-        make ~overlap:false ~backend:Vm.Engine.Interp ~num_domains:1 ~tile:None
-      in
-      let overlapped =
-        make ~overlap:true
-          ~backend:(if s.Gen.zjit then Vm.Engine.Jit else Vm.Engine.Interp)
-          ~num_domains:s.Gen.zdomains ~tile:(Some s.Gen.ztile)
-      in
-      let fields = gen.Pfcore.Genkernels.fields in
-      let check (f : Fieldspec.t) =
-        let ok = ref true in
-        for gy = 0 to global2.(1) - 1 do
-          for gx = 0 to global2.(0) - 1 do
-            for c = 0 to f.Fieldspec.components - 1 do
-              let a = Blocks.Forest.get reference f ~component:c [| gx; gy |] in
-              let b = Blocks.Forest.get overlapped f ~component:c [| gx; gy |] in
-              if not (bits_equal a b) then ok := false
-            done
-          done
-        done;
-        !ok
-      in
-      check fields.Pfcore.Model.phi_src && check fields.Pfcore.Model.mu_src)
-
-(* Oracle 11 over the zoo: pooled, tiled and forest-distributed
-   reductions of an evolved zoo field reproduce the serial scalar bitwise,
-   and a serial sum is the exact sum of its cells. *)
-let zoo_reduce ~count =
-  QCheck.Test.make
-    ~name:"oracle11 zoo: pooled/forest reduction = serial reference (bitwise)" ~count
-    Gen.arb_zoo
-    (fun s ->
-      let gen = zoo_gen s in
-      let op = reduce_op s.Gen.zcoef in
-      let phi = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-      (* Component 1 only exists for the multi-phase families *)
-      let cf = s.Gen.zseed mod 4 in
-      let cf = if cf = 1 && phi.Fieldspec.components < 2 then 0 else cf in
-      let cellfn = reduce_cellfn ~seed:s.Gen.zseed cf in
-      let single = zoo_sim ~split:s.Gen.zsplit s in
-      let reference =
-        Vm.Reduce.scalar ~num_domains:1
-          single.Pfcore.Timestep.block phi cellfn op
-      in
-      let backend = if s.Gen.zjit then Vm.Engine.Jit else Vm.Engine.Interp in
-      let pooled =
-        Vm.Reduce.scalar ~num_domains:s.Gen.zdomains ~tile:s.Gen.ztile
-          single.Pfcore.Timestep.block phi cellfn op
-      in
-      let variant = zoo_variant s.Gen.zsplit in
-      let forest =
-        Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant
-          ~num_domains:s.Gen.zdomains ~tile:s.Gen.ztile ~backend ~grid:[| 2; 1 |]
-          ~block_dims:[| global2.(0) / 2; global2.(1) |]
-          gen
-      in
-      Array.iter (fun sim -> init_zoo sim ~seed:s.Gen.zseed) forest.Blocks.Forest.sims;
-      Blocks.Forest.prime forest;
-      Blocks.Forest.run forest ~steps:s.Gen.zsteps;
-      let dist =
-        Blocks.Reduce.forest_scalar ~num_domains:s.Gen.zdomains
-          ~tile:s.Gen.ztile forest phi cellfn op
-      in
-      exact_reference reference single.Pfcore.Timestep.block phi cellfn op
-      && bits_equal reference pooled && bits_equal reference dist)
-
-(* Adaptive-forest leg over the zoo.  Gray-Scott is the family whose
-   Pearson background (u=1, v=0) is an *exact* fixed point of the rhs, so
-   bulk blocks hold constants and genuinely freeze — and its kernels are
-   position-independent, which is what entitles the forest to freeze them. *)
-let init_zoo_sharp (sim : Pfcore.Timestep.t) =
-  let fields = sim.Pfcore.Timestep.gen.Pfcore.Genkernels.fields in
-  let block = sim.Pfcore.Timestep.block in
-  let buf = Vm.Engine.buffer block fields.Pfcore.Model.phi_src in
-  let off = block.Vm.Engine.offset in
-  Vm.Buffer.init buf (fun coords comp ->
-      let gx = coords.(0) + off.(0) and gy = coords.(1) + off.(1) in
-      let inside = gx >= 1 && gx <= 3 && gy >= 1 && gy <= 3 in
-      match (comp, inside) with
-      | 0, true -> 0.5
-      | 0, false -> 1.
-      | _, true -> 0.25
-      | _, false -> 0.)
-
-let zoo_adaptive ~count =
-  QCheck.Test.make
-    ~name:"oracle5 zoo: adaptive forest = uniform fine grid (bitwise)" ~count
-    Gen.arb_zoo
-    (fun s ->
-      let s = { s with Gen.zf = 2 } in
-      let gen = zoo_gen s in
-      let phi = gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-      let uniform = Pfcore.Timestep.create ~dims:global2 gen in
-      init_zoo_sharp uniform;
-      Pfcore.Timestep.prime uniform;
-      Pfcore.Timestep.run uniform ~steps:s.Gen.zsteps;
-      let af =
-        Blocks.Adaptive.create ~ranks:(1 + (s.Gen.zseed mod 3))
-          ~num_domains:s.Gen.zdomains ~tile:s.Gen.ztile
-          ?backend:(if s.Gen.zjit then Some Vm.Engine.Jit else None)
-          ~bgrid:[| 2; 2 |]
-          ~block_dims:[| global2.(0) / 2; global2.(1) / 2 |]
-          gen
-      in
-      List.iter init_zoo_sharp (Blocks.Adaptive.active_sims af);
-      Blocks.Adaptive.prime af;
-      Blocks.Adaptive.run af ~steps:s.Gen.zsteps;
-      let ubuf = Vm.Engine.buffer uniform.Pfcore.Timestep.block phi in
-      let ok = ref true in
-      for gy = 0 to global2.(1) - 1 do
-        for gx = 0 to global2.(0) - 1 do
-          for c = 0 to phi.Fieldspec.components - 1 do
-            let a = Vm.Buffer.get ubuf ~component:c [| gx; gy |] in
-            let b = Blocks.Adaptive.get af phi ~component:c [| gx; gy |] in
-            if not (bits_equal a b) then ok := false
-          done
-        done
-      done;
-      !ok)
+      stats.Serve.Scheduler.rejected = []
+      && List.length stats.Serve.Scheduler.results = List.length specs
+      && check.diverged stats.Serve.Scheduler.results = [])
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 12: automatic variational derivative vs. finite differences  *)
@@ -1640,77 +1099,46 @@ let ad_vs_fd ~count =
       in
       Float.abs (ad -. fd) <= o12_tolerance coef_sum)
 
-(* The same check over the zoo families' actual densities (coefficients of
-   order eps*gamma for eutectic), probing a random phase component.  The
-   commutation error analysis above scales with the coefficients, hence
-   the wider flat budget. *)
-let zoo_ad_vs_fd ~count =
-  QCheck.Test.make
-    ~name:"oracle12 zoo: family density, Varder = finite differences" ~count
-    Gen.arb_zoo
-    (fun s ->
-      let p = Gen.zoo_params s in
-      let f = Pfcore.Model.make_fields p in
-      let ctx = Pfcore.Model.make_ctx ~symbolic:false in
-      let density =
-        Expr.subst
-          [ (Pfcore.Model.t_loc, Expr.num 0.47) ]
-          (Pfcore.Model.family_density ctx p f)
-      in
-      let bindings = Pfcore.Genkernels.guard_bindings in
-      let comp = s.Gen.zseed mod p.Pfcore.Params.n_phases in
-      let wrt = Pfcore.Model.phi_at ~component:comp f.Pfcore.Model.phi_src in
-      let scheme = Fd.Discretize.create ~dx:(Expr.num 1.) ~dim:2 () in
-      let d_density = Fd.Discretize.discretize scheme density in
-      let state = o12_state ~seed:s.Gen.zseed in
-      let cell = s.Gen.zseed mod o12_cells in
-      let x = cell mod o12_dims.(0) and y = cell / o12_dims.(0) in
-      let arr = state (f.Pfcore.Model.phi_src.Fieldspec.name, comp) in
-      let fd = o12_fd ~state ~bindings d_density ~arr ~cell in
-      let ad = o12_ad ~state ~bindings density ~wrt ~x ~y in
-      Float.abs (ad -. fd) <= 0.05 +. (0.02 *. (Float.abs ad +. Float.abs fd)))
-
-(** Worst observed |AD − FD| deviation of one zoo family (at the preset
-    coefficients) over every phase component and a spread of probe cells —
-    the per-family check of the energy suite, held to the same budget as
-    the oracle.  Returns [(max_deviation, within_budget)]. *)
-let o12_family_deviation ~zf ~seed =
-  let s =
-    {
-      Gen.zf;
-      zcoef = 0;
-      zseed = seed;
-      zsplit = false;
-      zsteps = 1;
-      zdomains = 1;
-      ztile = [| 0; 0 |];
-      zjit = false;
-    }
-  in
-  let p = Gen.zoo_params s in
+(* The check over a family's actual density at the case's coefficients
+   (of order eps*gamma for eutectic), probing one phase component at one
+   cell.  The commutation error analysis above scales with the
+   coefficients, hence the wider flat budget. *)
+let family_ad_fd (c : Gen.case) ~comp ~cell =
+  let p = Gen.params c in
   let f = Pfcore.Model.make_fields p in
-  let ctx = Pfcore.Model.make_ctx ~symbolic:false in
   let density =
     Expr.subst
       [ (Pfcore.Model.t_loc, Expr.num 0.47) ]
-      (Pfcore.Model.family_density ctx p f)
+      (Pfcore.Model.family_density (Pfcore.Model.make_ctx ~symbolic:false) p f)
   in
   let bindings = Pfcore.Genkernels.guard_bindings in
+  let comp = comp mod p.Pfcore.Params.n_phases and cell = cell mod o12_cells in
+  let wrt = Pfcore.Model.phi_at ~component:comp f.Pfcore.Model.phi_src in
   let scheme = Fd.Discretize.create ~dx:(Expr.num 1.) ~dim:2 () in
-  let d_density = Fd.Discretize.discretize scheme density in
-  let state = o12_state ~seed in
+  let state = o12_state ~seed:c.Gen.seed in
+  let arr = state (f.Pfcore.Model.phi_src.Fieldspec.name, comp) in
+  let fd = o12_fd ~state ~bindings (Fd.Discretize.discretize scheme density) ~arr ~cell in
+  let ad =
+    o12_ad ~state ~bindings density ~wrt ~x:(cell mod o12_dims.(0)) ~y:(cell / o12_dims.(0))
+  in
+  let dev = Float.abs (ad -. fd) in
+  (dev, dev <= 0.05 +. (0.02 *. (Float.abs ad +. Float.abs fd)))
+
+let family_ad_vs_fd (c : Gen.case) = snd (family_ad_fd c ~comp:c.Gen.seed ~cell:c.Gen.seed)
+
+(** Worst observed |AD − FD| deviation of [family] (at the preset
+    coefficients) over every phase component and a spread of probe cells —
+    the per-family check of the energy suite, held to the oracle's budget.
+    Returns [(max_deviation, within_budget)]. *)
+let o12_family_deviation family ~seed =
+  let c = { (Gen.base family) with Gen.seed } in
   let worst = ref 0. and ok = ref true in
-  for comp = 0 to p.Pfcore.Params.n_phases - 1 do
-    let wrt = Pfcore.Model.phi_at ~component:comp f.Pfcore.Model.phi_src in
-    let arr = state (f.Pfcore.Model.phi_src.Fieldspec.name, comp) in
+  for comp = 0 to (Gen.params c).Pfcore.Params.n_phases - 1 do
     List.iter
       (fun cell ->
-        let x = cell mod o12_dims.(0) and y = cell / o12_dims.(0) in
-        let fd = o12_fd ~state ~bindings d_density ~arr ~cell in
-        let ad = o12_ad ~state ~bindings density ~wrt ~x ~y in
-        let dev = Float.abs (ad -. fd) in
-        if dev > !worst then worst := dev;
-        if dev > 0.05 +. (0.02 *. (Float.abs ad +. Float.abs fd)) then ok := false)
+        let dev, within = family_ad_fd c ~comp ~cell in
+        worst := Float.max !worst dev;
+        ok := !ok && within)
       [ 0; 17; 53; 91; 118 ]
   done;
   (!worst, !ok)
@@ -1718,6 +1146,86 @@ let o12_family_deviation ~zf ~seed =
 (* ------------------------------------------------------------------ *)
 (* The harness's test list                                             *)
 (* ------------------------------------------------------------------ *)
+
+(** One model-level oracle: its [key] (the oracle number, then the leg),
+    the claim its tests are named by, the families it applies to, and one
+    sample per [per] of the base count (at least one). *)
+type relation = {
+  key : string;
+  claim : string;
+  families : Gen.family list;
+  per : int;
+  holds : Gen.case -> bool;
+}
+
+(* Curvature and Gray–Scott are the families whose kernels are
+   position-independent, which is what entitles the adaptive forest to
+   freeze their bulk blocks; P1, P2 and eutectic read a temperature
+   gradient, and PFC's smooth bulk is no exact fixed point.  The
+   overlapped exchange hides the φ_dst exchange behind the μ sweep, so
+   only the families with μ (P1, P2, eutectic) have anything to overlap.
+   The unoptimized P1 and P2 kernels (3D, no CSE) cost seconds per sweep,
+   and oracle 12's probe grid is 2D, so oracles 1 and 12 leave out the 3D
+   families. *)
+let relations =
+  let open Gen in
+  let all = families and plane = [ Curvature; Eutectic; Pfc; Gray_scott ] in
+  let freezable = [ Curvature; Gray_scott ] and with_mu = [ P1; P2; Eutectic ] in
+  [
+    { key = "1"; claim = "optimized kernels = unoptimized kernels (tolerance)";
+      families = plane; per = 5; holds = opt_vs_raw };
+    { key = "2"; claim = "engine phi sweep = Eval interpreter";
+      families = all; per = 5; holds = engine_vs_eval };
+    { key = "3"; claim = "full = split variant (tolerance)";
+      families = all; per = 5; holds = full_vs_split_variant };
+    { key = "5"; claim = "single block = Mpisim forest (bitwise)";
+      families = all; per = 10; holds = single_vs_forest };
+    { key = "5 adaptive"; claim = "adaptive forest = uniform fine grid (bitwise)";
+      families = freezable; per = 10; holds = adaptive_vs_uniform };
+    { key = "5 adaptive snapshot";
+      claim = "adaptive snapshot encode/decode/restore = identity (bitwise)";
+      families = freezable; per = 10; holds = roundtrip ~sharp:true `Adaptive };
+    { key = "5 adaptive crash";
+      claim = "adaptive crash + rollback + replay = undisturbed run (bitwise)";
+      families = freezable; per = 10; holds = crash_restart ~sharp:true `Adaptive };
+    { key = "6 snapshot"; claim = "snapshot encode/decode/restore = identity (bitwise)";
+      families = all; per = 10; holds = snapshot_roundtrip };
+    { key = "6 corrupted"; claim = "corrupted snapshot is rejected by checksum";
+      families = all; per = 5; holds = snapshot_corruption };
+    { key = "6 crash"; claim = "crash + rollback + replay = undisturbed run (bitwise)";
+      families = all; per = 10; holds = crash_restart `Forest };
+    { key = "7"; claim = "pooled tiled sweep = serial sweep (bitwise)";
+      families = all; per = 10; holds = executor_invisible ~jit:false };
+    { key = "8"; claim = "jit backend = interpreter (bitwise)";
+      families = all; per = 10; holds = executor_invisible ~jit:true };
+    { key = "10"; claim = "overlapped exchange = sequential exchange (bitwise)";
+      families = with_mu; per = 10; holds = overlapped_vs_sequential };
+    { key = "11"; claim = "pooled/tiled/forest reduction = serial reference (bitwise)";
+      families = all; per = 10; holds = reduce_vs_serial };
+    { key = "12"; claim = "family density, Varder = finite differences";
+      families = plane; per = 5; holds = family_ad_vs_fd };
+  ]
+
+let samples ~count r = max 1 (count / r.per)
+
+(** Every oracle × family cell of the model-level battery, with its
+    sample count at base count [count]. *)
+let cells ~count =
+  List.concat_map
+    (fun r -> List.map (fun f -> (r.key, f, samples ~count r)) r.families)
+    relations
+
+(* A leg's test name: the oracle number, the family group (the zoo
+   families keep their [zoo] label, so test names stay stable), the claim
+   and the family. *)
+let relation_test ~count r family =
+  let number = List.hd (String.split_on_char ' ' r.key) in
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "oracle%s%s: %s [%s]" number
+         (if Gen.is_zoo family then " zoo" else "")
+         r.claim (Gen.family_name family))
+    ~count:(samples ~count r) (Gen.arb_case family) r.holds
 
 (** All oracle tests.  [count] is the base sample count; cheap scalar
     oracles run more samples, whole-model oracles fewer. *)
@@ -1727,30 +1235,9 @@ let all ~count =
       engine_vs_interp ~count;
       full_vs_split ~count;
       serial_vs_domains ~count:(max 3 (count / 2));
-      single_vs_forest ~count:(max 2 (count / 6));
-      snapshot_roundtrip ~count:(max 2 (count / 4));
-      snapshot_corruption ~count:(max 4 (count / 2));
-      crash_restart_bitwise ~count:(max 2 (count / 8));
-      pooled_vs_serial ~count:(max 3 (count / 3));
-      jit_vs_interp ~count:(max 3 (count / 3));
       fast_tier_vs_interp ~count:(max 1 (count / 10));
       farm_vs_solo ~count:(max 2 (count / 8));
-      overlapped_vs_sequential ~count:(max 2 (count / 8));
-      reduce_vs_serial ~count:(max 3 (count / 4));
-      adaptive_vs_uniform ~count:(max 2 (count / 8));
-      adaptive_snapshot_roundtrip ~count:(max 2 (count / 8));
-      adaptive_crash_restart ~count:(max 2 (count / 8));
-      (* model zoo: the whole battery re-run over the combinator families *)
       ad_vs_fd ~count;
-      zoo_ad_vs_fd ~count:(max 3 (count / 3));
-      zoo_opt_vs_raw ~count:(max 2 (count / 6));
-      zoo_engine_vs_eval ~count:(max 3 (count / 4));
-      zoo_full_vs_split ~count:(max 3 (count / 4));
-      zoo_exec_paths ~count:(max 3 (count / 4));
-      zoo_single_vs_forest ~count:(max 2 (count / 6));
-      zoo_snapshot_roundtrip ~count:(max 2 (count / 6));
-      zoo_overlap ~count:(max 2 (count / 8));
-      zoo_reduce ~count:(max 2 (count / 6));
-      zoo_adaptive ~count:(max 2 (count / 8));
     ]
+  @ List.concat_map (fun r -> List.map (relation_test ~count r) r.families) relations
   @ Obs_props.tests ~count

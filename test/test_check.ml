@@ -146,6 +146,51 @@ let test_minmax_nan () =
   Alcotest.check feq "engine fmin(nan, 4) = 4" 4.
     (Vm.Buffer.get (Vm.Engine.buffer block dst) [| 0; 0 |])
 
+(* ------------------------------------------------------------------ *)
+(* Coverage pin                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle x family cells of the model-level battery, pinned: a leg
+   dropped for a family, or a family dropped from an oracle, fails here,
+   and every cell's test runs at least one sample at the @ci count. *)
+let test_coverage_cells () =
+  let expected =
+    [
+      ("1", [ "curvature"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("2", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("3", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("5", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("5 adaptive", [ "curvature"; "gray-scott" ]);
+      ("5 adaptive snapshot", [ "curvature"; "gray-scott" ]);
+      ("5 adaptive crash", [ "curvature"; "gray-scott" ]);
+      ("6 snapshot", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("6 corrupted", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("6 crash", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("7", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("8", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("10", [ "P1"; "P2"; "eutectic" ]);
+      ("11", [ "curvature"; "P1"; "P2"; "eutectic"; "pfc"; "gray-scott" ]);
+      ("12", [ "curvature"; "eutectic"; "pfc"; "gray-scott" ]);
+    ]
+  in
+  let cells = Check.Oracles.cells ~count:10 in
+  Alcotest.(check (list (pair string string)))
+    "oracle x family cells"
+    (List.concat_map (fun (k, fams) -> List.map (fun f -> (k, f)) fams) expected)
+    (List.map (fun (k, f, _) -> (k, Check.Gen.family_name f)) cells);
+  let legs =
+    List.filter_map
+      (fun (QCheck2.Test.Test cell) ->
+        let name = QCheck.Test.get_name cell in
+        if String.ends_with ~suffix:"]" name then Some (name, QCheck.Test.get_count cell)
+        else None)
+      (Check.Harness.tests ~count:10 ())
+  in
+  Alcotest.(check int) "one test per cell" (List.length cells) (List.length legs);
+  List.iter
+    (fun (name, n) -> if n < 1 then Alcotest.failf "%s runs no sample at count 10" name)
+    legs
+
 let suite =
   oracle_tests
   @ [
@@ -159,4 +204,5 @@ let suite =
         test_select_boundary;
       Alcotest.test_case "eval edge: fmin/fmax NaN (C99 semantics)" `Quick
         test_minmax_nan;
+      Alcotest.test_case "coverage: oracle x family cells" `Quick test_coverage_cells;
     ]

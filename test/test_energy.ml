@@ -251,12 +251,12 @@ let test_p1_density_node_for_node () =
    a spread of probe cells (seed 5). *)
 let test_zoo_oracle12_budget () =
   List.iter
-    (fun (zf, family) ->
-      let dev, ok = Check.Oracles.o12_family_deviation ~zf ~seed:5 in
+    (fun family ->
+      let dev, ok = Check.Oracles.o12_family_deviation family ~seed:5 in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: max |AD - FD| %.5f within budget" family dev)
+        (Printf.sprintf "%s: max |AD - FD| %.5f within budget" (Check.Gen.family_name family) dev)
         true ok)
-    [ (0, "eutectic"); (1, "pfc"); (2, "gray-scott") ]
+    Check.Gen.[ Eutectic; Pfc; Gray_scott ]
 
 let suite =
   [

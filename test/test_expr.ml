@@ -168,17 +168,64 @@ let has_kink e =
       k || match n with Select _ | Fun ((Fabs | Fmin | Fmax), _) -> true | _ -> false)
     false e
 
+(* [d e] (the symbolic derivative in [a]) against the central difference
+   of [e] at h = 1e-6.  The tolerance is 1e-3 relative plus the
+   quotient's own rounding bound: each of the [count_nodes e] operations
+   evaluating f(a ± h) may round by eps times the largest magnitude M of
+   any subterm there, and the difference of two such values divided by 2h
+   is off by up to count_nodes * eps * M / h — far more than 1e-3 of the
+   derivative once M is large (f about 2.2e10 at h = 1e-6 leaves only
+   five significant digits). *)
+let derivative_matches ?(d = fun e -> diff e ~wrt:(sym "a")) e (a, b, c, dd) =
+  let h = 1e-6 in
+  let env x = env_of_floats (x, b, c, dd) in
+  let f x = Eval.eval (env x) e in
+  let largest x = fold (fun m n -> Float.max m (abs_float (Eval.eval (env x) n))) 0. e in
+  let deriv = Eval.eval (env a) (d e) in
+  let numeric = (f (a +. h) -. f (a -. h)) /. (2. *. h) in
+  let rounding =
+    float_of_int (count_nodes e) *. epsilon_float
+    *. Float.max (largest (a +. h)) (largest (a -. h))
+    /. h
+  in
+  let scale = Float.max 1. (Float.max (abs_float deriv) (abs_float numeric)) in
+  abs_float (deriv -. numeric) < (1e-3 *. scale) +. rounding
+
 let prop_derivative_matches_numeric =
   QCheck.Test.make ~name:"symbolic derivative ~ finite difference" ~count:300
-    (QCheck.pair arb_expr arb_env) (fun (e, (a, b, c, d)) ->
+    (QCheck.pair arb_expr arb_env) (fun (e, env) ->
       (* piecewise kinks break central differences; restrict to smooth exprs *)
       QCheck.assume (not (has_kink e));
-      let h = 1e-6 in
-      let f x = Eval.eval (env_of_floats (x, b, c, d)) e in
-      let deriv = Eval.eval (env_of_floats (a, b, c, d)) (diff e ~wrt:(sym "a")) in
-      let numeric = (f (a +. h) -. f (a -. h)) /. (2. *. h) in
-      let scale = Float.max 1. (Float.max (abs_float deriv) (abs_float numeric)) in
-      abs_float (deriv -. numeric) /. scale < 1e-3)
+      derivative_matches e env)
+
+(* The two instances that failed the relative tolerance alone: a constant
+   of 1.3e13 leaves f(a + h) and f(a - h) the same double (central
+   difference 0 against 30.75), and f about 2.2e10 leaves the quotient
+   off by 0.2 in 106.6.  A derivative rule that is wrong — here d(u^3)
+   taken as d(u^2) — still fails the check on random expressions. *)
+let test_derivative_check_bound () =
+  let a = sym "a" and c = sym "c" and d = sym "d" in
+  let pinned =
+    [
+      ( add [ num (-13306217837829.65); mul [ num 0.00564; pow (add [ a; d ]) 6 ] ],
+        (1.9058, 1., 1., 2.) );
+      (add [ pow (add [ c; d ]) 18; pow (mul [ num 4.; a; add [ c; d ] ]) 2 ], (0.2365, 1., 1.8, 1.954));
+    ]
+  in
+  List.iter
+    (fun (e, env) ->
+      Alcotest.(check bool) (Expr.to_string e) true (derivative_matches e env))
+    pinned;
+  let wrong e = diff (map_bottom_up (function Pow (u, 3) -> pow u 2 | n -> n) e) ~wrt:a in
+  let cell =
+    QCheck.Test.make_cell ~count:300 (QCheck.pair arb_expr arb_env) (fun (e, env) ->
+        has_kink e || derivative_matches ~d:wrong e env)
+  in
+  match
+    QCheck.TestResult.get_state (QCheck.Test.check_cell ~rand:(Random.State.make [| 3 |]) cell)
+  with
+  | QCheck.TestResult.Failed _ -> ()
+  | _ -> Alcotest.fail "a wrong d(u^3) rule passed the derivative check"
 
 let prop_count_nodes_positive =
   QCheck.Test.make ~name:"count_nodes >= 1" ~count:200 arb_expr (fun e -> count_nodes e >= 1)
@@ -233,6 +280,8 @@ let suite =
       test_diff_fmin_fmax;
     Alcotest.test_case "nested Diff atoms are independent symbols" `Quick
       test_diff_nested_diff_atom;
+    Alcotest.test_case "derivative check: rounding bound, wrong rule fails" `Quick
+      test_derivative_check_bound;
     QCheck_alcotest.to_alcotest prop_expand_preserves;
     QCheck_alcotest.to_alcotest prop_factor_preserves;
     QCheck_alcotest.to_alcotest prop_simplify_preserves;

@@ -49,8 +49,8 @@ let phi () = (Lazy.force curvature).Pfcore.Genkernels.fields.Pfcore.Model.phi_sr
    {!Check.Oracles.buffers_bitwise_equal}). *)
 let forests_bitwise_equal ?scratch a b =
   Resilience.Snapshot.equal (Resilience.Snapshot.capture a) (Resilience.Snapshot.capture b)
-  && Check.Oracles.buffers_bitwise_equal ?scratch (Check.Oracles.forest_sims a)
-       (Check.Oracles.forest_sims b)
+  && Check.Oracles.buffers_bitwise_equal ?scratch (Array.to_list a.Blocks.Forest.sims)
+       (Array.to_list b.Blocks.Forest.sims)
 
 (* --------------- snapshot format ----------------------------------- *)
 
@@ -211,64 +211,41 @@ let test_snapshot_sizes () =
     (String.length (Resilience.Snapshot.encode (Resilience.Snapshot.capture forest)))
 
 (* Every kind of restore target, restored from state interiors into NaN
-   scratch, continues bitwise — one sample each of oracle 6's legs: one
-   block (P1 split, P2 with Philox, curvature) beside the curvature
-   forest; the eutectic forest, full and split with the overlapped
-   exchange, each interpreted and on the JIT; and an adaptive forest with
-   frozen blocks. *)
+   scratch, continues bitwise — one case each of oracle 6's legs: one
+   block and a forest of P1 (split), P2 (Philox) and curvature; the
+   eutectic forest, full and split with the overlapped exchange, each
+   interpreted and on the JIT; and an adaptive forest with frozen
+   blocks. *)
 let test_restore_targets () =
-  List.iter
-    (fun (block, split) ->
-      let s = { Check.Gen.mseed = 7; split; steps = 2; block } in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s block, split %b" (Check.Gen.block_model_name block) split)
-        true (Check.Oracles.snapshot_case s))
-    [ (Check.Gen.P1_block, true); (Check.Gen.P2_block, false); (Check.Gen.Curvature_block, false) ];
-  List.iter
-    (fun (zsplit, zjit) ->
-      let s =
-        {
-          Check.Gen.zf = 0;
-          zcoef = 0;
-          zseed = 7;
-          zsplit;
-          zsteps = 2;
-          zdomains = 1;
-          ztile = [| 0; 0 |];
-          zjit;
-        }
-      in
-      Alcotest.(check bool) (Fmt.str "%a" Check.Gen.pp_zoo s) true
-        (Check.Oracles.zoo_snapshot_case s))
-    [ (false, false); (false, true); (true, false); (true, true) ];
-  let s =
+  let case ?(split = false) ?(jit = false) family =
+    let c = Check.Gen.base family in
     {
-      Check.Gen.ad_seed = 7;
-      ad_bgrid = [| 4; 2 |];
-      ad_ranks = 2;
-      ad_static = false;
-      ad_adapt_every = 1;
-      ad_steps = 2;
-      ad_jit = false;
-      ad_domains = 1;
-      ad_tile = [| 0; 0 |];
-      ad_plan_seed = 0;
-      ad_drop = 0.;
-      ad_delay = 0.;
-      ad_dup = 0.;
-      ad_crash = false;
-      ad_crash_rank = 0;
-      ad_crash_step = 1;
-      ad_ckpt_every = 1;
+      c with
+      Check.Gen.seed = 7;
+      steps = 2;
+      split;
+      exec = { c.Check.Gen.exec with Check.Gen.jit; overlap = split };
     }
   in
-  let af = Check.Oracles.make_adaptive s in
-  Blocks.Adaptive.prime af;
-  Blocks.Adaptive.run af ~steps:s.Check.Gen.ad_steps;
-  Alcotest.(check bool) "the adaptive forest captured has frozen blocks" true
-    (Blocks.Adaptive.frozen_blocks af > 0);
-  Alcotest.(check bool) (Fmt.str "%a" Check.Gen.pp_adaptive s) true
-    (Check.Oracles.adaptive_snapshot_case s)
+  let roundtrip ?sharp shape c =
+    Alcotest.(check bool) (Fmt.str "%a" Check.Gen.pp_case c) true
+      (Check.Oracles.roundtrip ?sharp shape c)
+  in
+  List.iter
+    (fun c ->
+      roundtrip `Single c;
+      roundtrip `Forest c)
+    Check.Gen.[ case ~split:true P1; case P2; case Curvature ];
+  List.iter
+    (fun (split, jit) -> roundtrip `Forest (case ~split ~jit Check.Gen.Eutectic))
+    [ (false, false); (false, true); (true, false); (true, true) ];
+  let c = case Check.Gen.Curvature in
+  (match Check.Oracles.ran (Check.Oracles.build ~sharp:true `Adaptive c) ~steps:2 with
+  | Check.Oracles.Adaptive af ->
+    Alcotest.(check bool) "the adaptive forest captured has frozen blocks" true
+      (Blocks.Adaptive.frozen_blocks af > 0)
+  | _ -> Alcotest.fail "not an adaptive forest");
+  roundtrip ~sharp:true `Adaptive c
 
 (* A CRC-valid file whose block grid contradicts itself is rejected by
    [decode], before anything reads an axis: the committed v1 file

@@ -162,27 +162,6 @@ let test_preempt_roundtrip_bitwise () =
   Alcotest.(check bool) "in the state and destination buffers, ghosts included" true
     (Check.Oracles.buffers_bitwise_equal ~scratch:false [ sim2 ] [ solo ])
 
-(* Each spec's solo blocks ([Scheduler.solo_exec]), and a farm
-   [on_finish] hook recording the ids of finished jobs whose blocks
-   differ from them in a state or destination buffer, ghosts included (a
-   resumed job's scratch is its recycled storage's). *)
-let solo_blocks_check specs =
-  let solo =
-    List.map
-      (fun (s : Workload.spec) -> (s.Workload.id, Scheduler.exec_sims (Scheduler.solo_exec s)))
-      specs
-  in
-  let differ = ref [] in
-  let on_finish (spec : Workload.spec) sims =
-    if
-      not
-        (Check.Oracles.buffers_bitwise_equal ~scratch:false sims
-           (List.assoc spec.Workload.id solo))
-    then
-      differ := spec.Workload.id :: !differ
-  in
-  (on_finish, differ)
-
 (* ---- scheduler end to end ---- *)
 
 let test_scheduler_completes_and_preempts () =
@@ -190,10 +169,13 @@ let test_scheduler_completes_and_preempts () =
   let config =
     { (Scheduler.default_config ()) with quantum = 1; max_active = 2; park_after = 1 }
   in
-  let on_finish, differ = solo_blocks_check specs in
-  let stats = Scheduler.run ~config ~on_finish ~mempool:(Mempool.create ()) specs in
+  let check = Check.Oracles.solo_check () in
+  let stats =
+    Scheduler.run ~config ~on_finish:check.on_finish ~mempool:(Mempool.create ()) specs
+  in
   Alcotest.(check int) "all jobs complete" 6 (List.length stats.Scheduler.results);
-  Alcotest.(check (list int)) "finished blocks = solo blocks, ghosts included" [] !differ;
+  Alcotest.(check int) "finished jobs = solo runs, blocks and ghosts included" 0
+    (List.length (check.diverged stats.Scheduler.results));
   Alcotest.(check int) "nothing rejected" 0 (List.length stats.Scheduler.rejected);
   Alcotest.(check bool) "quantum 1 + park-after 1 preempts" true (stats.Scheduler.preemptions > 0);
   let latencies =
@@ -204,9 +186,7 @@ let test_scheduler_completes_and_preempts () =
   List.iter
     (fun (r : Scheduler.job_result) ->
       Alcotest.(check bool) "enough quanta to cover the steps" true
-        (r.Scheduler.r_quanta >= r.Scheduler.r_spec.Workload.steps);
-      Alcotest.(check bool) "farm result = solo run (bitwise)" true
-        (Resilience.Snapshot.equal r.Scheduler.final (Scheduler.run_solo r.Scheduler.r_spec)))
+        (r.Scheduler.r_quanta >= r.Scheduler.r_spec.Workload.steps))
     stats.Scheduler.results
 
 (* After a warm-up batch has sized the mempool's free lists, a second
@@ -395,8 +375,8 @@ let test_second_batch_builds_no_programs () =
 (* A cold batch whose JIT jobs span both variants of two families builds
    every program they sweep in one vm.jit.compile span, inside the
    serve.compile span and before the first quantum: its misses are the
-   distinct programs of those jobs' steps.  Its JIT jobs equal their solo
-   runs bitwise, and a second batch compiles nothing. *)
+   distinct programs of those jobs' steps.  Every job equals its solo
+   run bitwise, and a second batch compiles nothing. *)
 let test_batch_compiles_before_first_quantum () =
   let specs =
     Workload.generate ~families:[ Workload.Curv2d; Workload.GrayScott ] ~with_crash:false
@@ -428,10 +408,10 @@ let test_batch_compiles_before_first_quantum () =
   in
   let config = { (Scheduler.default_config ()) with num_domains = 1 } in
   let mempool = Mempool.create () in
-  let on_finish, differ = solo_blocks_check specs in
+  let check = Check.Oracles.solo_check () in
   let traced () =
     with_obs (fun () ->
-        let stats = Scheduler.run ~config ~on_finish ~mempool specs in
+        let stats = Scheduler.run ~config ~on_finish:check.on_finish ~mempool specs in
         (stats, Array.of_list (Obs.Sink.events ())))
   in
   let begins name events =
@@ -453,13 +433,8 @@ let test_batch_compiles_before_first_quantum () =
     Alcotest.failf "expected one vm.jit.compile span, saw %d" (List.length compiles));
   Alcotest.(check int) "misses = the distinct programs of the JIT jobs' steps" distinct
     (snd (Vm.Jit.cache_stats ()));
-  List.iter
-    (fun (r : Scheduler.job_result) ->
-      if r.Scheduler.r_spec.Workload.backend = Vm.Engine.Jit then
-        Alcotest.(check bool) "a JIT job = its solo run (bitwise)" true
-          (Resilience.Snapshot.equal r.Scheduler.final (Scheduler.run_solo r.Scheduler.r_spec)))
-    stats.Scheduler.results;
-  Alcotest.(check (list int)) "every job's blocks = its solo run's, ghosts included" [] !differ;
+  Alcotest.(check int) "every job = its solo run, blocks and ghosts included" 0
+    (List.length (check.diverged stats.Scheduler.results));
   let _, events = traced () in
   let misses = snd (Vm.Jit.cache_stats ()) in
   Vm.Jit.clear_cache ();
