@@ -231,12 +231,16 @@ let eval_sweep ~step ~params (body : Field.Assignment.t list) (block : Vm.Engine
 
 let dims2 = [| 6; 5 |]
 
-(* A random sample's block: [src] smooth over the interior, its ghosts
-   periodic, so out-of-center reads hit initialized data. *)
+(* A random sample's block: [src] smooth over the interior, and every
+   ghost its own draw keyed on the padded index, so a read resolved to the
+   wrong element (a ghost's periodic image included) reads another value. *)
 let sample_block fields (src : Fieldspec.t) ~seed ~slot =
   let block = Vm.Engine.make_block ~ghost:2 ~dims:dims2 fields in
+  let data = (Vm.Engine.buffer block src).Vm.Buffer.data in
+  Array.iteri
+    (fun i _ -> data.(i) <- 0.5 +. (0.45 *. Philox.symmetric ~cell:i ~step:seed ~slot:(slot + 8)))
+    data;
   smooth block src ~seed ~slot ~base:0.5 ~amp:0.45;
-  Vm.Buffer.periodic (Vm.Engine.buffer block src);
   block
 
 let kernel_block (s : Gen.kernel_sample) =
@@ -368,13 +372,50 @@ type run =
 
 let global (c : Gen.case) = Array.map2 ( * ) c.Gen.dims c.Gen.exec.Gen.grid
 
-(* Two adaptive blocks per rank-grid rank along each axis. *)
-let adaptive_global (c : Gen.case) = Array.map (( * ) 2) (global c)
+(* The adaptive forest's blocks per axis: a 4-rank grid's, else twice the
+   rank grid's (2x2, 4x2 or 2x4 blocks).  Its blocks are balanced over 1
+   to 4 ranks, drawn apart from the grid by seed bits 2-3 (3 ranks split
+   the initial unit weights unevenly), at least 2 when a rank crashes. *)
+let adaptive_bgrid (c : Gen.case) =
+  let e = c.Gen.exec in
+  if Gen.ranks e >= 4 then e.Gen.grid else Array.map (( * ) 2) e.Gen.grid
+
+let adaptive_ranks (c : Gen.case) =
+  let n = 1 + ((c.Gen.seed lsr 2) land 3) in
+  if c.Gen.faults.Gen.crash = None then n else max 2 n
+
+let adaptive_global (c : Gen.case) = Array.map2 ( * ) c.Gen.dims (adaptive_bgrid c)
 
 let tile_of (e : Gen.exec) =
   if Array.for_all (( = ) 0) e.Gen.tile then None else Some e.Gen.tile
 
-let backend_of (e : Gen.exec) = if e.Gen.jit then Vm.Engine.Jit else Vm.Engine.Interp
+(* Every JIT program a case can run — each family's step kernels at every
+   coefficient variant, full and split — built in one fan-out when the
+   first case runs on the JIT: a compiler run per core, not per program. *)
+let jit_programs =
+  lazy
+    (Vm.Engine.jit_prepare_kernels
+       (List.concat_map
+          (fun family ->
+            List.concat_map
+              (fun coef ->
+                let gen = gen_of { (Gen.base family) with Gen.coef } in
+                List.concat_map
+                  (fun variant ->
+                    let phi, projection, mu =
+                      Pfcore.Timestep.step_kernels ~variant_phi:variant ~variant_mu:variant gen
+                    in
+                    phi @ Option.to_list projection @ mu)
+                  [ Pfcore.Timestep.Full; Pfcore.Timestep.Split ])
+              (if Gen.is_zoo family then [ 0; 1; 2 ] else [ 0 ]))
+          Gen.families))
+
+let backend_of (e : Gen.exec) =
+  if e.Gen.jit then begin
+    Lazy.force jit_programs;
+    Vm.Engine.Jit
+  end
+  else Vm.Engine.Interp
 
 (** One block holding the case's global domain (or [dims]). *)
 let sim_of ?gen ?sharp ?exec ?dims (c : Gen.case) =
@@ -391,43 +432,9 @@ let sim_of ?gen ?sharp ?exec ?dims (c : Gen.case) =
   Pfcore.Timestep.prime sim;
   sim
 
-(** The case's run, initialized and primed: [`Single] ({!sim_of}), the
-    [`Forest] of its rank grid, or an [`Adaptive] forest of the same
-    blocks, twice as many per axis, balanced over as many ranks as the
-    grid has (Static or Adapt mode, cadence 1 or 2, keyed on the seed).
-    [exec] (default: the reference executor) executes it; [faults] acts
-    on a forest's messages, the priming exchange's included. *)
-let build ?gen ?sharp ?exec ?dims ?faults shape (c : Gen.case) =
-  let gen = match gen with Some g -> g | None -> gen_of c in
-  let e = match exec with Some e -> e | None -> Gen.reference c.Gen.exec in
-  let variant = if c.Gen.split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
-  let num_domains = e.Gen.domains and tile = tile_of e and backend = backend_of e in
-  match shape with
-  | `Single -> Single (sim_of ~gen ?sharp ~exec:e ?dims c)
-  | `Forest ->
-    let f =
-      Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile ~backend
-        ~overlap:e.Gen.overlap ~grid:e.Gen.grid ~block_dims:c.Gen.dims gen
-    in
-    Array.iter (init ?sharp c) f.Blocks.Forest.sims;
-    Blocks.Mpisim.set_fault_plan f.Blocks.Forest.comm faults;
-    Blocks.Forest.prime f;
-    Forest f
-  | `Adaptive ->
-    let af =
-      Blocks.Adaptive.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile
-        ~backend ~overlap:e.Gen.overlap ~ranks:(Gen.ranks e)
-        ~mode:(if c.Gen.seed land 1 = 0 then Blocks.Adaptive.Static else Blocks.Adaptive.Adapt)
-        ~adapt_every:(1 + ((c.Gen.seed lsr 1) land 1))
-        ~bgrid:(Array.map (( * ) 2) e.Gen.grid) ~block_dims:c.Gen.dims gen
-    in
-    List.iter (init ?sharp c) (Blocks.Adaptive.active_sims af);
-    Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm faults;
-    Blocks.Adaptive.prime af;
-    Adaptive af
-
-(** The case's fault plan, or [None] when it injects nothing. *)
-let fault_plan (c : Gen.case) =
+(** The case's fault plan on [ranks] ranks (its crashing rank taken
+    modulo them), or [None] when it injects nothing. *)
+let fault_plan ~ranks (c : Gen.case) =
   let f = c.Gen.faults in
   if f.Gen.drop > 0. || f.Gen.delay > 0. || f.Gen.duplicate > 0. || f.Gen.crash <> None then
     Some
@@ -437,9 +444,45 @@ let fault_plan (c : Gen.case) =
         delay = f.Gen.delay;
         duplicate = f.Gen.duplicate;
         max_delay = 3;
-        crash = f.Gen.crash;
+        crash = Option.map (fun (r, k) -> (r mod ranks, k)) f.Gen.crash;
       }
   else None
+
+(** The case's run, initialized and primed: [`Single] ({!sim_of}), the
+    [`Forest] of its rank grid, or an [`Adaptive] forest of the same
+    blocks ({!adaptive_bgrid}, {!adaptive_ranks}; Static or Adapt mode,
+    cadence 1 or 2, keyed on the seed's low bits).  [exec] (default: the
+    reference executor) executes it; with [~faults:true] the case's fault
+    plan acts on a forest's messages, the priming exchange's included. *)
+let build ?gen ?sharp ?exec ?dims ?(faults = false) shape (c : Gen.case) =
+  let gen = match gen with Some g -> g | None -> gen_of c in
+  let e = match exec with Some e -> e | None -> Gen.reference c.Gen.exec in
+  let variant = if c.Gen.split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
+  let num_domains = e.Gen.domains and tile = tile_of e and backend = backend_of e in
+  let plan ranks = if faults then fault_plan ~ranks c else None in
+  match shape with
+  | `Single -> Single (sim_of ~gen ?sharp ~exec:e ?dims c)
+  | `Forest ->
+    let f =
+      Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile ~backend
+        ~overlap:e.Gen.overlap ~grid:e.Gen.grid ~block_dims:c.Gen.dims gen
+    in
+    Array.iter (init ?sharp c) f.Blocks.Forest.sims;
+    Blocks.Mpisim.set_fault_plan f.Blocks.Forest.comm (plan (Gen.ranks e));
+    Blocks.Forest.prime f;
+    Forest f
+  | `Adaptive ->
+    let af =
+      Blocks.Adaptive.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile
+        ~backend ~overlap:e.Gen.overlap ~ranks:(adaptive_ranks c)
+        ~mode:(if c.Gen.seed land 1 = 0 then Blocks.Adaptive.Static else Blocks.Adaptive.Adapt)
+        ~adapt_every:(1 + ((c.Gen.seed lsr 1) land 1))
+        ~bgrid:(adaptive_bgrid c) ~block_dims:c.Gen.dims gen
+    in
+    List.iter (init ?sharp c) (Blocks.Adaptive.active_sims af);
+    Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm (plan (adaptive_ranks c));
+    Blocks.Adaptive.prime af;
+    Adaptive af
 
 let no_crash (c : Gen.case) = { c with Gen.faults = { c.Gen.faults with Gen.crash = None } }
 
@@ -543,6 +586,32 @@ let runs_agree ?cmp ?fields a b =
   in
   agree ?cmp ~fields ~dims (value a) (value b)
 
+(* The padded data of each block's buffers: every buffer, or with
+   [~scratch:false] the state fields and their destinations. *)
+let buffer_data ?(scratch = true) (sims : Pfcore.Timestep.t list) =
+  List.map
+    (fun (sim : Pfcore.Timestep.t) ->
+      let fields =
+        if scratch then List.map fst sim.Pfcore.Timestep.block.Vm.Engine.buffers
+        else
+          let g = sim.Pfcore.Timestep.gen in
+          let f = g.Pfcore.Genkernels.fields in
+          if Pfcore.Params.n_mu g.Pfcore.Genkernels.params > 0 then
+            [ f.Pfcore.Model.phi_src; f.phi_dst; f.mu_src; f.mu_dst ]
+          else [ f.Pfcore.Model.phi_src; f.phi_dst ]
+      in
+      List.map (fun f -> (Vm.Engine.buffer sim.Pfcore.Timestep.block f).Vm.Buffer.data) fields)
+    sims
+
+let data_equal =
+  List.equal
+    (List.equal (fun x y ->
+         Array.length x = Array.length y
+         &&
+         let ok = ref true in
+         Array.iteri (fun i v -> if not (bits_equal v y.(i)) then ok := false) x;
+         !ok))
+
 (** Two runs' blocks, paired in order, hold the same bits in every padded
     buffer: ghosts, destinations and staggered scratch included.  This
     holds for runs that differ only in how they got there (faults healed,
@@ -552,30 +621,7 @@ let runs_agree ?cmp ?fields a b =
     storage and stepped since, whose scratch no step writes (the outer
     ghosts of a staggered field) keeps that storage's NaN or zeros, while
     a destination holds the previous state with its primed ghosts. *)
-let buffers_bitwise_equal ?(scratch = true) (a : Pfcore.Timestep.t list)
-    (b : Pfcore.Timestep.t list) =
-  let same (x : Pfcore.Timestep.t) (y : Pfcore.Timestep.t) =
-    let fields =
-      if scratch then List.map fst x.Pfcore.Timestep.block.Vm.Engine.buffers
-      else
-        let g = x.Pfcore.Timestep.gen in
-        let f = g.Pfcore.Genkernels.fields in
-        if Pfcore.Params.n_mu g.Pfcore.Genkernels.params > 0 then
-          [ f.Pfcore.Model.phi_src; f.phi_dst; f.mu_src; f.mu_dst ]
-        else [ f.Pfcore.Model.phi_src; f.phi_dst ]
-    in
-    List.for_all
-      (fun f ->
-        let dx = (Vm.Engine.buffer x.Pfcore.Timestep.block f).Vm.Buffer.data in
-        let dy = (Vm.Engine.buffer y.Pfcore.Timestep.block f).Vm.Buffer.data in
-        Array.length dx = Array.length dy
-        &&
-        let ok = ref true in
-        Array.iteri (fun i v -> if not (bits_equal v dy.(i)) then ok := false) dx;
-        !ok)
-      fields
-  in
-  List.compare_lengths a b = 0 && List.for_all2 same a b
+let buffers_bitwise_equal ?scratch a b = data_equal (buffer_data ?scratch a) (buffer_data ?scratch b)
 
 (** The same state, and the same bits in the state and destination
     buffers, ghosts included. *)
@@ -622,29 +668,31 @@ let full_vs_split_variant (c : Gen.case) =
     (ran (build `Single { c with Gen.split = true }) ~steps:c.Gen.steps)
 
 (* Oracles 7 and 8 (and 4's pool width): the case's executor, on the
-   interpreter or the JIT, against the serial interpreted reference. *)
+   interpreter or the JIT, against the serial interpreted reference, in
+   every buffer: ghosts, destinations and staggered scratch included. *)
 let executor_invisible ~jit (c : Gen.case) =
-  runs_agree
-    (ran (build `Single c) ~steps:c.Gen.steps)
-    (ran (build ~exec:{ c.Gen.exec with Gen.jit } `Single c) ~steps:c.Gen.steps)
+  buffers_bitwise_equal
+    (sims (ran (build `Single c) ~steps:c.Gen.steps))
+    (sims (ran (build ~exec:{ c.Gen.exec with Gen.jit } `Single c) ~steps:c.Gen.steps))
 
 (* Oracle 5: the forest of the case's rank grid, on its executor and
    under its healing faults, against one block. *)
 let single_vs_forest (c : Gen.case) =
   let c = no_crash c in
-  let forest = build ~exec:c.Gen.exec ?faults:(fault_plan c) `Forest c in
+  let forest = build ~exec:c.Gen.exec ~faults:true `Forest c in
   advance forest c && runs_agree (ran (build `Single c) ~steps:c.Gen.steps) forest
 
 (* Oracle 6 and the adaptive snapshot leg: capture → encode → decode →
-   restore into a target of another seed (the same two low bits, which
-   key an adaptive forest's mode), on the case's executor, every buffer
-   NaN, is the identity on the stored state (the src interiors),
-   and the target then continues bitwise with the original — which a
+   restore into a target of another seed (the same four low bits, which
+   key an adaptive forest's mode, cadence and ranks), on the case's
+   executor, every buffer NaN, is the identity on the stored state (the
+   src interiors), and the target then continues bitwise with the
+   original — which a
    restore that left a src ghost unprimed, or a step that read scratch
    before writing it, would break. *)
 let roundtrip ?sharp shape (c : Gen.case) =
   let orig = ran (build ?sharp shape c) ~steps:c.Gen.steps in
-  let target = build ?sharp ~exec:c.Gen.exec shape { c with Gen.seed = c.Gen.seed + 4 } in
+  let target = build ?sharp ~exec:c.Gen.exec shape { c with Gen.seed = c.Gen.seed + 16 } in
   let snap = capture orig in
   let decoded = Resilience.Snapshot.decode (Resilience.Snapshot.encode snap) in
   Resilience.Snapshot.equal snap decoded
@@ -679,7 +727,7 @@ let snapshot_corruption (c : Gen.case) =
    undisturbed reference run ends (refinement schedule included). *)
 let crash_restart ?sharp shape (c : Gen.case) =
   let c = with_crash c in
-  let faulty = build ?sharp ~exec:c.Gen.exec ?faults:(fault_plan c) shape c in
+  let faulty = build ?sharp ~exec:c.Gen.exec ~faults:true shape c in
   advance faulty c && same_state (ran (build ?sharp shape c) ~steps:c.Gen.steps) faulty
 
 (* Oracle 10 (paper §7): hiding the φ_dst exchange behind the μ interior
@@ -687,7 +735,7 @@ let crash_restart ?sharp shape (c : Gen.case) =
    under any fault plan, healed in place or rolled back. *)
 let overlapped_vs_sequential (c : Gen.case) =
   let subject =
-    build ~exec:{ c.Gen.exec with Gen.overlap = true } ?faults:(fault_plan c) `Forest c
+    build ~exec:{ c.Gen.exec with Gen.overlap = true } ~faults:true `Forest c
   in
   advance subject c && runs_agree (ran (build `Forest c) ~steps:c.Gen.steps) subject
 
@@ -699,7 +747,7 @@ let overlapped_vs_sequential (c : Gen.case) =
 let adaptive_vs_uniform (c : Gen.case) =
   let c = no_crash c in
   let uniform = ran (build ~sharp:true ~dims:(adaptive_global c) `Single c) ~steps:c.Gen.steps in
-  let af = build ~sharp:true ~exec:c.Gen.exec ?faults:(fault_plan c) `Adaptive c in
+  let af = build ~sharp:true ~exec:c.Gen.exec ~faults:true `Adaptive c in
   advance af c && runs_agree uniform af
   &&
   match (uniform, af) with
@@ -768,19 +816,28 @@ let cell_values (block : Vm.Engine.block) field cellfn =
    the same cells — is reproduced bitwise by a pooled, tiled sweep of the
    same block and by the case's forest merging per-rank partials over the
    fixed rank tree, on its executor, with drop/delay/duplicate healing
-   invisibly on the reduction channels. *)
+   invisibly on the reduction channels.  The state reduced is the one
+   after [steps - 1] steps (the initial condition included), and a
+   quarter of the cases reduce a one-rank forest (the rank tree's
+   trivial merge). *)
 let reduce_vs_serial (c : Gen.case) =
-  let c = no_crash c and e = c.Gen.exec in
+  let c = no_crash c in
+  let c =
+    if c.Gen.seed / 12 mod 4 = 0 then
+      { c with Gen.exec = { c.Gen.exec with Gen.grid = Array.map (fun _ -> 1) c.Gen.exec.Gen.grid } }
+    else c
+  in
+  let e = c.Gen.exec and steps = c.Gen.steps - 1 in
   let single = sim_of c in
-  Pfcore.Timestep.run single ~steps:c.Gen.steps;
+  Pfcore.Timestep.run single ~steps;
   let block = single.Pfcore.Timestep.block in
   let phi = single.Pfcore.Timestep.gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
   let op, cellfn = reduction c phi in
   let reference = Vm.Reduce.scalar ~num_domains:1 block phi cellfn op in
   let pooled = Vm.Reduce.scalar ~num_domains:e.Gen.domains ~tile:e.Gen.tile block phi cellfn op in
-  match build ~exec:e ?faults:(fault_plan c) `Forest c with
+  match build ~exec:e ~faults:true `Forest c with
   | Forest f ->
-    Blocks.Forest.run f ~steps:c.Gen.steps;
+    Blocks.Forest.run f ~steps;
     (op <> Vm.Reduce.Sum || bits_equal reference (Fsum.sum (cell_values block phi cellfn)))
     && bits_equal reference pooled
     && bits_equal reference
@@ -901,37 +958,35 @@ let fast_tier_vs_interp ~count =
 (* ------------------------------------------------------------------ *)
 
 (** The farm = solo check of oracle 9, [pfgen serve --verify] and the
-    serve suite.  Pass [on_finish] to [Serve.Scheduler.run]: it runs each
-    finished job once alone ([Serve.Scheduler.solo_exec]: serial,
-    interpreted, no faults) and compares the farm's blocks with the solo
-    blocks in the state and destination buffers, ghosts included.
-    [diverged] then lists the results whose blocks differed or whose final
-    state is not the solo run's; [solo_s] is the time the solo runs
-    took. *)
+    serve suite.  Pass [on_finish] to [Serve.Scheduler.run]: it keeps a
+    copy of each finished job's state and destination buffers, ghosts
+    included.  [diverged], called after the farm has run, runs each job
+    once alone ([Serve.Scheduler.solo_exec]: serial, interpreted, no
+    faults) and lists the results whose buffers or final state are not
+    the solo run's. *)
 type solo_check = {
   on_finish : Serve.Workload.spec -> Pfcore.Timestep.t list -> unit;
   diverged : Serve.Scheduler.job_result list -> Serve.Scheduler.job_result list;
-  solo_s : unit -> float;
 }
 
 let solo_check () =
-  let solo : (int, Resilience.Snapshot.t * bool) Hashtbl.t = Hashtbl.create 16 in
-  let ns = ref 0. in
-  let on_finish (spec : Serve.Workload.spec) farm_sims =
-    let exec, t = Obs.Clock.time_ns (fun () -> Serve.Scheduler.solo_exec spec) in
-    ns := !ns +. t;
-    Hashtbl.replace solo spec.Serve.Workload.id
-      ( Serve.Scheduler.capture_exec exec,
-        buffers_bitwise_equal ~scratch:false farm_sims (Serve.Scheduler.exec_sims exec) )
+  let farm : (int, float array list list) Hashtbl.t = Hashtbl.create 16 in
+  let on_finish (spec : Serve.Workload.spec) sims =
+    Hashtbl.replace farm spec.Serve.Workload.id
+      (List.map (List.map Array.copy) (buffer_data ~scratch:false sims))
   in
   let diverged =
     List.filter (fun (r : Serve.Scheduler.job_result) ->
-        match Hashtbl.find_opt solo r.Serve.Scheduler.r_spec.Serve.Workload.id with
-        | Some (final, sims_equal) ->
-          not (sims_equal && Resilience.Snapshot.equal r.Serve.Scheduler.final final)
+        let spec = r.Serve.Scheduler.r_spec in
+        match Hashtbl.find_opt farm spec.Serve.Workload.id with
+        | Some blocks ->
+          let exec = Serve.Scheduler.solo_exec spec in
+          not
+            (data_equal blocks (buffer_data ~scratch:false (Serve.Scheduler.exec_sims exec))
+            && Resilience.Snapshot.equal r.Serve.Scheduler.final (Serve.Scheduler.capture_exec exec))
         | None -> true)
   in
-  { on_finish; diverged; solo_s = (fun () -> !ns /. 1e9) }
+  { on_finish; diverged }
 
 (* The farm scheduler multiplexes jobs over the shared pool with pooled
    (recycled) buffers, arbitrary quantum slicing, snapshot preemption and
