@@ -188,44 +188,33 @@ let registers_cmd =
 
 let variant_of split = if split then Pfcore.Timestep.Split else Pfcore.Timestep.Full
 
-let init_single _params sim = Pfcore.Simulation.init_model sim
+(* One periodic block of size^dim, or its 1D decomposition along axis 0
+   over [ranks]. *)
+let shape_of ~dim ~size ~ranks =
+  if ranks <= 1 then Blocks.Run.One_block (Array.make dim size)
+  else begin
+    if size mod ranks <> 0 then failwith "size must be divisible by ranks";
+    Blocks.Run.Rank_grid
+      {
+        grid = Array.init dim (fun d -> if d = 0 then ranks else 1);
+        block_dims = Array.init dim (fun d -> if d = 0 then size / ranks else size);
+      }
+  end
 
-let decomposition ~dim ~size ~ranks =
-  if size mod ranks <> 0 then failwith "size must be divisible by ranks";
-  let grid = Array.init dim (fun d -> if d = 0 then ranks else 1) in
-  let block_dims = Array.init dim (fun d -> if d = 0 then size / ranks else size) in
-  (grid, block_dims)
-
-let build_forest ?num_domains ?tile ?backend ?overlap ~split ~grid ~block_dims g =
-  let forest =
-    Blocks.Forest.create ~variant_phi:(variant_of split) ?num_domains ?tile ?backend
-      ?overlap ~grid ~block_dims g
-  in
-  Array.iter Pfcore.Simulation.init_model forest.Blocks.Forest.sims;
-  Blocks.Forest.prime forest;
-  forest
-
-let build_single ?num_domains ?tile ?backend ~split ~dims params g =
-  let sim =
-    Pfcore.Timestep.create ~variant_phi:(variant_of split) ?num_domains ?tile ?backend ~dims g
-  in
-  init_single params sim;
-  Pfcore.Timestep.prime sim;
-  sim
-
-(* Bitwise comparison of two readers of the state (a forest's, an
-   adaptive forest's or a single block's [get]) over all global interior
+(* Bitwise comparison of two runs of one global domain over all interior
    cells: every component of φ_src and, when the model has μ, of μ_src —
    what a snapshot holds.  Returns the number of differing (field, cell,
    component)s. *)
-let state_mismatches (g : Pfcore.Genkernels.t) ~global_dims a b =
+let state_mismatches a b =
+  let global_dims = Blocks.Run.global_dims a in
   let dim = Array.length global_dims in
   let bad = ref 0 in
   let coords = Array.make dim 0 in
   let rec walk field d =
     if d = dim then
       for c = 0 to field.Symbolic.Fieldspec.components - 1 do
-        let x = a field ~component:c coords and y = b field ~component:c coords in
+        let x = Blocks.Run.get a field ~component:c coords
+        and y = Blocks.Run.get b field ~component:c coords in
         if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) then incr bad
       done
     else
@@ -234,47 +223,38 @@ let state_mismatches (g : Pfcore.Genkernels.t) ~global_dims a b =
         walk field (d + 1)
       done
   in
-  List.iter (fun field -> walk field 0) (Pfcore.Timestep.state_fields g);
+  List.iter (fun field -> walk field 0) (Pfcore.Timestep.state_fields (Blocks.Run.gen a));
   !bad
 
-let single_get (sim : Pfcore.Timestep.t) f ~component coords =
-  Vm.Buffer.get (Vm.Engine.buffer sim.Pfcore.Timestep.block f) ~component coords
-
-let build_adaptive ?num_domains ?tile ?backend ~overlap ~split ~ranks ~bgrid ~block_dims
-    params g =
-  let af =
-    Blocks.Adaptive.create ~variant_phi:(variant_of split) ?num_domains ?tile ?backend
-      ~overlap ~ranks ~bgrid ~block_dims g
-  in
-  List.iter (init_single params) (Blocks.Adaptive.active_sims af);
-  Blocks.Adaptive.prime af;
-  af
+(* The verdict of a bitwise comparison with a reference run: one line,
+   and exit 1 on any difference. *)
+let verify_bitwise ~claim ?(reference = "") bad =
+  if bad = 0 then Fmt.pr "verification: %s (bitwise)@." claim
+  else begin
+    Fmt.epr "verification FAILED: %d cell value(s) differ%s@." bad reference;
+    exit 1
+  end
 
 (* Every diagnostic below is an exact reduction (a sum rounded once), so
    the printed numbers are bitwise reproducible across domain counts,
    tile shapes, backends and rank decompositions. *)
-let print_diag ~interface ~fraction ~mn ~mx =
+let print_diag ?num_domains ?tile run phi =
+  let extremum op = Blocks.Run.scalar ?num_domains ?tile run phi (Vm.Reduce.Component 0) op in
   Fmt.pr "diag: interface cells %.0f (fraction %.6f), phi[0] min %.17g max %.17g@."
-    interface fraction mn mx
+    (Blocks.Run.interface_cells ?num_domains ?tile run)
+    (Blocks.Run.interface_fraction ?num_domains ?tile run)
+    (extremum Vm.Reduce.Min) (extremum Vm.Reduce.Max)
 
-(* The same diagnostics over a forest's block set (uniform or adaptive). *)
-let print_blocks_diag ?num_domains ?tile (b : Blocks.Lockstep.t) phi =
-  let extremum op =
-    Blocks.Lockstep.scalar ?num_domains ?tile b phi (Vm.Reduce.Component 0) op
-  in
-  print_diag
-    ~interface:(Blocks.Lockstep.interface_cells ?num_domains ?tile b)
-    ~fraction:(Blocks.Lockstep.interface_fraction ?num_domains ?tile b)
-    ~mn:(extremum Vm.Reduce.Min) ~mx:(extremum Vm.Reduce.Max)
-
-(* The crash-protected run of [--crash-at k]: a chaos fault plan that
-   crashes a rank entering step k, then [protect] (the rollback driver);
-   prints the plan and what the recovery and the substrate healed. *)
-let run_faulty ~comm ~crash_at ~fault_seed protect =
+(* The crash-protected run of [--crash-at k]: a chaos fault plan, installed
+   after priming, that crashes a rank entering step k, then the rollback
+   driver; prints the plan and what the recovery and the substrate
+   healed. *)
+let run_faulty ~crash_at ~fault_seed ~every ~steps run =
+  let comm = Option.get (Blocks.Run.comm run) in
   let plan = Blocks.Faultplan.chaos ~seed:fault_seed ~crash_step:crash_at () in
   Blocks.Mpisim.set_fault_plan comm (Some plan);
   Fmt.pr "fault plan: %a@." Blocks.Faultplan.pp plan;
-  let stats = protect () in
+  let stats = Resilience.Recovery.run_protected ~every ~steps run in
   Fmt.pr
     "recovery: %d checkpoint(s), %d restart(s), %d step(s) replayed; substrate healed %d \
      retransmission(s), %d dropped, %d duplicated, %d delayed@."
@@ -298,6 +278,9 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
   let phi = g.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
   let dim = params.Pfcore.Params.dim in
   if overlap && ranks <= 1 then failwith "--overlap requires --ranks > 1";
+  if adaptive && (size mod 6 <> 0 || size < 12) then
+    failwith "--adaptive requires --size a multiple of 6, at least 12";
+  if crash_at <> None && ranks <= 1 then failwith "--crash-at requires --ranks > 1";
   let observing = trace <> None || metrics_out <> None in
   if observing then begin
     (* arm the observability sink before any block is built so priming
@@ -307,100 +290,46 @@ let simulate params size steps ranks split overlap domains tile backend crash_at
     Obs.Sink.enable ()
   end;
   let t0 = Unix.gettimeofday () in
-  let fractions =
-    if adaptive then begin
-      if size mod 6 <> 0 || size < 12 then
-        failwith "--adaptive requires --size a multiple of 6, at least 12";
-      if crash_at <> None && ranks <= 1 then failwith "--crash-at requires --ranks > 1";
-      let bgrid = Array.make dim (size / 6) in
-      let block_dims = Array.make dim 6 in
-      let af =
-        build_adaptive ?num_domains:domains ?tile ?backend ~overlap ~split ~ranks ~bgrid
-          ~block_dims params g
-      in
-      (match crash_at with
-      | None -> Blocks.Adaptive.run af ~steps
-      | Some k ->
-        (* checkpoints hold the refinement state too, and replayed
-           adaptation decisions are pure functions of it *)
-        let comm = af.Blocks.Adaptive.comm in
-        run_faulty ~comm ~crash_at:k ~fault_seed (fun () ->
-            Resilience.Recovery.protect ~every:ckpt_every ~steps
-              ~step_count:(fun () -> Blocks.Adaptive.step_count af)
-              ~step:(fun () -> Blocks.Adaptive.step af)
-              ~capture:(fun () -> Resilience.Snapshot.capture_adaptive af)
-              ~restore:(fun snap -> Resilience.Snapshot.restore_adaptive snap af)
-              comm));
-      (* the adaptive run is always verified bitwise against the uniform
-         fine-grid run — coarsening must never change a single bit *)
-      let uni =
-        build_single ?num_domains:domains ?tile ?backend ~split ~dims:(Array.make dim size)
-          params g
-      in
-      Pfcore.Timestep.run uni ~steps;
-      let bad =
-        state_mismatches g ~global_dims:af.Blocks.Adaptive.global_dims (Blocks.Adaptive.get af)
-          (single_get uni)
-      in
-      if bad = 0 then Fmt.pr "verification: adaptive forest = uniform fine grid (bitwise)@."
-      else begin
-        Fmt.epr "verification FAILED: %d cell value(s) differ from the uniform run@." bad;
-        exit 1
-      end;
-      Fmt.pr
-        "adaptive: %d/%d block(s) frozen, %d freeze(s), %d thaw(s), %d migration(s), \
-         cells-touched savings %.2fx@."
-        (Blocks.Adaptive.frozen_blocks af)
-        (Blocks.Adaptive.nblocks af)
-        af.Blocks.Adaptive.freezes af.Blocks.Adaptive.thaws af.Blocks.Adaptive.migrations
-        (Blocks.Adaptive.savings af);
-      if diag then
-        print_blocks_diag ?num_domains:domains ?tile af.Blocks.Adaptive.blocks phi;
-      Blocks.Adaptive.phase_fractions ?num_domains:domains ?tile af
-    end
-    else if ranks > 1 then begin
-      let grid, block_dims = decomposition ~dim ~size ~ranks in
-      let forest =
-        build_forest ?num_domains:domains ?tile ?backend ~overlap ~split ~grid ~block_dims g
-      in
-      (match crash_at with
-      | None -> Blocks.Forest.run forest ~steps
-      | Some k ->
-        (* fault-injected run under crash protection, verified bitwise
-           against an undisturbed twin *)
-        run_faulty ~comm:forest.Blocks.Forest.comm ~crash_at:k ~fault_seed (fun () ->
-            Resilience.Recovery.run_protected ~every:ckpt_every ~steps forest);
-        let clean = build_forest ~split ~grid ~block_dims g in
-        Blocks.Forest.run clean ~steps;
-        let bad =
-          state_mismatches g ~global_dims:forest.Blocks.Forest.global_dims
-            (Blocks.Forest.get forest) (Blocks.Forest.get clean)
-        in
-        if bad = 0 then Fmt.pr "verification: protected run = clean run (bitwise)@."
-        else begin
-          Fmt.epr "verification FAILED: %d cell value(s) differ from the clean run@." bad;
-          exit 1
-        end);
-      if diag then
-        print_blocks_diag ?num_domains:domains ?tile forest.Blocks.Forest.blocks phi;
-      Blocks.Reduce.phase_fractions ?num_domains:domains ?tile forest
-    end
-    else begin
-      if crash_at <> None then failwith "--crash-at requires --ranks > 1";
-      let sim =
-        build_single ?num_domains:domains ?tile ?backend ~split ~dims:(Array.make dim size)
-          params g
-      in
-      Pfcore.Timestep.run sim ~steps;
-      if diag then
-        print_diag
-          ~interface:(Pfcore.Diag.interface_cells ?num_domains:domains ?tile sim)
-          ~fraction:(Pfcore.Diag.interface_fraction ?num_domains:domains ?tile sim)
-          ~mn:(Pfcore.Diag.min_value ?num_domains:domains ?tile sim phi ~component:0)
-          ~mx:(Pfcore.Diag.max_value ?num_domains:domains ?tile sim phi ~component:0);
-      Pfcore.Diag.phase_fractions ?num_domains:domains ?tile sim
-    end
+  let build ?num_domains ?tile ?backend ?overlap shape =
+    Blocks.Run.create ~variant_phi:(variant_of split) ?num_domains ?tile ?backend ?overlap
+      ~init:Pfcore.Simulation.init_model shape g
   in
+  (* the adaptive forest: 6-cell blocks Morton-balanced over the ranks *)
+  let shape =
+    if adaptive then
+      Blocks.Run.Adaptive_grid
+        { bgrid = Array.make dim (size / 6); block_dims = Array.make dim 6; ranks }
+    else shape_of ~dim ~size ~ranks
+  in
+  let run = build ?num_domains:domains ?tile ?backend ~overlap shape in
+  (match crash_at with
+  | None -> Blocks.Run.run run ~steps
+  | Some k -> run_faulty ~crash_at:k ~fault_seed ~every:ckpt_every ~steps run);
+  (match run with
+  | Blocks.Run.Adaptive af ->
+    (* the adaptive run is always verified bitwise against the uniform
+       fine-grid run — coarsening must never change a single bit *)
+    let uni = build ?num_domains:domains ?tile ?backend (Blocks.Run.One_block (Array.make dim size)) in
+    Blocks.Run.run uni ~steps;
+    verify_bitwise ~claim:"adaptive forest = uniform fine grid" ~reference:" from the uniform run"
+      (state_mismatches run uni);
+    Fmt.pr
+      "adaptive: %d/%d block(s) frozen, %d freeze(s), %d thaw(s), %d migration(s), \
+       cells-touched savings %.2fx@."
+      (Blocks.Adaptive.frozen_blocks af)
+      (Blocks.Adaptive.nblocks af)
+      af.Blocks.Adaptive.freezes af.Blocks.Adaptive.thaws af.Blocks.Adaptive.migrations
+      (Blocks.Adaptive.savings af)
+  | _ when crash_at <> None ->
+    (* a fault-injected run under crash protection is verified bitwise
+       against an undisturbed twin *)
+    let clean = build shape in
+    Blocks.Run.run clean ~steps;
+    verify_bitwise ~claim:"protected run = clean run" ~reference:" from the clean run"
+      (state_mismatches run clean)
+  | _ -> ());
+  if diag then print_diag ?num_domains:domains ?tile run phi;
+  let fractions = Blocks.Run.phase_fractions ?num_domains:domains ?tile run in
   let dt = Unix.gettimeofday () -. t0 in
   if observing then begin
     Obs.Sink.disable ();
@@ -498,20 +427,13 @@ let simulate_cmd =
 
 let checkpoint params size steps ranks split output =
   let g = generate params false in
-  let dim = params.Pfcore.Params.dim in
-  let snap =
-    if ranks > 1 then begin
-      let grid, block_dims = decomposition ~dim ~size ~ranks in
-      let forest = build_forest ~split ~grid ~block_dims g in
-      Blocks.Forest.run forest ~steps;
-      Resilience.Snapshot.capture forest
-    end
-    else begin
-      let sim = build_single ~split ~dims:(Array.make dim size) params g in
-      Pfcore.Timestep.run sim ~steps;
-      Resilience.Snapshot.capture_single sim
-    end
+  let run =
+    Blocks.Run.create ~variant_phi:(variant_of split) ~init:Pfcore.Simulation.init_model
+      (shape_of ~dim:params.Pfcore.Params.dim ~size ~ranks)
+      g
   in
+  Blocks.Run.run run ~steps;
+  let snap = Resilience.Snapshot.capture_run run in
   let bytes = Resilience.Snapshot.save output snap in
   Fmt.pr "wrote %a to %s (%d bytes)@." Resilience.Snapshot.pp snap output bytes
 
@@ -523,13 +445,6 @@ let checkpoint_cmd =
     (Cmd.info "checkpoint" ~doc:"Run a simulation and write a versioned, checksummed snapshot of its state (the interiors of phi_src and, when the model has mu, mu_src; step index; model fingerprint). Resuming re-primes the ghost layers.")
     Term.(const checkpoint $ model_arg $ size_arg $ steps_arg $ ranks_arg $ split_arg
           $ snap_out_arg)
-
-let verify_resumed bad =
-  if bad = 0 then Fmt.pr "verification: resumed run = uninterrupted run (bitwise)@."
-  else begin
-    Fmt.epr "verification FAILED: %d cell value(s) differ@." bad;
-    exit 1
-  end
 
 (* A snapshot that cannot be read or restored ends the command with one
    line and exit 1, like a wrong --model. *)
@@ -554,51 +469,27 @@ let resume params input steps verify =
     exit 1
   end;
   let ranks = Array.fold_left ( * ) 1 snap.Resilience.Snapshot.grid in
-  let split = snap.Resilience.Snapshot.split_phi in
   let size = snap.Resilience.Snapshot.global_dims.(0) in
   let dim = Array.length snap.Resilience.Snapshot.global_dims in
-  let fractions =
-    if ranks > 1 then begin
-      let forest =
-        Blocks.Forest.create ~variant_phi:(variant_of split)
-          ~variant_mu:(variant_of snap.Resilience.Snapshot.split_mu)
-          ~grid:snap.Resilience.Snapshot.grid
-          ~block_dims:snap.Resilience.Snapshot.block_dims g
-      in
-      or_refuse (fun () -> Resilience.Snapshot.restore snap forest);
-      Blocks.Forest.run forest ~steps;
-      if verify then begin
-        (* rerun from the same initial conditions without interruption and
-           demand bitwise agreement *)
-        let clean =
-          build_forest ~split ~grid:snap.Resilience.Snapshot.grid
-            ~block_dims:snap.Resilience.Snapshot.block_dims g
-        in
-        Blocks.Forest.run clean ~steps:(snap.Resilience.Snapshot.step + steps);
-        verify_resumed
-          (state_mismatches g ~global_dims:forest.Blocks.Forest.global_dims
-             (Blocks.Forest.get forest) (Blocks.Forest.get clean))
-      end;
-      Blocks.Reduce.phase_fractions forest
-    end
-    else begin
-      let sim =
-        Pfcore.Timestep.create ~variant_phi:(variant_of split)
-          ~variant_mu:(variant_of snap.Resilience.Snapshot.split_mu)
-          ~dims:snap.Resilience.Snapshot.block_dims g
-      in
-      or_refuse (fun () -> Resilience.Snapshot.restore_single snap sim);
-      Pfcore.Timestep.run sim ~steps;
-      if verify then begin
-        let clean = build_single ~split ~dims:snap.Resilience.Snapshot.block_dims params g in
-        Pfcore.Timestep.run clean ~steps:(snap.Resilience.Snapshot.step + steps);
-        verify_resumed
-          (state_mismatches g ~global_dims:snap.Resilience.Snapshot.global_dims
-             (single_get sim) (single_get clean))
-      end;
-      Pfcore.Diag.phase_fractions sim
-    end
+  (* the resumed run and its twin take the snapshot's shape and both of
+     its kernel variants *)
+  let build ?init () =
+    Blocks.Run.create
+      ~variant_phi:(variant_of snap.Resilience.Snapshot.split_phi)
+      ~variant_mu:(variant_of snap.Resilience.Snapshot.split_mu)
+      ?init (Resilience.Snapshot.shape snap) g
   in
+  let run = build () in
+  or_refuse (fun () -> Resilience.Snapshot.restore_run snap run);
+  Blocks.Run.run run ~steps;
+  if verify then begin
+    (* rerun from the same initial conditions without interruption and
+       demand bitwise agreement *)
+    let clean = build ~init:Pfcore.Simulation.init_model () in
+    Blocks.Run.run clean ~steps:(snap.Resilience.Snapshot.step + steps);
+    verify_bitwise ~claim:"resumed run = uninterrupted run" (state_mismatches run clean)
+  end;
+  let fractions = Blocks.Run.phase_fractions run in
   Fmt.pr "%d more steps of %s on %d^%d (%d rank%s) from step %d@." steps
     params.Pfcore.Params.name size dim ranks
     (if ranks > 1 then "s" else "")

@@ -52,10 +52,6 @@ open Symbolic
 type consts = Lockstep.consts
 type state = Lockstep.state = Active of Pfcore.Timestep.t | Frozen of consts
 
-type mode =
-  | Static  (** adapt once after [prime]; only corrective thaws afterwards *)
-  | Adapt   (** freeze/refine/rebalance every [adapt_every] steps *)
-
 type t = {
   comm : Mpisim.t;
   gen : Pfcore.Genkernels.t;
@@ -69,9 +65,6 @@ type t = {
   tile : int array option;
   backend : Vm.Engine.backend option;
   overlap : bool;
-  mode : mode;
-  max_level : int;
-  adapt_every : int;
   freezable : bool;  (** static kernel scan: bulk can be a fixed point *)
   states : state array;
   levels : int array;  (** 0 = active; ≥ 1 = coarsening level of a frozen block *)
@@ -207,13 +200,11 @@ let frozen_blocks t =
   Array.fold_left (fun n -> function Frozen _ -> n + 1 | Active _ -> n) 0 t.states
 
 let create ?(variant_phi = Pfcore.Timestep.Full) ?(variant_mu = Pfcore.Timestep.Full)
-    ?num_domains ?tile ?backend ?(overlap = false) ?(ranks = 1) ?(max_level = 3)
-    ?(adapt_every = 1) ?(mode = Adapt) ~bgrid ~block_dims (gen : Pfcore.Genkernels.t) =
+    ?num_domains ?tile ?backend ?(overlap = false) ?(ranks = 1) ~bgrid ~block_dims
+    (gen : Pfcore.Genkernels.t) =
   let dim = Array.length block_dims in
   if Array.length bgrid <> dim then invalid_arg "Adaptive.create: rank mismatch";
   if ranks < 1 then invalid_arg "Adaptive.create: ranks must be positive";
-  if adapt_every < 1 then invalid_arg "Adaptive.create: adapt_every must be positive";
-  if max_level < 1 then invalid_arg "Adaptive.create: max_level must be positive";
   let nb = Array.fold_left ( * ) 1 bgrid in
   let blocks =
     Lockstep.create ~tags:(Lockstep.Per_face exchange_tag_base) ~comm:(Mpisim.create ranks)
@@ -235,9 +226,6 @@ let create ?(variant_phi = Pfcore.Timestep.Full) ?(variant_mu = Pfcore.Timestep.
       tile;
       backend;
       overlap;
-      mode;
-      max_level;
-      adapt_every;
       freezable = gen_freezable gen;
       states = blocks.Lockstep.states;
       levels = Array.make nb 0;
@@ -432,11 +420,15 @@ let materialize t id (consts : consts) =
 (* Levels, balance, migration                                          *)
 (* ------------------------------------------------------------------ *)
 
+(** The coarsest level a frozen block takes. *)
+let max_level = 3
+
 (** Level of a frozen block = clamped Chebyshev block distance to the
-    nearest active block: immediate neighbors of the front coarsen one
-    level, deeper bulk coarsens further.  Adjacent levels then differ by
-    at most 1 (the distance function is 1-Lipschitz under the Chebyshev
-    metric), i.e. the forest is 2:1 balanced by construction. *)
+    nearest active block, capped at {!max_level}: immediate neighbors of
+    the front coarsen one level, deeper bulk coarsens further.  Adjacent
+    levels then differ by at most 1 (the distance function is 1-Lipschitz
+    under the Chebyshev metric, and so is its clamp), i.e. the forest is
+    2:1 balanced by construction. *)
 let recompute_levels t =
   let actives = ref [] in
   Array.iteri
@@ -448,9 +440,9 @@ let recompute_levels t =
         (match st with
         | Active _ -> 0
         | Frozen _ ->
-          if !actives = [] then t.max_level
+          if !actives = [] then max_level
           else
-            min t.max_level
+            min max_level
               (List.fold_left (fun m a -> min m (chebyshev_dist t id a)) max_int !actives)))
     t.states;
   for id = 0 to nblocks t - 1 do
@@ -510,7 +502,7 @@ let check_all_live t =
     if not (Mpisim.live t.comm r) then raise (Ghost.Rank_crashed r)
   done
 
-let adapt_round t ~allow_freeze =
+let adapt_round t =
   Obs.Span.with_ ~cat:"adapt" "adapt" (fun () ->
       check_all_live t;
       let nb = nblocks t in
@@ -538,7 +530,7 @@ let adapt_round t ~allow_freeze =
       done;
       (* freeze: decisions read the pre-thaw scan only, so they do not
          depend on the order blocks are visited in *)
-      if allow_freeze && t.freezable && freeze_margin_ok t then
+      if t.freezable && freeze_margin_ok t then
         for id = 0 to nb - 1 do
           if was_active.(id) then
             match (t.states.(id), scan.(id)) with
@@ -560,38 +552,32 @@ let adapt_round t ~allow_freeze =
          mid-step exchanged values; re-priming is idempotent on every
          other active block (their ghosts already equal the true field) *)
       if !thawed then Lockstep.prime t.blocks;
-      if allow_freeze then rebalance t)
+      rebalance t)
 
 (** Prime source-field ghosts after initial conditions, then run the
-    initial adaptation (both modes — a [Static] forest is refined
-    exactly once, here). *)
+    initial adaptation. *)
 let prime t =
   Lockstep.prime t.blocks;
-  adapt_round t ~allow_freeze:true
+  adapt_round t
 
 (* ------------------------------------------------------------------ *)
-(* Stepping, cell access and reductions                                *)
+(* Stepping and cell access                                           *)
 (* ------------------------------------------------------------------ *)
 
 (** One lockstep step over the active blocks ({!Lockstep.step}), followed
-    by the adaptation round (thaws every step — a correctness matter;
-    freezing, level recomputation and Morton rebalance every
-    [adapt_every] steps in [Adapt] mode). *)
+    by the adaptation round: thaws (a correctness matter), freezes, level
+    recomputation and Morton rebalance, every step. *)
 let step t =
   Lockstep.step t.blocks ~overlap:t.overlap ~step:t.step_count;
   t.cells_touched <- t.cells_touched + active_cells t;
   t.uniform_cells <- t.uniform_cells + Vm.Reduce.total_cells t.global_dims;
   t.step_count <- t.step_count + 1;
   t.time <- t.time +. t.gen.Pfcore.Genkernels.params.Pfcore.Params.dt;
-  let allow_freeze =
-    match t.mode with Adapt -> t.step_count mod t.adapt_every = 0 | Static -> false
-  in
-  adapt_round t ~allow_freeze
+  adapt_round t
 
-let run ?(on_step = fun (_ : t) -> ()) t ~steps =
+let run t ~steps =
   for _ = 1 to steps do
-    step t;
-    on_step t
+    step t
   done
 
 let step_count t = t.step_count
@@ -600,18 +586,6 @@ let step_count t = t.step_count
     probe for adaptive-vs-uniform bitwise equality (frozen blocks answer
     from their constants). *)
 let get t field ~component global = Lockstep.get t.blocks field ~component global
-
-(** Deterministic scalar reduction over the adaptive forest
-    ({!Lockstep.scalar}): bitwise identical to the same reduction over
-    the uniform fine grid, whatever is frozen. *)
-let scalar ?num_domains ?tile t field cellfn op =
-  Lockstep.scalar ?num_domains ?tile t.blocks field cellfn op
-
-let phase_fractions ?num_domains ?tile t =
-  Lockstep.phase_fractions ?num_domains ?tile t.blocks
-
-let interface_cells ?num_domains ?tile t =
-  Lockstep.interface_cells ?num_domains ?tile t.blocks
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -62,10 +62,9 @@ let step_count t = (Array.get t.sims 0).Pfcore.Timestep.step_count
     identical to the sequential order (check oracle 10). *)
 let step t = Lockstep.step t.blocks ~overlap:t.overlap ~step:(step_count t)
 
-let run ?(on_step = fun (_ : t) -> ()) t ~steps =
+let run t ~steps =
   for _ = 1 to steps do
-    step t;
-    on_step t
+    step t
   done
 
 (** Read one interior cell value by global coordinates. *)

@@ -357,21 +357,3 @@ let scalar ?num_domains ?tile t (field : Fieldspec.t) cellfn op =
       per_rank.(r) <- Vm.Reduce.merge per_rank.(r) p)
     t.states;
   Vm.Reduce.finish ~n:(Vm.Reduce.total_cells t.global_dims) (tree_gather t.comm per_rank)
-
-(** Volume-weighted phase fractions of φ_src: component [c]'s exact sum
-    over every cell divided by the global cell count. *)
-let phase_fractions ?num_domains ?tile t =
-  let phi = (fields t).Pfcore.Model.phi_src in
-  let n = float_of_int (Vm.Reduce.total_cells t.global_dims) in
-  Array.init phi.Fieldspec.components (fun c ->
-      scalar ?num_domains ?tile t phi (Vm.Reduce.Component c) Vm.Reduce.Sum /. n)
-
-(** Count of interface cells (any φ component strictly inside the
-    (0.01, 0.99) band) — the adaptive forest's refinement criterion. *)
-let interface_cells ?num_domains ?tile t =
-  scalar ?num_domains ?tile t (fields t).Pfcore.Model.phi_src Vm.Reduce.Interface
-    Vm.Reduce.Sum
-
-let interface_fraction ?num_domains ?tile t =
-  interface_cells ?num_domains ?tile t
-  /. float_of_int (Vm.Reduce.total_cells t.global_dims)

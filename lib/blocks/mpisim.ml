@@ -2,9 +2,11 @@
 
     Ranks live in one address space; messages are float arrays the
     substrate owns, in per-(src, dst, tag) FIFO queues that senders and
-    receivers reach through channel handles, with MPI-like nonblocking
-    semantics: all sends of a communication phase are posted before the
-    matching receives are drained, and delivery order is deterministic.
+    receivers reach through channel handles.  Sends are eager, like an
+    MPI eager-protocol send: all sends of a communication phase are posted
+    before the matching receives are drained, and delivery order is
+    deterministic.  There is one receive path, {!attempt} and then
+    {!heal}, which [Ghost.receive] drives.
     This exercises the real pack / send / receive / unpack path of the
     ghost-layer exchange while remaining reproducible in a sealed
     container.
@@ -215,11 +217,6 @@ let release_due t =
     List.iter (fun (_, ch, msg) -> push ch msg.seq msg.payload) due
   end
 
-let expected_seq t ~src ~dst ~tag =
-  match Hashtbl.find_opt t.channels (src, dst, tag) with
-  | Some ch -> ch.expected
-  | None -> 0
-
 (** An array of [len] elements to pack the next message on [ch] into: the
     payload of the log slot that message evicts when the receiver has
     consumed it (or a rollback discarded it), otherwise a fresh one.  So a
@@ -272,21 +269,10 @@ let post t ch data =
 (** Post [data] on the (src, dst, tag) channel ({!post}). *)
 let send t ~src ~dst ~tag data = post t (channel t ~src ~dst ~tag) data
 
-exception No_message of (int * int * int)
-
 let deliver t payload =
   t.delivered <- t.delivered + 1;
   Obs.Metrics.count "net.delivered" 1;
   payload
-
-(** Plain FIFO receive (the fault-free fast path): pops the head message of
-    the channel, whatever its sequence number. *)
-let recv t ~src ~dst ~tag =
-  match Hashtbl.find_opt t.channels (src, dst, tag) with
-  | Some ch when ch.q_len > 0 ->
-    ch.expected <- max ch.expected (ch.q_seq.(ch.q_head) + 1);
-    deliver t (pop ch)
-  | _ -> raise (No_message (src, dst, tag))
 
 (** Sequenced receive on [ch]: the message with exactly the next expected
     sequence number, discarding any stale (already-consumed) duplicates
@@ -319,11 +305,6 @@ let take_expected t ch =
       !hit
   end
 
-let recv_expected t ~src ~dst ~tag =
-  match Hashtbl.find_opt t.channels (src, dst, tag) with
-  | None -> None
-  | Some ch -> take_expected t ch
-
 (* Re-deliver [seq] of [ch] from the sender's log. *)
 let retransmit t ch ~seq =
   if is_crashed t ch.src then `Crashed
@@ -334,17 +315,6 @@ let retransmit t ch ~seq =
     `Sent
   end
   else `Lost
-
-(** Re-deliver sequence number [seq] of the channel from the sender's
-    retransmission log, bypassing fault injection (retry-until-success).
-    [`Crashed] if the sender rank is dead, [`Lost] if the log no longer
-    holds that message. *)
-let request_retransmit t ~src ~dst ~tag ~seq =
-  if is_crashed t src then `Crashed
-  else
-    match Hashtbl.find_opt t.channels (src, dst, tag) with
-    | Some ch -> retransmit t ch ~seq
-    | None -> `Lost
 
 (* ------------------------------------------------------------------ *)
 (* The self-healing receive                                            *)
@@ -379,70 +349,6 @@ let heal ?(max_retries = 10) t ch =
     end
   in
   retry 0 1
-
-(* ------------------------------------------------------------------ *)
-(* Nonblocking surface                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** MPI-style request handles.  An [isend] completes at post time (the
-    substrate buffers every message), mirroring an eager-protocol
-    [MPI_Isend]; an [irecv] completes when {!test} or {!wait} matches the
-    channel's next expected sequence number.  The per-channel sequence
-    numbers of the blocking surface are preserved — [irecv] consumes
-    exactly the message [recv_expected] would have, so nonblocking and
-    blocking exchanges are interchangeable message for message. *)
-type request =
-  | Isend of { dst : int }
-  | Irecv of { ch : channel; mutable arrived : float array option }
-
-(** Post a message and return its (already-complete) send request. *)
-let isend t ~src ~dst ~tag data =
-  send t ~src ~dst ~tag data;
-  Isend { dst }
-
-(** Post a receive for the channel's next in-sequence message.  Nothing is
-    consumed until {!test} or {!wait} observes the arrival. *)
-let irecv t ~src ~dst ~tag = Irecv { ch = channel t ~src ~dst ~tag; arrived = None }
-
-(** Poll a request: [true] when complete.  Polling an [Irecv] releases due
-    delayed messages and consumes the expected message if it has arrived
-    (discarding stale duplicates on the way, like the blocking path). *)
-let test t = function
-  | Isend _ -> true
-  | Irecv r -> (
-    r.arrived <> None
-    ||
-    match attempt t r.ch with
-    | Some p ->
-      r.arrived <- Some p;
-      true
-    | None -> false)
-
-(** Drive a request to completion through the self-healing protocol
-    ({!attempt}, then {!heal}).  [`Done n] reports the number of retries
-    the healing needed (0 on the fault-free path). *)
-let wait ?max_retries t = function
-  | Isend _ -> `Done 0
-  | Irecv r -> (
-    match r.arrived with
-    | Some _ -> `Done 0
-    | None -> (
-      match attempt t r.ch with
-      | Some p ->
-        r.arrived <- Some p;
-        `Done 0
-      | None -> (
-        match heal ?max_retries t r.ch with
-        | `Done (p, n) ->
-          r.arrived <- Some p;
-          `Done n
-        | (`Crashed _ | `Lost _) as failed -> failed)))
-
-(** The payload of a completed [Irecv] (call {!wait} or {!test} first). *)
-let payload = function
-  | Isend _ -> invalid_arg "Mpisim.payload: send requests carry no payload"
-  | Irecv { arrived = Some p; _ } -> p
-  | Irecv _ -> invalid_arg "Mpisim.payload: request not complete"
 
 (** All channels drained and nothing in the delayed pool. *)
 let quiescent t =
@@ -508,11 +414,6 @@ let restart t =
 
 let () =
   Printexc.register_printer (function
-    | No_message (src, dst, tag) ->
-      Some
-        (Printf.sprintf
-           "Mpisim.No_message: no message queued from rank %d to rank %d with tag %d" src
-           dst tag)
     | Unquiescent ls ->
       Some
         (Printf.sprintf "Mpisim.Unquiescent: undelivered messages at finalize: %s"

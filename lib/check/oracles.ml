@@ -365,24 +365,32 @@ let init ?(sharp = false) (c : Gen.case) (sim : Pfcore.Timestep.t) =
         ~amp:0.01
   end
 
-type run =
-  | Single of Pfcore.Timestep.t
-  | Forest of Blocks.Forest.t
-  | Adaptive of Blocks.Adaptive.t
-
 let global (c : Gen.case) = Array.map2 ( * ) c.Gen.dims c.Gen.exec.Gen.grid
 
 (* The adaptive forest's blocks per axis: a 4-rank grid's, else twice the
    rank grid's (2x2, 4x2 or 2x4 blocks).  Its blocks are balanced over 1
-   to 4 ranks, drawn apart from the grid by seed bits 2-3 (3 ranks split
-   the initial unit weights unevenly), at least 2 when a rank crashes. *)
+   to 4 ranks, drawn apart from the grid by the seed's two low bits (3
+   ranks split the initial unit weights unevenly), at least 2 when a rank
+   crashes. *)
 let adaptive_bgrid (c : Gen.case) =
   let e = c.Gen.exec in
   if Gen.ranks e >= 4 then e.Gen.grid else Array.map (( * ) 2) e.Gen.grid
 
 let adaptive_ranks (c : Gen.case) =
-  let n = 1 + ((c.Gen.seed lsr 2) land 3) in
+  let n = 1 + (c.Gen.seed land 3) in
   if c.Gen.faults.Gen.crash = None then n else max 2 n
+
+(** The case's shapes: one block holding its global domain (or [dims]),
+    the forest of its rank grid, and an adaptive forest of blocks of the
+    same dims ({!adaptive_bgrid}, {!adaptive_ranks}). *)
+let single ?dims (c : Gen.case) = Blocks.Run.One_block (Option.value dims ~default:(global c))
+
+let forest (c : Gen.case) =
+  Blocks.Run.Rank_grid { grid = c.Gen.exec.Gen.grid; block_dims = c.Gen.dims }
+
+let adaptive (c : Gen.case) =
+  Blocks.Run.Adaptive_grid
+    { bgrid = adaptive_bgrid c; block_dims = c.Gen.dims; ranks = adaptive_ranks c }
 
 let adaptive_global (c : Gen.case) = Array.map2 ( * ) c.Gen.dims (adaptive_bgrid c)
 
@@ -417,21 +425,6 @@ let backend_of (e : Gen.exec) =
   end
   else Vm.Engine.Interp
 
-(** One block holding the case's global domain (or [dims]). *)
-let sim_of ?gen ?sharp ?exec ?dims (c : Gen.case) =
-  let gen = match gen with Some g -> g | None -> gen_of c in
-  let e = match exec with Some e -> e | None -> Gen.reference c.Gen.exec in
-  let variant = if c.Gen.split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
-  let sim =
-    Pfcore.Timestep.create ~variant_phi:variant ~variant_mu:variant ~num_domains:e.Gen.domains
-      ?tile:(tile_of e) ~backend:(backend_of e)
-      ~dims:(Option.value dims ~default:(global c))
-      gen
-  in
-  init ?sharp c sim;
-  Pfcore.Timestep.prime sim;
-  sim
-
 (** The case's fault plan on [ranks] ranks (its crashing rank taken
     modulo them), or [None] when it injects nothing. *)
 let fault_plan ~ranks (c : Gen.case) =
@@ -448,41 +441,21 @@ let fault_plan ~ranks (c : Gen.case) =
       }
   else None
 
-(** The case's run, initialized and primed: [`Single] ({!sim_of}), the
-    [`Forest] of its rank grid, or an [`Adaptive] forest of the same
-    blocks ({!adaptive_bgrid}, {!adaptive_ranks}; Static or Adapt mode,
-    cadence 1 or 2, keyed on the seed's low bits).  [exec] (default: the
-    reference executor) executes it; with [~faults:true] the case's fault
-    plan acts on a forest's messages, the priming exchange's included. *)
-let build ?gen ?sharp ?exec ?dims ?(faults = false) shape (c : Gen.case) =
+(** The case's run of [shape], initialized ({!init}) and primed.
+    [exec] (default: the reference executor) executes it; with
+    [~faults:true] the case's fault plan acts on a forest's messages, the
+    priming exchange's included. *)
+let build ?gen ?sharp ?exec ?(faults = false) shape (c : Gen.case) =
   let gen = match gen with Some g -> g | None -> gen_of c in
   let e = match exec with Some e -> e | None -> Gen.reference c.Gen.exec in
   let variant = if c.Gen.split then Pfcore.Timestep.Split else Pfcore.Timestep.Full in
-  let num_domains = e.Gen.domains and tile = tile_of e and backend = backend_of e in
-  let plan ranks = if faults then fault_plan ~ranks c else None in
-  match shape with
-  | `Single -> Single (sim_of ~gen ?sharp ~exec:e ?dims c)
-  | `Forest ->
-    let f =
-      Blocks.Forest.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile ~backend
-        ~overlap:e.Gen.overlap ~grid:e.Gen.grid ~block_dims:c.Gen.dims gen
-    in
-    Array.iter (init ?sharp c) f.Blocks.Forest.sims;
-    Blocks.Mpisim.set_fault_plan f.Blocks.Forest.comm (plan (Gen.ranks e));
-    Blocks.Forest.prime f;
-    Forest f
-  | `Adaptive ->
-    let af =
-      Blocks.Adaptive.create ~variant_phi:variant ~variant_mu:variant ~num_domains ?tile
-        ~backend ~overlap:e.Gen.overlap ~ranks:(adaptive_ranks c)
-        ~mode:(if c.Gen.seed land 1 = 0 then Blocks.Adaptive.Static else Blocks.Adaptive.Adapt)
-        ~adapt_every:(1 + ((c.Gen.seed lsr 1) land 1))
-        ~bgrid:(adaptive_bgrid c) ~block_dims:c.Gen.dims gen
-    in
-    List.iter (init ?sharp c) (Blocks.Adaptive.active_sims af);
-    Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm (plan (adaptive_ranks c));
-    Blocks.Adaptive.prime af;
-    Adaptive af
+  Blocks.Run.create ~variant_phi:variant ~variant_mu:variant ~num_domains:e.Gen.domains
+    ?tile:(tile_of e) ~backend:(backend_of e) ~overlap:e.Gen.overlap
+    ?faults:(if faults then fault_plan ~ranks:(Blocks.Run.ranks shape) c else None)
+    ~init:(init ?sharp c) shape gen
+
+(** The one block of the case's global domain, initialized and primed. *)
+let sim_of c = List.hd (Blocks.Run.sims (build (single c) c))
 
 let no_crash (c : Gen.case) = { c with Gen.faults = { c.Gen.faults with Gen.crash = None } }
 
@@ -498,29 +471,8 @@ let with_crash (c : Gen.case) =
       steps = max c.Gen.steps 2;
     }
 
-let sims = function
-  | Single sim -> [ sim ]
-  | Forest f -> Array.to_list f.Blocks.Forest.sims
-  | Adaptive af -> Blocks.Adaptive.active_sims af
-
-let capture = function
-  | Single sim -> Resilience.Snapshot.capture_single sim
-  | Forest f -> Resilience.Snapshot.capture f
-  | Adaptive af -> Resilience.Snapshot.capture_adaptive af
-
-let restore snap = function
-  | Single sim -> Resilience.Snapshot.restore_single snap sim
-  | Forest f -> Resilience.Snapshot.restore snap f
-  | Adaptive af -> Resilience.Snapshot.restore_adaptive snap af
-
-let run r ~steps =
-  match r with
-  | Single sim -> Pfcore.Timestep.run sim ~steps
-  | Forest f -> Blocks.Forest.run f ~steps
-  | Adaptive af -> Blocks.Adaptive.run af ~steps
-
 let ran r ~steps =
-  run r ~steps;
+  Blocks.Run.run r ~steps;
   r
 
 (** Set every buffer of a block to NaN: destinations, staggered scratch,
@@ -533,58 +485,35 @@ let poison (sim : Pfcore.Timestep.t) =
     (fun (_, buf) -> Vm.Buffer.fill buf Float.nan)
     sim.Pfcore.Timestep.block.Vm.Engine.buffers
 
-let poison_forest (f : Blocks.Forest.t) = Array.iter poison f.Blocks.Forest.sims
-
 (** Run [r] the case's steps; a forest whose case crashes a rank runs
     under the recovery driver, every rollback restoring into poisoned
     storage, and must have restarted. *)
 let advance r (c : Gen.case) =
-  match (r, c.Gen.faults.Gen.crash) with
-  | (Forest _ | Adaptive _), Some _ ->
-    let step, step_count, comm =
-      match r with
-      | Forest f ->
-        ((fun () -> Blocks.Forest.step f), (fun () -> Blocks.Forest.step_count f), f.Blocks.Forest.comm)
-      | Adaptive af ->
-        ( (fun () -> Blocks.Adaptive.step af),
-          (fun () -> Blocks.Adaptive.step_count af),
-          af.Blocks.Adaptive.comm )
-      | Single _ -> assert false
-    in
+  match (Blocks.Run.comm r, c.Gen.faults.Gen.crash) with
+  | Some comm, Some _ ->
     let stats =
       Resilience.Recovery.protect ~every:c.Gen.faults.Gen.ckpt_every ~steps:c.Gen.steps
-        ~step_count ~step
-        ~capture:(fun () -> capture r)
+        ~step_count:(fun () -> Blocks.Run.step_count r)
+        ~step:(fun () -> Blocks.Run.step r)
+        ~capture:(fun () -> Resilience.Snapshot.capture_run r)
         ~restore:(fun snap ->
-          List.iter poison (sims r);
-          restore snap r)
+          List.iter poison (Blocks.Run.sims r);
+          Resilience.Snapshot.restore_run snap r)
         comm
     in
     stats.Resilience.Recovery.restarts >= 1
   | _ ->
-    run r ~steps:c.Gen.steps;
+    Blocks.Run.run r ~steps:c.Gen.steps;
     true
-
-let value = function
-  | Single sim -> block_value sim.Pfcore.Timestep.block
-  | Forest f -> fun fl c g -> Blocks.Forest.get f fl ~component:c g
-  | Adaptive af -> fun fl c g -> Blocks.Adaptive.get af fl ~component:c g
-
-let gen_of_run r = (List.hd (sims r)).Pfcore.Timestep.gen
 
 (** Two runs of one global domain agree in the interiors of [fields]
     (default: the state fields, φ and μ), by global coordinates. *)
 let runs_agree ?cmp ?fields a b =
   let fields =
-    match fields with Some fl -> fl | None -> Pfcore.Timestep.state_fields (gen_of_run a)
+    match fields with Some fl -> fl | None -> Pfcore.Timestep.state_fields (Blocks.Run.gen a)
   in
-  let dims =
-    match a with
-    | Single sim -> sim.Pfcore.Timestep.block.Vm.Engine.dims
-    | Forest f -> f.Blocks.Forest.global_dims
-    | Adaptive af -> af.Blocks.Adaptive.global_dims
-  in
-  agree ?cmp ~fields ~dims (value a) (value b)
+  let value r f c g = Blocks.Run.get r f ~component:c g in
+  agree ?cmp ~fields ~dims:(Blocks.Run.global_dims a) (value a) (value b)
 
 (* The padded data of each block's buffers: every buffer, or with
    [~scratch:false] the state fields and their destinations. *)
@@ -626,8 +555,8 @@ let buffers_bitwise_equal ?scratch a b = data_equal (buffer_data ?scratch a) (bu
 (** The same state, and the same bits in the state and destination
     buffers, ghosts included. *)
 let same_state a b =
-  Resilience.Snapshot.equal (capture a) (capture b)
-  && buffers_bitwise_equal ~scratch:false (sims a) (sims b)
+  Resilience.Snapshot.equal (Resilience.Snapshot.capture_run a) (Resilience.Snapshot.capture_run b)
+  && buffers_bitwise_equal ~scratch:false (Blocks.Run.sims a) (Blocks.Run.sims b)
 
 (* ------------------------------------------------------------------ *)
 (* The model-level oracles: relations between two runs of a case       *)
@@ -640,8 +569,8 @@ let same_state a b =
 let opt_vs_raw (c : Gen.case) =
   let c = { c with Gen.coef = 0; steps = 1 } in
   runs_agree ~cmp:tolerant
-    (ran (build `Single c) ~steps:1)
-    (ran (build ~gen:(gen_of ~raw:true c) `Single c) ~steps:1)
+    (ran (build (single c) c) ~steps:1)
+    (ran (build ~gen:(gen_of ~raw:true c) (single c) c) ~steps:1)
 
 (* Oracle 2: the engine's sweep of the generated φ kernel — lowered,
    hoisted, on the case's backend, pool width and tile — against the
@@ -656,63 +585,64 @@ let engine_vs_eval (c : Gen.case) =
     ~step:c.Gen.seed ~params
     (Vm.Engine.bind phi engine.Pfcore.Timestep.block);
   eval_sweep ~step:c.Gen.seed ~params phi.Ir.Kernel.body evaled.Pfcore.Timestep.block;
-  runs_agree ~cmp:engine_close
+  agree ~cmp:engine_close
     ~fields:[ gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_dst ]
-    (Single engine) (Single evaled)
+    ~dims:(global c)
+    (block_value engine.Pfcore.Timestep.block)
+    (block_value evaled.Pfcore.Timestep.block)
 
 (* Oracle 3: the split variants evaluate different, algebraically equal
    trees. *)
 let full_vs_split_variant (c : Gen.case) =
   runs_agree ~cmp:tolerant
-    (ran (build `Single { c with Gen.split = false }) ~steps:c.Gen.steps)
-    (ran (build `Single { c with Gen.split = true }) ~steps:c.Gen.steps)
+    (ran (build (single c) { c with Gen.split = false }) ~steps:c.Gen.steps)
+    (ran (build (single c) { c with Gen.split = true }) ~steps:c.Gen.steps)
 
 (* Oracles 7 and 8 (and 4's pool width): the case's executor, on the
    interpreter or the JIT, against the serial interpreted reference, in
    every buffer: ghosts, destinations and staggered scratch included. *)
 let executor_invisible ~jit (c : Gen.case) =
   buffers_bitwise_equal
-    (sims (ran (build `Single c) ~steps:c.Gen.steps))
-    (sims (ran (build ~exec:{ c.Gen.exec with Gen.jit } `Single c) ~steps:c.Gen.steps))
+    (Blocks.Run.sims (ran (build (single c) c) ~steps:c.Gen.steps))
+    (Blocks.Run.sims (ran (build ~exec:{ c.Gen.exec with Gen.jit } (single c) c) ~steps:c.Gen.steps))
 
 (* Oracle 5: the forest of the case's rank grid, on its executor and
    under its healing faults, against one block. *)
 let single_vs_forest (c : Gen.case) =
   let c = no_crash c in
-  let forest = build ~exec:c.Gen.exec ~faults:true `Forest c in
-  advance forest c && runs_agree (ran (build `Single c) ~steps:c.Gen.steps) forest
+  let f = build ~exec:c.Gen.exec ~faults:true (forest c) c in
+  advance f c && runs_agree (ran (build (single c) c) ~steps:c.Gen.steps) f
 
 (* Oracle 6 and the adaptive snapshot leg: capture → encode → decode →
-   restore into a target of another seed (the same four low bits, which
-   key an adaptive forest's mode, cadence and ranks), on the case's
-   executor, every buffer NaN, is the identity on the stored state (the
-   src interiors), and the target then continues bitwise with the
-   original — which a
-   restore that left a src ghost unprimed, or a step that read scratch
-   before writing it, would break. *)
+   restore into a target of the same shape but another seed, on the
+   case's executor, every buffer NaN, is the identity on the stored state
+   (the src interiors), and the target then continues bitwise with the
+   original — which a restore that left a src ghost unprimed, or a step
+   that read scratch before writing it, would break. *)
 let roundtrip ?sharp shape (c : Gen.case) =
+  let shape = shape c in
   let orig = ran (build ?sharp shape c) ~steps:c.Gen.steps in
-  let target = build ?sharp ~exec:c.Gen.exec shape { c with Gen.seed = c.Gen.seed + 16 } in
-  let snap = capture orig in
+  let target = build ?sharp ~exec:c.Gen.exec shape { c with Gen.seed = c.Gen.seed + 1 } in
+  let snap = Resilience.Snapshot.capture_run orig in
   let decoded = Resilience.Snapshot.decode (Resilience.Snapshot.encode snap) in
   Resilience.Snapshot.equal snap decoded
   && begin
-    List.iter poison (sims target);
-    restore decoded target;
-    Resilience.Snapshot.equal snap (capture target)
+    List.iter poison (Blocks.Run.sims target);
+    Resilience.Snapshot.restore_run decoded target;
+    Resilience.Snapshot.equal snap (Resilience.Snapshot.capture_run target)
   end
   && begin
-    run orig ~steps:c.Gen.steps;
-    run target ~steps:c.Gen.steps;
+    Blocks.Run.run orig ~steps:c.Gen.steps;
+    Blocks.Run.run target ~steps:c.Gen.steps;
     same_state orig target
   end
 
-let snapshot_roundtrip c = roundtrip `Single c && roundtrip `Forest c
+let snapshot_roundtrip c = roundtrip single c && roundtrip forest c
 
 (* Any single flipped byte in the encoded stream must be rejected by the
    CRC (or the structural validation), never silently accepted. *)
 let snapshot_corruption (c : Gen.case) =
-  let encoded = Resilience.Snapshot.encode (capture (build `Forest c)) in
+  let encoded = Resilience.Snapshot.encode (Resilience.Snapshot.capture_run (build (forest c) c)) in
   let pos = c.Gen.seed mod String.length encoded in
   let b = Bytes.of_string encoded in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
@@ -727,17 +657,32 @@ let snapshot_corruption (c : Gen.case) =
    undisturbed reference run ends (refinement schedule included). *)
 let crash_restart ?sharp shape (c : Gen.case) =
   let c = with_crash c in
+  let shape = shape c in
   let faulty = build ?sharp ~exec:c.Gen.exec ~faults:true shape c in
   advance faulty c && same_state (ran (build ?sharp shape c) ~steps:c.Gen.steps) faulty
 
+(* Every counter of a substrate: traffic, deliveries, what the fault plan
+   did and what healing it took, the virtual clock and the restarts. *)
+let counters (m : Blocks.Mpisim.t) =
+  Blocks.Mpisim.
+    [
+      m.messages_sent; m.bytes_sent; m.delivered; m.retransmissions; m.dropped; m.duplicated;
+      m.delayed_count; m.stale_discarded; m.clock; m.restarts;
+    ]
+
 (* Oracle 10 (paper §7): hiding the φ_dst exchange behind the μ interior
    sweep is purely a scheduling transformation, on any executor and
-   under any fault plan, healed in place or rolled back. *)
+   under any fault plan, healed in place or rolled back: the overlapped
+   run ends bitwise where the fault-free sequential reference does, and
+   the sequential run under the same plan consumed the same message
+   stream, so every substrate counter matches ([Blocks.Lockstep.drain]). *)
 let overlapped_vs_sequential (c : Gen.case) =
-  let subject =
-    build ~exec:{ c.Gen.exec with Gen.overlap = true } ~faults:true `Forest c
-  in
-  advance subject c && runs_agree (ran (build `Forest c) ~steps:c.Gen.steps) subject
+  let faulty overlap = build ~exec:{ c.Gen.exec with Gen.overlap } ~faults:true (forest c) c in
+  let subject = faulty true and sequential = faulty false in
+  advance subject c && advance sequential c
+  && runs_agree (ran (build (forest c) c) ~steps:c.Gen.steps) subject
+  && runs_agree sequential subject
+  && Option.map counters (Blocks.Run.comm sequential) = Option.map counters (Blocks.Run.comm subject)
 
 (* Oracle 5's adaptive leg: freezing bulk blocks to constants, refining
    around the interface, Morton rebalancing and servicing frozen
@@ -746,17 +691,10 @@ let overlapped_vs_sequential (c : Gen.case) =
    included, is bitwise the uniform block's. *)
 let adaptive_vs_uniform (c : Gen.case) =
   let c = no_crash c in
-  let uniform = ran (build ~sharp:true ~dims:(adaptive_global c) `Single c) ~steps:c.Gen.steps in
-  let af = build ~sharp:true ~exec:c.Gen.exec ~faults:true `Adaptive c in
+  let uniform = ran (build ~sharp:true (single ~dims:(adaptive_global c) c) c) ~steps:c.Gen.steps in
+  let af = build ~sharp:true ~exec:c.Gen.exec ~faults:true (adaptive c) c in
   advance af c && runs_agree uniform af
-  &&
-  match (uniform, af) with
-  | Single u, Adaptive a ->
-    let phi = u.Pfcore.Timestep.gen.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-    bits_equal
-      (Vm.Reduce.scalar ~num_domains:1 u.Pfcore.Timestep.block phi Vm.Reduce.Interface Vm.Reduce.Sum)
-      (Blocks.Adaptive.scalar a phi Vm.Reduce.Interface Vm.Reduce.Sum)
-  | _ -> false
+  && bits_equal (Blocks.Run.interface_cells uniform) (Blocks.Run.interface_cells af)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 11: exact reductions vs. the serial single-tile reference    *)
@@ -835,14 +773,11 @@ let reduce_vs_serial (c : Gen.case) =
   let op, cellfn = reduction c phi in
   let reference = Vm.Reduce.scalar ~num_domains:1 block phi cellfn op in
   let pooled = Vm.Reduce.scalar ~num_domains:e.Gen.domains ~tile:e.Gen.tile block phi cellfn op in
-  match build ~exec:e ~faults:true `Forest c with
-  | Forest f ->
-    Blocks.Forest.run f ~steps;
-    (op <> Vm.Reduce.Sum || bits_equal reference (Fsum.sum (cell_values block phi cellfn)))
-    && bits_equal reference pooled
-    && bits_equal reference
-         (Blocks.Reduce.forest_scalar ~num_domains:e.Gen.domains ~tile:e.Gen.tile f phi cellfn op)
-  | _ -> false
+  let f = ran (build ~exec:e ~faults:true (forest c) c) ~steps in
+  (op <> Vm.Reduce.Sum || bits_equal reference (Fsum.sum (cell_values block phi cellfn)))
+  && bits_equal reference pooled
+  && bits_equal reference
+       (Blocks.Run.scalar ~num_domains:e.Gen.domains ~tile:e.Gen.tile f phi cellfn op)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 8, fuzz leg: the fast tier on random kernels (bitwise)       *)
@@ -980,10 +915,11 @@ let solo_check () =
         let spec = r.Serve.Scheduler.r_spec in
         match Hashtbl.find_opt farm spec.Serve.Workload.id with
         | Some blocks ->
-          let exec = Serve.Scheduler.solo_exec spec in
+          let solo = Serve.Scheduler.solo_exec spec in
           not
-            (data_equal blocks (buffer_data ~scratch:false (Serve.Scheduler.exec_sims exec))
-            && Resilience.Snapshot.equal r.Serve.Scheduler.final (Serve.Scheduler.capture_exec exec))
+            (data_equal blocks (buffer_data ~scratch:false (Blocks.Run.sims solo))
+            && Resilience.Snapshot.equal r.Serve.Scheduler.final
+                 (Resilience.Snapshot.capture_run solo))
         | None -> true)
   in
   { on_finish; diverged }
@@ -1239,16 +1175,16 @@ let relations =
       families = freezable; per = 10; holds = adaptive_vs_uniform };
     { key = "5 adaptive snapshot";
       claim = "adaptive snapshot encode/decode/restore = identity (bitwise)";
-      families = freezable; per = 10; holds = roundtrip ~sharp:true `Adaptive };
+      families = freezable; per = 10; holds = roundtrip ~sharp:true adaptive };
     { key = "5 adaptive crash";
       claim = "adaptive crash + rollback + replay = undisturbed run (bitwise)";
-      families = freezable; per = 10; holds = crash_restart ~sharp:true `Adaptive };
+      families = freezable; per = 10; holds = crash_restart ~sharp:true adaptive };
     { key = "6 snapshot"; claim = "snapshot encode/decode/restore = identity (bitwise)";
       families = all; per = 10; holds = snapshot_roundtrip };
     { key = "6 corrupted"; claim = "corrupted snapshot is rejected by checksum";
       families = all; per = 5; holds = snapshot_corruption };
     { key = "6 crash"; claim = "crash + rollback + replay = undisturbed run (bitwise)";
-      families = all; per = 10; holds = crash_restart `Forest };
+      families = all; per = 10; holds = crash_restart forest };
     { key = "7"; claim = "pooled tiled sweep = serial sweep (bitwise)";
       families = all; per = 10; holds = executor_invisible ~jit:false };
     { key = "8"; claim = "jit backend = interpreter (bitwise)";

@@ -71,11 +71,18 @@ let protect ?(max_restarts = 8) ~every ~steps ~step_count ~step ~capture ~restor
   advance ();
   stats
 
-(** {!protect} over a uniform forest. *)
-let run_protected ?max_restarts ~every ~steps forest =
-  protect ?max_restarts ~every ~steps
-    ~step_count:(fun () -> Blocks.Forest.step_count forest)
-    ~step:(fun () -> Blocks.Forest.step forest)
-    ~capture:(fun () -> Snapshot.capture forest)
-    ~restore:(fun snap -> Snapshot.restore snap forest)
-    forest.Blocks.Forest.comm
+(** {!protect} over a run of any kind, checkpointing through
+    [Snapshot.capture_run] and rolling back through [Snapshot.restore_run].
+    A single block has no rank to crash, so it just runs. *)
+let run_protected ?max_restarts ~every ~steps run =
+  match Blocks.Run.comm run with
+  | None ->
+    Blocks.Run.run run ~steps;
+    { checkpoints = 0; restarts = 0; replayed_steps = 0 }
+  | Some comm ->
+    protect ?max_restarts ~every ~steps
+      ~step_count:(fun () -> Blocks.Run.step_count run)
+      ~step:(fun () -> Blocks.Run.step run)
+      ~capture:(fun () -> Snapshot.capture_run run)
+      ~restore:(fun snap -> Snapshot.restore_run snap run)
+      comm

@@ -93,58 +93,32 @@ let capture_state = function
   | Blocks.Lockstep.Frozen consts ->
     Frozen (List.map (fun (f, cv) -> (name f, Array.copy cv)) consts)
 
-(* The one capture core: a grid of blocks in lockstep (all blocks share
-   the step index and time). *)
-let capture_core ~(gen : Pfcore.Genkernels.t) ~variant_phi ~variant_mu ~step ~time ~grid
-    ~block_dims ~global_dims ~levels ~owner states =
+(** Snapshot a run of any kind: its blocks, step clock and kernel
+    variants, and for an adaptive forest its refinement state. *)
+let capture_run run =
   Obs.Span.with_ ~cat:"ckpt" "snapshot:capture" @@ fun () ->
+  let l = Blocks.Run.layout run in
   let t =
     {
-      fingerprint = fingerprint_of_params gen.Pfcore.Genkernels.params;
-      split_phi = is_split variant_phi;
-      split_mu = is_split variant_mu;
-      step;
-      time;
-      grid = Array.copy grid;
-      block_dims = Array.copy block_dims;
-      global_dims = Array.copy global_dims;
-      levels = Array.copy levels;
-      owner = Array.copy owner;
-      blocks = Array.map capture_state states;
+      fingerprint = fingerprint_of_params (Blocks.Run.gen run).Pfcore.Genkernels.params;
+      split_phi = is_split l.Blocks.Run.variant_phi;
+      split_mu = is_split l.Blocks.Run.variant_mu;
+      step = Blocks.Run.step_count run;
+      time = l.Blocks.Run.time;
+      grid = Array.copy l.Blocks.Run.grid;
+      block_dims = Array.copy l.Blocks.Run.block_dims;
+      global_dims = Array.copy (Blocks.Run.global_dims run);
+      levels = Array.copy l.Blocks.Run.levels;
+      owner = Array.copy l.Blocks.Run.owner;
+      blocks = Array.map capture_state l.Blocks.Run.states;
     }
   in
   Obs.Metrics.count "ckpt.captures" 1;
   if Obs.Sink.enabled () then Obs.Metrics.count "ckpt.state_bytes" (state_bytes t);
   t
 
-(* Every block active, block [i] on rank [i]. *)
-let capture_sims ~grid ~block_dims ~global_dims (sims : Pfcore.Timestep.t array) =
-  let s = sims.(0) and n = Array.length sims in
-  capture_core ~gen:s.Pfcore.Timestep.gen ~variant_phi:s.Pfcore.Timestep.variant_phi
-    ~variant_mu:s.Pfcore.Timestep.variant_mu ~step:s.Pfcore.Timestep.step_count
-    ~time:s.Pfcore.Timestep.time ~grid ~block_dims ~global_dims ~levels:(Array.make n 0)
-    ~owner:(Array.init n Fun.id)
-    (Array.map (fun sim -> Blocks.Lockstep.Active sim) sims)
-
 (** Snapshot a whole block forest. *)
-let capture (f : Blocks.Forest.t) =
-  capture_sims ~grid:f.Blocks.Forest.grid ~block_dims:f.Blocks.Forest.block_dims
-    ~global_dims:f.Blocks.Forest.global_dims f.Blocks.Forest.sims
-
-(** Snapshot a single-block simulation (a 1×…×1 forest). *)
-let capture_single (sim : Pfcore.Timestep.t) =
-  let block = sim.Pfcore.Timestep.block in
-  capture_sims
-    ~grid:(Array.map (fun _ -> 1) block.Vm.Engine.dims)
-    ~block_dims:block.Vm.Engine.dims ~global_dims:block.Vm.Engine.global_dims [| sim |]
-
-(** Snapshot a whole adaptive forest, refinement state included. *)
-let capture_adaptive (af : Blocks.Adaptive.t) =
-  capture_core ~gen:af.Blocks.Adaptive.gen ~variant_phi:af.Blocks.Adaptive.variant_phi
-    ~variant_mu:af.Blocks.Adaptive.variant_mu ~step:af.Blocks.Adaptive.step_count
-    ~time:af.Blocks.Adaptive.time ~grid:af.Blocks.Adaptive.bgrid
-    ~block_dims:af.Blocks.Adaptive.block_dims ~global_dims:af.Blocks.Adaptive.global_dims
-    ~levels:af.Blocks.Adaptive.levels ~owner:af.Blocks.Adaptive.owner af.Blocks.Adaptive.states
+let capture (f : Blocks.Forest.t) = capture_run (Blocks.Run.Forest f)
 
 (* ------------------------------------------------------------------ *)
 (* Restore                                                             *)
@@ -154,11 +128,11 @@ let require_same_dims what (a : int array) (b : int array) =
   if a <> b then
     invalid "snapshot %s mismatch: stored %s, target %s" what (dims_label a) (dims_label b)
 
-(* Load an active block's state-field interiors and the step clock into
-   [sim].  A stored field is an interior (v3) or, from a v1 or v2 file, a
-   padded buffer, told apart by length; the other fields of such a file
-   are ignored.  The ghosts are left to the caller's prime. *)
-let load_active t ~offset ~fields (sim : Pfcore.Timestep.t) =
+(* Load an active block's state-field interiors into [sim].  A stored
+   field is an interior (v3) or, from a v1 or v2 file, a padded buffer,
+   told apart by length; the other fields of such a file are ignored.
+   The clock and the ghosts are left to [Blocks.Run.restart]. *)
+let load_active ~offset ~fields (sim : Pfcore.Timestep.t) =
   let block = sim.Pfcore.Timestep.block in
   require_same_dims "block offset" offset block.Vm.Engine.offset;
   List.iter
@@ -173,30 +147,33 @@ let load_active t ~offset ~fields (sim : Pfcore.Timestep.t) =
         else
           invalid "snapshot field %s has %d elements, the block holds %d (%d padded)"
             (name f) n (Vm.Buffer.interior_length buf) (Array.length buf.Vm.Buffer.data))
-    (Pfcore.Timestep.state_fields sim.Pfcore.Timestep.gen);
-  Pfcore.Timestep.restore sim ~step:t.step ~time:t.time
+    (Pfcore.Timestep.state_fields sim.Pfcore.Timestep.gen)
 
-(* The one restore core: validate [t] against the target's model and
-   shape, then hand each block to [place].  Without [ranks] the target
-   keeps every block active on the rank of its id (a uniform forest, a
-   single block); with it, blocks may be frozen and owned by any rank
-   below [ranks] (an adaptive forest). *)
-let restore_core ?ranks t ~(gen : Pfcore.Genkernels.t) ~grid ~block_dims ~global_dims place =
+(** Load a snapshot into a run of the same model and block grid — built
+    without initial conditions, or run on since — then prime the src
+    ghosts from the restored interiors (which sends messages in a
+    forest); the continuation is bitwise identical.  A single block or a
+    uniform forest keeps every block active on the rank of its id; an
+    adaptive forest takes the snapshot's refinement levels, owners and
+    frozen constants exactly, so its replayed adaptation decisions, pure
+    functions of that state, are too. *)
+let restore_run t run =
+  let gen = Blocks.Run.gen run and l = Blocks.Run.layout run in
   let fp = fingerprint_of_params gen.Pfcore.Genkernels.params in
   if t.fingerprint <> fp then
     invalid "snapshot was taken with a different model (fingerprint %08x, ours %08x)"
       t.fingerprint fp;
-  require_same_dims "grid" t.grid grid;
-  require_same_dims "block dims" t.block_dims block_dims;
-  require_same_dims "global dims" t.global_dims global_dims;
-  let n = Array.fold_left ( * ) 1 grid in
+  require_same_dims "grid" t.grid l.Blocks.Run.grid;
+  require_same_dims "block dims" t.block_dims l.Blocks.Run.block_dims;
+  require_same_dims "global dims" t.global_dims (Blocks.Run.global_dims run);
+  let n = Array.length l.Blocks.Run.states in
   if Array.length t.blocks <> n || Array.length t.owner <> n || Array.length t.levels <> n then
     invalid "snapshot holds %d blocks (%d owners, %d levels), target has %d"
       (Array.length t.blocks) (Array.length t.owner) (Array.length t.levels) n;
   Array.iteri
     (fun i blk ->
       let o = t.owner.(i) in
-      match (ranks, blk) with
+      match (l.Blocks.Run.movable, blk) with
       | None, Frozen _ ->
         invalid "snapshot block %d is frozen, the target keeps every block active" i
       | None, _ when o <> i ->
@@ -205,70 +182,38 @@ let restore_core ?ranks t ~(gen : Pfcore.Genkernels.t) ~grid ~block_dims ~global
         invalid "snapshot block %d is on rank %d, the target has %d rank(s)" i o r
       | _ -> ())
     t.blocks;
-  Array.iteri place t.blocks
-
-(* A uniform forest or a single block: block [i] into [sims.(i)]. *)
-let restore_sims t ~grid ~block_dims ~global_dims (sims : Pfcore.Timestep.t array) =
-  restore_core t ~gen:sims.(0).Pfcore.Timestep.gen ~grid ~block_dims ~global_dims
-    (fun i -> function
-      | Active { offset; fields } -> load_active t ~offset ~fields sims.(i)
-      | Frozen _ -> assert false (* rejected by [restore_core] *))
-
-(** Load a snapshot into an existing forest of identical topology and
-    model, then prime the src ghosts ([Blocks.Forest.prime], which sends
-    messages); the continuation is bitwise identical. *)
-let restore t (f : Blocks.Forest.t) =
-  restore_sims t ~grid:f.Blocks.Forest.grid ~block_dims:f.Blocks.Forest.block_dims
-    ~global_dims:f.Blocks.Forest.global_dims f.Blocks.Forest.sims;
-  Blocks.Forest.prime f
-
-(** Load a single-block snapshot into an existing simulation, then prime
-    the src ghosts ([Pfcore.Timestep.prime]). *)
-let restore_single t (sim : Pfcore.Timestep.t) =
-  let block = sim.Pfcore.Timestep.block in
-  restore_sims t
-    ~grid:(Array.map (fun _ -> 1) block.Vm.Engine.dims)
-    ~block_dims:block.Vm.Engine.dims ~global_dims:block.Vm.Engine.global_dims [| sim |];
-  Pfcore.Timestep.prime sim
-
-(** Load a snapshot into an existing adaptive forest of identical topology
-    and model: refinement levels, block ownership and per-block state
-    (state-field interiors or constants) are restored exactly and the src
-    ghosts primed once every block is placed, so replay is bitwise
-    identical — including the adaptation decisions, which are pure
-    functions of the restored state. *)
-let restore_adaptive t (af : Blocks.Adaptive.t) =
   let field_by_name name =
     match
       List.find_opt
         (fun (f : Symbolic.Fieldspec.t) -> f.Symbolic.Fieldspec.name = name)
-        (Pfcore.Timestep.field_list af.Blocks.Adaptive.gen)
+        (Pfcore.Timestep.field_list gen)
     with
     | Some f -> f
     | None -> invalid "snapshot names unknown field %s" name
   in
-  restore_core ~ranks:af.Blocks.Adaptive.n_ranks t ~gen:af.Blocks.Adaptive.gen
-    ~grid:af.Blocks.Adaptive.bgrid ~block_dims:af.Blocks.Adaptive.block_dims
-    ~global_dims:af.Blocks.Adaptive.global_dims (fun i blk ->
+  Array.iteri
+    (fun i blk ->
       (* the owner first: a re-materialised block takes its rank's lane *)
-      af.Blocks.Adaptive.owner.(i) <- t.owner.(i);
-      af.Blocks.Adaptive.levels.(i) <- t.levels.(i);
-      af.Blocks.Adaptive.states.(i) <-
+      l.Blocks.Run.owner.(i) <- t.owner.(i);
+      l.Blocks.Run.levels.(i) <- t.levels.(i);
+      l.Blocks.Run.states.(i) <-
         (match blk with
         | Frozen consts ->
-          Blocks.Adaptive.Frozen
+          Blocks.Lockstep.Frozen
             (List.map (fun (name, cv) -> (field_by_name name, Array.copy cv)) consts)
         | Active { offset; fields } ->
-          let sim =
-            match af.Blocks.Adaptive.states.(i) with
-            | Blocks.Adaptive.Active sim -> sim
-            | Blocks.Adaptive.Frozen _ -> Blocks.Adaptive.make_sim af i
-          in
-          load_active t ~offset ~fields sim;
-          Blocks.Adaptive.Active sim));
-  af.Blocks.Adaptive.step_count <- t.step;
-  af.Blocks.Adaptive.time <- t.time;
-  Blocks.Lockstep.prime af.Blocks.Adaptive.blocks
+          let sim = Blocks.Run.block_sim run i in
+          load_active ~offset ~fields sim;
+          Blocks.Lockstep.Active sim))
+    t.blocks;
+  Blocks.Run.restart run ~step:t.step ~time:t.time
+
+(** The run a snapshot restores into when nothing else says: one block
+    when its grid holds one, else its grid of blocks, block [r] on rank
+    [r]. *)
+let shape t =
+  if Array.for_all (( = ) 1) t.grid then Blocks.Run.One_block t.block_dims
+  else Blocks.Run.Rank_grid { grid = t.grid; block_dims = t.block_dims }
 
 (* ------------------------------------------------------------------ *)
 (* Binary encoding                                                     *)

@@ -4,12 +4,14 @@
     the one persistent [Vm.Pool]: at most [max_active] jobs are resident
     (buffers live, admission-charged against the memory budget) at a time,
     and one scheduler pass advances every resident job by one quantum.
-    Long single-block jobs are preempted after [park_after] consecutive
-    quanta — their state is captured by [Resilience.Snapshot], their
-    buffers go back to the mempool, and the job re-enters the queue to
-    resume later into recycled storage.  Crash-injected jobs run every
-    quantum under [Resilience.Recovery.run_protected], which checkpoints
-    before the quantum's first step.  Before the first admission, the
+    A job's resident state is one [Blocks.Run.t]: a periodic block, or a
+    rank grid for a crash-injected job.  Long single-block jobs are
+    preempted after [park_after] consecutive quanta — their state is
+    captured by [Resilience.Snapshot], their buffers go back to the
+    mempool, and the job re-enters the queue to resume later into
+    recycled storage.  Every quantum runs under
+    [Resilience.Recovery.run_protected], which checkpoints a forest before
+    the quantum's first step (a single block just runs).  Before the first admission, the
     JIT programs of every accepted job are built in one fan-out, so no
     quantum waits for a compiler.
 
@@ -66,12 +68,10 @@ let variant_of split = if split then Pfcore.Timestep.Split else Pfcore.Timestep.
 (* Job runtime state                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type exec = Single of Pfcore.Timestep.t | Forest of Blocks.Forest.t
-
 type job = {
   spec : Workload.spec;
   bytes : int;  (** admission charge while resident *)
-  mutable exec : exec option;  (** [None] while parked *)
+  mutable run : Blocks.Run.t option;  (** [None] while parked *)
   mutable parked : Resilience.Snapshot.t option;  (** a preempted job's state *)
   mutable quanta : int;
   mutable consecutive : int;  (** quanta since last (re)admission *)
@@ -101,9 +101,8 @@ type run_stats = {
 }
 
 let step_count job =
-  match job.exec with
-  | Some (Single sim) -> sim.Pfcore.Timestep.step_count
-  | Some (Forest f) -> Blocks.Forest.step_count f
+  match job.run with
+  | Some run -> Blocks.Run.step_count run
   | None -> ( match job.parked with Some p -> p.Resilience.Snapshot.step | None -> 0)
 
 (* ------------------------------------------------------------------ *)
@@ -123,9 +122,10 @@ let tile_plan config (job : job) gen =
     plan.Pfcore.Timestep.plan_tile
   end
 
-(* Make [job] resident: bind its time step(s), then fill or resume its
-   state — inside a [serve.activate] span on the job's lane, so a trace
-   shows what admitting a job costs next to its quanta. *)
+(* Make [job] resident: build its run, then fill or resume its state —
+   inside a [serve.activate] span on the job's lane, so a trace shows what
+   admitting a job costs next to its quanta.  A crash-injected job's fault
+   plan is installed before its ghosts are primed. *)
 let activate config mempool (job : job) =
   let spec = job.spec in
   let lane = Obs.Sink.job_lane spec.Workload.id in
@@ -133,67 +133,41 @@ let activate config mempool (job : job) =
   Obs.Span.with_ ~cat:"serve" ~args:[ ("job", float_of_int spec.Workload.id) ] "serve.activate"
   @@ fun () ->
   let gen = gen_of spec.Workload.family in
-  let alloc = Mempool.alloc mempool in
   let tile = tile_plan config job gen in
-  (match spec.Workload.ranks with
-  | 1 ->
-    let sim =
-      Pfcore.Timestep.create ~variant_phi:(variant_of spec.Workload.split)
-        ~variant_mu:(variant_of spec.Workload.split) ~num_domains:config.num_domains ?tile
-        ~backend:spec.Workload.backend ~lane ~alloc
-        ~dims:(Array.make (Workload.dim_of spec) spec.Workload.size)
-        gen
+  let variant = variant_of spec.Workload.split in
+  let build ?faults ?init () =
+    Blocks.Run.create ~variant_phi:variant ~variant_mu:variant ~num_domains:config.num_domains
+      ?tile ~backend:spec.Workload.backend ~alloc:(Mempool.alloc mempool) ~lane ?faults ?init
+      (Workload.shape spec) gen
+  in
+  (match job.parked with
+  | Some p ->
+    let run = build () in
+    Resilience.Snapshot.restore_run p run;
+    Obs.Span.instant ~cat:"serve" "preempt:resume";
+    job.parked <- None;
+    job.run <- Some run
+  | None ->
+    let faults =
+      Option.map
+        (fun k -> Blocks.Faultplan.chaos ~seed:spec.Workload.seed ~crash_step:k ())
+        spec.Workload.crash_step
     in
-    (match job.parked with
-    | Some p ->
-      Resilience.Snapshot.restore_single p sim;
-      Obs.Span.instant ~cat:"serve" "preempt:resume";
-      job.parked <- None
-    | None ->
-      Workload.init_sim sim ~seed:spec.Workload.seed;
-      Pfcore.Timestep.prime sim);
-    job.exec <- Some (Single sim)
-  | _ ->
-    let grid, block_dims = Workload.decomposition spec in
-    let forest =
-      Blocks.Forest.create ~variant_phi:(variant_of spec.Workload.split)
-        ~variant_mu:(variant_of spec.Workload.split) ~num_domains:config.num_domains ?tile
-        ~backend:spec.Workload.backend ~alloc ~grid ~block_dims gen
-    in
-    (match spec.Workload.crash_step with
-    | Some k ->
-      let plan = Blocks.Faultplan.chaos ~seed:spec.Workload.seed ~crash_step:k () in
-      Blocks.Mpisim.set_fault_plan forest.Blocks.Forest.comm (Some plan)
-    | None -> ());
-    Array.iter
-      (fun sim -> Workload.init_sim sim ~seed:spec.Workload.seed)
-      forest.Blocks.Forest.sims;
-    Blocks.Forest.prime forest;
-    job.exec <- Some (Forest forest));
+    job.run <- Some (build ?faults ~init:(Workload.init_sim ~seed:spec.Workload.seed) ()));
   job.consecutive <- 0
 
-let release_exec mempool (job : job) =
-  (match job.exec with
-  | Some (Single sim) -> Mempool.release_block mempool sim.Pfcore.Timestep.block
-  | Some (Forest f) ->
-    Array.iter
-      (fun (sim : Pfcore.Timestep.t) -> Mempool.release_block mempool sim.Pfcore.Timestep.block)
-      f.Blocks.Forest.sims
-  | None -> ());
-  job.exec <- None
-
-(** The blocks of an execution, in block order. *)
-let exec_sims = function
-  | Single sim -> [ sim ]
-  | Forest f -> Array.to_list f.Blocks.Forest.sims
-
-let capture_exec = function
-  | Single sim -> Resilience.Snapshot.capture_single sim
-  | Forest f -> Resilience.Snapshot.capture f
+let release_run mempool (job : job) =
+  Option.iter
+    (fun run ->
+      List.iter
+        (fun (sim : Pfcore.Timestep.t) -> Mempool.release_block mempool sim.Pfcore.Timestep.block)
+        (Blocks.Run.sims run))
+    job.run;
+  job.run <- None
 
 let capture_final (job : job) =
-  match job.exec with
-  | Some exec -> capture_exec exec
+  match job.run with
+  | Some run -> Resilience.Snapshot.capture_run run
   | None -> invalid_arg "Scheduler.capture_final: job is not resident"
 
 (* Build the JIT programs of every step kernel [specs]' JIT jobs will
@@ -234,10 +208,9 @@ let run_quantum config (job : job) =
           ]
         "quantum"
         (fun () ->
-          match job.exec with
-          | Some (Single sim) -> Pfcore.Timestep.run sim ~steps
-          | Some (Forest forest) ->
-            let stats = Resilience.Recovery.run_protected ~every:config.ckpt_every ~steps forest in
+          match job.run with
+          | Some run ->
+            let stats = Resilience.Recovery.run_protected ~every:config.ckpt_every ~steps run in
             job.restarts <- job.restarts + stats.Resilience.Recovery.restarts
           | None -> invalid_arg "Scheduler.run_quantum: job is not resident"));
   job.quanta <- job.quanta + 1;
@@ -279,7 +252,7 @@ let run ?(config = default_config ()) ?(on_finish = fun _ _ -> ()) ~mempool spec
           {
             spec;
             bytes;
-            exec = None;
+            run = None;
             parked = None;
             quanta = 0;
             consecutive = 0;
@@ -316,8 +289,8 @@ let run ?(config = default_config ()) ?(on_finish = fun _ _ -> ()) ~mempool spec
   in
   let finish job =
     let final = capture_final job in
-    Option.iter (fun exec -> on_finish job.spec (exec_sims exec)) job.exec;
-    release_exec mempool job;
+    Option.iter (fun run -> on_finish job.spec (Blocks.Run.sims run)) job.run;
+    release_run mempool job;
     roster := List.filter (fun j -> j != job) !roster;
     let latency = since_start () in
     Obs.Metrics.count "serve.jobs_completed" 1;
@@ -339,15 +312,12 @@ let run ?(config = default_config ()) ?(on_finish = fun _ _ -> ()) ~mempool spec
       :: !results
   in
   let park job =
-    (match job.exec with
-    | Some (Single sim) ->
-      let snap = Resilience.Snapshot.capture_single sim in
-      Obs.Metrics.count "preempt.parks" 1;
-      Obs.Metrics.count "preempt.parked_bytes" (Resilience.Snapshot.state_bytes snap);
-      Obs.Span.instant ~cat:"serve" "preempt:park";
-      job.parked <- Some snap;
-      release_exec mempool job
-    | _ -> invalid_arg "Scheduler.park: only single-block jobs are preemptible");
+    let snap = capture_final job in
+    Obs.Metrics.count "preempt.parks" 1;
+    Obs.Metrics.count "preempt.parked_bytes" (Resilience.Snapshot.state_bytes snap);
+    Obs.Span.instant ~cat:"serve" "preempt:park";
+    job.parked <- Some snap;
+    release_run mempool job;
     roster := List.filter (fun j -> j != job) !roster;
     job.preemptions <- job.preemptions + 1;
     incr preemptions;
@@ -394,33 +364,14 @@ let run ?(config = default_config ()) ?(on_finish = fun _ _ -> ()) ~mempool spec
     quanta, no pool, no mempool and no faults — the ground truth every
     farm-scheduled execution of the same spec must match bitwise. *)
 let solo_exec (spec : Workload.spec) =
-  let gen = gen_of spec.Workload.family in
-  match spec.Workload.ranks with
-  | 1 ->
-    let sim =
-      Pfcore.Timestep.create ~variant_phi:(variant_of spec.Workload.split)
-        ~variant_mu:(variant_of spec.Workload.split) ~num_domains:1
-        ~backend:Vm.Engine.Interp
-        ~dims:(Array.make (Workload.dim_of spec) spec.Workload.size)
-        gen
-    in
-    Workload.init_sim sim ~seed:spec.Workload.seed;
-    Pfcore.Timestep.prime sim;
-    Pfcore.Timestep.run sim ~steps:spec.Workload.steps;
-    Single sim
-  | _ ->
-    let grid, block_dims = Workload.decomposition spec in
-    let forest =
-      Blocks.Forest.create ~variant_phi:(variant_of spec.Workload.split)
-        ~variant_mu:(variant_of spec.Workload.split) ~num_domains:1
-        ~backend:Vm.Engine.Interp ~grid ~block_dims gen
-    in
-    Array.iter
-      (fun sim -> Workload.init_sim sim ~seed:spec.Workload.seed)
-      forest.Blocks.Forest.sims;
-    Blocks.Forest.prime forest;
-    Blocks.Forest.run forest ~steps:spec.Workload.steps;
-    Forest forest
+  let variant = variant_of spec.Workload.split in
+  let run =
+    Blocks.Run.create ~variant_phi:variant ~variant_mu:variant ~num_domains:1
+      ~backend:Vm.Engine.Interp ~init:(Workload.init_sim ~seed:spec.Workload.seed)
+      (Workload.shape spec) (gen_of spec.Workload.family)
+  in
+  Blocks.Run.run run ~steps:spec.Workload.steps;
+  run
 
 (** The final state of {!solo_exec}. *)
-let run_solo spec = capture_exec (solo_exec spec)
+let run_solo spec = Resilience.Snapshot.capture_run (solo_exec spec)

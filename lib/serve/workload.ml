@@ -132,6 +132,14 @@ let decomposition spec =
   in
   (grid, block_dims)
 
+(** The run a spec builds: one periodic block, or its rank grid
+    ({!decomposition}). *)
+let shape spec =
+  if spec.ranks = 1 then Blocks.Run.One_block (Array.make (dim_of spec) spec.size)
+  else
+    let grid, block_dims = decomposition spec in
+    Blocks.Run.Rank_grid { grid; block_dims }
+
 (** Projected resident field-buffer bytes of [spec] (padded storage of
     every field on every rank) — what admission control charges against
     the memory budget before any buffer exists. *)

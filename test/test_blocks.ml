@@ -5,18 +5,16 @@ open Symbolic
 
 let f2 = Fieldspec.scalar ~dim:2 "f"
 
+(* Every receive goes through [Ghost.fetch] (the self-healing receive). *)
+let fetch = Blocks.Ghost.fetch
+
 let test_mpisim_fifo () =
   let c = Blocks.Mpisim.create 2 in
   Blocks.Mpisim.send c ~src:0 ~dst:1 ~tag:7 [| 1.; 2. |];
   Blocks.Mpisim.send c ~src:0 ~dst:1 ~tag:7 [| 3. |];
-  Alcotest.(check (array (float 0.))) "fifo 1" [| 1.; 2. |]
-    (Blocks.Mpisim.recv c ~src:0 ~dst:1 ~tag:7);
-  Alcotest.(check (array (float 0.))) "fifo 2" [| 3. |]
-    (Blocks.Mpisim.recv c ~src:0 ~dst:1 ~tag:7);
-  Alcotest.(check bool) "quiescent" true (Blocks.Mpisim.quiescent c);
-  Alcotest.check_raises "empty queue raises"
-    (Blocks.Mpisim.No_message (1, 0, 0))
-    (fun () -> ignore (Blocks.Mpisim.recv c ~src:1 ~dst:0 ~tag:0))
+  Alcotest.(check (array (float 0.))) "fifo 1" [| 1.; 2. |] (fetch c ~src:0 ~dst:1 ~tag:7);
+  Alcotest.(check (array (float 0.))) "fifo 2" [| 3. |] (fetch c ~src:0 ~dst:1 ~tag:7);
+  Alcotest.(check bool) "quiescent" true (Blocks.Mpisim.quiescent c)
 
 let test_mpisim_accounting () =
   let c = Blocks.Mpisim.create 2 in
@@ -31,21 +29,19 @@ let test_mpisim_send_owns_payload () =
   let data = [| 1.; 2. |] in
   Blocks.Mpisim.send c ~src:0 ~dst:1 ~tag:7 data;
   Alcotest.(check bool) "received payload is the sent array" true
-    (Blocks.Mpisim.recv c ~src:0 ~dst:1 ~tag:7 == data)
+    (fetch c ~src:0 ~dst:1 ~tag:7 == data)
 
-(* No_message must carry the exact (src, dst, tag) key in both failure
-   modes: a queue that was never created (wrong tag) and one that exists
-   but has been drained. *)
-let test_mpisim_no_message_key () =
+(* A receive that no send answers fails, once its retries are spent,
+   with the exact (src, dst, tag) key in both failure modes: a channel
+   nothing was sent on (wrong tag) and one that has been drained. *)
+let test_fetch_failure_key () =
   let c = Blocks.Mpisim.create 3 in
   Blocks.Mpisim.send c ~src:0 ~dst:2 ~tag:5 [| 1. |];
-  Alcotest.check_raises "wrong tag"
-    (Blocks.Mpisim.No_message (0, 2, 9))
-    (fun () -> ignore (Blocks.Mpisim.recv c ~src:0 ~dst:2 ~tag:9));
-  ignore (Blocks.Mpisim.recv c ~src:0 ~dst:2 ~tag:5);
-  Alcotest.check_raises "drained queue"
-    (Blocks.Mpisim.No_message (0, 2, 5))
-    (fun () -> ignore (Blocks.Mpisim.recv c ~src:0 ~dst:2 ~tag:5))
+  Alcotest.check_raises "wrong tag" (Blocks.Ghost.Exchange_failed (0, 2, 9)) (fun () ->
+      ignore (fetch c ~src:0 ~dst:2 ~tag:9));
+  ignore (fetch c ~src:0 ~dst:2 ~tag:5);
+  Alcotest.check_raises "drained channel" (Blocks.Ghost.Exchange_failed (0, 2, 5)) (fun () ->
+      ignore (fetch c ~src:0 ~dst:2 ~tag:5))
 
 (* The counters must match the hand-computed ghost volume of one full
    exchange.  Curvature φ has 2 components; with ghost width 2 and 8x8
@@ -258,51 +254,42 @@ let test_exchange_bytes_positive () =
   let a = Vm.Buffer.create ~ghost:2 f2 [| 8; 8 |] in
   Alcotest.(check bool) "ghost volume positive" true (Blocks.Ghost.exchange_bytes a > 0)
 
-(* --------------- nonblocking surface ------------------------------- *)
+(* --------------- the receive path --------------------------------- *)
 
-let test_isend_irecv_wait () =
+(* One attempt polls a channel: nothing before a send, then the messages
+   in posting order, whether posted through the handle or by key. *)
+let test_attempt_polls_in_order () =
   let c = Blocks.Mpisim.create 2 in
-  let s = Blocks.Mpisim.isend c ~src:0 ~dst:1 ~tag:3 [| 1.; 2. |] in
-  Alcotest.(check bool) "isend completes at post time" true (Blocks.Mpisim.test c s);
-  ignore (Blocks.Mpisim.isend c ~src:0 ~dst:1 ~tag:3 [| 9. |]);
-  let r1 = Blocks.Mpisim.irecv c ~src:0 ~dst:1 ~tag:3 in
-  let r2 = Blocks.Mpisim.irecv c ~src:0 ~dst:1 ~tag:3 in
-  Alcotest.check_raises "payload before completion rejected"
-    (Invalid_argument "Mpisim.payload: request not complete") (fun () ->
-      ignore (Blocks.Mpisim.payload r1));
-  (* waits complete in posting order: per-channel sequence numbers are the
-     same ones the blocking surface would assign *)
-  (match Blocks.Mpisim.wait c r1 with
-  | `Done 0 -> ()
-  | _ -> Alcotest.fail "first wait should complete without retries");
-  Alcotest.(check (array (float 0.))) "fifo payload 1" [| 1.; 2. |]
-    (Blocks.Mpisim.payload r1);
-  Alcotest.(check bool) "second arrives by polling" true (Blocks.Mpisim.test c r2);
-  Alcotest.(check (array (float 0.))) "fifo payload 2" [| 9. |]
-    (Blocks.Mpisim.payload r2);
-  Alcotest.(check bool) "wait after test is a no-op" true
-    (Blocks.Mpisim.wait c r2 = `Done 0);
+  let ch = Blocks.Mpisim.channel c ~src:0 ~dst:1 ~tag:3 in
+  let poll what expected =
+    Alcotest.(check (option (array (float 0.)))) what expected (Blocks.Mpisim.attempt c ch)
+  in
+  poll "nothing before a send" None;
+  Blocks.Mpisim.post c ch [| 1.; 2. |];
+  Blocks.Mpisim.send c ~src:0 ~dst:1 ~tag:3 [| 9. |];
+  poll "first by polling" (Some [| 1.; 2. |]);
+  poll "second by polling" (Some [| 9. |]);
+  poll "then nothing" None;
   Alcotest.(check bool) "drained channels are quiescent" true (Blocks.Mpisim.quiescent c)
 
-(* A posted-but-never-received message must trip the end-of-step
-   quiescence invariant — overlap mode may not leak in-flight messages
-   past finalize. *)
-let test_isend_unreceived_unquiescent () =
+(* A sent message nobody received must trip the end-of-step quiescence
+   invariant — overlap mode may not leak in-flight messages past
+   finalize; the receive that comes late heals it from the sender's
+   log. *)
+let test_unreceived_unquiescent () =
   let c = Blocks.Mpisim.create 2 in
   Blocks.Mpisim.begin_step c ~step:0;
-  ignore (Blocks.Mpisim.isend c ~src:0 ~dst:1 ~tag:0 [| 4. |]);
+  Blocks.Mpisim.send c ~src:0 ~dst:1 ~tag:0 [| 4. |];
   Alcotest.(check bool) "not quiescent while in flight" false (Blocks.Mpisim.quiescent c);
   Alcotest.check_raises "finalize rejects in-flight messages"
     (Blocks.Mpisim.Unquiescent [ (0, 1, 0, 1) ]) (fun () -> Blocks.Mpisim.finalize c);
-  let r = Blocks.Mpisim.irecv c ~src:0 ~dst:1 ~tag:0 in
-  (match Blocks.Mpisim.wait c r with
-  | `Done _ -> ()
-  | _ -> Alcotest.fail "wait should drain the channel");
+  Alcotest.(check (array (float 0.))) "retransmitted from the log" [| 4. |]
+    (fetch c ~src:0 ~dst:1 ~tag:0);
   Blocks.Mpisim.finalize c
 
-(* wait's healing loop: under a lossy/delaying/duplicating plan the
-   payloads still arrive exactly once, in order, mid-overlap. *)
-let test_wait_heals_faults () =
+(* The healing receive: under a lossy/delaying/duplicating plan the
+   payloads still arrive exactly once, in order. *)
+let test_fetch_heals_faults () =
   let c = Blocks.Mpisim.create 2 in
   Blocks.Mpisim.set_fault_plan c
     (Some
@@ -316,24 +303,21 @@ let test_wait_heals_faults () =
        });
   Blocks.Mpisim.begin_step c ~step:1;
   for i = 1 to 6 do
-    ignore (Blocks.Mpisim.isend c ~src:0 ~dst:1 ~tag:0 [| float_of_int i |])
+    Blocks.Mpisim.send c ~src:0 ~dst:1 ~tag:0 [| float_of_int i |]
   done;
-  let reqs = List.init 6 (fun _ -> Blocks.Mpisim.irecv c ~src:0 ~dst:1 ~tag:0) in
-  List.iteri
-    (fun i r ->
-      match Blocks.Mpisim.wait c r with
-      | `Done _ ->
-        Alcotest.(check (array (float 0.)))
-          (Printf.sprintf "payload %d exactly once, in order" (i + 1))
-          [| float_of_int (i + 1) |]
-          (Blocks.Mpisim.payload r)
-      | `Crashed _ | `Lost _ -> Alcotest.fail "healing should recover every message")
-    reqs;
+  for i = 1 to 6 do
+    Alcotest.(check (array (float 0.)))
+      (Printf.sprintf "payload %d exactly once, in order" i)
+      [| float_of_int i |]
+      (fetch c ~src:0 ~dst:1 ~tag:0)
+  done;
+  Alcotest.(check bool) "faults were injected" true
+    (c.Blocks.Mpisim.dropped + c.Blocks.Mpisim.delayed_count + c.Blocks.Mpisim.duplicated > 0);
   Blocks.Mpisim.finalize c
 
-(* wait surfaces a dead sender as `Crashed, the signal the recovery driver
-   turns into a rollback. *)
-let test_wait_reports_crash () =
+(* A dead sender surfaces as [Rank_crashed], the signal the recovery
+   driver turns into a rollback. *)
+let test_fetch_reports_crash () =
   let c = Blocks.Mpisim.create 2 in
   Blocks.Mpisim.set_fault_plan c
     (Some
@@ -346,11 +330,8 @@ let test_wait_reports_crash () =
          crash = Some (0, 1);
        });
   Blocks.Mpisim.begin_step c ~step:1;
-  let r = Blocks.Mpisim.irecv c ~src:0 ~dst:1 ~tag:0 in
-  match Blocks.Mpisim.wait c ~max_retries:3 r with
-  | `Crashed 0 -> ()
-  | `Crashed r -> Alcotest.failf "wrong crashed rank %d" r
-  | `Done _ | `Lost _ -> Alcotest.fail "dead sender must surface as `Crashed"
+  Alcotest.check_raises "dead sender" (Blocks.Ghost.Rank_crashed 0) (fun () ->
+      ignore (fetch ~max_retries:3 c ~src:0 ~dst:1 ~tag:0))
 
 (* --------------- overlapped forest --------------------------------- *)
 
@@ -525,7 +506,7 @@ let test_forest_3d_p1 () =
   Blocks.Forest.run forest ~steps:2;
   (* exact sums make the decomposition invisible: bitwise equal *)
   let fr_single = Pfcore.Diag.phase_fractions single in
-  let fr_forest = Blocks.Reduce.phase_fractions forest in
+  let fr_forest = Blocks.Run.phase_fractions (Blocks.Run.Forest forest) in
   Alcotest.(check int) "fraction count" (Array.length fr_single) (Array.length fr_forest);
   Array.iteri
     (fun i a ->
@@ -602,17 +583,17 @@ let suite =
     Alcotest.test_case "mpisim fifo semantics" `Quick test_mpisim_fifo;
     Alcotest.test_case "mpisim accounting" `Quick test_mpisim_accounting;
     Alcotest.test_case "mpisim send owns its payload" `Quick test_mpisim_send_owns_payload;
-    Alcotest.test_case "mpisim No_message key" `Quick test_mpisim_no_message_key;
+    Alcotest.test_case "ghost fetch failure key" `Quick test_fetch_failure_key;
     Alcotest.test_case "exchange message/byte accounting" `Quick test_exchange_accounting;
     Alcotest.test_case "ghost pack/unpack" `Quick test_ghost_roundtrip;
     Alcotest.test_case "ghost volume" `Quick test_exchange_bytes_positive;
     QCheck_alcotest.to_alcotest test_slab_walker;
-    Alcotest.test_case "mpisim isend/irecv/wait" `Quick test_isend_irecv_wait;
+    Alcotest.test_case "mpisim attempt polls in posting order" `Quick
+      test_attempt_polls_in_order;
     Alcotest.test_case "mpisim in-flight message trips quiescence" `Quick
-      test_isend_unreceived_unquiescent;
-    Alcotest.test_case "mpisim wait heals drop/delay/duplicate" `Quick
-      test_wait_heals_faults;
-    Alcotest.test_case "mpisim wait reports dead sender" `Quick test_wait_reports_crash;
+      test_unreceived_unquiescent;
+    Alcotest.test_case "ghost fetch heals drop/delay/duplicate" `Quick test_fetch_heals_faults;
+    Alcotest.test_case "ghost fetch reports dead sender" `Quick test_fetch_reports_crash;
     Alcotest.test_case "overlapped forest == sequential (faulty, bitwise)" `Slow
       test_overlapped_forest_bitwise;
     Alcotest.test_case "forest == single (full)" `Slow test_forest_equals_single_full;

@@ -349,7 +349,7 @@ let adaptive_case ?ranks ?min_savings ~gd ~bgrid ~steps init =
   in
   Alcotest.(check bool)
     "interface count agrees over frozen blocks" true
-    (bits_equal usum (Blocks.Adaptive.interface_cells af))
+    (bits_equal usum (Blocks.Run.interface_cells (Blocks.Run.Adaptive af)))
 
 (* Second input: the interface-localized shrinking disc (radius 0.2 L on
    72^2, 12x12 blocks of 6^2 cells, 10 steps), whose frozen bulk must buy

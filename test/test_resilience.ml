@@ -17,6 +17,14 @@ let make_single ?(size = 12) () =
   Pfcore.Timestep.prime sim;
   sim
 
+(* Snapshots of one block and of an adaptive forest, through the run
+   handle. *)
+let capture_sim sim = Resilience.Snapshot.capture_run (Blocks.Run.Block sim)
+let restore_sim snap sim = Resilience.Snapshot.restore_run snap (Blocks.Run.Block sim)
+let capture_af af = Resilience.Snapshot.capture_run (Blocks.Run.Adaptive af)
+let restore_af snap af = Resilience.Snapshot.restore_run snap (Blocks.Run.Adaptive af)
+let restore_forest snap f = Resilience.Snapshot.restore_run snap (Blocks.Run.Forest f)
+
 (* The adaptive forest of golden/adaptive_frozen_v2.snap: 2x2 curvature
    blocks of 6x6 on two ranks, two steps, then block 3 frozen by hand at
    level 1. *)
@@ -57,7 +65,7 @@ let forests_bitwise_equal ?scratch a b =
 let test_snapshot_roundtrip () =
   let sim = make_single () in
   Pfcore.Timestep.run sim ~steps:3;
-  let snap = Resilience.Snapshot.capture_single sim in
+  let snap = capture_sim sim in
   let decoded = Resilience.Snapshot.decode (Resilience.Snapshot.encode snap) in
   Alcotest.(check bool) "decode . encode = id" true
     (Resilience.Snapshot.equal snap decoded);
@@ -65,9 +73,9 @@ let test_snapshot_roundtrip () =
   (* restoring into a differently-evolved sim reproduces the state bitwise *)
   let other = make_single () in
   Pfcore.Timestep.run other ~steps:1;
-  Resilience.Snapshot.restore_single decoded other;
+  restore_sim decoded other;
   Alcotest.(check bool) "restore reproduces capture" true
-    (Resilience.Snapshot.equal snap (Resilience.Snapshot.capture_single other));
+    (Resilience.Snapshot.equal snap (capture_sim other));
   Alcotest.(check int) "step restored" 3 other.Pfcore.Timestep.step_count;
   Pfcore.Timestep.run sim ~steps:2;
   Pfcore.Timestep.run other ~steps:2;
@@ -77,7 +85,7 @@ let test_snapshot_roundtrip () =
 let test_snapshot_file_roundtrip () =
   let sim = make_single () in
   Pfcore.Timestep.run sim ~steps:2;
-  let snap = Resilience.Snapshot.capture_single sim in
+  let snap = capture_sim sim in
   let path = Filename.temp_file "pfgen" ".snap" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -104,8 +112,8 @@ let test_snapshot_corruption_rejected () =
       expect_invalid "truncated snapshot" (fun () ->
           Resilience.Snapshot.decode (String.sub encoded 0 40)))
     [
-      Resilience.Snapshot.encode (Resilience.Snapshot.capture_single (make_single ()));
-      Resilience.Snapshot.encode (Resilience.Snapshot.capture_adaptive (make_adaptive_frozen ()));
+      Resilience.Snapshot.encode (capture_sim (make_single ()));
+      Resilience.Snapshot.encode (capture_af (make_adaptive_frozen ()));
     ]
 
 let eutectic = lazy (Pfcore.Genkernels.generate (Pfcore.Params.eutectic ()))
@@ -139,15 +147,15 @@ let test_committed_snapshots () =
   Pfcore.Timestep.run sim ~steps:2;
   let fresh = make_single ~size:8 () in
   poison fresh;
-  Resilience.Snapshot.restore_single snap fresh;
+  restore_sim snap fresh;
   Alcotest.(check bool) "v1 file restores to the capture of the same run" true
-    (Resilience.Snapshot.equal (Resilience.Snapshot.capture_single sim)
-       (Resilience.Snapshot.capture_single fresh));
+    (Resilience.Snapshot.equal (capture_sim sim)
+       (capture_sim fresh));
   Pfcore.Timestep.run sim ~steps:2;
   Pfcore.Timestep.run fresh ~steps:2;
   Alcotest.(check bool) "and continues bitwise" true
-    (Resilience.Snapshot.equal (Resilience.Snapshot.capture_single sim)
-       (Resilience.Snapshot.capture_single fresh)
+    (Resilience.Snapshot.equal (capture_sim sim)
+       (capture_sim fresh)
     && Check.Oracles.buffers_bitwise_equal ~scratch:false [ sim ] [ fresh ]);
   let snap = Resilience.Snapshot.decode (Golden.read_file "golden/adaptive_frozen_v2.snap") in
   let af = make_adaptive_frozen () in
@@ -156,18 +164,18 @@ let test_committed_snapshots () =
       (Lazy.force curvature)
   in
   List.iter poison (Blocks.Adaptive.active_sims fresh);
-  Resilience.Snapshot.restore_adaptive snap fresh;
+  restore_af snap fresh;
   Alcotest.(check bool) "v2 file restores to the capture of the same run" true
-    (Resilience.Snapshot.equal (Resilience.Snapshot.capture_adaptive af)
-       (Resilience.Snapshot.capture_adaptive fresh));
+    (Resilience.Snapshot.equal (capture_af af)
+       (capture_af fresh));
   (* the fixture froze block 3 by hand, after its neighbours' ghosts were
      exchanged: re-prime them, as the restore did, before both continue *)
   Blocks.Lockstep.prime af.Blocks.Adaptive.blocks;
   Blocks.Adaptive.run af ~steps:2;
   Blocks.Adaptive.run fresh ~steps:2;
   Alcotest.(check bool) "and continues bitwise" true
-    (Resilience.Snapshot.equal (Resilience.Snapshot.capture_adaptive af)
-       (Resilience.Snapshot.capture_adaptive fresh)
+    (Resilience.Snapshot.equal (capture_af af)
+       (capture_af fresh)
     && Check.Oracles.buffers_bitwise_equal ~scratch:false (Blocks.Adaptive.active_sims af)
          (Blocks.Adaptive.active_sims fresh))
 
@@ -185,8 +193,8 @@ let test_committed_v3 () =
   let fresh =
     Blocks.Forest.create ~grid:[| 2; 1 |] ~block_dims:[| 6; 12 |] (Lazy.force eutectic)
   in
-  Check.Oracles.poison_forest fresh;
-  Resilience.Snapshot.restore (Resilience.Snapshot.decode v3) fresh;
+  Array.iter Check.Oracles.poison fresh.Blocks.Forest.sims;
+  restore_forest (Resilience.Snapshot.decode v3) fresh;
   Blocks.Forest.run forest ~steps:2;
   Blocks.Forest.run fresh ~steps:2;
   Alcotest.(check bool) "restored forest continues bitwise" true
@@ -201,7 +209,7 @@ let test_committed_v3 () =
    602 + 64 x (17 + (4 + 7 + 4 + 8 x 432) + (4 + 6 + 4 + 8 x 144)).  The
    padded layout held the latter in 2,104,538 bytes. *)
 let test_snapshot_sizes () =
-  let single = Resilience.Snapshot.encode (Resilience.Snapshot.capture_single (make_single ())) in
+  let single = Resilience.Snapshot.encode (capture_sim (make_single ())) in
   Alcotest.(check int) "one 12x12 curvature block" 2434 (String.length single);
   let forest =
     Blocks.Forest.create ~grid:[| 8; 8 |] ~block_dims:[| 12; 12 |] (Lazy.force eutectic)
@@ -233,19 +241,21 @@ let test_restore_targets () =
   in
   List.iter
     (fun c ->
-      roundtrip `Single c;
-      roundtrip `Forest c)
+      roundtrip Check.Oracles.single c;
+      roundtrip Check.Oracles.forest c)
     Check.Gen.[ case ~split:true P1; case P2; case Curvature ];
   List.iter
-    (fun (split, jit) -> roundtrip `Forest (case ~split ~jit Check.Gen.Eutectic))
+    (fun (split, jit) -> roundtrip Check.Oracles.forest (case ~split ~jit Check.Gen.Eutectic))
     [ (false, false); (false, true); (true, false); (true, true) ];
   let c = case Check.Gen.Curvature in
-  (match Check.Oracles.ran (Check.Oracles.build ~sharp:true `Adaptive c) ~steps:2 with
-  | Check.Oracles.Adaptive af ->
+  (match
+     Check.Oracles.ran (Check.Oracles.build ~sharp:true (Check.Oracles.adaptive c) c) ~steps:2
+   with
+  | Blocks.Run.Adaptive af ->
     Alcotest.(check bool) "the adaptive forest captured has frozen blocks" true
       (Blocks.Adaptive.frozen_blocks af > 0)
   | _ -> Alcotest.fail "not an adaptive forest");
-  roundtrip ~sharp:true `Adaptive c
+  roundtrip ~sharp:true Check.Oracles.adaptive c
 
 (* A CRC-valid file whose block grid contradicts itself is rejected by
    [decode], before anything reads an axis: the committed v1 file
@@ -273,16 +283,16 @@ let test_snapshot_shape_guards () =
   let blocks = Array.copy snap.Resilience.Snapshot.blocks in
   blocks.(3) <- Resilience.Snapshot.Frozen [ ((phi ()).Symbolic.Fieldspec.name, [| 0.; 1. |]) ];
   expect_invalid "frozen block restored into a uniform forest" (fun () ->
-      Resilience.Snapshot.restore { snap with Resilience.Snapshot.blocks } forest);
+      restore_forest { snap with Resilience.Snapshot.blocks } forest);
   let short = { snap with owner = Array.sub snap.Resilience.Snapshot.owner 0 3 } in
   expect_invalid "owner array one entry short" (fun () ->
       Resilience.Snapshot.decode (Resilience.Snapshot.encode short))
 
 let test_snapshot_fingerprint_guard () =
   let sim = make_single () in
-  let snap = Resilience.Snapshot.capture_single sim in
+  let snap = capture_sim sim in
   let wrong = { snap with Resilience.Snapshot.fingerprint = snap.fingerprint lxor 1 } in
-  match Resilience.Snapshot.restore_single wrong sim with
+  match restore_sim wrong sim with
   | _ -> Alcotest.fail "wrong-model snapshot accepted"
   | exception Resilience.Snapshot.Invalid _ -> ()
 
@@ -317,15 +327,14 @@ let test_finalize_invariant () =
   (* consumed messages never trip the invariant (fresh channel: the
      drained one has a permanently lost sequence number, by design) *)
   Blocks.Mpisim.send c ~src:0 ~dst:1 ~tag:4 [| 4. |];
-  (match Blocks.Mpisim.recv_expected c ~src:0 ~dst:1 ~tag:4 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "expected message not delivered");
+  Alcotest.(check (array (float 0.))) "expected message delivered" [| 4. |]
+    (Blocks.Ghost.fetch c ~src:0 ~dst:1 ~tag:4);
   Blocks.Mpisim.finalize c
 
 let test_no_message_rendering () =
-  Alcotest.(check string) "No_message renders its channel"
-    "Mpisim.No_message: no message queued from rank 2 to rank 0 with tag 5"
-    (Printexc.to_string (Blocks.Mpisim.No_message (2, 0, 5)));
+  Alcotest.(check string) "Exchange_failed renders its channel"
+    "Ghost.Exchange_failed: retries exhausted waiting for rank 2 -> rank 0, tag 5"
+    (Printexc.to_string (Blocks.Ghost.Exchange_failed (2, 0, 5)));
   Alcotest.(check string) "Unquiescent renders its channels"
     "Mpisim.Unquiescent: undelivered messages at finalize: 2 message(s) from rank 0 \
      to rank 1 with tag 3"
@@ -361,7 +370,7 @@ let test_crash_restart_bitwise () =
   let faulty =
     with_plan (Blocks.Faultplan.chaos ~seed:11 ~crash_step:3 ()) (make_forest ())
   in
-  let stats = Resilience.Recovery.run_protected ~every:2 ~steps:6 faulty in
+  let stats = Resilience.Recovery.run_protected ~every:2 ~steps:6 (Blocks.Run.Forest faulty) in
   Alcotest.(check int) "exactly one restart" 1 stats.Resilience.Recovery.restarts;
   Alcotest.(check bool) "steps were replayed" true
     (stats.Resilience.Recovery.replayed_steps >= 1);
@@ -382,14 +391,7 @@ let test_adaptive_crash_savings () =
   Blocks.Adaptive.prime af;
   Blocks.Mpisim.set_fault_plan af.Blocks.Adaptive.comm
     (Some (Blocks.Faultplan.chaos ~crash_step:1 ()));
-  let stats =
-    Resilience.Recovery.protect ~every:2 ~steps:3
-      ~step_count:(fun () -> Blocks.Adaptive.step_count af)
-      ~step:(fun () -> Blocks.Adaptive.step af)
-      ~capture:(fun () -> Resilience.Snapshot.capture_adaptive af)
-      ~restore:(fun snap -> Resilience.Snapshot.restore_adaptive snap af)
-      af.Blocks.Adaptive.comm
-  in
+  let stats = Resilience.Recovery.run_protected ~every:2 ~steps:3 (Blocks.Run.Adaptive af) in
   Alcotest.(check bool) "steps were replayed" true
     (stats.Resilience.Recovery.replayed_steps >= 1);
   Alcotest.(check int) "nothing froze" 0 af.Blocks.Adaptive.freezes;
@@ -419,7 +421,7 @@ let test_recovery_keeps_newest_checkpoint () =
         Weak.set captures !n (Some snap);
         incr n;
         snap)
-      ~restore:(fun snap -> Resilience.Snapshot.restore snap forest)
+      ~restore:(fun snap -> restore_forest snap forest)
       forest.Blocks.Forest.comm
   in
   Alcotest.(check int) "a checkpoint before the run and after every step" 7
@@ -433,7 +435,7 @@ let test_forest_snapshot_restore_continues () =
   Blocks.Forest.run forest ~steps:2;
   let snap = Resilience.Snapshot.capture forest in
   Blocks.Forest.run forest ~steps:3;
-  Resilience.Snapshot.restore snap forest;
+  restore_forest snap forest;
   Alcotest.(check int) "rolled back" 2 (Blocks.Forest.step_count forest);
   Blocks.Forest.run forest ~steps:3;
   let straight = make_forest () in
@@ -572,13 +574,13 @@ let test_handle_survives_restart () =
   M.restart c;
   Alcotest.(check bool) "in-flight message discarded" true (M.quiescent c);
   Alcotest.(check bool) "the same handle" true (M.channel c ~src:0 ~dst:1 ~tag:3 == ch);
-  Alcotest.(check int) "sequence restarts" 0 (M.expected_seq c ~src:0 ~dst:1 ~tag:3);
+  Alcotest.(check (pair int int)) "sequence restarts" (0, 0) (ch.M.next_send, ch.M.expected);
   M.post c ch [| 3. |];
   Alcotest.(check (array (float 0.))) "after, through the handle" [| 3. |]
     (Blocks.Ghost.receive c ch);
   M.send c ~src:0 ~dst:1 ~tag:3 [| 4. |];
-  Alcotest.(check (option (array (float 0.)))) "after, by key" (Some [| 4. |])
-    (M.recv_expected c ~src:0 ~dst:1 ~tag:3);
+  Alcotest.(check (array (float 0.))) "after, by key" [| 4. |]
+    (Blocks.Ghost.fetch c ~src:0 ~dst:1 ~tag:3);
   M.finalize c
 
 (* Under a drop/delay/duplicate plan a JIT forest — slabs packed into

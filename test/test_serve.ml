@@ -131,12 +131,13 @@ let test_mempool_accounting () =
 let test_preempt_roundtrip_bitwise () =
   let gen = Scheduler.gen_of Workload.Curv2d in
   let mp = Mempool.create () in
-  let mk_sim ?alloc () = Pfcore.Timestep.create ~num_domains:1 ?alloc ~dims:[| 12; 12 |] gen in
-  let sim = mk_sim ~alloc:(Mempool.alloc mp) () in
-  Workload.init_sim sim ~seed:5;
-  Pfcore.Timestep.prime sim;
-  Pfcore.Timestep.run sim ~steps:2;
-  let parked = Resilience.Snapshot.capture_single sim in
+  let mk ?alloc ?init () =
+    Blocks.Run.create ~num_domains:1 ?alloc ?init (Blocks.Run.One_block [| 12; 12 |]) gen
+  in
+  let run = mk ~alloc:(Mempool.alloc mp) ~init:(Workload.init_sim ~seed:5) () in
+  Blocks.Run.run run ~steps:2;
+  let parked = Resilience.Snapshot.capture_run run in
+  let sim = List.hd (Blocks.Run.sims run) in
   Mempool.release_block mp sim.Pfcore.Timestep.block;
   Alcotest.(check bool) "released buffers are poisoned" true
     (List.for_all
@@ -145,22 +146,21 @@ let test_preempt_roundtrip_bitwise () =
   Alcotest.(check int) "no storage leaked past the pool" 0 (Mempool.stats mp).Mempool.live_bytes;
   (* resume into recycled storage and finish the run *)
   let cold_misses = (Mempool.stats mp).Mempool.misses in
-  let sim2 = mk_sim ~alloc:(Mempool.alloc mp) () in
+  let run2 = mk ~alloc:(Mempool.alloc mp) () in
   Alcotest.(check int) "resume allocates purely from the pool" cold_misses
     ((Mempool.stats mp).Mempool.misses);
-  Resilience.Snapshot.restore_single parked sim2;
-  Pfcore.Timestep.run sim2 ~steps:2;
+  Resilience.Snapshot.restore_run parked run2;
+  Blocks.Run.run run2 ~steps:2;
   (* the reference: the same job, never preempted *)
-  let solo = mk_sim () in
-  Workload.init_sim solo ~seed:5;
-  Pfcore.Timestep.prime solo;
-  Pfcore.Timestep.run solo ~steps:4;
+  let solo = mk ~init:(Workload.init_sim ~seed:5) () in
+  Blocks.Run.run solo ~steps:4;
   Alcotest.(check bool) "park -> release -> resume is bitwise exact" true
     (Resilience.Snapshot.equal
-       (Resilience.Snapshot.capture_single sim2)
-       (Resilience.Snapshot.capture_single solo));
+       (Resilience.Snapshot.capture_run run2)
+       (Resilience.Snapshot.capture_run solo));
   Alcotest.(check bool) "in the state and destination buffers, ghosts included" true
-    (Check.Oracles.buffers_bitwise_equal ~scratch:false [ sim2 ] [ solo ])
+    (Check.Oracles.buffers_bitwise_equal ~scratch:false (Blocks.Run.sims run2)
+       (Blocks.Run.sims solo))
 
 (* ---- scheduler end to end ---- *)
 
